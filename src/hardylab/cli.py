@@ -5,13 +5,14 @@ Usage shapes:
     hardylab check-beurling --config runs/monomial.cfg
     hardylab check-beurling --symbol-file sym.txt --degree 6,6
     hardylab example42 --budget 128 --out report.json
-    hardylab factor --config a.cfg --config b.cfg --workers 4
+    hardylab factor --config a.cfg --config b.cfg
 
 Settings resolve as flag > environment > config > default, with the
 environment read from HARDYLAB_SEED, HARDYLAB_TOL, HARDYLAB_FORMAT,
-HARDYLAB_DEGREE, HARDYLAB_OUT, and HARDYLAB_WORKERS.  One scenario emits
-a single pretty-printed JSON document (or text with --format text); two
-or more emit compact JSON Lines, one report per line, in input order.
+HARDYLAB_DEGREE, and HARDYLAB_OUT.  One scenario emits a single
+pretty-printed JSON document (or text with --format text); two or more
+run one after another and emit compact JSON Lines, one report per line,
+in input order.
 
 Exit code 0 means every report met its expectations: the verdicts named
 in the config's expect block match, or, without an expect block, the run
@@ -35,8 +36,10 @@ from .scenarios import (
     Scenario,
     ScenarioError,
     expectations_met,
+    parse_int_tuple,
     parse_scenario,
     run_batch,
+    validate_scenario,
 )
 from .subspaces import parse_basis_text
 from .symbols import parse_coefficient_text
@@ -44,16 +47,6 @@ from .dilation import parse_tuple_text
 from .grids import TruncationGrid
 
 __all__ = ["main", "build_parser"]
-
-
-def _flag_int_tuple(value: str, flag: str) -> tuple:
-    try:
-        parts = tuple(int(x) for x in value.replace(",", " ").split())
-    except ValueError:
-        raise ScenarioError(f"{flag} wants integers, got {value!r}") from None
-    if not parts:
-        raise ScenarioError(f"{flag} is empty")
-    return parts
 
 
 def _env(name: str, cast, flag_hint: str):
@@ -95,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-variable truncation caps")
         p.add_argument("--margins", metavar="M1,M2,...",
                        help="per-variable evaluation window margins")
-        p.add_argument("--workers", type=int, help="threads for a config batch")
         p.add_argument("--id", dest="scenario_id", help="scenario id for the report")
         p.add_argument("--symbol-file", metavar="PATH", help="coefficient text for the symbol")
         p.add_argument("--phi-file", metavar="PATH", help="coefficient text for the divisor")
@@ -123,7 +115,7 @@ def _adhoc_scenario(args) -> Scenario:
     """Build one scenario straight from flags, without a config file."""
     caps = None
     if args.degree is not None:
-        caps = _flag_int_tuple(args.degree, "--degree")
+        caps = parse_int_tuple(args.degree, "--degree")
     s = Scenario(
         scenario_id=args.scenario_id or f"cli-{args.command}",
         command=args.command,
@@ -159,25 +151,18 @@ def _apply_overrides(s: Scenario, args) -> Scenario:
     if s.tol <= 0:
         raise ScenarioError(f"tol must be positive, got {s.tol}")
     s.seed = _resolve(args.seed, "SEED", int, "--seed", s.seed)
-    caps_flag = _flag_int_tuple(args.degree, "--degree") if args.degree is not None else None
+    caps_flag = parse_int_tuple(args.degree, "--degree") if args.degree is not None else None
     s.caps = _resolve(caps_flag, "DEGREE",
-                      lambda v: _flag_int_tuple(v, "HARDYLAB_DEGREE"),
+                      lambda v: parse_int_tuple(v, "HARDYLAB_DEGREE"),
                       "--degree", s.caps)
     if args.margins is not None:
-        s.margins = _flag_int_tuple(args.margins, "--margins")
+        s.margins = parse_int_tuple(args.margins, "--margins")
     if s.command == "example42":
         for attr in ("budget", "pairs", "pair_radius"):
             value = getattr(args, attr, None)
             if value is not None:
                 setattr(s, attr, value)
     return s
-
-
-def _validate_cli(s: Scenario):
-    # Same source requirements as the config path; raised here so ad-hoc
-    # runs fail before any math starts.
-    from .scenarios import _validate
-    _validate(s)
 
 
 def main(argv=None) -> int:
@@ -205,10 +190,9 @@ def main(argv=None) -> int:
                 scenarios.append(_apply_overrides(s, args))
         else:
             s = _apply_overrides(_adhoc_scenario(args), args)
-            _validate_cli(s)
+            validate_scenario(s)
             scenarios = [s]
 
-        workers = _resolve(args.workers, "WORKERS", int, "--workers", None)
         fmt = _resolve(args.fmt, "FORMAT", str, "--format", "json")
         if fmt not in ("json", "text"):
             raise ScenarioError(f"unknown format {fmt!r}; choose json or text")
@@ -220,7 +204,7 @@ def main(argv=None) -> int:
         print(f"hardylab: error: {exc}", file=sys.stderr)
         return 2
 
-    reports = run_batch(scenarios, workers=workers)
+    reports = run_batch(scenarios)
 
     if len(reports) == 1:
         payload = emit_report(reports[0], fmt=fmt)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .grids import TruncationGrid
 from .operators import eval_margins
-from .subspaces import SubspaceData, submodule_projection, subspace_from_columns
+from .subspaces import SubspaceData, origin_complement, submodule_projection
 from .symbols import AnalyticSymbol
 
 __all__ = ["CorpusEntry", "corpus_entries", "symbol_entries"]
@@ -49,10 +49,7 @@ class CorpusEntry:
         """Materialize the shift-invariant subspace this entry describes."""
         if self.symbol is not None:
             return submodule_projection(self.symbol, TruncationGrid(self.caps))
-        grid = self.grid()
-        cols = np.eye(grid.dim, dtype=complex)[:, 1:]
-        s, _ = subspace_from_columns(grid, cols)
-        return s
+        return origin_complement(self.grid())
 
 
 def _blaschke_parameter(rng) -> complex:

@@ -21,6 +21,7 @@ exact for an arbitrary subspace and is used as a structural check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -46,16 +47,14 @@ INVARIANCE_GATE = 5e-2
 
 @dataclass(frozen=True)
 class CompressionTuple:
-    """Compressed, extended, and restricted shifts for one subspace split.
+    """Compressed and extended shifts for one subspace split.
 
     operators[t] acts on the Q coordinates, extended[t] = P_Q M_t P_Q acts
-    on the whole grid, restrictions[t] is M_t restricted to S in the S
-    coordinates.
+    on the whole grid.
     """
 
     operators: tuple
     extended: tuple
-    restrictions: tuple
 
 
 @dataclass(frozen=True)
@@ -72,10 +71,15 @@ class CriterionReport:
 
 @dataclass(frozen=True)
 class QuotientData:
+    """One subspace split S + Q and the operators every detector reads.
+
+    The members below the fields are computed on first use and cached, so
+    however many detectors read them each is formed once per split.
+    """
+
     s: SubspaceData
     q: SubspaceData
     compressions: CompressionTuple
-    defects: tuple             # I_Q - C_t*C_t on the Q coordinates
     shifts: tuple              # truncated shifts on the full grid
     margins: tuple
     window: np.ndarray
@@ -86,6 +90,34 @@ class QuotientData:
     @property
     def grid(self) -> TruncationGrid:
         return self.s.grid
+
+    @cached_property
+    def extended_defects(self) -> tuple:
+        """P_Q - Chat_t* Chat_t on the whole grid, one per variable."""
+        p_q = self.q.projection
+        return tuple(p_q - c.conj().T @ c for c in self.compressions.extended)
+
+    @cached_property
+    def defect_products(self) -> dict:
+        """{(i, j): windowed norm of the defect product D_i D_j} for i < j."""
+        d = self.extended_defects
+        n = self.grid.nvars
+        return {(i, j): windowed_norm(d[i] @ d[j], self.window)
+                for i in range(n) for j in range(i + 1, n)}
+
+    @cached_property
+    def cross_terms(self) -> dict:
+        """{(i, j): P_S M_i P_Q M_j* P_S} for every ordered pair i != j."""
+        p_s, p_q, mats = self.s.projection, self.q.projection, self.shifts
+        n = self.grid.nvars
+        return {(i, j): p_s @ mats[i] @ p_q @ mats[j].conj().T @ p_s
+                for i in range(n) for j in range(n) if i != j}
+
+    @cached_property
+    def xij(self) -> float:
+        """Worst windowed norm of the cross terms."""
+        return max((windowed_norm(x, self.window) for x in self.cross_terms.values()),
+                   default=0.0)
 
 
 def shift_power(shifts, k) -> np.ndarray:
@@ -136,28 +168,16 @@ def quotient_data(
             f"exceeds the gate {invariance_gate:g}"
         )
 
-    dim = grid.dim
     p_s = s.projection
-    p_q = np.eye(dim, dtype=complex) - p_s
-    if s.rank:
-        u, _, _ = np.linalg.svd(s.basis, full_matrices=True)
-        q_basis = u[:, s.rank:]
-    else:
-        q_basis = np.eye(dim, dtype=complex)
-    q = SubspaceData(grid, q_basis, p_q)
-    b_q = q_basis
-    b_s = s.basis
+    p_q = np.eye(grid.dim, dtype=complex) - p_s
+    q = SubspaceData(grid, s.complement, p_q, s.basis)
 
     extended = tuple(p_q @ m @ p_q for m in mats)
-    operators = tuple(b_q.conj().T @ m @ b_q for m in mats)
-    restrictions = tuple(b_s.conj().T @ m @ b_s for m in mats)
+    operators = tuple(q.basis.conj().T @ m @ q.basis for m in mats)
 
     for t, c in enumerate(operators):
         if c.size and spectral_norm(c) > 1 + 1e-10:
             raise ValueError(f"compression {t} exceeds unit norm; subspace data is inconsistent")
-
-    eye_q = np.eye(b_q.shape[1], dtype=complex)
-    defects = tuple(eye_q - c.conj().T @ c for c in operators)
 
     worst = 0.0
     for t, m in enumerate(mats):
@@ -168,8 +188,7 @@ def quotient_data(
     return QuotientData(
         s=s,
         q=q,
-        compressions=CompressionTuple(operators, extended, restrictions),
-        defects=defects,
+        compressions=CompressionTuple(operators, extended),
         shifts=mats,
         margins=margins,
         window=window,
@@ -179,26 +198,15 @@ def quotient_data(
     )
 
 
-def _extended_defects(data: QuotientData):
-    p_q = data.q.projection
-    return [p_q - c.conj().T @ c for c in data.compressions.extended]
-
-
 def beurling_criterion(data: QuotientData, tol: float = 1e-8) -> CriterionReport:
     """Product of defect operators: zero exactly for Beurling quotients.
 
     residual = max over pairs i < j of the windowed norm of
     (I_Q - C_i*C_i)(I_Q - C_j*C_j).
     """
-    dhat = _extended_defects(data)
-    residuals = {}
-    worst = 0.0
-    n = data.grid.nvars
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = windowed_norm(dhat[i] @ dhat[j], data.window)
-            residuals[f"pair_{i}_{j}"] = val
-            worst = max(worst, val)
+    products = data.defect_products
+    residuals = {f"pair_{i}_{j}": val for (i, j), val in products.items()}
+    worst = max(products.values(), default=0.0)
     residuals["beurling_defect_product"] = worst
     return CriterionReport(
         name="beurling",
@@ -293,39 +301,34 @@ def identity_suite(
 
     khat and lhat default, for the ordered pair (i, j), to the unit
     multi-indices e_j and e_i; a user-supplied value is used for every
-    pair and must have a zero entry at the constrained position.
+    pair and must have a zero entry at the constrained position.  The
+    defects, xij and the defect product are read from the cached members
+    of data, which beurling_criterion shares.
     """
-    grid = data.grid
-    n = grid.nvars
+    n = data.grid.nvars
     window = data.window
     p_s = data.s.projection
     p_q = data.q.projection
     mats = data.shifts
-    dhat = _extended_defects(data)
+    dhat = data.extended_defects
 
     residuals: dict = {"defect_identity": data.defect_identity}
     verdicts: dict = {"defect_identity": data.defect_identity <= tol}
 
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    residuals["xij"] = data.xij
 
-    xij_all = {}
-    worst_xij = 0.0
-    for i, j in pairs:
-        x = p_s @ mats[i] @ p_q @ mats[j].conj().T @ p_s
-        xij_all[(i, j)] = x
-        worst_xij = max(worst_xij, windowed_norm(x, window))
-    residuals["xij"] = worst_xij
+    power = cache(partial(shift_power, mats))  # one product per distinct multi-index
 
+    khats = {(i, j): _hat_for(khat, i, tuple(1 if t == j else 0 for t in range(n)), n, "khat")
+             for i, j in pairs}
     worst_comm = 0.0
     min_eig = np.inf if pairs else 0.0
-    comms = {}
     for i, j in pairs:
-        kh = _hat_for(khat, i, tuple(1 if t == j else 0 for t in range(n)), n, "khat")
-        mk = shift_power(mats, kh)
+        mk = power(khats[(i, j)])
         chat_i = data.compressions.extended[i]
         chat_k = p_q @ mk @ p_q
         comm = chat_i @ chat_k.conj().T - chat_k.conj().T @ chat_i
-        comms[(i, j)] = comm
         rhs = p_q @ mk.conj().T @ p_s @ mats[i] @ p_q
         worst_comm = max(worst_comm, windowed_norm(comm - rhs, window))
 
@@ -347,20 +350,16 @@ def identity_suite(
     residuals["reduces"] = worst_reduce
     verdicts["reduces"] = worst_reduce <= tol
 
-    worst_prod = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            worst_prod = max(worst_prod, windowed_norm(dhat[i] @ dhat[j], window))
+    worst_prod = max(data.defect_products.values(), default=0.0)
     residuals["beurling_defect_product"] = worst_prod
 
     if worst_prod <= tol:
         worst_ann = [0.0, 0.0, 0.0]
         for i, j in pairs:
-            kh = _hat_for(khat, i, tuple(1 if t == j else 0 for t in range(n)), n, "khat")
             lh = _hat_for(lhat, j, tuple(1 if t == i else 0 for t in range(n)), n, "lhat")
-            mk = shift_power(mats, kh)
-            ml = shift_power(mats, lh)
-            x = xij_all[(i, j)]
+            mk = power(khats[(i, j)])
+            ml = power(lh)
+            x = data.cross_terms[(i, j)]
             prods = (
                 p_q @ mk.conj().T @ x @ ml @ p_q,
                 p_q @ mats[i].conj().T @ x @ ml @ p_q,
@@ -400,13 +399,10 @@ def douglas_factor(data: QuotientData, i: int, j: int, rcond: float = 1e-10):
     """
     if i == j:
         raise ValueError("need two distinct variables")
-    p_q = data.q.projection
-    mats = data.shifts
     chat_i = data.compressions.extended[i]
     chat_j = data.compressions.extended[j]
     comm = chat_i @ chat_j.conj().T - chat_j.conj().T @ chat_i
-    d_sq = p_q - chat_i.conj().T @ chat_i
-    d = psd_sqrt(d_sq)
+    d = psd_sqrt(data.extended_defects[i])
     x = comm @ np.linalg.pinv(d, rcond=rcond, hermitian=True)
     recon = windowed_norm(comm - x @ d, data.window)
     return x, spectral_norm(x), recon

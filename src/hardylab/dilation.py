@@ -103,13 +103,6 @@ class ContractionTuple:
             out = out @ self.matrices[i]
         return out
 
-    def power(self, k) -> np.ndarray:
-        out = np.eye(self.dim, dtype=complex)
-        for m, p in zip(self.matrices, k):
-            for _ in range(int(p)):
-                out = out @ m
-        return out
-
 
 def brehmer_defect(t: ContractionTuple, eig_tol: float = 1e-10,
                    rank_tol: float = RANK_TOL):

@@ -28,7 +28,7 @@ import numpy as np
 from .criteria import beurling_criterion, quotient_data
 from .grids import TruncationGrid
 from .operators import innerness_check, spectral_norm
-from .subspaces import subspace_from_columns, submodule_projection
+from .subspaces import origin_complement, submodule_projection
 from .symbols import AnalyticSymbol
 
 __all__ = [
@@ -157,12 +157,6 @@ def rational_inner_witness() -> AnalyticSymbol:
     return AnalyticSymbol.rational(numerator, denominator, nvars=2)
 
 
-def _origin_complement(grid: TruncationGrid):
-    cols = np.eye(grid.dim, dtype=complex)[:, 1:]
-    s, _ = subspace_from_columns(grid, cols)
-    return s
-
-
 def reduced_kernel_suite(caps=(20, 20), pairs: int = 20, seed: int = 0,
                          pair_radius: float = 0.6, budget: int = 64,
                          torus_samples: int = 64, kernel_tol: float = 1e-8,
@@ -203,7 +197,7 @@ def reduced_kernel_suite(caps=(20, 20), pairs: int = 20, seed: int = 0,
 
     small = TruncationGrid(tuple(int(c) for c in inclusion_caps))
     s_phi = submodule_projection(phi, small, inner_tol=criterion_tol)
-    s_origin = _origin_complement(small)
+    s_origin = origin_complement(small)
     inclusion_residual = spectral_norm(
         (np.eye(small.dim) - s_origin.projection) @ s_phi.basis
     )

@@ -111,7 +111,6 @@ def eval_margins(symbol: AnalyticSymbol) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class InnernessReport:
     torus_deviation: float
-    isometry_defect: float
     tolerance: float
     torus_samples: int
 
@@ -138,33 +137,27 @@ def innerness_check(
     grid: TruncationGrid,
     torus_samples: int = 64,
     tol: float = 1e-8,
-    margins: tuple[int, ...] | None = None,
 ) -> InnernessReport:
-    """Certify innerness: exact torus test plus a truncated isometry defect.
+    """Certify innerness by the exact torus test.
 
     torus_deviation is max over the sample grid of ||Theta(z)* Theta(z) - I||
-    using the closed rational form; it is the gating quantity.  The
-    isometry defect ||W (M_Theta* M_Theta - I) W|| on the core window W is
-    reported as a truncation diagnostic only: for symbols with slowly
-    decaying Taylor tails it converges too slowly to gate on.
+    using the closed rational form.  The truncated isometry defect
+    ||W (M_Theta* M_Theta - I) W|| is no substitute: for symbols with slowly
+    decaying Taylor tails it converges too slowly to gate on.  The grid only
+    fixes the variable count the symbol must match.
     """
     if torus_samples < 1:
         raise ValueError("torus_samples must be >= 1")
+    if len(grid.caps) != symbol.nvars:
+        raise ValueError("variable count mismatch between symbol and grid")
     pts = _torus_points(symbol.nvars, torus_samples)
     vals = symbol.evaluate(pts)
     gram = np.einsum("pij,pik->pjk", vals.conj(), vals)
     gram -= np.eye(symbol.cols)[None]
     # gram is Hermitian per point, so its spectral norm is the extreme eigenvalue
     dev = float(np.abs(np.linalg.eigvalsh(gram)).max()) if gram.size else 0.0
-
-    mt = toeplitz_matrix(symbol, grid)
-    dom = grid.with_channels(symbol.cols)
-    win = dom.window_indices(eval_margins(symbol) if margins is None else margins)
-    defect = mt.conj().T @ mt - np.eye(dom.dim)
-    iso = windowed_norm(defect, win)
     return InnernessReport(
         torus_deviation=dev,
-        isometry_defect=iso,
         tolerance=float(tol),
         torus_samples=int(torus_samples),
     )

@@ -21,7 +21,6 @@ report's status field so a batch keeps going.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -91,13 +90,14 @@ class Scenario:
     expect: dict = field(default_factory=dict)
 
 
-def _parse_int_tuple(value: str, key: str, lineno: int) -> tuple:
+def parse_int_tuple(value: str, label: str) -> tuple:
+    """Integers separated by commas or spaces; label names the config line or flag."""
     try:
         parts = tuple(int(x) for x in value.replace(",", " ").split())
     except ValueError:
-        raise ScenarioError(f"line {lineno}: {key} wants integers, got {value!r}") from None
+        raise ScenarioError(f"{label} wants integers, got {value!r}") from None
     if not parts:
-        raise ScenarioError(f"line {lineno}: {key} is empty")
+        raise ScenarioError(f"{label} is empty")
     return parts
 
 
@@ -202,12 +202,12 @@ def parse_scenario(text: str, scenario_id: str = "scenario",
 
     lineno, caps = take("caps")
     if caps is not None:
-        scenario.caps = _parse_int_tuple(caps, "caps", lineno)
+        scenario.caps = parse_int_tuple(caps, f"line {lineno}: caps")
         if any(c < 1 for c in scenario.caps):
             raise ScenarioError(f"line {lineno}: caps must be >= 1, got {scenario.caps}")
     lineno, margins = take("margins")
     if margins is not None:
-        scenario.margins = _parse_int_tuple(margins, "margins", lineno)
+        scenario.margins = parse_int_tuple(margins, f"line {lineno}: margins")
     lineno, tol = take("tol")
     if tol is not None:
         try:
@@ -254,11 +254,12 @@ def parse_scenario(text: str, scenario_id: str = "scenario",
             else:
                 scenario.expect[name] = _parse_bool(value, start + 1 + offset)
 
-    _validate(scenario)
+    validate_scenario(scenario)
     return scenario
 
 
-def _validate(s: Scenario):
+def validate_scenario(s: Scenario):
+    """Check that the command has the sources it needs, before any math starts."""
     needs = {
         "check-beurling": ("symbol or basis", s.symbol is not None or s.basis_rows is not None),
         "identity-suite": ("symbol or basis", s.symbol is not None or s.basis_rows is not None),
@@ -298,17 +299,16 @@ def _run_check_beurling(s: Scenario):
     data = quotient_data(sub, margins=margins)
     b = beurling_criterion(data, tol=s.tol)
     c = cross_commutator_criterion(sub, margins=margins, tol=s.tol)
-    suite = identity_suite(data, tol=s.tol)
     verdicts = {
         "beurling_defect_product": b.verdict,
         "cross_commutator": c.verdict,
-        "xij": suite.residuals["xij"] <= s.tol,
+        "xij": data.xij <= s.tol,
     }
     agree = len(set(verdicts.values())) == 1
     verdicts["verdicts_agree"] = agree
     residuals = dict(b.residuals)
     residuals["cross_commutator"] = c.residuals["cross_commutator"]
-    residuals["xij"] = suite.residuals["xij"]
+    residuals["xij"] = data.xij
     residuals["verdicts_agree"] = 0.0 if agree else 1.0
     return residuals, verdicts, {}, sub.grid.caps
 
@@ -427,16 +427,8 @@ def run_scenario(s: Scenario) -> Report:
     )
 
 
-def run_batch(scenarios, workers: int | None = None) -> list:
-    """Run scenarios, preserving input order in the results.
-
-    workers > 1 fans out across threads; per-scenario output is identical
-    either way because nothing in a run depends on shared state.
-    """
-    scenarios = list(scenarios)
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_scenario, scenarios))
+def run_batch(scenarios) -> list:
+    """Run scenarios one after another, results in input order."""
     return [run_scenario(s) for s in scenarios]
 
 

@@ -1,9 +1,9 @@
 """Submodules and quotient modules as orthonormal column spans.
 
 A subspace is held as a column-orthonormal basis plus its projection.  The
-basis always comes out of one full SVD, so a subspace and its complement
-share the same unitary and P_S + P_Q = I holds to rounding, not merely to
-rank tolerance.
+basis always comes out of one full SVD, whose remaining columns are kept as
+the complement basis, so a subspace and its complement share the same
+unitary and P_S + P_Q = I holds to rounding, not merely to rank tolerance.
 
 Submodules generated by an inner symbol take the columns of the truncated
 multiplication operator over the input window (domain degrees at least
@@ -20,7 +20,6 @@ import numpy as np
 from .grids import TruncationGrid
 from .operators import (
     InnernessError,
-    eval_margins,
     innerness_check,
     shift_matrices,
     spectral_norm,
@@ -35,6 +34,7 @@ __all__ = [
     "submodule_projection",
     "subspace_from_columns",
     "subspace_from_rows",
+    "origin_complement",
     "parse_basis_text",
     "invariance_defect",
     "InvarianceError",
@@ -54,6 +54,7 @@ class SubspaceData:
     grid: TruncationGrid
     basis: np.ndarray          # (dim, r), column-orthonormal
     projection: np.ndarray     # (dim, dim) = basis @ basis*
+    complement: np.ndarray     # (dim, dim - r), orthonormal basis of the complement
     discarded: int = 0         # columns dropped at the rank tolerance
 
     @property
@@ -91,8 +92,8 @@ def subspace_from_columns(
     if columns.ndim != 2 or columns.shape[0] != grid.dim:
         raise ValueError(f"columns must be ({grid.dim}, k), got {columns.shape}")
     sb, qb, dropped = _with_complement(grid, columns, rank_tol)
-    s = SubspaceData(grid, sb, sb @ sb.conj().T, discarded=dropped)
-    q = SubspaceData(grid, qb, qb @ qb.conj().T)
+    s = SubspaceData(grid, sb, sb @ sb.conj().T, qb, discarded=dropped)
+    q = SubspaceData(grid, qb, qb @ qb.conj().T, sb)
     return s, q
 
 
@@ -142,6 +143,12 @@ def subspace_from_rows(grid: TruncationGrid, rows: np.ndarray, rank_tol: float =
     """Subspace spanned by coefficient row-vectors (one vector per row)."""
     rows = np.asarray(rows, dtype=complex)
     return subspace_from_columns(grid, rows.T, rank_tol)
+
+
+def origin_complement(grid: TruncationGrid) -> SubspaceData:
+    """The functions vanishing at the origin: every basis vector but the first."""
+    s, _ = subspace_from_columns(grid, np.eye(grid.dim, dtype=complex)[:, 1:])
+    return s
 
 
 def parse_basis_text(text: str, grid: TruncationGrid) -> np.ndarray:

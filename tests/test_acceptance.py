@@ -41,7 +41,7 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
-    for name in ("SEED", "TOL", "FORMAT", "DEGREE", "OUT", "WORKERS"):
+    for name in ("SEED", "TOL", "FORMAT", "DEGREE", "OUT"):
         monkeypatch.delenv(f"HARDYLAB_{name}", raising=False)
 
 
@@ -203,10 +203,3 @@ def test_criterion_7_cli_batch_byte_determinism(tmp_path):
                 json.loads(line)
         else:
             json.loads(first)  # single pretty document
-
-    args = ["check-beurling"]
-    for name in groups["check-beurling"]:
-        args += ["--config", str(SCENARIO_DIR / f"{name}.cfg")]
-    threaded = tmp_path / "threaded.out"
-    assert main(args + ["--workers", "3", "--out", str(threaded)]) == 0
-    assert threaded.read_bytes() == (tmp_path / "first-check-beurling.out").read_bytes()

@@ -38,7 +38,7 @@ def mono_cfg(tmp_path):
 
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
-    for name in ("SEED", "TOL", "FORMAT", "DEGREE", "OUT", "WORKERS"):
+    for name in ("SEED", "TOL", "FORMAT", "DEGREE", "OUT"):
         monkeypatch.delenv(f"HARDYLAB_{name}", raising=False)
 
 
@@ -71,17 +71,6 @@ def test_batch_emits_json_lines(mono_cfg, tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 2
     assert [json.loads(l)["scenario_id"] for l in lines] == ["mono", "coord"]
-
-
-def test_batch_bytes_identical_across_worker_counts(mono_cfg, tmp_path):
-    other = tmp_path / "coord.cfg"
-    other.write_text(COORD)
-    one = tmp_path / "w1.jsonl"
-    many = tmp_path / "w4.jsonl"
-    run_cli(["check-beurling", "--config", mono_cfg, "--config", other, "--out", one])
-    run_cli(["check-beurling", "--config", mono_cfg, "--config", other,
-             "--out", many, "--workers", 4])
-    assert one.read_bytes() == many.read_bytes()
 
 
 def test_text_format(mono_cfg, capsys):

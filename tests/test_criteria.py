@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardylab.corpus import corpus_entries
 from hardylab.grids import TruncationGrid
 from hardylab.operators import eval_margins, shift_matrices, spectral_norm, windowed_norm
 from hardylab.subspaces import InvarianceError, subspace_from_columns, submodule_projection
@@ -106,6 +107,17 @@ def test_three_verdicts_agree_on_both_poles():
     assert not (b0 or c0 or x0)
 
 
+def test_detectors_share_one_defect_product():
+    entry = next(e for e in corpus_entries(0) if len(e.caps) == 3 and e.symbol is not None)
+    qd = quotient_data(entry.subspace(), margins=entry.margins)
+    products = qd.defect_products
+    b = beurling_criterion(qd, tol=1e-6)
+    s = identity_suite(qd, tol=1e-6)
+    assert qd.defect_products is products
+    assert len(products) == 3
+    assert b.residuals["beurling_defect_product"] == s.residuals["beurling_defect_product"]
+
+
 def test_blaschke_half_embedded_quotient():
     sym = AnalyticSymbol.blaschke(0.5, 0, nvars=2)
     qd = make_quotient(sym, (8, 8))
@@ -179,6 +191,10 @@ def test_shift_power():
     np.testing.assert_array_equal(m @ g.basis_vector((1, 1)), np.zeros(g.dim))
     with pytest.raises(ValueError):
         shift_power(mats, (-1, 0))
+    # any commuting tuple, not only shifts: a Jordan pair
+    n = np.diag(np.ones(3), 1)
+    pair = (n / 2, n @ n / 2)
+    np.testing.assert_array_equal(shift_power(pair, (2, 1)), pair[0] @ pair[0] @ pair[1])
 
 
 def test_douglas_factor_is_contraction():

@@ -46,12 +46,6 @@ def test_tuple_needs_matching_shapes():
         ContractionTuple(())
 
 
-def test_power_multiplies_entries():
-    t = jordan_pair()
-    manual = t.matrices[0] @ t.matrices[0] @ t.matrices[1]
-    assert np.array_equal(t.power((2, 1)), manual)
-
-
 # ---- defect sum ------------------------------------------------------------
 
 def test_zero_pair_defect_is_one():
