@@ -191,10 +191,6 @@ def test_shift_power():
     np.testing.assert_array_equal(m @ g.basis_vector((1, 1)), np.zeros(g.dim))
     with pytest.raises(ValueError):
         shift_power(mats, (-1, 0))
-    # any commuting tuple, not only shifts: a Jordan pair
-    n = np.diag(np.ones(3), 1)
-    pair = (n / 2, n @ n / 2)
-    np.testing.assert_array_equal(shift_power(pair, (2, 1)), pair[0] @ pair[0] @ pair[1])
 
 
 def test_douglas_factor_is_contraction():

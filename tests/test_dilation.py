@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hardylab.criteria import quotient_data
+from hardylab.criteria import quotient_data, shift_power
 from hardylab.dilation import (
     ContractionTuple,
     DilationError,
@@ -44,6 +44,12 @@ def test_tuple_needs_matching_shapes():
         ContractionTuple((np.zeros((2, 2)), np.zeros((3, 3))))
     with pytest.raises(ValueError, match="at least one"):
         ContractionTuple(())
+
+
+def test_power_multiplies_entries():
+    t = jordan_pair()
+    manual = t.matrices[0] @ t.matrices[0] @ t.matrices[1]
+    assert np.array_equal(shift_power(t.matrices, (2, 1)), manual)
 
 
 # ---- defect sum ------------------------------------------------------------
