@@ -7,12 +7,17 @@ Usage shapes:
     hardylab example42 --budget 128 --out report.json
     hardylab factor --config a.cfg --config b.cfg
 
-Settings resolve as flag > environment > config > default, with the
-environment read from HARDYLAB_SEED, HARDYLAB_TOL, HARDYLAB_FORMAT,
-HARDYLAB_DEGREE, and HARDYLAB_OUT.  One scenario emits a single
-pretty-printed JSON document (or text with --format text); two or more
-run one after another and emit compact JSON Lines, one report per line,
-in input order.
+Flags and the environment (HARDYLAB_SEED, HARDYLAB_TOL, HARDYLAB_FORMAT,
+HARDYLAB_DEGREE, HARDYLAB_OUT) become the same `key -> (origin, value)`
+settings that a config's lines give, with the origin `--flag` or
+`HARDYLAB_X` in place of `line N`.  They are merged over each config's
+settings as flag > environment > config > default, and the merged
+settings go through the scenario module's one per-key validator and one
+source loader, so a bad value from any origin exits 2 naming that origin.
+A source flag such as --symbol-file replaces the config's block or file
+for that source.  One scenario emits a single pretty-printed JSON document
+(or text with --format text); two or more run one after another and emit
+compact JSON Lines, one report per line, in input order.
 
 Exit code 0 means every report met its expectations: the verdicts named
 in the config's expect block match, or, without an expect block, the run
@@ -33,32 +38,35 @@ from pathlib import Path
 from .reports import emit_report
 from .scenarios import (
     COMMANDS,
-    Scenario,
     ScenarioError,
+    build_scenario,
     expectations_met,
-    parse_int_tuple,
-    parse_scenario,
+    parse_scenario,  # noqa: F401 - unused here; hlbench/tracing.py rebinds cli.parse_scenario
+    read_config,
     run_batch,
-    validate_scenario,
 )
-from .subspaces import parse_basis_text
-from .symbols import parse_coefficient_text
-from .dilation import parse_tuple_text
-from .grids import TruncationGrid
 
 __all__ = ["main", "build_parser"]
 
-
-def _env(name: str, cast, flag_hint: str):
-    raw = os.environ.get(f"HARDYLAB_{name}")
-    if raw is None:
-        return None
-    try:
-        return cast(raw)
-    except (ValueError, ScenarioError):
-        raise ScenarioError(
-            f"environment HARDYLAB_{name} has a bad value {raw!r} (see {flag_hint})"
-        ) from None
+# settings key, flag, environment variable, metavar, help
+_OPTIONS = (
+    ("out", "--out", "HARDYLAB_OUT", "PATH", "write the report here instead of stdout"),
+    ("format", "--format", "HARDYLAB_FORMAT", "json|text", "output format (default json)"),
+    ("seed", "--seed", "HARDYLAB_SEED", "N", "seed for any randomized search"),
+    ("tol", "--tol", "HARDYLAB_TOL", "X", "residual tolerance"),
+    ("caps", "--degree", "HARDYLAB_DEGREE", "D1,D2,...", "per-variable truncation caps"),
+    ("margins", "--margins", None, "M1,M2,...", "per-variable evaluation window margins"),
+    ("id", "--id", None, "NAME", "scenario id for the report"),
+    ("symbol_file", "--symbol-file", None, "PATH", "coefficient text for the symbol"),
+    ("phi_file", "--phi-file", None, "PATH", "coefficient text for the divisor"),
+    ("tuple_file", "--tuple-file", None, "PATH", "matrix text for the tuple"),
+    ("basis_file", "--basis-file", None, "PATH", "row-vector text for a subspace"),
+)
+_EXAMPLE42_OPTIONS = (
+    ("budget", "--budget", None, "N", "Gram search candidate count"),
+    ("pairs", "--pairs", None, "N", "kernel identity sample pairs"),
+    ("pair_radius", "--pair-radius", None, "R", "radius for kernel sample points"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,128 +87,59 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helps[name])
         p.add_argument("--config", action="append", metavar="PATH",
                        help="scenario config file; repeat for a batch")
-        p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-        p.add_argument("--format", choices=("json", "text"), dest="fmt",
-                       help="output format (default json)")
-        p.add_argument("--seed", type=int, help="seed for any randomized search")
-        p.add_argument("--tol", type=float, help="residual tolerance")
-        p.add_argument("--degree", metavar="D1,D2,...",
-                       help="per-variable truncation caps")
-        p.add_argument("--margins", metavar="M1,M2,...",
-                       help="per-variable evaluation window margins")
-        p.add_argument("--id", dest="scenario_id", help="scenario id for the report")
-        p.add_argument("--symbol-file", metavar="PATH", help="coefficient text for the symbol")
-        p.add_argument("--phi-file", metavar="PATH", help="coefficient text for the divisor")
-        p.add_argument("--tuple-file", metavar="PATH", help="matrix text for the tuple")
-        p.add_argument("--basis-file", metavar="PATH", help="row-vector text for a subspace")
-        if name == "example42":
-            p.add_argument("--budget", type=int, help="Gram search candidate count")
-            p.add_argument("--pairs", type=int, help="kernel identity sample pairs")
-            p.add_argument("--pair-radius", type=float, dest="pair_radius",
-                           help="radius for kernel sample points")
+        options = _OPTIONS + (_EXAMPLE42_OPTIONS if name == "example42" else ())
+        for key, flag, _, metavar, text in options:
+            p.add_argument(flag, dest=key, metavar=metavar, help=text)
     return parser
 
 
-def _load(path_str: str, parser, label: str):
+def _flag_settings(args) -> dict:
+    """{key: (origin, value)} from the flags, else from the environment."""
+    settings = {}
+    for key, flag, env, _, _ in _OPTIONS + _EXAMPLE42_OPTIONS:
+        value = getattr(args, key, None)
+        if value is not None:
+            settings[key] = (flag, value)
+        elif env is not None and env in os.environ:
+            settings[key] = (env, os.environ[env])
+    return settings
+
+
+def _config_scenario(path_str: str, command: str, overrides: dict):
+    """One config file's scenario, with the flag and environment settings on top."""
     path = Path(path_str)
     if not path.is_file():
-        raise ScenarioError(f"{label} {path_str!r} not found")
-    try:
-        return parser(path.read_text())
-    except ValueError as exc:
-        raise ScenarioError(f"{label} {path_str!r}: {exc}") from None
-
-
-def _adhoc_scenario(args) -> Scenario:
-    """Build one scenario straight from flags, without a config file."""
-    caps = None
-    if args.degree is not None:
-        caps = parse_int_tuple(args.degree, "--degree")
-    s = Scenario(
-        scenario_id=args.scenario_id or f"cli-{args.command}",
-        command=args.command,
-        caps=caps,
-    )
-    if args.symbol_file:
-        s.symbol = _load(args.symbol_file, parse_coefficient_text, "--symbol-file")
-    if args.phi_file:
-        s.phi = _load(args.phi_file, parse_coefficient_text, "--phi-file")
-    if args.tuple_file:
-        s.tuple_source = _load(args.tuple_file, parse_tuple_text, "--tuple-file")
-    if args.basis_file:
-        if s.caps is None:
-            raise ScenarioError("--basis-file needs --degree for the grid shape")
-        grid = TruncationGrid(s.caps)
-        s.basis_rows = _load(args.basis_file, lambda t: parse_basis_text(t, grid),
-                             "--basis-file")
-    return s
-
-
-def _resolve(flag_value, env_name, cast, flag_hint, current):
-    """flag > environment > config/default, per setting."""
-    if flag_value is not None:
-        return flag_value
-    from_env = _env(env_name, cast, flag_hint)
-    if from_env is not None:
-        return from_env
-    return current
-
-
-def _apply_overrides(s: Scenario, args) -> Scenario:
-    s.tol = _resolve(args.tol, "TOL", float, "--tol", s.tol)
-    if s.tol <= 0:
-        raise ScenarioError(f"tol must be positive, got {s.tol}")
-    s.seed = _resolve(args.seed, "SEED", int, "--seed", s.seed)
-    caps_flag = parse_int_tuple(args.degree, "--degree") if args.degree is not None else None
-    s.caps = _resolve(caps_flag, "DEGREE",
-                      lambda v: parse_int_tuple(v, "HARDYLAB_DEGREE"),
-                      "--degree", s.caps)
-    if args.margins is not None:
-        s.margins = parse_int_tuple(args.margins, "--margins")
-    if s.command == "example42":
-        for attr in ("budget", "pairs", "pair_radius"):
-            value = getattr(args, attr, None)
-            if value is not None:
-                setattr(s, attr, value)
+        raise ScenarioError(f"config {path_str!r} not found")
+    settings, blocks = read_config(path.read_text())
+    for key in overrides:
+        if key.endswith("_file"):
+            blocks.pop(key.removesuffix("_file"), None)
+    s = build_scenario({**settings, **overrides}, blocks, scenario_id=path.stem,
+                       base_dir=path.parent, default_command=command)
+    if s.command != command:
+        raise ScenarioError(
+            f"config {path_str!r} sets command {s.command!r} "
+            f"but the subcommand is {command!r}"
+        )
     return s
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.config:
-            scenarios = []
-            for path_str in args.config:
-                path = Path(path_str)
-                if not path.is_file():
-                    raise ScenarioError(f"config {path_str!r} not found")
-                s = parse_scenario(
-                    path.read_text(),
-                    scenario_id=path.stem,
-                    base_dir=path.parent,
-                    default_command=args.command,
-                )
-                if s.command != args.command:
-                    raise ScenarioError(
-                        f"config {path_str!r} sets command {s.command!r} "
-                        f"but the subcommand is {args.command!r}"
-                    )
-                if args.scenario_id and len(args.config) == 1:
-                    s.scenario_id = args.scenario_id
-                scenarios.append(_apply_overrides(s, args))
-        else:
-            s = _apply_overrides(_adhoc_scenario(args), args)
-            validate_scenario(s)
-            scenarios = [s]
-
-        fmt = _resolve(args.fmt, "FORMAT", str, "--format", "json")
+        overrides = _flag_settings(args)
+        _, out = overrides.pop("out", (None, None))
+        origin, fmt = overrides.pop("format", (None, "json"))
         if fmt not in ("json", "text"):
-            raise ScenarioError(f"unknown format {fmt!r}; choose json or text")
-        out = _resolve(args.out, "OUT", str, "--out", None)
-    except ScenarioError as exc:
-        print(f"hardylab: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+            raise ScenarioError(f"{origin}: unknown format {fmt!r}; choose json or text")
+        if args.config:
+            if len(args.config) > 1:
+                overrides.pop("id", None)
+            scenarios = [_config_scenario(p, args.command, overrides) for p in args.config]
+        else:
+            scenarios = [build_scenario(overrides, {}, scenario_id=f"cli-{args.command}",
+                                        default_command=args.command)]
+    except (ValueError, OSError) as exc:  # ScenarioError, or undecodable text
         print(f"hardylab: error: {exc}", file=sys.stderr)
         return 2
 

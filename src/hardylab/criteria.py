@@ -85,7 +85,6 @@ class QuotientData:
     window: np.ndarray
     invariance: float
     invariance_per_variable: tuple
-    defect_identity: float     # worst windowed deviation from the defect formula
 
     @property
     def grid(self) -> TruncationGrid:
@@ -96,6 +95,13 @@ class QuotientData:
         """P_Q - Chat_t* Chat_t on the whole grid, one per variable."""
         p_q = self.q.projection
         return tuple(p_q - c.conj().T @ c for c in self.compressions.extended)
+
+    @cached_property
+    def defect_identity(self) -> float:
+        """Worst windowed deviation of each extended defect from P_Q M_t* P_S M_t P_Q."""
+        p_s, p_q = self.s.projection, self.q.projection
+        return max((windowed_norm(d - p_q @ m.conj().T @ p_s @ m @ p_q, self.window)
+                    for d, m in zip(self.extended_defects, self.shifts)), default=0.0)
 
     @cached_property
     def defect_products(self) -> dict:
@@ -145,21 +151,20 @@ def quotient_data(
     s: SubspaceData,
     margins=None,
     invariance_gate: float = INVARIANCE_GATE,
-    shifts=None,
 ) -> QuotientData:
-    """Split the grid along S, compress the shifts, and verify the defects.
+    """Split the grid along S and compress the shifts.
 
     Raises InvarianceError when S fails the windowed shift-invariance gate,
     since the compressions only carry meaning for a submodule.  The defect
-    matrices I_Q - C_t*C_t are checked against P_Q M_t* P_S M_t P_Q on the
-    window and the worst deviation is stored.
+    matrices P_Q - Chat_t*Chat_t and their check against P_Q M_t* P_S M_t P_Q
+    on the window are formed on first use, once per split (QuotientData).
     """
     grid = s.grid
     margins = _resolve_margins(grid, margins)
     window = grid.window_indices(margins)
     if window.size == 0:
         raise ValueError(f"margins {margins} leave an empty evaluation window")
-    mats = tuple(shift_matrices(grid)) if shifts is None else tuple(shifts)
+    mats = tuple(shift_matrices(grid))
 
     inv_max, inv_per = invariance_defect(s, margins, list(mats))
     if inv_max > invariance_gate:
@@ -179,12 +184,6 @@ def quotient_data(
         if c.size and spectral_norm(c) > 1 + 1e-10:
             raise ValueError(f"compression {t} exceeds unit norm; subspace data is inconsistent")
 
-    worst = 0.0
-    for t, m in enumerate(mats):
-        lhs = p_q - extended[t].conj().T @ extended[t]
-        rhs = p_q @ m.conj().T @ p_s @ m @ p_q
-        worst = max(worst, windowed_norm(lhs - rhs, window))
-
     return QuotientData(
         s=s,
         q=q,
@@ -194,7 +193,6 @@ def quotient_data(
         window=window,
         invariance=inv_max,
         invariance_per_variable=tuple(inv_per),
-        defect_identity=worst,
     )
 
 
@@ -220,7 +218,6 @@ def cross_commutator_criterion(
     s: SubspaceData,
     margins=None,
     tol: float = 1e-8,
-    shifts=None,
 ) -> CriterionReport:
     """Commutators [R_j*, R_i] of the restricted shifts, windowed.
 
@@ -231,7 +228,7 @@ def cross_commutator_criterion(
     grid = s.grid
     margins = _resolve_margins(grid, margins)
     window = grid.window_indices(margins)
-    mats = shift_matrices(grid) if shifts is None else list(shifts)
+    mats = shift_matrices(grid)
     b = s.basis
     r = [b.conj().T @ m @ b for m in mats]
     residuals = {}

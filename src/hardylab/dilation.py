@@ -32,6 +32,7 @@ from .grids import TruncationGrid
 from .operators import eval_margins, shift_matrices, spectral_norm
 from .subspaces import RANK_TOL, submodule_projection
 from .symbols import AnalyticSymbol
+from .textlines import content_lines, fields, numbers
 
 __all__ = [
     "ContractionTuple",
@@ -339,40 +340,39 @@ def random_brehmer_pair(seed, size: int = 4, max_tries: int = 64) -> Contraction
 def parse_tuple_text(text: str) -> ContractionTuple:
     """Labeled block format: 'dim d' and 'count n' headers, then for each
     matrix a 'matrix i' label followed by d rows of d re/im pairs."""
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    lines = [(lineno, fields(line)) for lineno, line in content_lines(text)]
     if len(lines) < 2:
         raise ValueError("tuple text needs 'dim' and 'count' headers")
-    def header(line, word):
-        parts = line.split()
-        if len(parts) != 2 or parts[0] != word:
-            raise ValueError(f"expected '{word} <integer>', got {line!r}")
-        return int(parts[1])
-    dim = header(lines[0], "dim")
-    count = header(lines[1], "count")
+    def header(pos, word):
+        lineno, words = lines[pos]
+        if len(words) != 2 or words[0] != word:
+            raise ValueError(f"line {lineno}: expected '{word} <integer>', got {' '.join(words)!r}")
+        return numbers(words[1:], int, f"line {lineno}: {word}")[0]
+    dim = header(0, "dim")
+    count = header(1, "count")
     if dim < 1 or count < 1:
         raise ValueError("dim and count must be positive")
     pos = 2
     mats = []
     for mi in range(count):
-        if pos >= len(lines) or lines[pos].split() != ["matrix", str(mi)]:
-            raise ValueError(f"expected 'matrix {mi}' label at line {pos + 1}")
+        if pos >= len(lines) or lines[pos][1] != ["matrix", str(mi)]:
+            where = f"line {lines[pos][0]}" if pos < len(lines) else "end of text"
+            raise ValueError(f"{where}: expected 'matrix {mi}' label")
         pos += 1
         rows = []
         for ri in range(dim):
             if pos >= len(lines):
                 raise ValueError(f"matrix {mi} row {ri}: unexpected end of text")
-            fields = lines[pos].replace(",", " ").split()
-            if len(fields) != 2 * dim:
-                raise ValueError(
-                    f"matrix {mi} row {ri}: want {2 * dim} floats, got {len(fields)}"
-                )
-            vals = np.array([float(x) for x in fields])
+            lineno, words = lines[pos]
+            what = f"line {lineno}: matrix {mi} row {ri}"
+            if len(words) != 2 * dim:
+                raise ValueError(f"{what}: want {2 * dim} floats, got {len(words)}")
+            vals = np.array(numbers(words, float, what))
             rows.append(vals[0::2] + 1j * vals[1::2])
             pos += 1
         mats.append(np.stack(rows))
     if pos != len(lines):
-        raise ValueError("trailing content after the last matrix block")
+        raise ValueError(f"line {lines[pos][0]}: trailing content after the last matrix block")
     return ContractionTuple.checked(mats)
 
 

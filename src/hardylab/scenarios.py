@@ -12,7 +12,11 @@ terminated by a bare `end`.  Block bodies reuse the package text formats:
 `symbol:` and `phi:` hold coefficient records, `tuple:` holds labeled
 matrix blocks, `basis:` holds coefficient row-vectors, and `expect:` holds
 `name = true|false` verdict assertions (plus an optional `status = ...`
-line).  Every error message carries the offending line number.
+line).  Comments, blank lines, commas and numbers follow the shared rules
+of textlines.  read_config turns the text into `key -> (origin, value)`
+settings, the shape the CLI also builds from flags and the environment,
+and build_scenario checks every value against the one rule for its key,
+so each error message names the line, flag or variable it came from.
 
 run_scenario never raises for domain failures: the error lands in the
 report's status field so a batch keeps going.
@@ -40,6 +44,7 @@ from .operators import eval_margins
 from .reports import Report
 from .subspaces import parse_basis_text, submodule_projection, subspace_from_rows
 from .symbols import AnalyticSymbol, dump_coefficient_text, parse_coefficient_text
+from .textlines import content_lines, fields, numbers
 
 __all__ = [
     "Scenario",
@@ -61,11 +66,6 @@ COMMANDS = (
 )
 
 _BLOCKS = ("symbol", "phi", "tuple", "basis", "expect")
-_KEYS = (
-    "id", "command", "caps", "tol", "seed", "margins",
-    "symbol_file", "phi_file", "tuple_file", "basis_file",
-    "budget", "pairs", "pair_radius",
-)
 
 
 class ScenarioError(ValueError):
@@ -90,24 +90,172 @@ class Scenario:
     expect: dict = field(default_factory=dict)
 
 
-def parse_int_tuple(value: str, label: str) -> tuple:
-    """Integers separated by commas or spaces; label names the config line or flag."""
-    try:
-        parts = tuple(int(x) for x in value.replace(",", " ").split())
-    except ValueError:
-        raise ScenarioError(f"{label} wants integers, got {value!r}") from None
-    if not parts:
-        raise ScenarioError(f"{label} is empty")
-    return parts
+# ---- one rule per setting -------------------------------------------------
+
+def _numbers(cast, low=None, many=False):
+    """One value of cast, or with many a tuple of them, each at least low."""
+    def rule(value, key):
+        parts = numbers(fields(value) if many else [value], cast, key)
+        if not parts:
+            raise ValueError(f"{key} is empty")
+        if low is not None and min(parts) < low:
+            raise ValueError(f"{key} must be >= {low}, got {value!r}")
+        return tuple(parts) if many else parts[0]
+    return rule
+
+
+def _positive(value, key):
+    (x,) = numbers([value], float, key)
+    if x <= 0:
+        raise ValueError(f"{key} must be positive, got {value!r}")
+    return x
+
+
+def _text(value, key):
+    if not value:
+        raise ValueError(f"{key} is empty")
+    return value
+
+
+def _command(value, key):
+    if value not in COMMANDS:
+        raise ValueError(f"unknown command {value!r}; choose from {', '.join(COMMANDS)}")
+    return value
+
+
+_RULES = {
+    "id": _text,
+    "command": _command,
+    "caps": _numbers(int, 1, many=True),
+    "margins": _numbers(int, 0, many=True),
+    "tol": _positive,
+    "seed": _numbers(int),
+    "budget": _numbers(int, 1),
+    "pairs": _numbers(int, 1),
+    "pair_radius": _numbers(float),
+    "symbol_file": _text,
+    "phi_file": _text,
+    "tuple_file": _text,
+    "basis_file": _text,
+}
+
+
+def _assignment(lineno: int, line: str, table: dict, what: str) -> tuple:
+    """`key = value` as (key, value); a key already in table is an error."""
+    key, eq, value = line.partition("=")
+    key = key.strip().lower()
+    if not eq:
+        raise ScenarioError(f"line {lineno}: expected 'key = value', got {line!r}")
+    if key in table:
+        raise ScenarioError(f"line {lineno}: duplicate {what} {key!r}")
+    return key, value.strip()
 
 
 def _parse_bool(value: str, lineno: int) -> bool:
-    low = value.strip().lower()
+    low = value.lower()
     if low in ("true", "yes", "1"):
         return True
     if low in ("false", "no", "0"):
         return False
     raise ScenarioError(f"line {lineno}: expected true/false, got {value!r}")
+
+
+def read_config(text: str) -> tuple:
+    """Settings {key: ("line N", value)} and blocks {name: (start, body)}.
+
+    Each body keeps its config line numbers: it is padded with blank lines
+    so that a block parser's diagnostics name the config's own lines.
+    """
+    settings: dict = {}
+    blocks: dict = {}
+    raw = text.splitlines()
+    block = None
+    for lineno, line in content_lines(text):
+        if block is not None:
+            if line == "end":
+                name, start = block
+                blocks[name] = (start, "\n" * start + "\n".join(raw[start:lineno - 1]))
+                block = None
+            continue
+        if line.endswith(":"):
+            name = line[:-1].strip().lower()
+            if name not in _BLOCKS:
+                raise ScenarioError(f"line {lineno}: unknown block {name!r}")
+            if name in blocks:
+                raise ScenarioError(f"line {lineno}: duplicate block {name!r}")
+            block = (name, lineno)
+            continue
+        key, value = _assignment(lineno, line, settings, "setting")
+        if key not in _RULES:
+            raise ScenarioError(f"line {lineno}: unknown setting {key!r}")
+        settings[key] = (f"line {lineno}", value)
+    if block is not None:
+        raise ScenarioError(f"line {block[1]}: block {block[0]!r} has no 'end'")
+    return settings, blocks
+
+
+def build_scenario(settings: dict, blocks: dict, scenario_id: str = "scenario",
+                   base_dir=None, default_command: str | None = None) -> Scenario:
+    """One validated Scenario from {key: (origin, value)} settings and blocks.
+
+    The origin is `line N`, a flag or an environment variable, and every
+    diagnostic names it.  Each value passes its key's rule, and every
+    source, block or file, goes through one loader.  A file named on a
+    config line resolves against base_dir; one from a flag or the
+    environment resolves against the working directory.
+    """
+    if default_command is not None:
+        settings = {"command": ("default_command", default_command), **settings}
+    values = {}
+    for key, (origin, value) in settings.items():
+        try:
+            values[key] = _RULES[key](value, key)
+        except ValueError as exc:
+            raise ScenarioError(f"{origin}: {exc}") from None
+    if "command" not in values:
+        raise ScenarioError("missing required setting 'command'")
+    scenario = Scenario(scenario_id=values.pop("id", scenario_id), command=values.pop("command"),
+                        **{k: v for k, v in values.items() if not k.endswith("_file")})
+
+    base = Path(base_dir) if base_dir is not None else Path(".")
+
+    def load(name, parser):
+        block, setting = blocks.get(name), settings.get(f"{name}_file")
+        if block is not None and setting is not None:
+            raise ScenarioError(f"{setting[0]}: both {name!r} block and {name}_file given")
+        if block is not None:
+            start, text = block
+            where = f"{name} block at line {start}"
+        elif setting is not None:
+            origin, path = setting
+            target = (base if origin.startswith("line ") else Path(".")) / path
+            if not target.is_file():
+                raise ScenarioError(f"{origin}: {name}_file {path!r} not found")
+            text, where = target.read_text(), f"{origin}: {name}_file {path!r}"
+        else:
+            return None
+        try:
+            return parser(text)
+        except ValueError as exc:
+            raise ScenarioError(f"{where}: {exc}") from None
+
+    def parse_basis(text):
+        if scenario.caps is None:
+            raise ValueError("a basis source needs explicit caps")
+        return parse_basis_text(text, TruncationGrid(scenario.caps))
+
+    scenario.symbol = load("symbol", parse_coefficient_text)
+    scenario.phi = load("phi", parse_coefficient_text)
+    scenario.tuple_source = load("tuple", parse_tuple_text)
+    scenario.basis_rows = load("basis", parse_basis)
+    if "expect" in blocks:
+        expect = scenario.expect
+        for lineno, line in content_lines(blocks["expect"][1]):
+            name, value = _assignment(lineno, line, expect, "expect")
+            expect[name] = value if name == "status" else _parse_bool(value, lineno)
+
+    validate_scenario(scenario)
+    return scenario
 
 
 def parse_scenario(text: str, scenario_id: str = "scenario",
@@ -120,142 +268,8 @@ def parse_scenario(text: str, scenario_id: str = "scenario",
     in when the text has no `command =` line, letting a caller that
     already knows the command (the CLI subcommand) reuse a bare config.
     """
-    settings: dict = {}
-    blocks: dict = {}
-    lines = text.splitlines()
-    i = 0
-    while i < len(lines):
-        raw = lines[i]
-        line = raw.split("#", 1)[0].strip()
-        i += 1
-        if not line:
-            continue
-        if line.endswith(":"):
-            name = line[:-1].strip().lower()
-            if name not in _BLOCKS:
-                raise ScenarioError(f"line {i}: unknown block {name!r}")
-            if name in blocks:
-                raise ScenarioError(f"line {i}: duplicate block {name!r}")
-            start = i
-            body = []
-            while i < len(lines):
-                inner = lines[i].split("#", 1)[0].strip()
-                if inner == "end":
-                    break
-                body.append(lines[i])
-                i += 1
-            else:
-                raise ScenarioError(f"line {start}: block {name!r} has no 'end'")
-            i += 1
-            blocks[name] = (start, "\n".join(body))
-            continue
-        if "=" not in line:
-            raise ScenarioError(f"line {i}: expected 'key = value', got {raw.strip()!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip().lower(), value.strip()
-        if key not in _KEYS:
-            raise ScenarioError(f"line {i}: unknown setting {key!r}")
-        if key in settings:
-            raise ScenarioError(f"line {i}: duplicate setting {key!r}")
-        settings[key] = (i, value)
-
-    def take(key, default=None):
-        return settings.pop(key, (0, default))
-
-    base = Path(base_dir) if base_dir is not None else Path(".")
-
-    def read_source(block_name, file_key, parser, label):
-        block = blocks.get(block_name)
-        lineno, path = take(file_key)
-        if block is not None and path is not None:
-            raise ScenarioError(
-                f"line {lineno}: both {block_name!r} block and {file_key} given"
-            )
-        if block is not None:
-            start, body = block
-            try:
-                return parser(body)
-            except ValueError as exc:
-                raise ScenarioError(f"{label} block at line {start}: {exc}") from None
-        if path is not None:
-            target = base / path
-            if not target.is_file():
-                raise ScenarioError(f"line {lineno}: {file_key} {path!r} not found")
-            try:
-                return parser(target.read_text())
-            except ValueError as exc:
-                raise ScenarioError(f"{file_key} {path!r}: {exc}") from None
-        return None
-
-    lineno, command = take("command")
-    if command is None:
-        command = default_command
-    if command is None:
-        raise ScenarioError("missing required setting 'command'")
-    if command not in COMMANDS:
-        raise ScenarioError(
-            f"line {lineno}: unknown command {command!r}; choose from {', '.join(COMMANDS)}"
-        )
-
-    _, sid = take("id", scenario_id)
-    scenario = Scenario(scenario_id=sid, command=command)
-
-    lineno, caps = take("caps")
-    if caps is not None:
-        scenario.caps = parse_int_tuple(caps, f"line {lineno}: caps")
-        if any(c < 1 for c in scenario.caps):
-            raise ScenarioError(f"line {lineno}: caps must be >= 1, got {scenario.caps}")
-    lineno, margins = take("margins")
-    if margins is not None:
-        scenario.margins = parse_int_tuple(margins, f"line {lineno}: margins")
-    lineno, tol = take("tol")
-    if tol is not None:
-        try:
-            scenario.tol = float(tol)
-        except ValueError:
-            raise ScenarioError(f"line {lineno}: tol wants a number, got {tol!r}") from None
-        if scenario.tol <= 0:
-            raise ScenarioError(f"line {lineno}: tol must be positive, got {tol}")
-    for key, attr, cast in (("seed", "seed", int), ("budget", "budget", int),
-                            ("pairs", "pairs", int),
-                            ("pair_radius", "pair_radius", float)):
-        lineno, value = take(key)
-        if value is not None:
-            try:
-                setattr(scenario, attr, cast(value))
-            except ValueError:
-                raise ScenarioError(f"line {lineno}: bad value for {key}: {value!r}") from None
-
-    scenario.symbol = read_source("symbol", "symbol_file", parse_coefficient_text, "symbol")
-    scenario.phi = read_source("phi", "phi_file", parse_coefficient_text, "phi")
-    scenario.tuple_source = read_source("tuple", "tuple_file", parse_tuple_text, "tuple")
-
-    basis_grid_caps = scenario.caps
-    def parse_basis(body):
-        if basis_grid_caps is None:
-            raise ValueError("a basis block needs explicit caps")
-        return parse_basis_text(body, TruncationGrid(basis_grid_caps))
-    scenario.basis_rows = read_source("basis", "basis_file", parse_basis, "basis")
-
-    if "expect" in blocks:
-        start, body = blocks["expect"]
-        for offset, raw in enumerate(body.splitlines()):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ScenarioError(
-                    f"line {start + 1 + offset}: expect wants 'name = true|false'"
-                )
-            name, _, value = line.partition("=")
-            name = name.strip()
-            if name == "status":
-                scenario.expect[name] = value.strip()
-            else:
-                scenario.expect[name] = _parse_bool(value, start + 1 + offset)
-
-    validate_scenario(scenario)
-    return scenario
+    settings, blocks = read_config(text)
+    return build_scenario(settings, blocks, scenario_id, base_dir, default_command)
 
 
 def validate_scenario(s: Scenario):
@@ -271,8 +285,6 @@ def validate_scenario(s: Scenario):
     label, ok = needs[s.command]
     if not ok:
         raise ScenarioError(f"command {s.command!r} needs {label}")
-    if s.basis_rows is not None and s.caps is None:
-        raise ScenarioError("a basis source needs explicit caps")
 
 
 def _resolved_caps(s: Scenario, nvars: int) -> tuple:

@@ -27,6 +27,7 @@ from .operators import (
     windowed_norm,
 )
 from .symbols import AnalyticSymbol
+from .textlines import content_lines, fields, numbers
 
 __all__ = [
     "SubspaceData",
@@ -154,16 +155,13 @@ def origin_complement(grid: TruncationGrid) -> SubspaceData:
 def parse_basis_text(text: str, grid: TruncationGrid) -> np.ndarray:
     """Rows of 2*dim floats (re im per basis coefficient, fixed basis order)."""
     vectors = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.replace(",", " ").split()
-        if len(fields) != 2 * grid.dim:
+    for lineno, line in content_lines(text):
+        words = fields(line)
+        if len(words) != 2 * grid.dim:
             raise ValueError(
-                f"line {lineno}: want {2 * grid.dim} floats (re im per coefficient), got {len(fields)}"
+                f"line {lineno}: want {2 * grid.dim} floats (re im per coefficient), got {len(words)}"
             )
-        vals = np.array([float(x) for x in fields], dtype=float)
+        vals = np.array(numbers(words, float, f"line {lineno}: row"), dtype=float)
         vectors.append(vals[0::2] + 1j * vals[1::2])
     if not vectors:
         raise ValueError("no basis rows found")

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import TruncationGrid, order_key
+from .textlines import content_lines, fields, numbers
 
 __all__ = [
     "AnalyticSymbol",
@@ -243,7 +244,8 @@ class AnalyticSymbol:
 #
 # records: n integers (multi-index), row, col, real, imag -- whitespace split
 # block labels: a line reading "numerator" or "denominator"
-# '#' starts a comment; blank lines ignored; label-free text is a numerator
+# label-free text is a numerator; comments, blank lines, commas and number
+# syntax follow the shared rules in textlines
 
 
 def parse_coefficient_text(text: str) -> AnalyticSymbol:
@@ -253,32 +255,23 @@ def parse_coefficient_text(text: str) -> AnalyticSymbol:
     }
     current = "numerator"
     nvars = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         word = line.lower()
         if word in sections:
             current = word
             continue
-        fields = line.replace(",", " ").split()
-        if len(fields) < 5:
-            raise ValueError(f"line {lineno}: want 'k_1 .. k_n row col re im', got {raw!r}")
+        words = fields(line)
+        if len(words) < 5:
+            raise ValueError(f"line {lineno}: want 'k_1 .. k_n row col re im', got {line!r}")
         if nvars is None:
-            nvars = len(fields) - 4
-            if nvars < 1:
-                raise ValueError(f"line {lineno}: no room for a multi-index in {raw!r}")
-        if len(fields) != nvars + 4:
-            raise ValueError(f"line {lineno}: expected {nvars + 4} fields, got {len(fields)}")
-        try:
-            k = tuple(int(x) for x in fields[:nvars])
-            row, col = int(fields[nvars]), int(fields[nvars + 1])
-            val = complex(float(fields[nvars + 2]), float(fields[nvars + 3]))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        if any(x < 0 for x in k) or row < 0 or col < 0:
-            raise ValueError(f"line {lineno}: negative index in {raw!r}")
-        sections[current].append((k, row, col, val))
+            nvars = len(words) - 4
+        if len(words) != nvars + 4:
+            raise ValueError(f"line {lineno}: expected {nvars + 4} fields, got {len(words)}")
+        *k, row, col = numbers(words[:nvars + 2], int, f"line {lineno}: index")
+        real, imag = numbers(words[nvars + 2:], float, f"line {lineno}: value")
+        if min(k + [row, col]) < 0:
+            raise ValueError(f"line {lineno}: negative index in {line!r}")
+        sections[current].append((tuple(k), row, col, complex(real, imag)))
 
     if nvars is None:
         raise ValueError("no coefficient records found")

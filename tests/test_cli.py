@@ -172,6 +172,51 @@ def test_bad_env_value_exits_two(mono_cfg, monkeypatch, capsys):
     assert "HARDYLAB_SEED" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("origin, command, value, message", [
+    ("config", "check-beurling", "caps = 0 0", "caps must be >= 1"),
+    ("config", "check-beurling", "margins = -1 -1", "margins must be >= 0"),
+    ("config", "example42", "budget = 0", "budget must be >= 1"),
+    ("config", "example42", "pairs = 0", "pairs must be >= 1"),
+    ("--degree", "check-beurling", "0,0", "caps must be >= 1"),
+    ("--degree", "check-beurling", "-2,3", "caps must be >= 1"),
+    ("--margins", "check-beurling", "1,-1", "margins must be >= 0"),
+    ("--budget", "example42", "0", "budget must be >= 1"),
+    ("--pairs", "example42", "-1", "pairs must be >= 1"),
+    ("HARDYLAB_DEGREE", "check-beurling", "0 0", "caps must be >= 1"),
+    ("HARDYLAB_TOL", "check-beurling", "-1e-8", "tol must be positive"),
+])
+def test_bad_value_exits_two_naming_its_origin(tmp_path, monkeypatch, capsys,
+                                               origin, command, value, message):
+    setting = value if origin == "config" else "seed = 1"
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text(f"command = {command}\n{setting}\nsymbol:\nnumerator\n"
+                   "1 1 0 0 1.0 0.0\nend\n")
+    argv = [command, "--config", cfg]
+    if origin.startswith("--"):
+        argv.append(f"{origin}={value}")
+    elif origin.startswith("HARDYLAB_"):
+        monkeypatch.setenv(origin, value)
+    assert run_cli(argv) == 2
+    where = "line 2" if origin == "config" else origin
+    assert f"{where}: {message}" in capsys.readouterr().err
+
+
+def test_config_basis_block_is_read_at_the_degree_flag_caps(tmp_path, capsys):
+    cfg = tmp_path / "basis.cfg"
+    cfg.write_text("command = check-beurling\ncaps = 1 1\nbasis:\n0 0 1 0 0 0 0 0\nend\n")
+    assert run_cli(["check-beurling", "--config", cfg, "--degree", "1,1"]) == 0
+    capsys.readouterr()
+    assert run_cli(["check-beurling", "--config", cfg, "--degree", "2,2"]) == 2
+    assert "basis block at line 3: line 4: want 18 floats" in capsys.readouterr().err
+
+
+def test_undecodable_config_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "binary.cfg"
+    cfg.write_bytes(b"command = check-beurling\n\xff\xfe\n")
+    assert run_cli(["check-beurling", "--config", cfg]) == 2
+    assert "hardylab: error:" in capsys.readouterr().err
+
 def test_seed_flag_reaches_report(tmp_path, capsys):
     assert run_cli(["example42", "--degree", "6,6", "--pairs", "2",
                     "--budget", "2", "--seed", "9"]) == 0

@@ -265,6 +265,22 @@ def test_tuple_text_errors_name_the_problem():
         parse_tuple_text("dim 0\ncount 1\n")
 
 
+
+def test_tuple_text_line_numbers_count_comments_and_blanks():
+    head = "# a commuting pair\n\ndim 1\ncount 2\n"
+    with pytest.raises(ValueError, match=r"line 6: matrix 0 row 0 wants finite numbers, got 'abc'"):
+        parse_tuple_text(head + "matrix 0\nabc 0.0\nmatrix 1\n0.0 0.0\n")
+    with pytest.raises(ValueError, match=r"line 8: expected 'matrix 1' label"):
+        parse_tuple_text(head + "matrix 0\n0.0 0.0\n\nmatrix 2\n0.0 0.0\n")
+    with pytest.raises(ValueError, match=r"line 4: count wants integers, got 'two'"):
+        parse_tuple_text("# c\n\ndim 1\ncount two\n")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_tuple_text_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match=f"line 4: matrix 0 row 0 wants finite numbers, got '{bad}'"):
+        parse_tuple_text(f"dim 1\ncount 1\nmatrix 0\n{bad} 0.0\n")
+
 def test_tuple_text_comments_and_commas():
     text = "dim 1   # one dimensional\ncount 2\nmatrix 0\n0.25, 0.0\nmatrix 1\n0.0, 0.5\n"
     t = parse_tuple_text(text)

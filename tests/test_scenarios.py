@@ -198,6 +198,37 @@ def test_expect_block_rejects_non_boolean():
         parse_scenario(cfg)
 
 
+
+@pytest.mark.parametrize("block, body, line", [
+    ("symbol", "numerator\n1 1 0 0 oops 0.0", 6),
+    ("tuple", "dim 1\ncount 1\nmatrix 0\nnan 0.0", 8),
+    ("basis", "# one row\n\n0 0 1 0 0 0 inf 0", 7),
+])
+def test_malformed_number_in_a_block_names_the_config_line(block, body, line):
+    cfg = f"command = check-brehmer\n# caps for the basis\ncaps = 1 1\n{block}:\n{body}\nend\n"
+    with pytest.raises(ScenarioError, match=f"{block} block at line 4: line {line}: "):
+        parse_scenario(cfg)
+
+
+def test_duplicate_expect_name_reports_line():
+    cfg = MONOMIAL_CFG + "expect:\nxij = true\n\nxij = false\nend\n"
+    with pytest.raises(ScenarioError, match="line 12: duplicate expect 'xij'"):
+        parse_scenario(cfg)
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("caps = 4 -1", "caps must be >= 1"),
+    ("margins = -1 -1", "margins must be >= 0"),
+    ("tol = 0", "tol must be positive"),
+    ("tol = nan", "tol wants finite numbers"),
+    ("budget = 0", "budget must be >= 1"),
+    ("pairs = -3", "pairs must be >= 1"),
+    ("seed = 1.5", "seed wants integers"),
+])
+def test_value_rules_name_the_config_line(setting, message):
+    with pytest.raises(ScenarioError, match=f"line 2: {message}"):
+        parse_scenario(f"command = example42\n{setting}\n")
+
 # ---- dispatch ---------------------------------------------------------------
 
 def test_check_beurling_run_agrees_and_covers_verdicts():

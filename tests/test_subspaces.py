@@ -121,3 +121,11 @@ def test_basis_text_errors():
         parse_basis_text("1 0 0\n", g)
     with pytest.raises(ValueError, match="no basis rows"):
         parse_basis_text("# nothing here\n", g)
+
+
+@pytest.mark.parametrize("bad", ["abc", "nan", "inf"])
+def test_basis_text_bad_number_names_the_true_line(bad):
+    g = TruncationGrid((1, 1))
+    text = f"# rows\n\n1 0 0 0 0 0 0 0\n0 0 {bad} 0 0 0 0 0\n"
+    with pytest.raises(ValueError, match=f"line 4: row wants finite numbers, got '{bad}'"):
+        parse_basis_text(text, g)

@@ -162,6 +162,20 @@ def test_parse_errors_name_the_line():
         parse_coefficient_text("# only a comment\n")
 
 
+
+def test_malformed_number_names_the_true_line():
+    text = "# header\n\nnumerator\n1 0 0 0 1.0 0.0\n0 1 0 0 abc 0.0\n"
+    with pytest.raises(ValueError, match=r"line 5: value wants finite numbers, got 'abc'"):
+        parse_coefficient_text(text)
+    with pytest.raises(ValueError, match=r"line 2: index wants integers, got '1.5'"):
+        parse_coefficient_text("numerator\n1.5 0 0 0 1.0 0.0\n")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_coefficient_rejected(bad):
+    with pytest.raises(ValueError, match=f"line 2: value wants finite numbers, got '{bad}'"):
+        parse_coefficient_text(f"numerator\n0 0 0 0 {bad} 0\n")
+
 @given(
     ncoef=st.integers(min_value=1, max_value=4),
     dcoef=st.integers(min_value=1, max_value=3),
