@@ -23,9 +23,11 @@ Exit code 0 means every report met its expectations: the verdicts named
 in the config's expect block match, or, without an expect block, the run
 finished without an error status.  Exit code 1 flags a verdict mismatch
 or an unexpected error status; exit code 2 flags bad input (unreadable
-config, malformed value, missing source).  Domain failures inside a run
-never escape as tracebacks; they come back as reports whose status field
-starts with "error:".
+config, malformed value, missing source), and an error from a config
+names that config's path.  Domain failures inside a run never escape as
+tracebacks; they come back as reports whose status field starts with
+"error:".  Exit code 3 flags a bug: some run raised an exception that is
+not a domain error, and its report's status starts with "internal error:".
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from pathlib import Path
 from .reports import emit_report
 from .scenarios import (
     COMMANDS,
+    INTERNAL_ERROR,
     ScenarioError,
     build_scenario,
     expectations_met,
@@ -106,16 +109,22 @@ def _flag_settings(args) -> dict:
 
 
 def _config_scenario(path_str: str, command: str, overrides: dict):
-    """One config file's scenario, with the flag and environment settings on top."""
+    """One config file's scenario, with the flag and environment settings on top.
+
+    Every input error names the config it came from.
+    """
     path = Path(path_str)
     if not path.is_file():
         raise ScenarioError(f"config {path_str!r} not found")
-    settings, blocks = read_config(path.read_text())
-    for key in overrides:
-        if key.endswith("_file"):
-            blocks.pop(key.removesuffix("_file"), None)
-    s = build_scenario({**settings, **overrides}, blocks, scenario_id=path.stem,
-                       base_dir=path.parent, default_command=command)
+    try:
+        settings, blocks = read_config(path.read_text())
+        for key in overrides:
+            if key.endswith("_file"):
+                blocks.pop(key.removesuffix("_file"), None)
+        s = build_scenario({**settings, **overrides}, blocks, scenario_id=path.stem,
+                           base_dir=path.parent, default_command=command)
+    except ValueError as exc:  # ScenarioError, or undecodable text
+        raise ScenarioError(f"config {path_str!r}: {exc}") from None
     if s.command != command:
         raise ScenarioError(
             f"config {path_str!r} sets command {s.command!r} "
@@ -139,7 +148,7 @@ def main(argv=None) -> int:
         else:
             scenarios = [build_scenario(overrides, {}, scenario_id=f"cli-{args.command}",
                                         default_command=args.command)]
-    except (ValueError, OSError) as exc:  # ScenarioError, or undecodable text
+    except (ValueError, OSError) as exc:  # ScenarioError, or an unreadable file
         print(f"hardylab: error: {exc}", file=sys.stderr)
         return 2
 
@@ -158,6 +167,8 @@ def main(argv=None) -> int:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
 
+    if any(r.status.startswith(INTERNAL_ERROR) for r in reports):
+        return 3
     good = all(expectations_met(r, s.expect) for r, s in zip(reports, scenarios))
     return 0 if good else 1
 

@@ -1,32 +1,51 @@
 """Quotient-module compressions and the residual battery that probes them.
 
 Given a shift-invariant subspace S of a truncated Hardy grid and its
-complement Q, the compressed shifts C_t = P_Q M_t P_Q generate a family of
+complement Q, the compressed shifts C_t = P_Q M_t|_Q generate a family of
 matrix identities.  Some hold for every quotient module and act as
 self-tests of the construction; others vanish exactly when Q is the
 quotient of an inner multiplier and so serve as numerical criteria.
 
-Every residual is measured through a core window that keeps each degree at
-least one step below the caps, because the top degree slice of a truncated
-shift absorbs products that would leave the grid.  On the window the
-truncated operators reproduce their infinite-dimensional algebra; the one
-finite-size correction that survives is isolated in the identity
+Everything is computed in the coordinates of the split.  With B_S and B_Q
+the orthonormal bases of S and Q (one unitary, so P_S + P_Q = I), four
+kinds of small blocks carry every residual:
+
+    C_k = B_Q* M^k B_Q    the compressions (q x q)
+    G_k = B_S* M^k B_Q    the part of M^k Q that lands in S (r x q)
+    T_t = B_S* M_t B_S    the restrictions to S (r x r)
+    H_t = B_Q* M_t B_S    the part of M_t S that leaves S (q x r), which
+                          the invariance gate measures
+
+The shift powers M^k are applied as index maps of the grid, so no dim x dim
+shift or projection is multiplied.  Because P_S + P_Q = I, each identity
+becomes an exact statement about blocks: the defect P_Q - Chat_t* Chat_t is
+B_Q (I - C_t* C_t) B_Q*, its compression formula P_Q M_t* P_S M_t P_Q is
+B_Q G_t* G_t B_Q*, and the cross term P_S M_i P_Q M_j* P_S is
+B_S G_i G_j* B_S*.
+
+Every residual is measured through a core window W that keeps each degree
+at least one step below the caps, because the top degree slice of a
+truncated shift absorbs products that would leave the grid.  On the window
+the truncated operators reproduce their infinite-dimensional algebra; the
+one finite-size correction that survives is isolated in the identity
 
     P_Q - C_t* C_t = P_Q M_t* P_S M_t P_Q + P_Q E_t P_Q
 
-with E_t the projection onto the top slice in variable t.  That identity is
-exact for an arbitrary subspace and is used as a structural check.
+with E_t the projection onto the top slice in variable t.  A windowed norm
+||W B X B* W|| is the spectral norm of R X R*, with R the thin-QR factor of
+the window rows of B (operators.norm_factor), so it is still a true
+spectral norm but of a matrix no larger than the basis rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
 from .grids import TruncationGrid
-from .operators import shift_matrices, spectral_norm, windowed_norm
+from .operators import factored_norm, norm_factor, spectral_norm, unit_index, windowed_norm
 from .subspaces import InvarianceError, SubspaceData, invariance_defect
 
 __all__ = [
@@ -47,14 +66,19 @@ INVARIANCE_GATE = 5e-2
 
 @dataclass(frozen=True)
 class CompressionTuple:
-    """Compressed and extended shifts for one subspace split.
+    """Compressed shifts for one subspace split.
 
-    operators[t] acts on the Q coordinates, extended[t] = P_Q M_t P_Q acts
-    on the whole grid.
+    operators[t] = B_Q* M_t B_Q acts on the Q coordinates; extended[t] =
+    P_Q M_t P_Q is the same operator on the whole grid, formed on first use.
     """
 
     operators: tuple
-    extended: tuple
+    basis: np.ndarray          # B_Q
+
+    @cached_property
+    def extended(self) -> tuple:
+        b = self.basis
+        return tuple(b @ c @ b.conj().T for c in self.operators)
 
 
 @dataclass(frozen=True)
@@ -71,7 +95,7 @@ class CriterionReport:
 
 @dataclass(frozen=True)
 class QuotientData:
-    """One subspace split S + Q and the operators every detector reads.
+    """One subspace split S + Q and the blocks every detector reads.
 
     The members below the fields are computed on first use and cached, so
     however many detectors read them each is formed once per split.
@@ -80,7 +104,6 @@ class QuotientData:
     s: SubspaceData
     q: SubspaceData
     compressions: CompressionTuple
-    shifts: tuple              # truncated shifts on the full grid
     margins: tuple
     window: np.ndarray
     invariance: float
@@ -90,40 +113,54 @@ class QuotientData:
     def grid(self) -> TruncationGrid:
         return self.s.grid
 
+    @property
+    def q_factor(self) -> np.ndarray:
+        """R with ||W B_Q X B_Q* W|| = ||R X R*||."""
+        return self.q.window_factor(self.margins)
+
+    @cached_property
+    def cross_blocks(self) -> tuple:
+        """G_t = B_S* M_t B_Q, one per variable."""
+        n = self.grid.nvars
+        return tuple(self.q.shift_blocks(unit_index(n, t))[1] for t in range(n))
+
+    @cached_property
+    def defect_blocks(self) -> tuple:
+        """D_t = I - C_t* C_t in Q coordinates, one per variable."""
+        return tuple(np.eye(self.q.rank) - c.conj().T @ c for c in self.compressions.operators)
+
     @cached_property
     def extended_defects(self) -> tuple:
-        """P_Q - Chat_t* Chat_t on the whole grid, one per variable."""
-        p_q = self.q.projection
-        return tuple(p_q - c.conj().T @ c for c in self.compressions.extended)
+        """P_Q - Chat_t* Chat_t = B_Q D_t B_Q* on the whole grid, one per variable."""
+        b = self.q.basis
+        return tuple(b @ d @ b.conj().T for d in self.defect_blocks)
 
     @cached_property
     def defect_identity(self) -> float:
-        """Worst windowed deviation of each extended defect from P_Q M_t* P_S M_t P_Q."""
-        p_s, p_q = self.s.projection, self.q.projection
-        return max((windowed_norm(d - p_q @ m.conj().T @ p_s @ m @ p_q, self.window)
-                    for d, m in zip(self.extended_defects, self.shifts)), default=0.0)
+        """Worst windowed deviation of each defect from P_Q M_t* P_S M_t P_Q."""
+        return max((factored_norm(self.q_factor, d - g.conj().T @ g)
+                    for d, g in zip(self.defect_blocks, self.cross_blocks)), default=0.0)
 
     @cached_property
     def defect_products(self) -> dict:
         """{(i, j): windowed norm of the defect product D_i D_j} for i < j."""
-        d = self.extended_defects
+        d = self.defect_blocks
         n = self.grid.nvars
-        return {(i, j): windowed_norm(d[i] @ d[j], self.window)
+        return {(i, j): factored_norm(self.q_factor, d[i] @ d[j])
                 for i in range(n) for j in range(i + 1, n)}
 
     @cached_property
-    def cross_terms(self) -> dict:
-        """{(i, j): P_S M_i P_Q M_j* P_S} for every ordered pair i != j."""
-        p_s, p_q, mats = self.s.projection, self.q.projection, self.shifts
-        n = self.grid.nvars
-        return {(i, j): p_s @ mats[i] @ p_q @ mats[j].conj().T @ p_s
-                for i in range(n) for j in range(n) if i != j}
-
-    @cached_property
     def xij(self) -> float:
-        """Worst windowed norm of the cross terms."""
-        return max((windowed_norm(x, self.window) for x in self.cross_terms.values()),
-                   default=0.0)
+        """Worst windowed norm of the cross terms P_S M_i P_Q M_j* P_S = B_S G_i G_j* B_S*.
+
+        The window rows of B_S G_t factor as V_t R_t, so each norm is
+        ||R_i R_j*||; the (j, i) term is the adjoint of the (i, j) one.
+        """
+        r_s = self.s.window_factor(self.margins)
+        f = [norm_factor(r_s @ g) for g in self.cross_blocks]
+        n = self.grid.nvars
+        return max((spectral_norm(f[i] @ f[j].conj().T)
+                    for i in range(n) for j in range(i + 1, n)), default=0.0)
 
 
 def shift_power(shifts, k) -> np.ndarray:
@@ -156,30 +193,25 @@ def quotient_data(
 
     Raises InvarianceError when S fails the windowed shift-invariance gate,
     since the compressions only carry meaning for a submodule.  The defect
-    matrices P_Q - Chat_t*Chat_t and their check against P_Q M_t* P_S M_t P_Q
-    on the window are formed on first use, once per split (QuotientData).
+    blocks, their check against P_Q M_t* P_S M_t P_Q on the window, the
+    defect products and the cross terms are formed on first use, once per
+    split (QuotientData).
     """
     grid = s.grid
     margins = _resolve_margins(grid, margins)
     window = grid.window_indices(margins)
     if window.size == 0:
         raise ValueError(f"margins {margins} leave an empty evaluation window")
-    mats = tuple(shift_matrices(grid))
 
-    inv_max, inv_per = invariance_defect(s, margins, list(mats))
+    inv_max, inv_per = invariance_defect(s, margins)
     if inv_max > invariance_gate:
         raise InvarianceError(
             f"subspace is not shift-invariant: windowed defect {inv_max:.3e} "
             f"exceeds the gate {invariance_gate:g}"
         )
 
-    p_s = s.projection
-    p_q = np.eye(grid.dim, dtype=complex) - p_s
-    q = SubspaceData(grid, s.complement, p_q, s.basis)
-
-    extended = tuple(p_q @ m @ p_q for m in mats)
-    operators = tuple(q.basis.conj().T @ m @ q.basis for m in mats)
-
+    q = s.complement_space
+    operators = tuple(q.shift_blocks(unit_index(grid.nvars, t))[0] for t in range(grid.nvars))
     for t, c in enumerate(operators):
         if c.size and spectral_norm(c) > 1 + 1e-10:
             raise ValueError(f"compression {t} exceeds unit norm; subspace data is inconsistent")
@@ -187,8 +219,7 @@ def quotient_data(
     return QuotientData(
         s=s,
         q=q,
-        compressions=CompressionTuple(operators, extended),
-        shifts=mats,
+        compressions=CompressionTuple(operators, q.basis),
         margins=margins,
         window=window,
         invariance=inv_max,
@@ -223,24 +254,22 @@ def cross_commutator_criterion(
 
     The restriction of each shift to the submodule S keeps the adjoint of
     one variable commuting with every other variable exactly when S comes
-    from an inner multiplier; the residual is the worst pair.
+    from an inner multiplier; the residual is the worst pair.  R_t is the
+    block T_t = B_S* M_t B_S, and the (j, i) commutator is the adjoint of
+    the (i, j) one, so each unordered pair is measured once.
     """
     grid = s.grid
+    n = grid.nvars
     margins = _resolve_margins(grid, margins)
-    window = grid.window_indices(margins)
-    mats = shift_matrices(grid)
-    b = s.basis
-    r = [b.conj().T @ m @ b for m in mats]
-    residuals = {}
-    worst = 0.0
-    for i in range(grid.nvars):
-        for j in range(grid.nvars):
-            if i == j:
-                continue
+    r_s = s.window_factor(margins)
+    r = [s.shift_blocks(unit_index(n, t))[0] for t in range(n)]
+    norms = {}
+    for i in range(n):
+        for j in range(i + 1, n):
             comm = r[j].conj().T @ r[i] - r[i] @ r[j].conj().T
-            val = windowed_norm(b @ comm @ b.conj().T, window)
-            residuals[f"pair_{i}_{j}"] = val
-            worst = max(worst, val)
+            norms[(i, j)] = norms[(j, i)] = factored_norm(r_s, comm)
+    residuals = {f"pair_{i}_{j}": norms[(i, j)] for i in range(n) for j in range(n) if i != j}
+    worst = max(norms.values(), default=0.0)
     residuals["cross_commutator"] = worst
     return CriterionReport(
         name="cross_commutator",
@@ -301,13 +330,18 @@ def identity_suite(
     pair and must have a zero entry at the constrained position.  The
     defects, xij and the defect product are read from the cached members
     of data, which beurling_criterion shares.
+
+    In Q coordinates, with K = C_i C_k* - C_k* C_i:
+      commutator_identity  K - G_k* G_i
+      defect_domination    D_i - K* K
+      reduces              B_Q G_t* T_t B_S* minus its adjoint
+      annihilation_1..3    G_k* G_i G_j* G_l, G_i* G_i G_j* G_l, G_k* G_i G_j* G_j
     """
     n = data.grid.nvars
-    window = data.window
-    p_s = data.s.projection
-    p_q = data.q.projection
-    mats = data.shifts
-    dhat = data.extended_defects
+    r_q = data.q_factor
+    c_ops = data.compressions.operators
+    g = data.cross_blocks
+    d = data.defect_blocks
 
     residuals: dict = {"defect_identity": data.defect_identity}
     verdicts: dict = {"defect_identity": data.defect_identity <= tol}
@@ -315,35 +349,31 @@ def identity_suite(
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     residuals["xij"] = data.xij
 
-    power = cache(partial(shift_power, mats))  # one product per distinct multi-index
-
-    khats = {(i, j): _hat_for(khat, i, tuple(1 if t == j else 0 for t in range(n)), n, "khat")
-             for i, j in pairs}
+    khats = {(i, j): _hat_for(khat, i, unit_index(n, j), n, "khat") for i, j in pairs}
     worst_comm = 0.0
     min_eig = np.inf if pairs else 0.0
     for i, j in pairs:
-        mk = power(khats[(i, j)])
-        chat_i = data.compressions.extended[i]
-        chat_k = p_q @ mk @ p_q
-        comm = chat_i @ chat_k.conj().T - chat_k.conj().T @ chat_i
-        rhs = p_q @ mk.conj().T @ p_s @ mats[i] @ p_q
-        worst_comm = max(worst_comm, windowed_norm(comm - rhs, window))
+        c_k, g_k = data.q.shift_blocks(khats[(i, j)])
+        comm = c_ops[i] @ c_k.conj().T - c_k.conj().T @ c_ops[i]
+        worst_comm = max(worst_comm, factored_norm(r_q, comm - g_k.conj().T @ g[i]))
 
-        dom = dhat[i] - comm.conj().T @ comm
-        sub = dom[np.ix_(window, window)]
-        if sub.size:
-            min_eig = min(min_eig, float(np.linalg.eigvalsh(sub)[0]))
-        else:
-            min_eig = min(min_eig, 0.0)
+        dom = r_q @ (d[i] - comm.conj().T @ comm) @ r_q.conj().T
+        eig = float(np.linalg.eigvalsh(dom)[0]) if dom.size else np.inf
+        if r_q.shape[0] < len(data.window):
+            eig = min(eig, 0.0)  # the window rows outside range(R) add exact zeros
+        min_eig = min(min_eig, eig)
     residuals["commutator_identity"] = worst_comm
     verdicts["commutator_identity"] = worst_comm <= tol
     residuals["defect_domination_min_eig"] = float(min_eig) if pairs else 0.0
     verdicts["defect_domination_min_eig"] = residuals["defect_domination_min_eig"] >= -tol
 
+    q_rows = data.q.basis[data.window]
+    s_rows = data.s.basis[data.window]
     worst_reduce = 0.0
     for t in range(n):
-        k_t = mats[t].conj().T @ p_s @ mats[t]
-        worst_reduce = max(worst_reduce, windowed_norm(p_q @ k_t - k_t @ p_q, window))
+        t_block = data.s.shift_blocks(unit_index(n, t))[0]
+        half = q_rows @ (g[t].conj().T @ t_block) @ s_rows.conj().T
+        worst_reduce = max(worst_reduce, spectral_norm(half - half.conj().T))
     residuals["reduces"] = worst_reduce
     verdicts["reduces"] = worst_reduce <= tol
 
@@ -353,17 +383,13 @@ def identity_suite(
     if worst_prod <= tol:
         worst_ann = [0.0, 0.0, 0.0]
         for i, j in pairs:
-            lh = _hat_for(lhat, j, tuple(1 if t == i else 0 for t in range(n)), n, "lhat")
-            mk = power(khats[(i, j)])
-            ml = power(lh)
-            x = data.cross_terms[(i, j)]
-            prods = (
-                p_q @ mk.conj().T @ x @ ml @ p_q,
-                p_q @ mats[i].conj().T @ x @ ml @ p_q,
-                p_q @ mk.conj().T @ x @ mats[j] @ p_q,
-            )
-            for idx, prod in enumerate(prods):
-                worst_ann[idx] = max(worst_ann[idx], windowed_norm(prod, window))
+            lh = _hat_for(lhat, j, unit_index(n, i), n, "lhat")
+            g_k = data.q.shift_blocks(khats[(i, j)])[1]
+            g_l = data.q.shift_blocks(lh)[1]
+            ki, ii = g_k.conj().T @ g[i], g[i].conj().T @ g[i]
+            jl, jj = g[j].conj().T @ g_l, g[j].conj().T @ g[j]
+            for idx, prod in enumerate((ki @ jl, ii @ jl, ki @ jj)):
+                worst_ann[idx] = max(worst_ann[idx], factored_norm(r_q, prod))
         for idx in range(3):
             key = f"annihilation_{idx + 1}"
             residuals[key] = worst_ann[idx]

@@ -66,6 +66,30 @@ class TruncationGrid:
         # inverse of multi_indices
         return {k: r for r, k in enumerate(self.multi_indices)}
 
+    @cached_property
+    def exponents(self) -> np.ndarray:
+        """multi_indices as a read-only (ranks, nvars) int array."""
+        out = np.array(self.multi_indices, dtype=np.intp).reshape(-1, self.nvars)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def _radix(self) -> tuple[np.ndarray, np.ndarray]:
+        """Mixed-radix place values and the rank of every mixed-radix code.
+
+        A multi-index k inside the caps has code sum_i k_i * place_i with
+        place_i = prod_{j<i} (caps_j + 1); codes are additive, so the rank
+        of k + l is rank_of_code[code(k) + code(l)] whenever k + l fits.
+        """
+        place = np.cumprod((1,) + tuple(c + 1 for c in self.caps[:-1]), dtype=np.intp)
+        rank_of_code = np.empty(len(self.multi_indices), dtype=np.intp)
+        rank_of_code[self.exponents @ place] = np.arange(len(rank_of_code))
+        return place, rank_of_code
+
+    @cached_property
+    def _shift_maps(self) -> dict:
+        return {}
+
     @property
     def dim(self) -> int:
         return len(self.multi_indices) * self.channels
@@ -102,6 +126,35 @@ class TruncationGrid:
         out[t] += 1
         return tuple(out)
 
+    def _flat(self, ranks: np.ndarray) -> np.ndarray:
+        """Flat indices of every channel of the given ranks, rank-major."""
+        m = self.channels
+        return (ranks[:, None] * m + np.arange(m)).ravel()
+
+    def shift_map(self, k: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Index map (src, dst) of the truncated shift power M^k = prod_t M_t^k_t.
+
+        M^k sends e_s z^j to e_s z^(j+k) when j + k stays inside the caps
+        and drops it otherwise, so (M^k X)[dst] = X[src] and every other
+        row of M^k X is zero.  Both arrays are read-only and cached per k.
+        """
+        k = tuple(int(x) for x in k)
+        if len(k) != self.nvars:
+            raise ValueError(f"need {self.nvars} powers, got {len(k)}")
+        if any(x < 0 for x in k):
+            raise ValueError("powers must be non-negative")
+        maps = self._shift_maps
+        if k not in maps:
+            place, rank_of_code = self._radix
+            fits = np.all(self.exponents + k <= self.caps, axis=1)
+            src = np.flatnonzero(fits)
+            dst = rank_of_code[self.exponents[src] @ place + int(np.dot(k, place))]
+            src, dst = self._flat(src), self._flat(dst)
+            src.flags.writeable = False
+            dst.flags.writeable = False
+            maps[k] = (src, dst)
+        return maps[k]
+
     # ---- distinguished index sets ---------------------------------------
 
     def window_indices(self, margins: tuple[int, ...]) -> np.ndarray:
@@ -116,11 +169,8 @@ class TruncationGrid:
             raise ValueError("one margin per variable")
         if any(w < 0 for w in margins):
             raise ValueError(f"margins must be nonnegative, got {margins}")
-        keep: list[int] = []
-        for r, k in enumerate(self.multi_indices):
-            if all(k[i] <= self.caps[i] - margins[i] for i in range(self.nvars)):
-                keep.extend(range(r * self.channels, (r + 1) * self.channels))
-        return np.asarray(keep, dtype=int)
+        inside = np.all(self.exponents <= np.subtract(self.caps, margins), axis=1)
+        return self._flat(np.flatnonzero(inside))
 
     def top_slice_indices(self, t: int) -> np.ndarray:
         """Flat indices with k_t == caps[t].
@@ -129,8 +179,4 @@ class TruncationGrid:
         variable t satisfies S_t* S_t = I - E_t with E_t the orthogonal
         projection onto this slice.
         """
-        keep: list[int] = []
-        for r, k in enumerate(self.multi_indices):
-            if k[t] == self.caps[t]:
-                keep.extend(range(r * self.channels, (r + 1) * self.channels))
-        return np.asarray(keep, dtype=int)
+        return self._flat(np.flatnonzero(self.exponents[:, t] == self.caps[t]))

@@ -6,6 +6,11 @@ top slice {k_t = cap_t}.  That single artifact is why operator identities
 are always measured through a two-sided core window: inside the window the
 truncated operators compose exactly like their infinite-dimensional
 counterparts on polynomial symbols.
+
+A truncated shift power is a 0/1 partial permutation, held as the grid's
+index map (TruncationGrid.shift_map): (M^k X)[dst] = X[src].  shift_matrix
+and toeplitz_matrix are laid out from those maps, and the quotient battery
+applies them to bases directly, without forming a dense shift.
 """
 
 from __future__ import annotations
@@ -20,9 +25,12 @@ from .symbols import AnalyticSymbol
 __all__ = [
     "shift_matrix",
     "shift_matrices",
+    "unit_index",
     "toeplitz_matrix",
     "spectral_norm",
     "windowed_norm",
+    "norm_factor",
+    "factored_norm",
     "eval_margins",
     "innerness_check",
     "InnernessReport",
@@ -38,20 +46,19 @@ def shift_matrix(grid: TruncationGrid, t: int) -> np.ndarray:
     """Matrix of multiplication by z_t (all channels), overflow dropped."""
     if not 0 <= t < grid.nvars:
         raise ValueError(f"variable {t} out of range for n={grid.nvars}")
-    m = grid.channels
+    src, dst = grid.shift_map(unit_index(grid.nvars, t))
     out = np.zeros((grid.dim, grid.dim), dtype=complex)
-    for r, k in enumerate(grid.multi_indices):
-        up = grid.bumped(k, t)
-        if up is None:
-            continue
-        ru = grid.rank[up]
-        for s in range(m):
-            out[ru * m + s, r * m + s] = 1.0
+    out[dst, src] = 1.0
     return out
 
 
 def shift_matrices(grid: TruncationGrid) -> list[np.ndarray]:
     return [shift_matrix(grid, t) for t in range(grid.nvars)]
+
+
+def unit_index(nvars: int, t: int) -> tuple[int, ...]:
+    """The multi-index e_t."""
+    return tuple(int(i == t) for i in range(nvars))
 
 
 def toeplitz_matrix(symbol: AnalyticSymbol, grid: TruncationGrid) -> np.ndarray:
@@ -69,19 +76,14 @@ def toeplitz_matrix(symbol: AnalyticSymbol, grid: TruncationGrid) -> np.ndarray:
     cod = grid.with_channels(symbol.rows)
     table = symbol.taylor_table(cod)
     ranks = len(cod.multi_indices)
-    rank = cod.rank
     p, q = symbol.rows, symbol.cols
-    out = np.zeros((cod.dim, dom.dim), dtype=complex)
-    nz = [r for r in range(ranks) if np.any(table[r])]
-    for rj, j in enumerate(dom.multi_indices):
-        for rd in nz:
-            diff = cod.multi_indices[rd]
-            k = tuple(j[i] + diff[i] for i in range(symbol.nvars))
-            rk = rank.get(k)
-            if rk is None:
-                continue
-            out[rk * p:(rk + 1) * p, rj * q:(rj + 1) * q] = table[rd]
-    return out
+    scalar = TruncationGrid(grid.caps)
+    out = np.zeros((ranks, p, ranks, q), dtype=complex)
+    # block (k, j) = coeff(d) exactly where z^d maps z^j to z^k = z^(j+d)
+    for rd in np.flatnonzero(table.reshape(ranks, -1).any(axis=1)):
+        src, dst = scalar.shift_map(cod.multi_indices[rd])
+        out[dst, :, src, :] = table[rd]
+    return out.reshape(cod.dim, dom.dim)
 
 
 def spectral_norm(a: np.ndarray) -> float:
@@ -96,6 +98,25 @@ def windowed_norm(a: np.ndarray, window: np.ndarray, col_window: np.ndarray | No
     if len(window) == 0 or len(cols) == 0:
         return 0.0
     return spectral_norm(a[np.ix_(window, cols)])
+
+
+def norm_factor(a: np.ndarray) -> np.ndarray:
+    """A matrix R with a = V R for some column-orthonormal V.
+
+    Then ||a X b*|| = ||R_a X R_b*|| for every X and every b factored the
+    same way, so a windowed norm ||W B X B* W|| is the spectral norm of the
+    small matrix R X R* with R = norm_factor(B[window]).  R is the thin-QR
+    factor when a has more rows than columns, and a itself otherwise.
+    """
+    if a.shape[0] > a.shape[1]:
+        return np.linalg.qr(a, mode="r")
+    return a
+
+
+def factored_norm(left: np.ndarray, x: np.ndarray, right: np.ndarray | None = None) -> float:
+    """||left X right*||, a windowed norm taken on norm_factor outputs (right defaults to left)."""
+    right = left if right is None else right
+    return spectral_norm(left @ x @ right.conj().T)
 
 
 def eval_margins(symbol: AnalyticSymbol) -> tuple[int, ...]:

@@ -42,8 +42,9 @@ def _jsonify(value):
 class Report:
     """Outcome of one scenario run.
 
-    status is "ok" or an "error: ..." string; residuals map names to
-    reals, verdicts map names to booleans, and details carries any
+    status is "ok", an "error: ..." string (a domain failure) or an
+    "internal error: ..." string (a bug); residuals map names to reals,
+    verdicts map names to booleans, and details carries any
     command-specific structured payload.  runtime_seconds is measured but
     never serialized to JSON.
     """

@@ -18,13 +18,16 @@ settings, the shape the CLI also builds from flags and the environment,
 and build_scenario checks every value against the one rule for its key,
 so each error message names the line, flag or variable it came from.
 
-run_scenario never raises for domain failures: the error lands in the
-report's status field so a batch keeps going.
+run_scenario never raises: a domain failure (a ValueError) lands in the
+report's status field as "error: ...", any other exception as
+"internal error: ...", so a batch keeps going.
 """
 
 from __future__ import annotations
 
+import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -111,6 +114,13 @@ def _positive(value, key):
     return x
 
 
+def _open_unit(value, key):
+    (x,) = numbers([value], float, key)
+    if not 0 < x < 1:
+        raise ValueError(f"{key} must be strictly between 0 and 1, got {value!r}")
+    return x
+
+
 def _text(value, key):
     if not value:
         raise ValueError(f"{key} is empty")
@@ -132,7 +142,7 @@ _RULES = {
     "seed": _numbers(int),
     "budget": _numbers(int, 1),
     "pairs": _numbers(int, 1),
-    "pair_radius": _numbers(float),
+    "pair_radius": _open_unit,
     "symbol_file": _text,
     "phi_file": _text,
     "tuple_file": _text,
@@ -415,16 +425,28 @@ _RUNNERS = {
 }
 
 
+INTERNAL_ERROR = "internal error:"
+
+
 def run_scenario(s: Scenario) -> Report:
-    """Execute one scenario; domain errors become a status, not a crash."""
+    """Execute one scenario; every failure becomes a status, not a crash.
+
+    Domain errors (ValueError and its subclasses: InnernessError,
+    InvarianceError, DilationError, ...) give "error: <message>".  Any other
+    exception is a bug in the package: its traceback goes to stderr and the
+    status is "internal error: <Type>: <message>", which the CLI turns into
+    exit 3.
+    """
     started = time.perf_counter()
+    residuals, verdicts, details, caps = {}, {}, {}, s.caps
     try:
         residuals, verdicts, details, caps = _RUNNERS[s.command](s)
         status = "ok"
-    except Exception as exc:  # noqa: BLE001 - reported, never silently dropped
-        residuals, verdicts, details = {}, {}, {}
-        caps = s.caps
+    except ValueError as exc:
         status = f"error: {exc}"
+    except Exception as exc:  # noqa: BLE001 - a bug: reported, traceback to stderr
+        traceback.print_exc(file=sys.stderr)
+        status = f"{INTERNAL_ERROR} {type(exc).__name__}: {exc}"
     return Report(
         scenario_id=s.scenario_id,
         command=s.command,

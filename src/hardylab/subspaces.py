@@ -1,9 +1,13 @@
 """Submodules and quotient modules as orthonormal column spans.
 
-A subspace is held as a column-orthonormal basis plus its projection.  The
-basis always comes out of one full SVD, whose remaining columns are kept as
-the complement basis, so a subspace and its complement share the same
-unitary and P_S + P_Q = I holds to rounding, not merely to rank tolerance.
+A subspace is held as a column-orthonormal basis plus the basis of its
+complement.  Both always come out of one full SVD, so a subspace and its
+complement share the same unitary and P_S + P_Q = I holds to rounding, not
+merely to rank tolerance.  Operators are read in the coordinates of that
+unitary: SubspaceData.shift_blocks gives B* M^k B and B_c* M^k B through the
+grid's index map, and window_factor turns a windowed norm into the norm of
+a matrix no larger than the basis rank.  The dim x dim projection is formed
+only when something asks for it.
 
 Submodules generated by an inner symbol take the columns of the truncated
 multiplication operator over the input window (domain degrees at least
@@ -14,17 +18,19 @@ images, and every residual downstream is then measured on a core window.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .grids import TruncationGrid
 from .operators import (
     InnernessError,
+    factored_norm,
     innerness_check,
-    shift_matrices,
+    norm_factor,
     spectral_norm,
     toeplitz_matrix,
-    windowed_norm,
+    unit_index,
 )
 from .symbols import AnalyticSymbol
 from .textlines import content_lines, fields, numbers
@@ -50,17 +56,63 @@ class InvarianceError(ValueError):
 
 @dataclass(frozen=True)
 class SubspaceData:
-    """Orthonormal basis and projection of a subspace of a truncated grid."""
+    """Orthonormal basis of a subspace of a truncated grid and of its complement.
+
+    The projection, the complement as a subspace, shift blocks and window
+    factors are formed on first use and cached.
+    """
 
     grid: TruncationGrid
     basis: np.ndarray          # (dim, r), column-orthonormal
-    projection: np.ndarray     # (dim, dim) = basis @ basis*
     complement: np.ndarray     # (dim, dim - r), orthonormal basis of the complement
     discarded: int = 0         # columns dropped at the rank tolerance
 
     @property
     def rank(self) -> int:
         return self.basis.shape[1]
+
+    @cached_property
+    def projection(self) -> np.ndarray:
+        """(dim, dim) = basis @ basis*."""
+        return self.basis @ self.basis.conj().T
+
+    @cached_property
+    def complement_space(self) -> "SubspaceData":
+        """The complement, with this subspace as its complement."""
+        return SubspaceData(self.grid, self.complement, self.basis)
+
+    @cached_property
+    def _unitary(self) -> np.ndarray:
+        return np.hstack([self.basis, self.complement])
+
+    @cached_property
+    def _cache(self) -> dict:
+        return {}
+
+    def shift_blocks(self, k) -> tuple[np.ndarray, np.ndarray]:
+        """(B* M^k B, B_c* M^k B) for the truncated shift power M^k.
+
+        B is the basis and B_c the complement, so the pair is M^k B in the
+        coordinates of the split.  M^k is applied as the grid's index map,
+        (M^k B)[dst] = B[src], so both come from one product of a
+        (dim, len(src)) and a (len(src), rank) matrix, cached per multi-index.
+        """
+        key = ("shift", tuple(int(x) for x in k))
+        if key not in self._cache:
+            src, dst = self.grid.shift_map(key[1])
+            both = self._unitary[dst].conj().T @ self.basis[src]
+            self._cache[key] = (both[:self.rank], both[self.rank:])
+        return self._cache[key]
+
+    def window_factor(self, margins) -> np.ndarray:
+        """norm_factor of the basis rows in the window of these margins, cached.
+
+        ||W B X B* W|| = ||R X R*|| for R = window_factor(margins).
+        """
+        key = ("window", tuple(int(m) for m in margins))
+        if key not in self._cache:
+            self._cache[key] = norm_factor(self.basis[self.grid.window_indices(key[1])])
+        return self._cache[key]
 
     def contains(self, vectors: np.ndarray, tol: float = 1e-10) -> bool:
         v = np.atleast_2d(vectors.T).T
@@ -93,9 +145,8 @@ def subspace_from_columns(
     if columns.ndim != 2 or columns.shape[0] != grid.dim:
         raise ValueError(f"columns must be ({grid.dim}, k), got {columns.shape}")
     sb, qb, dropped = _with_complement(grid, columns, rank_tol)
-    s = SubspaceData(grid, sb, sb @ sb.conj().T, qb, discarded=dropped)
-    q = SubspaceData(grid, qb, qb @ qb.conj().T, sb)
-    return s, q
+    s = SubspaceData(grid, sb, qb, discarded=dropped)
+    return s, s.complement_space
 
 
 def orthonormal_columns(a: np.ndarray, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, int]:
@@ -168,17 +219,13 @@ def parse_basis_text(text: str, grid: TruncationGrid) -> np.ndarray:
     return np.stack(vectors, axis=0)
 
 
-def invariance_defect(
-    s: SubspaceData,
-    margins: tuple[int, ...],
-    shifts: list[np.ndarray] | None = None,
-) -> tuple[float, list[float]]:
-    """Windowed shift-invariance defect max_t ||W (P_S M_t P_S - M_t P_S) W||."""
-    grid = s.grid
-    mats = shift_matrices(grid) if shifts is None else shifts
-    win = grid.window_indices(margins)
-    per: list[float] = []
-    for m in mats:
-        a = s.projection @ m @ s.projection - m @ s.projection
-        per.append(windowed_norm(a, win))
+def invariance_defect(s: SubspaceData, margins: tuple[int, ...]) -> tuple[float, list[float]]:
+    """Windowed shift-invariance defect max_t ||W (P_S M_t P_S - M_t P_S) W||.
+
+    P_S M_t P_S - M_t P_S = -P_Q M_t P_S = -B_Q (B_Q* M_t B_S) B_S*, so each
+    norm is taken on the window factors of the two bases.
+    """
+    r_s, r_q = s.window_factor(margins), s.complement_space.window_factor(margins)
+    per = [factored_norm(r_q, s.shift_blocks(unit_index(s.grid.nvars, t))[1], r_s)
+           for t in range(s.grid.nvars)]
     return (max(per) if per else 0.0), per

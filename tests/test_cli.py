@@ -229,3 +229,60 @@ def test_single_config_report_round_trips(mono_cfg, tmp_path):
     rep = parse_report(out.read_bytes())
     assert rep.ok
     assert rep.caps == (4, 4)
+
+
+@pytest.mark.parametrize("origin", ["config", "--pair-radius"])
+@pytest.mark.parametrize("value", ["1.5", "1", "0", "-0.3"])
+def test_pair_radius_outside_the_open_unit_interval_exits_two(tmp_path, capsys, origin, value):
+    cfg = tmp_path / "kernel.cfg"
+    setting = f"pair_radius = {value}" if origin == "config" else "seed = 1"
+    cfg.write_text(f"command = example42\n{setting}\npairs = 2\nbudget = 2\n")
+    argv = ["example42", "--config", cfg, "--degree", "6,6"]
+    if origin != "config":
+        argv.append(f"{origin}={value}")
+    assert run_cli(argv) == 2
+    where = "line 2" if origin == "config" else origin
+    assert f"{where}: pair_radius must be strictly between 0 and 1" in capsys.readouterr().err
+
+
+def test_pair_radius_flag_without_config_exits_two(capsys):
+    argv = ["example42", "--degree", "6,6", "--pairs", "3", "--budget", "2", "--pair-radius", "1.5"]
+    assert run_cli(argv) == 2
+    assert "--pair-radius: pair_radius must be strictly between 0 and 1" in capsys.readouterr().err
+
+
+def test_batch_input_error_names_its_config(mono_cfg, tmp_path, capsys):
+    bad = tmp_path / "margins.cfg"
+    bad.write_text(COORD.replace("caps = 3 3\n", "caps = 3 3\nmargins = -1 -1\n"))
+    assert run_cli(["check-beurling", "--config", mono_cfg, "--config", bad]) == 2
+    err = capsys.readouterr().err
+    assert f"config {str(bad)!r}: line 3: margins must be >= 0" in err
+    assert str(mono_cfg) not in err
+
+
+def test_internal_error_exits_three(mono_cfg, tmp_path, monkeypatch, capsys):
+    from hardylab import scenarios
+
+    def broken(s):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setitem(scenarios._RUNNERS, "identity-suite", broken)
+    assert run_cli(["identity-suite", "--symbol-file", _symbol_file(tmp_path),
+                    "--degree", "3,3"]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["status"] == "internal error: TypeError: unsupported operand"
+    assert "Traceback" in captured.err and "in broken" in captured.err
+
+    # one broken run in a batch: every report is still written, exit 3
+    other = tmp_path / "suite.cfg"
+    other.write_text(MONO.replace("check-beurling", "identity-suite").split("expect:")[0])
+    out = tmp_path / "batch.jsonl"
+    code = run_cli(["identity-suite", "--config", other, "--config", other, "--out", out])
+    assert code == 3
+    assert len(out.read_text().splitlines()) == 2
+
+
+def _symbol_file(tmp_path):
+    sym = tmp_path / "sym.txt"
+    sym.write_text("numerator\n1 1 0 0 1.0 0.0\n")
+    return sym

@@ -235,3 +235,196 @@ def test_defect_decomposition_exact_for_any_subspace(seed, ncols):
         assert spectral_norm(lhs - rhs) <= 1e-13
         # and the defect is PSD for any subspace because shifts contract
         assert float(np.linalg.eigvalsh((lhs + lhs.conj().T) / 2)[0]) >= -1e-13
+
+
+# ---- the battery against the dense formulas it replaced ----------------------
+
+def _dense_battery(s, margins, tol):
+    """Every residual and verdict of the detectors, the suite and the invariance
+    gate, written out with dim x dim shifts and projections."""
+    g = s.grid
+    n = g.nvars
+    window = g.window_indices(margins)
+    mats = shift_matrices(g)
+    adj = [m.conj().T for m in mats]
+    b = s.basis
+    p_s = b @ b.conj().T
+    p_q = np.eye(g.dim) - p_s
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+
+    def wn(a):
+        return windowed_norm(a, window)
+
+    inv = [wn(p_s @ m @ p_s - m @ p_s) for m in mats]
+    chat = [p_q @ m @ p_q for m in mats]
+    dhat = [p_q - c.conj().T @ c for c in chat]
+    products = {(i, j): wn(dhat[i] @ dhat[j]) for i in range(n) for j in range(i + 1, n)}
+    worst_prod = max(products.values(), default=0.0)
+    beurling = {f"pair_{i}_{j}": v for (i, j), v in products.items()}
+    beurling["beurling_defect_product"] = worst_prod
+
+    r = [b.conj().T @ m @ b for m in mats]
+    cross = {f"pair_{i}_{j}": wn(b @ (r[j].conj().T @ r[i] - r[i] @ r[j].conj().T) @ b.conj().T)
+             for i, j in pairs}
+    cross["cross_commutator"] = max(cross.values(), default=0.0)
+
+    x = {(i, j): p_s @ mats[i] @ p_q @ adj[j] @ p_s for i, j in pairs}
+    suite = {
+        "defect_identity": max(wn(d - p_q @ a @ p_s @ m @ p_q)
+                               for d, m, a in zip(dhat, mats, adj)),
+        "xij": max((wn(v) for v in x.values()), default=0.0),
+    }
+    comm_worst, min_eig = 0.0, np.inf
+    for i, j in pairs:  # default khat = e_j
+        comm = chat[i] @ chat[j].conj().T - chat[j].conj().T @ chat[i]
+        comm_worst = max(comm_worst, wn(comm - p_q @ adj[j] @ p_s @ mats[i] @ p_q))
+        dom = (dhat[i] - comm.conj().T @ comm)[np.ix_(window, window)]
+        min_eig = min(min_eig, float(np.linalg.eigvalsh(dom)[0]))
+    suite["commutator_identity"] = comm_worst
+    suite["defect_domination_min_eig"] = min_eig
+    suite["reduces"] = max(wn(p_q @ a @ p_s @ m - a @ p_s @ m @ p_q) for m, a in zip(mats, adj))
+    suite["beurling_defect_product"] = worst_prod
+    if worst_prod <= tol:
+        for idx, (left, right) in enumerate([("k", "l"), ("i", "l"), ("k", "j")]):
+            suite[f"annihilation_{idx + 1}"] = max(
+                wn(p_q @ adj[{"k": j, "i": i}[left]] @ x[(i, j)]
+                   @ mats[{"l": i, "j": j}[right]] @ p_q)
+                for i, j in pairs)
+
+    suite_verdicts = {k: v <= tol for k, v in suite.items()
+                      if k not in ("xij", "beurling_defect_product")}
+    suite_verdicts["defect_domination_min_eig"] = min_eig >= -tol
+    return {
+        "invariance": inv,
+        "beurling": (beurling, {"beurling_defect_product": worst_prod <= tol}),
+        "cross": (cross, {"cross_commutator": cross["cross_commutator"] <= tol}),
+        "suite": (suite, suite_verdicts),
+    }
+
+
+def _assert_battery_matches_dense(s, margins, tol=1e-6, atol=1e-13):
+    qd = quotient_data(s, margins=margins)
+    reports = {
+        "beurling": beurling_criterion(qd, tol=tol),
+        "cross": cross_commutator_criterion(s, margins=margins, tol=tol),
+        "suite": identity_suite(qd, tol=tol),
+    }
+    dense = _dense_battery(s, qd.margins, tol)
+    np.testing.assert_allclose(qd.invariance_per_variable, dense["invariance"], rtol=0, atol=atol)
+    assert qd.invariance == max(qd.invariance_per_variable)
+    for name, rep in reports.items():
+        residuals, verdicts = dense[name]
+        assert list(rep.residuals) == list(residuals), name
+        for key, want in residuals.items():
+            assert abs(rep.residuals[key] - want) <= atol, (name, key, rep.residuals[key], want)
+        assert rep.verdicts == verdicts, name
+    return reports
+
+
+def test_battery_matches_dense_formulas_on_a_three_variable_entry():
+    entry = next(e for e in corpus_entries(0) if e.caps == (3, 3, 3))
+    reports = _assert_battery_matches_dense(entry.subspace(), entry.margins)
+    assert reports["beurling"].verdict
+
+
+def test_battery_matches_dense_formulas_on_a_blaschke_product():
+    sym = AnalyticSymbol.blaschke(0.3, 0, nvars=2).matmul(
+        AnalyticSymbol.blaschke(0.2 - 0.1j, 1, nvars=2))
+    s = submodule_projection(sym, TruncationGrid((6, 6)))
+    _assert_battery_matches_dense(s, eval_margins(sym))
+
+
+def test_battery_matches_dense_formulas_on_the_origin_complement():
+    entry = next(e for e in corpus_entries(0) if e.entry_id == "origin-complement")
+    reports = _assert_battery_matches_dense(entry.subspace(), entry.margins)
+    assert not reports["beurling"].verdict
+    assert "annihilation_1" not in reports["suite"].residuals
+
+
+@st.composite
+def monomial_submodules(draw):
+    """A shift-invariant subspace: a monomial ideal in each channel, channels mixed by a unitary."""
+    nvars = draw(st.integers(min_value=2, max_value=3))
+    caps = tuple(draw(st.lists(st.integers(min_value=2, max_value=3 if nvars == 2 else 2),
+                               min_size=nvars, max_size=nvars)))
+    channels = draw(st.integers(min_value=1, max_value=3))
+    g = TruncationGrid(caps, channels)
+    exponent = st.tuples(*(st.integers(min_value=0, max_value=c) for c in caps))
+    generators = draw(st.lists(st.lists(exponent, max_size=2),
+                               min_size=channels, max_size=channels))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    unitary, _ = np.linalg.qr(rng.normal(size=(channels, channels))
+                              + 1j * rng.normal(size=(channels, channels)))
+    columns = []
+    for s, gens in enumerate(generators):
+        for r, k in enumerate(g.multi_indices):
+            if any(all(a >= b for a, b in zip(k, gen)) for gen in gens):
+                col = np.zeros(g.dim, dtype=complex)
+                col[r * channels:(r + 1) * channels] = unitary[:, s]
+                columns.append(col)
+    cols = np.array(columns).T if columns else np.zeros((g.dim, 0), dtype=complex)
+    margins = tuple(draw(st.integers(min_value=1, max_value=c)) for c in caps)
+    return subspace_from_columns(g, cols)[0], margins
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=monomial_submodules())
+def test_battery_matches_dense_formulas_on_drawn_submodules(case):
+    s, margins = case
+    _assert_battery_matches_dense(s, margins)
+
+
+def test_detector_path_forms_no_dense_shift_or_projection(monkeypatch):
+    """quotient_data and the three detectors work from index maps and blocks only."""
+    import sys
+
+    from hardylab import operators
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense shift was built on the detector path")
+
+    for name in ("shift_matrices", "shift_matrix"):
+        original = getattr(operators, name)
+        for key, module in list(sys.modules.items()):
+            if module is not None and (key == "hardylab" or key.startswith("hardylab.")):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, refuse)
+
+    entry = next(e for e in corpus_entries(0) if len(e.caps) == 3 and e.kind == "blaschke")
+    sub = entry.subspace()
+    qd = quotient_data(sub, margins=entry.margins)
+    assert beurling_criterion(qd, tol=1e-6).verdict
+    assert cross_commutator_criterion(sub, margins=entry.margins, tol=1e-6).verdict
+    assert identity_suite(qd, tol=1e-6).verdict
+    with pytest.raises(AssertionError, match="dense shift"):
+        operators.shift_matrices(sub.grid)
+    for lazy, name in ((sub, "projection"), (qd.q, "projection"),
+                       (qd.compressions, "extended"), (qd, "extended_defects")):
+        assert name not in vars(lazy), name
+
+
+def test_user_multi_indices_match_dense_formulas():
+    """khat and lhat other than unit indices go through the same index maps."""
+    sym = AnalyticSymbol.monomial((1, 1))
+    qd = make_quotient(sym, (5, 5))
+    khat, lhat = {0: (0, 2), 1: (1, 0)}, {0: (0, 3), 1: (2, 0)}
+    rep = identity_suite(qd, khat=khat, lhat=lhat, tol=1e-6)
+
+    g, window = qd.grid, qd.window
+    mats = shift_matrices(g)
+    p_s = qd.s.basis @ qd.s.basis.conj().T
+    p_q = np.eye(g.dim) - p_s
+    comm_worst, ann = 0.0, [0.0, 0.0, 0.0]
+    for i, j in ((0, 1), (1, 0)):
+        mk, ml = shift_power(mats, khat[i]), shift_power(mats, lhat[j])
+        chat_i, chat_k = p_q @ mats[i] @ p_q, p_q @ mk @ p_q
+        comm = chat_i @ chat_k.conj().T - chat_k.conj().T @ chat_i
+        comm_worst = max(comm_worst, windowed_norm(
+            comm - p_q @ mk.conj().T @ p_s @ mats[i] @ p_q, window))
+        x = p_s @ mats[i] @ p_q @ mats[j].conj().T @ p_s
+        for idx, (left, right) in enumerate(((mk, ml), (mats[i], ml), (mk, mats[j]))):
+            ann[idx] = max(ann[idx], windowed_norm(p_q @ left.conj().T @ x @ right @ p_q, window))
+    assert abs(rep.residuals["commutator_identity"] - comm_worst) <= 1e-13
+    for idx in range(3):
+        assert abs(rep.residuals[f"annihilation_{idx + 1}"] - ann[idx]) <= 1e-13

@@ -106,3 +106,80 @@ def test_flat_unflatten_round_trip(caps, channels):
     for i in range(g.dim):
         k, s = g.unflatten(i)
         assert g.flat_index(k, s) == i
+
+
+# ---- array-built index sets against the loops they replaced ------------------
+
+def _loop_shift_map(g, k):
+    src, dst = [], []
+    for r, j in enumerate(g.multi_indices):
+        up = tuple(a + b for a, b in zip(j, k))
+        if all(u <= c for u, c in zip(up, g.caps)):
+            for s in range(g.channels):
+                src.append(r * g.channels + s)
+                dst.append(g.rank[up] * g.channels + s)
+    return np.array(src, dtype=int), np.array(dst, dtype=int)
+
+
+def _loop_index_set(g, keep):
+    out = []
+    for r, k in enumerate(g.multi_indices):
+        if keep(k):
+            out.extend(range(r * g.channels, (r + 1) * g.channels))
+    return np.array(out, dtype=int)
+
+
+GRIDS = [TruncationGrid(caps, channels)
+         for caps in ((3,), (0,), (2, 3), (3, 0), (2, 1, 2))
+         for channels in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("g", GRIDS, ids=lambda g: f"caps{g.caps}-m{g.channels}")
+def test_array_index_sets_match_loop_references(g):
+    from hardylab.operators import shift_matrix
+
+    units = [tuple(int(i == t) for i in range(g.nvars)) for t in range(g.nvars)]
+    for k in units + [(0,) * g.nvars, (1,) * g.nvars, tuple(range(g.nvars, 0, -1))]:
+        src, dst = g.shift_map(k)
+        want_src, want_dst = _loop_shift_map(g, k)
+        np.testing.assert_array_equal(src, want_src)
+        np.testing.assert_array_equal(dst, want_dst)
+        assert g.shift_map(k)[0] is src  # cached per multi-index
+    for t in range(g.nvars):
+        want = np.zeros((g.dim, g.dim), dtype=complex)
+        for j, k in enumerate(g.multi_indices):
+            up = g.bumped(k, t)
+            if up is not None:
+                for s in range(g.channels):
+                    want[g.rank[up] * g.channels + s, j * g.channels + s] = 1.0
+        np.testing.assert_array_equal(shift_matrix(g, t), want)
+        np.testing.assert_array_equal(
+            g.top_slice_indices(t), _loop_index_set(g, lambda k: k[t] == g.caps[t]))
+    for margins in [(0,) * g.nvars, (1,) * g.nvars, tuple(range(g.nvars)), (5,) * g.nvars]:
+        np.testing.assert_array_equal(
+            g.window_indices(margins),
+            _loop_index_set(g, lambda k: all(a <= c - w for a, c, w in zip(k, g.caps, margins))))
+
+
+def test_shift_map_is_the_shift_power():
+    from hardylab.criteria import shift_power
+    from hardylab.operators import shift_matrices
+
+    g = TruncationGrid((3, 2), channels=2)
+    mats = shift_matrices(g)
+    for k in [(0, 0), (1, 0), (2, 1), (3, 2), (4, 0)]:
+        src, dst = g.shift_map(k)
+        dense = np.zeros((g.dim, g.dim), dtype=complex)
+        dense[dst, src] = 1.0
+        np.testing.assert_array_equal(dense, shift_power(mats, k))
+
+
+def test_shift_map_validation():
+    g = TruncationGrid((2, 2))
+    with pytest.raises(ValueError, match="non-negative"):
+        g.shift_map((1, -1))
+    with pytest.raises(ValueError, match="need 2 powers"):
+        g.shift_map((1,))
+    src, _ = g.shift_map((1, 0))
+    with pytest.raises(ValueError):
+        src[0] = 5  # cached maps are read-only

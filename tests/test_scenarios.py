@@ -380,3 +380,20 @@ def test_run_scenario_seed_threads_into_report():
     cfg = "command = example42\nseed = 5\npairs = 2\nbudget = 2\n"
     rep = run_scenario(parse_scenario(cfg))
     assert rep.seed == 5
+
+
+def test_only_domain_errors_become_error_status(monkeypatch):
+    from hardylab import scenarios
+
+    def raising(exc):
+        def runner(s):
+            raise exc
+        return runner
+
+    s = parse_scenario(MONOMIAL_CFG)
+    monkeypatch.setitem(scenarios._RUNNERS, s.command, raising(ValueError("bad input")))
+    assert run_scenario(s).status == "error: bad input"
+    monkeypatch.setitem(scenarios._RUNNERS, s.command, raising(KeyError("k")))
+    rep = run_scenario(s)
+    assert rep.status == "internal error: KeyError: 'k'"
+    assert not rep.ok and rep.residuals == {} and rep.verdicts == {}
