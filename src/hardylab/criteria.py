@@ -175,13 +175,21 @@ def shift_power(shifts, k) -> np.ndarray:
     return out
 
 
-def _resolve_margins(grid: TruncationGrid, margins) -> tuple:
+def _core_window(grid: TruncationGrid, margins) -> tuple[tuple, np.ndarray]:
+    """Resolved margins (default 1 per variable) and their non-empty window.
+
+    A residual measured on an empty window is 0 for every subspace, so an
+    empty window is an error, not a pass.
+    """
     if margins is None:
         margins = (1,) * grid.nvars
     margins = tuple(int(m) for m in margins)
     if len(margins) != grid.nvars:
         raise ValueError(f"need {grid.nvars} margins, got {len(margins)}")
-    return margins
+    window = grid.window_indices(margins)
+    if window.size == 0:
+        raise ValueError(f"margins {margins} leave an empty evaluation window")
+    return margins, window
 
 
 def quotient_data(
@@ -198,10 +206,7 @@ def quotient_data(
     split (QuotientData).
     """
     grid = s.grid
-    margins = _resolve_margins(grid, margins)
-    window = grid.window_indices(margins)
-    if window.size == 0:
-        raise ValueError(f"margins {margins} leave an empty evaluation window")
+    margins, window = _core_window(grid, margins)
 
     inv_max, inv_per = invariance_defect(s, margins)
     if inv_max > invariance_gate:
@@ -256,11 +261,12 @@ def cross_commutator_criterion(
     one variable commuting with every other variable exactly when S comes
     from an inner multiplier; the residual is the worst pair.  R_t is the
     block T_t = B_S* M_t B_S, and the (j, i) commutator is the adjoint of
-    the (i, j) one, so each unordered pair is measured once.
+    the (i, j) one, so each unordered pair is measured once.  Margins that
+    leave an empty window raise ValueError, as in quotient_data.
     """
     grid = s.grid
     n = grid.nvars
-    margins = _resolve_margins(grid, margins)
+    margins, _ = _core_window(grid, margins)
     r_s = s.window_factor(margins)
     r = [s.shift_blocks(unit_index(n, t))[0] for t in range(n)]
     norms = {}

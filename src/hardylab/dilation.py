@@ -6,7 +6,9 @@ the embedding at multi-index k is D T*^k, with D the positive square root
 of the defect sum.  On a finite grid the construction is exact for
 nilpotent tuples once the caps reach the nilpotency indices, and that
 exactness is verified, not assumed: the isometry and intertwining residuals
-are computed and reported every time.
+are computed and reported every time.  The shifts are applied as the grid's
+index maps (TruncationGrid.shift_map), never as dense matrices: M_i* Pi is
+Pi with rows dst moved to rows src and every other row zero.
 
 The same circle of ideas runs backwards: compressing the coordinate shifts
 to the quotient of an inner-symbol submodule yields a tuple whose defect
@@ -29,7 +31,7 @@ from .criteria import (
     quotient_data,
 )
 from .grids import TruncationGrid
-from .operators import eval_margins, shift_matrices, spectral_norm
+from .operators import eval_margins, spectral_norm, unit_index
 from .subspaces import RANK_TOL, submodule_projection
 from .symbols import AnalyticSymbol
 from .textlines import content_lines, fields, numbers
@@ -210,11 +212,9 @@ def canonical_dilation(t: ContractionTuple, caps, tail_tol: float = 1e-8,
         parent = tuple(ki - (1 if idx == i else 0) for idx, ki in enumerate(k))
         powers[k] = adj[i] @ powers[parent]
 
-    pi = np.zeros((grid.dim, t.dim), dtype=complex)
-    for k in grid.multi_indices:
-        block = rows_in_defect @ powers[k]
-        for s in range(r):
-            pi[grid.flat_index(k, s)] = block[s]
+    # rows rank(k) * r .. rank(k) * r + r - 1 of Pi are D T*^k in defect coordinates
+    pi = (rows_in_defect @ np.stack([powers[k] for k in grid.multi_indices])
+          ).reshape(grid.dim, t.dim)
 
     tail = 0.0
     for i in range(t.n):
@@ -230,18 +230,20 @@ def canonical_dilation(t: ContractionTuple, caps, tail_tol: float = 1e-8,
         )
 
     iso = spectral_norm(pi.conj().T @ pi - np.eye(t.dim))
-    shifts = shift_matrices(grid)
-    inter = tuple(
-        spectral_norm(pi @ adj[i] - shifts[i].conj().T @ pi)
-        for i in range(t.n)
-    )
+    inter = []
+    for i in range(t.n):
+        # M_i* Pi through the index map: (M_i* Pi)[src] = Pi[dst], other rows zero
+        src, dst = grid.shift_map(unit_index(t.n, i))
+        down = np.zeros_like(pi)
+        down[src] = pi[dst]
+        inter.append(spectral_norm(pi @ adj[i] - down))
     return DilationData(
         grid=grid,
         defect_sq=defect,
         defect_space_basis=basis,
         pi=pi,
         isometry_residual=iso,
-        intertwining_residuals=inter,
+        intertwining_residuals=tuple(inter),
         tail_mass=tail,
     )
 

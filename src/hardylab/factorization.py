@@ -13,6 +13,13 @@ subspace M inside the quotient of theta, beurling_submodule_check decides
 whether M + S_theta is the submodule of some larger inner factor, by the
 same cross-commutator and defect-product residuals the rest of the package
 uses.
+
+Every residual is an exact identity on thin blocks of the subspace bases
+(SubspaceData.basis and .complement), and the shifts are the grid's index
+maps (TruncationGrid.shift_map), so no dense shift or dim x dim projection
+is formed.  A projection P = B B* enters a norm only through B: with B_c
+the complement basis, ||(I - P) A|| = ||B_c* A||, and a windowed norm of
+B X B* is taken on the window factor of B (operators.norm_factor).
 """
 
 from __future__ import annotations
@@ -30,9 +37,11 @@ from .criteria import (
 from .grids import TruncationGrid
 from .operators import (
     eval_margins,
-    shift_matrices,
+    factored_norm,
+    norm_factor,
     spectral_norm,
     toeplitz_matrix,
+    unit_index,
     windowed_norm,
 )
 from .subspaces import (
@@ -95,17 +104,15 @@ def _divide(theta: AnalyticSymbol, phi: AnalyticSymbol, grid: TruncationGrid,
 
     s_phi = submodule_projection(phi, grid, inner_tol=tol)
     mt = toeplitz_matrix(theta, grid)
-    cod = grid.with_channels(theta.rows)
     dom_t = grid.with_channels(theta.cols)
     dom_p = grid.with_channels(phi.cols)
 
     col_window = dom_t.window_indices(margins)
     if col_window.size == 0:
         raise ValueError(f"margins {margins} leave no exact columns at caps {grid.caps}")
-    containment = windowed_norm(
-        (np.eye(cod.dim) - s_phi.projection) @ mt,
-        np.arange(cod.dim), col_window,
-    )
+    mt_w = mt[:, col_window]
+    # ||(I - P_phi) M_theta W|| = ||B_phi_c* M_theta[:, W]||
+    containment = spectral_norm(s_phi.complement.conj().T @ mt_w)
     if containment > tol:
         raise FactorizationError(
             f"not divisible: containment residual {containment:.3e} exceeds {tol:g}"
@@ -116,10 +123,14 @@ def _divide(theta: AnalyticSymbol, phi: AnalyticSymbol, grid: TruncationGrid,
 
     row_window = dom_p.window_indices(margins)
     commutation = 0.0
-    left = shift_matrices(dom_p)
-    right = shift_matrices(dom_t)
     for i in range(grid.nvars):
-        comm = x @ right[i] - left[i] @ x
+        # X M_i - M_i X: column src of X M_i is column dst of X, row dst of M_i X is row src of X
+        e_i = unit_index(grid.nvars, i)
+        src_t, dst_t = dom_t.shift_map(e_i)
+        src_p, dst_p = dom_p.shift_map(e_i)
+        comm = np.zeros_like(x)
+        comm[:, src_t] = x[:, dst_t]
+        comm[dst_p] -= x[src_p]
         commutation = max(commutation, windowed_norm(comm, row_window, col_window))
     if commutation > tol:
         raise FactorizationError(
@@ -138,19 +149,15 @@ def _divide(theta: AnalyticSymbol, phi: AnalyticSymbol, grid: TruncationGrid,
         coeffs[(0,) * grid.nvars] = np.zeros((rows, cols))
     psi = AnalyticSymbol.polynomial(coeffs, grid.nvars, rows=rows, cols=cols)
 
-    mq = toeplitz_matrix(psi, grid)
-    dom_q = grid.with_channels(psi.cols)
-    q_window = dom_q.window_indices(margins)
-    isometry = windowed_norm(
-        mq.conj().T @ mq - np.eye(dom_q.dim), q_window, q_window
-    )
+    # psi maps into phi.cols channels from theta.cols channels, so M_psi's
+    # domain window is col_window
+    mq_w = toeplitz_matrix(psi, grid)[:, col_window]
+    isometry = spectral_norm(mq_w.conj().T @ mq_w - np.eye(col_window.size))
     if isometry > tol:
         raise FactorizationError(
             f"division produced a non-isometric quotient: residual {isometry:.3e}"
         )
-    reconstruction = windowed_norm(
-        mt - mp @ mq, np.arange(cod.dim), col_window
-    )
+    reconstruction = spectral_norm(mt_w - mp @ mq_w)
 
     residuals = {
         "containment": containment,
@@ -188,29 +195,44 @@ def invariant_subspace_from_factorization(
     lands in M + S_theta, and the windowed residual of that statement is
     reported.  The quotient of theta splits as M plus the quotient of phi,
     checked as an exact projection identity.
+
+    Everything is read in the coordinates of the theta split.  The gap SVD
+    B_theta_c* B_phi = U Sigma V* gives M = B_theta_c U[:, :r], and the
+    trailing columns N = B_theta_c U[:, r:] span the complement of
+    S_theta + M, so I - P_M - P_theta = P_N.  The invariance residual
+    ||W P_N M_t P_M W|| is ||R_N (N* M_t B_M) R_M*|| with R the window
+    factors, and the quotient match ||P_phi - P_theta - P_M|| is
+    max(||N* B_phi||, ||B_phi_c* [B_theta, M]||), the norm of a difference
+    of two orthogonal projections.
     """
     psi, s_phi, margins, residuals = _divide(theta, phi, grid, tol, margins,
                                              coeff_cutoff)
     s_theta = submodule_projection(theta, grid, inner_tol=tol)
-    gap = (np.eye(s_theta.projection.shape[0]) - s_theta.projection) @ s_phi.basis
-    u, sig, _ = np.linalg.svd(gap, full_matrices=False)
-    m_basis = u[:, : int(np.sum(sig > rank_tol))]
-    p_m = m_basis @ m_basis.conj().T
-    p_t = s_theta.projection
+    u, sig, _ = np.linalg.svd(s_theta.complement.conj().T @ s_phi.basis,
+                              full_matrices=True)
+    frame = s_theta.complement @ u
+    rank = int(np.sum(sig > rank_tol))
+    m_basis, n_basis = frame[:, :rank], frame[:, rank:]
 
-    window = s_theta.grid.window_indices(margins)
-    keep = np.eye(p_t.shape[0]) - p_m - p_t
+    g = s_theta.grid
+    window = g.window_indices(margins)
+    r_m, r_n = norm_factor(m_basis[window]), norm_factor(n_basis[window])
     invariance = 0.0
-    for m in shift_matrices(s_theta.grid):
-        invariance = max(invariance, windowed_norm(keep @ m @ p_m, window))
+    for t in range(g.nvars):
+        src, dst = g.shift_map(unit_index(g.nvars, t))
+        block = n_basis[dst].conj().T @ m_basis[src]
+        invariance = max(invariance, factored_norm(r_n, block, r_m))
 
-    quotient_match = spectral_norm(s_phi.projection - p_t - p_m)
+    quotient_match = max(
+        spectral_norm(n_basis.conj().T @ s_phi.basis),
+        spectral_norm(s_phi.complement.conj().T @ np.hstack([s_theta.basis, m_basis])),
+    )
 
     residuals = dict(residuals)
     residuals["invariance"] = invariance
     residuals["quotient_match"] = quotient_match
     return FactorizationWitness(
-        theta=theta, phi=phi, psi=psi, grid=s_theta.grid,
+        theta=theta, phi=phi, psi=psi, grid=g,
         m_basis=m_basis, residuals=residuals,
     )
 
@@ -232,7 +254,7 @@ def beurling_submodule_check(m_basis: np.ndarray, theta: AnalyticSymbol,
     if margins is None:
         margins = eval_margins(theta)
 
-    overlap = spectral_norm(s_theta.projection @ m_basis)
+    overlap = spectral_norm(s_theta.basis.conj().T @ m_basis)
     if overlap > tol:
         raise ValueError(
             f"M is not inside the quotient of theta: overlap {overlap:.3e}"
@@ -274,9 +296,8 @@ def constancy_check(theta: AnalyticSymbol, grid: TruncationGrid,
     if margins is None:
         margins = eval_margins(theta)
     window = s.grid.window_indices(tuple(margins))
-    surjectivity = windowed_norm(
-        np.eye(s.grid.dim) - s.projection, window
-    )
+    # ||W (I - P_S) W|| = ||B_c[W] B_c[W]*|| = ||B_c[W]||^2
+    surjectivity = spectral_norm(s.complement[window]) ** 2
 
     table = theta.taylor_table(s.grid)
     coefficient = 0.0

@@ -95,7 +95,13 @@ class TruncationGrid:
         return len(self.multi_indices) * self.channels
 
     def with_channels(self, channels: int) -> "TruncationGrid":
-        """Same caps, different coefficient-space dimension."""
+        """Same caps, the given coefficient-space dimension.
+
+        Returns self when the channel count is unchanged, so the cached
+        multi-index tables and shift maps are reused.
+        """
+        if int(channels) == self.channels:
+            return self
         return TruncationGrid(self.caps, channels)
 
     # ---- indexing -------------------------------------------------------

@@ -198,9 +198,8 @@ def reduced_kernel_suite(caps=(20, 20), pairs: int = 20, seed: int = 0,
     small = TruncationGrid(tuple(int(c) for c in inclusion_caps))
     s_phi = submodule_projection(phi, small, inner_tol=criterion_tol)
     s_origin = origin_complement(small)
-    inclusion_residual = spectral_norm(
-        (np.eye(small.dim) - s_origin.projection) @ s_phi.basis
-    )
+    # ||(I - P_origin) B_phi|| = ||B_origin_c* B_phi||
+    inclusion_residual = spectral_norm(s_origin.complement.conj().T @ s_phi.basis)
     ranks = (s_phi.rank, s_origin.rank, small.dim)
     strict = ranks[0] < ranks[1] < ranks[2] and inclusion_residual <= criterion_tol
 

@@ -77,7 +77,7 @@ def toeplitz_matrix(symbol: AnalyticSymbol, grid: TruncationGrid) -> np.ndarray:
     table = symbol.taylor_table(cod)
     ranks = len(cod.multi_indices)
     p, q = symbol.rows, symbol.cols
-    scalar = TruncationGrid(grid.caps)
+    scalar = grid.with_channels(1)
     out = np.zeros((ranks, p, ranks, q), dtype=complex)
     # block (k, j) = coeff(d) exactly where z^d maps z^j to z^k = z^(j+d)
     for rd in np.flatnonzero(table.reshape(ranks, -1).any(axis=1)):

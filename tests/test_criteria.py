@@ -169,6 +169,17 @@ def test_empty_window_rejected():
         quotient_data(s, margins=(3, 3))
 
 
+def test_cross_commutator_rejects_an_empty_window():
+    # the origin complement is not of Beurling type; an empty window must not
+    # report it as a pass with residual 0
+    s = s00_subspace((3, 3))
+    assert not cross_commutator_criterion(s, margins=(1, 1)).verdict
+    with pytest.raises(ValueError, match="empty evaluation window"):
+        cross_commutator_criterion(s, margins=(4, 4))
+    with pytest.raises(ValueError, match="empty evaluation window"):
+        quotient_data(s, margins=(4, 4))
+
+
 def test_khat_validation_and_zero_case():
     qd = make_quotient(AnalyticSymbol.monomial((1, 1)), (3, 3))
     rep = identity_suite(qd, khat=(0, 0), lhat=(0, 0))

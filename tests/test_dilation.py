@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hardylab.criteria import quotient_data, shift_power
+from hardylab.criteria import psd_sqrt, quotient_data, shift_power
 from hardylab.dilation import (
     ContractionTuple,
     DilationError,
@@ -16,7 +16,7 @@ from hardylab.dilation import (
     random_brehmer_pair,
 )
 from hardylab.grids import TruncationGrid
-from hardylab.operators import shift_matrices
+from hardylab.operators import shift_matrices, spectral_norm
 from hardylab.subspaces import submodule_projection
 from hardylab.symbols import AnalyticSymbol
 
@@ -286,3 +286,47 @@ def test_tuple_text_comments_and_commas():
     t = parse_tuple_text(text)
     assert t.matrices[0][0, 0] == 0.25
     assert t.matrices[1][0, 0] == 0.5j
+
+
+# ---- the dilation against the dense formulas it replaced ---------------------
+
+def _extracted_monomial_tuple():
+    data = quotient_data(submodule_projection(AnalyticSymbol.monomial((1, 1)),
+                                              TruncationGrid((5, 5))), margins=(1, 1))
+    return ContractionTuple(data.compressions.operators)
+
+
+DILATIONS = {
+    # name: (tuple, caps, tail_tol)
+    "jordan": (jordan_pair(), (4, 4), 1e-8),
+    "seeded": (random_brehmer_pair(3, size=8), (8, 8), 1e-12),
+    "extracted": (_extracted_monomial_tuple(), (5, 5), 1e-8),
+    "scalar": (ContractionTuple.checked((np.array([[0.3]]), np.array([[0.5 + 0.2j]]))),
+               (40, 40), 1e-6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DILATIONS))
+def test_dilation_matches_dense_formulas(name):
+    t, caps, tail_tol = DILATIONS[name]
+    d = canonical_dilation(t, caps, tail_tol=tail_tol)
+    grid = d.grid
+    root = psd_sqrt(d.defect_sq)
+    pi = np.zeros((grid.dim, t.dim), dtype=complex)
+    for k in grid.multi_indices:
+        block = d.defect_space_basis.conj().T @ root @ shift_power(
+            [m.conj().T for m in t.matrices], k)
+        for s in range(grid.channels):
+            pi[grid.flat_index(k, s)] = block[s]
+    assert np.max(np.abs(d.pi - pi)) <= 1e-13
+    assert abs(d.isometry_residual - spectral_norm(pi.conj().T @ pi - np.eye(t.dim))) <= 1e-13
+    dense = [spectral_norm(pi @ m.conj().T - shift.conj().T @ pi)
+             for m, shift in zip(t.matrices, shift_matrices(grid))]
+    np.testing.assert_allclose(d.intertwining_residuals, dense, rtol=0, atol=1e-13)
+    assert d.intertwining_residual <= 1e-10
+
+
+def test_dilation_forms_no_dense_shift(no_dense_operators):
+    for t, caps, tail_tol in DILATIONS.values():
+        d = canonical_dilation(t, caps, tail_tol=tail_tol)
+        assert d.intertwining_residual <= 1e-10

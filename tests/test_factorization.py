@@ -11,7 +11,14 @@ from hardylab.factorization import (
     invariant_subspace_from_factorization,
 )
 from hardylab.grids import TruncationGrid
-from hardylab.kernels import rational_inner_witness
+from hardylab.kernels import rational_inner_witness, reduced_kernel_suite
+from hardylab.operators import (
+    eval_margins,
+    shift_matrices,
+    spectral_norm,
+    toeplitz_matrix,
+    windowed_norm,
+)
 from hardylab.subspaces import submodule_projection, subspace_from_columns
 from hardylab.symbols import AnalyticSymbol
 
@@ -188,3 +195,144 @@ def test_rational_witness_is_not_constant():
     assert not rep.verdicts["constant_coefficients"]
     assert rep.verdicts["tests_consistent"]
     assert abs(rep.residuals["coefficient"] - 0.5) < 1e-15
+
+
+# ---- the division, gap and check against the dense formulas they replaced ---
+
+def _two_channel_pair():
+    """theta = diag(z1 z2, z1) divided by phi = z1 I."""
+    theta = AnalyticSymbol.polynomial(
+        {(1, 1): np.diag([1.0, 0.0]), (1, 0): np.diag([0.0, 1.0])}, 2, rows=2, cols=2)
+    return theta, AnalyticSymbol.polynomial({(1, 0): np.eye(2)}, 2, rows=2, cols=2)
+
+
+def _rational_pair():
+    b = AnalyticSymbol.blaschke(0.05 * np.exp(0.7j), 0, 2)
+    return b.matmul(Z2), b
+
+
+PAIRS = {
+    # name: (theta, phi, caps, tol, margins)
+    "monomial": (AnalyticSymbol.monomial((3, 2)), AnalyticSymbol.monomial((2, 0)),
+                 (12, 12), 1e-10, None),
+    "rational": _rational_pair() + ((8, 8), 1e-8, (4, 4)),
+    "two-channel": _two_channel_pair() + ((6, 6), 1e-8, None),
+}
+
+
+def _dense_witness(wit, tol, margins):
+    """Every witness residual, written out with dim x dim shifts and projections."""
+    theta, phi, psi, grid = wit.theta, wit.phi, wit.psi, wit.grid
+    margins = margins or tuple(max(a, b) for a, b in
+                               zip(eval_margins(theta), eval_margins(phi)))
+    s_phi = submodule_projection(phi, grid, inner_tol=tol)
+    s_theta = submodule_projection(theta, grid, inner_tol=tol)
+    p_phi, p_theta = s_phi.basis @ s_phi.basis.conj().T, s_theta.basis @ s_theta.basis.conj().T
+    p_m = wit.m_basis @ wit.m_basis.conj().T
+    eye = np.eye(grid.dim)
+    mt, mp, mq = (toeplitz_matrix(f, grid) for f in (theta, phi, psi))
+    dom_t, dom_p = grid.with_channels(theta.cols), grid.with_channels(phi.cols)
+    col_window, row_window = dom_t.window_indices(margins), dom_p.window_indices(margins)
+    rows = np.arange(grid.dim)
+    x = mp.conj().T @ mt
+    window = grid.window_indices(margins)
+    return {
+        "containment": windowed_norm((eye - p_phi) @ mt, rows, col_window),
+        "shift_commutation": max(
+            windowed_norm(x @ r - left @ x, row_window, col_window)
+            for r, left in zip(shift_matrices(dom_t), shift_matrices(dom_p))),
+        "psi_isometry": windowed_norm(mq.conj().T @ mq - np.eye(dom_t.dim), col_window),
+        "reconstruction": windowed_norm(mt - mp @ mq, rows, col_window),
+        "invariance": max(windowed_norm((eye - p_m - p_theta) @ m @ p_m, window)
+                          for m in shift_matrices(grid)),
+        "quotient_match": spectral_norm(p_phi - p_theta - p_m),
+    }
+
+
+def _dense_submodule_check(m_basis, theta, grid, tol, margins):
+    """cross_commutator and beurling_defect_product of N = M + S_theta, densely."""
+    s_theta = submodule_projection(theta, grid, inner_tol=tol)
+    b = np.linalg.qr(np.hstack([s_theta.basis, m_basis]))[0]
+    p_s = b @ b.conj().T
+    p_q = np.eye(grid.dim) - p_s
+    window = grid.window_indices(margins or eval_margins(theta))
+    mats = shift_matrices(grid)
+    r = [b.conj().T @ m @ b for m in mats]
+    dhat = [p_q - (p_q @ m @ p_q).conj().T @ (p_q @ m @ p_q) for m in mats]
+    return {
+        "cross_commutator": windowed_norm(
+            b @ (r[1].conj().T @ r[0] - r[0] @ r[1].conj().T) @ b.conj().T, window),
+        "beurling_defect_product": windowed_norm(dhat[0] @ dhat[1], window),
+    }
+
+
+# z1 z2 is not divisible by b_{1/2}(z1); tolerance 2 lets the division through
+# with every residual of order one, so the comparison below is not one of zeros
+FAR = (Z1Z2, AnalyticSymbol.blaschke(0.5, 0, 2), (5, 5), 2.0, (1, 1))
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS) + ["far"])
+def test_witness_and_check_match_dense_formulas(name):
+    theta, phi, caps, tol, margins = PAIRS.get(name, FAR)
+    grid = TruncationGrid(caps)
+    wit = invariant_subspace_from_factorization(theta, phi, grid, tol=tol, margins=margins)
+    dense = _dense_witness(wit, tol, margins)
+    assert list(wit.residuals) == list(dense)
+    for key, want in dense.items():
+        assert abs(wit.residuals[key] - want) <= 1e-13, (key, wit.residuals[key], want)
+    assert wit.m_rank > 0
+    assert np.allclose(wit.m_basis.conj().T @ wit.m_basis, np.eye(wit.m_rank), rtol=0, atol=1e-13)
+
+    rep = beurling_submodule_check(wit.m_basis, theta, grid, tol=tol, margins=margins)
+    dense = _dense_submodule_check(wit.m_basis, theta, wit.grid, tol, margins)
+    for key, want in dense.items():
+        assert abs(rep.residuals[key] - want) <= 1e-13, (key, rep.residuals[key], want)
+
+
+def test_quotient_match_sees_a_dropped_gap():
+    # a rank cut above every gap singular value leaves M empty, so S_theta + M
+    # misses the whole of S_phi minus S_theta and the two quotients differ by 1
+    theta, phi, caps, tol, margins = PAIRS["monomial"]
+    wit = invariant_subspace_from_factorization(theta, phi, TruncationGrid(caps), tol=tol,
+                                                margins=margins, rank_tol=2.0)
+    assert wit.m_rank == 0
+    dense = _dense_witness(wit, tol, margins)
+    assert wit.residuals["quotient_match"] == dense["quotient_match"] == 1.0
+
+
+@pytest.mark.parametrize("symbol, caps", [
+    (AnalyticSymbol.constant(np.array([[0.6, 0.8], [-0.8, 0.6]]), 2), (4, 4)),
+    (Z1, (4, 4)),
+    (rational_inner_witness(), (5, 5)),
+])
+def test_constancy_surjectivity_matches_dense_formula(symbol, caps):
+    grid = TruncationGrid(caps)
+    s = submodule_projection(symbol, grid)
+    window = s.grid.window_indices(eval_margins(symbol))
+    dense = windowed_norm(np.eye(s.grid.dim) - s.basis @ s.basis.conj().T, window)
+    rep = constancy_check(symbol, grid)
+    assert abs(rep.residuals["surjectivity"] - dense) <= 1e-13
+
+
+def test_submodule_check_rejects_an_empty_window():
+    # N = z1 H^2 + span{z2, z2^2, z2^3} is the origin complement, which is not
+    # of Beurling type; margins past the caps must not let it pass vacuously
+    grid = TruncationGrid((3, 3))
+    m_basis = np.stack([grid.basis_vector((0, k)) for k in (1, 2, 3)], axis=1)
+    rep = beurling_submodule_check(m_basis, Z1, grid)
+    assert not rep.verdicts["condition_2"] and not rep.verdicts["condition_3"]
+    with pytest.raises(ValueError, match="empty evaluation window"):
+        beurling_submodule_check(m_basis, Z1, grid, margins=(4, 4))
+
+
+def test_division_and_gap_form_no_dense_shift_or_projection(no_dense_operators):
+    for name, (theta, phi, caps, tol, margins) in PAIRS.items():
+        grid = TruncationGrid(caps)
+        divide_inner(theta, phi, grid, tol=tol, margins=margins)
+        wit = invariant_subspace_from_factorization(theta, phi, grid, tol=tol, margins=margins)
+        assert max(wit.residuals.values()) <= tol, name
+        assert beurling_submodule_check(wit.m_basis, theta, grid, tol=tol,
+                                        margins=margins).verdict, name
+    assert constancy_check(Z1, TruncationGrid((4, 4))).verdicts["tests_consistent"]
+    report = reduced_kernel_suite(caps=(6, 6), pairs=2, budget=2)
+    assert report["verdicts"]["strict_inclusions"]

@@ -36,6 +36,13 @@ def test_dim_formula():
     assert TruncationGrid((1, 1, 1)).dim == 8
 
 
+def test_with_channels_reuses_the_grid_when_unchanged():
+    g = TruncationGrid((2, 3), channels=2)
+    assert g.with_channels(g.channels) is g
+    other = g.with_channels(1)
+    assert other.channels == 1 and other.caps == g.caps and other.with_channels(1) is other
+
+
 def test_channel_interleaving():
     g = TruncationGrid((1, 1), channels=2)
     # channel-minor: both channels of a monomial sit next to each other
