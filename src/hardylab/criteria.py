@@ -6,22 +6,29 @@ matrix identities.  Some hold for every quotient module and act as
 self-tests of the construction; others vanish exactly when Q is the
 quotient of an inner multiplier and so serve as numerical criteria.
 
-Everything is computed in the coordinates of the split.  With B_S and B_Q
-the orthonormal bases of S and Q (one unitary, so P_S + P_Q = I), four
-kinds of small blocks carry every residual:
+Everything is computed from the orthonormal basis B_Q of Q alone.  B_S and
+B_Q come from one unitary, so P_S + P_Q = I, and with the shift powers M^k
+applied as index maps of the grid (no dim x dim shift or projection is
+multiplied) four kinds of thin blocks carry every residual:
 
-    C_k = B_Q* M^k B_Q    the compressions (q x q)
-    G_k = B_S* M^k B_Q    the part of M^k Q that lands in S (r x q)
-    T_t = B_S* M_t B_S    the restrictions to S (r x r)
-    H_t = B_Q* M_t B_S    the part of M_t S that leaves S (q x r), which
-                          the invariance gate measures
+    C_k = B_Q* M^k B_Q              the compressions (q x q)
+    U_k = P_S M^k B_Q               the part of M^k Q that lands in S,
+        = M^k B_Q - B_Q C_k         (dim x q)
+    V_t = P_S M_t* B_Q              the part of M_t* Q that lands in S
+        = M_t* B_Q - B_Q C_t*       (dim x q); P_Q M_t P_S = B_Q V_t* is
+                                    what the invariance gate measures
+    Z_t = M_t* U_t                  M_t* P_S M_t B_Q (dim x q)
 
-The shift powers M^k are applied as index maps of the grid, so no dim x dim
-shift or projection is multiplied.  Because P_S + P_Q = I, each identity
-becomes an exact statement about blocks: the defect P_Q - Chat_t* Chat_t is
-B_Q (I - C_t* C_t) B_Q*, its compression formula P_Q M_t* P_S M_t P_Q is
-B_Q G_t* G_t B_Q*, and the cross term P_S M_i P_Q M_j* P_S is
-B_S G_i G_j* B_S*.
+Each identity becomes an exact statement about them: the defect
+P_Q - Chat_t* Chat_t is B_Q (I - C_t* C_t) B_Q*, its compression formula
+P_Q M_t* P_S M_t P_Q is B_Q U_t* U_t B_Q*, and the cross term
+P_S M_i P_Q M_j* P_S is U_i U_j*.  Truncated shifts in two different
+variables doubly commute exactly on the box grid (M_j* M_i = M_i M_j*), so
+with T_t = B_S* M_t B_S the restricted-shift commutator is, exactly,
+
+    B_S [T_j*, T_i] B_S* = U_i U_j* - V_j V_i*,
+
+the cross term minus the leak term, a product of width-2q factors.
 
 Every residual is measured through a core window W that keeps each degree
 at least one step below the caps, because the top degree slice of a
@@ -34,7 +41,9 @@ one finite-size correction that survives is isolated in the identity
 with E_t the projection onto the top slice in variable t.  A windowed norm
 ||W B X B* W|| is the spectral norm of R X R*, with R the thin-QR factor of
 the window rows of B (operators.norm_factor), so it is still a true
-spectral norm but of a matrix no larger than the basis rank.
+spectral norm but of a matrix no larger than the basis rank; a sum of
+products such as W (U_i U_j* - V_j V_i*) W is taken the same way on the
+factors of [U_i, -V_j][W] and [U_j, V_i][W].
 """
 
 from __future__ import annotations
@@ -118,11 +127,24 @@ class QuotientData:
         """R with ||W B_Q X B_Q* W|| = ||R X R*||."""
         return self.q.window_factor(self.margins)
 
+    def leak(self, k) -> np.ndarray:
+        """U_k = P_S M^k B_Q = M^k B_Q - B_Q C_k (dim x q)."""
+        return self.q.shift_blocks(k)[1]
+
     @cached_property
-    def cross_blocks(self) -> tuple:
-        """G_t = B_S* M_t B_Q, one per variable."""
-        n = self.grid.nvars
-        return tuple(self.q.shift_blocks(unit_index(n, t))[1] for t in range(n))
+    def _grams(self) -> dict:
+        return {}
+
+    def gram(self, a, b) -> np.ndarray:
+        """U_a* U_b = B_Q* M^a* P_S M^b B_Q, cached; (b, a) is the adjoint."""
+        a, b = tuple(a), tuple(b)
+        grams = self._grams
+        if (a, b) not in grams:
+            if (b, a) in grams:
+                grams[(a, b)] = grams[(b, a)].conj().T
+            else:
+                grams[(a, b)] = self.leak(a).conj().T @ self.leak(b)
+        return grams[(a, b)]
 
     @cached_property
     def defect_blocks(self) -> tuple:
@@ -137,9 +159,10 @@ class QuotientData:
 
     @cached_property
     def defect_identity(self) -> float:
-        """Worst windowed deviation of each defect from P_Q M_t* P_S M_t P_Q."""
-        return max((factored_norm(self.q_factor, d - g.conj().T @ g)
-                    for d, g in zip(self.defect_blocks, self.cross_blocks)), default=0.0)
+        """Worst windowed deviation of each defect from P_Q M_t* P_S M_t P_Q = B_Q U_t* U_t B_Q*."""
+        n = self.grid.nvars
+        return max((factored_norm(self.q_factor, d - self.gram(unit_index(n, t), unit_index(n, t)))
+                    for t, d in enumerate(self.defect_blocks)), default=0.0)
 
     @cached_property
     def defect_products(self) -> dict:
@@ -151,14 +174,13 @@ class QuotientData:
 
     @cached_property
     def xij(self) -> float:
-        """Worst windowed norm of the cross terms P_S M_i P_Q M_j* P_S = B_S G_i G_j* B_S*.
+        """Worst windowed norm of the cross terms P_S M_i P_Q M_j* P_S = U_i U_j*.
 
-        The window rows of B_S G_t factor as V_t R_t, so each norm is
-        ||R_i R_j*||; the (j, i) term is the adjoint of the (i, j) one.
+        The window rows of U_t factor as V R_t, so each norm is ||R_i R_j*||;
+        the (j, i) term is the adjoint of the (i, j) one.
         """
-        r_s = self.s.window_factor(self.margins)
-        f = [norm_factor(r_s @ g) for g in self.cross_blocks]
         n = self.grid.nvars
+        f = [norm_factor(self.leak(unit_index(n, t))[self.window]) for t in range(n)]
         return max((spectral_norm(f[i] @ f[j].conj().T)
                     for i in range(n) for j in range(i + 1, n)), default=0.0)
 
@@ -259,21 +281,25 @@ def cross_commutator_criterion(
 
     The restriction of each shift to the submodule S keeps the adjoint of
     one variable commuting with every other variable exactly when S comes
-    from an inner multiplier; the residual is the worst pair.  R_t is the
-    block T_t = B_S* M_t B_S, and the (j, i) commutator is the adjoint of
-    the (i, j) one, so each unordered pair is measured once.  Margins that
-    leave an empty window raise ValueError, as in quotient_data.
+    from an inner multiplier; the residual is the worst pair.  On the grid
+    B_S [R_j*, R_i] B_S* = U_i U_j* - V_j V_i* exactly, so the norm is taken
+    on the factors of [U_i, -V_j][W] and [U_j, V_i][W], read from the basis
+    of Q alone.  The (j, i) commutator is the adjoint of the (i, j) one, so
+    each unordered pair is measured once.  Margins that leave an empty
+    window raise ValueError, as in quotient_data.
     """
     grid = s.grid
     n = grid.nvars
-    margins, _ = _core_window(grid, margins)
-    r_s = s.window_factor(margins)
-    r = [s.shift_blocks(unit_index(n, t))[0] for t in range(n)]
+    margins, window = _core_window(grid, margins)
+    q = s.complement_space
+    u = [q.shift_blocks(unit_index(n, t))[1][window] for t in range(n)]
+    v = [q.shift_blocks(unit_index(n, t), adjoint=True)[1][window] for t in range(n)]
     norms = {}
     for i in range(n):
         for j in range(i + 1, n):
-            comm = r[j].conj().T @ r[i] - r[i] @ r[j].conj().T
-            norms[(i, j)] = norms[(j, i)] = factored_norm(r_s, comm)
+            left = norm_factor(np.hstack([u[i], -v[j]]))
+            right = norm_factor(np.hstack([u[j], v[i]]))
+            norms[(i, j)] = norms[(j, i)] = spectral_norm(left @ right.conj().T)
     residuals = {f"pair_{i}_{j}": norms[(i, j)] for i in range(n) for j in range(n) if i != j}
     worst = max(norms.values(), default=0.0)
     residuals["cross_commutator"] = worst
@@ -337,17 +363,20 @@ def identity_suite(
     defects, xij and the defect product are read from the cached members
     of data, which beurling_criterion shares.
 
-    In Q coordinates, with K = C_i C_k* - C_k* C_i:
-      commutator_identity  K - G_k* G_i
+    In Q coordinates, with K = C_i C_k* - C_k* C_i and the Grams
+    U_a* U_b (QuotientData.gram):
+      commutator_identity  K - U_k* U_i
       defect_domination    D_i - K* K
-      reduces              B_Q G_t* T_t B_S* minus its adjoint
-      annihilation_1..3    G_k* G_i G_j* G_l, G_i* G_i G_j* G_l, G_k* G_i G_j* G_j
+      reduces              B_Q Z_t* - Z_t B_Q* = P_Q X_t - X_t P_Q for
+                           X_t = M_t* P_S M_t, on the factor of [B_Q, Z_t][W]
+      annihilation_1..3    (U_k* U_i)(U_j* U_l), (U_i* U_i)(U_j* U_l),
+                           (U_k* U_i)(U_j* U_j)
     """
     n = data.grid.nvars
     r_q = data.q_factor
     c_ops = data.compressions.operators
-    g = data.cross_blocks
     d = data.defect_blocks
+    e = [unit_index(n, t) for t in range(n)]
 
     residuals: dict = {"defect_identity": data.defect_identity}
     verdicts: dict = {"defect_identity": data.defect_identity <= tol}
@@ -355,13 +384,13 @@ def identity_suite(
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     residuals["xij"] = data.xij
 
-    khats = {(i, j): _hat_for(khat, i, unit_index(n, j), n, "khat") for i, j in pairs}
+    khats = {(i, j): _hat_for(khat, i, e[j], n, "khat") for i, j in pairs}
     worst_comm = 0.0
     min_eig = np.inf if pairs else 0.0
     for i, j in pairs:
-        c_k, g_k = data.q.shift_blocks(khats[(i, j)])
+        c_k = data.q.shift_blocks(khats[(i, j)])[0]
         comm = c_ops[i] @ c_k.conj().T - c_k.conj().T @ c_ops[i]
-        worst_comm = max(worst_comm, factored_norm(r_q, comm - g_k.conj().T @ g[i]))
+        worst_comm = max(worst_comm, factored_norm(r_q, comm - data.gram(khats[(i, j)], e[i])))
 
         dom = r_q @ (d[i] - comm.conj().T @ comm) @ r_q.conj().T
         eig = float(np.linalg.eigvalsh(dom)[0]) if dom.size else np.inf
@@ -373,12 +402,15 @@ def identity_suite(
     residuals["defect_domination_min_eig"] = float(min_eig) if pairs else 0.0
     verdicts["defect_domination_min_eig"] = residuals["defect_domination_min_eig"] >= -tol
 
-    q_rows = data.q.basis[data.window]
-    s_rows = data.s.basis[data.window]
+    b_w = data.q.basis[data.window]
+    rank = data.q.rank
     worst_reduce = 0.0
     for t in range(n):
-        t_block = data.s.shift_blocks(unit_index(n, t))[0]
-        half = q_rows @ (g[t].conj().T @ t_block) @ s_rows.conj().T
+        src, dst = data.grid.shift_map(e[t])
+        z = np.zeros_like(data.q.basis)
+        z[src] = data.leak(e[t])[dst]
+        f = norm_factor(np.hstack([b_w, z[data.window]]))
+        half = f[:, :rank] @ f[:, rank:].conj().T
         worst_reduce = max(worst_reduce, spectral_norm(half - half.conj().T))
     residuals["reduces"] = worst_reduce
     verdicts["reduces"] = worst_reduce <= tol
@@ -388,14 +420,17 @@ def identity_suite(
 
     if worst_prod <= tol:
         worst_ann = [0.0, 0.0, 0.0]
+        norms: dict = {}
         for i, j in pairs:
-            lh = _hat_for(lhat, j, unit_index(n, i), n, "lhat")
-            g_k = data.q.shift_blocks(khats[(i, j)])[1]
-            g_l = data.q.shift_blocks(lh)[1]
-            ki, ii = g_k.conj().T @ g[i], g[i].conj().T @ g[i]
-            jl, jj = g[j].conj().T @ g_l, g[j].conj().T @ g[j]
-            for idx, prod in enumerate((ki @ jl, ii @ jl, ki @ jj)):
-                worst_ann[idx] = max(worst_ann[idx], factored_norm(r_q, prod))
+            k, lh = khats[(i, j)], _hat_for(lhat, j, e[i], n, "lhat")
+            for idx, factors in enumerate(((k, e[i], e[j], lh), (e[i], e[i], e[j], lh),
+                                           (k, e[i], e[j], e[j]))):
+                # (U_a* U_b)(U_c* U_d) and its adjoint (U_d* U_c)(U_b* U_a)
+                # share one norm, so each is measured once
+                key = min(factors, factors[::-1])
+                if key not in norms:
+                    norms[key] = factored_norm(r_q, data.gram(*key[:2]) @ data.gram(*key[2:]))
+                worst_ann[idx] = max(worst_ann[idx], norms[key])
         for idx in range(3):
             key = f"annihilation_{idx + 1}"
             residuals[key] = worst_ann[idx]

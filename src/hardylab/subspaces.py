@@ -3,11 +3,12 @@
 A subspace is held as a column-orthonormal basis plus the basis of its
 complement.  Both always come out of one full SVD, so a subspace and its
 complement share the same unitary and P_S + P_Q = I holds to rounding, not
-merely to rank tolerance.  Operators are read in the coordinates of that
-unitary: SubspaceData.shift_blocks gives B* M^k B and B_c* M^k B through the
-grid's index map, and window_factor turns a windowed norm into the norm of
-a matrix no larger than the basis rank.  The dim x dim projection is formed
-only when something asks for it.
+merely to rank tolerance.  Operators are read against one basis B at a time:
+SubspaceData.shift_blocks gives B* A B and the part (I - B B*) A B of A B
+outside the span, for A = M^k or M^k*, through the grid's index map, and
+window_factor turns a windowed norm into the norm of a matrix no larger than
+the basis rank.  The quotient battery needs these for the basis of Q only.
+The dim x dim projection is formed only when something asks for it.
 
 Submodules generated by an inner symbol take the columns of the truncated
 multiplication operator over the input window (domain degrees at least
@@ -25,7 +26,6 @@ import numpy as np
 from .grids import TruncationGrid
 from .operators import (
     InnernessError,
-    factored_norm,
     innerness_check,
     norm_factor,
     spectral_norm,
@@ -82,26 +82,28 @@ class SubspaceData:
         return SubspaceData(self.grid, self.complement, self.basis)
 
     @cached_property
-    def _unitary(self) -> np.ndarray:
-        return np.hstack([self.basis, self.complement])
-
-    @cached_property
     def _cache(self) -> dict:
         return {}
 
-    def shift_blocks(self, k) -> tuple[np.ndarray, np.ndarray]:
-        """(B* M^k B, B_c* M^k B) for the truncated shift power M^k.
+    def shift_blocks(self, k, adjoint: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """(B* A B, A B - B B* A B) for A = M^k, or A = M^k* when adjoint.
 
-        B is the basis and B_c the complement, so the pair is M^k B in the
-        coordinates of the split.  M^k is applied as the grid's index map,
-        (M^k B)[dst] = B[src], so both come from one product of a
-        (dim, len(src)) and a (len(src), rank) matrix, cached per multi-index.
+        B is the basis, so the first block is A in the coordinates of the
+        subspace and the second, (I - B B*) A B of shape (dim, rank), is the
+        part of A B outside it.  A is applied as the grid's index map:
+        (M^k X)[dst] = X[src] and (M^k* X)[src] = X[dst].  Cached per
+        (k, adjoint).
         """
-        key = ("shift", tuple(int(x) for x in k))
+        key = ("shift", tuple(int(x) for x in k), bool(adjoint))
         if key not in self._cache:
             src, dst = self.grid.shift_map(key[1])
-            both = self._unitary[dst].conj().T @ self.basis[src]
-            self._cache[key] = (both[:self.rank], both[self.rank:])
+            if adjoint:
+                src, dst = dst, src
+            b = self.basis
+            moved = np.zeros_like(b)
+            moved[dst] = b[src]
+            inside = b[dst].conj().T @ b[src]
+            self._cache[key] = (inside, moved - b @ inside)
         return self._cache[key]
 
     def window_factor(self, margins) -> np.ndarray:
@@ -222,10 +224,15 @@ def parse_basis_text(text: str, grid: TruncationGrid) -> np.ndarray:
 def invariance_defect(s: SubspaceData, margins: tuple[int, ...]) -> tuple[float, list[float]]:
     """Windowed shift-invariance defect max_t ||W (P_S M_t P_S - M_t P_S) W||.
 
-    P_S M_t P_S - M_t P_S = -P_Q M_t P_S = -B_Q (B_Q* M_t B_S) B_S*, so each
-    norm is taken on the window factors of the two bases.
+    P_S M_t P_S - M_t P_S = -P_Q M_t P_S = -B_Q V_t* with V_t = P_S M_t* B_Q
+    (shift_blocks of the complement, adjoint), so each norm is
+    ||R_Q V_t[W]*|| on the window factor of B_Q alone.
     """
-    r_s, r_q = s.window_factor(margins), s.complement_space.window_factor(margins)
-    per = [factored_norm(r_q, s.shift_blocks(unit_index(s.grid.nvars, t))[1], r_s)
-           for t in range(s.grid.nvars)]
+    q = s.complement_space
+    window = s.grid.window_indices(margins)
+    r_q = q.window_factor(margins)
+    per = []
+    for t in range(s.grid.nvars):
+        v_t = q.shift_blocks(unit_index(s.grid.nvars, t), adjoint=True)[1]
+        per.append(spectral_norm(r_q @ v_t[window].conj().T))
     return (max(per) if per else 0.0), per

@@ -162,23 +162,38 @@ class AnalyticSymbol:
         Row r of the result is the coefficient at grid.multi_indices[r]; the
         grid channel count is irrelevant here.  When the denominator is the
         constant one this is just the numerator laid out on the grid.
+
+        The recursion is solved one total-degree slice at a time: every
+        c_{k-j} it reads has lower total degree, and the rank of k - j is
+        looked up through the grid's mixed-radix codes.  Each coefficient
+        sees the same subtractions in the same order as an entry-by-entry
+        solve, so the table does not depend on the slicing.
         """
         if len(grid.caps) != self.nvars:
             raise ValueError(f"grid has {len(grid.caps)} variables, symbol has {self.nvars}")
-        ranks = len(grid.multi_indices)
-        table = np.zeros((ranks, self.rows, self.cols), dtype=complex)
+        exps = grid.exponents
+        table = np.zeros((len(exps), self.rows, self.cols), dtype=complex)
+        for k, mat in self.numerator.items():
+            if k in grid.rank:
+                table[grid.rank[k]] = mat
         q0 = complex(self.denominator[_zero_index(self.nvars)])
         den_tail = [(k, v) for k, v in self.denominator.items() if any(k)]
-        rank = grid.rank
-        for r, k in enumerate(grid.multi_indices):
-            acc = self.numerator.get(k)
-            acc = np.zeros((self.rows, self.cols), dtype=complex) if acc is None else acc.copy()
-            for j, qj in den_tail:
-                prev = tuple(k[i] - j[i] for i in range(self.nvars))
-                if any(x < 0 for x in prev):
-                    continue
-                acc -= qj * table[rank[prev]]
-            table[r] = acc / q0
+        if not den_tail:
+            return table / q0
+        # ranks are graded, so each total degree is one contiguous run
+        bounds = np.flatnonzero(np.diff(exps.sum(axis=1), prepend=-1, append=-1))
+        place, rank_of_code = grid._radix
+        codes = exps @ place
+        tail = []
+        for j, qj in den_tail:
+            rows = np.flatnonzero(np.all(exps >= j, axis=1))
+            prev = rank_of_code[codes[rows] - np.dot(j, place)]
+            tail.append((qj, rows, prev, np.searchsorted(rows, bounds)))
+        for d, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            for qj, rows, prev, cut in tail:
+                part = slice(cut[d], cut[d + 1])
+                table[rows[part]] -= qj * table[prev[part]]
+            table[lo:hi] /= q0
         return table
 
     # ---- evaluation ------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hardylab.corpus import corpus_entries
 from hardylab.grids import TruncationGrid
 from hardylab.operators import eval_margins, shift_matrices, spectral_norm, windowed_norm
-from hardylab.subspaces import InvarianceError, subspace_from_columns, submodule_projection
+from hardylab.subspaces import InvarianceError, SubspaceData, subspace_from_columns, submodule_projection
 from hardylab.symbols import AnalyticSymbol
 from hardylab.criteria import (
     beurling_criterion,
@@ -439,3 +439,32 @@ def test_user_multi_indices_match_dense_formulas():
     assert abs(rep.residuals["commutator_identity"] - comm_worst) <= 1e-13
     for idx in range(3):
         assert abs(rep.residuals[f"annihilation_{idx + 1}"] - ann[idx]) <= 1e-13
+
+
+# ---- the battery reads the basis of Q alone -----------------------------------
+
+def _battery_outcome(s, margins):
+    qd = quotient_data(s, margins=margins)
+    reports = (beurling_criterion(qd, tol=1e-6),
+               cross_commutator_criterion(s, margins=margins, tol=1e-6),
+               identity_suite(qd, tol=1e-6))
+    return qd.invariance_per_variable, [(rep.residuals, rep.verdicts) for rep in reports]
+
+
+def _assert_battery_ignores_the_submodule_basis(s, margins):
+    """A NaN basis of S changes nothing: every residual is read from B_Q."""
+    blind = SubspaceData(s.grid, np.full_like(s.basis, np.nan), s.complement)
+    assert _battery_outcome(blind, margins) == _battery_outcome(s, margins)
+
+
+def test_battery_ignores_the_submodule_basis_on_a_dim_343_entry():
+    entry = next(e for e in corpus_entries(0) if e.kind == "blaschke_product" and e.caps == (6, 6, 6))
+    s = entry.subspace()
+    assert s.grid.dim == 343 and 0 < s.complement.shape[1] < s.grid.dim
+    _assert_battery_ignores_the_submodule_basis(s, entry.margins)
+
+
+@settings(max_examples=10, deadline=None)
+@given(case=monomial_submodules().filter(lambda case: case[0].grid.channels == 2))
+def test_battery_ignores_the_submodule_basis_on_drawn_two_channel_submodules(case):
+    _assert_battery_ignores_the_submodule_basis(*case)

@@ -201,3 +201,41 @@ def test_recursion_inverts_denominator_convolution(ncoef, dcoef, seed):
                 acc += qj * table[rank[prev]]
         want = num.get(k, 0.0)
         assert abs(acc - want) <= 1e-10 * (1 + abs(want))
+
+
+def _taylor_table_by_entry(symbol, grid):
+    """The entry-by-entry solve of q_0 c_k = n_k - sum_j q_j c_{k-j}, in graded order."""
+    ranks = len(grid.multi_indices)
+    table = np.zeros((ranks, symbol.rows, symbol.cols), dtype=complex)
+    q0 = complex(symbol.denominator[(0,) * symbol.nvars])
+    den_tail = [(k, v) for k, v in symbol.denominator.items() if any(k)]
+    for r, k in enumerate(grid.multi_indices):
+        acc = symbol.numerator.get(k)
+        acc = np.zeros((symbol.rows, symbol.cols), dtype=complex) if acc is None else acc.copy()
+        for j, qj in den_tail:
+            prev = tuple(k[i] - j[i] for i in range(symbol.nvars))
+            if any(x < 0 for x in prev):
+                continue
+            acc -= qj * table[grid.rank[prev]]
+        table[r] = acc / q0
+    return table
+
+
+def test_taylor_table_is_bit_identical_to_the_entry_by_entry_solve():
+    from hardylab.corpus import symbol_entries
+
+    b = AnalyticSymbol.blaschke(0.3 + 0.2j, 0, nvars=2).matmul(
+        AnalyticSymbol.blaschke(-0.45j, 1, nvars=2))
+    mixed = AnalyticSymbol.rational(
+        {(0, 0): np.array([[1.0, 0.5j]]), (2, 1): np.array([[0.25, -1.0]])},
+        {(0, 0): 2.0 - 1j, (1, 0): 0.3, (0, 2): -0.4j, (1, 1): 0.1 + 0.2j}, nvars=2, cols=2)
+    three = AnalyticSymbol.rational(
+        {(1, 0, 2): np.array([[0.5 - 0.5j], [1.0]])},
+        {(0, 0, 0): 1.5, (1, 0, 0): -0.2j, (0, 1, 1): 0.3, (0, 0, 3): 0.1}, nvars=3, rows=2)
+    cases = [(b, (6, 6)), (b, (0, 9)), (mixed, (5, 4)), (three, (3, 2, 4)),
+             (AnalyticSymbol.monomial((7, 0)), (3, 3))]
+    cases += [(e.symbol, e.caps) for e in symbol_entries(0)]
+    for symbol, caps in cases:
+        grid = TruncationGrid(caps)
+        got, want = symbol.taylor_table(grid), _taylor_table_by_entry(symbol, grid)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), caps
