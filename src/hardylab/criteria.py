@@ -54,7 +54,14 @@ from functools import cached_property
 import numpy as np
 
 from .grids import TruncationGrid
-from .operators import factored_norm, norm_factor, spectral_norm, unit_index, windowed_norm
+from .operators import (
+    factored_norm,
+    hermitian_norm,
+    norm_factor,
+    spectral_norm,
+    unit_index,
+    windowed_norm,
+)
 from .subspaces import InvarianceError, SubspaceData, invariance_defect
 
 __all__ = [
@@ -159,9 +166,12 @@ class QuotientData:
 
     @cached_property
     def defect_identity(self) -> float:
-        """Worst windowed deviation of each defect from P_Q M_t* P_S M_t P_Q = B_Q U_t* U_t B_Q*."""
-        n = self.grid.nvars
-        return max((factored_norm(self.q_factor, d - self.gram(unit_index(n, t), unit_index(n, t)))
+        """Worst windowed deviation of each defect from P_Q M_t* P_S M_t P_Q = B_Q U_t* U_t B_Q*.
+
+        R (D_t - U_t* U_t) R* is Hermitian, so its norm is its largest |eigenvalue|.
+        """
+        n, r = self.grid.nvars, self.q_factor
+        return max((hermitian_norm(r @ (d - self.gram(unit_index(n, t), unit_index(n, t))) @ r.conj().T)
                     for t, d in enumerate(self.defect_blocks)), default=0.0)
 
     @cached_property
@@ -371,6 +381,12 @@ def identity_suite(
                            X_t = M_t* P_S M_t, on the factor of [B_Q, Z_t][W]
       annihilation_1..3    (U_k* U_i)(U_j* U_l), (U_i* U_i)(U_j* U_l),
                            (U_k* U_i)(U_j* U_j)
+
+    With the unit hats the (j, i) commutator residual is the adjoint of the
+    (i, j) one, so its norm is taken once per unordered pair; the
+    domination eigenvalue differs between the two orders and is taken for
+    both.  The defect and reduces residuals are Hermitian (reduces after a
+    factor i), so their norms are largest |eigenvalues|.
     """
     n = data.grid.nvars
     r_q = data.q_factor
@@ -390,7 +406,10 @@ def identity_suite(
     for i, j in pairs:
         c_k = data.q.shift_blocks(khats[(i, j)])[0]
         comm = c_ops[i] @ c_k.conj().T - c_k.conj().T @ c_ops[i]
-        worst_comm = max(worst_comm, factored_norm(r_q, comm - data.gram(khats[(i, j)], e[i])))
+        # with the unit hats the (j, i) residual is the adjoint of the
+        # (i, j) one, so its norm is already counted
+        if not (j < i and khats[(i, j)] == e[j] and khats[(j, i)] == e[i]):
+            worst_comm = max(worst_comm, factored_norm(r_q, comm - data.gram(khats[(i, j)], e[i])))
 
         dom = r_q @ (d[i] - comm.conj().T @ comm) @ r_q.conj().T
         eig = float(np.linalg.eigvalsh(dom)[0]) if dom.size else np.inf
@@ -411,7 +430,10 @@ def identity_suite(
         z[src] = data.leak(e[t])[dst]
         f = norm_factor(np.hstack([b_w, z[data.window]]))
         half = f[:, :rank] @ f[:, rank:].conj().T
-        worst_reduce = max(worst_reduce, spectral_norm(half - half.conj().T))
+        # half - half* is anti-Hermitian, so i (half - half*) is Hermitian
+        half -= half.conj().T
+        half *= 1j
+        worst_reduce = max(worst_reduce, hermitian_norm(half))
     residuals["reduces"] = worst_reduce
     verdicts["reduces"] = worst_reduce <= tol
 

@@ -16,7 +16,8 @@ the bidisc and vanishes at the origin, so its submodule sits strictly
 between the vanishing-at-origin subspace and the whole grid; the quotient
 by the vanishing-at-origin subspace fails the defect-product test with
 residual exactly one.  reduced_kernel_suite packages all of those checks
-into one report.
+into one report; the witness's innerness is certified from its
+coefficients (operators.innerness_check), where it reads exactly zero.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ def rational_inner_witness() -> AnalyticSymbol:
 
 def reduced_kernel_suite(caps=(20, 20), pairs: int = 20, seed: int = 0,
                          pair_radius: float = 0.6, budget: int = 64,
-                         torus_samples: int = 64, kernel_tol: float = 1e-8,
+                         kernel_tol: float = 1e-8,
                          inner_tol: float = 1e-10, criterion_tol: float = 1e-8,
                          inclusion_caps=(6, 6), sample_pairs=None) -> dict:
     """Kernel identity, Gram negativity, and the inner-witness checks.
@@ -192,8 +193,7 @@ def reduced_kernel_suite(caps=(20, 20), pairs: int = 20, seed: int = 0,
     at_zero = abs(complex(phi.evaluate([(0.0, 0.0)])[0, 0, 0]))
     origin_coeff = phi.numerator.get((0, 0))
     numerator_origin = 0.0 if origin_coeff is None else float(np.abs(origin_coeff).max())
-    inner = innerness_check(phi, TruncationGrid(caps), torus_samples=torus_samples,
-                            tol=inner_tol)
+    inner = innerness_check(phi, TruncationGrid(caps), tol=inner_tol)
 
     small = TruncationGrid(tuple(int(c) for c in inclusion_caps))
     s_phi = submodule_projection(phi, small, inner_tol=criterion_tol)
@@ -235,8 +235,7 @@ def reduced_kernel_suite(caps=(20, 20), pairs: int = 20, seed: int = 0,
         "witness_symbol": {
             "at_origin": float(at_zero),
             "numerator_origin_coefficient": float(numerator_origin),
-            "torus_deviation": float(inner.torus_deviation),
-            "torus_samples": int(torus_samples),
+            "inner_deviation": float(inner.deviation),
         },
         "inclusions": {
             "rank_symbol_submodule": int(ranks[0]),

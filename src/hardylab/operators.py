@@ -11,6 +11,11 @@ A truncated shift power is a 0/1 partial permutation, held as the grid's
 index map (TruncationGrid.shift_map): (M^k X)[dst] = X[src].  shift_matrix
 and toeplitz_matrix are laid out from those maps, and the quotient battery
 applies them to bases directly, without forming a dense shift.
+
+Innerness is not read from the truncated operators either: innerness_check
+certifies Theta = N/q from the Taylor coefficients of N and q, through the
+finite identity N* N = |q|^2 I on the torus, so the gate is exact and
+samples nothing.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ __all__ = [
     "unit_index",
     "toeplitz_matrix",
     "spectral_norm",
+    "hermitian_norm",
     "windowed_norm",
     "norm_factor",
     "factored_norm",
@@ -39,7 +45,7 @@ __all__ = [
 
 
 class InnernessError(ValueError):
-    """A symbol required to be inner failed the torus gate."""
+    """A symbol required to be inner failed the innerness gate."""
 
 
 def shift_matrix(grid: TruncationGrid, t: int) -> np.ndarray:
@@ -92,6 +98,13 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def hermitian_norm(a: np.ndarray) -> float:
+    """Spectral norm of a Hermitian matrix: its largest |eigenvalue|, with no SVD."""
+    if a.size == 0:
+        return 0.0
+    return float(np.abs(np.linalg.eigvalsh(a)).max())
+
+
 def windowed_norm(a: np.ndarray, window: np.ndarray, col_window: np.ndarray | None = None) -> float:
     """Spectral norm of the two-sided window compression of a square matrix."""
     cols = window if col_window is None else col_window
@@ -131,54 +144,54 @@ def eval_margins(symbol: AnalyticSymbol) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class InnernessReport:
-    torus_deviation: float
+    deviation: float
     tolerance: float
-    torus_samples: int
 
     @property
     def verdict(self) -> bool:
-        return self.torus_deviation <= self.tolerance
+        return self.deviation <= self.tolerance
 
 
-def _torus_points(nvars: int, samples_per_axis: int) -> np.ndarray:
-    """Uniform torus grid offset by half a step.
-
-    The offset keeps algebraically degenerate points such as (1, ..., 1)
-    off the sample set, where rational symbols that are inner a.e. may have
-    0/0 form on the boundary.
-    """
-    angles = 2.0 * np.pi * (np.arange(samples_per_axis) + 0.5) / samples_per_axis
-    axis = np.exp(1j * angles)
-    grids = np.meshgrid(*([axis] * nvars), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+def _lag_sums(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (a, b) of coefficients as its lag keys[b] - keys[a] and values[a]* values[b]."""
+    lags = (keys[None, :, :] - keys[:, None, :]).reshape(-1, keys.shape[1])
+    prods = np.einsum("aij,bik->abjk", values.conj(), values)
+    return lags, prods.reshape(-1, values.shape[2], values.shape[2])
 
 
 def innerness_check(
     symbol: AnalyticSymbol,
     grid: TruncationGrid,
-    torus_samples: int = 64,
     tol: float = 1e-8,
 ) -> InnernessReport:
-    """Certify innerness by the exact torus test.
+    """Certify innerness of Theta = N/q from its coefficients.
 
-    torus_deviation is max over the sample grid of ||Theta(z)* Theta(z) - I||
-    using the closed rational form.  The truncated isometry defect
-    ||W (M_Theta* M_Theta - I) W|| is no substitute: for symbols with slowly
-    decaying Taylor tails it converges too slowly to gate on.  The grid only
-    fixes the variable count the symbol must match.
+    On the torus N(z)* N(z) - |q(z)|^2 I = sum_m z^m D_m, a trigonometric
+    polynomial with the finitely many coefficients
+
+        D_m = sum_k N_k* N_{k+m} - (sum_k conj(q_k) q_{k+m}) I,
+
+    so Theta is inner exactly when every D_m vanishes.  deviation is
+    sum_m ||D_m|| / sum_k |q_k|^2, which bounds sup over the torus of
+    ||N* N - |q|^2 I|| / ||q||_2^2; nothing is sampled, so it cannot miss a
+    defect between points, and no boundary zero of q needs avoiding.  The
+    truncated isometry defect ||W (M_Theta* M_Theta - I) W|| is no
+    substitute: for symbols with slowly decaying Taylor tails it converges
+    too slowly to gate on.  The grid only fixes the variable count the
+    symbol must match.
     """
-    if torus_samples < 1:
-        raise ValueError("torus_samples must be >= 1")
     if len(grid.caps) != symbol.nvars:
         raise ValueError("variable count mismatch between symbol and grid")
-    pts = _torus_points(symbol.nvars, torus_samples)
-    vals = symbol.evaluate(pts)
-    gram = np.einsum("pij,pik->pjk", vals.conj(), vals)
-    gram -= np.eye(symbol.cols)[None]
-    # gram is Hermitian per point, so its spectral norm is the extreme eigenvalue
-    dev = float(np.abs(np.linalg.eigvalsh(gram)).max()) if gram.size else 0.0
-    return InnernessReport(
-        torus_deviation=dev,
-        tolerance=float(tol),
-        torus_samples=int(torus_samples),
-    )
+    n, c = symbol.nvars, symbol.cols
+    num_keys = np.array(list(symbol.numerator), dtype=int).reshape(-1, n)
+    num_vals = np.array(list(symbol.numerator.values()), dtype=complex).reshape(-1, symbol.rows, c)
+    den_keys = np.array(list(symbol.denominator), dtype=int).reshape(-1, n)
+    den_vals = np.array(list(symbol.denominator.values()), dtype=complex).reshape(-1, 1, 1)
+    num_lags, num_prods = _lag_sums(num_keys, num_vals)
+    den_lags, den_prods = _lag_sums(den_keys, den_vals)
+    lags, which = np.unique(np.concatenate([num_lags, den_lags]), axis=0, return_inverse=True)
+    d = np.zeros((len(lags), c, c), dtype=complex)
+    np.add.at(d, which.ravel(), np.concatenate([num_prods, -den_prods * np.eye(c)]))
+    scale = float(np.sum(np.abs(den_vals) ** 2))
+    return InnernessReport(deviation=float(np.linalg.norm(d, 2, axis=(1, 2)).sum()) / scale,
+                           tolerance=float(tol))

@@ -408,7 +408,7 @@ def _run_example42(s: Scenario):
         "gram_negative": rep["gram"]["min_eigenvalue"],
         "witness_vanishes_at_origin": max(wit["at_origin"],
                                           wit["numerator_origin_coefficient"]),
-        "witness_inner": wit["torus_deviation"],
+        "witness_inner": wit["inner_deviation"],
         "strict_inclusions": rep["inclusions"]["inclusion_residual"],
         "constants_quotient_fails": rep["constants_quotient"]["beurling_residual"],
     }

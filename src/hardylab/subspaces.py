@@ -14,6 +14,8 @@ Submodules generated by an inner symbol take the columns of the truncated
 multiplication operator over the input window (domain degrees at least
 deg_i(numerator) below the caps in each variable); those columns are exact
 images, and every residual downstream is then measured on a core window.
+The symbol is gated first by operators.innerness_check, an exact identity
+of its Taylor coefficients rather than a sampled torus test.
 """
 
 from __future__ import annotations
@@ -167,7 +169,6 @@ def submodule_projection(
     margins: tuple[int, ...] | None = None,
     inner_tol: float = 1e-8,
     rank_tol: float = RANK_TOL,
-    torus_samples: int = 32,
     require_inner: bool = True,
 ) -> SubspaceData:
     """S = closure of symbol * H^2 on the grid.
@@ -175,14 +176,15 @@ def submodule_projection(
     The generating columns are the images of the monomials whose degree in
     variable i is at most caps[i] - margin_i, margin defaulting to the
     numerator degree; those images stay inside the caps exactly for
-    polynomial symbols.  The symbol must pass the torus innerness gate
-    first unless require_inner is False.
+    polynomial symbols.  The symbol must pass the innerness gate
+    (operators.innerness_check, exact in its coefficients) first unless
+    require_inner is False.
     """
     if require_inner:
-        rep = innerness_check(symbol, grid, torus_samples=torus_samples, tol=inner_tol)
+        rep = innerness_check(symbol, grid, tol=inner_tol)
         if not rep.verdict:
             raise InnernessError(
-                f"symbol is not inner at tolerance {inner_tol:g}: torus deviation {rep.torus_deviation:g}"
+                f"symbol is not inner at tolerance {inner_tol:g}: coefficient deviation {rep.deviation:g}"
             )
     col_margins = tuple(int(d) for d in symbol.degrees) if margins is None else tuple(margins)
     mt = toeplitz_matrix(symbol, grid)

@@ -8,8 +8,10 @@ truncation grid are produced by the exact linear recursion
     q_0 c_k = n_k - sum_{0 < j <= k} q_j c_{k-j}
 
 solved in graded order, never by sampling, so no aliasing enters.  Point
-evaluation always uses the closed rational form; that is what makes torus
-checks exact for symbols whose coefficient tails decay slowly.
+evaluation uses the closed rational form, so it stays exact for symbols
+whose coefficient tails decay slowly; innerness is certified from the
+coefficients of N and q themselves (operators.innerness_check), without
+evaluating anything.
 
 The module also reads and writes the coefficient text format: one record
 per coefficient, "k_1 ... k_n row col re im", grouped under "numerator" /

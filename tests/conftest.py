@@ -29,3 +29,15 @@ def no_dense_operators(monkeypatch):
                 if any(value is fn for fn in originals):
                     monkeypatch.setattr(module, attr, refuse)
     monkeypatch.setattr(SubspaceData, "projection", property(refuse))
+
+
+@pytest.fixture
+def no_torus_evaluation(monkeypatch):
+    """Make AnalyticSymbol.evaluate raise for one test, so a path that
+    evaluates a symbol anywhere, the torus included, fails the test."""
+    from hardylab.symbols import AnalyticSymbol
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a symbol was evaluated")
+
+    monkeypatch.setattr(AnalyticSymbol, "evaluate", refuse)

@@ -102,8 +102,7 @@ def test_criterion_3_reduced_kernel_example():
     assert abs(rep["constants_quotient"]["beurling_residual"] - 1.0) <= 1e-12
 
     witness = rep["witness_symbol"]
-    assert witness["torus_samples"] == 64
-    assert witness["torus_deviation"] <= 1e-10
+    assert witness["inner_deviation"] <= 1e-10
     assert witness["at_origin"] == 0.0
     assert witness["numerator_origin_coefficient"] == 0.0
 

@@ -1,11 +1,16 @@
 """Truncated shifts, Toeplitz matrices, and the innerness gate."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from hardylab.corpus import symbol_entries
 from hardylab.grids import TruncationGrid
+from hardylab.kernels import rational_inner_witness
 from hardylab.operators import (
     eval_margins,
+    hermitian_norm,
     innerness_check,
     shift_matrices,
     shift_matrix,
@@ -13,6 +18,7 @@ from hardylab.operators import (
     toeplitz_matrix,
     windowed_norm,
 )
+from hardylab.scenarios import parse_scenario
 from hardylab.symbols import AnalyticSymbol
 
 
@@ -103,37 +109,80 @@ def test_innerness_monomial_exact():
     sym, grid = AnalyticSymbol.monomial((1, 1)), TruncationGrid((4, 4))
     rep = innerness_check(sym, grid)
     assert rep.verdict
-    assert rep.torus_deviation <= 1e-14
+    assert rep.deviation <= 1e-14
     assert isometry_defect(sym, grid) <= 1e-14
 
 
 def test_innerness_rejects_strict_contraction():
     rep = innerness_check(AnalyticSymbol.monomial((1, 0), scale=0.5), TruncationGrid((4, 4)))
     assert not rep.verdict
-    assert rep.torus_deviation == pytest.approx(0.75, abs=1e-12)
+    assert rep.deviation == pytest.approx(0.75, abs=1e-12)
 
 
 def test_innerness_rejects_non_inner_average():
     avg = AnalyticSymbol.polynomial({(1, 0): 0.5, (0, 1): 0.5}, nvars=2)
     rep = innerness_check(avg, TruncationGrid((4, 4)))
     assert not rep.verdict
-    assert rep.torus_deviation >= 0.5
+    assert rep.deviation >= 0.5
 
 
 def test_innerness_phi_torus_clean_but_tail_slow():
-    """The rational inner symbol passes on the torus while its truncated
+    """The rational inner symbol passes the coefficient test while its truncated
     multiplication matrix is still visibly non-isometric at small caps."""
     grid = TruncationGrid((6, 6))
-    rep = innerness_check(phi_symbol(), grid, torus_samples=64)
+    rep = innerness_check(phi_symbol(), grid)
     assert rep.verdict
-    assert rep.torus_deviation <= 1e-10
+    assert rep.deviation <= 1e-10
     assert isometry_defect(phi_symbol(), grid) > 0.1
 
 
 def test_innerness_blaschke():
     rep = innerness_check(AnalyticSymbol.blaschke(0.5, 0, nvars=2), TruncationGrid((6, 6)))
     assert rep.verdict
-    assert rep.torus_deviation <= 1e-14
+    assert rep.deviation <= 1e-14
+
+
+def offset_blind_symbol():
+    """(1 + z1 + z1^32 - z1^33)/2: not inner, yet of modulus one at every
+    point of the half-step-offset 32-point torus grid."""
+    return AnalyticSymbol.polynomial({(0, 0): 0.5, (1, 0): 0.5, (32, 0): 0.5, (33, 0): -0.5}, nvars=2)
+
+
+def test_innerness_catches_defect_between_torus_samples():
+    rep = innerness_check(offset_blind_symbol(), TruncationGrid((4, 4)))
+    assert not rep.verdict
+    assert rep.deviation >= 0.25
+
+
+def test_innerness_of_every_shipped_inner_symbol_is_exact():
+    symbols = [e.symbol for seed in range(3) for e in symbol_entries(seed)]
+    root = Path(__file__).resolve().parent.parent / "scenarios"
+    for path in sorted(root.glob("*.cfg")):
+        s = parse_scenario(path.read_text(), base_dir=root)
+        symbols += [sym for sym in (s.symbol, s.phi) if sym is not None]
+    symbols.append(rational_inner_witness())
+    assert len(symbols) > 3 * 54
+    for sym in symbols:
+        assert innerness_check(sym, TruncationGrid((2,) * sym.nvars)).deviation <= 1e-14
+
+
+def test_innerness_matrix_valued():
+    """A 2x1 column [z1; z2]/sqrt(2) is inner; scaling one entry breaks it."""
+    col = {(1, 0): np.array([[1.0], [0.0]]) / np.sqrt(2), (0, 1): np.array([[0.0], [1.0]]) / np.sqrt(2)}
+    rep = innerness_check(AnalyticSymbol.polynomial(col, 2, rows=2, cols=1), TruncationGrid((3, 3)))
+    assert rep.deviation <= 1e-15
+    col[(0, 1)] = col[(0, 1)] * 0.5
+    rep = innerness_check(AnalyticSymbol.polynomial(col, 2, rows=2, cols=1), TruncationGrid((3, 3)))
+    assert rep.deviation == pytest.approx(0.375, abs=1e-15)
+
+
+def test_hermitian_norm_matches_spectral_norm():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    h = a + a.conj().T
+    assert hermitian_norm(h) == pytest.approx(spectral_norm(h), rel=1e-13)
+    assert hermitian_norm(1j * (a - a.conj().T)) == pytest.approx(spectral_norm(a - a.conj().T), rel=1e-13)
+    assert hermitian_norm(np.zeros((0, 0))) == 0.0
 
 
 def test_norm_helpers():

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from hardylab.corpus import corpus_entries
+from hardylab.criteria import beurling_criterion, cross_commutator_criterion, identity_suite, quotient_data
 from hardylab.grids import TruncationGrid
 from hardylab.operators import InnernessError, eval_margins
 from hardylab.subspaces import (
@@ -69,6 +71,29 @@ def test_innerness_gate_blocks_non_inner_symbols():
     # the gate can be lifted for exploratory use
     s = submodule_projection(avg, g, require_inner=False)
     assert s.rank > 0
+
+
+def test_innerness_gate_blocks_symbol_unimodular_on_torus_samples():
+    """(1 + z1 + z1^32 - z1^33)/2 has modulus one on the offset 32-point
+    torus grid but is not inner; the coefficient gate sees it."""
+    blind = AnalyticSymbol.polynomial({(0, 0): 0.5, (1, 0): 0.5, (32, 0): 0.5, (33, 0): -0.5}, nvars=2)
+    with pytest.raises(InnernessError, match="coefficient deviation 1"):
+        submodule_projection(blind, TruncationGrid((4, 4)))
+
+
+def test_corpus_battery_evaluates_no_symbol(no_torus_evaluation):
+    """The gate reads coefficients only: a dim-343 entry runs the whole
+    battery with AnalyticSymbol.evaluate disabled."""
+    entry = next(e for e in corpus_entries(0) if e.entry_id.startswith("product3"))
+    sub = entry.subspace()
+    assert sub.grid.dim == 343
+    data = quotient_data(sub, margins=entry.margins)
+    reports = (
+        beurling_criterion(data),
+        cross_commutator_criterion(sub, margins=entry.margins),
+        identity_suite(data),
+    )
+    assert all(rep.verdict for rep in reports)
 
 
 def test_rank_collapse_reports_discarded_columns():
