@@ -33,7 +33,6 @@ from .subspaces import (
     InvarianceError,
     SubspaceData,
     invariance_defect,
-    orthonormal_columns,
     parse_basis_text,
     submodule_projection,
     subspace_from_columns,
@@ -111,7 +110,6 @@ __all__ = [
     "InnernessReport",
     "InnernessError",
     "SubspaceData",
-    "orthonormal_columns",
     "submodule_projection",
     "subspace_from_columns",
     "subspace_from_rows",

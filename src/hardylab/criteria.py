@@ -60,7 +60,6 @@ from .operators import (
     norm_factor,
     spectral_norm,
     unit_index,
-    windowed_norm,
 )
 from .subspaces import InvarianceError, SubspaceData, invariance_defect
 
@@ -479,16 +478,18 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
 def douglas_factor(data: QuotientData, i: int, j: int, rcond: float = 1e-10):
     """Contraction X with [C_i, C_j*] = X D_{C_i}, realized by pseudo-inverse.
 
+    Everything is in Q coordinates: with K = C_i C_j* - C_j* C_i and
+    D = psd_sqrt(defect_blocks[i]), X = K pinv(D), and B_Q X B_Q* is the
+    factor of the same identity for the compressions P_Q M_t P_Q on the
+    whole grid, whose defect root B_Q D B_Q* has the nonzero spectrum of D.
     Returns (x, norm, reconstruction) where reconstruction is the windowed
-    norm of [C_i, C_j*] - X D_{C_i}.  The domination inequality guarantees
+    norm of B_Q (K - X D) B_Q*.  The domination inequality guarantees
     norm <= 1 up to rounding whenever the defect identity holds.
     """
     if i == j:
         raise ValueError("need two distinct variables")
-    chat_i = data.compressions.extended[i]
-    chat_j = data.compressions.extended[j]
-    comm = chat_i @ chat_j.conj().T - chat_j.conj().T @ chat_i
-    d = psd_sqrt(data.extended_defects[i])
+    c_i, c_j = data.compressions.operators[i], data.compressions.operators[j]
+    comm = c_i @ c_j.conj().T - c_j.conj().T @ c_i
+    d = psd_sqrt(data.defect_blocks[i])
     x = comm @ np.linalg.pinv(d, rcond=rcond, hermitian=True)
-    recon = windowed_norm(comm - x @ d, data.window)
-    return x, spectral_norm(x), recon
+    return x, spectral_norm(x), factored_norm(data.q_factor, comm - x @ d)

@@ -48,7 +48,6 @@ from .subspaces import (
     RANK_TOL,
     SubspaceData,
     submodule_projection,
-    subspace_from_columns,
 )
 from .symbols import AnalyticSymbol
 
@@ -197,22 +196,20 @@ def invariant_subspace_from_factorization(
     checked as an exact projection identity.
 
     Everything is read in the coordinates of the theta split.  The gap SVD
-    B_theta_c* B_phi = U Sigma V* gives M = B_theta_c U[:, :r], and the
-    trailing columns N = B_theta_c U[:, r:] span the complement of
-    S_theta + M, so I - P_M - P_theta = P_N.  The invariance residual
-    ||W P_N M_t P_M W|| is ||R_N (N* M_t B_M) R_M*|| with R the window
-    factors, and the quotient match ||P_phi - P_theta - P_M|| is
+    B_theta_c* B_phi = U Sigma V* (SubspaceData.split_complement) gives
+    M = B_theta_c U[:, :r], and the trailing columns N = B_theta_c U[:, r:]
+    span the complement of S_theta + M, so I - P_M - P_theta = P_N.  The
+    singular values are cosines of at most one, so the cut
+    sig > rank_tol * max(1, sig[0]) is the absolute cut sig > rank_tol.
+    The invariance residual ||W P_N M_t P_M W|| is ||R_N (N* M_t B_M) R_M*||
+    with R the window factors, and the quotient match ||P_phi - P_theta - P_M|| is
     max(||N* B_phi||, ||B_phi_c* [B_theta, M]||), the norm of a difference
     of two orthogonal projections.
     """
     psi, s_phi, margins, residuals = _divide(theta, phi, grid, tol, margins,
                                              coeff_cutoff)
     s_theta = submodule_projection(theta, grid, inner_tol=tol)
-    u, sig, _ = np.linalg.svd(s_theta.complement.conj().T @ s_phi.basis,
-                              full_matrices=True)
-    frame = s_theta.complement @ u
-    rank = int(np.sum(sig > rank_tol))
-    m_basis, n_basis = frame[:, :rank], frame[:, rank:]
+    m_basis, n_basis = s_theta.split_complement(s_phi.basis, rank_tol)
 
     g = s_theta.grid
     window = g.window_indices(margins)
@@ -246,6 +243,12 @@ def beurling_submodule_check(m_basis: np.ndarray, theta: AnalyticSymbol,
     cross-commutator residual of the restricted shifts on N = M + S_theta,
     and the defect-product residual of the compressions to the complement
     of N.  Their verdicts must agree; both residuals are reported.
+
+    N is built from the theta split alone: SubspaceData.split_complement
+    splits the complement of S_theta along m_basis, whose part outside
+    S_theta joins B_theta, and the rest of the complement is the complement
+    of N.  Columns that add fewer dimensions than their number are
+    degenerate against S_theta.
     """
     s_theta = submodule_projection(theta, grid, inner_tol=tol)
     m_basis = np.asarray(m_basis, dtype=complex)
@@ -260,10 +263,10 @@ def beurling_submodule_check(m_basis: np.ndarray, theta: AnalyticSymbol,
             f"M is not inside the quotient of theta: overlap {overlap:.3e}"
         )
 
-    stacked = np.concatenate([s_theta.basis, m_basis], axis=1)
-    n_sub, _ = subspace_from_columns(s_theta.grid, stacked)
-    if n_sub.rank != s_theta.rank + m_basis.shape[1]:
+    gain, rest = s_theta.split_complement(m_basis)
+    if gain.shape[1] != m_basis.shape[1]:
         raise ValueError("m_basis columns are degenerate against S_theta")
+    n_sub = SubspaceData(s_theta.grid, np.hstack([s_theta.basis, gain]), rest)
 
     cross = cross_commutator_criterion(n_sub, margins=margins, tol=tol)
     data = quotient_data(n_sub, margins=margins)

@@ -1,9 +1,17 @@
 """Submodules and quotient modules as orthonormal column spans.
 
 A subspace is held as a column-orthonormal basis plus the basis of its
-complement.  Both always come out of one full SVD, so a subspace and its
-complement share the same unitary and P_S + P_Q = I holds to rounding, not
-merely to rank tolerance.  Operators are read against one basis B at a time:
+complement.  Both come out of one unitary, so P_S + P_Q = I holds to
+rounding, not merely to rank tolerance.  Columns that are distinct unit
+vectors up to a unimodular phase (monomial submodules, the origin
+complement) split by index into coordinate bases with no factorization.
+Any other column set takes one complete Householder QR, whose triangular
+factor has the singular values of the columns, so the rank cut is the same
+as an SVD's (Golub & Van Loan, Matrix Computations, 5.2); only a cut that
+drops columns rotates the leading block of Q by the left singular vectors
+of that small factor.  SubspaceData.split_complement enlarges a subspace
+along further columns in the coordinates of its complement, without
+splitting the grid again.  Operators are read against one basis B at a time:
 SubspaceData.shift_blocks gives B* A B and the part (I - B B*) A B of A B
 outside the span, for A = M^k or M^k*, through the grid's index map, and
 window_factor turns a windowed norm into the norm of a matrix no larger than
@@ -39,7 +47,6 @@ from .textlines import content_lines, fields, numbers
 
 __all__ = [
     "SubspaceData",
-    "orthonormal_columns",
     "submodule_projection",
     "subspace_from_columns",
     "subspace_from_rows",
@@ -118,25 +125,63 @@ class SubspaceData:
             self._cache[key] = norm_factor(self.basis[self.grid.window_indices(key[1])])
         return self._cache[key]
 
+    def split_complement(self, columns: np.ndarray,
+                         rank_tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
+        """Split the complement along columns: (B_c U[:, :r], B_c U[:, r:]).
+
+        U is the left factor of the SVD of the thin block B_c* columns and r
+        counts its singular values above rank_tol * max(1, sig[0]).  The
+        first block is an orthonormal basis of the part of span(columns)
+        outside this subspace, so [B, B_c U[:, :r]] spans their sum, and the
+        second is the complement of that sum.
+        """
+        c = self.complement
+        u, sig, _ = np.linalg.svd(c.conj().T @ columns, full_matrices=True)
+        r = int(np.sum(sig > rank_tol * max(1.0, sig[0]))) if sig.size else 0
+        frame = c @ u
+        return frame[:, :r], frame[:, r:]
+
     def contains(self, vectors: np.ndarray, tol: float = 1e-10) -> bool:
         v = np.atleast_2d(vectors.T).T
         return spectral_norm(v - self.projection @ v) <= tol
 
 
+def _coordinate_mask(columns: np.ndarray):
+    """Mask of the rows that hold the columns' one nonzero entries when every
+    column is a distinct unit vector up to a unimodular phase, else None."""
+    nonzero = columns != 0
+    if not np.all(nonzero.sum(axis=0) == 1):
+        return None
+    rows = nonzero.argmax(axis=0)
+    phases = columns[rows, np.arange(columns.shape[1])]
+    inside = np.zeros(columns.shape[0], dtype=bool)
+    inside[rows] = True
+    if np.count_nonzero(inside) != rows.size or np.any(np.abs(np.abs(phases) - 1) > 1e-15):
+        return None
+    return inside
+
+
 def _with_complement(grid: TruncationGrid, columns: np.ndarray, rank_tol: float):
-    """Split the grid space into span(columns) and its complement via one SVD."""
-    dim = grid.dim
-    if columns.size == 0:
-        s_basis = np.zeros((dim, 0), dtype=complex)
-        q_basis = np.eye(dim, dtype=complex)
-        return s_basis, q_basis, 0
-    u, sig, _ = np.linalg.svd(columns, full_matrices=True)
-    if sig.size == 0:
-        r = 0
-    else:
-        r = int(np.sum(sig > rank_tol * sig[0]))
-    discarded = columns.shape[1] - r
-    return u[:, :r], u[:, r:], max(discarded, 0)
+    """Split the grid space into span(columns) and its complement.
+
+    Distinct unit columns (the empty set included) split by index: S is
+    their coordinates and Q the others, in grid order, exactly 0/1.  Other
+    columns take Q, R = qr(columns, "complete"); the singular values of the
+    leading min(dim, k) rows of R are those of the columns and set the rank.
+    When the cut drops a column, the leading block of Q is rotated by the
+    left singular vectors of that block of R, so it ends with span(columns).
+    """
+    inside = _coordinate_mask(columns)
+    if inside is not None:
+        eye = np.eye(grid.dim, dtype=complex)
+        return eye[:, inside], eye[:, ~inside], 0
+    q, r = np.linalg.qr(columns, mode="complete")
+    lead = min(columns.shape)
+    sig = np.linalg.svd(r[:lead], compute_uv=False)
+    rank = int(np.sum(sig > rank_tol * sig[0]))
+    if rank < columns.shape[1]:
+        q[:, :lead] = q[:, :lead] @ np.linalg.svd(r[:lead])[0]
+    return q[:, :rank], q[:, rank:], columns.shape[1] - rank
 
 
 def subspace_from_columns(
@@ -151,16 +196,6 @@ def subspace_from_columns(
     sb, qb, dropped = _with_complement(grid, columns, rank_tol)
     s = SubspaceData(grid, sb, qb, discarded=dropped)
     return s, s.complement_space
-
-
-def orthonormal_columns(a: np.ndarray, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, int]:
-    """Orthonormal basis of the column space and the discarded-column count."""
-    a = np.asarray(a, dtype=complex)
-    if a.size == 0:
-        return a.reshape(a.shape[0], 0), 0
-    u, sig, _ = np.linalg.svd(a, full_matrices=False)
-    r = int(np.sum(sig > rank_tol * sig[0])) if sig.size else 0
-    return u[:, :r], a.shape[1] - r
 
 
 def submodule_projection(

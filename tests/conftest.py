@@ -1,5 +1,6 @@
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -29,6 +30,28 @@ def no_dense_operators(monkeypatch):
                 if any(value is fn for fn in originals):
                     monkeypatch.setattr(module, attr, refuse)
     monkeypatch.setattr(SubspaceData, "projection", property(refuse))
+
+
+@pytest.fixture
+def no_wide_singular_vectors(monkeypatch):
+    """Return arm(dim); once armed, np.linalg.svd raises when asked for the
+    singular vectors of a matrix with at least dim rows.
+
+    Splitting a subspace of a grid of dimension dim by an SVD of its
+    columns, or of any grid-wide matrix, then fails the test; singular
+    values alone (compute_uv=False) and thin blocks stay allowed.
+    """
+    svd = np.linalg.svd
+
+    def arm(dim):
+        def guarded(a, full_matrices=True, compute_uv=True, hermitian=False):
+            if compute_uv and np.shape(a)[-2] >= dim:
+                raise AssertionError(f"singular vectors of a {np.shape(a)} matrix on a dim-{dim} grid")
+            return svd(a, full_matrices=full_matrices, compute_uv=compute_uv, hermitian=hermitian)
+
+        monkeypatch.setattr(np.linalg, "svd", guarded)
+
+    return arm
 
 
 @pytest.fixture

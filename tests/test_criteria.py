@@ -213,6 +213,33 @@ def test_douglas_factor_is_contraction():
         douglas_factor(qd, 1, 1)
 
 
+def _blaschke_product_quotient():
+    theta = AnalyticSymbol.blaschke(0.3, 0, 2).matmul(AnalyticSymbol.blaschke(0.2j, 1, 2))
+    return make_quotient(theta, (5, 5))
+
+
+@pytest.mark.parametrize("make, rcond", [
+    (lambda: make_quotient(AnalyticSymbol.monomial((1, 1)), (4, 4)), 1e-10),
+    # the defect of this product has rounding-level eigenvalues, whose roots
+    # (about 1e-8) the default rcond would invert; 1e-7 cuts them
+    (_blaschke_product_quotient, 1e-7),
+    (lambda: quotient_data(s00_subspace((4, 4)), margins=(1, 1)), 1e-10),
+], ids=["monomial", "blaschke-product", "origin-complement"])
+def test_douglas_factor_matches_dense_formula(make, rcond):
+    """X in Q coordinates against the factor built on the whole grid."""
+    qd = make()
+    b = qd.q.basis
+    c0, c1 = (b @ c @ b.conj().T for c in qd.compressions.operators[:2])
+    comm = c0 @ c1.conj().T - c1.conj().T @ c0
+    d = psd_sqrt(b @ qd.defect_blocks[0] @ b.conj().T)
+    x_dense = comm @ np.linalg.pinv(d, rcond=rcond, hermitian=True)
+    x, norm, recon = douglas_factor(qd, 0, 1, rcond=rcond)
+    assert x.shape == (qd.q.rank, qd.q.rank)
+    assert np.abs(b @ x @ b.conj().T - x_dense).max() <= 1e-12
+    assert abs(norm - spectral_norm(x_dense)) <= 1e-12
+    assert abs(recon - windowed_norm(comm - x_dense @ d, qd.window)) <= 1e-12
+
+
 def test_psd_sqrt_clamps_and_squares():
     a = np.array([[2.0, 0.0], [0.0, 0.0]], dtype=complex)
     r = psd_sqrt(a)

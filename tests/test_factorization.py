@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hardylab.criteria import beurling_criterion, cross_commutator_criterion, quotient_data
 from hardylab.factorization import (
     FactorizationError,
     beurling_submodule_check,
@@ -19,7 +20,7 @@ from hardylab.operators import (
     toeplitz_matrix,
     windowed_norm,
 )
-from hardylab.subspaces import submodule_projection, subspace_from_columns
+from hardylab.subspaces import SubspaceData, submodule_projection, subspace_from_columns
 from hardylab.symbols import AnalyticSymbol
 
 
@@ -287,6 +288,73 @@ def test_witness_and_check_match_dense_formulas(name):
     dense = _dense_submodule_check(wit.m_basis, theta, wit.grid, tol, margins)
     for key, want in dense.items():
         assert abs(rep.residuals[key] - want) <= 1e-13, (key, rep.residuals[key], want)
+
+
+def _stacked_split_check(m_basis, theta, grid, tol, margins):
+    """The check's residuals with N = S_theta + M split on the whole grid by
+    one full SVD of the stacked columns [B_theta, M]."""
+    s_theta = submodule_projection(theta, grid, inner_tol=tol)
+    u, sig, _ = np.linalg.svd(np.hstack([s_theta.basis, m_basis]), full_matrices=True)
+    r = int(np.sum(sig > 1e-10 * sig[0]))
+    assert r == s_theta.rank + m_basis.shape[1]
+    n = SubspaceData(s_theta.grid, u[:, :r], u[:, r:])
+    margins = margins or eval_margins(theta)
+    cross = cross_commutator_criterion(n, margins=margins, tol=tol)
+    product = beurling_criterion(quotient_data(n, margins=margins), tol=tol)
+    return {"cross_commutator": cross.residuals["cross_commutator"],
+            "beurling_defect_product": product.residuals["beurling_defect_product"]}
+
+
+@pytest.mark.parametrize("gap", ["witness", "origin"])
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_submodule_check_matches_a_stacked_split(name, gap):
+    # "origin" wedges every basis vector but the first between S_theta and
+    # the grid: N is shift-invariant but not of Beurling type, so the
+    # residuals compared are of order one rather than zeros
+    theta, phi, caps, tol, margins = PAIRS[name]
+    grid = TruncationGrid(caps)
+    if gap == "witness":
+        m_basis = invariant_subspace_from_factorization(
+            theta, phi, grid, tol=tol, margins=margins).m_basis
+    else:
+        b = submodule_projection(theta, grid, inner_tol=tol).basis
+        cols = np.eye(b.shape[0])[:, 1:]
+        u, sig, _ = np.linalg.svd(cols - b @ (b.conj().T @ cols), full_matrices=False)
+        m_basis = u[:, sig > 1e-10]
+    rep = beurling_submodule_check(m_basis, theta, grid, tol=tol, margins=margins)
+    want = _stacked_split_check(m_basis, theta, grid, tol, margins)
+    assert list(rep.residuals) == list(want)
+    if gap == "origin":
+        assert not rep.verdict and min(want.values()) > 0.1
+    for key, value in want.items():
+        assert abs(rep.residuals[key] - value) <= 1e-13, (key, rep.residuals[key], value)
+
+
+@pytest.mark.parametrize("kind", ["theta-column", "repeated", "combination", "zero"])
+def test_degenerate_gap_is_reported_against_s_theta(kind):
+    theta, phi, caps, tol, margins = PAIRS["rational"]
+    grid = TruncationGrid(caps)
+    m = invariant_subspace_from_factorization(theta, phi, grid, tol=tol, margins=margins).m_basis
+    if kind == "theta-column":
+        # a column of S_theta adds nothing to N; tolerance 2 lets it past the overlap gate
+        m_basis, tol = submodule_projection(theta, grid).basis[:, :1], 2.0
+    else:
+        extra = {"repeated": m[:, :1], "combination": m[:, :1] - 2j * m[:, 1:2],
+                 "zero": np.zeros((grid.dim, 1))}[kind]
+        m_basis = np.hstack([m, extra])
+    with pytest.raises(ValueError, match="degenerate against S_theta"):
+        beurling_submodule_check(m_basis, theta, grid, tol=tol, margins=margins)
+
+
+def test_division_and_check_take_no_grid_wide_singular_vectors(no_wide_singular_vectors):
+    for name in ("monomial", "rational"):
+        theta, phi, caps, tol, margins = PAIRS[name]
+        grid = TruncationGrid(caps)
+        no_wide_singular_vectors(grid.dim)
+        wit = invariant_subspace_from_factorization(theta, phi, grid, tol=tol, margins=margins)
+        assert max(wit.residuals.values()) <= tol, name
+        assert beurling_submodule_check(wit.m_basis, theta, grid, tol=tol,
+                                        margins=margins).verdict, name
 
 
 def test_quotient_match_sees_a_dropped_gap():

@@ -8,8 +8,9 @@ from hardylab.criteria import beurling_criterion, cross_commutator_criterion, id
 from hardylab.grids import TruncationGrid
 from hardylab.operators import InnernessError, eval_margins
 from hardylab.subspaces import (
+    RANK_TOL,
     invariance_defect,
-    orthonormal_columns,
+    origin_complement,
     parse_basis_text,
     submodule_projection,
     subspace_from_columns,
@@ -104,13 +105,94 @@ def test_rank_collapse_reports_discarded_columns():
     assert s.discarded == 2
 
 
-def test_orthonormal_columns_helper():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
-    a[:, 2] = a[:, 0] + a[:, 1]
-    b, dropped = orthonormal_columns(a)
-    assert b.shape == (6, 2) and dropped == 1
-    np.testing.assert_allclose(b.conj().T @ b, np.eye(2), atol=1e-12)
+def _split_inputs():
+    """name -> columns on a dim-12 grid; the coordinate sets hold their rows."""
+    rng = np.random.default_rng(11)
+    dim = TruncationGrid((3, 2)).dim
+
+    def gauss(k):
+        return rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k))
+
+    base = gauss(4)
+    eye = np.eye(dim)
+    return {
+        "full-rank": gauss(5),
+        "rank-deficient": np.hstack([base, base[:, :1], base[:, 1:2] - 2j * base[:, 3:4]]),
+        "wide": gauss(dim + 5),
+        "empty": np.zeros((dim, 0), dtype=complex),
+        "coordinate": eye[:, [7, 0, 3, 11]] * np.exp(1j * rng.uniform(0, 2 * np.pi, 4)),
+        "repeated-unit": eye[:, [2, 5, 2]] * np.array([1.0, 1j, -1.0]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_split_inputs()))
+def test_split_matches_the_svd_rank_and_is_orthonormal(name, monkeypatch):
+    g = TruncationGrid((3, 2))
+    cols = _split_inputs()[name]
+    qr_calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: qr_calls.append(1) or qr(*a, **kw))
+    s, q = subspace_from_columns(g, cols)
+
+    sig = np.linalg.svd(cols, compute_uv=False)
+    want = int(np.sum(sig > RANK_TOL * sig[0])) if sig.size else 0
+    assert (s.rank, s.discarded) == (want, cols.shape[1] - want)
+    assert s.rank + q.rank == g.dim
+    b_s, b_q = s.basis, q.basis
+    assert np.abs(b_s.conj().T @ b_s - np.eye(s.rank)).max(initial=0.0) <= 1e-12
+    assert np.abs(b_q.conj().T @ b_q - np.eye(q.rank)).max(initial=0.0) <= 1e-12
+    assert np.abs(b_s.conj().T @ b_q).max(initial=0.0) <= 1e-12
+    assert np.abs(cols - b_s @ (b_s.conj().T @ cols)).max(initial=0.0) <= 1e-12
+
+    if name in ("coordinate", "empty"):
+        rows = np.sort(np.flatnonzero(np.abs(cols).sum(axis=1)))
+        rest = np.setdiff1d(np.arange(g.dim), rows)
+        assert np.array_equal(b_s, np.eye(g.dim)[:, rows])
+        assert np.array_equal(b_q, np.eye(g.dim)[:, rest])
+        assert not qr_calls
+    else:
+        # a repeated unit vector is not a coordinate set: it takes the QR path
+        assert len(qr_calls) == 1
+
+
+def test_monomial_submodule_and_origin_complement_split_by_index():
+    g = TruncationGrid((3, 3))
+    s = submodule_projection(AnalyticSymbol.monomial((1, 2)), g)
+    rows = [g.flat_index(k) for k in g.multi_indices if k[0] >= 1 and k[1] >= 2]
+    assert np.array_equal(s.basis, np.eye(g.dim)[:, sorted(rows)])
+    origin = origin_complement(g)
+    assert np.array_equal(origin.basis, np.eye(g.dim)[:, 1:])
+    assert np.array_equal(origin.complement, np.eye(g.dim)[:, :1])
+
+
+def test_split_complement_extends_the_subspace():
+    g = TruncationGrid((3, 2))
+    s = submodule_projection(AnalyticSymbol.blaschke(0.3, 0, nvars=2), g)
+    rng = np.random.default_rng(5)
+    inside = s.complement @ rng.normal(size=(s.complement.shape[1], 2))
+    cols = np.hstack([inside, inside[:, :1] + s.basis[:, :1], 3 * inside[:, 1:]])
+    gain, rest = s.split_complement(cols)
+    assert gain.shape[1] == 2 and s.rank + gain.shape[1] + rest.shape[1] == g.dim
+    frame = np.hstack([s.basis, gain, rest])
+    assert np.abs(frame.conj().T @ frame - np.eye(g.dim)).max() <= 1e-12
+    n = np.hstack([s.basis, gain])
+    assert np.abs(cols - n @ (n.conj().T @ cols)).max() <= 1e-12
+
+
+def test_corpus_split_takes_no_grid_wide_singular_vectors(no_wide_singular_vectors):
+    """A dim-343 entry is split and run through the battery with every SVD
+    that returns vectors of a grid-wide matrix disabled."""
+    entry = next(e for e in corpus_entries(0) if e.entry_id.startswith("product3"))
+    no_wide_singular_vectors(343)
+    sub = entry.subspace()
+    assert sub.grid.dim == 343
+    data = quotient_data(sub, margins=entry.margins)
+    reports = (
+        beurling_criterion(data),
+        cross_commutator_criterion(sub, margins=entry.margins),
+        identity_suite(data),
+    )
+    assert all(rep.verdict for rep in reports)
 
 
 def test_contains():
