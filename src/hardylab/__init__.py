@@ -39,7 +39,6 @@ from .subspaces import (
     subspace_from_rows,
 )
 from .criteria import (
-    CompressionTuple,
     CriterionReport,
     QuotientData,
     beurling_criterion,
@@ -116,7 +115,6 @@ __all__ = [
     "parse_basis_text",
     "invariance_defect",
     "InvarianceError",
-    "CompressionTuple",
     "QuotientData",
     "CriterionReport",
     "quotient_data",

@@ -61,10 +61,9 @@ from .operators import (
     spectral_norm,
     unit_index,
 )
-from .subspaces import InvarianceError, SubspaceData, invariance_defect
+from .subspaces import RANK_TOL, InvarianceError, SubspaceData, invariance_defect
 
 __all__ = [
-    "CompressionTuple",
     "QuotientData",
     "CriterionReport",
     "quotient_data",
@@ -77,23 +76,6 @@ __all__ = [
 ]
 
 INVARIANCE_GATE = 5e-2
-
-
-@dataclass(frozen=True)
-class CompressionTuple:
-    """Compressed shifts for one subspace split.
-
-    operators[t] = B_Q* M_t B_Q acts on the Q coordinates; extended[t] =
-    P_Q M_t P_Q is the same operator on the whole grid, formed on first use.
-    """
-
-    operators: tuple
-    basis: np.ndarray          # B_Q
-
-    @cached_property
-    def extended(self) -> tuple:
-        b = self.basis
-        return tuple(b @ c @ b.conj().T for c in self.operators)
 
 
 @dataclass(frozen=True)
@@ -118,7 +100,7 @@ class QuotientData:
 
     s: SubspaceData
     q: SubspaceData
-    compressions: CompressionTuple
+    compressions: tuple        # C_t = B_Q* M_t B_Q, one q x q block per variable
     margins: tuple
     window: np.ndarray
     invariance: float
@@ -155,13 +137,7 @@ class QuotientData:
     @cached_property
     def defect_blocks(self) -> tuple:
         """D_t = I - C_t* C_t in Q coordinates, one per variable."""
-        return tuple(np.eye(self.q.rank) - c.conj().T @ c for c in self.compressions.operators)
-
-    @cached_property
-    def extended_defects(self) -> tuple:
-        """P_Q - Chat_t* Chat_t = B_Q D_t B_Q* on the whole grid, one per variable."""
-        b = self.q.basis
-        return tuple(b @ d @ b.conj().T for d in self.defect_blocks)
+        return tuple(np.eye(self.q.rank) - c.conj().T @ c for c in self.compressions)
 
     @cached_property
     def defect_identity(self) -> float:
@@ -223,39 +199,35 @@ def _core_window(grid: TruncationGrid, margins) -> tuple[tuple, np.ndarray]:
     return margins, window
 
 
-def quotient_data(
-    s: SubspaceData,
-    margins=None,
-    invariance_gate: float = INVARIANCE_GATE,
-) -> QuotientData:
+def quotient_data(s: SubspaceData, margins=None) -> QuotientData:
     """Split the grid along S and compress the shifts.
 
-    Raises InvarianceError when S fails the windowed shift-invariance gate,
-    since the compressions only carry meaning for a submodule.  The defect
-    blocks, their check against P_Q M_t* P_S M_t P_Q on the window, the
-    defect products and the cross terms are formed on first use, once per
-    split (QuotientData).
+    Raises InvarianceError when the windowed shift-invariance defect of S
+    exceeds INVARIANCE_GATE, since the compressions only carry meaning for
+    a submodule.  The defect blocks, their check against
+    P_Q M_t* P_S M_t P_Q on the window, the defect products and the cross
+    terms are formed on first use, once per split (QuotientData).
     """
     grid = s.grid
     margins, window = _core_window(grid, margins)
 
     inv_max, inv_per = invariance_defect(s, margins)
-    if inv_max > invariance_gate:
+    if inv_max > INVARIANCE_GATE:
         raise InvarianceError(
             f"subspace is not shift-invariant: windowed defect {inv_max:.3e} "
-            f"exceeds the gate {invariance_gate:g}"
+            f"exceeds the gate {INVARIANCE_GATE:g}"
         )
 
     q = s.complement_space
-    operators = tuple(q.shift_blocks(unit_index(grid.nvars, t))[0] for t in range(grid.nvars))
-    for t, c in enumerate(operators):
+    compressions = tuple(q.shift_blocks(unit_index(grid.nvars, t))[0] for t in range(grid.nvars))
+    for t, c in enumerate(compressions):
         if c.size and spectral_norm(c) > 1 + 1e-10:
             raise ValueError(f"compression {t} exceeds unit norm; subspace data is inconsistent")
 
     return QuotientData(
         s=s,
         q=q,
-        compressions=CompressionTuple(operators, q.basis),
+        compressions=compressions,
         margins=margins,
         window=window,
         invariance=inv_max,
@@ -389,7 +361,7 @@ def identity_suite(
     """
     n = data.grid.nvars
     r_q = data.q_factor
-    c_ops = data.compressions.operators
+    c_ops = data.compressions
     d = data.defect_blocks
     e = [unit_index(n, t) for t in range(n)]
 
@@ -475,12 +447,16 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def douglas_factor(data: QuotientData, i: int, j: int, rcond: float = 1e-10):
+def douglas_factor(data: QuotientData, i: int, j: int):
     """Contraction X with [C_i, C_j*] = X D_{C_i}, realized by pseudo-inverse.
 
-    Everything is in Q coordinates: with K = C_i C_j* - C_j* C_i and
-    D = psd_sqrt(defect_blocks[i]), X = K pinv(D), and B_Q X B_Q* is the
-    factor of the same identity for the compressions P_Q M_t P_Q on the
+    Everything is in Q coordinates: with K = C_i C_j* - C_j* C_i and the
+    defect D_i = defect_blocks[i] = V diag(w) V*, the eigenvalues w above
+    RANK_TOL * max(w) are kept and X = K V diag(w^-1/2) V* on them, so X is
+    K times the pseudo-inverse of D = psd_sqrt(D_i).  The cut is taken on w,
+    not on its roots: a rounding-level eigenvalue near 1e-16 has a root near
+    1e-8, which a cut on the roots would keep and amplify.  B_Q X B_Q* is
+    the factor of the same identity for the compressions P_Q M_t P_Q on the
     whole grid, whose defect root B_Q D B_Q* has the nonzero spectrum of D.
     Returns (x, norm, reconstruction) where reconstruction is the windowed
     norm of B_Q (K - X D) B_Q*.  The domination inequality guarantees
@@ -488,8 +464,11 @@ def douglas_factor(data: QuotientData, i: int, j: int, rcond: float = 1e-10):
     """
     if i == j:
         raise ValueError("need two distinct variables")
-    c_i, c_j = data.compressions.operators[i], data.compressions.operators[j]
+    c_i, c_j = data.compressions[i], data.compressions[j]
     comm = c_i @ c_j.conj().T - c_j.conj().T @ c_i
-    d = psd_sqrt(data.defect_blocks[i])
-    x = comm @ np.linalg.pinv(d, rcond=rcond, hermitian=True)
+    defect = data.defect_blocks[i]
+    w, v = np.linalg.eigh((defect + defect.conj().T) / 2)
+    d = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T     # psd_sqrt(defect)
+    kept = w > RANK_TOL * w.max(initial=0.0)
+    x = comm @ (v[:, kept] / np.sqrt(w[kept])) @ v[:, kept].conj().T
     return x, spectral_norm(x), factored_norm(data.q_factor, comm - x @ d)

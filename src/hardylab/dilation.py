@@ -52,6 +52,10 @@ __all__ = [
 
 NORM_SLACK = 1e-10
 COMMUTATION_TOL = 1e-10
+EIG_TOL = 1e-10
+PURENESS_TOL = 1e-10
+MAX_POWER = 64
+MAX_TRIES = 64
 
 
 class DilationError(ValueError):
@@ -75,18 +79,19 @@ class ContractionTuple:
         object.__setattr__(self, "matrices", mats)
 
     @classmethod
-    def checked(cls, matrices, norm_slack: float = NORM_SLACK,
-                commutation_tol: float = COMMUTATION_TOL) -> "ContractionTuple":
+    def checked(cls, matrices) -> "ContractionTuple":
+        """The tuple, after its norms (at most 1 + NORM_SLACK) and pairwise
+        commutators (at most COMMUTATION_TOL) are checked."""
         t = cls(tuple(matrices))
         for i, m in enumerate(t.matrices):
             nm = spectral_norm(m)
-            if nm > 1 + norm_slack:
+            if nm > 1 + NORM_SLACK:
                 raise ValueError(f"matrix {i} has norm {nm:.6f} > 1")
         for i in range(t.n):
             for j in range(i + 1, t.n):
                 a, b = t.matrices[i], t.matrices[j]
                 dev = spectral_norm(a @ b - b @ a)
-                if dev > commutation_tol:
+                if dev > COMMUTATION_TOL:
                     raise ValueError(
                         f"matrices {i} and {j} do not commute: deviation {dev:.3e}"
                     )
@@ -107,12 +112,13 @@ class ContractionTuple:
         return out
 
 
-def brehmer_defect(t: ContractionTuple, eig_tol: float = 1e-10,
-                   rank_tol: float = RANK_TOL):
+def brehmer_defect(t: ContractionTuple):
     """Alternating defect sum, its PSD verdict, and a defect-space basis.
 
-    defect = sum over subsets F of (-1)^|F| T_F T_F*.  The returned basis
-    spans the range of the clamped square root.
+    defect = sum over subsets F of (-1)^|F| T_F T_F*, PSD when its least
+    eigenvalue is at least -EIG_TOL.  The returned basis spans the range of
+    the clamped square root: the eigenvectors whose eigenvalue exceeds
+    RANK_TOL times the largest.
     """
     dim = t.dim
     defect = np.zeros((dim, dim), dtype=complex)
@@ -122,9 +128,9 @@ def brehmer_defect(t: ContractionTuple, eig_tol: float = 1e-10,
             defect += (-1) ** r * tf @ tf.conj().T
     defect = (defect + defect.conj().T) / 2
     w, v = np.linalg.eigh(defect)
-    psd = bool(w[0] >= -eig_tol)
+    psd = bool(w[0] >= -EIG_TOL)
     top = float(w[-1]) if w.size else 0.0
-    keep = w > max(rank_tol * max(top, 0.0), 0.0)
+    keep = w > max(RANK_TOL * max(top, 0.0), 0.0)
     basis = v[:, keep]
     return defect, psd, basis
 
@@ -136,13 +142,13 @@ class PurenessReport:
     value: float   # the quantity the rule examined
 
 
-def pureness_check(t_i: np.ndarray, max_power: int = 64,
-                   tol: float = 1e-10) -> PurenessReport:
+def pureness_check(t_i: np.ndarray) -> PurenessReport:
     """Decide whether adjoint powers of one contraction tend to zero.
 
     Finite dimensions make this exact: nilpotency or spectral radius below
-    one each settle it, with an explicit power-norm fallback for matrices
-    whose radius sits inside the tolerance band.
+    1 - PURENESS_TOL each settle it, with an explicit fallback for matrices
+    whose radius sits inside that band: the norm of T*^MAX_POWER must be at
+    most PURENESS_TOL.
     """
     m = np.asarray(t_i, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -151,10 +157,10 @@ def pureness_check(t_i: np.ndarray, max_power: int = 64,
     if spectral_norm(power) == 0.0:
         return PurenessReport(True, "nilpotent", 0.0)
     radius = float(np.abs(np.linalg.eigvals(m)).max())
-    if radius < 1 - tol:
+    if radius < 1 - PURENESS_TOL:
         return PurenessReport(True, "spectral_radius", radius)
-    tail = spectral_norm(np.linalg.matrix_power(m.conj().T, max_power))
-    return PurenessReport(tail <= tol, "power_norm", tail)
+    tail = spectral_norm(np.linalg.matrix_power(m.conj().T, MAX_POWER))
+    return PurenessReport(tail <= PURENESS_TOL, "power_norm", tail)
 
 
 @dataclass(frozen=True)
@@ -172,24 +178,24 @@ class DilationData:
         return max(self.intertwining_residuals)
 
 
-def canonical_dilation(t: ContractionTuple, caps, tail_tol: float = 1e-8,
-                       eig_tol: float = 1e-10, max_power: int = 64) -> DilationData:
+def canonical_dilation(t: ContractionTuple, caps, tail_tol: float = 1e-8) -> DilationData:
     """Assemble the row map Pi with rows D T*^k on the truncated grid.
 
-    Preconditions (PSD defect, pure entries) are enforced.  The truncation
-    is certified by the mass of the first multi-index shell beyond the
-    caps: those are the rows the grid drops, identically zero for nilpotent
-    tuples once the caps reach the nilpotency indices.
+    Preconditions (PSD defect and pure entries, as brehmer_defect and
+    pureness_check decide them) are enforced.  The truncation is certified
+    by the mass of the first multi-index shell beyond the caps: those are
+    the rows the grid drops, identically zero for nilpotent tuples once the
+    caps reach the nilpotency indices.
     """
     caps = tuple(int(c) for c in caps)
     if len(caps) != t.n:
         raise ValueError(f"need {t.n} caps, got {len(caps)}")
-    defect, psd, basis = brehmer_defect(t, eig_tol=eig_tol)
+    defect, psd, basis = brehmer_defect(t)
     if not psd:
         w = np.linalg.eigvalsh(defect)
         raise DilationError(f"defect sum is not PSD: min eigenvalue {w[0]:.3e}")
     for i, m in enumerate(t.matrices):
-        rep = pureness_check(m, max_power=max_power)
+        rep = pureness_check(m)
         if not rep.verdict:
             raise DilationError(
                 f"matrix {i} is not pure ({rep.rule} = {rep.value:.3e})"
@@ -261,16 +267,15 @@ def _annihilation_full(t: ContractionTuple) -> float:
     return worst
 
 
-def model_correspondence(source, caps=None, tol: float = 1e-8,
-                         margins=None, max_power: int = 64) -> CriterionReport:
+def model_correspondence(source, caps=None, tol: float = 1e-8) -> CriterionReport:
     """Both directions of the quotient-module model for contraction tuples.
 
     Symbol input: compress the shifts to the quotient of the symbol's
     submodule and verify the extracted tuple satisfies everything the model
     promises (PSD defect, pure entries, vanishing defect products measured
-    through the core window).  Tuple input: report whether the defect
-    products vanish, which is the computable face of being unitarily
-    equivalent to module operators on such a quotient.
+    through the core window of the symbol's eval_margins).  Tuple input:
+    report whether the defect products vanish, which is the computable face
+    of being unitarily equivalent to module operators on such a quotient.
     """
     residuals: dict = {}
     verdicts: dict = {}
@@ -279,11 +284,11 @@ def model_correspondence(source, caps=None, tol: float = 1e-8,
             raise ValueError("symbol input needs grid caps")
         grid = TruncationGrid(tuple(caps))
         s = submodule_projection(source, grid)
-        data = quotient_data(s, margins=eval_margins(source) if margins is None else margins)
+        data = quotient_data(s, margins=eval_margins(source))
         worst = beurling_criterion(data, tol=tol).residuals["beurling_defect_product"]
         residuals["annihilation"] = worst
         verdicts["annihilation"] = worst <= tol
-        extracted = ContractionTuple(data.compressions.operators)
+        extracted = ContractionTuple(data.compressions)
         name = "model_correspondence_symbol"
     else:
         extracted = source if isinstance(source, ContractionTuple) else \
@@ -298,7 +303,7 @@ def model_correspondence(source, caps=None, tol: float = 1e-8,
     residuals["brehmer_min_eig"] = min_eig
     verdicts["brehmer_min_eig"] = min_eig >= -tol
     for i, m in enumerate(extracted.matrices):
-        rep = pureness_check(m, max_power=max_power)
+        rep = pureness_check(m)
         key = f"pureness_{i}"
         residuals[key] = rep.value
         verdicts[key] = rep.verdict
@@ -306,12 +311,13 @@ def model_correspondence(source, caps=None, tol: float = 1e-8,
                            verdicts=verdicts)
 
 
-def random_brehmer_pair(seed, size: int = 4, max_tries: int = 64) -> ContractionTuple:
+def random_brehmer_pair(seed, size: int = 4) -> ContractionTuple:
     """Seeded commuting nilpotent pair with PSD defect sum.
 
     Both entries are strictly upper-triangular polynomials in one Jordan
     block, so they commute exactly and are nilpotent; the pair is shrunk
-    geometrically until the alternating defect sum is PSD.
+    geometrically, at most MAX_TRIES times, until the alternating defect
+    sum is PSD.
     """
     rng = np.random.default_rng(seed)
     nil = np.zeros((size, size), dtype=complex)
@@ -328,7 +334,7 @@ def random_brehmer_pair(seed, size: int = 4, max_tries: int = 64) -> Contraction
     a, b = poly(), poly()
     scale = 0.9 / max(spectral_norm(a), spectral_norm(b), 1e-12)
     a, b = a * scale, b * scale
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         t = ContractionTuple.checked((a, b))
         _, psd, _ = brehmer_defect(t)
         if psd:

@@ -61,6 +61,9 @@ __all__ = [
 ]
 
 
+COEFF_CUTOFF = 1e-12
+
+
 class FactorizationError(ValueError):
     """Division failed: no containment, or no analytic quotient at this size."""
 
@@ -94,7 +97,7 @@ def _division_margins(theta, phi, margins):
 
 
 def _divide(theta: AnalyticSymbol, phi: AnalyticSymbol, grid: TruncationGrid,
-            tol: float, margins, coeff_cutoff: float):
+            tol: float, margins):
     if theta.nvars != phi.nvars or theta.nvars != grid.nvars:
         raise ValueError("theta, phi, and the grid must share the variable count")
     if theta.rows != phi.rows:
@@ -142,7 +145,7 @@ def _divide(theta: AnalyticSymbol, phi: AnalyticSymbol, grid: TruncationGrid,
     for k in grid.multi_indices:
         r = dom_p.rank[k]
         block = x[r * rows:(r + 1) * rows, 0:cols]
-        if np.abs(block).max() > coeff_cutoff:
+        if np.abs(block).max() > COEFF_CUTOFF:
             coeffs[k] = block
     if not coeffs:
         coeffs[(0,) * grid.nvars] = np.zeros((rows, cols))
@@ -168,25 +171,24 @@ def _divide(theta: AnalyticSymbol, phi: AnalyticSymbol, grid: TruncationGrid,
 
 
 def divide_inner(theta: AnalyticSymbol, phi: AnalyticSymbol, grid: TruncationGrid,
-                 tol: float = 1e-8, margins=None,
-                 coeff_cutoff: float = 1e-12) -> AnalyticSymbol:
+                 tol: float = 1e-8, margins=None) -> AnalyticSymbol:
     """Quotient symbol psi with theta = phi * psi, both factors inner.
 
     psi is read off the constant-monomial columns of X = M_phi^* M_theta,
-    which is the division operator because M_phi acts isometrically.  Three
+    which is the division operator because M_phi acts isometrically; a
+    coefficient block with no entry above COEFF_CUTOFF is dropped.  Three
     gates run before psi is returned: the columns of M_theta must lie in
     S_phi (else "not divisible"), X must commute with the shifts on the
     core window (else "division not analytic"), and M_psi must act
     isometrically on windowed columns.
     """
-    psi, _, _, _ = _divide(theta, phi, grid, tol, margins, coeff_cutoff)
+    psi, _, _, _ = _divide(theta, phi, grid, tol, margins)
     return psi
 
 
 def invariant_subspace_from_factorization(
     theta: AnalyticSymbol, phi: AnalyticSymbol, grid: TruncationGrid,
-    tol: float = 1e-8, margins=None, coeff_cutoff: float = 1e-12,
-    rank_tol: float = RANK_TOL,
+    tol: float = 1e-8, margins=None, rank_tol: float = RANK_TOL,
 ) -> FactorizationWitness:
     """Carve M = S_phi minus S_theta out of a successful division.
 
@@ -206,8 +208,7 @@ def invariant_subspace_from_factorization(
     max(||N* B_phi||, ||B_phi_c* [B_theta, M]||), the norm of a difference
     of two orthogonal projections.
     """
-    psi, s_phi, margins, residuals = _divide(theta, phi, grid, tol, margins,
-                                             coeff_cutoff)
+    psi, s_phi, margins, residuals = _divide(theta, phi, grid, tol, margins)
     s_theta = submodule_projection(theta, grid, inner_tol=tol)
     m_basis, n_basis = s_theta.split_complement(s_phi.basis, rank_tol)
 

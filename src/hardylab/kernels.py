@@ -45,6 +45,12 @@ __all__ = [
 ]
 
 
+GRAM_RADIUS = 0.9
+GRAM_SIZES = (2, 3, 4)
+GRAM_THRESHOLD = -1e-6
+WITNESS_INNER_TOL = 1e-10
+
+
 def _check_interior(z, label: str):
     z = tuple(complex(v) for v in z)
     for i, v in enumerate(z):
@@ -116,11 +122,11 @@ class GramWitness:
     candidates: int
 
 
-def gram_negativity_search(budget: int = 64, seed: int = 0,
-                           radius: float = 0.9, sizes=(2, 3, 4),
-                           threshold: float = -1e-6) -> GramWitness:
+def gram_negativity_search(budget: int = 64, seed: int = 0) -> GramWitness:
     """Seeded search for a Gram matrix of the factor with a negative eigenvalue.
 
+    Each candidate is a set of GRAM_SIZES points in the polydisc of radius
+    GRAM_RADIUS, and a least eigenvalue below GRAM_THRESHOLD is a witness.
     Every candidate draws its own generator from (seed, index), so the
     result is independent of how a batch runner partitions the budget.  All
     candidates are evaluated and the best witness is returned; not finding
@@ -132,8 +138,8 @@ def gram_negativity_search(budget: int = 64, seed: int = 0,
     best = (np.inf, None, None)
     for idx in range(int(budget)):
         rng = np.random.default_rng([int(seed), idx])
-        size = int(rng.choice(np.asarray(sizes)))
-        rad = radius * np.sqrt(rng.uniform(size=(size, 2)))
+        size = int(rng.choice(np.asarray(GRAM_SIZES)))
+        rad = GRAM_RADIUS * np.sqrt(rng.uniform(size=(size, 2)))
         ang = rng.uniform(0.0, 2 * np.pi, size=(size, 2))
         pts = tuple(tuple(rad[i] * np.exp(1j * ang[i])) for i in range(size))
         g = gram_matrix(pts)
@@ -142,7 +148,7 @@ def gram_negativity_search(budget: int = 64, seed: int = 0,
             best = (low, pts, g)
     low, pts, g = best
     return GramWitness(
-        found=bool(low < threshold),
+        found=bool(low < GRAM_THRESHOLD),
         min_eigenvalue=low,
         points=pts,
         matrix=g,
@@ -160,13 +166,13 @@ def rational_inner_witness() -> AnalyticSymbol:
 
 def reduced_kernel_suite(caps=(20, 20), pairs: int = 20, seed: int = 0,
                          pair_radius: float = 0.6, budget: int = 64,
-                         kernel_tol: float = 1e-8,
-                         inner_tol: float = 1e-10, criterion_tol: float = 1e-8,
+                         kernel_tol: float = 1e-8, criterion_tol: float = 1e-8,
                          inclusion_caps=(6, 6), sample_pairs=None) -> dict:
     """Kernel identity, Gram negativity, and the inner-witness checks.
 
     sample_pairs, when given, is an iterable of (z, w) interior point pairs
-    that replaces the seeded draw.  Returns a JSON-ready report: every leaf
+    that replaces the seeded draw.  The witness symbol's innerness is
+    checked at WITNESS_INNER_TOL.  Returns a JSON-ready report: every leaf
     is a float, int, bool, string, or a list of those, so the serialized
     form is stable across runs.
     """
@@ -193,7 +199,7 @@ def reduced_kernel_suite(caps=(20, 20), pairs: int = 20, seed: int = 0,
     at_zero = abs(complex(phi.evaluate([(0.0, 0.0)])[0, 0, 0]))
     origin_coeff = phi.numerator.get((0, 0))
     numerator_origin = 0.0 if origin_coeff is None else float(np.abs(origin_coeff).max())
-    inner = innerness_check(phi, TruncationGrid(caps), tol=inner_tol)
+    inner = innerness_check(phi, TruncationGrid(caps), tol=WITNESS_INNER_TOL)
 
     small = TruncationGrid(tuple(int(c) for c in inclusion_caps))
     s_phi = submodule_projection(phi, small, inner_tol=criterion_tol)

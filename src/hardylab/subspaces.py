@@ -16,7 +16,6 @@ SubspaceData.shift_blocks gives B* A B and the part (I - B B*) A B of A B
 outside the span, for A = M^k or M^k*, through the grid's index map, and
 window_factor turns a windowed norm into the norm of a matrix no larger than
 the basis rank.  The quotient battery needs these for the basis of Q only.
-The dim x dim projection is formed only when something asks for it.
 
 Submodules generated by an inner symbol take the columns of the truncated
 multiplication operator over the input window (domain degrees at least
@@ -67,8 +66,8 @@ class InvarianceError(ValueError):
 class SubspaceData:
     """Orthonormal basis of a subspace of a truncated grid and of its complement.
 
-    The projection, the complement as a subspace, shift blocks and window
-    factors are formed on first use and cached.
+    The complement as a subspace, shift blocks and window factors are
+    formed on first use and cached.
     """
 
     grid: TruncationGrid
@@ -79,11 +78,6 @@ class SubspaceData:
     @property
     def rank(self) -> int:
         return self.basis.shape[1]
-
-    @cached_property
-    def projection(self) -> np.ndarray:
-        """(dim, dim) = basis @ basis*."""
-        return self.basis @ self.basis.conj().T
 
     @cached_property
     def complement_space(self) -> "SubspaceData":
@@ -141,10 +135,6 @@ class SubspaceData:
         frame = c @ u
         return frame[:, :r], frame[:, r:]
 
-    def contains(self, vectors: np.ndarray, tol: float = 1e-10) -> bool:
-        v = np.atleast_2d(vectors.T).T
-        return spectral_norm(v - self.projection @ v) <= tol
-
 
 def _coordinate_mask(columns: np.ndarray):
     """Mask of the rows that hold the columns' one nonzero entries when every
@@ -161,13 +151,14 @@ def _coordinate_mask(columns: np.ndarray):
     return inside
 
 
-def _with_complement(grid: TruncationGrid, columns: np.ndarray, rank_tol: float):
+def _with_complement(grid: TruncationGrid, columns: np.ndarray):
     """Split the grid space into span(columns) and its complement.
 
     Distinct unit columns (the empty set included) split by index: S is
     their coordinates and Q the others, in grid order, exactly 0/1.  Other
     columns take Q, R = qr(columns, "complete"); the singular values of the
-    leading min(dim, k) rows of R are those of the columns and set the rank.
+    leading min(dim, k) rows of R are those of the columns, and those above
+    RANK_TOL times the largest set the rank.
     When the cut drops a column, the leading block of Q is rotated by the
     left singular vectors of that block of R, so it ends with span(columns).
     """
@@ -178,7 +169,7 @@ def _with_complement(grid: TruncationGrid, columns: np.ndarray, rank_tol: float)
     q, r = np.linalg.qr(columns, mode="complete")
     lead = min(columns.shape)
     sig = np.linalg.svd(r[:lead], compute_uv=False)
-    rank = int(np.sum(sig > rank_tol * sig[0]))
+    rank = int(np.sum(sig > RANK_TOL * sig[0]))
     if rank < columns.shape[1]:
         q[:, :lead] = q[:, :lead] @ np.linalg.svd(r[:lead])[0]
     return q[:, :rank], q[:, rank:], columns.shape[1] - rank
@@ -187,13 +178,12 @@ def _with_complement(grid: TruncationGrid, columns: np.ndarray, rank_tol: float)
 def subspace_from_columns(
     grid: TruncationGrid,
     columns: np.ndarray,
-    rank_tol: float = RANK_TOL,
 ) -> tuple[SubspaceData, SubspaceData]:
-    """Orthonormalize columns; return (span, complement)."""
+    """Orthonormalize columns at the rank cut RANK_TOL; return (span, complement)."""
     columns = np.asarray(columns, dtype=complex)
     if columns.ndim != 2 or columns.shape[0] != grid.dim:
         raise ValueError(f"columns must be ({grid.dim}, k), got {columns.shape}")
-    sb, qb, dropped = _with_complement(grid, columns, rank_tol)
+    sb, qb, dropped = _with_complement(grid, columns)
     s = SubspaceData(grid, sb, qb, discarded=dropped)
     return s, s.complement_space
 
@@ -203,7 +193,6 @@ def submodule_projection(
     grid: TruncationGrid,
     margins: tuple[int, ...] | None = None,
     inner_tol: float = 1e-8,
-    rank_tol: float = RANK_TOL,
     require_inner: bool = True,
 ) -> SubspaceData:
     """S = closure of symbol * H^2 on the grid.
@@ -226,14 +215,14 @@ def submodule_projection(
     dom = grid.with_channels(symbol.cols)
     cod = grid.with_channels(symbol.rows)
     keep = dom.window_indices(col_margins)
-    s, _ = subspace_from_columns(cod, mt[:, keep], rank_tol)
+    s, _ = subspace_from_columns(cod, mt[:, keep])
     return s
 
 
-def subspace_from_rows(grid: TruncationGrid, rows: np.ndarray, rank_tol: float = RANK_TOL):
+def subspace_from_rows(grid: TruncationGrid, rows: np.ndarray):
     """Subspace spanned by coefficient row-vectors (one vector per row)."""
     rows = np.asarray(rows, dtype=complex)
-    return subspace_from_columns(grid, rows.T, rank_tol)
+    return subspace_from_columns(grid, rows.T)
 
 
 def origin_complement(grid: TruncationGrid) -> SubspaceData:

@@ -12,16 +12,15 @@ settings.load_profile("hardylab")
 
 @pytest.fixture
 def no_dense_operators(monkeypatch):
-    """Make every dense shift and SubspaceData.projection raise for one test.
+    """Make every dense shift raise for one test.
 
     shift_matrix and shift_matrices are replaced in every hardylab module that
     binds them, so a path that forms either fails the test.
     """
     from hardylab import operators
-    from hardylab.subspaces import SubspaceData
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a dense shift or projection was formed")
+        raise AssertionError("a dense shift was formed")
 
     originals = (operators.shift_matrices, operators.shift_matrix)
     for key, module in list(sys.modules.items()):
@@ -29,7 +28,6 @@ def no_dense_operators(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if any(value is fn for fn in originals):
                     monkeypatch.setattr(module, attr, refuse)
-    monkeypatch.setattr(SubspaceData, "projection", property(refuse))
 
 
 @pytest.fixture

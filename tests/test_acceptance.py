@@ -149,7 +149,7 @@ def test_criterion_5_dilation_exactness_and_model_consistency():
     grid = TruncationGrid((3, 3))
     origin = subspace_from_columns(grid, np.eye(grid.dim)[:, 1:])[0]
     data = quotient_data(origin, margins=(1, 1))
-    constants_tuple = ContractionTuple(data.compressions.operators)
+    constants_tuple = ContractionTuple(data.compressions)
     rep = model_correspondence(constants_tuple)
     assert not rep.verdicts["annihilation"]
     assert abs(rep.residuals["annihilation"] - 1.0) <= 1e-12

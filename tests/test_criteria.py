@@ -5,12 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense
 from hardylab.corpus import corpus_entries
 from hardylab.grids import TruncationGrid
 from hardylab.operators import eval_margins, shift_matrices, spectral_norm, windowed_norm
-from hardylab.subspaces import InvarianceError, SubspaceData, subspace_from_columns, submodule_projection
+from hardylab.subspaces import (
+    RANK_TOL,
+    InvarianceError,
+    SubspaceData,
+    subspace_from_columns,
+    submodule_projection,
+)
 from hardylab.symbols import AnalyticSymbol
 from hardylab.criteria import (
+    QuotientData,
     beurling_criterion,
     cross_commutator_criterion,
     douglas_factor,
@@ -52,8 +60,8 @@ def test_monomial_defect_is_named_projection():
     # for z1 z2 the first defect projects onto the pure z2 powers, windowed
     qd = make_quotient(AnalyticSymbol.monomial((1, 1)), (3, 3))
     g = qd.grid
-    c1 = qd.compressions.extended[0]
-    defect = qd.q.projection - c1.conj().T @ c1
+    c1 = dense.compressions(qd)[0]
+    defect = dense.projection(qd.q) - c1.conj().T @ c1
     sub = defect[np.ix_(qd.window, qd.window)]
     want = np.zeros_like(sub)
     for t, i in enumerate(qd.window):
@@ -78,7 +86,7 @@ def test_beurling_verdicts():
 def test_s00_identities_hold_but_criteria_fail():
     qd = quotient_data(s00_subspace(), margins=(1, 1))
     assert qd.q.rank == 1
-    for c in qd.compressions.operators:
+    for c in qd.compressions:
         assert spectral_norm(c) <= 1e-14
     rep = identity_suite(qd, tol=1e-10)
     for key in UNCONDITIONAL:
@@ -121,8 +129,8 @@ def test_detectors_share_one_defect_product():
 def test_blaschke_half_embedded_quotient():
     sym = AnalyticSymbol.blaschke(0.5, 0, nvars=2)
     qd = make_quotient(sym, (8, 8))
-    c2 = qd.compressions.extended[1]
-    defect2 = qd.q.projection - c2.conj().T @ c2
+    c2 = dense.compressions(qd)[1]
+    defect2 = dense.projection(qd.q) - c2.conj().T @ c2
     assert windowed_norm(defect2, qd.window) <= 1e-6
     assert beurling_criterion(qd, tol=1e-6).verdict
     cross = cross_commutator_criterion(qd.s, margins=qd.margins, tol=1e-6)
@@ -218,22 +226,26 @@ def _blaschke_product_quotient():
     return make_quotient(theta, (5, 5))
 
 
-@pytest.mark.parametrize("make, rcond", [
-    (lambda: make_quotient(AnalyticSymbol.monomial((1, 1)), (4, 4)), 1e-10),
+@pytest.mark.parametrize("make", [
+    lambda: make_quotient(AnalyticSymbol.monomial((1, 1)), (4, 4)),
     # the defect of this product has rounding-level eigenvalues, whose roots
-    # (about 1e-8) the default rcond would invert; 1e-7 cuts them
-    (_blaschke_product_quotient, 1e-7),
-    (lambda: quotient_data(s00_subspace((4, 4)), margins=(1, 1)), 1e-10),
+    # (about 1e-8) a cut on the roots would keep and invert
+    _blaschke_product_quotient,
+    lambda: quotient_data(s00_subspace((4, 4)), margins=(1, 1)),
 ], ids=["monomial", "blaschke-product", "origin-complement"])
-def test_douglas_factor_matches_dense_formula(make, rcond):
-    """X in Q coordinates against the factor built on the whole grid."""
+def test_douglas_factor_matches_dense_formula(make):
+    """X in Q coordinates against the factor built on the whole grid.
+
+    A cut of the defect's eigenvalues at RANK_TOL is a cut of their roots,
+    the singular values of D, at sqrt(RANK_TOL).
+    """
     qd = make()
     b = qd.q.basis
-    c0, c1 = (b @ c @ b.conj().T for c in qd.compressions.operators[:2])
+    c0, c1 = dense.compressions(qd)[:2]
     comm = c0 @ c1.conj().T - c1.conj().T @ c0
-    d = psd_sqrt(b @ qd.defect_blocks[0] @ b.conj().T)
-    x_dense = comm @ np.linalg.pinv(d, rcond=rcond, hermitian=True)
-    x, norm, recon = douglas_factor(qd, 0, 1, rcond=rcond)
+    d = psd_sqrt(dense.projection(qd.q) - c0.conj().T @ c0)
+    x_dense = comm @ np.linalg.pinv(d, rcond=np.sqrt(RANK_TOL), hermitian=True)
+    x, norm, recon = douglas_factor(qd, 0, 1)
     assert x.shape == (qd.q.rank, qd.q.rank)
     assert np.abs(b @ x @ b.conj().T - x_dense).max() <= 1e-12
     assert abs(norm - spectral_norm(x_dense)) <= 1e-12
@@ -261,7 +273,7 @@ def test_defect_decomposition_exact_for_any_subspace(seed, ncols):
     rng = np.random.default_rng(seed)
     cols = rng.normal(size=(g.dim, ncols)) + 1j * rng.normal(size=(g.dim, ncols))
     s, q = subspace_from_columns(g, cols)
-    p_s = s.projection
+    p_s = dense.projection(s)
     p_q = np.eye(g.dim) - p_s
     for t, m in enumerate(shift_matrices(g)):
         chat = p_q @ m @ p_q
@@ -412,34 +424,44 @@ def test_battery_matches_dense_formulas_on_drawn_submodules(case):
     _assert_battery_matches_dense(s, margins)
 
 
-def test_detector_path_forms_no_dense_shift_or_projection(monkeypatch):
-    """quotient_data and the three detectors work from index maps and blocks only."""
-    import sys
+def _held_arrays(obj, seen):
+    """Every array reachable from a split through its fields, caches and containers."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _held_arrays(value, seen)
+    elif isinstance(obj, (tuple, list)):
+        for value in obj:
+            yield from _held_arrays(value, seen)
+    elif isinstance(obj, (QuotientData, SubspaceData)):
+        for value in vars(obj).values():
+            yield from _held_arrays(value, seen)
 
+
+def test_detector_path_forms_no_dense_shift_or_projection(no_dense_operators):
+    """quotient_data, the three detectors, identity_suite and douglas_factor
+    work from index maps and blocks only, and the split holds no dim x dim array."""
     from hardylab import operators
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a dense shift was built on the detector path")
-
-    for name in ("shift_matrices", "shift_matrix"):
-        original = getattr(operators, name)
-        for key, module in list(sys.modules.items()):
-            if module is not None and (key == "hardylab" or key.startswith("hardylab.")):
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, refuse)
-
-    entry = next(e for e in corpus_entries(0) if len(e.caps) == 3 and e.kind == "blaschke")
+    entry = next(e for e in corpus_entries(0) if e.entry_id == "product3-00")
     sub = entry.subspace()
     qd = quotient_data(sub, margins=entry.margins)
     assert beurling_criterion(qd, tol=1e-6).verdict
     assert cross_commutator_criterion(sub, margins=entry.margins, tol=1e-6).verdict
     assert identity_suite(qd, tol=1e-6).verdict
+    assert douglas_factor(qd, 0, 1)[1] <= 1 + 1e-10
     with pytest.raises(AssertionError, match="dense shift"):
         operators.shift_matrices(sub.grid)
-    for lazy, name in ((sub, "projection"), (qd.q, "projection"),
-                       (qd.compressions, "extended"), (qd, "extended_defects")):
-        assert name not in vars(lazy), name
+
+    dim = qd.grid.dim
+    assert dim == 343
+    held = list(_held_arrays(qd, set()))
+    assert any(a is qd.q.basis for a in held) and any(a is qd.defect_blocks[0] for a in held)
+    assert all(a.shape != (dim, dim) for a in held), [a.shape for a in held]
 
 
 def test_user_multi_indices_match_dense_formulas():

@@ -184,7 +184,7 @@ def test_extracted_monomial_tuple_is_model():
     sym = AnalyticSymbol.monomial((1, 1))
     grid = TruncationGrid((5, 5))
     data = quotient_data(submodule_projection(sym, grid), margins=(1, 1))
-    t = ContractionTuple(data.compressions.operators)
+    t = ContractionTuple(data.compressions)
 
     defect, psd, _ = brehmer_defect(t)
     assert psd
@@ -293,7 +293,7 @@ def test_tuple_text_comments_and_commas():
 def _extracted_monomial_tuple():
     data = quotient_data(submodule_projection(AnalyticSymbol.monomial((1, 1)),
                                               TruncationGrid((5, 5))), margins=(1, 1))
-    return ContractionTuple(data.compressions.operators)
+    return ContractionTuple(data.compressions)
 
 
 DILATIONS = {

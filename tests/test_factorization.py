@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import dense
 from hardylab.criteria import beurling_criterion, cross_commutator_criterion, quotient_data
 from hardylab.factorization import (
     FactorizationError,
@@ -140,7 +141,7 @@ def test_origin_gap_of_rational_witness_fails_both_conditions():
     s_phi = submodule_projection(phi, grid)
     origin_cols = np.eye(grid.dim)[:, 1:]
     s00, _ = subspace_from_columns(grid, origin_cols)
-    gap = (np.eye(grid.dim) - s_phi.projection) @ s00.basis
+    gap = (np.eye(grid.dim) - dense.projection(s_phi)) @ s00.basis
     u, sig, _ = np.linalg.svd(gap, full_matrices=False)
     m_basis = u[:, : int(np.sum(sig > 1e-10))]
 
