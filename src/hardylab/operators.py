@@ -93,9 +93,14 @@ def toeplitz_matrix(symbol: AnalyticSymbol, grid: TruncationGrid) -> np.ndarray:
 
 
 def spectral_norm(a: np.ndarray) -> float:
+    """Largest singular value of a 2-D array, 0.0 when it is empty.
+
+    The same LAPACK call as np.linalg.norm(a, 2), bit for bit, without its
+    axis handling.
+    """
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def hermitian_norm(a: np.ndarray) -> float:

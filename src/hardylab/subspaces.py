@@ -6,16 +6,22 @@ rounding, not merely to rank tolerance.  Columns that are distinct unit
 vectors up to a unimodular phase (monomial submodules, the origin
 complement) split by index into coordinate bases with no factorization.
 Any other column set takes one complete Householder QR, whose triangular
-factor has the singular values of the columns, so the rank cut is the same
-as an SVD's (Golub & Van Loan, Matrix Computations, 5.2); only a cut that
-drops columns rotates the leading block of Q by the left singular vectors
-of that small factor.  SubspaceData.split_complement enlarges a subspace
-along further columns in the coordinates of its complement, without
-splitting the grid again.  Operators are read against one basis B at a time:
-SubspaceData.shift_blocks gives B* A B and the part (I - B B*) A B of A B
-outside the span, for A = M^k or M^k*, through the grid's index map, and
-window_factor turns a windowed norm into the norm of a matrix no larger than
-the basis rank.  The quotient battery needs these for the basis of Q only.
+factor R has the singular values of the columns (Golub & Van Loan, Matrix
+Computations, 5.2).  Full rank is certified from R alone: by Weyl's
+inequality its diagonal and the Frobenius norm of its strict upper triangle
+bound every singular value, and when those bounds clear the RANK_TOL cut
+twice over the split is read off Q with no SVD.  Only when they cannot
+decide (more columns than dim, a zero or nearly dependent column, an
+ill-conditioned basis) do the singular values of R set the rank, the same
+cut as an SVD of the columns; only a cut that drops columns rotates the
+leading block of Q by the left singular vectors of that small factor.
+SubspaceData.split_complement enlarges a subspace along further columns in
+the coordinates of its complement, without splitting the grid again.
+Operators are read against one basis B at a time: SubspaceData.shift_blocks
+gives B* A B and the part (I - B B*) A B of A B outside the span, for
+A = M^k or M^k*, through the grid's index map, and window_factor turns a
+windowed norm into the norm of a matrix no larger than the basis rank.
+The quotient battery needs these for the basis of Q only.
 
 Submodules generated by an inner symbol take the columns of the truncated
 multiplication operator over the input window (domain degrees at least
@@ -56,6 +62,9 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-10
+# factor by which a certified full-rank split clears the rank cut, far above
+# the rounding of the bound and of the SVD it stands in for
+CERT_SAFETY = 2.0
 
 
 class InvarianceError(ValueError):
@@ -151,15 +160,32 @@ def _coordinate_mask(columns: np.ndarray):
     return inside
 
 
+def _certified_full_rank(r: np.ndarray) -> bool:
+    """True when every singular value of the square triangular r lies above
+    the rank cut, RANK_TOL times the largest, with CERT_SAFETY to spare.
+
+    Write r = D + N with D its diagonal and N its strict upper triangle.
+    Weyl's inequality |sig_i(D + N) - sig_i(D)| <= ||N||_2 <= ||N||_F
+    (Golub & Van Loan, Matrix Computations, 8.6) bounds sig_min below by
+    min|r_ii| - ||N||_F and sig_max above by max|r_ii| + ||N||_F, in O(k^2)
+    work.  False means only that the bound cannot decide.
+    """
+    d = np.abs(np.diagonal(r))
+    off = np.linalg.norm(np.triu(r, 1))
+    return bool(d.min() - off > CERT_SAFETY * RANK_TOL * (d.max() + off))
+
+
 def _with_complement(grid: TruncationGrid, columns: np.ndarray):
     """Split the grid space into span(columns) and its complement.
 
     Distinct unit columns (the empty set included) split by index: S is
     their coordinates and Q the others, in grid order, exactly 0/1.  Other
-    columns take Q, R = qr(columns, "complete"); the singular values of the
-    leading min(dim, k) rows of R are those of the columns, and those above
-    RANK_TOL times the largest set the rank.
-    When the cut drops a column, the leading block of Q is rotated by the
+    columns take Q, R = qr(columns, "complete").  When there are at most dim
+    of them and _certified_full_rank clears R's leading square block, the
+    split is (Q[:, :k], Q[:, k:]) with no SVD.  Otherwise the singular
+    values of the leading min(dim, k) rows of R, which are those of the
+    columns, set the rank: those above RANK_TOL times the largest count.
+    When that cut drops a column, the leading block of Q is rotated by the
     left singular vectors of that block of R, so it ends with span(columns).
     """
     inside = _coordinate_mask(columns)
@@ -167,12 +193,15 @@ def _with_complement(grid: TruncationGrid, columns: np.ndarray):
         eye = np.eye(grid.dim, dtype=complex)
         return eye[:, inside], eye[:, ~inside], 0
     q, r = np.linalg.qr(columns, mode="complete")
+    k = columns.shape[1]
+    if k <= grid.dim and _certified_full_rank(r[:k]):
+        return q[:, :k], q[:, k:], 0
     lead = min(columns.shape)
     sig = np.linalg.svd(r[:lead], compute_uv=False)
     rank = int(np.sum(sig > RANK_TOL * sig[0]))
-    if rank < columns.shape[1]:
+    if rank < k:
         q[:, :lead] = q[:, :lead] @ np.linalg.svd(r[:lead])[0]
-    return q[:, :rank], q[:, rank:], columns.shape[1] - rank
+    return q[:, :rank], q[:, rank:], k - rank
 
 
 def subspace_from_columns(

@@ -62,3 +62,18 @@ def no_torus_evaluation(monkeypatch):
         raise AssertionError("a symbol was evaluated")
 
     monkeypatch.setattr(AnalyticSymbol, "evaluate", refuse)
+
+
+@pytest.fixture
+def no_svd_in_subspaces(monkeypatch):
+    """Make np.linalg.svd raise when called from hardylab.subspaces, so a
+    split that confirms its rank by an SVD fails the test; SVDs called
+    anywhere else, numpy's own norms included, stay allowed."""
+    svd = np.linalg.svd
+
+    def guarded(*args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") == "hardylab.subspaces":
+            raise AssertionError("hardylab.subspaces took an SVD")
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", guarded)

@@ -1,5 +1,7 @@
 """Polydisc kernels, the factored reduced kernel, and the Gram certificate."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,62 @@ def test_reduced_kernel_matches_basis_sum():
     z, w = (0.3, 0.2), (0.1, -0.4)
     dev = abs(reduced_szego_kernel(z, w) - kernel_sum_oracle(z, w, (20, 20)))
     assert dev < 1e-10
+
+
+def _loop_oracle(z, w, caps):
+    """The scalar basis sum, one multi-index at a time."""
+    out = 0j
+    for k in itertools.product(*(range(c + 1) for c in caps)):
+        if sum(k) == 0:
+            continue
+        term = 1 + 0j
+        for zi, wi, ki in zip(z, w, k):
+            term *= zi ** ki * np.conj(wi) ** ki
+        out += term
+    return out
+
+
+@pytest.mark.parametrize("z, w, caps", [
+    ((0.3, 0.2), (0.1, -0.4), (3, 3)),
+    ((0.5 + 0.3j, -0.2j), (0.4 - 0.1j, 0.6), (20, 20)),
+    ((0.7j, 0.5), (0.6, -0.3 + 0.2j), (4, 0)),
+    ((0.3, -0.2j, 0.4 + 0.1j), (0.5j, 0.2, -0.6), (3, 4, 2)),
+])
+def test_kernel_sum_oracle_matches_the_scalar_loop(z, w, caps):
+    got, want = kernel_sum_oracle(z, w, caps), _loop_oracle(z, w, caps)
+    # the sums differ only in the order of rounding: a few ulps per term
+    terms = np.prod(np.array(caps) + 1)
+    assert abs(got - want) <= 4 * terms * np.finfo(float).eps * (1 + abs(want))
+
+
+@pytest.mark.parametrize("z, w, caps", [
+    ((0.5, 0.5), (0.5, 0.5), (3, 3, 3)),
+    ((0.5, 0.5), (0.5,), (3, 3)),
+    ((0.5,), (0.5, 0.5), (3, 3)),
+])
+def test_kernel_sum_oracle_rejects_mismatched_lengths(z, w, caps):
+    with pytest.raises(ValueError, match="same length"):
+        kernel_sum_oracle(z, w, caps)
+
+
+def test_gram_matrix_matches_kernel_factor_entry_by_entry():
+    rng = np.random.default_rng(3)
+    pts = [tuple(0.9 * rng.uniform(size=2) * np.exp(2j * np.pi * rng.uniform(size=2)))
+           for _ in range(5)]
+    g = gram_matrix(pts)
+    assert g.shape == (5, 5)
+    for a in range(5):
+        for b in range(5):
+            want = (kernel_factor(pts[a], pts[b]) + np.conj(kernel_factor(pts[b], pts[a]))) / 2
+            assert abs(g[a, b] - want) <= 4 * np.finfo(float).eps * (1 + abs(want))
+    assert gram_matrix([]).shape == (0, 0)
+
+
+def test_gram_matrix_validates_every_point():
+    with pytest.raises(ValueError, match=r"points\[1\]\[0\]"):
+        gram_matrix([(0.1, 0.2), (1.0, 0.0)])
+    with pytest.raises(ValueError, match="two variables"):
+        gram_matrix([(0.1, 0.2), (0.1, 0.2, 0.3)])
 
 
 def test_reduced_kernel_drops_the_constant():

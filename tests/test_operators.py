@@ -194,6 +194,23 @@ def test_norm_helpers():
     assert windowed_norm(a, np.array([], dtype=int)) == 0.0
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (5, 5), (9, 4), (4, 9)])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_spectral_norm_is_numpys_two_norm_bit_for_bit(shape, kind):
+    rng = np.random.default_rng(sum(shape))
+    a = rng.normal(size=shape)
+    if kind == "complex":
+        a = a + 1j * rng.normal(size=shape)
+    value = spectral_norm(a)
+    assert type(value) is float
+    assert value == float(np.linalg.norm(a, 2))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_spectral_norm_of_an_empty_matrix_is_zero(shape):
+    assert spectral_norm(np.zeros(shape, dtype=complex)) == 0.0
+
+
 def _loop_toeplitz(symbol, grid):
     """The double loop toeplitz_matrix replaced: block (k, j) = coeff(k - j)."""
     dom, cod = grid.with_channels(symbol.cols), grid.with_channels(symbol.rows)

@@ -197,6 +197,90 @@ def test_corpus_split_takes_no_grid_wide_singular_vectors(no_wide_singular_vecto
     assert all(rep.verdict for rep in reports)
 
 
+def _always_svd_split(cols):
+    """The split with the rank always set by an SVD of R: the reference the
+    certified split must match whenever both apply."""
+    q, r = np.linalg.qr(cols, mode="complete")
+    lead = min(cols.shape)
+    sig = np.linalg.svd(r[:lead], compute_uv=False)
+    rank = int(np.sum(sig > RANK_TOL * sig[0]))
+    if rank < cols.shape[1]:
+        q[:, :lead] = q[:, :lead] @ np.linalg.svd(r[:lead])[0]
+    return q[:, :rank], q[:, rank:], cols.shape[1] - rank
+
+
+def _certificate_inputs():
+    """name -> columns on a dim-25 grid, with the singular values of some set."""
+    rng = np.random.default_rng(23)
+    dim = TruncationGrid((4, 4)).dim
+
+    def gauss(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    def prescribed(sig):
+        u = np.linalg.qr(gauss(dim, len(sig)))[0]
+        v = np.linalg.qr(gauss(len(sig), len(sig)))[0]
+        return u @ np.diag(sig) @ v.conj().T
+
+    frame = np.linalg.qr(gauss(dim, 10))[0]
+    base = gauss(dim, 5)
+    # Kahan's triangle: diagonal within 1.4e-7 of its largest entry, yet
+    # one singular value below the cut, so the diagonal alone proves nothing
+    c = 0.9
+    kahan = np.diag(np.sqrt(1 - c * c) ** np.arange(20)) @ (
+        np.eye(20) - c * np.triu(np.ones((20, 20)), 1))
+    return {
+        "kahan": np.linalg.qr(gauss(dim, 20))[0] @ kahan,
+        "sigma-1-to-1e-12": prescribed(np.logspace(0, -12, 13)),
+        "sigma-at-the-cut": prescribed([1.0, 0.5, 3e-10, 2e-10, 1.01e-10, 0.99e-10, 5e-11, 1e-12]),
+        "sigma-above-the-cut": prescribed(np.logspace(0, -9, 8)),
+        "sigma-well-conditioned": prescribed(np.linspace(1.0, 0.5, 6)),
+        "near-orthonormal": frame + 1e-3 * gauss(dim, 10),
+        "orthonormal": frame,
+        "repeated-column": np.hstack([base, base[:, 2:3]]),
+        "zero-column": np.hstack([base[:, :3], np.zeros((dim, 1)), base[:, 3:]]),
+        "wide": gauss(dim, dim + 5),
+        "single-column": gauss(dim, 1),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_certificate_inputs()))
+def test_certified_split_matches_the_always_svd_split(name, monkeypatch):
+    g = TruncationGrid((4, 4))
+    cols = _certificate_inputs()[name]
+    svd_calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        svd_calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    s, _ = subspace_from_columns(g, cols)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    basis, complement, dropped = _always_svd_split(cols.astype(complex))
+
+    assert (s.rank, s.discarded) == (basis.shape[1], dropped)
+    assert s.basis.shape == basis.shape and s.basis.tobytes() == basis.tobytes()
+    assert s.complement.shape == complement.shape
+    assert s.complement.tobytes() == complement.tobytes()
+    if name in ("near-orthonormal", "orthonormal", "single-column"):
+        assert not svd_calls, "a well-conditioned full-rank split took an SVD"
+    if dropped or name in ("wide", "sigma-above-the-cut"):
+        assert svd_calls, "the certificate accepted columns it cannot certify"
+
+
+@pytest.mark.parametrize("entry_id", ["product3-00", "blaschke3-00"])
+def test_full_rank_corpus_split_takes_no_svd(entry_id, no_svd_in_subspaces):
+    """The dim-343 inner-symbol splits are certified full rank from the
+    triangular factor, so hardylab.subspaces takes no SVD for them."""
+    entry = next(e for e in corpus_entries(0) if e.entry_id == entry_id)
+    sub = entry.subspace()
+    assert sub.grid.dim == 343
+    assert sub.discarded == 0
+    assert sub.rank + sub.complement.shape[1] == 343
+
+
 def test_contains():
     g = TruncationGrid((2, 2))
     s = submodule_projection(AnalyticSymbol.monomial((1, 0)), g)
