@@ -1,11 +1,12 @@
 """Three detectors for the Beurling quotient property, run both ways.
 
 A quotient module Q = H^2 minus theta H^2 for an inner symbol theta has
-three equivalent fingerprints, each computable as a windowed residual on
-the truncated grid:
+three equivalent fingerprints, each computable as a residual on the whole
+truncated grid:
 
-  * the product of extended defect operators
-    (P_Q - Chat_i* Chat_i)(P_Q - Chat_j* Chat_j) vanishes,
+  * the product of the defect operators vanishes; on the grid each defect
+    P_Q - Chat_t* Chat_t is P_Q M_t* P_S M_t P_Q plus the top-slice term
+    P_Q E_t P_Q, and the product measured is that of the first parts,
   * the cross-commutators R_j* R_i - R_i R_j* of the shifts restricted
     to the submodule S vanish,
   * the cross terms X_ij = P_S M_i P_Q M_j* P_S vanish.
@@ -15,8 +16,8 @@ falsifiable computation here.  Positive case: theta = z1 z2.  Negative
 case: the submodule of functions vanishing at the origin, whose quotient
 (the constants) is famously NOT of Beurling type: all three detectors
 must agree on the failure, and the defect-product residual lands at
-exactly 1 because the two extended defects both act as the projection
-onto the constants.
+exactly 1 because the two defects both act as the projection onto the
+constants.
 """
 
 import numpy as np

@@ -8,12 +8,13 @@ non-Beurling entry is included: the subspace of functions vanishing at the
 origin, whose quotient is the constants and whose defect-product residual
 is exactly one.
 
-Blaschke parameters are kept small (|a| <= 0.05) at caps 6.  The windowed
-residuals of rational entries scale like |a|^(caps+3) for the reduction
-identity, which is the slowest-decaying of the battery; at these parameters
-every unconditional identity sits two orders of magnitude under the 1e-10
-ceiling, while the criterion quantities cancel to rounding for every
-tensor-factored submodule.
+Blaschke parameters are kept small (|a| <= 0.05) at caps 6.  Truncation
+shows only in the windowed invariance gate, whose defect for a rational
+entry scales like |a|^(caps+2).  Every battery residual is an exact identity
+of the truncated matrices or a criterion measured on the whole grid: the
+identities sit at rounding for every entry, far under the 1e-10 ceiling,
+and the criterion quantities cancel to rounding for every tensor-factored
+submodule.
 """
 
 from __future__ import annotations

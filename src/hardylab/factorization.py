@@ -37,7 +37,6 @@ from .criteria import (
 from .grids import TruncationGrid
 from .operators import (
     eval_margins,
-    factored_norm,
     norm_factor,
     spectral_norm,
     toeplitz_matrix,
@@ -219,7 +218,7 @@ def invariant_subspace_from_factorization(
     for t in range(g.nvars):
         src, dst = g.shift_map(unit_index(g.nvars, t))
         block = n_basis[dst].conj().T @ m_basis[src]
-        invariance = max(invariance, factored_norm(r_n, block, r_m))
+        invariance = max(invariance, spectral_norm(r_n @ block @ r_m.conj().T))
 
     quotient_match = max(
         spectral_norm(n_basis.conj().T @ s_phi.basis),

@@ -2,10 +2,11 @@
 
 Multiplication by z_t on the truncated basis is the shift that drops any
 product leaving the caps, so M_t* M_t = I - E_t where E_t projects onto the
-top slice {k_t = cap_t}.  That single artifact is why operator identities
-are always measured through a two-sided core window: inside the window the
-truncated operators compose exactly like their infinite-dimensional
-counterparts on polynomial symbols.
+top slice {k_t = cap_t}.  The quotient battery carries that artifact as an
+explicit term, so its identities hold exactly on the whole grid.  The
+invariance gate and the division checks instead read a two-sided core
+window, where the truncated operators compose exactly like their
+infinite-dimensional counterparts on polynomial symbols.
 
 A truncated shift power is a 0/1 partial permutation, held as the grid's
 index map (TruncationGrid.shift_map): (M^k X)[dst] = X[src].  shift_matrix
@@ -36,7 +37,6 @@ __all__ = [
     "hermitian_norm",
     "windowed_norm",
     "norm_factor",
-    "factored_norm",
     "eval_margins",
     "innerness_check",
     "InnernessReport",
@@ -122,23 +122,19 @@ def norm_factor(a: np.ndarray) -> np.ndarray:
     """A matrix R with a = V R for some column-orthonormal V.
 
     Then ||a X b*|| = ||R_a X R_b*|| for every X and every b factored the
-    same way, so a windowed norm ||W B X B* W|| is the spectral norm of the
-    small matrix R X R* with R = norm_factor(B[window]).  R is the thin-QR
-    factor when a has more rows than columns, and a itself otherwise.
+    same way: a product of thin blocks such as U_i U_j* is measured on
+    their factors, and a windowed norm ||W B X B* W|| is the spectral norm
+    of the small matrix R X R* with R = norm_factor(B[window]).  R is the
+    thin-QR factor when a has more rows than columns, and a itself
+    otherwise.
     """
     if a.shape[0] > a.shape[1]:
         return np.linalg.qr(a, mode="r")
     return a
 
 
-def factored_norm(left: np.ndarray, x: np.ndarray, right: np.ndarray | None = None) -> float:
-    """||left X right*||, a windowed norm taken on norm_factor outputs (right defaults to left)."""
-    right = left if right is None else right
-    return spectral_norm(left @ x @ right.conj().T)
-
-
 def eval_margins(symbol: AnalyticSymbol) -> tuple[int, ...]:
-    """Default core-window margins for a symbol's residual checks.
+    """Default core-window margins for a symbol's invariance gate and division checks.
 
     Per-variable numerator degree, floored at 1: the floor keeps the top
     slice of every variable out of the window, which is where the truncated

@@ -26,7 +26,8 @@ The quotient battery needs these for the basis of Q only.
 Submodules generated by an inner symbol take the columns of the truncated
 multiplication operator over the input window (domain degrees at least
 deg_i(numerator) below the caps in each variable); those columns are exact
-images, and every residual downstream is then measured on a core window.
+images.  Only the invariance gate (invariance_defect) reads a window; the
+quotient battery downstream measures exact identities on the whole grid.
 The symbol is gated first by operators.innerness_check, an exact identity
 of its Taylor coefficients rather than a sampled torus test.
 """
@@ -75,8 +76,8 @@ class InvarianceError(ValueError):
 class SubspaceData:
     """Orthonormal basis of a subspace of a truncated grid and of its complement.
 
-    The complement as a subspace, shift blocks and window factors are
-    formed on first use and cached.
+    The complement as a subspace, shift blocks, window factors and the
+    invariance defect are formed on first use and cached.
     """
 
     grid: TruncationGrid
@@ -276,18 +277,22 @@ def parse_basis_text(text: str, grid: TruncationGrid) -> np.ndarray:
     return np.stack(vectors, axis=0)
 
 
-def invariance_defect(s: SubspaceData, margins: tuple[int, ...]) -> tuple[float, list[float]]:
+def invariance_defect(s: SubspaceData, margins: tuple[int, ...]) -> tuple[float, tuple]:
     """Windowed shift-invariance defect max_t ||W (P_S M_t P_S - M_t P_S) W||.
 
     P_S M_t P_S - M_t P_S = -P_Q M_t P_S = -B_Q V_t* with V_t = P_S M_t* B_Q
     (shift_blocks of the complement, adjoint), so each norm is
-    ||R_Q V_t[W]*|| on the window factor of B_Q alone.
+    ||R_Q V_t[W]*|| on the window factor of B_Q alone.  Returns (worst, per
+    variable), cached on s per margins.
     """
-    q = s.complement_space
-    window = s.grid.window_indices(margins)
-    r_q = q.window_factor(margins)
-    per = []
-    for t in range(s.grid.nvars):
-        v_t = q.shift_blocks(unit_index(s.grid.nvars, t), adjoint=True)[1]
-        per.append(spectral_norm(r_q @ v_t[window].conj().T))
-    return (max(per) if per else 0.0), per
+    key = ("invariance", tuple(int(m) for m in margins))
+    if key not in s._cache:
+        q = s.complement_space
+        window = s.grid.window_indices(key[1])
+        r_q = q.window_factor(key[1])
+        per = []
+        for t in range(s.grid.nvars):
+            v_t = q.shift_blocks(unit_index(s.grid.nvars, t), adjoint=True)[1]
+            per.append(spectral_norm(r_q @ v_t[window].conj().T))
+        s._cache[key] = (max(per, default=0.0), tuple(per))
+    return s._cache[key]

@@ -57,18 +57,23 @@ def test_monomial_quotient_is_float_exact():
 
 
 def test_monomial_defect_is_named_projection():
-    # for z1 z2 the first defect projects onto the pure z2 powers, windowed
+    # for z1 z2 on caps (3, 3) the first defect projects onto the pure z2
+    # powers, its compression formula P_Q M_1* P_S M_1 P_Q, plus the one
+    # monomial z1^3 of Q on the top slice, where M_1 drops it
     qd = make_quotient(AnalyticSymbol.monomial((1, 1)), (3, 3))
     g = qd.grid
+    m1 = shift_matrices(g)[0]
+    p_q = dense.projection(qd.q)
     c1 = dense.compressions(qd)[0]
-    defect = dense.projection(qd.q) - c1.conj().T @ c1
-    sub = defect[np.ix_(qd.window, qd.window)]
-    want = np.zeros_like(sub)
-    for t, i in enumerate(qd.window):
+    defect = p_q - c1.conj().T @ c1
+    pure_z2, top = np.zeros((g.dim, g.dim)), np.zeros((g.dim, g.dim))
+    for i in range(g.dim):
         k, _ = g.unflatten(i)
-        if k[0] == 0 and k[1] >= 1:
-            want[t, t] = 1.0
-    np.testing.assert_allclose(sub, want, atol=1e-12)
+        pure_z2[i, i] = k[0] == 0 and k[1] >= 1
+        top[i, i] = k == (3, 0)
+    formula = p_q @ m1.conj().T @ dense.projection(qd.s) @ m1 @ p_q
+    np.testing.assert_allclose(formula, pure_z2, atol=1e-12)
+    np.testing.assert_allclose(defect, pure_z2 + top, atol=1e-12)
 
 
 def test_beurling_verdicts():
@@ -104,7 +109,7 @@ def test_three_verdicts_agree_on_both_poles():
     tol = 1e-6
     qd = make_quotient(AnalyticSymbol.monomial((1, 1)), (3, 3))
     b = beurling_criterion(qd, tol=tol).verdict
-    c = cross_commutator_criterion(qd.s, margins=qd.margins, tol=tol).verdict
+    c = cross_commutator_criterion(qd.s, margins=(1, 1), tol=tol).verdict
     x = identity_suite(qd, tol=tol).residuals["xij"] <= tol
     assert b and c and x
 
@@ -127,13 +132,18 @@ def test_detectors_share_one_defect_product():
 
 
 def test_blaschke_half_embedded_quotient():
+    # Q is a space of z1 times all of H^2(z2), so the second defect is only
+    # the top-slice term P_Q E_2 P_Q
     sym = AnalyticSymbol.blaschke(0.5, 0, nvars=2)
     qd = make_quotient(sym, (8, 8))
+    g = qd.grid
+    p_q = dense.projection(qd.q)
     c2 = dense.compressions(qd)[1]
-    defect2 = dense.projection(qd.q) - c2.conj().T @ c2
-    assert windowed_norm(defect2, qd.window) <= 1e-6
+    e2 = np.zeros((g.dim, g.dim))
+    e2[g.top_slice_indices(1), g.top_slice_indices(1)] = 1.0
+    assert spectral_norm(p_q - c2.conj().T @ c2 - p_q @ e2 @ p_q) <= 1e-6
     assert beurling_criterion(qd, tol=1e-6).verdict
-    cross = cross_commutator_criterion(qd.s, margins=qd.margins, tol=1e-6)
+    cross = cross_commutator_criterion(qd.s, margins=eval_margins(sym), tol=1e-6)
     assert cross.verdict
 
 
@@ -168,6 +178,8 @@ def test_invariance_gate_rejects_random_subspace():
     s, _ = subspace_from_columns(g, cols)
     with pytest.raises(InvarianceError):
         quotient_data(s, margins=(1, 1))
+    with pytest.raises(InvarianceError):
+        cross_commutator_criterion(s, margins=(1, 1))
 
 
 def test_empty_window_rejected():
@@ -186,6 +198,18 @@ def test_cross_commutator_rejects_an_empty_window():
         cross_commutator_criterion(s, margins=(4, 4))
     with pytest.raises(ValueError, match="empty evaluation window"):
         quotient_data(s, margins=(4, 4))
+
+
+def test_hat_dict_keys_must_name_a_variable():
+    qd = make_quotient(AnalyticSymbol.monomial((1, 1)), (3, 3))
+    with pytest.raises(ValueError, match="khat key 5"):
+        identity_suite(qd, khat={5: (0, 1)})
+    with pytest.raises(ValueError, match="lhat key -1"):
+        identity_suite(qd, lhat={0: (0, 1), -1: (0, 1)})
+    # the origin complement is not Beurling, so lhat is never used; its keys
+    # are still checked
+    with pytest.raises(ValueError, match="lhat key 2"):
+        identity_suite(quotient_data(s00_subspace(), margins=(1, 1)), lhat={2: (1, 0)})
 
 
 def test_khat_validation_and_zero_case():
@@ -221,6 +245,13 @@ def test_douglas_factor_is_contraction():
         douglas_factor(qd, 1, 1)
 
 
+@pytest.mark.parametrize("i, j", [(-2, 0), (0, -1), (0, 2), (2, 0), (-1, -1)])
+def test_douglas_factor_rejects_variables_that_do_not_exist(i, j):
+    qd = make_quotient(AnalyticSymbol.monomial((1, 1)), (3, 3))
+    with pytest.raises(ValueError, match="out of range"):
+        douglas_factor(qd, i, j)
+
+
 def _blaschke_product_quotient():
     theta = AnalyticSymbol.blaschke(0.3, 0, 2).matmul(AnalyticSymbol.blaschke(0.2j, 1, 2))
     return make_quotient(theta, (5, 5))
@@ -249,7 +280,7 @@ def test_douglas_factor_matches_dense_formula(make):
     assert x.shape == (qd.q.rank, qd.q.rank)
     assert np.abs(b @ x @ b.conj().T - x_dense).max() <= 1e-12
     assert abs(norm - spectral_norm(x_dense)) <= 1e-12
-    assert abs(recon - windowed_norm(comm - x_dense @ d, qd.window)) <= 1e-12
+    assert abs(recon - spectral_norm(comm - x_dense @ d)) <= 1e-12
 
 
 def test_psd_sqrt_clamps_and_squares():
@@ -291,7 +322,10 @@ def test_defect_decomposition_exact_for_any_subspace(seed, ncols):
 
 def _dense_battery(s, margins, tol):
     """Every residual and verdict of the detectors, the suite and the invariance
-    gate, written out with dim x dim shifts and projections."""
+    gate, written out with dim x dim shifts and projections.
+
+    Only the invariance gate is windowed; every other residual is the norm
+    of a dense matrix on the whole grid."""
     g = s.grid
     n = g.nvars
     window = g.window_indices(margins)
@@ -300,45 +334,55 @@ def _dense_battery(s, margins, tol):
     b = s.basis
     p_s = b @ b.conj().T
     p_q = np.eye(g.dim) - p_s
+    # an orthonormal basis of range(P_Q), read from the dense projection
+    w, vecs = np.linalg.eigh(p_q)
+    on_q = vecs[:, w > 0.5]
+    top = []
+    for t in range(n):
+        e_t = np.zeros((g.dim, g.dim))
+        e_t[g.top_slice_indices(t), g.top_slice_indices(t)] = 1.0
+        top.append(e_t)
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
 
-    def wn(a):
-        return windowed_norm(a, window)
-
-    inv = [wn(p_s @ m @ p_s - m @ p_s) for m in mats]
+    inv = [windowed_norm(p_s @ m @ p_s - m @ p_s, window) for m in mats]
     chat = [p_q @ m @ p_q for m in mats]
     dhat = [p_q - c.conj().T @ c for c in chat]
-    products = {(i, j): wn(dhat[i] @ dhat[j]) for i in range(n) for j in range(i + 1, n)}
+    ghat = [p_q @ a @ p_s @ m @ p_q for m, a in zip(mats, adj)]
+    products = {(i, j): spectral_norm(ghat[i] @ ghat[j]) for i in range(n) for j in range(i + 1, n)}
     worst_prod = max(products.values(), default=0.0)
     beurling = {f"pair_{i}_{j}": v for (i, j), v in products.items()}
     beurling["beurling_defect_product"] = worst_prod
 
     r = [b.conj().T @ m @ b for m in mats]
-    cross = {f"pair_{i}_{j}": wn(b @ (r[j].conj().T @ r[i] - r[i] @ r[j].conj().T) @ b.conj().T)
-             for i, j in pairs}
+    cross = {f"pair_{i}_{j}": spectral_norm(
+        b @ (r[j].conj().T @ r[i] - r[i] @ r[j].conj().T) @ b.conj().T) for i, j in pairs}
     cross["cross_commutator"] = max(cross.values(), default=0.0)
 
     x = {(i, j): p_s @ mats[i] @ p_q @ adj[j] @ p_s for i, j in pairs}
     suite = {
-        "defect_identity": max(wn(d - p_q @ a @ p_s @ m @ p_q)
-                               for d, m, a in zip(dhat, mats, adj)),
-        "xij": max((wn(v) for v in x.values()), default=0.0),
+        "defect_identity": max(spectral_norm(d - gh - p_q @ e_t @ p_q)
+                               for d, gh, e_t in zip(dhat, ghat, top)),
+        "xij": max((spectral_norm(v) for v in x.values()), default=0.0),
     }
     comm_worst, min_eig = 0.0, np.inf
     for i, j in pairs:  # default khat = e_j
         comm = chat[i] @ chat[j].conj().T - chat[j].conj().T @ chat[i]
-        comm_worst = max(comm_worst, wn(comm - p_q @ adj[j] @ p_s @ mats[i] @ p_q))
-        dom = (dhat[i] - comm.conj().T @ comm)[np.ix_(window, window)]
+        comm_worst = max(comm_worst, spectral_norm(
+            comm - p_q @ adj[j] @ p_s @ mats[i] @ p_q + p_q @ mats[i] @ p_s @ adj[j] @ p_q))
+        dom = on_q.conj().T @ (dhat[i] - comm.conj().T @ comm) @ on_q
         min_eig = min(min_eig, float(np.linalg.eigvalsh(dom)[0]))
     suite["commutator_identity"] = comm_worst
     suite["defect_domination_min_eig"] = min_eig
-    suite["reduces"] = max(wn(p_q @ a @ p_s @ m - a @ p_s @ m @ p_q) for m, a in zip(mats, adj))
+    # P_Q X_t P_S + P_Q E_t P_S + P_Q M_t* P_Q M_t P_S with X_t = M_t* P_S M_t
+    suite["reduces"] = max(
+        spectral_norm(p_q @ a @ p_s @ m @ p_s + p_q @ e_t @ p_s + p_q @ a @ p_q @ m @ p_s)
+        for m, a, e_t in zip(mats, adj, top))
     suite["beurling_defect_product"] = worst_prod
     if worst_prod <= tol:
         for idx, (left, right) in enumerate([("k", "l"), ("i", "l"), ("k", "j")]):
             suite[f"annihilation_{idx + 1}"] = max(
-                wn(p_q @ adj[{"k": j, "i": i}[left]] @ x[(i, j)]
-                   @ mats[{"l": i, "j": j}[right]] @ p_q)
+                spectral_norm(p_q @ adj[{"k": j, "i": i}[left]] @ x[(i, j)]
+                              @ mats[{"l": i, "j": j}[right]] @ p_q)
                 for i, j in pairs)
 
     suite_verdicts = {k: v <= tol for k, v in suite.items()
@@ -359,7 +403,7 @@ def _assert_battery_matches_dense(s, margins, tol=1e-6, atol=1e-13):
         "cross": cross_commutator_criterion(s, margins=margins, tol=tol),
         "suite": identity_suite(qd, tol=tol),
     }
-    dense = _dense_battery(s, qd.margins, tol)
+    dense = _dense_battery(s, margins, tol)
     np.testing.assert_allclose(qd.invariance_per_variable, dense["invariance"], rtol=0, atol=atol)
     assert qd.invariance == max(qd.invariance_per_variable)
     for name, rep in reports.items():
@@ -471,7 +515,7 @@ def test_user_multi_indices_match_dense_formulas():
     khat, lhat = {0: (0, 2), 1: (1, 0)}, {0: (0, 3), 1: (2, 0)}
     rep = identity_suite(qd, khat=khat, lhat=lhat, tol=1e-6)
 
-    g, window = qd.grid, qd.window
+    g = qd.grid
     mats = shift_matrices(g)
     p_s = qd.s.basis @ qd.s.basis.conj().T
     p_q = np.eye(g.dim) - p_s
@@ -480,11 +524,11 @@ def test_user_multi_indices_match_dense_formulas():
         mk, ml = shift_power(mats, khat[i]), shift_power(mats, lhat[j])
         chat_i, chat_k = p_q @ mats[i] @ p_q, p_q @ mk @ p_q
         comm = chat_i @ chat_k.conj().T - chat_k.conj().T @ chat_i
-        comm_worst = max(comm_worst, windowed_norm(
-            comm - p_q @ mk.conj().T @ p_s @ mats[i] @ p_q, window))
+        exact = p_q @ mk.conj().T @ p_s @ mats[i] @ p_q - p_q @ mats[i] @ p_s @ mk.conj().T @ p_q
+        comm_worst = max(comm_worst, spectral_norm(comm - exact))
         x = p_s @ mats[i] @ p_q @ mats[j].conj().T @ p_s
         for idx, (left, right) in enumerate(((mk, ml), (mats[i], ml), (mk, mats[j]))):
-            ann[idx] = max(ann[idx], windowed_norm(p_q @ left.conj().T @ x @ right @ p_q, window))
+            ann[idx] = max(ann[idx], spectral_norm(p_q @ left.conj().T @ x @ right @ p_q))
     assert abs(rep.residuals["commutator_identity"] - comm_worst) <= 1e-13
     for idx in range(3):
         assert abs(rep.residuals[f"annihilation_{idx + 1}"] - ann[idx]) <= 1e-13
@@ -517,3 +561,90 @@ def test_battery_ignores_the_submodule_basis_on_a_dim_343_entry():
 @given(case=monomial_submodules().filter(lambda case: case[0].grid.channels == 2))
 def test_battery_ignores_the_submodule_basis_on_drawn_two_channel_submodules(case):
     _assert_battery_ignores_the_submodule_basis(*case)
+
+
+# ---- known answers -------------------------------------------------------------
+
+def _rank_one_projection(w):
+    return np.outer(w, w.conj()) / np.vdot(w, w).real
+
+
+def _blaschke_potapov_pair():
+    """Theta_BP = [(I - P) + P z1] [(I - R) + R z2], a 2 x 2 polynomial inner
+    function, with P and R the projections onto two seeded random lines."""
+    rng = np.random.default_rng(0)
+    v = rng.normal(size=2) + 1j * rng.normal(size=2)
+    u = rng.normal(size=2) + 1j * rng.normal(size=2)
+    p, r, eye = _rank_one_projection(v), _rank_one_projection(u), np.eye(2)
+    f1 = AnalyticSymbol.polynomial({(0, 0): eye - p, (1, 0): p}, nvars=2, rows=2, cols=2)
+    f2 = AnalyticSymbol.polynomial({(0, 0): eye - r, (0, 1): r}, nvars=2, rows=2, cols=2)
+    return f1.matmul(f2)
+
+
+def _column_pair():
+    """theta_col = [z1; z2] / sqrt(2), a 2 x 1 inner function."""
+    e1, e2 = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
+    return AnalyticSymbol.polynomial({(1, 0): e1 / np.sqrt(2), (0, 1): e2 / np.sqrt(2)},
+                                     nvars=2, rows=2, cols=1)
+
+
+def _detectors(s, margins, tol=1e-8):
+    qd = quotient_data(s, margins=margins)
+    return (beurling_criterion(qd, tol=tol), cross_commutator_criterion(s, margins=margins, tol=tol),
+            identity_suite(qd, tol=tol))
+
+
+@pytest.mark.parametrize("caps", [4, 6, 10])
+@pytest.mark.parametrize("make", [_blaschke_potapov_pair, _column_pair],
+                         ids=["theta_bp", "theta_col"])
+def test_vector_valued_beurling_quotients_pass_every_detector(make, caps):
+    """Both symbols are inner, so S = Theta H^2(C^m) is a Beurling submodule.
+
+    A defect measured through a window reads 0.24 on Theta_BP and 0.25 on
+    theta_col at every caps, because Q has mass both inside the window and
+    on the top slice; the exact full-grid forms see no such term.
+    """
+    sym = make()
+    s = submodule_projection(sym, TruncationGrid((caps, caps)))
+    product, cross, suite = _detectors(s, eval_margins(sym))
+    assert product.verdict and cross.verdict and suite.residuals["xij"] <= 1e-8
+    for key in UNCONDITIONAL:
+        assert suite.residuals[key] <= 1e-14, key
+
+
+@pytest.mark.parametrize("generators", [
+    ((2, 0), (0, 1)),
+    ((2, 0), (1, 1), (0, 2)),
+    ((3, 0), (1, 1), (0, 2)),
+], ids=["z1^2,z2", "(z1,z2)^2", "z1^3,z1z2,z2^2"])
+def test_monomial_ideals_are_not_beurling(generators):
+    g = TruncationGrid((6, 6))
+    cols = [g.basis_vector(k) for k in g.multi_indices
+            if any(all(a >= b for a, b in zip(k, gen)) for gen in generators)]
+    s, _ = subspace_from_columns(g, np.array(cols).T)
+    product, cross, suite = _detectors(s, (1, 1))
+    assert product.residuals["beurling_defect_product"] >= 0.99
+    assert cross.residuals["cross_commutator"] >= 0.99
+    assert suite.residuals["xij"] >= 0.99
+    assert not (product.verdict or cross.verdict)
+    for key in UNCONDITIONAL:
+        assert suite.residuals[key] <= 1e-14, key
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_exact_identities_hold_far_from_invariance(seed):
+    """The three identities are exact matrix algebra, so they hold to rounding
+    for random splits that the invariance gate would reject."""
+    g = TruncationGrid((3, 3))
+    rng = np.random.default_rng(seed)
+    cols = rng.normal(size=(g.dim, 1 + seed)) + 1j * rng.normal(size=(g.dim, 1 + seed))
+    s, q = subspace_from_columns(g, cols)
+    with pytest.raises(InvarianceError):
+        quotient_data(s)
+    compressions = tuple(q.shift_blocks(k)[0] for k in ((1, 0), (0, 1)))
+    qd = QuotientData(s=s, q=q, compressions=compressions,
+                      invariance=float("nan"), invariance_per_variable=())
+    rep = identity_suite(qd, tol=1e-14)
+    assert rep.residuals["xij"] > 0.1
+    for key in UNCONDITIONAL:
+        assert rep.residuals[key] <= 1e-14, key

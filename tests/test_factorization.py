@@ -251,20 +251,21 @@ def _dense_witness(wit, tol, margins):
     }
 
 
-def _dense_submodule_check(m_basis, theta, grid, tol, margins):
-    """cross_commutator and beurling_defect_product of N = M + S_theta, densely."""
+def _dense_submodule_check(m_basis, theta, grid, tol):
+    """cross_commutator and beurling_defect_product of N = M + S_theta, densely
+    on the whole grid: the restricted-shift commutator, and the product of
+    the defects P_Q M_t* P_N M_t P_Q."""
     s_theta = submodule_projection(theta, grid, inner_tol=tol)
     b = np.linalg.qr(np.hstack([s_theta.basis, m_basis]))[0]
     p_s = b @ b.conj().T
     p_q = np.eye(grid.dim) - p_s
-    window = grid.window_indices(margins or eval_margins(theta))
     mats = shift_matrices(grid)
     r = [b.conj().T @ m @ b for m in mats]
-    dhat = [p_q - (p_q @ m @ p_q).conj().T @ (p_q @ m @ p_q) for m in mats]
+    ghat = [p_q @ m.conj().T @ p_s @ m @ p_q for m in mats]
     return {
-        "cross_commutator": windowed_norm(
-            b @ (r[1].conj().T @ r[0] - r[0] @ r[1].conj().T) @ b.conj().T, window),
-        "beurling_defect_product": windowed_norm(dhat[0] @ dhat[1], window),
+        "cross_commutator": spectral_norm(
+            b @ (r[1].conj().T @ r[0] - r[0] @ r[1].conj().T) @ b.conj().T),
+        "beurling_defect_product": spectral_norm(ghat[0] @ ghat[1]),
     }
 
 
@@ -286,7 +287,7 @@ def test_witness_and_check_match_dense_formulas(name):
     assert np.allclose(wit.m_basis.conj().T @ wit.m_basis, np.eye(wit.m_rank), rtol=0, atol=1e-13)
 
     rep = beurling_submodule_check(wit.m_basis, theta, grid, tol=tol, margins=margins)
-    dense = _dense_submodule_check(wit.m_basis, theta, wit.grid, tol, margins)
+    dense = _dense_submodule_check(wit.m_basis, theta, wit.grid, tol)
     for key, want in dense.items():
         assert abs(rep.residuals[key] - want) <= 1e-13, (key, rep.residuals[key], want)
 

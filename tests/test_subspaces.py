@@ -293,6 +293,8 @@ def test_invariance_defect_zero_for_coordinate_submodule():
     s = submodule_projection(AnalyticSymbol.monomial((1, 1)), g)
     worst, per = invariance_defect(s, (1, 1))
     assert worst == 0.0 and len(per) == 2
+    # cached per margins, so every detector of one split shares one gate
+    assert invariance_defect(s, [1, 1]) is invariance_defect(s, (1, 1))
 
 
 def test_basis_text_round_trip():
