@@ -114,7 +114,11 @@ def gram_matrix(points) -> np.ndarray:
     pts = [_check_interior(p, f"points[{i}]") for i, p in enumerate(points)]
     if any(len(p) != 2 for p in pts):
         raise ValueError("the factored form is specific to two variables")
-    p = np.array(pts, dtype=complex).reshape(-1, 2)
+    return _gram(np.array(pts, dtype=complex).reshape(-1, 2))
+
+
+def _gram(p: np.ndarray) -> np.ndarray:
+    """gram_matrix of the rows of a (size, 2) complex array, unchecked."""
     z1, z2 = p[:, :1], p[:, 1:]
     w1, w2 = np.conj(p[:, 0]), np.conj(p[:, 1])
     # entry (a, b) is kernel_factor(points[a], points[b])
@@ -150,8 +154,8 @@ def gram_negativity_search(budget: int = 64, seed: int = 0) -> GramWitness:
         size = int(rng.choice(np.asarray(GRAM_SIZES)))
         rad = GRAM_RADIUS * np.sqrt(rng.uniform(size=(size, 2)))
         ang = rng.uniform(0.0, 2 * np.pi, size=(size, 2))
-        pts = tuple(tuple(rad[i] * np.exp(1j * ang[i])) for i in range(size))
-        g = gram_matrix(pts)
+        pts = rad * np.exp(1j * ang)
+        g = _gram(pts)
         low = float(np.linalg.eigvalsh(g)[0])
         if low < best[0]:
             best = (low, pts, g)
@@ -159,7 +163,7 @@ def gram_negativity_search(budget: int = 64, seed: int = 0) -> GramWitness:
     return GramWitness(
         found=bool(low < GRAM_THRESHOLD),
         min_eigenvalue=low,
-        points=pts,
+        points=tuple(tuple(row) for row in pts),
         matrix=g,
         candidates=int(budget),
     )

@@ -18,6 +18,10 @@ settings, the shape the CLI also builds from flags and the environment,
 and build_scenario checks every value against the one rule for its key,
 so each error message names the line, flag or variable it came from.
 
+_RULES holds each setting's rule, flag, environment variable, metavar and
+help; COMMANDS holds each command's help, needed sources, runner and own
+flags.  A new setting or command is one row in one of them.
+
 run_scenario never raises: a domain failure (a ValueError) lands in the
 report's status field as "error: ...", any other exception as
 "internal error: ...", so a batch keeps going.
@@ -30,6 +34,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -58,15 +63,6 @@ __all__ = [
     "run_batch",
     "expectations_met",
 ]
-
-COMMANDS = (
-    "check-beurling",
-    "check-brehmer",
-    "dilate",
-    "factor",
-    "example42",
-    "identity-suite",
-)
 
 _BLOCKS = ("symbol", "phi", "tuple", "basis", "expect")
 
@@ -133,20 +129,33 @@ def _command(value, key):
     return value
 
 
+class Setting(NamedTuple):
+    rule: Callable | None
+    flag: str | None = None
+    env: str | None = None
+    metavar: str | None = None
+    help: str | None = None
+
+
+# A key is a Scenario field, or with _file a source; its flag is for the
+# command whose COMMANDS entry lists it under flags, else for all.
 _RULES = {
-    "id": _text,
-    "command": _command,
-    "caps": _numbers(int, 1, many=True),
-    "margins": _numbers(int, 0, many=True),
-    "tol": _positive,
-    "seed": _numbers(int),
-    "budget": _numbers(int, 1),
-    "pairs": _numbers(int, 1),
-    "pair_radius": _open_unit,
-    "symbol_file": _text,
-    "phi_file": _text,
-    "tuple_file": _text,
-    "basis_file": _text,
+    "id": Setting(_text, "--id", None, "NAME", "scenario id for the report"),
+    "command": Setting(_command),
+    "caps": Setting(_numbers(int, 1, many=True), "--degree", "HARDYLAB_DEGREE", "D1,D2,...",
+                    "per-variable truncation caps"),
+    "margins": Setting(_numbers(int, 0, many=True), "--margins", None, "M1,M2,...",
+                       "per-variable evaluation window margins"),
+    "tol": Setting(_positive, "--tol", "HARDYLAB_TOL", "X", "residual tolerance"),
+    "seed": Setting(_numbers(int), "--seed", "HARDYLAB_SEED", "N", "seed for any randomized search"),
+    "budget": Setting(_numbers(int, 1), "--budget", None, "N", "Gram search candidate count"),
+    "pairs": Setting(_numbers(int, 1), "--pairs", None, "N", "kernel identity sample pairs"),
+    "pair_radius": Setting(_open_unit, "--pair-radius", None, "R",
+                           "radius for kernel sample points"),
+    "symbol_file": Setting(_text, "--symbol-file", None, "PATH", "coefficient text for the symbol"),
+    "phi_file": Setting(_text, "--phi-file", None, "PATH", "coefficient text for the divisor"),
+    "tuple_file": Setting(_text, "--tuple-file", None, "PATH", "matrix text for the tuple"),
+    "basis_file": Setting(_text, "--basis-file", None, "PATH", "row-vector text for a subspace"),
 }
 
 
@@ -219,7 +228,7 @@ def build_scenario(settings: dict, blocks: dict, scenario_id: str = "scenario",
     values = {}
     for key, (origin, value) in settings.items():
         try:
-            values[key] = _RULES[key](value, key)
+            values[key] = _RULES[key].rule(value, key)
         except ValueError as exc:
             raise ScenarioError(f"{origin}: {exc}") from None
     if "command" not in values:
@@ -254,17 +263,21 @@ def build_scenario(settings: dict, blocks: dict, scenario_id: str = "scenario",
             raise ValueError("a basis source needs explicit caps")
         return parse_basis_text(text, TruncationGrid(scenario.caps))
 
-    scenario.symbol = load("symbol", parse_coefficient_text)
-    scenario.phi = load("phi", parse_coefficient_text)
-    scenario.tuple_source = load("tuple", parse_tuple_text)
-    scenario.basis_rows = load("basis", parse_basis)
+    sources = {name: load(name, parser) for name, parser in (
+        ("symbol", parse_coefficient_text), ("phi", parse_coefficient_text),
+        ("tuple", parse_tuple_text), ("basis", parse_basis))}
+    scenario.symbol, scenario.phi, scenario.tuple_source, scenario.basis_rows = sources.values()
     if "expect" in blocks:
         expect = scenario.expect
         for lineno, line in content_lines(blocks["expect"][1]):
             name, value = _assignment(lineno, line, expect, "expect")
             expect[name] = value if name == "status" else _parse_bool(value, lineno)
 
-    validate_scenario(scenario)
+    needs = COMMANDS[scenario.command].needs
+    given = {name for name, source in sources.items() if source is not None}
+    if not any(given.issuperset(group) for group in needs):
+        label = " or ".join(" and ".join(group) for group in needs)
+        raise ScenarioError(f"command {scenario.command!r} needs {label}")
     return scenario
 
 
@@ -276,25 +289,10 @@ def parse_scenario(text: str, scenario_id: str = "scenario",
     margins from the symbol degrees) are applied here, and every
     diagnostic names the config line it came from.  default_command fills
     in when the text has no `command =` line, letting a caller that
-    already knows the command (the CLI subcommand) reuse a bare config.
+    already knows the command (the CLI's command argument) reuse a bare config.
     """
     settings, blocks = read_config(text)
     return build_scenario(settings, blocks, scenario_id, base_dir, default_command)
-
-
-def validate_scenario(s: Scenario):
-    """Check that the command has the sources it needs, before any math starts."""
-    needs = {
-        "check-beurling": ("symbol or basis", s.symbol is not None or s.basis_rows is not None),
-        "identity-suite": ("symbol or basis", s.symbol is not None or s.basis_rows is not None),
-        "check-brehmer": ("symbol or tuple", s.symbol is not None or s.tuple_source is not None),
-        "dilate": ("tuple", s.tuple_source is not None),
-        "factor": ("symbol and phi", s.symbol is not None and s.phi is not None),
-        "example42": ("nothing", True),
-    }
-    label, ok = needs[s.command]
-    if not ok:
-        raise ScenarioError(f"command {s.command!r} needs {label}")
 
 
 def _resolved_caps(s: Scenario, nvars: int) -> tuple:
@@ -415,13 +413,27 @@ def _run_example42(s: Scenario):
     return residuals, dict(rep["verdicts"]), rep, caps
 
 
-_RUNNERS = {
-    "check-beurling": _run_check_beurling,
-    "identity-suite": _run_identity_suite,
-    "check-brehmer": _run_check_brehmer,
-    "dilate": _run_dilate,
-    "factor": _run_factor,
-    "example42": _run_example42,
+class Command(NamedTuple):
+    help: str
+    needs: tuple        # alternatives, each a group of sources that must all be given
+    run: Callable       # Scenario -> (residuals, verdicts, details, caps)
+    flags: tuple = ()   # settings whose flags only this command accepts
+
+
+# The one table of commands, in the order the CLI lists them.
+COMMANDS = {
+    "check-beurling": Command("test a submodule for the Beurling quotient property",
+                              (("symbol",), ("basis",)), _run_check_beurling),
+    "check-brehmer": Command("test a commuting tuple or symbol against the standard model",
+                             (("symbol",), ("tuple",)), _run_check_brehmer),
+    "dilate": Command("build the canonical co-extension of a pure tuple",
+                      (("tuple",),), _run_dilate),
+    "factor": Command("divide one inner symbol by another and audit the gap",
+                      (("symbol", "phi"),), _run_factor),
+    "example42": Command("reduced kernel suite: identity, negativity witness, inclusions",
+                         ((),), _run_example42, ("budget", "pairs", "pair_radius")),
+    "identity-suite": Command("all compression identities for one subspace split",
+                              (("symbol",), ("basis",)), _run_identity_suite),
 }
 
 
@@ -440,7 +452,7 @@ def run_scenario(s: Scenario) -> Report:
     started = time.perf_counter()
     residuals, verdicts, details, caps = {}, {}, {}, s.caps
     try:
-        residuals, verdicts, details, caps = _RUNNERS[s.command](s)
+        residuals, verdicts, details, caps = COMMANDS[s.command].run(s)
         status = "ok"
     except ValueError as exc:
         status = f"error: {exc}"
@@ -475,13 +487,6 @@ def expectations_met(report: Report, expect: dict) -> bool:
     """
     if not expect:
         return report.ok
-    for name, wanted in expect.items():
-        if name == "status":
-            if report.status != wanted:
-                return False
-            continue
-        if name not in report.verdicts:
-            return False
-        if bool(report.verdicts[name]) != bool(wanted):
-            return False
-    return True
+    return all(report.status == wanted if name == "status"
+               else name in report.verdicts and bool(report.verdicts[name]) == bool(wanted)
+               for name, wanted in expect.items())

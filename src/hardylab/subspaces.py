@@ -19,9 +19,8 @@ SubspaceData.split_complement enlarges a subspace along further columns in
 the coordinates of its complement, without splitting the grid again.
 Operators are read against one basis B at a time: SubspaceData.shift_blocks
 gives B* A B and the part (I - B B*) A B of A B outside the span, for
-A = M^k or M^k*, through the grid's index map, and window_factor turns a
-windowed norm into the norm of a matrix no larger than the basis rank.
-The quotient battery needs these for the basis of Q only.
+A = M^k or M^k*, through the grid's index map.  The quotient battery needs
+these for the basis of Q only.
 
 Submodules generated by an inner symbol take the columns of the truncated
 multiplication operator over the input window (domain degrees at least
@@ -117,16 +116,6 @@ class SubspaceData:
             moved[dst] = b[src]
             inside = b[dst].conj().T @ b[src]
             self._cache[key] = (inside, moved - b @ inside)
-        return self._cache[key]
-
-    def window_factor(self, margins) -> np.ndarray:
-        """norm_factor of the basis rows in the window of these margins, cached.
-
-        ||W B X B* W|| = ||R X R*|| for R = window_factor(margins).
-        """
-        key = ("window", tuple(int(m) for m in margins))
-        if key not in self._cache:
-            self._cache[key] = norm_factor(self.basis[self.grid.window_indices(key[1])])
         return self._cache[key]
 
     def split_complement(self, columns: np.ndarray,
@@ -282,14 +271,14 @@ def invariance_defect(s: SubspaceData, margins: tuple[int, ...]) -> tuple[float,
 
     P_S M_t P_S - M_t P_S = -P_Q M_t P_S = -B_Q V_t* with V_t = P_S M_t* B_Q
     (shift_blocks of the complement, adjoint), so each norm is
-    ||R_Q V_t[W]*|| on the window factor of B_Q alone.  Returns (worst, per
-    variable), cached on s per margins.
+    ||R_Q V_t[W]*|| for R_Q = norm_factor(B_Q[W]), as ||W B_Q X B_Q* W|| =
+    ||R_Q X R_Q*||.  Returns (worst, per variable), cached on s per margins.
     """
     key = ("invariance", tuple(int(m) for m in margins))
     if key not in s._cache:
         q = s.complement_space
         window = s.grid.window_indices(key[1])
-        r_q = q.window_factor(key[1])
+        r_q = norm_factor(q.basis[window])
         per = []
         for t in range(s.grid.nvars):
             v_t = q.shift_blocks(unit_index(s.grid.nvars, t), adjoint=True)[1]

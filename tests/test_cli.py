@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from hardylab import cli
 from hardylab.cli import main
 from hardylab.reports import parse_report
+from hardylab.scenarios import COMMANDS
 
 MONO = """\
 command = check-beurling
@@ -266,7 +268,8 @@ def test_internal_error_exits_three(mono_cfg, tmp_path, monkeypatch, capsys):
     def broken(s):
         raise TypeError("unsupported operand")
 
-    monkeypatch.setitem(scenarios._RUNNERS, "identity-suite", broken)
+    monkeypatch.setitem(scenarios.COMMANDS, "identity-suite",
+                        scenarios.COMMANDS["identity-suite"]._replace(run=broken))
     assert run_cli(["identity-suite", "--symbol-file", _symbol_file(tmp_path),
                     "--degree", "3,3"]) == 3
     captured = capsys.readouterr()
@@ -286,3 +289,72 @@ def _symbol_file(tmp_path):
     sym = tmp_path / "sym.txt"
     sym.write_text("numerator\n1 1 0 0 1.0 0.0\n")
     return sym
+
+
+@pytest.mark.parametrize("argv, named", [
+    *[([command, flag, "0.5"], flag) for command in COMMANDS if command != "example42"
+      for flag in ("--budget", "--pairs", "--pair-radius")],
+    (["check-everything", "--degree", "4,4"], "invalid choice: 'check-everything'"),
+])
+def test_argument_errors_exit_two_naming_the_argument(mono_cfg, capsys, argv, named):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*argv, "--config", mono_cfg])
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+
+
+def test_help_lists_every_command_with_its_help_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name, command in COMMANDS.items():
+        assert any(line.split() == [name, *command.help.split()] for line in lines), name
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("check-beurling", ["--degree", "5,5", "--tol", "1e-9", "--id", "probe"]),
+    ("example42", ["--degree", "6,6", "--pairs", "2", "--budget", "3", "--seed", "4",
+                   "--pair-radius", "0.5"]),
+])
+def test_flags_before_the_command_give_the_same_report(mono_cfg, tmp_path, command, flags):
+    source = ["--config", mono_cfg] if command == "check-beurling" else []
+    after, before = tmp_path / "after.json", tmp_path / "before.json"
+    assert run_cli([command, *source, *flags, "--out", after]) == 0
+    assert run_cli([*source, *flags, "--out", before, command]) == 0
+    assert before.read_bytes() == after.read_bytes()
+
+
+@pytest.mark.parametrize("origin", ["--out", "HARDYLAB_OUT"])
+def test_unwritable_out_exits_two_before_any_run(mono_cfg, tmp_path, monkeypatch, capsys, origin):
+    def no_run(scenarios):
+        raise AssertionError("run_batch called")
+
+    monkeypatch.setattr(cli, "run_batch", no_run)
+    target = tmp_path / "missing" / "r.json"
+    argv = ["check-beurling", "--config", mono_cfg]
+    if origin == "--out":
+        argv += ["--out", target]
+    else:
+        monkeypatch.setenv(origin, str(target))
+    assert run_cli(argv) == 2
+    assert f"{origin}: cannot write {str(target)!r}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mono.cfg"]
+
+
+def test_out_is_replaced_whole_and_leaves_no_temp_file(mono_cfg, tmp_path):
+    out = tmp_path / "r.json"
+    out.write_text("stale")
+    assert run_cli(["check-beurling", "--config", mono_cfg, "--out", out]) == 0
+    assert json.loads(out.read_text())["scenario_id"] == "mono"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mono.cfg", "r.json"]
+
+
+def test_failed_run_removes_the_temp_file(mono_cfg, tmp_path, monkeypatch):
+    def broken(scenarios):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_batch", broken)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(["check-beurling", "--config", mono_cfg, "--out", tmp_path / "r.json"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mono.cfg"]

@@ -391,9 +391,11 @@ def test_only_domain_errors_become_error_status(monkeypatch):
         return runner
 
     s = parse_scenario(MONOMIAL_CFG)
-    monkeypatch.setitem(scenarios._RUNNERS, s.command, raising(ValueError("bad input")))
+    command = scenarios.COMMANDS[s.command]
+    monkeypatch.setitem(scenarios.COMMANDS, s.command,
+                        command._replace(run=raising(ValueError("bad input"))))
     assert run_scenario(s).status == "error: bad input"
-    monkeypatch.setitem(scenarios._RUNNERS, s.command, raising(KeyError("k")))
+    monkeypatch.setitem(scenarios.COMMANDS, s.command, command._replace(run=raising(KeyError("k"))))
     rep = run_scenario(s)
     assert rep.status == "internal error: KeyError: 'k'"
     assert not rep.ok and rep.residuals == {} and rep.verdicts == {}
