@@ -16,9 +16,12 @@ environment > config > default through the scenario module's one
 validator, so a bad value from any origin exits 2 naming it.  A source
 flag such as --symbol-file replaces the config's block or file for that
 source.  One scenario emits a pretty JSON document (or text with --format
-text); several emit compact JSON Lines in input order.  --out opens a
-temp file beside the target before any run, so an unwritable path exits
-2 at once, and the report is renamed over the target when written.
+text); several emit compact JSON Lines in input order.  --out is opened
+before any run, so an unwritable path or a directory exits 2 at once.  A
+missing or regular target (through any symlink) is written to a temp file
+beside it and renamed over it, so readers see the old report or the new
+one whole (the data is not synced to disk first); a device or pipe is
+written in place.
 
 Exit code 0 means every report met its expectations: the verdicts named
 in the config's expect block match, or, without an expect block, the run
@@ -36,6 +39,8 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
+import stat
 import sys
 from pathlib import Path
 
@@ -119,6 +124,25 @@ def _config_scenario(path_str: str, command: str, overrides: dict):
     return s
 
 
+def _open_out(origin: str, out: str):
+    """Open the --out target before any run: (file, temp path or None, final path)."""
+    try:
+        mode = os.stat(out).st_mode
+    except OSError:  # missing, or an unreachable path the open below reports
+        mode = None
+    if mode is not None and stat.S_ISDIR(mode):
+        raise ScenarioError(f"{origin}: cannot write {out!r}: Is a directory")
+    try:
+        if mode is not None and not stat.S_ISREG(mode):
+            return open(out, "wb"), None, out
+        target = Path(os.path.realpath(out))
+        temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+        sink = temp.open("wb")
+    except OSError as exc:
+        raise ScenarioError(f"{origin}: cannot write {out!r}: {exc.strerror}") from None
+    return sink, temp, target
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -138,11 +162,7 @@ def main(argv=None) -> int:
         else:
             scenarios = [build_scenario(overrides, {}, scenario_id=f"cli-{args.command}",
                                         default_command=args.command)]
-        temp = Path(out).with_name(f".{Path(out).name}.{os.getpid()}.tmp") if out else None
-        try:  # an unwritable --out fails here, before any work
-            sink = temp.open("wb") if temp else None
-        except OSError as exc:
-            raise ScenarioError(f"{out_origin}: cannot write {out!r}: {exc.strerror}") from None
+        sink, temp, target = _open_out(out_origin, out) if out else (None, None, None)
     except (ValueError, OSError) as exc:  # ScenarioError, or an unreadable file
         print(f"hardylab: error: {exc}", file=sys.stderr)
         return 2
@@ -161,10 +181,14 @@ def main(argv=None) -> int:
         else:
             with sink:
                 sink.write(payload)
-            os.replace(temp, out)
+            if temp is not None:
+                if target.exists():
+                    shutil.copymode(target, temp)
+                os.replace(temp, target)
     finally:
         if sink is not None:
             sink.close()
+        if temp is not None:
             temp.unlink(missing_ok=True)
 
     if any(r.status.startswith(INTERNAL_ERROR) for r in reports):

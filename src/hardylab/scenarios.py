@@ -263,9 +263,9 @@ def build_scenario(settings: dict, blocks: dict, scenario_id: str = "scenario",
             raise ValueError("a basis source needs explicit caps")
         return parse_basis_text(text, TruncationGrid(scenario.caps))
 
-    sources = {name: load(name, parser) for name, parser in (
-        ("symbol", parse_coefficient_text), ("phi", parse_coefficient_text),
-        ("tuple", parse_tuple_text), ("basis", parse_basis))}
+    parsers = {"symbol": parse_coefficient_text, "phi": parse_coefficient_text,
+               "tuple": parse_tuple_text, "basis": parse_basis}
+    sources = {name: load(name, parser) for name, parser in parsers.items()}
     scenario.symbol, scenario.phi, scenario.tuple_source, scenario.basis_rows = sources.values()
     if "expect" in blocks:
         expect = scenario.expect
@@ -487,6 +487,13 @@ def expectations_met(report: Report, expect: dict) -> bool:
     """
     if not expect:
         return report.ok
-    return all(report.status == wanted if name == "status"
-               else name in report.verdicts and bool(report.verdicts[name]) == bool(wanted)
-               for name, wanted in expect.items())
+    for name, wanted in expect.items():
+        if name == "status":
+            if report.status != wanted:
+                return False
+            continue
+        if name not in report.verdicts:
+            return False
+        if bool(report.verdicts[name]) != bool(wanted):
+            return False
+    return True

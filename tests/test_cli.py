@@ -58,9 +58,27 @@ def test_single_config_pretty_json(mono_cfg, capsys):
 
 def test_out_flag_writes_file(mono_cfg, tmp_path, capsys):
     out = tmp_path / "report.json"
+    out.write_text("stale")
+    out.chmod(0o640)
     assert run_cli(["check-beurling", "--config", mono_cfg, "--out", out]) == 0
     assert capsys.readouterr().out == ""
     assert json.loads(out.read_text())["command"] == "check-beurling"
+    assert out.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mono.cfg", "report.json"]
+
+
+def test_out_writes_through_a_symlink(mono_cfg, tmp_path):
+    (tmp_path / "runs").mkdir()
+    real, link = tmp_path / "runs" / "x.json", tmp_path / "latest.json"
+    link.symlink_to(real)
+    assert run_cli(["check-beurling", "--config", mono_cfg, "--out", link]) == 0
+    assert link.is_symlink()
+    assert json.loads(real.read_text())["scenario_id"] == "mono"
+    assert sorted(p.name for p in real.parent.iterdir()) == ["x.json"]
+
+
+def test_out_to_a_device_is_written_in_place(mono_cfg):
+    assert run_cli(["check-beurling", "--config", mono_cfg, "--out", "/dev/null"]) == 0
 
 
 def test_batch_emits_json_lines(mono_cfg, tmp_path):
@@ -326,12 +344,14 @@ def test_flags_before_the_command_give_the_same_report(mono_cfg, tmp_path, comma
 
 
 @pytest.mark.parametrize("origin", ["--out", "HARDYLAB_OUT"])
-def test_unwritable_out_exits_two_before_any_run(mono_cfg, tmp_path, monkeypatch, capsys, origin):
+@pytest.mark.parametrize("name", ["missing/r.json", "."])
+def test_unwritable_out_exits_two_before_any_run(mono_cfg, tmp_path, monkeypatch, capsys,
+                                                 origin, name):
     def no_run(scenarios):
         raise AssertionError("run_batch called")
 
     monkeypatch.setattr(cli, "run_batch", no_run)
-    target = tmp_path / "missing" / "r.json"
+    target = tmp_path / name
     argv = ["check-beurling", "--config", mono_cfg]
     if origin == "--out":
         argv += ["--out", target]
@@ -340,14 +360,6 @@ def test_unwritable_out_exits_two_before_any_run(mono_cfg, tmp_path, monkeypatch
     assert run_cli(argv) == 2
     assert f"{origin}: cannot write {str(target)!r}" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["mono.cfg"]
-
-
-def test_out_is_replaced_whole_and_leaves_no_temp_file(mono_cfg, tmp_path):
-    out = tmp_path / "r.json"
-    out.write_text("stale")
-    assert run_cli(["check-beurling", "--config", mono_cfg, "--out", out]) == 0
-    assert json.loads(out.read_text())["scenario_id"] == "mono"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["mono.cfg", "r.json"]
 
 
 def test_failed_run_removes_the_temp_file(mono_cfg, tmp_path, monkeypatch):
