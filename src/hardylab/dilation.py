@@ -255,16 +255,14 @@ def canonical_dilation(t: ContractionTuple, caps, tail_tol: float = 1e-8) -> Dil
 
 
 def _annihilation_full(t: ContractionTuple) -> float:
+    """max over pairs i < j of ||D_i D_j||, D_i = I - T_i* T_i.
+
+    Each D_i is Hermitian, so ||D_j D_i|| = ||(D_i D_j)*|| = ||D_i D_j||.
+    """
     eye = np.eye(t.dim)
-    worst = 0.0
-    for i in range(t.n):
-        for j in range(t.n):
-            if i == j:
-                continue
-            di = eye - t.matrices[i].conj().T @ t.matrices[i]
-            dj = eye - t.matrices[j].conj().T @ t.matrices[j]
-            worst = max(worst, spectral_norm(di @ dj))
-    return worst
+    d = [eye - m.conj().T @ m for m in t.matrices]
+    return max((spectral_norm(d[i] @ d[j]) for i in range(t.n) for j in range(i + 1, t.n)),
+               default=0.0)
 
 
 def model_correspondence(source, caps=None, tol: float = 1e-8) -> CriterionReport:

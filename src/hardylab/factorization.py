@@ -4,9 +4,12 @@ When theta = phi * psi with all three inner, the submodule of theta sits
 inside the submodule of phi, and the gap M = S_phi minus S_theta is a
 shift-invariant piece of the quotient of theta.  Division is carried out
 at the matrix level: X = M_phi^* M_theta is the unique contraction mapping
-onto the quotient symbol, and its analytic (shift-commuting) structure is
-verified on the core window rather than assumed, because a truncation that
-is too small can fake containment without producing a genuine factor.
+onto the quotient symbol.  Only its constant-monomial columns are formed,
+which give psi, and its analytic (shift-commuting) structure is verified on
+the core window rather than assumed, as the distance of X from M_psi on the
+window rows and the window columns with their one-step shifts, because a
+truncation that is too small can fake containment without producing a
+genuine factor.
 
 The converse direction is a test, not a construction: given a candidate
 subspace M inside the quotient of theta, beurling_submodule_check decides
@@ -18,8 +21,9 @@ Every residual is an exact identity on thin blocks of the subspace bases
 (SubspaceData.basis and .complement), and the shifts are the grid's index
 maps (TruncationGrid.shift_map), so no dense shift or dim x dim projection
 is formed.  A projection P = B B* enters a norm only through B: with B_c
-the complement basis, ||(I - P) A|| = ||B_c* A||, and a windowed norm of
-B X B* is taken on the window factor of B (operators.norm_factor).
+the complement basis, ||(I - P) A|| = ||B_c* A||.  The gap and the check
+build N = S_theta + M by one split (SubspaceData.extended) and gate its
+invariance with the shared invariance_defect.
 """
 
 from __future__ import annotations
@@ -35,19 +39,8 @@ from .criteria import (
     quotient_data,
 )
 from .grids import TruncationGrid
-from .operators import (
-    eval_margins,
-    norm_factor,
-    spectral_norm,
-    toeplitz_matrix,
-    unit_index,
-    windowed_norm,
-)
-from .subspaces import (
-    RANK_TOL,
-    SubspaceData,
-    submodule_projection,
-)
+from .operators import eval_margins, spectral_norm, toeplitz_matrix, unit_index
+from .subspaces import invariance_defect, submodule_projection
 from .symbols import AnalyticSymbol
 
 __all__ = [
@@ -73,8 +66,9 @@ class FactorizationWitness:
 
     m_basis spans M = S_phi minus S_theta; the residuals record every check
     the construction ran: containment, shift commutation of the division
-    operator, reconstruction of theta, isometry of psi, invariance of M,
-    and the match between the two descriptions of the final quotient.
+    operator, reconstruction of theta, isometry of psi, invariance of
+    N = S_theta + M, and the match between the two descriptions of the
+    final quotient.
     """
 
     theta: AnalyticSymbol
@@ -120,39 +114,42 @@ def _divide(theta: AnalyticSymbol, phi: AnalyticSymbol, grid: TruncationGrid,
         )
 
     mp = toeplitz_matrix(phi, grid)
-    x = mp.conj().T @ mt
+    # psi is read off the constant-monomial columns of X = M_phi^* M_theta
+    x0 = mp.conj().T @ mt[:, :theta.cols]
+    coeffs = {}
+    rows, cols = phi.cols, theta.cols
+    for k in grid.multi_indices:
+        r = dom_p.rank[k]
+        block = x0[r * rows:(r + 1) * rows]
+        if np.abs(block).max() > COEFF_CUTOFF:
+            coeffs[k] = block
+    if not coeffs:
+        coeffs[(0,) * grid.nvars] = np.zeros((rows, cols))
+    psi = AnalyticSymbol.polynomial(coeffs, grid.nvars, rows=rows, cols=cols)
+    # psi maps into phi.cols channels from theta.cols channels, so M_psi's
+    # domain is dom_t and its codomain dom_p
+    mq = toeplitz_matrix(psi, grid)
 
+    # X M_i - M_i X vanishes on R x W for every i exactly when X = M_psi on
+    # R x W+, W+ = W with its shifts by each e_i: the commutation walks each
+    # column of W+ back to the constant one, which M_psi copies
     row_window = dom_p.window_indices(margins)
-    commutation = 0.0
+    in_window = np.zeros(dom_t.dim, dtype=bool)
+    in_window[col_window] = True
+    reach = in_window.copy()
     for i in range(grid.nvars):
-        # X M_i - M_i X: column src of X M_i is column dst of X, row dst of M_i X is row src of X
-        e_i = unit_index(grid.nvars, i)
-        src_t, dst_t = dom_t.shift_map(e_i)
-        src_p, dst_p = dom_p.shift_map(e_i)
-        comm = np.zeros_like(x)
-        comm[:, src_t] = x[:, dst_t]
-        comm[dst_p] -= x[src_p]
-        commutation = max(commutation, windowed_norm(comm, row_window, col_window))
+        src, dst = dom_t.shift_map(unit_index(grid.nvars, i))
+        reach[dst[in_window[src]]] = True
+    reach = np.flatnonzero(reach)
+    commutation = spectral_norm(
+        mp[:, row_window].conj().T @ mt[:, reach] - mq[np.ix_(row_window, reach)])
     if commutation > tol:
         raise FactorizationError(
             f"division not analytic: shift commutation residual {commutation:.3e} "
             f"exceeds {tol:g}; the truncation is too small"
         )
 
-    coeffs = {}
-    rows, cols = phi.cols, theta.cols
-    for k in grid.multi_indices:
-        r = dom_p.rank[k]
-        block = x[r * rows:(r + 1) * rows, 0:cols]
-        if np.abs(block).max() > COEFF_CUTOFF:
-            coeffs[k] = block
-    if not coeffs:
-        coeffs[(0,) * grid.nvars] = np.zeros((rows, cols))
-    psi = AnalyticSymbol.polynomial(coeffs, grid.nvars, rows=rows, cols=cols)
-
-    # psi maps into phi.cols channels from theta.cols channels, so M_psi's
-    # domain window is col_window
-    mq_w = toeplitz_matrix(psi, grid)[:, col_window]
+    mq_w = mq[:, col_window]
     isometry = spectral_norm(mq_w.conj().T @ mq_w - np.eye(col_window.size))
     if isometry > tol:
         raise FactorizationError(
@@ -178,8 +175,9 @@ def divide_inner(theta: AnalyticSymbol, phi: AnalyticSymbol, grid: TruncationGri
     coefficient block with no entry above COEFF_CUTOFF is dropped.  Three
     gates run before psi is returned: the columns of M_theta must lie in
     S_phi (else "not divisible"), X must commute with the shifts on the
-    core window (else "division not analytic"), and M_psi must act
-    isometrically on windowed columns.
+    core window, which holds exactly when X agrees with M_psi on the window
+    rows and the window columns with their shifts (else "division not
+    analytic"), and M_psi must act isometrically on windowed columns.
     """
     psi, _, _, _ = _divide(theta, phi, grid, tol, margins)
     return psi
@@ -187,50 +185,31 @@ def divide_inner(theta: AnalyticSymbol, phi: AnalyticSymbol, grid: TruncationGri
 
 def invariant_subspace_from_factorization(
     theta: AnalyticSymbol, phi: AnalyticSymbol, grid: TruncationGrid,
-    tol: float = 1e-8, margins=None, rank_tol: float = RANK_TOL,
+    tol: float = 1e-8, margins=None,
 ) -> FactorizationWitness:
     """Carve M = S_phi minus S_theta out of a successful division.
 
     M is shift-invariant relative to S_theta: multiplying M by a coordinate
-    lands in M + S_theta, and the windowed residual of that statement is
-    reported.  The quotient of theta splits as M plus the quotient of phi,
-    checked as an exact projection identity.
-
-    Everything is read in the coordinates of the theta split.  The gap SVD
-    B_theta_c* B_phi = U Sigma V* (SubspaceData.split_complement) gives
-    M = B_theta_c U[:, :r], and the trailing columns N = B_theta_c U[:, r:]
-    span the complement of S_theta + M, so I - P_M - P_theta = P_N.  The
-    singular values are cosines of at most one, so the cut
-    sig > rank_tol * max(1, sig[0]) is the absolute cut sig > rank_tol.
-    The invariance residual ||W P_N M_t P_M W|| is ||R_N (N* M_t B_M) R_M*||
-    with R the window factors, and the quotient match ||P_phi - P_theta - P_M|| is
-    max(||N* B_phi||, ||B_phi_c* [B_theta, M]||), the norm of a difference
-    of two orthogonal projections.
+    lands in N = S_theta + M.  N is split from the theta split alone
+    (SubspaceData.extended along B_phi), M is the part of its basis past
+    B_theta, and the invariance residual is the windowed defect of N
+    (invariance_defect), the gate beurling_submodule_check runs on the same
+    N.  The quotient of theta splits as M plus the quotient of phi, so
+    P_phi = P_N: the quotient match ||P_phi - P_N|| is
+    max(||B_N_c* B_phi||, ||B_phi_c* B_N||), the norm of a difference of
+    two orthogonal projections.
     """
     psi, s_phi, margins, residuals = _divide(theta, phi, grid, tol, margins)
     s_theta = submodule_projection(theta, grid, inner_tol=tol)
-    m_basis, n_basis = s_theta.split_complement(s_phi.basis, rank_tol)
-
-    g = s_theta.grid
-    window = g.window_indices(margins)
-    r_m, r_n = norm_factor(m_basis[window]), norm_factor(n_basis[window])
-    invariance = 0.0
-    for t in range(g.nvars):
-        src, dst = g.shift_map(unit_index(g.nvars, t))
-        block = n_basis[dst].conj().T @ m_basis[src]
-        invariance = max(invariance, spectral_norm(r_n @ block @ r_m.conj().T))
-
-    quotient_match = max(
-        spectral_norm(n_basis.conj().T @ s_phi.basis),
-        spectral_norm(s_phi.complement.conj().T @ np.hstack([s_theta.basis, m_basis])),
+    n = s_theta.extended(s_phi.basis)
+    residuals["invariance"] = invariance_defect(n, margins)[0]
+    residuals["quotient_match"] = max(
+        spectral_norm(n.complement.conj().T @ s_phi.basis),
+        spectral_norm(s_phi.complement.conj().T @ n.basis),
     )
-
-    residuals = dict(residuals)
-    residuals["invariance"] = invariance
-    residuals["quotient_match"] = quotient_match
     return FactorizationWitness(
-        theta=theta, phi=phi, psi=psi, grid=g,
-        m_basis=m_basis, residuals=residuals,
+        theta=theta, phi=phi, psi=psi, grid=n.grid,
+        m_basis=n.basis[:, s_theta.rank:], residuals=residuals,
     )
 
 
@@ -244,10 +223,8 @@ def beurling_submodule_check(m_basis: np.ndarray, theta: AnalyticSymbol,
     and the defect-product residual of the compressions to the complement
     of N.  Their verdicts must agree; both residuals are reported.
 
-    N is built from the theta split alone: SubspaceData.split_complement
-    splits the complement of S_theta along m_basis, whose part outside
-    S_theta joins B_theta, and the rest of the complement is the complement
-    of N.  Columns that add fewer dimensions than their number are
+    N is split from the theta split alone (SubspaceData.extended along
+    m_basis).  Columns that add fewer dimensions than their number are
     degenerate against S_theta.
     """
     s_theta = submodule_projection(theta, grid, inner_tol=tol)
@@ -263,10 +240,9 @@ def beurling_submodule_check(m_basis: np.ndarray, theta: AnalyticSymbol,
             f"M is not inside the quotient of theta: overlap {overlap:.3e}"
         )
 
-    gain, rest = s_theta.split_complement(m_basis)
-    if gain.shape[1] != m_basis.shape[1]:
+    n_sub = s_theta.extended(m_basis)
+    if n_sub.discarded:
         raise ValueError("m_basis columns are degenerate against S_theta")
-    n_sub = SubspaceData(s_theta.grid, np.hstack([s_theta.basis, gain]), rest)
 
     cross = cross_commutator_criterion(n_sub, margins=margins, tol=tol)
     data = quotient_data(n_sub, margins=margins)

@@ -178,8 +178,7 @@ def rational_inner_witness() -> AnalyticSymbol:
 
 
 def reduced_kernel_suite(caps=(20, 20), pairs: int = 20, seed: int = 0,
-                         pair_radius: float = 0.6, budget: int = 64,
-                         kernel_tol: float = 1e-8, criterion_tol: float = 1e-8,
+                         pair_radius: float = 0.6, budget: int = 64, tol: float = 1e-8,
                          inclusion_caps=(6, 6), sample_pairs=None) -> dict:
     """Kernel identity, Gram negativity, and the inner-witness checks.
 
@@ -215,19 +214,19 @@ def reduced_kernel_suite(caps=(20, 20), pairs: int = 20, seed: int = 0,
     inner = innerness_check(phi, TruncationGrid(caps), tol=WITNESS_INNER_TOL)
 
     small = TruncationGrid(tuple(int(c) for c in inclusion_caps))
-    s_phi = submodule_projection(phi, small, inner_tol=criterion_tol)
+    s_phi = submodule_projection(phi, small, inner_tol=tol)
     s_origin = origin_complement(small)
     # ||(I - P_origin) B_phi|| = ||B_origin_c* B_phi||
     inclusion_residual = spectral_norm(s_origin.complement.conj().T @ s_phi.basis)
     ranks = (s_phi.rank, s_origin.rank, small.dim)
-    strict = ranks[0] < ranks[1] < ranks[2] and inclusion_residual <= criterion_tol
+    strict = ranks[0] < ranks[1] < ranks[2] and inclusion_residual <= tol
 
     data = quotient_data(s_origin, margins=(1, 1))
-    beurling = beurling_criterion(data, tol=criterion_tol)
+    beurling = beurling_criterion(data, tol=tol)
     constants_residual = beurling.residuals["beurling_defect_product"]
 
     verdicts = {
-        "kernel_identity": bool(worst_dev <= kernel_tol),
+        "kernel_identity": bool(worst_dev <= tol),
         "gram_negative": bool(witness.found),
         "witness_vanishes_at_origin": bool(at_zero == 0.0 and numerator_origin == 0.0),
         "witness_inner": bool(inner.verdict),

@@ -396,7 +396,7 @@ def _run_example42(s: Scenario):
     caps = s.caps if s.caps is not None else (20, 20)
     rep = reduced_kernel_suite(
         caps=caps, pairs=s.pairs, seed=s.seed, pair_radius=s.pair_radius,
-        budget=s.budget, kernel_tol=s.tol, criterion_tol=s.tol,
+        budget=s.budget, tol=s.tol,
     )
     wit = rep["witness_symbol"]
     # one residual per verdict, under the same key: the number each

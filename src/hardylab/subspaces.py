@@ -15,7 +15,7 @@ decide (more columns than dim, a zero or nearly dependent column, an
 ill-conditioned basis) do the singular values of R set the rank, the same
 cut as an SVD of the columns; only a cut that drops columns rotates the
 leading block of Q by the left singular vectors of that small factor.
-SubspaceData.split_complement enlarges a subspace along further columns in
+SubspaceData.extended splits the sum of a subspace and further columns in
 the coordinates of its complement, without splitting the grid again.
 Operators are read against one basis B at a time: SubspaceData.shift_blocks
 gives B* A B and the part (I - B B*) A B of A B outside the span, for
@@ -118,21 +118,22 @@ class SubspaceData:
             self._cache[key] = (inside, moved - b @ inside)
         return self._cache[key]
 
-    def split_complement(self, columns: np.ndarray,
-                         rank_tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
-        """Split the complement along columns: (B_c U[:, :r], B_c U[:, r:]).
+    def extended(self, columns: np.ndarray) -> "SubspaceData":
+        """The split of S + span(columns), in the coordinates of the complement.
 
-        U is the left factor of the SVD of the thin block B_c* columns and r
-        counts its singular values above rank_tol * max(1, sig[0]).  The
-        first block is an orthonormal basis of the part of span(columns)
-        outside this subspace, so [B, B_c U[:, :r]] spans their sum, and the
-        second is the complement of that sum.
+        U is the left factor of the full SVD of the thin block B_c* columns,
+        and r counts its singular values above RANK_TOL * max(1, sig[0]).
+        B_c U[:, :r] is an orthonormal basis of the part of span(columns)
+        outside S and joins B after its columns; B_c U[:, r:] is the
+        complement of the sum.  discarded counts the columns that add no
+        dimension.
         """
         c = self.complement
         u, sig, _ = np.linalg.svd(c.conj().T @ columns, full_matrices=True)
-        r = int(np.sum(sig > rank_tol * max(1.0, sig[0]))) if sig.size else 0
+        r = int(np.sum(sig > RANK_TOL * max(1.0, sig[0]))) if sig.size else 0
         frame = c @ u
-        return frame[:, :r], frame[:, r:]
+        return SubspaceData(self.grid, np.hstack([self.basis, frame[:, :r]]), frame[:, r:],
+                            discarded=columns.shape[1] - r)
 
 
 def _coordinate_mask(columns: np.ndarray):

@@ -1,7 +1,10 @@
-"""The exported names resolve, and the package exports only what its modules declare."""
+"""The exported names resolve, the package exports only what its modules
+declare, and each module uses or exports every name it imports."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import hardylab
 
@@ -19,3 +22,24 @@ def test_public_surface_has_no_stale_names():
 
     declared = set().union(*(getattr(m, "__all__", ()) for m in modules))
     assert set(hardylab.__all__) - declared <= {"__version__"}
+
+
+# cli binds parse_scenario only so that hlbench/tracing.py can rebind it there
+UNUSED_IMPORTS_ALLOWED = {("cli", "parse_scenario")}
+
+
+def test_every_import_is_used_or_exported():
+    unused = set()
+    for path in sorted(Path(hardylab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        modname = "hardylab" if path.stem == "__init__" else f"hardylab.{path.stem}"
+        exported = set(getattr(importlib.import_module(modname), "__all__", ()))
+        unused |= {(path.stem, name) for name in imported - used - exported}
+    assert unused <= UNUSED_IMPORTS_ALLOWED, sorted(unused - UNUSED_IMPORTS_ALLOWED)

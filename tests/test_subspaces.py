@@ -167,18 +167,19 @@ def test_monomial_submodule_and_origin_complement_split_by_index():
     assert np.array_equal(origin.complement, np.eye(g.dim)[:, :1])
 
 
-def test_split_complement_extends_the_subspace():
+def test_extended_splits_the_sum_with_the_columns():
     g = TruncationGrid((3, 2))
     s = submodule_projection(AnalyticSymbol.blaschke(0.3, 0, nvars=2), g)
     rng = np.random.default_rng(5)
     inside = s.complement @ rng.normal(size=(s.complement.shape[1], 2))
     cols = np.hstack([inside, inside[:, :1] + s.basis[:, :1], 3 * inside[:, 1:]])
-    gain, rest = s.split_complement(cols)
-    assert gain.shape[1] == 2 and s.rank + gain.shape[1] + rest.shape[1] == g.dim
-    frame = np.hstack([s.basis, gain, rest])
+    n = s.extended(cols)
+    assert n.rank == s.rank + 2 and n.discarded == 2 and n.grid is s.grid
+    assert np.array_equal(n.basis[:, :s.rank], s.basis)
+    frame = np.hstack([n.basis, n.complement])
+    assert frame.shape == (g.dim, g.dim)
     assert np.abs(frame.conj().T @ frame - np.eye(g.dim)).max() <= 1e-12
-    n = np.hstack([s.basis, gain])
-    assert np.abs(cols - n @ (n.conj().T @ cols)).max() <= 1e-12
+    assert np.abs(cols - n.basis @ (n.basis.conj().T @ cols)).max() <= 1e-12
 
 
 def test_corpus_split_takes_no_grid_wide_singular_vectors(no_wide_singular_vectors):
