@@ -2,20 +2,22 @@
 
 Given a shift-invariant subspace S of a truncated Hardy grid and its
 complement Q, the compressed shifts C_t = P_Q M_t|_Q generate a family of
-matrix identities.  Some hold for every split of the grid and act as
-self-tests of the construction; others vanish exactly when Q is the
-quotient of an inner multiplier and so serve as numerical criteria.
+matrix identities, taken one pair of variables (i, j) at a time.  Some
+hold for every split of the grid and act as self-tests of the
+construction; others vanish exactly when Q is the quotient of an inner
+multiplier and so serve as numerical criteria.
 
 Everything is computed from the orthonormal basis B_Q of Q alone.  B_S and
-B_Q come from one unitary, so P_S + P_Q = I, and with the shift powers M^k
-applied as index maps of the grid (no dim x dim shift or projection is
-multiplied) four kinds of thin blocks carry every residual:
+B_Q come from one unitary, so P_S + P_Q = I, and with the coordinate shifts
+M_t applied as index maps of the grid (no dim x dim shift or projection is
+multiplied) four kinds of thin blocks, one per variable t, carry every
+residual:
 
-    C_k = B_Q* M^k B_Q              the compressions (q x q)
-    U_k = P_S M^k B_Q               the part of M^k Q that lands in S,
-        = M^k B_Q - B_Q C_k         (dim x q), with Grams G_ab = U_a* U_b
-    V_k = P_S M^k* B_Q              the part of M^k* Q that lands in S
-        = M^k* B_Q - B_Q C_k*       (dim x q); P_Q M_t P_S = B_Q V_t* is
+    C_t = B_Q* M_t B_Q              the compressions (q x q)
+    U_t = P_S M_t B_Q               the part of M_t Q that lands in S,
+        = M_t B_Q - B_Q C_t         (dim x q), with Grams G_ab = U_a* U_b
+    V_t = P_S M_t* B_Q              the part of M_t* Q that lands in S
+        = M_t* B_Q - B_Q C_t*       (dim x q); P_Q M_t P_S = B_Q V_t* is
                                     what the invariance gate measures
     T_t = B_Q[top_t]                the rows of B_Q on the top slice k_t = cap_t
 
@@ -28,9 +30,9 @@ splits exactly as
 
 the compression formula B_Q* M_t* P_S M_t B_Q plus the top-slice term.
 Truncated shifts in different variables doubly commute exactly on the box
-grid (M_i M^k* = M^k* M_i when k_i = 0), so with K = C_i C_k* - C_k* C_i
+grid (M_i M_j* = M_j* M_i for i != j), so with K = C_i C_j* - C_j* C_i
 
-    K = G_ki - V_i* V_k,
+    K = G_ji - V_i* V_j,
 
 and with R_t = B_S* M_t B_S the shifts restricted to S,
 
@@ -98,17 +100,16 @@ class QuotientData:
     def grid(self) -> TruncationGrid:
         return self.s.grid
 
-    def leak(self, k) -> np.ndarray:
-        """U_k = P_S M^k B_Q = M^k B_Q - B_Q C_k (dim x q)."""
-        return self.q.shift_blocks(k)[1]
+    def leak(self, t: int) -> np.ndarray:
+        """U_t = P_S M_t B_Q = M_t B_Q - B_Q C_t (dim x q) for variable t."""
+        return self.q.shift_blocks(t)[1]
 
     @cached_property
     def _grams(self) -> dict:
         return {}
 
-    def gram(self, a, b) -> np.ndarray:
-        """U_a* U_b = B_Q* M^a* P_S M^b B_Q, cached; (b, a) is the adjoint."""
-        a, b = tuple(a), tuple(b)
+    def gram(self, a: int, b: int) -> np.ndarray:
+        """U_a* U_b = B_Q* M_a* P_S M_b B_Q, cached; (b, a) is the adjoint."""
         grams = self._grams
         if (a, b) not in grams:
             if (b, a) in grams:
@@ -124,8 +125,8 @@ class QuotientData:
         n, b = self.grid.nvars, self.q.basis
         split = []
         for t in range(n):
-            e_t, top = unit_index(n, t), self.grid.top_slice_indices(t)
-            split.append(self.gram(e_t, e_t) + b[top].conj().T @ b[top])
+            top = self.grid.top_slice_indices(t)
+            split.append(self.gram(t, t) + b[top].conj().T @ b[top])
         return tuple(split)
 
     @cached_property
@@ -146,9 +147,9 @@ class QuotientData:
     def defect_products(self) -> dict:
         """{(i, j): ||G_ii G_jj||} for i < j, the norm of the product of the
         compression formulas P_Q M_t* P_S M_t P_Q of the two defects."""
-        e = [unit_index(self.grid.nvars, t) for t in range(self.grid.nvars)]
-        return {(i, j): spectral_norm(self.gram(e[i], e[i]) @ self.gram(e[j], e[j]))
-                for i in range(len(e)) for j in range(i + 1, len(e))}
+        n = self.grid.nvars
+        return {(i, j): spectral_norm(self.gram(i, i) @ self.gram(j, j))
+                for i in range(n) for j in range(i + 1, n)}
 
     @cached_property
     def xij(self) -> float:
@@ -158,7 +159,7 @@ class QuotientData:
         is ||F_i F_j*||; the (j, i) term is the adjoint of the (i, j) one.
         """
         n = self.grid.nvars
-        f = [norm_factor(self.leak(unit_index(n, t))) for t in range(n)]
+        f = [norm_factor(self.leak(t)) for t in range(n)]
         return max((spectral_norm(f[i] @ f[j].conj().T)
                     for i in range(n) for j in range(i + 1, n)), default=0.0)
 
@@ -208,7 +209,7 @@ def quotient_data(s: SubspaceData, margins=None) -> QuotientData:
     inv_max, inv_per = _invariance_gate(s, margins)
     n = s.grid.nvars
     q = s.complement_space
-    compressions = tuple(q.shift_blocks(unit_index(n, t))[0] for t in range(n))
+    compressions = tuple(q.shift_blocks(t)[0] for t in range(n))
     for t, c in enumerate(compressions):
         if c.size and spectral_norm(c) > 1 + 1e-10:
             raise ValueError(f"compression {t} exceeds unit norm; subspace data is inconsistent")
@@ -260,8 +261,8 @@ def cross_commutator_criterion(
     _invariance_gate(s, margins)
     n = s.grid.nvars
     q = s.complement_space
-    u = [q.shift_blocks(unit_index(n, t))[1] for t in range(n)]
-    v = [q.shift_blocks(unit_index(n, t), adjoint=True)[1] for t in range(n)]
+    u = [q.shift_blocks(t)[1] for t in range(n)]
+    v = [q.shift_blocks(t, adjoint=True)[1] for t in range(n)]
     norms = {}
     for i in range(n):
         for j in range(i + 1, n):
@@ -279,46 +280,18 @@ def cross_commutator_criterion(
     )
 
 
-def _validate_hat(k, nvars: int, zero_at: int, label: str):
-    k = tuple(int(x) for x in k)
-    if len(k) != nvars:
-        raise ValueError(f"{label} must have {nvars} entries, got {len(k)}")
-    if any(x < 0 for x in k):
-        raise ValueError(f"{label} entries must be non-negative")
-    if k[zero_at] != 0:
-        raise ValueError(f"{label} must have a zero entry at position {zero_at}")
-    return k
-
-
-def _hat_for(arg, var: int, default, nvars: int, label: str):
-    """Resolve a user hat argument: None, one tuple for all, or {var: tuple}."""
-    if arg is None:
-        return default
-    if isinstance(arg, dict):
-        val = arg.get(var)
-        if val is None:
-            return default
-    else:
-        val = arg
-    return _validate_hat(val, nvars, var, label)
-
-
-def identity_suite(
-    data: QuotientData,
-    khat=None,
-    lhat=None,
-    tol: float = 1e-8,
-) -> CriterionReport:
+def identity_suite(data: QuotientData, tol: float = 1e-8) -> CriterionReport:
     """All compression identities for one subspace split, in one report.
 
-    In Q coordinates, with K = C_i C_k* - C_k* C_i for k = khat, the Grams
-    G_ab = U_a* U_b (QuotientData.gram), V_k = P_S M^k* B_Q, T_t = B_Q[top_t]
-    and Z_t = M_t* U_t, every residual is a plain norm on the whole grid.
+    In Q coordinates, for each ordered pair (i, j) of distinct variables,
+    with K = C_i C_j* - C_j* C_i, the Grams G_ab = U_a* U_b
+    (QuotientData.gram), V_t = P_S M_t* B_Q, T_t = B_Q[top_t] and
+    Z_t = M_t* U_t, every residual is a plain norm on the whole grid.
 
     Exact identities of the truncated matrices (hold for every split, enter
     the verdict):
       defect_identity      ||D_t - G_tt - T_t* T_t||, D_t = I - C_t* C_t
-      commutator_identity  ||K - G_ki + V_i* V_k||
+      commutator_identity  ||K - G_ji + V_i* V_j||
       reduces              ||Z_t - B_Q (G_tt + T_t* T_t) + I[:, top_t] T_t + V_t C_t||,
                            the adjoint of B_Q* X_t P_S + B_Q* E_t P_S + C_t* V_t*
                            for X_t = M_t* P_S M_t
@@ -329,30 +302,19 @@ def identity_suite(
     Conditional (zero exactly in the Beurling case, reported as data):
       xij                  cross terms P_S M_i P_Q M_j* P_S = U_i U_j*
       beurling_defect_product      ||G_ii G_jj||
-      annihilation_1..3    ||G_ki G_jl||, ||G_ii G_jl||, ||G_ki G_jj||, entered in
+      annihilation_1..3    ||G_ji G_ji||, ||G_ii G_ji||, ||G_ji G_jj||, entered in
                            the verdict only when the defect product is small
 
-    khat and lhat default, for the ordered pair (i, j), to e_j and e_i.  A
-    user value is one multi-index for every pair or a dict {variable:
-    multi-index} (other variables keep the default); each must have a zero
-    entry at the constrained position, and a dict key that names no
-    variable is an error.  The defects, xij and the defect product are read
-    from the cached members of data, which beurling_criterion shares.
-
-    With the unit hats the (j, i) commutator residual is the adjoint of the
-    (i, j) one, so its norm is taken once per unordered pair; the
-    domination eigenvalue differs between the two orders and is taken for
-    both.
+    The defects, xij and the defect product are read from the cached
+    members of data, which beurling_criterion shares.  The (j, i)
+    commutator residual is the adjoint of the (i, j) one, so its norm is
+    taken for i < j only; the domination eigenvalue differs between the two
+    orders and is taken for both.
     """
     n = data.grid.nvars
-    for label, arg in (("khat", khat), ("lhat", lhat)):
-        for key in arg if isinstance(arg, dict) else ():
-            if key not in range(n):
-                raise ValueError(f"{label} key {key!r} names no variable of {n}")
     q = data.q
     c_ops = data.compressions
     d = data.defect_blocks
-    e = [unit_index(n, t) for t in range(n)]
 
     residuals: dict = {"defect_identity": data.defect_identity}
     verdicts: dict = {"defect_identity": data.defect_identity <= tol}
@@ -360,19 +322,13 @@ def identity_suite(
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     residuals["xij"] = data.xij
 
-    khats = {(i, j): _hat_for(khat, i, e[j], n, "khat") for i, j in pairs}
-    lhats = {(i, j): _hat_for(lhat, j, e[i], n, "lhat") for i, j in pairs}
     worst_comm = 0.0
     min_eig = np.inf if pairs else 0.0
     for i, j in pairs:
-        k = khats[(i, j)]
-        c_k = q.shift_blocks(k)[0]
-        comm = c_ops[i] @ c_k.conj().T - c_k.conj().T @ c_ops[i]
-        # with the unit hats the (j, i) residual is the adjoint of the
-        # (i, j) one, so its norm is already counted
-        if not (j < i and k == e[j] and khats[(j, i)] == e[i]):
-            v_i, v_k = (q.shift_blocks(x, adjoint=True)[1] for x in (e[i], k))
-            residual = comm - data.gram(k, e[i]) + v_i.conj().T @ v_k
+        comm = c_ops[i] @ c_ops[j].conj().T - c_ops[j].conj().T @ c_ops[i]
+        if i < j:
+            v_i, v_j = (q.shift_blocks(t, adjoint=True)[1] for t in (i, j))
+            residual = comm - data.gram(j, i) + v_i.conj().T @ v_j
             worst_comm = max(worst_comm, spectral_norm(residual))
 
         dom = d[i] - comm.conj().T @ comm
@@ -385,11 +341,11 @@ def identity_suite(
     b = q.basis
     worst_reduce = 0.0
     for t in range(n):
-        src, dst = data.grid.shift_map(e[t])
+        src, dst = data.grid.shift_map(unit_index(n, t))
         block = np.zeros_like(b)
-        block[src] = data.leak(e[t])[dst]                       # Z_t = M_t* U_t
+        block[src] = data.leak(t)[dst]                          # Z_t = M_t* U_t
         block -= b @ data.defect_split[t]
-        block += q.shift_blocks(e[t], adjoint=True)[1] @ c_ops[t]
+        block += q.shift_blocks(t, adjoint=True)[1] @ c_ops[t]
         top = data.grid.top_slice_indices(t)
         block[top] += b[top]
         # the thin-QR factor has the singular values of the tall block, and
@@ -405,12 +361,11 @@ def identity_suite(
         worst_ann = [0.0, 0.0, 0.0]
         norms: dict = {}
         for i, j in pairs:
-            k, lh = khats[(i, j)], lhats[(i, j)]
-            for idx, factors in enumerate(((k, e[i], e[j], lh), (e[i], e[i], e[j], lh),
-                                           (k, e[i], e[j], e[j]))):
+            for idx, factors in enumerate(((j, i, j, i), (i, i, j, i), (j, i, j, j))):
                 # (U_a* U_b)(U_c* U_d) and its adjoint (U_d* U_c)(U_b* U_a)
-                # share one norm, so each is measured once
-                key = min(factors, factors[::-1])
+                # share one norm, so each is measured once, in the
+                # orientation max picks
+                key = max(factors, factors[::-1])
                 if key not in norms:
                     norms[key] = spectral_norm(data.gram(*key[:2]) @ data.gram(*key[2:]))
                 worst_ann[idx] = max(worst_ann[idx], norms[key])

@@ -219,16 +219,14 @@ def canonical_dilation(t: ContractionTuple, caps, tail_tol: float = 1e-8) -> Dil
         powers[k] = adj[i] @ powers[parent]
 
     # rows rank(k) * r .. rank(k) * r + r - 1 of Pi are D T*^k in defect coordinates
-    pi = (rows_in_defect @ np.stack([powers[k] for k in grid.multi_indices])
-          ).reshape(grid.dim, t.dim)
+    stack = np.stack([powers[k] for k in grid.multi_indices])
+    pi = (rows_in_defect @ stack).reshape(grid.dim, t.dim)
 
+    # the dropped shell in variable i: D T_i* T*^k for every k with k_i = caps_i
     tail = 0.0
     for i in range(t.n):
-        step = adj[i]
-        for k in grid.multi_indices:
-            if k[i] == caps[i]:
-                dropped = rows_in_defect @ step @ powers[k]
-                tail += float(np.sum(np.abs(dropped) ** 2))
+        dropped = (rows_in_defect @ adj[i]) @ stack[grid.exponents[:, i] == caps[i]]
+        tail += float(np.sum(np.abs(dropped) ** 2))
     if tail > tail_tol:
         raise DilationError(
             f"grid too small: dropped-shell mass {tail:.3e} exceeds {tail_tol:g}; "

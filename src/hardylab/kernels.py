@@ -49,6 +49,7 @@ GRAM_RADIUS = 0.9
 GRAM_SIZES = (2, 3, 4)
 GRAM_THRESHOLD = -1e-6
 WITNESS_INNER_TOL = 1e-10
+INCLUSION_CAPS = (6, 6)
 
 
 def _check_interior(z, label: str):
@@ -178,27 +179,24 @@ def rational_inner_witness() -> AnalyticSymbol:
 
 
 def reduced_kernel_suite(caps=(20, 20), pairs: int = 20, seed: int = 0,
-                         pair_radius: float = 0.6, budget: int = 64, tol: float = 1e-8,
-                         inclusion_caps=(6, 6), sample_pairs=None) -> dict:
+                         pair_radius: float = 0.6, budget: int = 64, tol: float = 1e-8) -> dict:
     """Kernel identity, Gram negativity, and the inner-witness checks.
 
-    sample_pairs, when given, is an iterable of (z, w) interior point pairs
-    that replaces the seeded draw.  The witness symbol's innerness is
-    checked at WITNESS_INNER_TOL.  Returns a JSON-ready report: every leaf
-    is a float, int, bool, string, or a list of those, so the serialized
-    form is stable across runs.
+    The kernel identity is checked on pairs (z, w) of interior points drawn
+    from seed within pair_radius.  The witness symbol's innerness is checked
+    at WITNESS_INNER_TOL, and the inclusions and the constants quotient are
+    built at INCLUSION_CAPS.  Returns a JSON-ready report: every leaf is a
+    float, int, bool, string, or a list of those, so the serialized form is
+    stable across runs.
     """
     caps = tuple(int(c) for c in caps)
-    if sample_pairs is None:
-        rng = np.random.default_rng(int(seed))
-        sample_pairs = []
-        for _ in range(int(pairs)):
-            rad = pair_radius * np.sqrt(rng.uniform(size=(2, 2)))
-            ang = rng.uniform(0.0, 2 * np.pi, size=(2, 2))
-            sample_pairs.append((tuple(rad[0] * np.exp(1j * ang[0])),
-                                 tuple(rad[1] * np.exp(1j * ang[1]))))
-    else:
-        sample_pairs = list(sample_pairs)
+    rng = np.random.default_rng(int(seed))
+    sample_pairs = []
+    for _ in range(int(pairs)):
+        rad = pair_radius * np.sqrt(rng.uniform(size=(2, 2)))
+        ang = rng.uniform(0.0, 2 * np.pi, size=(2, 2))
+        sample_pairs.append((tuple(rad[0] * np.exp(1j * ang[0])),
+                             tuple(rad[1] * np.exp(1j * ang[1]))))
 
     worst_dev = 0.0
     for z, w in sample_pairs:
@@ -213,7 +211,7 @@ def reduced_kernel_suite(caps=(20, 20), pairs: int = 20, seed: int = 0,
     numerator_origin = 0.0 if origin_coeff is None else float(np.abs(origin_coeff).max())
     inner = innerness_check(phi, TruncationGrid(caps), tol=WITNESS_INNER_TOL)
 
-    small = TruncationGrid(tuple(int(c) for c in inclusion_caps))
+    small = TruncationGrid(INCLUSION_CAPS)
     s_phi = submodule_projection(phi, small, inner_tol=tol)
     s_origin = origin_complement(small)
     # ||(I - P_origin) B_phi|| = ||B_origin_c* B_phi||

@@ -16,7 +16,8 @@ line).  Comments, blank lines, commas and numbers follow the shared rules
 of textlines.  read_config turns the text into `key -> (origin, value)`
 settings, the shape the CLI also builds from flags and the environment,
 and build_scenario checks every value against the one rule for its key,
-so each error message names the line, flag or variable it came from.
+and caps and margins against the sources' number of variables, so each
+error message names the line, flag or variable it came from.
 
 _RULES holds each setting's rule, flag, environment variable, metavar and
 help; COMMANDS holds each command's help, needed sources, runner and own
@@ -278,6 +279,19 @@ def build_scenario(settings: dict, blocks: dict, scenario_id: str = "scenario",
     if not any(given.issuperset(group) for group in needs):
         label = " or ".join(" and ".join(group) for group in needs)
         raise ScenarioError(f"command {scenario.command!r} needs {label}")
+
+    # every source fixes the variable count: a basis by its caps
+    counts = {name: len(scenario.caps) if name == "basis" else
+              source.n if name == "tuple" else source.nvars
+              for name, source in sources.items() if source is not None}
+    if len(set(counts.values())) > 1:
+        listed = ", ".join(f"{name} has {n}" for name, n in counts.items())
+        raise ScenarioError(f"sources disagree on the number of variables: {listed}")
+    for n in set(counts.values()):     # at most one count by now
+        for key in ("caps", "margins"):
+            value = getattr(scenario, key)
+            if value is not None and len(value) != n:
+                raise ScenarioError(f"{settings[key][0]}: {key} {value} do not match {n} variables")
     return scenario
 
 
@@ -296,18 +310,12 @@ def parse_scenario(text: str, scenario_id: str = "scenario",
 
 
 def _resolved_caps(s: Scenario, nvars: int) -> tuple:
-    if s.caps is not None:
-        if len(s.caps) != nvars:
-            raise ValueError(f"caps {s.caps} do not match {nvars} variables")
-        return s.caps
-    return (4,) * nvars
+    return s.caps if s.caps is not None else (4,) * nvars
 
 
 def _subspace_for(s: Scenario):
     if s.basis_rows is not None:
-        sub = subspace_from_rows(TruncationGrid(s.caps), s.basis_rows)[0]
-        margins = s.margins if s.margins is not None else (1,) * len(s.caps)
-        return sub, margins
+        return subspace_from_rows(TruncationGrid(s.caps), s.basis_rows)[0], s.margins
     caps = _resolved_caps(s, s.symbol.nvars)
     sub = submodule_projection(s.symbol, TruncationGrid(caps), inner_tol=s.tol)
     margins = s.margins if s.margins is not None else eval_margins(s.symbol)
@@ -354,7 +362,7 @@ def _run_check_brehmer(s: Scenario):
 
 def _run_dilate(s: Scenario):
     t = s.tuple_source
-    caps = s.caps if s.caps is not None else (4,) * t.n
+    caps = _resolved_caps(s, t.n)
     data = canonical_dilation(t, caps, tail_tol=s.tol)
     residuals = {
         "isometry": data.isometry_residual,

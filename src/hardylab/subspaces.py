@@ -18,9 +18,9 @@ leading block of Q by the left singular vectors of that small factor.
 SubspaceData.extended splits the sum of a subspace and further columns in
 the coordinates of its complement, without splitting the grid again.
 Operators are read against one basis B at a time: SubspaceData.shift_blocks
-gives B* A B and the part (I - B B*) A B of A B outside the span, for
-A = M^k or M^k*, through the grid's index map.  The quotient battery needs
-these for the basis of Q only.
+gives B* A B and the part (I - B B*) A B of A B outside the span, for the
+coordinate shift A = M_t of variable t or its adjoint, through the grid's
+index map.  The quotient battery needs these for the basis of Q only.
 
 Submodules generated by an inner symbol take the columns of the truncated
 multiplication operator over the input window (domain degrees at least
@@ -97,18 +97,19 @@ class SubspaceData:
     def _cache(self) -> dict:
         return {}
 
-    def shift_blocks(self, k, adjoint: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """(B* A B, A B - B B* A B) for A = M^k, or A = M^k* when adjoint.
+    def shift_blocks(self, t: int, adjoint: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """(B* A B, A B - B B* A B) for A = M_t, or A = M_t* when adjoint.
 
-        B is the basis, so the first block is A in the coordinates of the
-        subspace and the second, (I - B B*) A B of shape (dim, rank), is the
-        part of A B outside it.  A is applied as the grid's index map:
-        (M^k X)[dst] = X[src] and (M^k* X)[src] = X[dst].  Cached per
-        (k, adjoint).
+        B is the basis and t a variable number, so the first block is the
+        shift of variable t in the coordinates of the subspace and the
+        second, (I - B B*) A B of shape (dim, rank), is the part of A B
+        outside it.  A is applied as the grid's index map:
+        (M_t X)[dst] = X[src] and (M_t* X)[src] = X[dst].  Cached per
+        (t, adjoint).
         """
-        key = ("shift", tuple(int(x) for x in k), bool(adjoint))
+        key = ("shift", int(t), bool(adjoint))
         if key not in self._cache:
-            src, dst = self.grid.shift_map(key[1])
+            src, dst = self.grid.shift_map(unit_index(self.grid.nvars, key[1]))
             if adjoint:
                 src, dst = dst, src
             b = self.basis
@@ -208,33 +209,25 @@ def subspace_from_columns(
     return s, s.complement_space
 
 
-def submodule_projection(
-    symbol: AnalyticSymbol,
-    grid: TruncationGrid,
-    margins: tuple[int, ...] | None = None,
-    inner_tol: float = 1e-8,
-    require_inner: bool = True,
-) -> SubspaceData:
+def submodule_projection(symbol: AnalyticSymbol, grid: TruncationGrid,
+                         inner_tol: float = 1e-8) -> SubspaceData:
     """S = closure of symbol * H^2 on the grid.
 
     The generating columns are the images of the monomials whose degree in
-    variable i is at most caps[i] - margin_i, margin defaulting to the
-    numerator degree; those images stay inside the caps exactly for
-    polynomial symbols.  The symbol must pass the innerness gate
-    (operators.innerness_check, exact in its coefficients) first unless
-    require_inner is False.
+    variable i is at most caps[i] minus the numerator degree in i; those
+    images stay inside the caps exactly for polynomial symbols.  The symbol
+    must pass the innerness gate (operators.innerness_check, exact in its
+    coefficients) first.
     """
-    if require_inner:
-        rep = innerness_check(symbol, grid, tol=inner_tol)
-        if not rep.verdict:
-            raise InnernessError(
-                f"symbol is not inner at tolerance {inner_tol:g}: coefficient deviation {rep.deviation:g}"
-            )
-    col_margins = tuple(int(d) for d in symbol.degrees) if margins is None else tuple(margins)
+    rep = innerness_check(symbol, grid, tol=inner_tol)
+    if not rep.verdict:
+        raise InnernessError(
+            f"symbol is not inner at tolerance {inner_tol:g}: coefficient deviation {rep.deviation:g}"
+        )
     mt = toeplitz_matrix(symbol, grid)
     dom = grid.with_channels(symbol.cols)
     cod = grid.with_channels(symbol.rows)
-    keep = dom.window_indices(col_margins)
+    keep = dom.window_indices(symbol.degrees)
     s, _ = subspace_from_columns(cod, mt[:, keep])
     return s
 
@@ -282,7 +275,7 @@ def invariance_defect(s: SubspaceData, margins: tuple[int, ...]) -> tuple[float,
         r_q = norm_factor(q.basis[window])
         per = []
         for t in range(s.grid.nvars):
-            v_t = q.shift_blocks(unit_index(s.grid.nvars, t), adjoint=True)[1]
+            v_t = q.shift_blocks(t, adjoint=True)[1]
             per.append(spectral_norm(r_q @ v_t[window].conj().T))
         s._cache[key] = (max(per, default=0.0), tuple(per))
     return s._cache[key]

@@ -137,9 +137,9 @@ def test_error_status_without_expect_exits_one(tmp_path, capsys):
 def test_expected_error_status_exits_zero(tmp_path):
     cfg = tmp_path / "expected-bad.cfg"
     cfg.write_text(
-        "command = check-beurling\ncaps = 4 4 4\nsymbol:\nnumerator\n"
-        "1 1 0 0 1.0 0.0\nend\nexpect:\n"
-        "status = error: caps (4, 4, 4) do not match 2 variables\nend\n"
+        "command = check-beurling\ncaps = 4 4\nsymbol:\nnumerator\n"
+        "1 0 0 0 0.5 0.0\n0 1 0 0 0.5 0.0\nend\nexpect:\n"
+        "status = error: symbol is not inner at tolerance 1e-08: coefficient deviation 1\nend\n"
     )
     assert run_cli(["check-beurling", "--config", cfg]) == 0
 
@@ -205,6 +205,11 @@ def test_bad_env_value_exits_two(mono_cfg, monkeypatch, capsys):
     ("--pairs", "example42", "-1", "pairs must be >= 1"),
     ("HARDYLAB_DEGREE", "check-beurling", "0 0", "caps must be >= 1"),
     ("HARDYLAB_TOL", "check-beurling", "-1e-8", "tol must be positive"),
+    ("config", "check-beurling", "caps = 3 3 3", "caps (3, 3, 3) do not match 2 variables"),
+    ("config", "check-beurling", "margins = 1", "margins (1,) do not match 2 variables"),
+    ("--degree", "check-beurling", "3,3,3", "caps (3, 3, 3) do not match 2 variables"),
+    ("--margins", "check-beurling", "1,1,1", "margins (1, 1, 1) do not match 2 variables"),
+    ("HARDYLAB_DEGREE", "check-beurling", "3 3 3", "caps (3, 3, 3) do not match 2 variables"),
 ])
 def test_bad_value_exits_two_naming_its_origin(tmp_path, monkeypatch, capsys,
                                                origin, command, value, message):

@@ -144,8 +144,7 @@ def test_rational_witness_coefficients():
 
 
 def test_suite_verdicts_on_a_small_run():
-    rep = reduced_kernel_suite(caps=(10, 10), pairs=5, pair_radius=0.3,
-                               budget=16, inclusion_caps=(4, 4))
+    rep = reduced_kernel_suite(caps=(10, 10), pairs=5, pair_radius=0.3, budget=16)
     assert all(rep["verdicts"].values()), rep["verdicts"]
     assert rep["constants_quotient"]["beurling_residual"] == 1.0
     assert rep["witness_symbol"]["at_origin"] == 0.0
@@ -153,11 +152,3 @@ def test_suite_verdicts_on_a_small_run():
     ranks = rep["inclusions"]
     assert ranks["rank_symbol_submodule"] < ranks["rank_vanishing_at_origin"]
     assert ranks["rank_vanishing_at_origin"] < ranks["rank_full"]
-
-
-def test_suite_accepts_explicit_pairs():
-    pairs = [((0.3, 0.2), (0.1, -0.4)), ((0.1, 0.1), (0.2, 0.2))]
-    rep = reduced_kernel_suite(caps=(12, 12), sample_pairs=pairs, budget=4,
-                               inclusion_caps=(3, 3))
-    assert rep["kernel"]["pairs"] == 2
-    assert rep["verdicts"]["kernel_identity"]

@@ -1,8 +1,10 @@
 """The exported names resolve, the package exports only what its modules
-declare, and each module uses or exports every name it imports."""
+declare, each module uses or exports every name it imports, and the count
+of defaulted parameters is pinned."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -43,3 +45,26 @@ def test_every_import_is_used_or_exported():
         exported = set(getattr(importlib.import_module(modname), "__all__", ()))
         unused |= {(path.stem, name) for name in imported - used - exported}
     assert unused <= UNUSED_IMPORTS_ALLOWED, sorted(unused - UNUSED_IMPORTS_ALLOWED)
+
+
+def _defaulted(fn) -> int:
+    try:
+        params = inspect.signature(fn).parameters.values()
+    except (TypeError, ValueError):  # a builtin without a signature
+        return 0
+    return sum(p.default is not inspect.Parameter.empty for p in params)
+
+
+def test_defaulted_parameter_count():
+    """Defaulted parameters of the exported functions and of the public
+    methods of the exported classes.  An option added or removed changes
+    this number, and the change says why."""
+    count = 0
+    for name in hardylab.__all__:
+        obj = getattr(hardylab, name)
+        if inspect.isclass(obj):
+            count += sum(_defaulted(member) for member_name, member in inspect.getmembers(obj)
+                         if not member_name.startswith("_") and callable(member))
+        elif callable(obj):
+            count += _defaulted(obj)
+    assert count == 44

@@ -1,5 +1,6 @@
 """Scenario parsing, validation diagnostics, dispatch, and batch order."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,17 @@ caps = 4 4
 symbol:
 numerator
 1 1 0 0 1.0 0.0
+end
+"""
+
+# (z1 + z2) / 2 is not inner, a domain error of the run
+NON_INNER_CFG = """
+command = check-beurling
+caps = 4 4
+symbol:
+numerator
+1 0 0 0 0.5 0.0
+0 1 0 0 0.5 0.0
 end
 """
 
@@ -339,10 +351,28 @@ def test_example42_defaults_to_kernel_caps():
 
 
 def test_caps_mismatch_surfaces_as_error_status():
-    cfg = "command = check-beurling\ncaps = 4 4 4\nsymbol:\nnumerator\n1 1 0 0 1.0 0.0\nend\n"
+    # example42 has no source to count variables from, so caps that do not
+    # fit the bidisc kernel surface only when the run reads them
+    cfg = "command = example42\ncaps = 4 4 4\npairs = 2\nbudget = 2\n"
     rep = run_scenario(parse_scenario(cfg))
     assert rep.status.startswith("error:")
     assert "caps" in rep.status
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ("command = check-beurling\ncaps = 1 1\n\nmargins = 1 1 1\nbasis:\n0 0 1 0 0 0 0 0\nend\n",
+     "line 4: margins (1, 1, 1) do not match 2 variables"),
+    ("command = dilate\ncaps = 4\n" + ZERO_PAIR_BLOCK,
+     "line 2: caps (4,) do not match 2 variables"),
+    ("command = factor\nsymbol:\nnumerator\n1 1 0 0 1.0 0.0\nend\n"
+     "phi:\nnumerator\n1 0 0 0 0 1.0 0.0\nend\n",
+     "sources disagree on the number of variables: symbol has 2, phi has 3"),
+])
+def test_sources_fix_the_number_of_variables(cfg, message):
+    """A basis counts its caps, a tuple its matrices; a symbol block is
+    covered with the flag and environment origins in test_cli."""
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        parse_scenario(cfg)
 
 
 # ---- batches and expectations ----------------------------------------------
@@ -358,7 +388,7 @@ def test_batch_preserves_input_order():
 def test_expectations_without_block_follow_status():
     good = run_scenario(parse_scenario(MONOMIAL_CFG))
     assert expectations_met(good, {})
-    bad = run_scenario(parse_scenario("command = check-beurling\ncaps = 4 4 4\nsymbol:\nnumerator\n1 1 0 0 1.0 0.0\nend\n"))
+    bad = run_scenario(parse_scenario(NON_INNER_CFG))
     assert not expectations_met(bad, {})
 
 
@@ -370,8 +400,7 @@ def test_expectations_compare_named_verdicts():
 
 
 def test_expected_error_status_counts_as_met():
-    cfg = "command = check-beurling\ncaps = 4 4 4\nsymbol:\nnumerator\n1 1 0 0 1.0 0.0\nend\n"
-    rep = run_scenario(parse_scenario(cfg))
+    rep = run_scenario(parse_scenario(NON_INNER_CFG))
     assert expectations_met(rep, {"status": rep.status})
     assert not expectations_met(rep, {"status": "ok"})
 
