@@ -4,11 +4,10 @@ Usage shapes (flags may come before or after the command):
 
     hardylab check-beurling --config runs/monomial.cfg
     hardylab --degree 6,6 check-beurling --symbol-file sym.txt
-    hardylab example42 --budget 128 --out report.json
+    hardylab example42 --seed 3 --out report.json
 
 The parser has a positional command, --config, and one flag per row of
-scenarios._RULES; a flag a COMMANDS entry claims (--budget for example42)
-is refused elsewhere.  Only --out and --format, which never enter a
+scenarios._RULES.  Only --out and --format, which never enter a
 Scenario, are defined here.  Flags and their environment variables become
 the same `key -> (origin, value)` settings a config's lines give, with the
 origin `--flag` or `HARDYLAB_X` in place of `line N`, merged as flag >
@@ -68,7 +67,6 @@ _OUTPUT = {
                       "output format (default json)"),
 }
 _SETTINGS = {key: row for key, row in {**_OUTPUT, **_RULES}.items() if row.flag}
-_OWNER = {key: name for name, command in COMMANDS.items() for key in command.flags}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,8 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", action="append", metavar="PATH",
                         help="scenario config file; repeat for a batch")
     for key, row in _SETTINGS.items():
-        text = row.help + (f" ({_OWNER[key]} only)" if key in _OWNER else "")
-        parser.add_argument(row.flag, dest=key, metavar=row.metavar, help=text)
+        parser.add_argument(row.flag, dest=key, metavar=row.metavar, help=row.help)
     return parser
 
 
@@ -146,9 +143,6 @@ def _open_out(origin: str, out: str):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for key, owner in _OWNER.items():
-        if owner != args.command and getattr(args, key) is not None:
-            parser.error(f"{_SETTINGS[key].flag} is for {owner} only, not {args.command}")
     try:
         overrides = _flag_settings(args)
         out_origin, out = overrides.pop("out", (None, None))

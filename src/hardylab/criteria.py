@@ -9,11 +9,11 @@ multiplier and so serve as numerical criteria.
 
 Everything is computed from the orthonormal basis B_Q of Q alone.  B_S and
 B_Q come from one unitary, so P_S + P_Q = I, and with the coordinate shifts
-M_t applied as index maps of the grid (no dim x dim shift or projection is
+M_t applied by TruncationGrid.shift (no dim x dim shift or projection is
 multiplied) four kinds of thin blocks, one per variable t, carry every
 residual:
 
-    C_t = B_Q* M_t B_Q              the compressions (q x q)
+    C_t = B_Q* M_t B_Q              the compressions (q x q), one product each
     U_t = P_S M_t B_Q               the part of M_t Q that lands in S,
         = M_t B_Q - B_Q C_t         (dim x q), with Grams G_ab = U_a* U_b
     V_t = P_S M_t* B_Q              the part of M_t* Q that lands in S
@@ -30,7 +30,8 @@ splits exactly as
 
 the compression formula B_Q* M_t* P_S M_t B_Q plus the top-slice term.
 Truncated shifts in different variables doubly commute exactly on the box
-grid (M_i M_j* = M_j* M_i for i != j), so with K = C_i C_j* - C_j* C_i
+grid (M_i M_j* = M_j* M_i for i != j), so with the commutator
+K = C_i C_j* - C_j* C_i (QuotientData.commutator, the one place it is formed)
 
     K = G_ji - V_i* V_j,
 
@@ -52,7 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from .grids import TruncationGrid
-from .operators import hermitian_norm, norm_factor, spectral_norm, unit_index
+from .operators import hermitian_norm, norm_factor, spectral_norm
 from .subspaces import RANK_TOL, InvarianceError, SubspaceData, invariance_defect
 
 __all__ = [
@@ -117,6 +118,11 @@ class QuotientData:
             else:
                 grams[(a, b)] = self.leak(a).conj().T @ self.leak(b)
         return grams[(a, b)]
+
+    def commutator(self, i: int, j: int) -> np.ndarray:
+        """K = C_i C_j* - C_j* C_i in Q coordinates; K for (j, i) is its adjoint."""
+        c_i, c_j = self.compressions[i], self.compressions[j]
+        return c_i @ c_j.conj().T - c_j.conj().T @ c_i
 
     @cached_property
     def defect_split(self) -> tuple:
@@ -306,10 +312,11 @@ def identity_suite(data: QuotientData, tol: float = 1e-8) -> CriterionReport:
                            the verdict only when the defect product is small
 
     The defects, xij and the defect product are read from the cached
-    members of data, which beurling_criterion shares.  The (j, i)
-    commutator residual is the adjoint of the (i, j) one, so its norm is
-    taken for i < j only; the domination eigenvalue differs between the two
-    orders and is taken for both.
+    members of data, which beurling_criterion shares.  K is formed once per
+    unordered pair (QuotientData.commutator), and the (j, i) commutator is
+    K*: the commutator residual of (j, i) is the adjoint of the (i, j) one,
+    so its norm is taken for i < j only, and the domination eigenvalue of
+    (j, i) is lambda_min(D_j - K K*).
     """
     n = data.grid.nvars
     q = data.q
@@ -324,15 +331,14 @@ def identity_suite(data: QuotientData, tol: float = 1e-8) -> CriterionReport:
 
     worst_comm = 0.0
     min_eig = np.inf if pairs else 0.0
-    for i, j in pairs:
-        comm = c_ops[i] @ c_ops[j].conj().T - c_ops[j].conj().T @ c_ops[i]
-        if i < j:
+    for i in range(n):
+        for j in range(i + 1, n):
+            comm = data.commutator(i, j)     # K for (j, i) is comm*
             v_i, v_j = (q.shift_blocks(t, adjoint=True)[1] for t in (i, j))
             residual = comm - data.gram(j, i) + v_i.conj().T @ v_j
             worst_comm = max(worst_comm, spectral_norm(residual))
-
-        dom = d[i] - comm.conj().T @ comm
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(dom)[0]) if dom.size else 0.0)
+            for dom in (d[i] - comm.conj().T @ comm, d[j] - comm @ comm.conj().T):
+                min_eig = min(min_eig, float(np.linalg.eigvalsh(dom)[0]) if dom.size else 0.0)
     residuals["commutator_identity"] = worst_comm
     verdicts["commutator_identity"] = worst_comm <= tol
     residuals["defect_domination_min_eig"] = float(min_eig)
@@ -341,9 +347,7 @@ def identity_suite(data: QuotientData, tol: float = 1e-8) -> CriterionReport:
     b = q.basis
     worst_reduce = 0.0
     for t in range(n):
-        src, dst = data.grid.shift_map(unit_index(n, t))
-        block = np.zeros_like(b)
-        block[src] = data.leak(t)[dst]                          # Z_t = M_t* U_t
+        block = data.grid.shift(data.leak(t), t, adjoint=True)   # Z_t = M_t* U_t
         block -= b @ data.defect_split[t]
         block += q.shift_blocks(t, adjoint=True)[1] @ c_ops[t]
         top = data.grid.top_slice_indices(t)
@@ -413,8 +417,7 @@ def douglas_factor(data: QuotientData, i: int, j: int):
         raise ValueError(f"variables {i}, {j} out of range for n={n}")
     if i == j:
         raise ValueError("need two distinct variables")
-    c_i, c_j = data.compressions[i], data.compressions[j]
-    comm = c_i @ c_j.conj().T - c_j.conj().T @ c_i
+    comm = data.commutator(i, j)
     defect = data.defect_blocks[i]
     w, v = np.linalg.eigh((defect + defect.conj().T) / 2)
     d = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T     # psd_sqrt(defect)

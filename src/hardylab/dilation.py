@@ -6,9 +6,9 @@ the embedding at multi-index k is D T*^k, with D the positive square root
 of the defect sum.  On a finite grid the construction is exact for
 nilpotent tuples once the caps reach the nilpotency indices, and that
 exactness is verified, not assumed: the isometry and intertwining residuals
-are computed and reported every time.  The shifts are applied as the grid's
-index maps (TruncationGrid.shift_map), never as dense matrices: M_i* Pi is
-Pi with rows dst moved to rows src and every other row zero.
+are computed and reported every time.  The shifts are applied by
+TruncationGrid.shift, never as dense matrices, and the defect sum of a
+tuple is formed in n steps, D <- D - T_i D T_i* from D = I.
 
 The same circle of ideas runs backwards: compressing the coordinate shifts
 to the quotient of an inner-symbol submodule yields a tuple whose defect
@@ -19,7 +19,6 @@ direction matches its input.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,7 @@ from .criteria import (
     quotient_data,
 )
 from .grids import TruncationGrid
-from .operators import eval_margins, spectral_norm, unit_index
+from .operators import eval_margins, spectral_norm
 from .subspaces import RANK_TOL, submodule_projection
 from .symbols import AnalyticSymbol
 from .textlines import content_lines, fields, numbers
@@ -105,27 +104,20 @@ class ContractionTuple:
     def dim(self) -> int:
         return self.matrices[0].shape[0]
 
-    def subset_product(self, subset) -> np.ndarray:
-        out = np.eye(self.dim, dtype=complex)
-        for i in subset:
-            out = out @ self.matrices[i]
-        return out
-
 
 def brehmer_defect(t: ContractionTuple):
     """Alternating defect sum, its PSD verdict, and a defect-space basis.
 
     defect = sum over subsets F of (-1)^|F| T_F T_F*, PSD when its least
-    eigenvalue is at least -EIG_TOL.  The returned basis spans the range of
-    the clamped square root: the eigenvectors whose eigenvalue exceeds
-    RANK_TOL times the largest.
+    eigenvalue is at least -EIG_TOL.  For commuting entries the sum factors
+    as the composition of the maps X -> X - T_i X T_i*, so it is formed in
+    n steps D <- D - T_i D T_i* from D = I, not subset by subset.  The
+    returned basis spans the range of the clamped square root: the
+    eigenvectors whose eigenvalue exceeds RANK_TOL times the largest.
     """
-    dim = t.dim
-    defect = np.zeros((dim, dim), dtype=complex)
-    for r in range(t.n + 1):
-        for subset in itertools.combinations(range(t.n), r):
-            tf = t.subset_product(subset)
-            defect += (-1) ** r * tf @ tf.conj().T
+    defect = np.eye(t.dim, dtype=complex)
+    for m in t.matrices:
+        defect = defect - m @ defect @ m.conj().T
     defect = (defect + defect.conj().T) / 2
     w, v = np.linalg.eigh(defect)
     psd = bool(w[0] >= -EIG_TOL)
@@ -233,21 +225,14 @@ def canonical_dilation(t: ContractionTuple, caps, tail_tol: float = 1e-8) -> Dil
             "raise the caps"
         )
 
-    iso = spectral_norm(pi.conj().T @ pi - np.eye(t.dim))
-    inter = []
-    for i in range(t.n):
-        # M_i* Pi through the index map: (M_i* Pi)[src] = Pi[dst], other rows zero
-        src, dst = grid.shift_map(unit_index(t.n, i))
-        down = np.zeros_like(pi)
-        down[src] = pi[dst]
-        inter.append(spectral_norm(pi @ adj[i] - down))
     return DilationData(
         grid=grid,
         defect_sq=defect,
         defect_space_basis=basis,
         pi=pi,
-        isometry_residual=iso,
-        intertwining_residuals=tuple(inter),
+        isometry_residual=spectral_norm(pi.conj().T @ pi - np.eye(t.dim)),
+        intertwining_residuals=tuple(spectral_norm(pi @ adj[i] - grid.shift(pi, i, adjoint=True))
+                                     for i in range(t.n)),
         tail_mass=tail,
     )
 

@@ -18,11 +18,11 @@ same cross-commutator and defect-product residuals the rest of the package
 uses.
 
 Every residual is an exact identity on thin blocks of the subspace bases
-(SubspaceData.basis and .complement), and the shifts are the grid's index
-maps (TruncationGrid.shift_map), so no dense shift or dim x dim projection
-is formed.  A projection P = B B* enters a norm only through B: with B_c
-the complement basis, ||(I - P) A|| = ||B_c* A||.  The gap and the check
-build N = S_theta + M by one split (SubspaceData.extended) and gate its
+(SubspaceData.basis and .complement), and the shifts are applied by
+TruncationGrid.shift, so no dense shift or dim x dim projection is formed.
+A projection P = B B* enters a norm only through B: with B_c the
+complement basis, ||(I - P) A|| = ||B_c* A||.  The gap and the check build
+N = S_theta + M by one split (SubspaceData.extended) and gate its
 invariance with the shared invariance_defect.
 """
 
@@ -39,7 +39,7 @@ from .criteria import (
     quotient_data,
 )
 from .grids import TruncationGrid
-from .operators import eval_margins, spectral_norm, toeplitz_matrix, unit_index
+from .operators import eval_margins, spectral_norm, toeplitz_matrix
 from .subspaces import invariance_defect, submodule_projection
 from .symbols import AnalyticSymbol
 
@@ -138,8 +138,7 @@ def _divide(theta: AnalyticSymbol, phi: AnalyticSymbol, grid: TruncationGrid,
     in_window[col_window] = True
     reach = in_window.copy()
     for i in range(grid.nvars):
-        src, dst = dom_t.shift_map(unit_index(grid.nvars, i))
-        reach[dst[in_window[src]]] = True
+        reach |= dom_t.shift(in_window, i, adjoint=False)
     reach = np.flatnonzero(reach)
     commutation = spectral_norm(
         mp[:, row_window].conj().T @ mt[:, reach] - mq[np.ix_(row_window, reach)])

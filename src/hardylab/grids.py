@@ -5,7 +5,8 @@ d = (d_1, ..., d_n) and a channel count m, and represent a C^m-valued
 analytic function by its Taylor coefficients on the multi-indices k with
 0 <= k_i <= d_i.  The monomials e_s z^k form an orthonormal basis of the
 truncated space, so operators become plain complex matrices and subspaces
-become column spans.
+become column spans.  TruncationGrid.shift applies a coordinate shift M_t
+or its adjoint to an array of rows; it is the one place a shift is applied.
 
 Basis order is graded: multi-indices sort by total degree, ties broken by
 the reversed tuple, and the channel index varies fastest.  The order is part
@@ -160,6 +161,19 @@ class TruncationGrid:
             dst.flags.writeable = False
             maps[k] = (src, dst)
         return maps[k]
+
+    def shift(self, x: np.ndarray, t: int, adjoint: bool) -> np.ndarray:
+        """M_t x, or M_t* x when adjoint, for x with one row per basis index:
+        (M_t x)[dst] = x[src] and (M_t* x)[src] = x[dst] for the index map of
+        e_t, every other row zero."""
+        if not 0 <= t < self.nvars:
+            raise ValueError(f"variable {t} out of range for n={self.nvars}")
+        src, dst = self.shift_map(tuple(int(i == t) for i in range(self.nvars)))
+        if adjoint:
+            src, dst = dst, src
+        out = np.zeros_like(x)
+        out[dst] = x[src]
+        return out
 
     # ---- distinguished index sets ---------------------------------------
 

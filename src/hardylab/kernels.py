@@ -16,7 +16,8 @@ the bidisc and vanishes at the origin, so its submodule sits strictly
 between the vanishing-at-origin subspace and the whole grid; the quotient
 by the vanishing-at-origin subspace fails the defect-product test with
 residual exactly one.  reduced_kernel_suite packages all of those checks
-into one report; the witness's innerness is certified from its
+into one report, sampled at the fixed KERNEL_CAPS, SAMPLE_PAIRS,
+PAIR_RADIUS and GRAM_BUDGET; the witness's innerness is certified from its
 coefficients (operators.innerness_check), where it reads exactly zero.
 """
 
@@ -50,6 +51,10 @@ GRAM_SIZES = (2, 3, 4)
 GRAM_THRESHOLD = -1e-6
 WITNESS_INNER_TOL = 1e-10
 INCLUSION_CAPS = (6, 6)
+KERNEL_CAPS = (20, 20)
+SAMPLE_PAIRS = 20
+PAIR_RADIUS = 0.6
+GRAM_BUDGET = 64
 
 
 def _check_interior(z, label: str):
@@ -136,7 +141,7 @@ class GramWitness:
     candidates: int
 
 
-def gram_negativity_search(budget: int = 64, seed: int = 0) -> GramWitness:
+def gram_negativity_search(budget: int = GRAM_BUDGET, seed: int = 0) -> GramWitness:
     """Seeded search for a Gram matrix of the factor with a negative eigenvalue.
 
     Each candidate is a set of GRAM_SIZES points in the polydisc of radius
@@ -178,32 +183,27 @@ def rational_inner_witness() -> AnalyticSymbol:
     return AnalyticSymbol.rational(numerator, denominator, nvars=2)
 
 
-def reduced_kernel_suite(caps=(20, 20), pairs: int = 20, seed: int = 0,
-                         pair_radius: float = 0.6, budget: int = 64, tol: float = 1e-8) -> dict:
+def reduced_kernel_suite(caps=KERNEL_CAPS, seed: int = 0, tol: float = 1e-8) -> dict:
     """Kernel identity, Gram negativity, and the inner-witness checks.
 
-    The kernel identity is checked on pairs (z, w) of interior points drawn
-    from seed within pair_radius.  The witness symbol's innerness is checked
-    at WITNESS_INNER_TOL, and the inclusions and the constants quotient are
-    built at INCLUSION_CAPS.  Returns a JSON-ready report: every leaf is a
-    float, int, bool, string, or a list of those, so the serialized form is
-    stable across runs.
+    The kernel identity is checked at caps on SAMPLE_PAIRS pairs (z, w) of
+    interior points drawn from seed within PAIR_RADIUS, and the Gram search
+    draws GRAM_BUDGET candidates from seed.  The witness symbol's innerness
+    is checked at WITNESS_INNER_TOL, and the inclusions and the constants
+    quotient are built at INCLUSION_CAPS.  Returns a JSON-ready report:
+    every leaf is a float, int, bool, string, or a list of those, so the
+    serialized form is stable across runs.
     """
     caps = tuple(int(c) for c in caps)
     rng = np.random.default_rng(int(seed))
-    sample_pairs = []
-    for _ in range(int(pairs)):
-        rad = pair_radius * np.sqrt(rng.uniform(size=(2, 2)))
-        ang = rng.uniform(0.0, 2 * np.pi, size=(2, 2))
-        sample_pairs.append((tuple(rad[0] * np.exp(1j * ang[0])),
-                             tuple(rad[1] * np.exp(1j * ang[1]))))
-
     worst_dev = 0.0
-    for z, w in sample_pairs:
-        dev = abs(reduced_szego_kernel(z, w) - kernel_sum_oracle(z, w, caps))
-        worst_dev = max(worst_dev, dev)
+    for _ in range(SAMPLE_PAIRS):
+        rad = PAIR_RADIUS * np.sqrt(rng.uniform(size=(2, 2)))
+        ang = rng.uniform(0.0, 2 * np.pi, size=(2, 2))
+        z, w = (tuple(point) for point in rad * np.exp(1j * ang))
+        worst_dev = max(worst_dev, abs(reduced_szego_kernel(z, w) - kernel_sum_oracle(z, w, caps)))
 
-    witness = gram_negativity_search(budget=budget, seed=seed)
+    witness = gram_negativity_search(seed=seed)
 
     phi = rational_inner_witness()
     at_zero = abs(complex(phi.evaluate([(0.0, 0.0)])[0, 0, 0]))
@@ -234,9 +234,9 @@ def reduced_kernel_suite(caps=(20, 20), pairs: int = 20, seed: int = 0,
     return {
         "kernel": {
             "max_deviation": float(worst_dev),
-            "pairs": len(sample_pairs),
+            "pairs": SAMPLE_PAIRS,
             "caps": list(caps),
-            "pair_radius": float(pair_radius),
+            "pair_radius": PAIR_RADIUS,
         },
         "gram": {
             "found": bool(witness.found),

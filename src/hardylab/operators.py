@@ -9,9 +9,9 @@ window, where the truncated operators compose exactly like their
 infinite-dimensional counterparts on polynomial symbols.
 
 A truncated shift power is a 0/1 partial permutation, held as the grid's
-index map (TruncationGrid.shift_map): (M^k X)[dst] = X[src].  shift_matrix
-and toeplitz_matrix are laid out from those maps, and the quotient battery
-applies them to bases directly, without forming a dense shift.
+index map (TruncationGrid.shift_map).  shift_matrix and toeplitz_matrix lay
+dense matrices out from those maps; every other module applies a shift to
+its bases through TruncationGrid.shift, without forming a dense shift.
 
 Innerness is not read from the truncated operators either: innerness_check
 certifies Theta = N/q from the Taylor coefficients of N and q, through the

@@ -16,12 +16,14 @@ line).  Comments, blank lines, commas and numbers follow the shared rules
 of textlines.  read_config turns the text into `key -> (origin, value)`
 settings, the shape the CLI also builds from flags and the environment,
 and build_scenario checks every value against the one rule for its key,
-and caps and margins against the sources' number of variables, so each
-error message names the line, flag or variable it came from.
+caps and margins against the sources' number of variables, and the caps
+against the margins of the run's window, so each error message names the
+line, flag or variable it came from.
 
 _RULES holds each setting's rule, flag, environment variable, metavar and
-help; COMMANDS holds each command's help, needed sources, runner and own
-flags.  A new setting or command is one row in one of them.
+help; COMMANDS holds each command's help, needed sources, runner, window
+sources and any variable count it fixes.  A new setting or command is one
+row in one of them.
 
 run_scenario never raises: a domain failure (a ValueError) lands in the
 report's status field as "error: ...", any other exception as
@@ -48,7 +50,7 @@ from .criteria import (
 from .dilation import ContractionTuple, canonical_dilation, model_correspondence, parse_tuple_text
 from .factorization import beurling_submodule_check, invariant_subspace_from_factorization
 from .grids import TruncationGrid
-from .kernels import reduced_kernel_suite
+from .kernels import KERNEL_CAPS, reduced_kernel_suite
 from .operators import eval_margins
 from .reports import Report
 from .subspaces import parse_basis_text, submodule_projection, subspace_from_rows
@@ -84,9 +86,6 @@ class Scenario:
     phi: AnalyticSymbol | None = None
     tuple_source: ContractionTuple | None = None
     basis_rows: np.ndarray | None = None
-    budget: int = 64
-    pairs: int = 20
-    pair_radius: float = 0.6
     expect: dict = field(default_factory=dict)
 
 
@@ -111,13 +110,6 @@ def _positive(value, key):
     return x
 
 
-def _open_unit(value, key):
-    (x,) = numbers([value], float, key)
-    if not 0 < x < 1:
-        raise ValueError(f"{key} must be strictly between 0 and 1, got {value!r}")
-    return x
-
-
 def _text(value, key):
     if not value:
         raise ValueError(f"{key} is empty")
@@ -138,8 +130,7 @@ class Setting(NamedTuple):
     help: str | None = None
 
 
-# A key is a Scenario field, or with _file a source; its flag is for the
-# command whose COMMANDS entry lists it under flags, else for all.
+# A key is a Scenario field, or with _file a source.
 _RULES = {
     "id": Setting(_text, "--id", None, "NAME", "scenario id for the report"),
     "command": Setting(_command),
@@ -149,10 +140,6 @@ _RULES = {
                        "per-variable evaluation window margins"),
     "tol": Setting(_positive, "--tol", "HARDYLAB_TOL", "X", "residual tolerance"),
     "seed": Setting(_numbers(int), "--seed", "HARDYLAB_SEED", "N", "seed for any randomized search"),
-    "budget": Setting(_numbers(int, 1), "--budget", None, "N", "Gram search candidate count"),
-    "pairs": Setting(_numbers(int, 1), "--pairs", None, "N", "kernel identity sample pairs"),
-    "pair_radius": Setting(_open_unit, "--pair-radius", None, "R",
-                           "radius for kernel sample points"),
     "symbol_file": Setting(_text, "--symbol-file", None, "PATH", "coefficient text for the symbol"),
     "phi_file": Setting(_text, "--phi-file", None, "PATH", "coefficient text for the divisor"),
     "tuple_file": Setting(_text, "--tuple-file", None, "PATH", "matrix text for the tuple"),
@@ -284,6 +271,8 @@ def build_scenario(settings: dict, blocks: dict, scenario_id: str = "scenario",
     counts = {name: len(scenario.caps) if name == "basis" else
               source.n if name == "tuple" else source.nvars
               for name, source in sources.items() if source is not None}
+    if COMMANDS[scenario.command].nvars is not None:
+        counts[scenario.command] = COMMANDS[scenario.command].nvars
     if len(set(counts.values())) > 1:
         listed = ", ".join(f"{name} has {n}" for name, n in counts.items())
         raise ScenarioError(f"sources disagree on the number of variables: {listed}")
@@ -292,7 +281,27 @@ def build_scenario(settings: dict, blocks: dict, scenario_id: str = "scenario",
             value = getattr(scenario, key)
             if value is not None and len(value) != n:
                 raise ScenarioError(f"{settings[key][0]}: {key} {value} do not match {n} variables")
+        _check_window(scenario, settings, n)
     return scenario
+
+
+def _check_window(s: Scenario, settings: dict, nvars: int) -> None:
+    """Refuse caps (the setting, else 4 per variable) below a margin of the
+    run's window, which would leave it empty.  The margins are the margins
+    setting, else each window source's eval_margins: its degrees, floored at
+    1.  check-brehmer reads its symbol's degrees even when margins are set."""
+    window = COMMANDS[s.command].window
+    if s.margins is not None and window and s.command != "check-brehmer":
+        wanted = {f"margins {s.margins} from {settings['margins'][0]}": s.margins}
+    else:
+        wanted = {f"degrees {src.degrees} of the {name}": eval_margins(src)
+                  for name in window if (src := getattr(s, name)) is not None}
+    caps = _resolved_caps(s, nvars)
+    where = f"{settings['caps'][0]}: caps" if "caps" in settings else "default caps"
+    for what, margins in wanted.items():
+        if any(m > c for m, c in zip(margins, caps)):
+            raise ScenarioError(f"{where} {caps} are below the {what}; "
+                                "the evaluation window would be empty")
 
 
 def parse_scenario(text: str, scenario_id: str = "scenario",
@@ -401,11 +410,8 @@ def _run_factor(s: Scenario):
 
 
 def _run_example42(s: Scenario):
-    caps = s.caps if s.caps is not None else (20, 20)
-    rep = reduced_kernel_suite(
-        caps=caps, pairs=s.pairs, seed=s.seed, pair_radius=s.pair_radius,
-        budget=s.budget, tol=s.tol,
-    )
+    caps = s.caps if s.caps is not None else KERNEL_CAPS
+    rep = reduced_kernel_suite(caps=caps, seed=s.seed, tol=s.tol)
     wit = rep["witness_symbol"]
     # one residual per verdict, under the same key: the number each
     # verdict was judged on (details carries the full structured suite)
@@ -425,23 +431,24 @@ class Command(NamedTuple):
     help: str
     needs: tuple        # alternatives, each a group of sources that must all be given
     run: Callable       # Scenario -> (residuals, verdicts, details, caps)
-    flags: tuple = ()   # settings whose flags only this command accepts
+    window: tuple = ()  # sources whose degrees set the run's window when no margins are set
+    nvars: int | None = None   # variables the command fixes itself, whatever its sources
 
 
 # The one table of commands, in the order the CLI lists them.
 COMMANDS = {
     "check-beurling": Command("test a submodule for the Beurling quotient property",
-                              (("symbol",), ("basis",)), _run_check_beurling),
+                              (("symbol",), ("basis",)), _run_check_beurling, ("symbol",)),
     "check-brehmer": Command("test a commuting tuple or symbol against the standard model",
-                             (("symbol",), ("tuple",)), _run_check_brehmer),
+                             (("symbol",), ("tuple",)), _run_check_brehmer, ("symbol",)),
     "dilate": Command("build the canonical co-extension of a pure tuple",
                       (("tuple",),), _run_dilate),
     "factor": Command("divide one inner symbol by another and audit the gap",
-                      (("symbol", "phi"),), _run_factor),
+                      (("symbol", "phi"),), _run_factor, ("symbol", "phi")),
     "example42": Command("reduced kernel suite: identity, negativity witness, inclusions",
-                         ((),), _run_example42, ("budget", "pairs", "pair_radius")),
+                         ((),), _run_example42, nvars=2),
     "identity-suite": Command("all compression identities for one subspace split",
-                              (("symbol",), ("basis",)), _run_identity_suite),
+                              (("symbol",), ("basis",)), _run_identity_suite, ("symbol",)),
 }
 
 

@@ -18,9 +18,9 @@ leading block of Q by the left singular vectors of that small factor.
 SubspaceData.extended splits the sum of a subspace and further columns in
 the coordinates of its complement, without splitting the grid again.
 Operators are read against one basis B at a time: SubspaceData.shift_blocks
-gives B* A B and the part (I - B B*) A B of A B outside the span, for the
-coordinate shift A = M_t of variable t or its adjoint, through the grid's
-index map.  The quotient battery needs these for the basis of Q only.
+gives B* A B and the part (I - B B*) A B of A B outside the span, for A = M_t
+or M_t* applied by TruncationGrid.shift; B* M_t B is a product for the first
+direction asked, and the other takes its adjoint.
 
 Submodules generated by an inner symbol take the columns of the truncated
 multiplication operator over the input window (domain degrees at least
@@ -45,7 +45,6 @@ from .operators import (
     norm_factor,
     spectral_norm,
     toeplitz_matrix,
-    unit_index,
 )
 from .symbols import AnalyticSymbol
 from .textlines import content_lines, fields, numbers
@@ -103,19 +102,16 @@ class SubspaceData:
         B is the basis and t a variable number, so the first block is the
         shift of variable t in the coordinates of the subspace and the
         second, (I - B B*) A B of shape (dim, rank), is the part of A B
-        outside it.  A is applied as the grid's index map:
-        (M_t X)[dst] = X[src] and (M_t* X)[src] = X[dst].  Cached per
-        (t, adjoint).
+        outside it; A B is TruncationGrid.shift of B.  B* A B is a product
+        for the first direction asked only, and the other direction takes
+        its adjoint, B* M_t* B = (B* M_t B)*.  Cached per (t, adjoint).
         """
         key = ("shift", int(t), bool(adjoint))
         if key not in self._cache:
-            src, dst = self.grid.shift_map(unit_index(self.grid.nvars, key[1]))
-            if adjoint:
-                src, dst = dst, src
             b = self.basis
-            moved = np.zeros_like(b)
-            moved[dst] = b[src]
-            inside = b[dst].conj().T @ b[src]
+            moved = self.grid.shift(b, key[1], key[2])
+            other = self._cache.get(("shift", key[1], not key[2]))
+            inside = b.conj().T @ moved if other is None else other[0].conj().T
             self._cache[key] = (inside, moved - b @ inside)
         return self._cache[key]
 

@@ -196,13 +196,9 @@ def test_bad_env_value_exits_two(mono_cfg, monkeypatch, capsys):
 @pytest.mark.parametrize("origin, command, value, message", [
     ("config", "check-beurling", "caps = 0 0", "caps must be >= 1"),
     ("config", "check-beurling", "margins = -1 -1", "margins must be >= 0"),
-    ("config", "example42", "budget = 0", "budget must be >= 1"),
-    ("config", "example42", "pairs = 0", "pairs must be >= 1"),
     ("--degree", "check-beurling", "0,0", "caps must be >= 1"),
     ("--degree", "check-beurling", "-2,3", "caps must be >= 1"),
     ("--margins", "check-beurling", "1,-1", "margins must be >= 0"),
-    ("--budget", "example42", "0", "budget must be >= 1"),
-    ("--pairs", "example42", "-1", "pairs must be >= 1"),
     ("HARDYLAB_DEGREE", "check-beurling", "0 0", "caps must be >= 1"),
     ("HARDYLAB_TOL", "check-beurling", "-1e-8", "tol must be positive"),
     ("config", "check-beurling", "caps = 3 3 3", "caps (3, 3, 3) do not match 2 variables"),
@@ -210,6 +206,9 @@ def test_bad_env_value_exits_two(mono_cfg, monkeypatch, capsys):
     ("--degree", "check-beurling", "3,3,3", "caps (3, 3, 3) do not match 2 variables"),
     ("--margins", "check-beurling", "1,1,1", "margins (1, 1, 1) do not match 2 variables"),
     ("HARDYLAB_DEGREE", "check-beurling", "3 3 3", "caps (3, 3, 3) do not match 2 variables"),
+    ("config", "example42", "caps = 4 4 4", "caps (4, 4, 4) do not match 2 variables"),
+    ("--degree", "example42", "4,4,4", "caps (4, 4, 4) do not match 2 variables"),
+    ("HARDYLAB_DEGREE", "example42", "4 4 4", "caps (4, 4, 4) do not match 2 variables"),
 ])
 def test_bad_value_exits_two_naming_its_origin(tmp_path, monkeypatch, capsys,
                                                origin, command, value, message):
@@ -225,6 +224,62 @@ def test_bad_value_exits_two_naming_its_origin(tmp_path, monkeypatch, capsys,
     assert run_cli(argv) == 2
     where = "line 2" if origin == "config" else origin
     assert f"{where}: {message}" in capsys.readouterr().err
+
+
+WINDOW_SOURCES = "symbol:\nnumerator\n2 2 0 0 1.0 0.0\nend\nphi:\nnumerator\n1 0 0 0 1.0 0.0\nend\n"
+
+
+@pytest.mark.parametrize("command", ["check-beurling", "identity-suite", "check-brehmer", "factor"])
+@pytest.mark.parametrize("origin", ["config", "--degree", "HARDYLAB_DEGREE", "default"])
+def test_caps_below_the_window_margins_exit_two_before_any_run(tmp_path, monkeypatch, capsys,
+                                                                command, origin):
+    def no_run(scenarios):
+        raise AssertionError("run_batch called")
+
+    monkeypatch.setattr(cli, "run_batch", no_run)
+    cfg = tmp_path / "window.cfg"
+    sources = WINDOW_SOURCES if command == "factor" else WINDOW_SOURCES.split("phi:")[0]
+    if origin == "default":     # z1^5 z2^5 against the default caps (4, 4)
+        sources = sources.replace("2 2 0 0", "5 5 0 0")
+    cfg.write_text(f"command = {command}\n{'caps = 1 1' if origin == 'config' else 'seed = 1'}\n"
+                   + sources)
+    argv = [command, "--config", cfg]
+    if origin == "--degree":
+        argv.append("--degree=1,1")
+    elif origin == "HARDYLAB_DEGREE":
+        monkeypatch.setenv(origin, "1 1")
+    assert run_cli(argv) == 2
+    if origin == "default":
+        message = "default caps (4, 4) are below the degrees (5, 5) of the symbol"
+    else:
+        where = "line 2" if origin == "config" else origin
+        message = f"{where}: caps (1, 1) are below the degrees (2, 2) of the symbol"
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, code", [("check-beurling", 2), ("check-brehmer", 0)])
+def test_margins_setting_above_the_caps_exits_two_except_for_check_brehmer(tmp_path, capsys,
+                                                                          command, code):
+    # check-brehmer reads its symbol's degrees, never the margins setting
+    cfg = tmp_path / "margins.cfg"
+    cfg.write_text(f"command = {command}\ncaps = 2 2\nmargins = 3 3\n"
+                   "symbol:\nnumerator\n1 0 0 0 1.0 0.0\nend\n")
+    assert run_cli([command, "--config", cfg]) == code
+    message = "line 2: caps (2, 2) are below the margins (3, 3) from line 3"
+    assert (message in capsys.readouterr().err) == (code == 2)
+
+
+def test_removed_example42_settings_are_unknown(tmp_path, capsys):
+    for flag in ("--budget", "--pairs", "--pair-radius"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["example42", flag, "2"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    cfg = tmp_path / "kernel.cfg"
+    for key in ("budget", "pairs", "pair_radius"):
+        cfg.write_text(f"command = example42\n{key} = 2\n")
+        assert run_cli(["example42", "--config", cfg]) == 2
+        assert f"line 2: unknown setting {key!r}" in capsys.readouterr().err
 
 
 def test_config_basis_block_is_read_at_the_degree_flag_caps(tmp_path, capsys):
@@ -243,8 +298,7 @@ def test_undecodable_config_exits_two(tmp_path, capsys):
     assert "hardylab: error:" in capsys.readouterr().err
 
 def test_seed_flag_reaches_report(tmp_path, capsys):
-    assert run_cli(["example42", "--degree", "6,6", "--pairs", "2",
-                    "--budget", "2", "--seed", "9"]) == 0
+    assert run_cli(["example42", "--degree", "6,6", "--seed", "9"]) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 9
 
 
@@ -254,26 +308,6 @@ def test_single_config_report_round_trips(mono_cfg, tmp_path):
     rep = parse_report(out.read_bytes())
     assert rep.ok
     assert rep.caps == (4, 4)
-
-
-@pytest.mark.parametrize("origin", ["config", "--pair-radius"])
-@pytest.mark.parametrize("value", ["1.5", "1", "0", "-0.3"])
-def test_pair_radius_outside_the_open_unit_interval_exits_two(tmp_path, capsys, origin, value):
-    cfg = tmp_path / "kernel.cfg"
-    setting = f"pair_radius = {value}" if origin == "config" else "seed = 1"
-    cfg.write_text(f"command = example42\n{setting}\npairs = 2\nbudget = 2\n")
-    argv = ["example42", "--config", cfg, "--degree", "6,6"]
-    if origin != "config":
-        argv.append(f"{origin}={value}")
-    assert run_cli(argv) == 2
-    where = "line 2" if origin == "config" else origin
-    assert f"{where}: pair_radius must be strictly between 0 and 1" in capsys.readouterr().err
-
-
-def test_pair_radius_flag_without_config_exits_two(capsys):
-    argv = ["example42", "--degree", "6,6", "--pairs", "3", "--budget", "2", "--pair-radius", "1.5"]
-    assert run_cli(argv) == 2
-    assert "--pair-radius: pair_radius must be strictly between 0 and 1" in capsys.readouterr().err
 
 
 def test_batch_input_error_names_its_config(mono_cfg, tmp_path, capsys):
@@ -337,8 +371,7 @@ def test_help_lists_every_command_with_its_help_line(capsys):
 
 @pytest.mark.parametrize("command, flags", [
     ("check-beurling", ["--degree", "5,5", "--tol", "1e-9", "--id", "probe"]),
-    ("example42", ["--degree", "6,6", "--pairs", "2", "--budget", "3", "--seed", "4",
-                   "--pair-radius", "0.5"]),
+    ("example42", ["--degree", "6,6", "--seed", "4"]),
 ])
 def test_flags_before_the_command_give_the_same_report(mono_cfg, tmp_path, command, flags):
     source = ["--config", mono_cfg] if command == "check-beurling" else []

@@ -1,5 +1,7 @@
 """Dilation of commuting contraction tuples into truncated shift grids."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,26 @@ def test_jordan_pair_defect_diagonal():
     assert np.max(np.abs(off)) == 0.0
     assert np.allclose(np.diag(defect).real, [9 / 16, 1 / 2, 3 / 4, 1], atol=0)
     assert basis.shape[1] == 4
+
+
+def test_defect_in_n_steps_is_the_subset_sum():
+    # three polynomials in one seeded matrix commute; the n-step defect
+    # must equal sum over subsets F of (-1)^|F| T_F T_F*
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    a *= 0.5 / spectral_norm(a)
+    eye = np.eye(5)
+    mats = (a, 0.6 * a @ a - 0.2 * a, 0.3 * eye + 0.4 * a @ a @ a)
+    t = ContractionTuple.checked(mats)
+    want = np.zeros((5, 5), dtype=complex)
+    for r in range(t.n + 1):
+        for subset in itertools.combinations(range(t.n), r):
+            tf = eye.astype(complex)
+            for i in subset:
+                tf = tf @ t.matrices[i]
+            want += (-1) ** r * tf @ tf.conj().T
+    defect, _, _ = brehmer_defect(t)
+    assert np.max(np.abs(defect - want)) <= 1e-14
 
 
 def test_equal_nilpotent_pair_defect_not_psd():

@@ -415,7 +415,7 @@ def test_division_and_gap_form_no_dense_shift_or_projection(no_dense_operators):
         assert beurling_submodule_check(wit.m_basis, theta, grid, tol=tol,
                                         margins=margins).verdict, name
     assert constancy_check(Z1, TruncationGrid((4, 4))).verdicts["tests_consistent"]
-    report = reduced_kernel_suite(caps=(6, 6), pairs=2, budget=2)
+    report = reduced_kernel_suite(caps=(6, 6))
     assert report["verdicts"]["strict_inclusions"]
 
 

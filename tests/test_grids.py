@@ -190,3 +190,21 @@ def test_shift_map_validation():
     src, _ = g.shift_map((1, 0))
     with pytest.raises(ValueError):
         src[0] = 5  # cached maps are read-only
+
+
+@pytest.mark.parametrize("caps", [(3,), (2, 3), (2, 1, 2)])
+@pytest.mark.parametrize("channels", [1, 2])
+def test_shift_is_the_dense_shift_and_its_adjoint(caps, channels):
+    from hardylab.operators import shift_matrix
+
+    g = TruncationGrid(caps, channels)
+    rng = np.random.default_rng(len(caps) * 10 + channels)
+    x = rng.normal(size=(g.dim, 3)) + 1j * rng.normal(size=(g.dim, 3))
+    for t in range(g.nvars):
+        m = shift_matrix(g, t)
+        assert np.array_equal(g.shift(x, t, adjoint=False), m @ x)
+        assert np.array_equal(g.shift(x, t, adjoint=True), m.conj().T @ x)
+        assert np.array_equal(g.shift(x[:, 0], t, adjoint=True), m.conj().T @ x[:, 0])
+    for t in (-1, g.nvars):
+        with pytest.raises(ValueError, match="out of range"):
+            g.shift(x, t, adjoint=False)

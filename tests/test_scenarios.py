@@ -76,17 +76,13 @@ def test_all_flat_settings_parse():
     caps = 20, 20
     tol = 1e-6
     seed = 7
-    budget = 32
-    pairs = 5
-    pair_radius = 0.4
+    margins = 1 2
     """
     s = parse_scenario(cfg)
     assert s.caps == (20, 20)
     assert s.tol == 1e-6
     assert s.seed == 7
-    assert s.budget == 32
-    assert s.pairs == 5
-    assert s.pair_radius == 0.4
+    assert s.margins == (1, 2)
 
 
 def test_comments_and_blank_lines_ignored():
@@ -233,8 +229,6 @@ def test_duplicate_expect_name_reports_line():
     ("margins = -1 -1", "margins must be >= 0"),
     ("tol = 0", "tol must be positive"),
     ("tol = nan", "tol wants finite numbers"),
-    ("budget = 0", "budget must be >= 1"),
-    ("pairs = -3", "pairs must be >= 1"),
     ("seed = 1.5", "seed wants integers"),
 ])
 def test_value_rules_name_the_config_line(setting, message):
@@ -332,31 +326,27 @@ end
 
 
 def test_example42_small_run_covers_fields():
-    cfg = "command = example42\ncaps = 8 8\npairs = 4\nbudget = 8\npair_radius = 0.3\n"
+    cfg = "command = example42\ncaps = 20 20\n"
     rep = run_scenario(parse_scenario(cfg))
     assert rep.ok
     assert rep.verdicts["kernel_identity"]
     assert rep.residuals["constants_quotient_fails"] == pytest.approx(1.0, abs=1e-12)
-    assert rep.details["gram"]["candidates"] == 8
+    assert rep.details["gram"]["candidates"] == 64
     assert set(rep.verdicts) <= set(rep.residuals)
 
 
 def test_example42_defaults_to_kernel_caps():
     s = parse_scenario("command = example42\n")
     assert s.caps is None
-    rep_caps = run_scenario(
-        parse_scenario("command = example42\npairs = 2\nbudget = 2\n")
-    ).caps
+    rep_caps = run_scenario(s).caps
     assert rep_caps == (20, 20)
 
 
 def test_caps_mismatch_surfaces_as_error_status():
-    # example42 has no source to count variables from, so caps that do not
-    # fit the bidisc kernel surface only when the run reads them
-    cfg = "command = example42\ncaps = 4 4 4\npairs = 2\nbudget = 2\n"
-    rep = run_scenario(parse_scenario(cfg))
-    assert rep.status.startswith("error:")
-    assert "caps" in rep.status
+    # example42 has no source to count variables from; it works on the
+    # bidisc, so caps of another length are an input error, not a status
+    with pytest.raises(ScenarioError, match=re.escape("line 2: caps (4, 4, 4) do not match 2 variables")):
+        parse_scenario("command = example42\ncaps = 4 4 4\n")
 
 
 @pytest.mark.parametrize("cfg, message", [
@@ -406,7 +396,7 @@ def test_expected_error_status_counts_as_met():
 
 
 def test_run_scenario_seed_threads_into_report():
-    cfg = "command = example42\nseed = 5\npairs = 2\nbudget = 2\n"
+    cfg = "command = example42\nseed = 5\ncaps = 6 6\n"
     rep = run_scenario(parse_scenario(cfg))
     assert rep.seed == 5
 

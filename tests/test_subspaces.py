@@ -7,7 +7,7 @@ import dense
 from hardylab.corpus import corpus_entries
 from hardylab.criteria import beurling_criterion, cross_commutator_criterion, identity_suite, quotient_data
 from hardylab.grids import TruncationGrid
-from hardylab.operators import InnernessError, eval_margins
+from hardylab.operators import InnernessError, eval_margins, shift_matrix
 from hardylab.subspaces import (
     RANK_TOL,
     invariance_defect,
@@ -322,3 +322,21 @@ def test_basis_text_bad_number_names_the_true_line(bad):
     text = f"# rows\n\n1 0 0 0 0 0 0 0\n0 0 {bad} 0 0 0 0 0\n"
     with pytest.raises(ValueError, match=f"line 4: row wants finite numbers, got '{bad}'"):
         parse_basis_text(text, g)
+
+
+@pytest.mark.parametrize("first", [False, True])
+def test_shift_block_of_one_direction_is_the_adjoint_of_the_other(first):
+    g = TruncationGrid((6, 6))
+    rng = np.random.default_rng(3)
+    blaschke = AnalyticSymbol.blaschke(0.03 + 0.02j, 0, 2)
+    spaces = [submodule_projection(blaschke, g).complement_space,
+              submodule_projection(phi_symbol(), g).complement_space,
+              subspace_from_columns(g, rng.normal(size=(g.dim, 5)) + 1j * rng.normal(size=(g.dim, 5)))[0]]
+    for s in spaces:
+        for t in range(g.nvars):
+            asked = s.shift_blocks(t, adjoint=first)[0]
+            other = s.shift_blocks(t, adjoint=not first)[0]
+            assert np.array_equal(other, asked.conj().T)
+            m = shift_matrix(g, t)
+            want = m.conj().T if first else m
+            np.testing.assert_allclose(asked, s.basis.conj().T @ want @ s.basis, atol=1e-14)
