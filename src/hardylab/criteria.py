@@ -41,7 +41,13 @@ and with R_t = B_S* M_t B_S the shifts restricted to S,
 
 the cross term minus the leak term.  The Beurling quantities carry no
 top-slice term: the defect product G_ii G_jj and the cross terms U_i U_j*.
-Since ||B_Q X B_Q*|| = ||X||, every q x q residual is a plain spectral norm.
+Since ||B_Q X B_Q*|| = ||X||, every q x q residual is a plain spectral norm,
+taken from a Gram of the formed residual (operators.spectral_norm).  A
+product of two dim-row factors whose entries cancel, the cross term U_i U_j*
+or the commutator U_i U_j* - V_j V_i*, is measured with one side factored:
+||A B*|| = ||R_B A*|| with R_B the thin-QR factor of B (norm_factor), so a
+Gram is only ever formed of a matrix that already exists.  A single tall
+block such as the reduces residual cancels nothing and is measured as is.
 Only the invariance gate reads a window, the low-degree rows margins keep.
 """
 
@@ -161,12 +167,14 @@ class QuotientData:
     def xij(self) -> float:
         """Worst norm of the cross terms P_S M_i P_Q M_j* P_S = U_i U_j*.
 
-        U_t = W_t F_t with W_t column-orthonormal (norm_factor), so each norm
-        is ||F_i F_j*||; the (j, i) term is the adjoint of the (i, j) one.
+        U_j = W_j R_j with W_j column-orthonormal (norm_factor), so
+        ||U_i U_j*|| = ||R_j U_i*||: only the right factor is factored, and
+        only U_t for t >= 1 is ever one.  The (j, i) term is the adjoint of
+        the (i, j) one.
         """
         n = self.grid.nvars
-        f = [norm_factor(self.leak(t)) for t in range(n)]
-        return max((spectral_norm(f[i] @ f[j].conj().T)
+        r = {t: norm_factor(self.leak(t)) for t in range(1, n)}
+        return max((spectral_norm(r[j] @ self.leak(i).conj().T)
                     for i in range(n) for j in range(i + 1, n)), default=0.0)
 
 
@@ -257,12 +265,12 @@ def cross_commutator_criterion(
     The restriction of each shift to the submodule S keeps the adjoint of
     one variable commuting with every other variable exactly when S comes
     from an inner multiplier; the residual is the worst pair.  On the grid
-    B_S [R_j*, R_i] B_S* = U_i U_j* - V_j V_i* exactly, so the norm is taken
-    on the thin-QR factors of [U_i, -V_j] and [U_j, V_i] over all rows,
-    read from the basis of Q alone.  The (j, i) commutator is the adjoint
-    of the (i, j) one, so each unordered pair is measured once.  S passes
-    the same invariance gate as in quotient_data first, on the window of
-    margins.
+    B_S [R_j*, R_i] B_S* = U_i U_j* - V_j V_i* = [U_i, -V_j] [U_j, V_i]*
+    exactly, read from the basis of Q alone.  With R the thin-QR factor of
+    [U_j, V_i] over all rows (norm_factor), the norm is ||R [U_i, -V_j]*||:
+    one QR per unordered pair, since the (j, i) commutator is the adjoint of
+    the (i, j) one.  S passes the same invariance gate as in quotient_data
+    first, on the window of margins.
     """
     _invariance_gate(s, margins)
     n = s.grid.nvars
@@ -272,9 +280,9 @@ def cross_commutator_criterion(
     norms = {}
     for i in range(n):
         for j in range(i + 1, n):
-            left = norm_factor(np.hstack([u[i], -v[j]]))
             right = norm_factor(np.hstack([u[j], v[i]]))
-            norms[(i, j)] = norms[(j, i)] = spectral_norm(left @ right.conj().T)
+            left = np.hstack([u[i], -v[j]])
+            norms[(i, j)] = norms[(j, i)] = spectral_norm(right @ left.conj().T)
     residuals = {f"pair_{i}_{j}": norms[(i, j)] for i in range(n) for j in range(n) if i != j}
     worst = max(norms.values(), default=0.0)
     residuals["cross_commutator"] = worst
@@ -352,9 +360,7 @@ def identity_suite(data: QuotientData, tol: float = 1e-8) -> CriterionReport:
         block += q.shift_blocks(t, adjoint=True)[1] @ c_ops[t]
         top = data.grid.top_slice_indices(t)
         block[top] += b[top]
-        # the thin-QR factor has the singular values of the tall block, and
-        # a QR plus a q x q SVD costs less than an SVD of the block
-        worst_reduce = max(worst_reduce, spectral_norm(norm_factor(block)))
+        worst_reduce = max(worst_reduce, spectral_norm(block))
     residuals["reduces"] = worst_reduce
     verdicts["reduces"] = worst_reduce <= tol
 

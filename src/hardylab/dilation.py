@@ -248,7 +248,7 @@ def _annihilation_full(t: ContractionTuple) -> float:
                default=0.0)
 
 
-def model_correspondence(source, caps=None, tol: float = 1e-8) -> CriterionReport:
+def model_correspondence(source, caps=None, tol: float = 1e-8, margins=None) -> CriterionReport:
     """Both directions of the quotient-module model for contraction tuples.
 
     Symbol input: compress the shifts to the quotient of the symbol's
@@ -257,6 +257,8 @@ def model_correspondence(source, caps=None, tol: float = 1e-8) -> CriterionRepor
     beurling_criterion, measured on the whole grid).  Tuple input:
     report whether the defect products vanish, which is the computable face
     of being unitarily equivalent to module operators on such a quotient.
+    For a symbol, margins set the window of the invariance gate
+    (quotient_data); they default to eval_margins(source).
     """
     residuals: dict = {}
     verdicts: dict = {}
@@ -265,7 +267,7 @@ def model_correspondence(source, caps=None, tol: float = 1e-8) -> CriterionRepor
             raise ValueError("symbol input needs grid caps")
         grid = TruncationGrid(tuple(caps))
         s = submodule_projection(source, grid)
-        data = quotient_data(s, margins=eval_margins(source))
+        data = quotient_data(s, margins=eval_margins(source) if margins is None else margins)
         worst = beurling_criterion(data, tol=tol).residuals["beurling_defect_product"]
         residuals["annihilation"] = worst
         verdicts["annihilation"] = worst <= tol

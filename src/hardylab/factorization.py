@@ -20,6 +20,8 @@ uses.
 Every residual is an exact identity on thin blocks of the subspace bases
 (SubspaceData.basis and .complement), and the shifts are applied by
 TruncationGrid.shift, so no dense shift or dim x dim projection is formed.
+A witness builds M_phi, M_theta and M_psi once each: the division splits
+S_phi from its M_phi, and the witness splits S_theta from its M_theta.
 A projection P = B B* enters a norm only through B: with B_c the
 complement basis, ||(I - P) A|| = ||B_c* A||.  The gap and the check build
 N = S_theta + M by one split (SubspaceData.extended) and gate its
@@ -40,7 +42,7 @@ from .criteria import (
 )
 from .grids import TruncationGrid
 from .operators import eval_margins, spectral_norm, toeplitz_matrix
-from .subspaces import invariance_defect, submodule_projection
+from .subspaces import _innerness_gate, _toeplitz_split, invariance_defect, submodule_projection
 from .symbols import AnalyticSymbol
 
 __all__ = [
@@ -97,7 +99,9 @@ def _divide(theta: AnalyticSymbol, phi: AnalyticSymbol, grid: TruncationGrid,
         raise ValueError("theta and phi must map into the same channel space")
     margins = _division_margins(theta, phi, margins)
 
-    s_phi = submodule_projection(phi, grid, inner_tol=tol)
+    _innerness_gate(phi, grid, tol)
+    mp = toeplitz_matrix(phi, grid)
+    s_phi = _toeplitz_split(phi, grid, mp)
     mt = toeplitz_matrix(theta, grid)
     dom_t = grid.with_channels(theta.cols)
     dom_p = grid.with_channels(phi.cols)
@@ -113,7 +117,6 @@ def _divide(theta: AnalyticSymbol, phi: AnalyticSymbol, grid: TruncationGrid,
             f"not divisible: containment residual {containment:.3e} exceeds {tol:g}"
         )
 
-    mp = toeplitz_matrix(phi, grid)
     # psi is read off the constant-monomial columns of X = M_phi^* M_theta
     x0 = mp.conj().T @ mt[:, :theta.cols]
     coeffs = {}
@@ -162,7 +165,7 @@ def _divide(theta: AnalyticSymbol, phi: AnalyticSymbol, grid: TruncationGrid,
         "psi_isometry": isometry,
         "reconstruction": reconstruction,
     }
-    return psi, s_phi, margins, residuals
+    return psi, s_phi, mt, margins, residuals
 
 
 def divide_inner(theta: AnalyticSymbol, phi: AnalyticSymbol, grid: TruncationGrid,
@@ -178,7 +181,7 @@ def divide_inner(theta: AnalyticSymbol, phi: AnalyticSymbol, grid: TruncationGri
     rows and the window columns with their shifts (else "division not
     analytic"), and M_psi must act isometrically on windowed columns.
     """
-    psi, _, _, _ = _divide(theta, phi, grid, tol, margins)
+    psi, _, _, _, _ = _divide(theta, phi, grid, tol, margins)
     return psi
 
 
@@ -189,7 +192,9 @@ def invariant_subspace_from_factorization(
     """Carve M = S_phi minus S_theta out of a successful division.
 
     M is shift-invariant relative to S_theta: multiplying M by a coordinate
-    lands in N = S_theta + M.  N is split from the theta split alone
+    lands in N = S_theta + M.  theta passes the same innerness gate as in
+    submodule_projection, and S_theta is split from the M_theta the
+    division built.  N is split from the theta split alone
     (SubspaceData.extended along B_phi), M is the part of its basis past
     B_theta, and the invariance residual is the windowed defect of N
     (invariance_defect), the gate beurling_submodule_check runs on the same
@@ -198,8 +203,9 @@ def invariant_subspace_from_factorization(
     max(||B_N_c* B_phi||, ||B_phi_c* B_N||), the norm of a difference of
     two orthogonal projections.
     """
-    psi, s_phi, margins, residuals = _divide(theta, phi, grid, tol, margins)
-    s_theta = submodule_projection(theta, grid, inner_tol=tol)
+    psi, s_phi, mt, margins, residuals = _divide(theta, phi, grid, tol, margins)
+    _innerness_gate(theta, grid, tol)
+    s_theta = _toeplitz_split(theta, grid, mt)
     n = s_theta.extended(s_phi.basis)
     residuals["invariance"] = invariance_defect(n, margins)[0]
     residuals["quotient_match"] = max(

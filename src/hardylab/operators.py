@@ -13,6 +13,13 @@ index map (TruncationGrid.shift_map).  shift_matrix and toeplitz_matrix lay
 dense matrices out from those maps; every other module applies a shift to
 its bases through TruncationGrid.shift, without forming a dense shift.
 
+Every spectral norm (spectral_norm) is the square root of the largest
+eigenvalue of a Gram of the short side, which keeps full relative accuracy
+because a Gram is formed only of a matrix that already exists, never of two
+factors whose product cancels.  Such a product A B* is measured with one
+side factored: ||A B*|| = ||R_B A*|| for the thin-QR factor R_B of B
+(norm_factor), so the cancellation happens in a formed matrix.
+
 Innerness is not read from the truncated operators either: innerness_check
 certifies Theta = N/q from the Taylor coefficients of N and q, through the
 finite identity N* N = |q|^2 I on the torus, so the gate is exact and
@@ -93,14 +100,29 @@ def toeplitz_matrix(symbol: AnalyticSymbol, grid: TruncationGrid) -> np.ndarray:
 
 
 def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value of a 2-D array, 0.0 when it is empty.
+    """Largest singular value of a 2-D array, 0.0 when it is empty or zero.
 
-    The same LAPACK call as np.linalg.norm(a, 2), bit for bit, without its
-    axis handling.
+    sigma_max(a)^2 is the largest eigenvalue of the Gram of a's short side
+    (a* a or a a*), and that eigenvalue keeps full relative accuracy: the
+    rounding of the Gram is at most a small multiple of eps ||a||^2.  a is
+    first scaled by the exact power of two 2^-e that brings its largest
+    real or imaginary part into [1/2, 1), so the Gram neither overflows nor
+    underflows; a product by a power of two is exact.  A non-finite entry
+    raises np.linalg.LinAlgError.
     """
     if a.size == 0:
         return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
+    top = max(float(np.abs(p).max()) for p in parts)
+    if not np.isfinite(top):
+        raise np.linalg.LinAlgError("spectral_norm of an array with a non-finite entry")
+    if top == 0.0:
+        return 0.0
+    # a subnormal top keeps 2^-e finite by stopping at 2^1021
+    e = max(int(np.frexp(top)[1]), -1021)
+    x = np.ldexp(1.0, -e) * a
+    gram = x.conj().T @ x if x.shape[0] >= x.shape[1] else x @ x.conj().T
+    return float(np.ldexp(np.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)), e))
 
 
 def hermitian_norm(a: np.ndarray) -> float:
@@ -121,10 +143,11 @@ def windowed_norm(a: np.ndarray, window: np.ndarray, col_window: np.ndarray | No
 def norm_factor(a: np.ndarray) -> np.ndarray:
     """A matrix R with a = V R for some column-orthonormal V.
 
-    Then ||a X b*|| = ||R_a X R_b*|| for every X and every b factored the
-    same way: a product of thin blocks such as U_i U_j* is measured on
-    their factors, and a windowed norm ||W B X B* W|| is the spectral norm
-    of the small matrix R X R* with R = norm_factor(B[window]).  R is the
+    It serves one side of a two-factor product: ||X a*|| = ||X R*|| =
+    ||R X*|| for every X with as many columns as a.  A product of thin
+    blocks such as U_i U_j*, whose entries cancel, is measured as
+    ||R_j U_i*|| with only U_j factored, and a windowed norm ||W B Y* W||
+    as ||R Y[window]*|| with R = norm_factor(B[window]).  R is the
     thin-QR factor when a has more rows than columns, and a itself
     otherwise.
     """

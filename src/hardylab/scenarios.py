@@ -289,9 +289,9 @@ def _check_window(s: Scenario, settings: dict, nvars: int) -> None:
     """Refuse caps (the setting, else 4 per variable) below a margin of the
     run's window, which would leave it empty.  The margins are the margins
     setting, else each window source's eval_margins: its degrees, floored at
-    1.  check-brehmer reads its symbol's degrees even when margins are set."""
+    1.  A tuple reads no window, so its margins are not checked."""
     window = COMMANDS[s.command].window
-    if s.margins is not None and window and s.command != "check-brehmer":
+    if s.margins is not None and window and s.tuple_source is None:
         wanted = {f"margins {s.margins} from {settings['margins'][0]}": s.margins}
     else:
         wanted = {f"degrees {src.degrees} of the {name}": eval_margins(src)
@@ -365,7 +365,7 @@ def _run_check_brehmer(s: Scenario):
         caps = s.caps
     else:
         caps = _resolved_caps(s, s.symbol.nvars)
-        rep = model_correspondence(s.symbol, caps=caps, tol=s.tol)
+        rep = model_correspondence(s.symbol, caps=caps, tol=s.tol, margins=s.margins)
     return dict(rep.residuals), dict(rep.verdicts), {}, caps
 
 

@@ -215,12 +215,21 @@ def submodule_projection(symbol: AnalyticSymbol, grid: TruncationGrid,
     must pass the innerness gate (operators.innerness_check, exact in its
     coefficients) first.
     """
+    _innerness_gate(symbol, grid, inner_tol)
+    return _toeplitz_split(symbol, grid, toeplitz_matrix(symbol, grid))
+
+
+def _innerness_gate(symbol: AnalyticSymbol, grid: TruncationGrid, inner_tol: float) -> None:
+    """Raise InnernessError unless innerness_check passes symbol at inner_tol."""
     rep = innerness_check(symbol, grid, tol=inner_tol)
     if not rep.verdict:
         raise InnernessError(
             f"symbol is not inner at tolerance {inner_tol:g}: coefficient deviation {rep.deviation:g}"
         )
-    mt = toeplitz_matrix(symbol, grid)
+
+
+def _toeplitz_split(symbol: AnalyticSymbol, grid: TruncationGrid, mt: np.ndarray) -> SubspaceData:
+    """The submodule of symbol, split from its prebuilt toeplitz_matrix(symbol, grid)."""
     dom = grid.with_channels(symbol.cols)
     cod = grid.with_channels(symbol.rows)
     keep = dom.window_indices(symbol.degrees)

@@ -257,16 +257,35 @@ def test_caps_below_the_window_margins_exit_two_before_any_run(tmp_path, monkeyp
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, code", [("check-beurling", 2), ("check-brehmer", 0)])
-def test_margins_setting_above_the_caps_exits_two_except_for_check_brehmer(tmp_path, capsys,
-                                                                          command, code):
-    # check-brehmer reads its symbol's degrees, never the margins setting
+@pytest.mark.parametrize("command", ["check-beurling", "check-brehmer", "identity-suite"])
+def test_margins_above_the_caps_exit_two_for_every_window_command(tmp_path, capsys, command):
     cfg = tmp_path / "margins.cfg"
     cfg.write_text(f"command = {command}\ncaps = 2 2\nmargins = 3 3\n"
                    "symbol:\nnumerator\n1 0 0 0 1.0 0.0\nend\n")
-    assert run_cli([command, "--config", cfg]) == code
+    assert run_cli([command, "--config", cfg]) == 2
     message = "line 2: caps (2, 2) are below the margins (3, 3) from line 3"
-    assert (message in capsys.readouterr().err) == (code == 2)
+    assert message in capsys.readouterr().err
+
+
+def test_margins_setting_is_not_checked_for_a_tuple_source(tmp_path, capsys):
+    # a tuple reads no window, so margins above the caps leave the run alone
+    cfg = tmp_path / "tuple.cfg"
+    cfg.write_text("command = check-brehmer\ncaps = 2 2\nmargins = 3 3\n"
+                   "tuple:\ndim 1\ncount 2\nmatrix 0\n0 0\nmatrix 1\n0 0\nend\n")
+    assert run_cli(["check-brehmer", "--config", cfg]) == 0
+
+
+@pytest.mark.parametrize("margins, code", [("", 0), ("margins = 0 0\n", 1)],
+                         ids=["default-window", "whole-grid"])
+def test_check_brehmer_gates_a_symbol_on_the_margins_setting(tmp_path, capsys, margins, code):
+    # b_0.5(z1) at caps 3: the invariance defect is 0.036 on the default
+    # window (margins 1 1) and 0.080, above the gate 0.05, on the whole grid
+    cfg = tmp_path / "margins.cfg"
+    cfg.write_text(f"command = check-brehmer\ncaps = 3 3\n{margins}symbol:\nnumerator\n"
+                   "1 0 0 0 1.0 0.0\n0 0 0 0 -0.5 0.0\ndenominator\n"
+                   "0 0 0 0 1.0 0.0\n1 0 0 0 -0.5 0.0\nend\n")
+    assert run_cli(["check-brehmer", "--config", cfg]) == code
+    assert ("not shift-invariant" in capsys.readouterr().out) == bool(code)
 
 
 def test_removed_example42_settings_are_unknown(tmp_path, capsys):

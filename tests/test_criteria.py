@@ -483,6 +483,43 @@ def test_detector_path_forms_no_dense_shift_or_projection(no_dense_operators):
     assert all(a.shape != (dim, dim) for a in held), [a.shape for a in held]
 
 
+def _counting(monkeypatch, names):
+    """Wrap np.linalg.<name> for each name; returns the dict of call counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_residual_norms_factor_one_side_and_take_no_svd(monkeypatch):
+    """On a 3-variable caps-6 entry: one thin QR per unordered pair in the
+    cross-commutator criterion, U_1 and U_2 in xij, none in reduces, and no
+    SVD in any residual norm of the split, the detectors or the battery."""
+    entry = next(e for e in corpus_entries(0) if e.entry_id == "product3-00")
+    sub = entry.subspace()
+    assert sub.grid.caps == (6, 6, 6)
+    calls = _counting(monkeypatch, ("qr", "svd"))
+    data = quotient_data(sub, margins=entry.margins)
+    assert calls == {"qr": 1, "svd": 0}          # R_Q of the invariance window
+    calls["qr"] = 0
+    cross_commutator_criterion(sub, margins=entry.margins, tol=1e-6)
+    assert calls == {"qr": 3, "svd": 0}
+    calls["qr"] = 0
+    assert data.xij <= 1e-6
+    assert calls == {"qr": 2, "svd": 0}
+    calls["qr"] = 0
+    beurling_criterion(data, tol=1e-6)
+    suite = identity_suite(data, tol=1e-6)
+    assert "annihilation_1" in suite.residuals and suite.verdicts["reduces"]
+    assert calls == {"qr": 0, "svd": 0}
+
+
 # ---- the battery reads the basis of Q alone -----------------------------------
 
 def _battery_outcome(s, margins):

@@ -478,3 +478,26 @@ def test_division_and_gap_form_no_grid_wide_product(monkeypatch):
         grid_wide = [s for s in _Recorded.shapes if s[0] in wide and s[-1] in wide]
         assert not grid_wide, (name, grid_wide)
         _Recorded.shapes.clear()
+
+
+def test_a_witness_builds_each_toeplitz_matrix_once(monkeypatch):
+    """b_0.05(z1) z2 / b_0.05(z1): M_phi, M_theta and M_psi, once each, and
+    both innerness gates run."""
+    from hardylab import operators, subspaces
+
+    calls = {"toeplitz_matrix": 0, "innerness_check": 0}
+    for name in calls:
+        real = getattr(operators, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in (subspaces, factorization):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    blaschke = AnalyticSymbol.blaschke(0.05, 0, 2)
+    wit = invariant_subspace_from_factorization(blaschke.matmul(Z2), blaschke,
+                                                TruncationGrid((8, 8)), margins=(4, 4))
+    assert max(wit.residuals.values()) <= 1e-8
+    assert calls == {"toeplitz_matrix": 3, "innerness_check": 2}

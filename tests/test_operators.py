@@ -194,16 +194,56 @@ def test_norm_helpers():
     assert windowed_norm(a, np.array([], dtype=int)) == 0.0
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (5, 5), (9, 4), (4, 9)])
-@pytest.mark.parametrize("kind", ["real", "complex"])
-def test_spectral_norm_is_numpys_two_norm_bit_for_bit(shape, kind):
-    rng = np.random.default_rng(sum(shape))
+EPS = np.finfo(float).eps
+
+
+def _graded(rng, shape, decades):
+    """A random matrix whose singular values fall evenly over decades decades."""
+    m, n = shape
+    k = min(shape)
+    u = np.linalg.qr(rng.normal(size=(m, k)) + 1j * rng.normal(size=(m, k)))[0]
+    v = np.linalg.qr(rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k)))[0]
+    return (u * np.logspace(0, -decades, k)) @ v.conj().T
+
+
+def _draws(rng, shape, kind):
+    m, n = shape
     a = rng.normal(size=shape)
     if kind == "complex":
         a = a + 1j * rng.normal(size=shape)
-    value = spectral_norm(a)
-    assert type(value) is float
-    assert value == float(np.linalg.norm(a, 2))
+    yield a
+    yield np.outer(rng.normal(size=m), rng.normal(size=n) + 1j * rng.normal(size=n))
+    yield _graded(rng, shape, 30)
+    yield a * 1e250
+    yield a * 1e-250
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 5), (9, 4), (4, 9), (343, 91), (91, 343)])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_spectral_norm_matches_numpys_two_norm(shape, kind):
+    # the Gram route promises full relative accuracy: within 4 eps max(m, n)
+    # of the singular value numpy's SVD returns, also for rank-one, graded
+    # and extremely scaled matrices
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(5):
+        for a in _draws(rng, shape, kind):
+            value = spectral_norm(a)
+            assert type(value) is float
+            want = float(np.linalg.norm(a, 2))
+            assert abs(value - want) <= 4 * EPS * max(shape) * want
+
+
+def test_spectral_norm_exact_and_zero_values():
+    assert spectral_norm(np.diag([3.0, 1.0, 2.0])) == 3.0
+    assert spectral_norm(np.zeros((4, 3), dtype=complex)) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+def test_spectral_norm_refuses_a_non_finite_entry(bad):
+    a = np.eye(3, dtype=complex)
+    a[1, 2] = bad
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+        spectral_norm(a)
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])

@@ -67,4 +67,4 @@ def test_defaulted_parameter_count():
                          if not member_name.startswith("_") and callable(member))
         elif callable(obj):
             count += _defaulted(obj)
-    assert count == 41
+    assert count == 42
