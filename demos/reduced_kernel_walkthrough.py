@@ -57,7 +57,7 @@ def pinned_negative_gram():
 
 
 def seeded_search():
-    witness = gram_negativity_search(budget=64, seed=0)
+    witness = gram_negativity_search(seed=0)
     print(f"seeded search over {witness.candidates} candidate point sets:")
     print(f"  best min eigenvalue {witness.min_eigenvalue:.6f}"
           f" at {len(witness.points)} points (negative found: {witness.found})")

@@ -36,14 +36,12 @@ from .subspaces import (
     parse_basis_text,
     submodule_projection,
     subspace_from_columns,
-    subspace_from_rows,
 )
 from .criteria import (
     CriterionReport,
     QuotientData,
     beurling_criterion,
     cross_commutator_criterion,
-    douglas_factor,
     identity_suite,
     psd_sqrt,
     quotient_data,
@@ -56,7 +54,6 @@ from .dilation import (
     PurenessReport,
     brehmer_defect,
     canonical_dilation,
-    dump_tuple_text,
     model_correspondence,
     parse_tuple_text,
     pureness_check,
@@ -66,7 +63,6 @@ from .factorization import (
     FactorizationError,
     FactorizationWitness,
     beurling_submodule_check,
-    constancy_check,
     divide_inner,
     invariant_subspace_from_factorization,
 )
@@ -81,14 +77,13 @@ from .kernels import (
     reduced_szego_kernel,
     szego_kernel,
 )
-from .corpus import CorpusEntry, corpus_entries, symbol_entries
-from .reports import Report, emit_report, parse_report
+from .corpus import CorpusEntry, corpus_entries
+from .reports import Report, emit_report
 from .scenarios import (
     Scenario,
     ScenarioError,
     expectations_met,
     parse_scenario,
-    run_batch,
     run_scenario,
 )
 
@@ -111,7 +106,6 @@ __all__ = [
     "SubspaceData",
     "submodule_projection",
     "subspace_from_columns",
-    "subspace_from_rows",
     "parse_basis_text",
     "invariance_defect",
     "InvarianceError",
@@ -121,7 +115,6 @@ __all__ = [
     "beurling_criterion",
     "cross_commutator_criterion",
     "identity_suite",
-    "douglas_factor",
     "psd_sqrt",
     "shift_power",
     "ContractionTuple",
@@ -134,13 +127,11 @@ __all__ = [
     "model_correspondence",
     "random_brehmer_pair",
     "parse_tuple_text",
-    "dump_tuple_text",
     "FactorizationError",
     "FactorizationWitness",
     "divide_inner",
     "invariant_subspace_from_factorization",
     "beurling_submodule_check",
-    "constancy_check",
     "szego_kernel",
     "reduced_szego_kernel",
     "kernel_factor",
@@ -152,14 +143,11 @@ __all__ = [
     "reduced_kernel_suite",
     "CorpusEntry",
     "corpus_entries",
-    "symbol_entries",
     "Report",
     "emit_report",
-    "parse_report",
     "Scenario",
     "ScenarioError",
     "parse_scenario",
     "run_scenario",
-    "run_batch",
     "expectations_met",
 ]

@@ -54,7 +54,7 @@ from .scenarios import (
     expectations_met,
     parse_scenario,  # noqa: F401 - unused here; hlbench/tracing.py rebinds cli.parse_scenario
     read_config,
-    run_batch,
+    run_scenario,
 )
 
 __all__ = ["main", "build_parser"]
@@ -162,7 +162,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        reports = run_batch(scenarios)
+        reports = [run_scenario(s) for s in scenarios]
         if len(reports) == 1:
             payload = emit_report(reports[0], fmt=fmt)
         elif fmt == "json":

@@ -28,7 +28,7 @@ from .operators import eval_margins
 from .subspaces import SubspaceData, origin_complement, submodule_projection
 from .symbols import AnalyticSymbol
 
-__all__ = ["CorpusEntry", "corpus_entries", "symbol_entries"]
+__all__ = ["CorpusEntry", "corpus_entries"]
 
 BLASCHKE_RADIUS = (0.02, 0.05)
 
@@ -182,7 +182,3 @@ def corpus_entries(seed: int = 0) -> tuple:
     ))
     return tuple(entries)
 
-
-def symbol_entries(seed: int = 0) -> tuple:
-    """Only the inner-symbol entries (the agreement corpus proper)."""
-    return tuple(e for e in corpus_entries(seed) if e.symbol is not None)

@@ -60,7 +60,7 @@ import numpy as np
 
 from .grids import TruncationGrid
 from .operators import hermitian_norm, norm_factor, spectral_norm
-from .subspaces import RANK_TOL, InvarianceError, SubspaceData, invariance_defect
+from .subspaces import InvarianceError, SubspaceData, invariance_defect
 
 __all__ = [
     "QuotientData",
@@ -69,7 +69,6 @@ __all__ = [
     "beurling_criterion",
     "cross_commutator_criterion",
     "identity_suite",
-    "douglas_factor",
     "psd_sqrt",
     "shift_power",
 ]
@@ -401,32 +400,3 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
 
-
-def douglas_factor(data: QuotientData, i: int, j: int):
-    """Contraction X with [C_i, C_j*] = X D_{C_i}, realized by pseudo-inverse.
-
-    Everything is in Q coordinates: with K = C_i C_j* - C_j* C_i and the
-    defect D_i = defect_blocks[i] = V diag(w) V*, the eigenvalues w above
-    RANK_TOL * max(w) are kept and X = K V diag(w^-1/2) V* on them, so X is
-    K times the pseudo-inverse of D = psd_sqrt(D_i).  The cut is taken on w,
-    not on its roots: a rounding-level eigenvalue near 1e-16 has a root near
-    1e-8, which a cut on the roots would keep and amplify.  B_Q X B_Q* is
-    the factor of the same identity for the compressions P_Q M_t P_Q on the
-    whole grid, whose defect root B_Q D B_Q* has the nonzero spectrum of D.
-    Returns (x, norm, reconstruction) where reconstruction is ||K - X D||.
-    i and j must be two distinct variables, 0 <= i, j < nvars.  The
-    domination inequality guarantees norm <= 1 up to rounding whenever the
-    defect identity holds.
-    """
-    n = data.grid.nvars
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"variables {i}, {j} out of range for n={n}")
-    if i == j:
-        raise ValueError("need two distinct variables")
-    comm = data.commutator(i, j)
-    defect = data.defect_blocks[i]
-    w, v = np.linalg.eigh((defect + defect.conj().T) / 2)
-    d = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T     # psd_sqrt(defect)
-    kept = w > RANK_TOL * w.max(initial=0.0)
-    x = comm @ (v[:, kept] / np.sqrt(w[kept])) @ v[:, kept].conj().T
-    return x, spectral_norm(x), spectral_norm(comm - x @ d)

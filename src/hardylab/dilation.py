@@ -46,7 +46,6 @@ __all__ = [
     "model_correspondence",
     "random_brehmer_pair",
     "parse_tuple_text",
-    "dump_tuple_text",
 ]
 
 NORM_SLACK = 1e-10
@@ -109,9 +108,10 @@ def brehmer_defect(t: ContractionTuple):
     """Alternating defect sum, its PSD verdict, and a defect-space basis.
 
     defect = sum over subsets F of (-1)^|F| T_F T_F*, PSD when its least
-    eigenvalue is at least -EIG_TOL.  For commuting entries the sum factors
-    as the composition of the maps X -> X - T_i X T_i*, so it is formed in
-    n steps D <- D - T_i D T_i* from D = I, not subset by subset.  The
+    eigenvalue is at least -EIG_TOL, or when the space is {0}.  For
+    commuting entries the sum factors as the composition of the maps
+    X -> X - T_i X T_i*, so it is formed in n steps D <- D - T_i D T_i*
+    from D = I, not subset by subset.  The
     returned basis spans the range of the clamped square root: the
     eigenvectors whose eigenvalue exceeds RANK_TOL times the largest.
     """
@@ -120,7 +120,7 @@ def brehmer_defect(t: ContractionTuple):
         defect = defect - m @ defect @ m.conj().T
     defect = (defect + defect.conj().T) / 2
     w, v = np.linalg.eigh(defect)
-    psd = bool(w[0] >= -EIG_TOL)
+    psd = bool(w.size == 0 or w[0] >= -EIG_TOL)
     top = float(w[-1]) if w.size else 0.0
     keep = w > max(RANK_TOL * max(top, 0.0), 0.0)
     basis = v[:, keep]
@@ -366,11 +366,3 @@ def parse_tuple_text(text: str) -> ContractionTuple:
         raise ValueError(f"line {lines[pos][0]}: trailing content after the last matrix block")
     return ContractionTuple.checked(mats)
 
-
-def dump_tuple_text(t: ContractionTuple) -> str:
-    out = [f"dim {t.dim}", f"count {t.n}"]
-    for mi, m in enumerate(t.matrices):
-        out.append(f"matrix {mi}")
-        for row in m:
-            out.append(" ".join(f"{float(v.real)!r} {float(v.imag)!r}" for v in row))
-    return "\n".join(out) + "\n"

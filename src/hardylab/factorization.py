@@ -51,7 +51,6 @@ __all__ = [
     "divide_inner",
     "invariant_subspace_from_factorization",
     "beurling_submodule_check",
-    "constancy_check",
 ]
 
 
@@ -266,37 +265,3 @@ def beurling_submodule_check(m_basis: np.ndarray, theta: AnalyticSymbol,
         },
     )
 
-
-def constancy_check(theta: AnalyticSymbol, grid: TruncationGrid,
-                    tol: float = 1e-8, margins=None) -> CriterionReport:
-    """Two detectors for an inner symbol being a constant unitary.
-
-    Surjectivity (the submodule covers the whole core window) and the
-    coefficient test (no nonconstant Taylor coefficient) are computed
-    independently; surjectivity implies constant coefficients, and that
-    implication is checked rather than assumed.
-    """
-    s = submodule_projection(theta, grid, inner_tol=tol)
-    if margins is None:
-        margins = eval_margins(theta)
-    window = s.grid.window_indices(tuple(margins))
-    # ||W (I - P_S) W|| = ||B_c[W] B_c[W]*|| = ||B_c[W]||^2
-    surjectivity = spectral_norm(s.complement[window]) ** 2
-
-    table = theta.taylor_table(s.grid)
-    coefficient = 0.0
-    for r in range(1, table.shape[0]):
-        coefficient = max(coefficient, float(np.abs(table[r]).max()))
-
-    surjective = surjectivity <= tol
-    constant = coefficient <= tol
-    return CriterionReport(
-        name="constancy",
-        tolerance=tol,
-        residuals={"surjectivity": surjectivity, "coefficient": coefficient},
-        verdicts={
-            "surjective": surjective,
-            "constant_coefficients": constant,
-            "tests_consistent": (not surjective) or constant,
-        },
-    )

@@ -141,21 +141,18 @@ class GramWitness:
     candidates: int
 
 
-def gram_negativity_search(budget: int = GRAM_BUDGET, seed: int = 0) -> GramWitness:
+def gram_negativity_search(seed: int = 0) -> GramWitness:
     """Seeded search for a Gram matrix of the factor with a negative eigenvalue.
 
-    Each candidate is a set of GRAM_SIZES points in the polydisc of radius
-    GRAM_RADIUS, and a least eigenvalue below GRAM_THRESHOLD is a witness.
-    Every candidate draws its own generator from (seed, index), so the
-    result is independent of how a batch runner partitions the budget.  All
-    candidates are evaluated and the best witness is returned; not finding
-    one within the budget is reported as found=False, never as a verdict
-    that the kernel is positive.
+    Each of the GRAM_BUDGET candidates is a set of GRAM_SIZES points in the
+    polydisc of radius GRAM_RADIUS, drawn from its own generator seeded by
+    (seed, index), and a least eigenvalue below GRAM_THRESHOLD is a witness.
+    All candidates are evaluated and the best witness is returned; not
+    finding one within the budget is reported as found=False, never as a
+    verdict that the kernel is positive.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
     best = (np.inf, None, None)
-    for idx in range(int(budget)):
+    for idx in range(GRAM_BUDGET):
         rng = np.random.default_rng([int(seed), idx])
         size = int(rng.choice(np.asarray(GRAM_SIZES)))
         rad = GRAM_RADIUS * np.sqrt(rng.uniform(size=(size, 2)))
@@ -171,7 +168,7 @@ def gram_negativity_search(budget: int = GRAM_BUDGET, seed: int = 0) -> GramWitn
         min_eigenvalue=low,
         points=tuple(tuple(row) for row in pts),
         matrix=g,
-        candidates=int(budget),
+        candidates=GRAM_BUDGET,
     )
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 
-__all__ = ["Report", "emit_report", "parse_report"]
+__all__ = ["Report", "emit_report"]
 
 
 def _jsonify(value):
@@ -85,22 +85,6 @@ class Report:
             "version": self.version,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Report":
-        caps = data.get("caps")
-        return cls(
-            scenario_id=data["scenario_id"],
-            command=data["command"],
-            caps=None if caps is None else tuple(int(c) for c in caps),
-            tolerance=float(data["tolerance"]),
-            seed=int(data["seed"]),
-            residuals=dict(data.get("residuals", {})),
-            verdicts=dict(data.get("verdicts", {})),
-            status=data.get("status", "ok"),
-            details=dict(data.get("details", {})),
-            version=data.get("version", __version__),
-        )
-
 
 def _text_lines(report: Report) -> list:
     glyph = {True: "pass", False: "FAIL"}
@@ -137,7 +121,3 @@ def emit_report(report: Report, fmt: str = "json", compact: bool = False) -> byt
         return ("\n".join(_text_lines(report)) + "\n").encode("utf-8")
     raise ValueError(f"unknown report format {fmt!r}")
 
-
-def parse_report(data: bytes) -> Report:
-    """Inverse of the json emission (runtime is not round-tripped)."""
-    return Report.from_dict(json.loads(data.decode("utf-8")))

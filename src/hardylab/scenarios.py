@@ -53,7 +53,7 @@ from .grids import TruncationGrid
 from .kernels import KERNEL_CAPS, reduced_kernel_suite
 from .operators import eval_margins
 from .reports import Report
-from .subspaces import parse_basis_text, submodule_projection, subspace_from_rows
+from .subspaces import parse_basis_text, submodule_projection, subspace_from_columns
 from .symbols import AnalyticSymbol, dump_coefficient_text, parse_coefficient_text
 from .textlines import content_lines, fields, numbers
 
@@ -63,7 +63,6 @@ __all__ = [
     "COMMANDS",
     "parse_scenario",
     "run_scenario",
-    "run_batch",
     "expectations_met",
 ]
 
@@ -324,7 +323,7 @@ def _resolved_caps(s: Scenario, nvars: int) -> tuple:
 
 def _subspace_for(s: Scenario):
     if s.basis_rows is not None:
-        return subspace_from_rows(TruncationGrid(s.caps), s.basis_rows)[0], s.margins
+        return subspace_from_columns(TruncationGrid(s.caps), s.basis_rows.T)[0], s.margins
     caps = _resolved_caps(s, s.symbol.nvars)
     sub = submodule_projection(s.symbol, TruncationGrid(caps), inner_tol=s.tol)
     margins = s.margins if s.margins is not None else eval_margins(s.symbol)
@@ -486,11 +485,6 @@ def run_scenario(s: Scenario) -> Report:
         details=details,
         runtime_seconds=time.perf_counter() - started,
     )
-
-
-def run_batch(scenarios) -> list:
-    """Run scenarios one after another, results in input order."""
-    return [run_scenario(s) for s in scenarios]
 
 
 def expectations_met(report: Report, expect: dict) -> bool:

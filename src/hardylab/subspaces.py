@@ -53,7 +53,6 @@ __all__ = [
     "SubspaceData",
     "submodule_projection",
     "subspace_from_columns",
-    "subspace_from_rows",
     "origin_complement",
     "parse_basis_text",
     "invariance_defect",
@@ -235,12 +234,6 @@ def _toeplitz_split(symbol: AnalyticSymbol, grid: TruncationGrid, mt: np.ndarray
     keep = dom.window_indices(symbol.degrees)
     s, _ = subspace_from_columns(cod, mt[:, keep])
     return s
-
-
-def subspace_from_rows(grid: TruncationGrid, rows: np.ndarray):
-    """Subspace spanned by coefficient row-vectors (one vector per row)."""
-    rows = np.asarray(rows, dtype=complex)
-    return subspace_from_columns(grid, rows.T)
 
 
 def origin_complement(grid: TruncationGrid) -> SubspaceData:

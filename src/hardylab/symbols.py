@@ -109,11 +109,10 @@ class AnalyticSymbol:
         return AnalyticSymbol(nvars, rows, cols, numerator, denominator)
 
     @staticmethod
-    def monomial(k: tuple[int, ...], nvars: int | None = None, scale: complex = 1.0) -> "AnalyticSymbol":
-        """Scalar symbol scale * z^k."""
+    def monomial(k: tuple[int, ...]) -> "AnalyticSymbol":
+        """Scalar symbol z^k in len(k) variables."""
         k = tuple(int(x) for x in k)
-        n = len(k) if nvars is None else nvars
-        return AnalyticSymbol.polynomial({k: np.array([[scale]])}, n)
+        return AnalyticSymbol.polynomial({k: np.array([[1.0]])}, len(k))
 
     @staticmethod
     def constant(matrix, nvars: int) -> "AnalyticSymbol":
@@ -147,10 +146,6 @@ class AnalyticSymbol:
         if not self.numerator:
             return _zero_index(self.nvars)
         return tuple(max(k[i] for k in self.numerator) for i in range(self.nvars))
-
-    @property
-    def denominator_degrees(self) -> tuple[int, ...]:
-        return tuple(max(k[i] for k in self.denominator) for i in range(self.nvars))
 
     def coefficient(self, k: tuple[int, ...]) -> np.ndarray:
         """Numerator coefficient at k (zero matrix if absent)."""
@@ -251,10 +246,6 @@ class AnalyticSymbol:
                 k = tuple(ka[i] + kb[i] for i in range(self.nvars))
                 den[k] = den.get(k, 0.0) + va * vb
         return AnalyticSymbol(self.nvars, self.rows, other.cols, num, den)
-
-    def scaled(self, factor: complex) -> "AnalyticSymbol":
-        num = {k: factor * m for k, m in self.numerator.items()}
-        return AnalyticSymbol(self.nvars, self.rows, self.cols, num, dict(self.denominator))
 
 
 # ---- coefficient text format ----------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 
 from hardylab import cli
 from hardylab.cli import main
-from hardylab.reports import parse_report
 from hardylab.scenarios import COMMANDS
 
 MONO = """\
@@ -233,10 +232,10 @@ WINDOW_SOURCES = "symbol:\nnumerator\n2 2 0 0 1.0 0.0\nend\nphi:\nnumerator\n1 0
 @pytest.mark.parametrize("origin", ["config", "--degree", "HARDYLAB_DEGREE", "default"])
 def test_caps_below_the_window_margins_exit_two_before_any_run(tmp_path, monkeypatch, capsys,
                                                                 command, origin):
-    def no_run(scenarios):
-        raise AssertionError("run_batch called")
+    def no_run(scenario):
+        raise AssertionError("run_scenario called")
 
-    monkeypatch.setattr(cli, "run_batch", no_run)
+    monkeypatch.setattr(cli, "run_scenario", no_run)
     cfg = tmp_path / "window.cfg"
     sources = WINDOW_SOURCES if command == "factor" else WINDOW_SOURCES.split("phi:")[0]
     if origin == "default":     # z1^5 z2^5 against the default caps (4, 4)
@@ -288,6 +287,16 @@ def test_check_brehmer_gates_a_symbol_on_the_margins_setting(tmp_path, capsys, m
     assert ("not shift-invariant" in capsys.readouterr().out) == bool(code)
 
 
+def test_check_brehmer_on_a_constant_unitary_passes(tmp_path, capsys):
+    # the quotient of a constant unitary is {0}: the extracted pair is 0 x 0
+    cfg = tmp_path / "unit.cfg"
+    cfg.write_text("command = check-brehmer\ncaps = 3 3\nsymbol:\n0 0 0 0 1.0 0.0\nend\n")
+    assert run_cli(["check-brehmer", "--config", cfg]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "ok"
+    assert all(doc["verdicts"].values()) and set(doc["residuals"].values()) == {0.0}
+
+
 def test_removed_example42_settings_are_unknown(tmp_path, capsys):
     for flag in ("--budget", "--pairs", "--pair-radius"):
         with pytest.raises(SystemExit) as exc:
@@ -324,9 +333,9 @@ def test_seed_flag_reaches_report(tmp_path, capsys):
 def test_single_config_report_round_trips(mono_cfg, tmp_path):
     out = tmp_path / "r.json"
     run_cli(["check-beurling", "--config", mono_cfg, "--out", out])
-    rep = parse_report(out.read_bytes())
-    assert rep.ok
-    assert rep.caps == (4, 4)
+    rep = json.loads(out.read_bytes())
+    assert rep["status"] == "ok"
+    assert rep["caps"] == [4, 4]
 
 
 def test_batch_input_error_names_its_config(mono_cfg, tmp_path, capsys):
@@ -404,10 +413,10 @@ def test_flags_before_the_command_give_the_same_report(mono_cfg, tmp_path, comma
 @pytest.mark.parametrize("name", ["missing/r.json", "."])
 def test_unwritable_out_exits_two_before_any_run(mono_cfg, tmp_path, monkeypatch, capsys,
                                                  origin, name):
-    def no_run(scenarios):
-        raise AssertionError("run_batch called")
+    def no_run(scenario):
+        raise AssertionError("run_scenario called")
 
-    monkeypatch.setattr(cli, "run_batch", no_run)
+    monkeypatch.setattr(cli, "run_scenario", no_run)
     target = tmp_path / name
     argv = ["check-beurling", "--config", mono_cfg]
     if origin == "--out":
@@ -420,10 +429,10 @@ def test_unwritable_out_exits_two_before_any_run(mono_cfg, tmp_path, monkeypatch
 
 
 def test_failed_run_removes_the_temp_file(mono_cfg, tmp_path, monkeypatch):
-    def broken(scenarios):
+    def broken(scenario):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "run_batch", broken)
+    monkeypatch.setattr(cli, "run_scenario", broken)
     with pytest.raises(KeyboardInterrupt):
         run_cli(["check-beurling", "--config", mono_cfg, "--out", tmp_path / "r.json"])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["mono.cfg"]

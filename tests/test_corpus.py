@@ -3,13 +3,13 @@
 import numpy as np
 
 import dense
-from hardylab.corpus import BLASCHKE_RADIUS, corpus_entries, symbol_entries
+from hardylab.corpus import BLASCHKE_RADIUS, corpus_entries
 from hardylab.grids import TruncationGrid
 
 
 def test_corpus_size_and_kinds():
     entries = corpus_entries(0)
-    symbols = symbol_entries(0)
+    symbols = [e for e in entries if e.symbol is not None]
     assert len(symbols) >= 50
     assert len(entries) == len(symbols) + 1
     kinds = {e.kind for e in entries}

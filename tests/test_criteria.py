@@ -10,7 +10,6 @@ from hardylab.corpus import corpus_entries
 from hardylab.grids import TruncationGrid
 from hardylab.operators import eval_margins, shift_matrices, spectral_norm, windowed_norm
 from hardylab.subspaces import (
-    RANK_TOL,
     InvarianceError,
     SubspaceData,
     subspace_from_columns,
@@ -21,7 +20,6 @@ from hardylab.criteria import (
     QuotientData,
     beurling_criterion,
     cross_commutator_criterion,
-    douglas_factor,
     identity_suite,
     psd_sqrt,
     quotient_data,
@@ -209,53 +207,6 @@ def test_shift_power():
     np.testing.assert_array_equal(m @ g.basis_vector((1, 1)), np.zeros(g.dim))
     with pytest.raises(ValueError):
         shift_power(mats, (-1, 0))
-
-
-def test_douglas_factor_is_contraction():
-    qd = make_quotient(AnalyticSymbol.monomial((1, 1)), (4, 4))
-    _, norm, recon = douglas_factor(qd, 0, 1)
-    assert norm <= 1 + 1e-10
-    assert recon <= 1e-12
-    with pytest.raises(ValueError):
-        douglas_factor(qd, 1, 1)
-
-
-@pytest.mark.parametrize("i, j", [(-2, 0), (0, -1), (0, 2), (2, 0), (-1, -1)])
-def test_douglas_factor_rejects_variables_that_do_not_exist(i, j):
-    qd = make_quotient(AnalyticSymbol.monomial((1, 1)), (3, 3))
-    with pytest.raises(ValueError, match="out of range"):
-        douglas_factor(qd, i, j)
-
-
-def _blaschke_product_quotient():
-    theta = AnalyticSymbol.blaschke(0.3, 0, 2).matmul(AnalyticSymbol.blaschke(0.2j, 1, 2))
-    return make_quotient(theta, (5, 5))
-
-
-@pytest.mark.parametrize("make", [
-    lambda: make_quotient(AnalyticSymbol.monomial((1, 1)), (4, 4)),
-    # the defect of this product has rounding-level eigenvalues, whose roots
-    # (about 1e-8) a cut on the roots would keep and invert
-    _blaschke_product_quotient,
-    lambda: quotient_data(s00_subspace((4, 4)), margins=(1, 1)),
-], ids=["monomial", "blaschke-product", "origin-complement"])
-def test_douglas_factor_matches_dense_formula(make):
-    """X in Q coordinates against the factor built on the whole grid.
-
-    A cut of the defect's eigenvalues at RANK_TOL is a cut of their roots,
-    the singular values of D, at sqrt(RANK_TOL).
-    """
-    qd = make()
-    b = qd.q.basis
-    c0, c1 = dense.compressions(qd)[:2]
-    comm = c0 @ c1.conj().T - c1.conj().T @ c0
-    d = psd_sqrt(dense.projection(qd.q) - c0.conj().T @ c0)
-    x_dense = comm @ np.linalg.pinv(d, rcond=np.sqrt(RANK_TOL), hermitian=True)
-    x, norm, recon = douglas_factor(qd, 0, 1)
-    assert x.shape == (qd.q.rank, qd.q.rank)
-    assert np.abs(b @ x @ b.conj().T - x_dense).max() <= 1e-12
-    assert abs(norm - spectral_norm(x_dense)) <= 1e-12
-    assert abs(recon - spectral_norm(comm - x_dense @ d)) <= 1e-12
 
 
 def test_psd_sqrt_clamps_and_squares():
@@ -462,8 +413,8 @@ def _held_arrays(obj, seen):
 
 
 def test_detector_path_forms_no_dense_shift_or_projection(no_dense_operators):
-    """quotient_data, the three detectors, identity_suite and douglas_factor
-    work from index maps and blocks only, and the split holds no dim x dim array."""
+    """quotient_data, the three detectors and identity_suite work from
+    index maps and blocks only, and the split holds no dim x dim array."""
     from hardylab import operators
 
     entry = next(e for e in corpus_entries(0) if e.entry_id == "product3-00")
@@ -472,7 +423,6 @@ def test_detector_path_forms_no_dense_shift_or_projection(no_dense_operators):
     assert beurling_criterion(qd, tol=1e-6).verdict
     assert cross_commutator_criterion(sub, margins=entry.margins, tol=1e-6).verdict
     assert identity_suite(qd, tol=1e-6).verdict
-    assert douglas_factor(qd, 0, 1)[1] <= 1 + 1e-10
     with pytest.raises(AssertionError, match="dense shift"):
         operators.shift_matrices(sub.grid)
 

@@ -11,7 +11,6 @@ from hardylab.dilation import (
     DilationError,
     brehmer_defect,
     canonical_dilation,
-    dump_tuple_text,
     model_correspondence,
     parse_tuple_text,
     pureness_check,
@@ -227,6 +226,19 @@ def test_model_correspondence_symbol_direction():
     assert rep.verdicts["pureness_0"] and rep.verdicts["pureness_1"]
 
 
+def test_model_correspondence_on_a_constant_unitary_has_an_empty_quotient():
+    # S is the whole grid, so the extracted tuple acts on {0}: its empty
+    # defect sum is PSD, its entries are pure, and there is nothing to dilate
+    u = np.array([[0.6, 0.8], [-0.8, 0.6]])
+    rep = model_correspondence(AnalyticSymbol.constant(u, 2), caps=(3, 3))
+    assert rep.verdict
+    assert set(rep.residuals.values()) == {0.0}
+    t = ContractionTuple((np.zeros((0, 0)), np.zeros((0, 0))))
+    assert brehmer_defect(t)[1]
+    with pytest.raises(DilationError, match="defect space is trivial"):
+        canonical_dilation(t, (3, 3))
+
+
 def test_model_correspondence_symbol_needs_caps():
     with pytest.raises(ValueError, match="caps"):
         model_correspondence(AnalyticSymbol.monomial((1, 1)))
@@ -259,19 +271,49 @@ def test_jordan_pair_is_not_model():
 
 # ---- file format -----------------------------------------------------------
 
+JORDAN_TEXT = """\
+dim 4
+count 2
+matrix 0
+0.0 0.0 0.5 0.0 0.0 0.0 0.0 0.0
+0.0 0.0 0.0 0.0 0.5 0.0 0.0 0.0
+0.0 0.0 0.0 0.0 0.0 0.0 0.5 0.0
+0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0
+matrix 1
+0.0 0.0 0.0 0.0 0.5 0.0 0.0 0.0
+0.0 0.0 0.0 0.0 0.0 0.0 0.5 0.0
+0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0
+0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0
+"""
+
+
 def test_tuple_text_round_trip():
-    t = jordan_pair()
-    back = parse_tuple_text(dump_tuple_text(t))
-    assert back.n == t.n and back.dim == t.dim
-    for x, y in zip(t.matrices, back.matrices):
+    t, want = parse_tuple_text(JORDAN_TEXT), jordan_pair()
+    assert t.n == want.n and t.dim == want.dim
+    for x, y in zip(t.matrices, want.matrices):
         assert np.array_equal(x, y)
+
+
+COMPLEX_TEXT = """\
+dim 2
+count 2
+matrix 0
+0.0 0.0 0.30000000000000004 -1.2345678901234568e-05
+0.0 0.0 0.0 0.0
+matrix 1
+0.0 0.0 -0.1111111111111111 0.7071067811865476
+0.0 0.0 0.0 0.0
+"""
 
 
 def test_tuple_text_round_trip_complex():
-    t = random_brehmer_pair(3)
-    back = parse_tuple_text(dump_tuple_text(t))
-    for x, y in zip(t.matrices, back.matrices):
-        assert np.array_equal(x, y)
+    # each entry is the shortest repr of its float, so parsing loses nothing
+    t = parse_tuple_text(COMPLEX_TEXT)
+    want = ("0.30000000000000004 -1.2345678901234568e-05",
+            "-0.1111111111111111 0.7071067811865476")
+    for m, text in zip(t.matrices, want):
+        assert np.count_nonzero(m) == 1
+        assert f"{float(m[0, 1].real)!r} {float(m[0, 1].imag)!r}" == text
 
 
 def test_tuple_text_errors_name_the_problem():

@@ -9,7 +9,6 @@ from hardylab.criteria import beurling_criterion, cross_commutator_criterion, qu
 from hardylab.factorization import (
     FactorizationError,
     beurling_submodule_check,
-    constancy_check,
     divide_inner,
     invariant_subspace_from_factorization,
 )
@@ -172,32 +171,6 @@ def test_submodule_check_rejects_degenerate_columns():
 def test_submodule_check_rejects_bad_shape():
     with pytest.raises(ValueError, match="m_basis"):
         beurling_submodule_check(np.zeros((3, 1)), Z1Z2, TruncationGrid((4, 4)))
-
-
-# ---- constancy ---------------------------------------------------------------
-
-def test_constant_unitary_passes_both_detectors():
-    u = np.array([[0.6, 0.8], [-0.8, 0.6]])
-    rep = constancy_check(AnalyticSymbol.constant(u, 2), TruncationGrid((4, 4)))
-    assert rep.verdict
-    assert rep.residuals["surjectivity"] <= 1e-12
-    assert rep.residuals["coefficient"] == 0.0
-
-
-def test_coordinate_fails_both_detectors_consistently():
-    rep = constancy_check(Z1, TruncationGrid((4, 4)))
-    assert not rep.verdicts["surjective"]
-    assert not rep.verdicts["constant_coefficients"]
-    assert rep.verdicts["tests_consistent"]
-    assert rep.residuals["surjectivity"] == 1.0
-
-
-def test_rational_witness_is_not_constant():
-    rep = constancy_check(rational_inner_witness(), TruncationGrid((4, 4)))
-    assert not rep.verdicts["surjective"]
-    assert not rep.verdicts["constant_coefficients"]
-    assert rep.verdicts["tests_consistent"]
-    assert abs(rep.residuals["coefficient"] - 0.5) < 1e-15
 
 
 # ---- the division, gap and check against the dense formulas they replaced ---
@@ -381,20 +354,6 @@ def test_quotient_match_sees_a_dropped_gap(monkeypatch):
     assert wit.residuals["quotient_match"] == dense["quotient_match"] == 1.0
 
 
-@pytest.mark.parametrize("symbol, caps", [
-    (AnalyticSymbol.constant(np.array([[0.6, 0.8], [-0.8, 0.6]]), 2), (4, 4)),
-    (Z1, (4, 4)),
-    (rational_inner_witness(), (5, 5)),
-])
-def test_constancy_surjectivity_matches_dense_formula(symbol, caps):
-    grid = TruncationGrid(caps)
-    s = submodule_projection(symbol, grid)
-    window = s.grid.window_indices(eval_margins(symbol))
-    dense = windowed_norm(np.eye(s.grid.dim) - s.basis @ s.basis.conj().T, window)
-    rep = constancy_check(symbol, grid)
-    assert abs(rep.residuals["surjectivity"] - dense) <= 1e-13
-
-
 def test_submodule_check_rejects_an_empty_window():
     # N = z1 H^2 + span{z2, z2^2, z2^3} is the origin complement, which is not
     # of Beurling type; margins past the caps must not let it pass vacuously
@@ -414,7 +373,6 @@ def test_division_and_gap_form_no_dense_shift_or_projection(no_dense_operators):
         assert max(wit.residuals.values()) <= tol, name
         assert beurling_submodule_check(wit.m_basis, theta, grid, tol=tol,
                                         margins=margins).verdict, name
-    assert constancy_check(Z1, TruncationGrid((4, 4))).verdicts["tests_consistent"]
     report = reduced_kernel_suite(caps=(6, 6))
     assert report["verdicts"]["strict_inclusions"]
 

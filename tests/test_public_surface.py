@@ -1,14 +1,18 @@
 """The exported names resolve, the package exports only what its modules
-declare, each module uses or exports every name it imports, and the count
-of defaulted parameters is pinned."""
+declare, each module uses or exports every name it imports, every export
+has a reader outside the tests, and the sizes of the surface are pinned."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 from pathlib import Path
 
 import hardylab
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(hardylab.__file__).parent
 
 
 def test_public_surface_has_no_stale_names():
@@ -32,7 +36,7 @@ UNUSED_IMPORTS_ALLOWED = {("cli", "parse_scenario")}
 
 def test_every_import_is_used_or_exported():
     unused = set()
-    for path in sorted(Path(hardylab.__file__).parent.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         imported = {
             (alias.asname or alias.name).split(".")[0]
@@ -67,4 +71,34 @@ def test_defaulted_parameter_count():
                          if not member_name.startswith("_") and callable(member))
         elif callable(obj):
             count += _defaulted(obj)
-    assert count == 42
+    assert count == 36
+
+
+def _read_names(path: Path) -> set:
+    """Every name a file reads, as a bare name or as an attribute."""
+    loads = [node for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(getattr(node, "ctx", None), ast.Load)]
+    return ({node.id for node in loads if isinstance(node, ast.Name)}
+            | {node.attr for node in loads if isinstance(node, ast.Attribute)})
+
+
+def _traced_names() -> set:
+    """The names hlbench/tracing.py rebinds, read from the file as
+    test_tracing_targets does."""
+    spec = importlib.util.spec_from_file_location("hlbench_tracing", ROOT / "hlbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {part for _, _, attribute in module.TRACED for part in attribute.split(".")}
+
+
+def test_every_export_has_a_reader_outside_the_tests():
+    """An exported name is read by the package itself, a demo or the
+    benchmark, or the benchmark traces it; one that only tests read goes."""
+    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    sources += [*(ROOT / "demos").glob("*.py"), *(ROOT / "hlbench").glob("*.py")]
+    read = _traced_names().union(*(_read_names(p) for p in sources))
+    assert sorted(set(hardylab.__all__) - read) == []
+
+
+def test_export_count():
+    assert len(hardylab.__all__) == 62

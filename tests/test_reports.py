@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from hardylab.reports import Report, emit_report, parse_report
+from hardylab.reports import Report, emit_report
 
 
 def sample_report(**overrides):
@@ -25,14 +25,15 @@ def sample_report(**overrides):
 
 def test_json_round_trip_is_lossless():
     r = sample_report()
-    assert parse_report(emit_report(r, fmt="json")) == r
+    assert json.loads(emit_report(r, fmt="json")) == r.to_dict()
 
 
 def test_json_round_trip_with_error_status():
     r = sample_report(residuals={}, verdicts={}, status="error: no symbol")
-    back = parse_report(emit_report(r))
-    assert back == r
-    assert not back.ok
+    back = json.loads(emit_report(r))
+    assert back == r.to_dict()
+    assert back["status"] == "error: no symbol"
+    assert not r.ok
 
 
 def test_empty_residual_map_serializes_as_empty_object():
@@ -106,4 +107,4 @@ def test_unserializable_detail_raises():
 def test_float_repr_survives_round_trip():
     value = 1.4623308103126345e-3
     r = sample_report(residuals={"tail": value}, verdicts={})
-    assert parse_report(emit_report(r)).residuals["tail"] == value
+    assert json.loads(emit_report(r))["residuals"]["tail"] == value

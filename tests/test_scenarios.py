@@ -1,18 +1,19 @@
 """Scenario parsing, validation diagnostics, dispatch, and batch order."""
 
+import json
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hardylab import cli
 from hardylab.grids import TruncationGrid
 from hardylab.scenarios import (
     Scenario,
     ScenarioError,
     expectations_met,
     parse_scenario,
-    run_batch,
     run_scenario,
 )
 from hardylab.symbols import AnalyticSymbol
@@ -367,12 +368,13 @@ def test_sources_fix_the_number_of_variables(cfg, message):
 
 # ---- batches and expectations ----------------------------------------------
 
-def test_batch_preserves_input_order():
-    scenarios = [
-        parse_scenario(MONOMIAL_CFG, scenario_id=f"s{i}") for i in range(4)
-    ]
-    serial = run_batch(scenarios)
-    assert [r.scenario_id for r in serial] == ["s0", "s1", "s2", "s3"]
+def test_batch_preserves_input_order(tmp_path, capsys):
+    paths = [tmp_path / "s1.cfg", tmp_path / "s0.cfg"]
+    for path in paths:
+        path.write_text(MONOMIAL_CFG)
+    assert cli.main(["check-beurling", *(f"--config={p}" for p in paths)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [json.loads(line)["scenario_id"] for line in lines] == ["s1", "s0"]
 
 
 def test_expectations_without_block_follow_status():

@@ -15,7 +15,6 @@ from hardylab.subspaces import (
     parse_basis_text,
     submodule_projection,
     subspace_from_columns,
-    subspace_from_rows,
 )
 from hardylab.symbols import AnalyticSymbol
 
@@ -304,7 +303,7 @@ def test_basis_text_round_trip():
     assert vecs.shape == (2, 4)
     assert vecs[1, 1] == pytest.approx(1.0)
     assert vecs[1, 2] == pytest.approx(-1j)
-    s, _ = subspace_from_rows(g, vecs)
+    s, _ = subspace_from_columns(g, vecs.T)
     assert s.rank == 2
 
 
