@@ -21,7 +21,8 @@ Every residual is an exact identity on thin blocks of the subspace bases
 (SubspaceData.basis and .complement), and the shifts are applied by
 TruncationGrid.shift, so no dense shift or dim x dim projection is formed.
 A witness builds M_phi, M_theta and M_psi once each: the division splits
-S_phi from its M_phi, and the witness splits S_theta from its M_theta.
+S_phi from the support block of its M_phi (the rows and columns on the
+variables phi uses), and the witness splits S_theta likewise from M_theta.
 A projection P = B B* enters a norm only through B: with B_c the
 complement basis, ||(I - P) A|| = ||B_c* A||.  The gap and the check build
 N = S_theta + M by one split (SubspaceData.extended) and gate its
@@ -192,8 +193,8 @@ def invariant_subspace_from_factorization(
 
     M is shift-invariant relative to S_theta: multiplying M by a coordinate
     lands in N = S_theta + M.  theta passes the same innerness gate as in
-    submodule_projection, and S_theta is split from the M_theta the
-    division built.  N is split from the theta split alone
+    submodule_projection, and S_theta is split from the support block of
+    the M_theta the division built.  N is split from the theta split alone
     (SubspaceData.extended along B_phi), M is the part of its basis past
     B_theta, and the invariance residual is the windowed defect of N
     (invariance_defect), the gate beurling_submodule_check runs on the same

@@ -9,9 +9,11 @@ window, where the truncated operators compose exactly like their
 infinite-dimensional counterparts on polynomial symbols.
 
 A truncated shift power is a 0/1 partial permutation, held as the grid's
-index map (TruncationGrid.shift_map).  shift_matrix and toeplitz_matrix lay
-dense matrices out from those maps; every other module applies a shift to
-its bases through TruncationGrid.shift, without forming a dense shift.
+index map (TruncationGrid.shift_map).  shift_matrix lays a dense shift out
+from that map; every other module applies a shift to its bases through
+TruncationGrid.shift, without forming a dense shift.  toeplitz_matrix reads
+no index map: it places every Taylor block in one scatter, addressed by the
+grid's additive mixed-radix codes.
 
 Every spectral norm (spectral_norm) is the square root of the largest
 eigenvalue of a Gram of the short side, which keeps full relative accuracy
@@ -82,20 +84,31 @@ def toeplitz_matrix(symbol: AnalyticSymbol, grid: TruncationGrid) -> np.ndarray:
     ignored.  Entry blocks are the Taylor coefficients: block (k, j) equals
     coeff(k - j) whenever k - j is componentwise nonnegative.  Columns whose
     domain degree stays margin-deep inside the caps are exact.
+
+    The blocks are laid out by one scatter over the pairs (d, j) of a
+    nonzero coefficient d and a source j with j + d inside the caps, whose
+    target rank is read off the grid's additive mixed-radix codes, so the
+    work grows with the number of nonzero coefficients.
     """
     if len(grid.caps) != symbol.nvars:
         raise ValueError("variable count mismatch between symbol and grid")
     dom = grid.with_channels(symbol.cols)
     cod = grid.with_channels(symbol.rows)
     table = symbol.taylor_table(cod)
-    ranks = len(cod.multi_indices)
-    p, q = symbol.rows, symbol.cols
-    scalar = grid.with_channels(1)
-    out = np.zeros((ranks, p, ranks, q), dtype=complex)
-    # block (k, j) = coeff(d) exactly where z^d maps z^j to z^k = z^(j+d)
-    for rd in np.flatnonzero(table.reshape(ranks, -1).any(axis=1)):
-        src, dst = scalar.shift_map(cod.multi_indices[rd])
-        out[dst, :, src, :] = table[rd]
+    exps = cod.exponents
+    ranks = len(exps)
+    place, rank_of_code = cod._radix
+    coeff = np.flatnonzero(table.reshape(ranks, -1).any(axis=1))
+    room = np.subtract(cod.caps, exps)
+    fits = np.ones((coeff.size, ranks), dtype=bool)
+    for t in range(cod.nvars):
+        fits &= exps[coeff, t][:, None] <= room[:, t]
+    which, src = np.nonzero(fits)
+    d = coeff[which]
+    codes = exps @ place
+    dst = rank_of_code[codes[d] + codes[src]]
+    out = np.zeros((ranks, symbol.rows, ranks, symbol.cols), dtype=complex)
+    out[dst, :, src, :] = table[d]
     return out.reshape(cod.dim, dom.dim)
 
 

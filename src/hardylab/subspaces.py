@@ -25,10 +25,19 @@ direction asked, and the other takes its adjoint.
 Submodules generated by an inner symbol take the columns of the truncated
 multiplication operator over the input window (domain degrees at least
 deg_i(numerator) below the caps in each variable); those columns are exact
-images.  Only the invariance gate (invariance_defect) reads a window; the
-quotient battery downstream measures exact identities on the whole grid.
-The symbol is gated first by operators.innerness_check, an exact identity
-of its Taylor coefficients rather than a sampled torus test.
+images.  H^2 of the polydisc is the tensor product of H^2 in the variables
+the symbol uses and H^2 in the others, and on the box grid so is the
+operator, entry for entry: M_symbol is its Toeplitz matrix on the grid of
+the used variables tensored with the identity over the free box.  So only
+that support block is split, and its bases are tensored with the free box
+(_toeplitz_split); the one factorization is of the support block alone.
+The exact S intersected with the grid, which for a symbol with singular
+leading coefficients holds more than the window columns span, factors the
+same way: it is the support block's part tensored with the free box.
+Only the invariance gate (invariance_defect) reads a window; the quotient
+battery downstream measures exact identities on the whole grid.  The
+symbol is gated first by operators.innerness_check, an exact identity of
+its Taylor coefficients rather than a sampled torus test.
 """
 
 from __future__ import annotations
@@ -212,10 +221,12 @@ def submodule_projection(symbol: AnalyticSymbol, grid: TruncationGrid,
     variable i is at most caps[i] minus the numerator degree in i; those
     images stay inside the caps exactly for polynomial symbols.  The symbol
     must pass the innerness gate (operators.innerness_check, exact in its
-    coefficients) first.
+    coefficients) first.  Only the support block of M_symbol, its Toeplitz
+    matrix on the grid of the variables the symbol uses, is built and
+    split; the free variables enter as a tensor factor (_toeplitz_split).
     """
     _innerness_gate(symbol, grid, inner_tol)
-    return _toeplitz_split(symbol, grid, toeplitz_matrix(symbol, grid))
+    return _toeplitz_split(symbol, grid)
 
 
 def _innerness_gate(symbol: AnalyticSymbol, grid: TruncationGrid, inner_tol: float) -> None:
@@ -227,13 +238,56 @@ def _innerness_gate(symbol: AnalyticSymbol, grid: TruncationGrid, inner_tol: flo
         )
 
 
-def _toeplitz_split(symbol: AnalyticSymbol, grid: TruncationGrid, mt: np.ndarray) -> SubspaceData:
-    """The submodule of symbol, split from its prebuilt toeplitz_matrix(symbol, grid)."""
-    dom = grid.with_channels(symbol.cols)
+def _toeplitz_split(symbol: AnalyticSymbol, grid: TruncationGrid,
+                    mt: np.ndarray | None = None) -> SubspaceData:
+    """The submodule of symbol, split on the variables its keys use.
+
+    U are the variables that appear in a numerator or denominator key (the
+    first alone for a constant) and F the others.  Every Taylor coefficient
+    sits at k_F = 0, so on the box grid M_symbol = T (x) I_F entry for
+    entry, where T is its Toeplitz matrix on the support grid of U, which
+    is the slice k_F = 0 in its own graded order.  Only the window columns
+    of T are split; B_S and B_Q are the Kronecker products of that split's
+    bases with the identity over the free box, one column per (free
+    monomial, support column), their rows scattered to the grid rank of
+    k_U + k_F.  discarded grows by the free box size.  With no free
+    variable the scatter is the identity.  T is sliced from mt, the
+    toeplitz_matrix(symbol, grid) a caller already built, or else built on
+    the support grid.
+    """
+    keys = (*symbol.numerator, *symbol.denominator)
+    used = [t for t in range(grid.nvars) if any(k[t] for k in keys)] or [0]
+    free = [t for t in range(grid.nvars) if t not in used]
+    exps = grid.exponents
+    on_support = np.flatnonzero(~exps[:, free].any(axis=1))
+    on_free = np.flatnonzero(~exps[:, used].any(axis=1))
+    place, rank_of_code = grid._radix
+    codes = exps @ place
+    ranks = rank_of_code[codes[on_support, None] + codes[on_free]]
+    support = TruncationGrid(tuple(grid.caps[t] for t in used)) if free else grid
+    degrees = symbol.degrees
+    keep = support.with_channels(symbol.cols).window_indices(tuple(degrees[t] for t in used))
     cod = grid.with_channels(symbol.rows)
-    keep = dom.window_indices(symbol.degrees)
-    s, _ = subspace_from_columns(cod, mt[:, keep])
-    return s
+    if mt is None:
+        restricted = [{tuple(k[t] for t in used): v for k, v in part.items()}
+                      for part in (symbol.numerator, symbol.denominator)]
+        reduced = AnalyticSymbol(len(used), symbol.rows, symbol.cols, *restricted) if free else symbol
+        block = toeplitz_matrix(reduced, support)[:, keep]
+    else:
+        dom = grid.with_channels(symbol.cols)
+        block = mt[:, dom._flat(on_support)[keep]][cod._flat(on_support)]
+    s, _ = subspace_from_columns(support.with_channels(symbol.rows), block)
+    # rows[i, b]: the grid row of support row i tensored with free monomial b
+    rows = cod._flat(ranks.T.ravel()).reshape(on_free.size, -1).T
+    box = np.arange(on_free.size)
+
+    def tensored(b: np.ndarray) -> np.ndarray:
+        out = np.zeros((cod.dim, on_free.size, b.shape[1]), dtype=complex)
+        out[rows, box] = b[:, None, :]
+        return out.reshape(cod.dim, -1)
+
+    return SubspaceData(cod, tensored(s.basis), tensored(s.complement),
+                        discarded=s.discarded * on_free.size)
 
 
 def origin_complement(grid: TruncationGrid) -> SubspaceData:

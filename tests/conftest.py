@@ -53,6 +53,24 @@ def no_wide_singular_vectors(monkeypatch):
 
 
 @pytest.fixture
+def no_grid_wide_qr(monkeypatch):
+    """Return arm(dim); once armed, np.linalg.qr raises when asked to
+    factor a matrix with at least dim rows, so a split of a grid of
+    dimension dim that factors grid-wide columns fails the test."""
+    qr = np.linalg.qr
+
+    def arm(dim):
+        def guarded(a, mode="reduced"):
+            if np.shape(a)[-2] >= dim:
+                raise AssertionError(f"QR of a {np.shape(a)} matrix on a dim-{dim} grid")
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", guarded)
+
+    return arm
+
+
+@pytest.fixture
 def no_torus_evaluation(monkeypatch):
     """Make AnalyticSymbol.evaluate raise for one test, so a path that
     evaluates a symbol anywhere, the torus included, fails the test."""

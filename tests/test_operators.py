@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dense
 from hardylab.corpus import corpus_entries
 from hardylab.grids import TruncationGrid
 from hardylab.kernels import rational_inner_witness
@@ -251,28 +252,19 @@ def test_spectral_norm_of_an_empty_matrix_is_zero(shape):
     assert spectral_norm(np.zeros(shape, dtype=complex)) == 0.0
 
 
-def _loop_toeplitz(symbol, grid):
-    """The double loop toeplitz_matrix replaced: block (k, j) = coeff(k - j)."""
-    dom, cod = grid.with_channels(symbol.cols), grid.with_channels(symbol.rows)
-    table = symbol.taylor_table(cod)
-    p, q = symbol.rows, symbol.cols
-    out = np.zeros((cod.dim, dom.dim), dtype=complex)
-    for rj, j in enumerate(dom.multi_indices):
-        for rd, d in enumerate(cod.multi_indices):
-            k = tuple(a + b for a, b in zip(j, d))
-            if np.any(table[rd]) and k in cod.rank:
-                rk = cod.rank[k]
-                out[rk * p:(rk + 1) * p, rj * q:(rj + 1) * q] = table[rd]
-    return out
-
-
 @pytest.mark.parametrize("symbol, caps", [
     (phi_symbol(), (4, 3)),
     (AnalyticSymbol.blaschke(0.3, 1, nvars=3).matmul(AnalyticSymbol.monomial((1, 0, 2))), (2, 3, 2)),
     (AnalyticSymbol.polynomial({(0, 0): np.ones((2, 3)), (1, 2): np.arange(6).reshape(2, 3)},
                                2, rows=2, cols=3), (3, 2)),
     (AnalyticSymbol.constant(np.array([[0, 1], [1, 0]], dtype=complex), nvars=1), (5,)),
+    (AnalyticSymbol.polynomial({(0, 0): np.ones((2, 3)), (1, 2): np.arange(6).reshape(2, 3)},
+                               2, rows=2, cols=3), (3, 0)),
+    (AnalyticSymbol.rational({(0, 0, 0): np.arange(6).reshape(2, 3) + 1j, (0, 0, 1): np.eye(2, 3)},
+                             {(0, 0, 0): 2.0, (1, 0, 0): -0.5, (0, 0, 1): 0.25j},
+                             3, rows=2, cols=3), (2, 0, 3)),
+    (AnalyticSymbol.monomial((1, 0)), (0, 4)),
 ])
 def test_toeplitz_matches_loop_reference(symbol, caps):
     g = TruncationGrid(caps)
-    np.testing.assert_array_equal(toeplitz_matrix(symbol, g), _loop_toeplitz(symbol, g))
+    assert np.array_equal(toeplitz_matrix(symbol, g), dense.toeplitz(symbol, g))

@@ -7,9 +7,10 @@ import dense
 from hardylab.corpus import corpus_entries
 from hardylab.criteria import beurling_criterion, cross_commutator_criterion, identity_suite, quotient_data
 from hardylab.grids import TruncationGrid
-from hardylab.operators import InnernessError, eval_margins, shift_matrix
+from hardylab.operators import InnernessError, eval_margins, shift_matrix, toeplitz_matrix
 from hardylab.subspaces import (
     RANK_TOL,
+    _toeplitz_split,
     invariance_defect,
     origin_complement,
     parse_basis_text,
@@ -276,6 +277,66 @@ def test_full_rank_corpus_split_takes_no_svd(entry_id, no_svd_in_subspaces):
     assert sub.grid.dim == 343
     assert sub.discarded == 0
     assert sub.rank + sub.complement.shape[1] == 343
+
+
+def _bp_factor(v, var, nvars):
+    """(I - P) + P z_var for the rank-one projection P onto v: a 2 x 2 inner factor."""
+    p = np.outer(v, v.conj()) / np.vdot(v, v)
+    e = tuple(int(t == var) for t in range(nvars))
+    return AnalyticSymbol.polynomial({(0,) * nvars: np.eye(2) - p, e: p}, nvars, rows=2, cols=2)
+
+
+def _reduced_split_cases():
+    """name -> (symbol, caps): symbols that leave some variables of the grid free."""
+    b = AnalyticSymbol.blaschke
+    rng = np.random.default_rng(0)
+    v, u = (rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(2))
+    rotation = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
+    return {
+        "b(z1)-two-variables": (b(0.3 - 0.2j, 0, 2), (5, 4)),
+        "b(z1)-three-variables": (b(0.3 - 0.2j, 0, 3), (3, 2, 4)),
+        "b(z1)b(z3)-free-middle": (b(0.4, 0, 3).matmul(b(-0.25j, 2, 3)), (3, 4, 2)),
+        "two-channel-z1-z2-of-three": (_bp_factor(v, 0, 3).matmul(_bp_factor(u, 1, 3)), (3, 2, 2)),
+        "constant-unitary": (AnalyticSymbol.constant(rotation, 3), (2, 1, 2)),
+        "z1-squared": (AnalyticSymbol.monomial((2, 0)), (4, 3)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_reduced_split_cases()))
+def test_reduced_split_matches_the_full_grid_split(name):
+    """The split of the support block, tensored with the free box, spans
+    what a split of the same window columns on the whole grid spans."""
+    symbol, caps = _reduced_split_cases()[name]
+    g = TruncationGrid(caps)
+    cod, dom = g.with_channels(symbol.rows), g.with_channels(symbol.cols)
+    mt = toeplitz_matrix(symbol, g)
+    ref, _ = subspace_from_columns(cod, mt[:, dom.window_indices(symbol.degrees)])
+    s = submodule_projection(symbol, g)
+    sliced = _toeplitz_split(symbol, g, mt)
+    assert np.array_equal(sliced.basis, s.basis) and np.array_equal(sliced.complement, s.complement)
+
+    assert (s.rank, s.discarded) == (ref.rank, ref.discarded)
+    assert s.grid == cod and s.rank + s.complement.shape[1] == cod.dim
+    assert np.abs(dense.projection(s) - dense.projection(ref)).max() <= 1e-13
+    frame = np.hstack([s.basis, s.complement])
+    assert np.abs(frame.conj().T @ frame - np.eye(cod.dim)).max() <= 1e-13
+    assert np.abs(s.basis.conj().T @ s.complement).max(initial=0.0) <= 1e-13
+    if name == "z1-squared":
+        rows = [g.flat_index(k) for k in g.multi_indices if k[0] >= 2]
+        assert set(np.unique(frame)) == {0, 1}
+        assert sorted(np.flatnonzero(s.basis.any(axis=1))) == rows
+
+
+@pytest.mark.parametrize("family", ["product3", "blaschke3"])
+def test_three_variable_corpus_split_factors_only_its_support_block(family, no_grid_wide_qr):
+    """Each symbol of the family leaves a variable free, so its split takes
+    no QR of a matrix with as many rows as the dim-343 grid."""
+    entries = [e for e in corpus_entries(0) if e.entry_id.startswith(family)]
+    no_grid_wide_qr(343)
+    for entry in entries:
+        sub = entry.subspace()
+        assert sub.grid.dim == 343 and sub.discarded == 0
+        assert sub.rank + sub.complement.shape[1] == 343
 
 
 def test_contains():
