@@ -33,7 +33,7 @@ from .grids import TruncationGrid
 from .operators import eval_margins, spectral_norm
 from .subspaces import RANK_TOL, submodule_projection
 from .symbols import AnalyticSymbol
-from .textlines import content_lines, fields, numbers
+from .textlines import complex_row, content_lines, fields, numbers
 
 __all__ = [
     "ContractionTuple",
@@ -355,11 +355,7 @@ def parse_tuple_text(text: str) -> ContractionTuple:
             if pos >= len(lines):
                 raise ValueError(f"matrix {mi} row {ri}: unexpected end of text")
             lineno, words = lines[pos]
-            what = f"line {lineno}: matrix {mi} row {ri}"
-            if len(words) != 2 * dim:
-                raise ValueError(f"{what}: want {2 * dim} floats, got {len(words)}")
-            vals = np.array(numbers(words, float, what))
-            rows.append(vals[0::2] + 1j * vals[1::2])
+            rows.append(complex_row(words, dim, f"line {lineno}: matrix {mi} row {ri}"))
             pos += 1
         mats.append(np.stack(rows))
     if pos != len(lines):

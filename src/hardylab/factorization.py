@@ -121,9 +121,7 @@ def _divide(theta: AnalyticSymbol, phi: AnalyticSymbol, grid: TruncationGrid,
     x0 = mp.conj().T @ mt[:, :theta.cols]
     coeffs = {}
     rows, cols = phi.cols, theta.cols
-    for k in grid.multi_indices:
-        r = dom_p.rank[k]
-        block = x0[r * rows:(r + 1) * rows]
+    for k, block in zip(grid.multi_indices, x0.reshape(-1, rows, cols)):
         if np.abs(block).max() > COEFF_CUTOFF:
             coeffs[k] = block
     if not coeffs:

@@ -5,7 +5,10 @@ d = (d_1, ..., d_n) and a channel count m, and represent a C^m-valued
 analytic function by its Taylor coefficients on the multi-indices k with
 0 <= k_i <= d_i.  The monomials e_s z^k form an orthonormal basis of the
 truncated space, so operators become plain complex matrices and subspaces
-become column spans.  TruncationGrid.shift applies a coordinate shift M_t
+become column spans.  TruncationGrid.ranks is the one place a multi-index
+becomes a basis rank: shifts, Toeplitz matrices and Taylor recursions all
+rest on z^j z^k = z^(j+k), and each reads it off the grid by passing j + k
+(or k - j) to ranks.  TruncationGrid.shift applies a coordinate shift M_t
 or its adjoint to an array of rows; it is the one place a shift is applied.
 
 Basis order is graded: multi-indices sort by total degree, ties broken by
@@ -37,7 +40,7 @@ class TruncationGrid:
 
     ``caps[i]`` is the largest allowed exponent of the i-th variable;
     ``channels`` is the dimension m of the coefficient space.  The flat
-    basis index of the monomial e_s z^k is ``rank(k) * channels + s``.
+    basis index of the monomial e_s z^k is ``ranks(k) * channels + s``.
     """
 
     caps: tuple[int, ...]
@@ -63,11 +66,6 @@ class TruncationGrid:
         return tuple(sorted(itertools.product(*ranges), key=order_key))
 
     @cached_property
-    def rank(self) -> dict[tuple[int, ...], int]:
-        # inverse of multi_indices
-        return {k: r for r, k in enumerate(self.multi_indices)}
-
-    @cached_property
     def exponents(self) -> np.ndarray:
         """multi_indices as a read-only (ranks, nvars) int array."""
         out = np.array(self.multi_indices, dtype=np.intp).reshape(-1, self.nvars)
@@ -79,17 +77,40 @@ class TruncationGrid:
         """Mixed-radix place values and the rank of every mixed-radix code.
 
         A multi-index k inside the caps has code sum_i k_i * place_i with
-        place_i = prod_{j<i} (caps_j + 1); codes are additive, so the rank
-        of k + l is rank_of_code[code(k) + code(l)] whenever k + l fits.
+        place_i = prod_{j<i} (caps_j + 1).  Only ranks reads these tables.
         """
         place = np.cumprod((1,) + tuple(c + 1 for c in self.caps[:-1]), dtype=np.intp)
         rank_of_code = np.empty(len(self.multi_indices), dtype=np.intp)
         rank_of_code[self.exponents @ place] = np.arange(len(rank_of_code))
         return place, rank_of_code
 
+    def ranks(self, exps) -> np.ndarray:
+        """Ranks of the multi-indices along the last axis of an int array.
+
+        Every multi-index must lie inside the caps; nothing checks it, so a
+        caller forms a sum j + k or a difference k - j only where it fits.
+        The result has the shape of exps without its last axis, and
+        multi_indices[ranks(k)] == k.
+        """
+        place, rank_of_code = self._radix
+        return rank_of_code[np.asarray(exps) @ place]
+
     @cached_property
-    def _shift_maps(self) -> dict:
-        return {}
+    def _shift_pairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Read-only flat index maps (src, dst) of M_t, one per variable t.
+
+        M_t sends e_s z^j to e_s z^(j + e_t) when that stays inside the
+        caps and drops it otherwise, so (M_t x)[dst] = x[src].
+        """
+        pairs = []
+        for t in range(self.nvars):
+            src = np.flatnonzero(self.exponents[:, t] < self.caps[t])
+            dst = self.ranks(self.exponents[src] + (np.arange(self.nvars) == t))
+            src, dst = self._flat(src), self._flat(dst)
+            src.flags.writeable = False
+            dst.flags.writeable = False
+            pairs.append((src, dst))
+        return tuple(pairs)
 
     @property
     def dim(self) -> int:
@@ -99,7 +120,7 @@ class TruncationGrid:
         """Same caps, the given coefficient-space dimension.
 
         Returns self when the channel count is unchanged, so the cached
-        multi-index tables and shift maps are reused.
+        multi-index tables and shift index maps are reused.
         """
         if int(channels) == self.channels:
             return self
@@ -110,11 +131,10 @@ class TruncationGrid:
     def flat_index(self, k: tuple[int, ...], s: int = 0) -> int:
         if not 0 <= s < self.channels:
             raise ValueError(f"channel {s} out of range for m={self.channels}")
-        try:
-            r = self.rank[tuple(k)]
-        except KeyError:
-            raise ValueError(f"multi-index {tuple(k)} outside caps {self.caps}") from None
-        return r * self.channels + s
+        k = tuple(k)
+        if len(k) != self.nvars or not all(0 <= a <= c for a, c in zip(k, self.caps)):
+            raise ValueError(f"multi-index {k} outside caps {self.caps}")
+        return int(self.ranks(k)) * self.channels + s
 
     def unflatten(self, i: int) -> tuple[tuple[int, ...], int]:
         r, s = divmod(int(i), self.channels)
@@ -125,50 +145,18 @@ class TruncationGrid:
         v[self.flat_index(k, s)] = 1.0
         return v
 
-    def bumped(self, k: tuple[int, ...], t: int) -> tuple[int, ...] | None:
-        """k + e_t, or None if the bump leaves the grid."""
-        if k[t] >= self.caps[t]:
-            return None
-        out = list(k)
-        out[t] += 1
-        return tuple(out)
-
     def _flat(self, ranks: np.ndarray) -> np.ndarray:
         """Flat indices of every channel of the given ranks, rank-major."""
         m = self.channels
         return (ranks[:, None] * m + np.arange(m)).ravel()
 
-    def shift_map(self, k: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """Index map (src, dst) of the truncated shift power M^k = prod_t M_t^k_t.
-
-        M^k sends e_s z^j to e_s z^(j+k) when j + k stays inside the caps
-        and drops it otherwise, so (M^k X)[dst] = X[src] and every other
-        row of M^k X is zero.  Both arrays are read-only and cached per k.
-        """
-        k = tuple(int(x) for x in k)
-        if len(k) != self.nvars:
-            raise ValueError(f"need {self.nvars} powers, got {len(k)}")
-        if any(x < 0 for x in k):
-            raise ValueError("powers must be non-negative")
-        maps = self._shift_maps
-        if k not in maps:
-            place, rank_of_code = self._radix
-            fits = np.all(self.exponents + k <= self.caps, axis=1)
-            src = np.flatnonzero(fits)
-            dst = rank_of_code[self.exponents[src] @ place + int(np.dot(k, place))]
-            src, dst = self._flat(src), self._flat(dst)
-            src.flags.writeable = False
-            dst.flags.writeable = False
-            maps[k] = (src, dst)
-        return maps[k]
-
     def shift(self, x: np.ndarray, t: int, adjoint: bool) -> np.ndarray:
         """M_t x, or M_t* x when adjoint, for x with one row per basis index:
-        (M_t x)[dst] = x[src] and (M_t* x)[src] = x[dst] for the index map of
-        e_t, every other row zero."""
+        (M_t x)[dst] = x[src] and (M_t* x)[src] = x[dst] for the index map
+        (src, dst) of M_t, every other row zero."""
         if not 0 <= t < self.nvars:
             raise ValueError(f"variable {t} out of range for n={self.nvars}")
-        src, dst = self.shift_map(tuple(int(i == t) for i in range(self.nvars)))
+        src, dst = self._shift_pairs[t]
         if adjoint:
             src, dst = dst, src
         out = np.zeros_like(x)

@@ -206,7 +206,7 @@ def reduced_kernel_suite(caps=KERNEL_CAPS, seed: int = 0, tol: float = 1e-8) -> 
     at_zero = abs(complex(phi.evaluate([(0.0, 0.0)])[0, 0, 0]))
     origin_coeff = phi.numerator.get((0, 0))
     numerator_origin = 0.0 if origin_coeff is None else float(np.abs(origin_coeff).max())
-    inner = innerness_check(phi, TruncationGrid(caps), tol=WITNESS_INNER_TOL)
+    inner = innerness_check(phi, tol=WITNESS_INNER_TOL)
 
     small = TruncationGrid(INCLUSION_CAPS)
     s_phi = submodule_projection(phi, small, inner_tol=tol)

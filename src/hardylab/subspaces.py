@@ -30,7 +30,8 @@ the symbol uses and H^2 in the others, and on the box grid so is the
 operator, entry for entry: M_symbol is its Toeplitz matrix on the grid of
 the used variables tensored with the identity over the free box.  So only
 that support block is split, and its bases are tensored with the free box
-(_toeplitz_split); the one factorization is of the support block alone.
+(_toeplitz_split), their rows placed in grid order by TruncationGrid.ranks;
+the one factorization is of the support block alone.
 The exact S intersected with the grid, which for a symbol with singular
 leading coefficients holds more than the window columns span, factors the
 same way: it is the support block's part tensored with the free box.
@@ -56,7 +57,7 @@ from .operators import (
     toeplitz_matrix,
 )
 from .symbols import AnalyticSymbol
-from .textlines import content_lines, fields, numbers
+from .textlines import complex_row, content_lines, fields
 
 __all__ = [
     "SubspaceData",
@@ -230,8 +231,11 @@ def submodule_projection(symbol: AnalyticSymbol, grid: TruncationGrid,
 
 
 def _innerness_gate(symbol: AnalyticSymbol, grid: TruncationGrid, inner_tol: float) -> None:
-    """Raise InnernessError unless innerness_check passes symbol at inner_tol."""
-    rep = innerness_check(symbol, grid, tol=inner_tol)
+    """Raise ValueError unless symbol has the grid's variable count, and
+    InnernessError unless innerness_check passes it at inner_tol."""
+    if symbol.nvars != grid.nvars:
+        raise ValueError(f"symbol has {symbol.nvars} variables, grid has {grid.nvars}")
+    rep = innerness_check(symbol, tol=inner_tol)
     if not rep.verdict:
         raise InnernessError(
             f"symbol is not inner at tolerance {inner_tol:g}: coefficient deviation {rep.deviation:g}"
@@ -249,11 +253,11 @@ def _toeplitz_split(symbol: AnalyticSymbol, grid: TruncationGrid,
     is the slice k_F = 0 in its own graded order.  Only the window columns
     of T are split; B_S and B_Q are the Kronecker products of that split's
     bases with the identity over the free box, one column per (free
-    monomial, support column), their rows scattered to the grid rank of
-    k_U + k_F.  discarded grows by the free box size.  With no free
-    variable the scatter is the identity.  T is sliced from mt, the
-    toeplitz_matrix(symbol, grid) a caller already built, or else built on
-    the support grid.
+    monomial, support column), their rows scattered to
+    TruncationGrid.ranks of k_U + k_F.  discarded grows by the free box
+    size.  With no free variable the scatter is the identity.  T is
+    gathered in one np.ix_ slice from mt, the toeplitz_matrix(symbol, grid)
+    a caller already built, or else built on the support grid.
     """
     keys = (*symbol.numerator, *symbol.denominator)
     used = [t for t in range(grid.nvars) if any(k[t] for k in keys)] or [0]
@@ -261,9 +265,7 @@ def _toeplitz_split(symbol: AnalyticSymbol, grid: TruncationGrid,
     exps = grid.exponents
     on_support = np.flatnonzero(~exps[:, free].any(axis=1))
     on_free = np.flatnonzero(~exps[:, used].any(axis=1))
-    place, rank_of_code = grid._radix
-    codes = exps @ place
-    ranks = rank_of_code[codes[on_support, None] + codes[on_free]]
+    ranks = grid.ranks(exps[on_support, None] + exps[on_free])
     support = TruncationGrid(tuple(grid.caps[t] for t in used)) if free else grid
     degrees = symbol.degrees
     keep = support.with_channels(symbol.cols).window_indices(tuple(degrees[t] for t in used))
@@ -275,7 +277,7 @@ def _toeplitz_split(symbol: AnalyticSymbol, grid: TruncationGrid,
         block = toeplitz_matrix(reduced, support)[:, keep]
     else:
         dom = grid.with_channels(symbol.cols)
-        block = mt[:, dom._flat(on_support)[keep]][cod._flat(on_support)]
+        block = mt[np.ix_(cod._flat(on_support), dom._flat(on_support)[keep])]
     s, _ = subspace_from_columns(support.with_channels(symbol.rows), block)
     # rows[i, b]: the grid row of support row i tensored with free monomial b
     rows = cod._flat(ranks.T.ravel()).reshape(on_free.size, -1).T
@@ -300,13 +302,7 @@ def parse_basis_text(text: str, grid: TruncationGrid) -> np.ndarray:
     """Rows of 2*dim floats (re im per basis coefficient, fixed basis order)."""
     vectors = []
     for lineno, line in content_lines(text):
-        words = fields(line)
-        if len(words) != 2 * grid.dim:
-            raise ValueError(
-                f"line {lineno}: want {2 * grid.dim} floats (re im per coefficient), got {len(words)}"
-            )
-        vals = np.array(numbers(words, float, f"line {lineno}: row"), dtype=float)
-        vectors.append(vals[0::2] + 1j * vals[1::2])
+        vectors.append(complex_row(fields(line), grid.dim, f"line {lineno}: row"))
     if not vectors:
         raise ValueError("no basis rows found")
     return np.stack(vectors, axis=0)

@@ -160,31 +160,31 @@ class AnalyticSymbol:
         grid channel count is irrelevant here.  When the denominator is the
         constant one this is just the numerator laid out on the grid.
 
-        The recursion is solved one total-degree slice at a time: every
-        c_{k-j} it reads has lower total degree, and the rank of k - j is
-        looked up through the grid's mixed-radix codes.  Each coefficient
-        sees the same subtractions in the same order as an entry-by-entry
-        solve, so the table does not depend on the slicing.
+        The numerator keys inside the caps are placed in one scatter, and
+        the recursion is solved one total-degree slice at a time: every
+        c_{k-j} it reads has lower total degree.  Both read their ranks from
+        TruncationGrid.ranks, of a key and of k - j.  Each coefficient sees
+        the same subtractions in the same order as an entry-by-entry solve,
+        so the table does not depend on the slicing.
         """
         if len(grid.caps) != self.nvars:
             raise ValueError(f"grid has {len(grid.caps)} variables, symbol has {self.nvars}")
         exps = grid.exponents
         table = np.zeros((len(exps), self.rows, self.cols), dtype=complex)
-        for k, mat in self.numerator.items():
-            if k in grid.rank:
-                table[grid.rank[k]] = mat
+        keys = np.array(list(self.numerator), dtype=np.intp).reshape(-1, self.nvars)
+        mats = np.array(list(self.numerator.values()), dtype=complex).reshape(-1, self.rows, self.cols)
+        fits = np.all(keys <= grid.caps, axis=1)
+        table[grid.ranks(keys[fits])] = mats[fits]
         q0 = complex(self.denominator[_zero_index(self.nvars)])
         den_tail = [(k, v) for k, v in self.denominator.items() if any(k)]
         if not den_tail:
             return table / q0
         # ranks are graded, so each total degree is one contiguous run
         bounds = np.flatnonzero(np.diff(exps.sum(axis=1), prepend=-1, append=-1))
-        place, rank_of_code = grid._radix
-        codes = exps @ place
         tail = []
         for j, qj in den_tail:
             rows = np.flatnonzero(np.all(exps >= j, axis=1))
-            prev = rank_of_code[codes[rows] - np.dot(j, place)]
+            prev = grid.ranks(exps[rows] - j)
             tail.append((qj, rows, prev, np.searchsorted(rows, bounds)))
         for d, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
             for qj, rows, prev, cut in tail:

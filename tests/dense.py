@@ -33,10 +33,11 @@ def toeplitz(symbol, grid):
     dom, cod = grid.with_channels(symbol.cols), grid.with_channels(symbol.rows)
     table = symbol.taylor_table(cod)
     p, q = symbol.rows, symbol.cols
+    rank = {k: r for r, k in enumerate(cod.multi_indices)}
     out = np.zeros((cod.dim, dom.dim), dtype=complex)
     for rk, k in enumerate(cod.multi_indices):
         for rj, j in enumerate(dom.multi_indices):
             d = tuple(a - b for a, b in zip(k, j))
             if min(d) >= 0:
-                out[rk * p:(rk + 1) * p, rj * q:(rj + 1) * q] = table[cod.rank[d]]
+                out[rk * p:(rk + 1) * p, rj * q:(rj + 1) * q] = table[rank[d]]
     return out

@@ -316,7 +316,7 @@ def test_config_basis_block_is_read_at_the_degree_flag_caps(tmp_path, capsys):
     assert run_cli(["check-beurling", "--config", cfg, "--degree", "1,1"]) == 0
     capsys.readouterr()
     assert run_cli(["check-beurling", "--config", cfg, "--degree", "2,2"]) == 2
-    assert "basis block at line 3: line 4: want 18 floats" in capsys.readouterr().err
+    assert "basis block at line 3: line 4: row wants 18 floats" in capsys.readouterr().err
 
 
 def test_undecodable_config_exits_two(tmp_path, capsys):

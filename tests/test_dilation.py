@@ -321,7 +321,7 @@ def test_tuple_text_errors_name_the_problem():
         parse_tuple_text("count 2\n")
     with pytest.raises(ValueError, match="matrix 0"):
         parse_tuple_text("dim 1\ncount 1\n0.0 0.0\n")
-    with pytest.raises(ValueError, match="want 2 floats"):
+    with pytest.raises(ValueError, match=r"line 4: matrix 0 row 0 wants 2 floats \(re im per entry\), got 1"):
         parse_tuple_text("dim 1\ncount 1\nmatrix 0\n0.0\n")
     with pytest.raises(ValueError, match="trailing"):
         parse_tuple_text("dim 1\ncount 1\nmatrix 0\n0.0 0.0\nextra stuff here\n")

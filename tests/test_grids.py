@@ -85,21 +85,15 @@ def test_top_slice_indices():
     assert top1 == {(0, 1), (1, 1), (2, 1)}
 
 
-def test_bumped():
-    g = TruncationGrid((2, 1))
-    assert g.bumped((1, 0), 0) == (2, 0)
-    assert g.bumped((2, 0), 0) is None
-    assert g.bumped((2, 0), 1) == (2, 1)
-
-
 def test_validation_errors():
     with pytest.raises(ValueError):
         TruncationGrid((2, -1))
     with pytest.raises(ValueError):
         TruncationGrid((2, 2), channels=0)
     g = TruncationGrid((2, 2))
-    with pytest.raises(ValueError):
-        g.flat_index((3, 0))
+    for k in [(3, 0), (0, 3), (-1, 0), (0,), (0, 0, 0)]:
+        with pytest.raises(ValueError, match="outside caps"):
+            g.flat_index(k)
     with pytest.raises(ValueError):
         g.flat_index((0, 0), s=1)
 
@@ -117,14 +111,20 @@ def test_flat_unflatten_round_trip(caps, channels):
 
 # ---- array-built index sets against the loops they replaced ------------------
 
+def _rank_table(g):
+    """multi-index -> rank from the enumeration alone, independent of TruncationGrid.ranks."""
+    return {k: r for r, k in enumerate(g.multi_indices)}
+
+
 def _loop_shift_map(g, k):
+    rank = _rank_table(g)
     src, dst = [], []
     for r, j in enumerate(g.multi_indices):
         up = tuple(a + b for a, b in zip(j, k))
         if all(u <= c for u, c in zip(up, g.caps)):
             for s in range(g.channels):
                 src.append(r * g.channels + s)
-                dst.append(g.rank[up] * g.channels + s)
+                dst.append(rank[up] * g.channels + s)
     return np.array(src, dtype=int), np.array(dst, dtype=int)
 
 
@@ -142,23 +142,42 @@ GRIDS = [TruncationGrid(caps, channels)
 
 
 @pytest.mark.parametrize("g", GRIDS, ids=lambda g: f"caps{g.caps}-m{g.channels}")
+def test_ranks_match_the_enumeration(g):
+    rank = _rank_table(g)
+    exps = np.array(g.multi_indices, dtype=int).reshape(-1, g.nvars)
+    for k in g.multi_indices:
+        assert g.ranks(k) == rank[k]
+    np.testing.assert_array_equal(g.ranks(exps), np.arange(len(exps)))
+    # the leading axes of the argument are kept
+    np.testing.assert_array_equal(g.ranks(np.stack([exps, exps[::-1]])),
+                                  [np.arange(len(exps)), np.arange(len(exps))[::-1]])
+    sums = (exps[:, None] + exps[None]).reshape(-1, g.nvars)
+    diffs = (exps[:, None] - exps[None]).reshape(-1, g.nvars)
+    for keys in (sums[np.all(sums <= g.caps, axis=1)], diffs[np.all(diffs >= 0, axis=1)]):
+        assert len(keys) >= len(exps)
+        np.testing.assert_array_equal(g.ranks(keys), [rank[tuple(k)] for k in keys])
+
+
+@pytest.mark.parametrize("g", GRIDS, ids=lambda g: f"caps{g.caps}-m{g.channels}")
 def test_array_index_sets_match_loop_references(g):
     from hardylab.operators import shift_matrix
 
-    units = [tuple(int(i == t) for i in range(g.nvars)) for t in range(g.nvars)]
-    for k in units + [(0,) * g.nvars, (1,) * g.nvars, tuple(range(g.nvars, 0, -1))]:
-        src, dst = g.shift_map(k)
-        want_src, want_dst = _loop_shift_map(g, k)
+    rank = _rank_table(g)
+    for t in range(g.nvars):
+        src, dst = g._shift_pairs[t]
+        want_src, want_dst = _loop_shift_map(g, tuple(int(i == t) for i in range(g.nvars)))
         np.testing.assert_array_equal(src, want_src)
         np.testing.assert_array_equal(dst, want_dst)
-        assert g.shift_map(k)[0] is src  # cached per multi-index
-    for t in range(g.nvars):
+        assert g._shift_pairs[t][0] is src  # built once per grid
+        for index_map in (src, dst):
+            with pytest.raises(ValueError):
+                index_map[:1] = 0  # shared between calls, so read-only
         want = np.zeros((g.dim, g.dim), dtype=complex)
         for j, k in enumerate(g.multi_indices):
-            up = g.bumped(k, t)
-            if up is not None:
+            up = tuple(a + (i == t) for i, a in enumerate(k))
+            if up in rank:
                 for s in range(g.channels):
-                    want[g.rank[up] * g.channels + s, j * g.channels + s] = 1.0
+                    want[rank[up] * g.channels + s, j * g.channels + s] = 1.0
         np.testing.assert_array_equal(shift_matrix(g, t), want)
         np.testing.assert_array_equal(
             g.top_slice_indices(t), _loop_index_set(g, lambda k: k[t] == g.caps[t]))
@@ -166,30 +185,6 @@ def test_array_index_sets_match_loop_references(g):
         np.testing.assert_array_equal(
             g.window_indices(margins),
             _loop_index_set(g, lambda k: all(a <= c - w for a, c, w in zip(k, g.caps, margins))))
-
-
-def test_shift_map_is_the_shift_power():
-    from hardylab.criteria import shift_power
-    from hardylab.operators import shift_matrices
-
-    g = TruncationGrid((3, 2), channels=2)
-    mats = shift_matrices(g)
-    for k in [(0, 0), (1, 0), (2, 1), (3, 2), (4, 0)]:
-        src, dst = g.shift_map(k)
-        dense = np.zeros((g.dim, g.dim), dtype=complex)
-        dense[dst, src] = 1.0
-        np.testing.assert_array_equal(dense, shift_power(mats, k))
-
-
-def test_shift_map_validation():
-    g = TruncationGrid((2, 2))
-    with pytest.raises(ValueError, match="non-negative"):
-        g.shift_map((1, -1))
-    with pytest.raises(ValueError, match="need 2 powers"):
-        g.shift_map((1,))
-    src, _ = g.shift_map((1, 0))
-    with pytest.raises(ValueError):
-        src[0] = 5  # cached maps are read-only
 
 
 @pytest.mark.parametrize("caps", [(3,), (2, 3), (2, 1, 2)])

@@ -1,12 +1,14 @@
 """The exported names resolve, the package exports only what its modules
 declare, each module uses or exports every name it imports, every export
-has a reader outside the tests, and the sizes of the surface are pinned."""
+has a reader outside the tests, the sizes of the surface are pinned, and
+every hardylab name README.md spells out resolves."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import hardylab
@@ -102,3 +104,46 @@ def test_every_export_has_a_reader_outside_the_tests():
 
 def test_export_count():
     assert len(hardylab.__all__) == 62
+
+
+def _readme_dotted_names() -> list:
+    """(line, name) for every backticked dotted name in README.md outside code
+    fences, read as the leading a.b.c of the span (`TruncationGrid.shift(x)`
+    gives TruncationGrid.shift)."""
+    text = (ROOT / "README.md").read_text()
+    text = re.sub(r"```.*?```", lambda m: "\n" * m.group().count("\n"), text, flags=re.S)
+    out = []
+    for match in re.finditer(r"`([^`]+)`", text):
+        name = re.match(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", match.group(1))
+        if name:
+            out.append((text.count("\n", 0, match.start()) + 1, name.group()))
+    return out
+
+
+def _hardylab_root(first: str):
+    """The object a dotted README name starts from, or None when its first
+    part is no hardylab name (a file such as pyproject.toml, a report key)."""
+    modules = {info.name for info in pkgutil.iter_modules(hardylab.__path__)}
+    if first == "hardylab":
+        return hardylab
+    if first in modules:
+        return importlib.import_module(f"hardylab.{first}")
+    if first in hardylab.__all__ and inspect.isclass(getattr(hardylab, first)):
+        return getattr(hardylab, first)
+    return None
+
+
+def test_readme_dotted_names_resolve():
+    names = _readme_dotted_names()
+    assert any(name == "TruncationGrid.shift" for _, name in names)
+    unresolved = []
+    for line, name in names:
+        obj = _hardylab_root(name.split(".")[0])
+        if obj is None:
+            continue
+        for part in name.split(".")[1:]:
+            if not hasattr(obj, part):
+                unresolved.append(f"README.md:{line}: {name}")
+                break
+            obj = getattr(obj, part)
+    assert unresolved == []

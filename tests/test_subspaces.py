@@ -81,6 +81,21 @@ def test_innerness_gate_blocks_symbol_unimodular_on_torus_samples():
         submodule_projection(blind, TruncationGrid((4, 4)))
 
 
+@pytest.mark.parametrize("nvars", [1, 3])
+def test_submodule_projection_refuses_a_symbol_of_another_variable_count(nvars, monkeypatch):
+    """A symbol in one or three variables on a two-variable grid is refused,
+    naming both counts, before its Taylor table or any Toeplitz block is built."""
+    from hardylab import subspaces
+
+    def built(*args, **kwargs):
+        raise AssertionError("a Taylor table or Toeplitz block was built")
+
+    monkeypatch.setattr(subspaces, "toeplitz_matrix", built)
+    monkeypatch.setattr(AnalyticSymbol, "taylor_table", built)
+    with pytest.raises(ValueError, match=f"symbol has {nvars} variables, grid has 2"):
+        submodule_projection(AnalyticSymbol.monomial((1,) * nvars), TruncationGrid((3, 3)))
+
+
 def test_corpus_battery_evaluates_no_symbol(no_torus_evaluation):
     """The gate reads coefficients only: a dim-343 entry runs the whole
     battery with AnalyticSymbol.evaluate disabled."""

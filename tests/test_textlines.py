@@ -9,7 +9,7 @@ from hardylab.grids import TruncationGrid
 from hardylab.scenarios import parse_scenario
 from hardylab.subspaces import parse_basis_text
 from hardylab.symbols import parse_coefficient_text
-from hardylab.textlines import content_lines, fields, numbers
+from hardylab.textlines import complex_row, content_lines, fields, numbers
 
 
 def test_content_lines_keep_original_numbers():
@@ -25,6 +25,15 @@ def test_numbers_accept_only_finite_values_of_the_cast():
     for word, cast in (("1.0", int), ("nan", float), ("-inf", float), ("abc", float)):
         with pytest.raises(ValueError, match=f"line 7: x wants .*, got '{word}'"):
             numbers(["0", word], cast, "line 7: x")
+
+
+def test_complex_row_pairs_re_and_im_and_names_the_row():
+    row = complex_row(["1", "-2", "0.5", "0"], 2, "line 3: row")
+    assert row.tolist() == [1 - 2j, 0.5]
+    with pytest.raises(ValueError, match=r"^line 3: row wants 4 floats \(re im per entry\), got 3$"):
+        complex_row(["1", "2", "3"], 2, "line 3: row")
+    with pytest.raises(ValueError, match="line 3: row wants finite numbers, got 'nan'"):
+        complex_row(["1", "nan"], 1, "line 3: row")
 
 
 # Lines shaped like those of all four formats, with integers kept small so
