@@ -49,6 +49,15 @@ or the commutator U_i U_j* - V_j V_i*, is measured with one side factored:
 Gram is only ever formed of a matrix that already exists.  A single tall
 block such as the reduces residual cancels nothing and is measured as is.
 Only the invariance gate reads a window, the low-degree rows margins keep.
+
+When Q is tensored from a core (SubspaceData.core), Q = Q_U (x) H^2(F) for
+the free variables F, and every block above is formed on the core
+(QuotientData.core) and reported over the grid's variables.  A pair of
+used variables reads the core's value.  A free variable f has C_f =
+M_f (x) I, so U_f = V_f = 0, K = 0 for every pair with f, and
+D_f = E_f (x) I with E_f the top slice of the free box: the residuals that
+involve f are those exact tensor values (0.0, and in the domination term
+lambda_min of the core's D_i or of D_f), not measured rounding.
 """
 
 from __future__ import annotations
@@ -93,7 +102,10 @@ class QuotientData:
     """One subspace split S + Q and the blocks every detector reads.
 
     The members below the fields are computed on first use and cached, so
-    however many detectors read them each is formed once per split.
+    however many detectors read them each is formed once per split.  When
+    Q is tensored from a core (SubspaceData.core), the detectors read the
+    blocks of core, the QuotientData of the core split, and lift its
+    values over the free variables.
     """
 
     s: SubspaceData
@@ -105,6 +117,22 @@ class QuotientData:
     @property
     def grid(self) -> TruncationGrid:
         return self.s.grid
+
+    @property
+    def core(self) -> "QuotientData":
+        """The QuotientData of the core split, or self when Q is its own core."""
+        return self if self.q.core is self.q else self._core
+
+    @cached_property
+    def _core(self) -> "QuotientData":
+        q, used = self.q.core, self.q.used
+        return QuotientData(
+            s=self.s.core,
+            q=q,
+            compressions=tuple(q.shift_blocks(t)[0] for t in range(q.grid.nvars)),
+            invariance=self.invariance,
+            invariance_per_variable=tuple(self.invariance_per_variable[t] for t in used),
+        )
 
     def leak(self, t: int) -> np.ndarray:
         """U_t = P_S M_t B_Q = M_t B_Q - B_Q C_t (dim x q) for variable t."""
@@ -150,17 +178,23 @@ class QuotientData:
         """Worst deviation max_t ||D_t - G_tt - T_t* T_t|| of the defect split.
 
         The deviation is Hermitian, so its norm is its largest |eigenvalue|.
+        A free variable f has D_f = T_f* T_f and G_ff = 0 exactly, so the
+        worst is the core's.
         """
+        if self.core is not self:
+            return self.core.defect_identity
         return max((hermitian_norm(d - g) for d, g in zip(self.defect_blocks, self.defect_split)),
                    default=0.0)
 
     @cached_property
     def defect_products(self) -> dict:
         """{(i, j): ||G_ii G_jj||} for i < j, the norm of the product of the
-        compression formulas P_Q M_t* P_S M_t P_Q of the two defects."""
+        compression formulas P_Q M_t* P_S M_t P_Q of the two defects; a pair
+        with a free variable reads 0.0, since its G_ff is 0."""
+        if self.core is not self:
+            return _lifted(self.core.defect_products, self.q.used, _pairs(self.grid.nvars))
         n = self.grid.nvars
-        return {(i, j): spectral_norm(self.gram(i, i) @ self.gram(j, j))
-                for i in range(n) for j in range(i + 1, n)}
+        return {(i, j): spectral_norm(self.gram(i, i) @ self.gram(j, j)) for i, j in _pairs(n)}
 
     @cached_property
     def xij(self) -> float:
@@ -169,12 +203,43 @@ class QuotientData:
         U_j = W_j R_j with W_j column-orthonormal (norm_factor), so
         ||U_i U_j*|| = ||R_j U_i*||: only the right factor is factored, and
         only U_t for t >= 1 is ever one.  The (j, i) term is the adjoint of
-        the (i, j) one.
+        the (i, j) one.  U_f = 0 for a free variable f, so the worst is the
+        core's.
         """
+        if self.core is not self:
+            return self.core.xij
         n = self.grid.nvars
         r = {t: norm_factor(self.leak(t)) for t in range(1, n)}
-        return max((spectral_norm(r[j] @ self.leak(i).conj().T)
-                    for i in range(n) for j in range(i + 1, n)), default=0.0)
+        return max((spectral_norm(r[j] @ self.leak(i).conj().T) for i, j in _pairs(n)),
+                   default=0.0)
+
+
+def _pairs(n: int) -> list:
+    """The unordered pairs (i, j), i < j, of n variables."""
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _lifted(values: dict, used: tuple, pairs) -> dict:
+    """Values keyed by pairs of core variables, rekeyed by the given pairs
+    of grid variables: a pair of used variables reads its core value, and
+    a pair with a free variable reads 0.0."""
+    at = {(used[a], used[b]): value for (a, b), value in values.items()}
+    return {pair: at.get(pair, 0.0) for pair in pairs}
+
+
+def _lifted_compressions(q: SubspaceData, core: tuple) -> tuple:
+    """C_t on the grid from the core's compressions, in the free-major
+    column order of a tensored split: I (x) C_t for a used variable t and
+    M_f (x) I for a free variable f, M_f the shift of the free box."""
+    used = q.used
+    free = [t for t in range(q.grid.nvars) if t not in used]
+    if not free:
+        return core
+    box = TruncationGrid(tuple(q.grid.caps[t] for t in free))
+    eye_box, eye_q = np.eye(box.dim), np.eye(q.core.rank, dtype=complex)
+    return tuple(np.kron(eye_box, core[used.index(t)]) if t in used
+                 else np.kron(box.shift(eye_box, free.index(t), adjoint=False), eye_q)
+                 for t in range(q.grid.nvars))
 
 
 def shift_power(shifts, k) -> np.ndarray:
@@ -216,21 +281,23 @@ def quotient_data(s: SubspaceData, margins=None) -> QuotientData:
     """Split the grid along S and compress the shifts.
 
     S must first pass the invariance gate on the window of margins.  The
-    defect blocks, their split, the defect products and the cross terms are
-    formed on first use, once per split (QuotientData).
+    compressions are formed and guarded on the core and lifted to the grid
+    (_lifted_compressions); a free variable's compression M_f (x) I is a
+    partial isometry.  The defect blocks, their split, the defect products
+    and the cross terms are formed on first use, once per split
+    (QuotientData).
     """
     inv_max, inv_per = _invariance_gate(s, margins)
-    n = s.grid.nvars
     q = s.complement_space
-    compressions = tuple(q.shift_blocks(t)[0] for t in range(n))
-    for t, c in enumerate(compressions):
+    core = tuple(q.core.shift_blocks(t)[0] for t in range(q.core.grid.nvars))
+    for t, c in zip(q.used, core):
         if c.size and spectral_norm(c) > 1 + 1e-10:
             raise ValueError(f"compression {t} exceeds unit norm; subspace data is inconsistent")
 
     return QuotientData(
         s=s,
         q=q,
-        compressions=compressions,
+        compressions=_lifted_compressions(q, core),
         invariance=inv_max,
         invariance_per_variable=tuple(inv_per),
     )
@@ -268,21 +335,23 @@ def cross_commutator_criterion(
     exactly, read from the basis of Q alone.  With R the thin-QR factor of
     [U_j, V_i] over all rows (norm_factor), the norm is ||R [U_i, -V_j]*||:
     one QR per unordered pair, since the (j, i) commutator is the adjoint of
-    the (i, j) one.  S passes the same invariance gate as in quotient_data
-    first, on the window of margins.
+    the (i, j) one.  The norms are taken on the core of Q: a pair with a
+    free variable f reads 0.0, since U_f = V_f = 0.  S passes the same
+    invariance gate as in quotient_data first, on the window of margins.
     """
     _invariance_gate(s, margins)
-    n = s.grid.nvars
-    q = s.complement_space
+    q = s.complement_space.core
+    n = q.grid.nvars
     u = [q.shift_blocks(t)[1] for t in range(n)]
     v = [q.shift_blocks(t, adjoint=True)[1] for t in range(n)]
     norms = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            right = norm_factor(np.hstack([u[j], v[i]]))
-            left = np.hstack([u[i], -v[j]])
-            norms[(i, j)] = norms[(j, i)] = spectral_norm(right @ left.conj().T)
-    residuals = {f"pair_{i}_{j}": norms[(i, j)] for i in range(n) for j in range(n) if i != j}
+    for i, j in _pairs(n):
+        right = norm_factor(np.hstack([u[j], v[i]]))
+        left = np.hstack([u[i], -v[j]])
+        norms[(i, j)] = norms[(j, i)] = spectral_norm(right @ left.conj().T)
+    pairs = [(i, j) for i in range(s.grid.nvars) for j in range(s.grid.nvars) if i != j]
+    residuals = {f"pair_{i}_{j}": value
+                 for (i, j), value in _lifted(norms, s.used, pairs).items()}
     worst = max(norms.values(), default=0.0)
     residuals["cross_commutator"] = worst
     return CriterionReport(
@@ -323,12 +392,17 @@ def identity_suite(data: QuotientData, tol: float = 1e-8) -> CriterionReport:
     unordered pair (QuotientData.commutator), and the (j, i) commutator is
     K*: the commutator residual of (j, i) is the adjoint of the (i, j) one,
     so its norm is taken for i < j only, and the domination eigenvalue of
-    (j, i) is lambda_min(D_j - K K*).
+    (j, i) is lambda_min(D_j - K K*).  Every block is read on data.core; a
+    pair (i, f) with a free variable f has K = 0, G_fi = 0 and V_f = 0, so
+    its residuals read 0.0 and its domination terms are lambda_min of the
+    core's D_i and lambda_min(D_f) = lambda_min(E_f (x) I): 1 when
+    cap_f = 0, else 0, and 0.0 when q = 0.
     """
-    n = data.grid.nvars
-    q = data.q
-    c_ops = data.compressions
-    d = data.defect_blocks
+    core = data.core
+    n = core.grid.nvars
+    q = core.q
+    c_ops = core.compressions
+    d = core.defect_blocks
 
     residuals: dict = {"defect_identity": data.defect_identity}
     verdicts: dict = {"defect_identity": data.defect_identity <= tol}
@@ -337,15 +411,21 @@ def identity_suite(data: QuotientData, tol: float = 1e-8) -> CriterionReport:
     residuals["xij"] = data.xij
 
     worst_comm = 0.0
-    min_eig = np.inf if pairs else 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            comm = data.commutator(i, j)     # K for (j, i) is comm*
-            v_i, v_j = (q.shift_blocks(t, adjoint=True)[1] for t in (i, j))
-            residual = comm - data.gram(j, i) + v_i.conj().T @ v_j
-            worst_comm = max(worst_comm, spectral_norm(residual))
-            for dom in (d[i] - comm.conj().T @ comm, d[j] - comm @ comm.conj().T):
-                min_eig = min(min_eig, float(np.linalg.eigvalsh(dom)[0]) if dom.size else 0.0)
+    domination = []
+    for i, j in _pairs(n):
+        comm = core.commutator(i, j)     # K for (j, i) is comm*
+        v_i, v_j = (q.shift_blocks(t, adjoint=True)[1] for t in (i, j))
+        residual = comm - core.gram(j, i) + v_i.conj().T @ v_j
+        worst_comm = max(worst_comm, spectral_norm(residual))
+        domination += [_lambda_min(d[i] - comm.conj().T @ comm),
+                       _lambda_min(d[j] - comm @ comm.conj().T)]
+    free = [t for t in range(data.grid.nvars) if t not in data.q.used]
+    if free:
+        # a pair (i, f) with f free has K = 0, and D_f = I (x) E_f, E_f the
+        # top slice of the free box, has least eigenvalue 1 if cap_f = 0 else 0
+        domination += [_lambda_min(d_i) for d_i in d]
+        domination += [float(data.grid.caps[f] == 0) if q.rank else 0.0 for f in free]
+    min_eig = min(domination, default=0.0)
     residuals["commutator_identity"] = worst_comm
     verdicts["commutator_identity"] = worst_comm <= tol
     residuals["defect_domination_min_eig"] = float(min_eig)
@@ -354,10 +434,10 @@ def identity_suite(data: QuotientData, tol: float = 1e-8) -> CriterionReport:
     b = q.basis
     worst_reduce = 0.0
     for t in range(n):
-        block = data.grid.shift(data.leak(t), t, adjoint=True)   # Z_t = M_t* U_t
-        block -= b @ data.defect_split[t]
+        block = core.grid.shift(core.leak(t), t, adjoint=True)   # Z_t = M_t* U_t
+        block -= b @ core.defect_split[t]
         block += q.shift_blocks(t, adjoint=True)[1] @ c_ops[t]
-        top = data.grid.top_slice_indices(t)
+        top = core.grid.top_slice_indices(t)
         block[top] += b[top]
         worst_reduce = max(worst_reduce, spectral_norm(block))
     residuals["reduces"] = worst_reduce
@@ -376,7 +456,7 @@ def identity_suite(data: QuotientData, tol: float = 1e-8) -> CriterionReport:
                 # orientation max picks
                 key = max(factors, factors[::-1])
                 if key not in norms:
-                    norms[key] = spectral_norm(data.gram(*key[:2]) @ data.gram(*key[2:]))
+                    norms[key] = spectral_norm(core.gram(*key[:2]) @ core.gram(*key[2:]))
                 worst_ann[idx] = max(worst_ann[idx], norms[key])
         for idx in range(3):
             key = f"annihilation_{idx + 1}"
@@ -389,6 +469,11 @@ def identity_suite(data: QuotientData, tol: float = 1e-8) -> CriterionReport:
         residuals=residuals,
         verdicts=verdicts,
     )
+
+
+def _lambda_min(a: np.ndarray) -> float:
+    """Least eigenvalue of a Hermitian matrix, 0.0 when it is empty."""
+    return float(np.linalg.eigvalsh(a)[0]) if a.size else 0.0
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:

@@ -32,18 +32,24 @@ the used variables tensored with the identity over the free box.  So only
 that support block is split, and its bases are tensored with the free box
 (_toeplitz_split), their rows placed in grid order by TruncationGrid.ranks;
 the one factorization is of the support block alone.
+The split returned keeps the support block's split as its core
+(SubspaceData.core) and the used variables (SubspaceData.used), and its
+complement keeps the core's complement, so the quotient battery runs on
+the core; every other split is its own core.  The core holds no reference
+back to the tensored split.
 The exact S intersected with the grid, which for a symbol with singular
 leading coefficients holds more than the window columns span, factors the
 same way: it is the support block's part tensored with the free box.
-Only the invariance gate (invariance_defect) reads a window; the quotient
-battery downstream measures exact identities on the whole grid.  The
+Only the invariance gate (invariance_defect, measured on the core) reads a
+window; the quotient battery downstream measures exact identities of the
+whole grid's matrices.  The
 symbol is gated first by operators.innerness_check, an exact identity of
 its Taylor coefficients rather than a sampled torus test.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -84,22 +90,42 @@ class SubspaceData:
     """Orthonormal basis of a subspace of a truncated grid and of its complement.
 
     The complement as a subspace, shift blocks, window factors and the
-    invariance defect are formed on first use and cached.
+    invariance defect are formed on first use and cached.  A split that
+    _toeplitz_split tensored from the grid of the variables its symbol
+    uses keeps that split as its core; every other split is its own core.
     """
 
     grid: TruncationGrid
     basis: np.ndarray          # (dim, r), column-orthonormal
     complement: np.ndarray     # (dim, dim - r), orthonormal basis of the complement
     discarded: int = 0         # columns dropped at the rank tolerance
+    # (core, used) of a tensored split, set by _factored only
+    _factor: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
         return self.basis.shape[1]
 
+    @property
+    def core(self) -> "SubspaceData":
+        """The split on the grid of the used variables that this one is
+        tensored from with the identity over the free box, or self.
+
+        Its bases are this split's columns of the free monomial 1 on the
+        rows of the support grid, and it holds no reference to this split."""
+        return self if self._factor is None else self._factor[0]
+
+    @property
+    def used(self) -> tuple[int, ...]:
+        """The grid variables of the core, in order; the others are free."""
+        return tuple(range(self.grid.nvars)) if self._factor is None else self._factor[1]
+
     @cached_property
     def complement_space(self) -> "SubspaceData":
-        """The complement, with this subspace as its complement."""
-        return SubspaceData(self.grid, self.complement, self.basis)
+        """The complement, with this subspace as its complement; the
+        complement of a tensored split is tensored from the core's."""
+        q = SubspaceData(self.grid, self.complement, self.basis)
+        return q if self._factor is None else _factored(q, self.core.complement_space, self.used)
 
     @cached_property
     def _cache(self) -> dict:
@@ -132,7 +158,7 @@ class SubspaceData:
         B_c U[:, :r] is an orthonormal basis of the part of span(columns)
         outside S and joins B after its columns; B_c U[:, r:] is the
         complement of the sum.  discarded counts the columns that add no
-        dimension.
+        dimension.  The sum is no tensor product, so it is its own core.
         """
         c = self.complement
         u, sig, _ = np.linalg.svd(c.conj().T @ columns, full_matrices=True)
@@ -257,7 +283,9 @@ def _toeplitz_split(symbol: AnalyticSymbol, grid: TruncationGrid,
     TruncationGrid.ranks of k_U + k_F.  discarded grows by the free box
     size.  With no free variable the scatter is the identity.  T is
     gathered in one np.ix_ slice from mt, the toeplitz_matrix(symbol, grid)
-    a caller already built, or else built on the support grid.
+    a caller already built, or else built on the support grid.  When some
+    variable is free, the support split is kept as the result's core
+    (_factored).
     """
     keys = (*symbol.numerator, *symbol.denominator)
     used = [t for t in range(grid.nvars) if any(k[t] for k in keys)] or [0]
@@ -288,8 +316,16 @@ def _toeplitz_split(symbol: AnalyticSymbol, grid: TruncationGrid,
         out[rows, box] = b[:, None, :]
         return out.reshape(cod.dim, -1)
 
-    return SubspaceData(cod, tensored(s.basis), tensored(s.complement),
-                        discarded=s.discarded * on_free.size)
+    split = SubspaceData(cod, tensored(s.basis), tensored(s.complement),
+                         discarded=s.discarded * on_free.size)
+    return _factored(split, s, tuple(used)) if free else split
+
+
+def _factored(split: SubspaceData, core: SubspaceData, used: tuple) -> SubspaceData:
+    """split, marked as core tensored with the identity over the box of the
+    variables not in used, one column per (free monomial, core column)."""
+    object.__setattr__(split, "_factor", (core, used))
+    return split
 
 
 def origin_complement(grid: TruncationGrid) -> SubspaceData:
@@ -314,16 +350,28 @@ def invariance_defect(s: SubspaceData, margins: tuple[int, ...]) -> tuple[float,
     P_S M_t P_S - M_t P_S = -P_Q M_t P_S = -B_Q V_t* with V_t = P_S M_t* B_Q
     (shift_blocks of the complement, adjoint), so each norm is
     ||R_Q V_t[W]*|| for R_Q = norm_factor(B_Q[W]), as ||W B_Q X B_Q* W|| =
-    ||R_Q X R_Q*||.  Returns (worst, per variable), cached on s per margins.
+    ||R_Q X R_Q*||.  It is measured on the core: the window is the core's
+    window times the free box's, so a used variable reads the core's defect
+    on the core's margins and a free variable f, whose V_f is 0, reads 0.0;
+    an empty window reads 0.0 throughout.  Returns (worst,
+    per variable), cached on s per margins.
     """
     key = ("invariance", tuple(int(m) for m in margins))
     if key not in s._cache:
-        q = s.complement_space
-        window = s.grid.window_indices(key[1])
-        r_q = norm_factor(q.basis[window])
-        per = []
-        for t in range(s.grid.nvars):
-            v_t = q.shift_blocks(t, adjoint=True)[1]
-            per.append(spectral_norm(r_q @ v_t[window].conj().T))
+        margins, used = key[1], s.used
+        window = s.grid.window_indices(margins)
+        if s.core is not s and window.size:
+            window = s.core.grid.window_indices(tuple(margins[t] for t in used))
+        per = [0.0] * s.grid.nvars
+        for t, value in zip(used, _window_defects(s.core, window)):
+            per[t] = value
         s._cache[key] = (max(per, default=0.0), tuple(per))
     return s._cache[key]
+
+
+def _window_defects(s: SubspaceData, window: np.ndarray) -> list:
+    """||R_Q V_t[W]*|| for every variable t of s, on the window rows W."""
+    q = s.complement_space
+    r_q = norm_factor(q.basis[window])
+    return [spectral_norm(r_q @ q.shift_blocks(t, adjoint=True)[1][window].conj().T)
+            for t in range(s.grid.nvars)]

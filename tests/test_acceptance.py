@@ -88,6 +88,26 @@ def test_criterion_2_unconditional_identities_on_every_instance(corpus_pass):
         assert r["defect_domination_min_eig"] >= -1e-10, entry.entry_id
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_corpus_seed_sweep_passes_every_acceptance_check(seed):
+    """Every entry of corpus_entries(seed): the three detectors agree on the
+    entry's expected verdict, the unconditional identities sit under the
+    1e-10 ceiling, and the defect domination is not below -1e-10."""
+    for entry in corpus_entries(seed):
+        sub = entry.subspace()
+        data = quotient_data(sub, margins=entry.margins)
+        suite = identity_suite(data, tol=1e-6)
+        verdicts = {
+            beurling_criterion(data, tol=1e-6).verdict,
+            cross_commutator_criterion(sub, margins=entry.margins, tol=1e-6).verdict,
+            suite.residuals["xij"] <= 1e-6,
+        }
+        assert verdicts == {entry.beurling_expected}, (seed, entry.entry_id, verdicts)
+        for key in ("defect_identity", "commutator_identity", "reduces"):
+            assert suite.residuals[key] <= 1e-10, (seed, entry.entry_id, key)
+        assert suite.residuals["defect_domination_min_eig"] >= -1e-10, (seed, entry.entry_id)
+
+
 def test_criterion_3_reduced_kernel_example():
     started = perf_counter()
     rep = reduced_kernel_suite()
@@ -175,7 +195,8 @@ def test_criterion_6_truncation_residual_decreases():
 
 def test_criterion_7_cli_batch_byte_determinism(tmp_path):
     groups = {
-        "check-beurling": ("monomial-pair", "blaschke-separated", "constants-quotient"),
+        "check-beurling": ("monomial-pair", "blaschke-separated", "constants-quotient",
+                           "free-variable-quotient"),
         "dilate": ("jordan-dilation",),
         "check-brehmer": ("zero-pair-model", "extracted-model"),
         "factor": ("product-roundtrip",),

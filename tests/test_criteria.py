@@ -12,6 +12,7 @@ from hardylab.operators import eval_margins, shift_matrices, spectral_norm, wind
 from hardylab.subspaces import (
     InvarianceError,
     SubspaceData,
+    _factored,
     subspace_from_columns,
     submodule_projection,
 )
@@ -429,7 +430,7 @@ def test_detector_path_forms_no_dense_shift_or_projection(no_dense_operators):
     dim = qd.grid.dim
     assert dim == 343
     held = list(_held_arrays(qd, set()))
-    assert any(a is qd.q.basis for a in held) and any(a is qd.defect_blocks[0] for a in held)
+    assert any(a is qd.q.basis for a in held) and any(a is qd.core.defect_blocks[0] for a in held)
     assert all(a.shape != (dim, dim) for a in held), [a.shape for a in held]
 
 
@@ -448,21 +449,23 @@ def _counting(monkeypatch, names):
 
 
 def test_residual_norms_factor_one_side_and_take_no_svd(monkeypatch):
-    """On a 3-variable caps-6 entry: one thin QR per unordered pair in the
-    cross-commutator criterion, U_1 and U_2 in xij, none in reduces, and no
-    SVD in any residual norm of the split, the detectors or the battery."""
+    """On a 3-variable caps-6 entry whose symbol leaves one variable free,
+    the battery runs on the 2-variable core: one thin QR for the core's one
+    unordered pair in the cross-commutator criterion, U_1 of the core in
+    xij, none in reduces, and no SVD in any residual norm of the split, the
+    detectors or the battery."""
     entry = next(e for e in corpus_entries(0) if e.entry_id == "product3-00")
     sub = entry.subspace()
-    assert sub.grid.caps == (6, 6, 6)
+    assert sub.grid.caps == (6, 6, 6) and len(sub.used) == 2
     calls = _counting(monkeypatch, ("qr", "svd"))
     data = quotient_data(sub, margins=entry.margins)
-    assert calls == {"qr": 1, "svd": 0}          # R_Q of the invariance window
+    assert calls == {"qr": 1, "svd": 0}          # R_Q of the core's invariance window
     calls["qr"] = 0
     cross_commutator_criterion(sub, margins=entry.margins, tol=1e-6)
-    assert calls == {"qr": 3, "svd": 0}
+    assert calls == {"qr": 1, "svd": 0}
     calls["qr"] = 0
     assert data.xij <= 1e-6
-    assert calls == {"qr": 2, "svd": 0}
+    assert calls == {"qr": 1, "svd": 0}
     calls["qr"] = 0
     beurling_criterion(data, tol=1e-6)
     suite = identity_suite(data, tol=1e-6)
@@ -480,17 +483,40 @@ def _battery_outcome(s, margins):
     return qd.invariance_per_variable, [(rep.residuals, rep.verdicts) for rep in reports]
 
 
+def _blinded(s):
+    """s with a NaN basis of S; a tensored split keeps its core, whose
+    basis of S is NaN too."""
+    blind = SubspaceData(s.grid, np.full_like(s.basis, np.nan), s.complement)
+    if s.core is s:
+        return blind
+    core = SubspaceData(s.core.grid, np.full_like(s.core.basis, np.nan), s.core.complement)
+    return _factored(blind, core, s.used)
+
+
 def _assert_battery_ignores_the_submodule_basis(s, margins):
     """A NaN basis of S changes nothing: every residual is read from B_Q."""
-    blind = SubspaceData(s.grid, np.full_like(s.basis, np.nan), s.complement)
-    assert _battery_outcome(blind, margins) == _battery_outcome(s, margins)
+    assert _battery_outcome(_blinded(s), margins) == _battery_outcome(s, margins)
 
 
-def test_battery_ignores_the_submodule_basis_on_a_dim_343_entry():
+def _dim_343_product():
     entry = next(e for e in corpus_entries(0) if e.kind == "blaschke_product" and e.caps == (6, 6, 6))
     s = entry.subspace()
     assert s.grid.dim == 343 and 0 < s.complement.shape[1] < s.grid.dim
-    _assert_battery_ignores_the_submodule_basis(s, entry.margins)
+    return s, entry.margins
+
+
+def test_battery_ignores_the_submodule_basis_on_a_dim_343_entry():
+    s, margins = _dim_343_product()
+    assert s.core is not s and s.core.grid.dim == 49
+    _assert_battery_ignores_the_submodule_basis(s, margins)
+
+
+def test_battery_ignores_the_submodule_basis_on_a_stripped_dim_343_entry():
+    """The same split with no core runs the battery on the whole grid."""
+    s, margins = _dim_343_product()
+    stripped = SubspaceData(s.grid, s.basis, s.complement)
+    assert stripped.core is stripped
+    _assert_battery_ignores_the_submodule_basis(stripped, margins)
 
 
 @settings(max_examples=10, deadline=None)
@@ -584,3 +610,159 @@ def test_exact_identities_hold_far_from_invariance(seed):
     assert rep.residuals["xij"] > 0.1
     for key in UNCONDITIONAL:
         assert rep.residuals[key] <= 1e-14, key
+
+
+# ---- the battery on the core, lifted over the free variables -------------------
+
+def _battery(s, margins, tol=1e-6):
+    qd = quotient_data(s, margins=margins)
+    return qd, (beurling_criterion(qd, tol=tol),
+                cross_commutator_criterion(s, margins=margins, tol=tol),
+                identity_suite(qd, tol=tol))
+
+
+def _stripped(s):
+    """The same split with no core: the battery then runs on the whole grid."""
+    return SubspaceData(s.grid, s.basis, s.complement)
+
+
+def _bp_factor(v, var, nvars):
+    """(I - P) + P z_var for the rank-one projection P onto v: a 2 x 2 inner factor."""
+    p = _rank_one_projection(v)
+    e = tuple(int(t == var) for t in range(nvars))
+    return AnalyticSymbol.polynomial({(0,) * nvars: np.eye(2) - p, e: p}, nvars, rows=2, cols=2)
+
+
+def _leaves_a_variable_free(symbol):
+    """Whether some variable appears in no key of the symbol; a constant
+    counts as using its first variable only."""
+    keys = (*symbol.numerator, *symbol.denominator)
+    return symbol.nvars > 1 and (sum(any(k[t] for k in keys) for t in range(symbol.nvars))
+                                 in range(symbol.nvars))
+
+
+def _free_variable_cases():
+    """id -> (symbol, caps, margins): symbols that leave a grid variable free."""
+    b = AnalyticSymbol.blaschke
+    cases = {}
+    for seed in range(3):
+        for entry in corpus_entries(seed):
+            if entry.symbol is not None and _leaves_a_variable_free(entry.symbol):
+                cases[f"corpus{seed}-{entry.entry_id}"] = (entry.symbol, entry.caps, entry.margins)
+    rng = np.random.default_rng(0)
+    v, u = (rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(2))
+    beta = b(0.6, 0, 3).matmul(b(0.6j, 1, 3))
+    cases.update({
+        # residuals at truncation level, not rounding
+        "b0.6(z1)b0.6i(z2)-caps-6-6-3": (beta, (6, 6, 3), (1, 1, 1)),
+        "two-channel-bp-z1-z2-of-three": (_bp_factor(v, 0, 3).matmul(_bp_factor(u, 1, 3)),
+                                          (4, 3, 2), (1, 1, 1)),
+        # a one-variable core, with no pair inside it
+        "b(z2)-alone-of-three": (b(0.3 - 0.2j, 1, 3), (3, 5, 2), (1, 1, 1)),
+        # q = 0
+        "constant-unitary": (AnalyticSymbol.constant(np.array([[1, 1j], [1j, 1]]) / np.sqrt(2), 3),
+                             (2, 1, 2), (1, 1, 1)),
+        # cap 0 on the free variable: D_f = I
+        "caps-6-6-0": (b(0.05, 0, 3).matmul(b(0.04j, 1, 3)), (6, 6, 0), (1, 1, 0)),
+    })
+    return cases
+
+
+FREE_VARIABLE_CASES = _free_variable_cases()
+
+
+@pytest.mark.parametrize("name", sorted(FREE_VARIABLE_CASES))
+def test_factored_battery_matches_the_full_grid_battery(name):
+    """The battery on the core, lifted over the free variables, against the
+    battery of the same B_Q with no core, which runs on the whole grid."""
+    symbol, caps, margins = FREE_VARIABLE_CASES[name]
+    s = submodule_projection(symbol, TruncationGrid(caps))
+    assert s.core is not s and len(s.used) < s.grid.nvars
+    qd, reports = _battery(s, margins)
+    ref_qd, ref_reports = _battery(_stripped(s), margins)
+    assert ref_qd.core is ref_qd and qd.core is not qd
+    np.testing.assert_allclose(qd.invariance_per_variable, ref_qd.invariance_per_variable,
+                               rtol=0, atol=1e-14)
+    assert qd.invariance == max(qd.invariance_per_variable)
+    for t in range(s.grid.nvars):
+        if t not in s.used:
+            assert qd.invariance_per_variable[t] == 0.0
+    assert len(qd.compressions) == len(ref_qd.compressions) == s.grid.nvars
+    for c, ref in zip(qd.compressions, ref_qd.compressions):
+        assert c.shape == ref.shape
+        assert np.abs(c - ref).max(initial=0.0) <= 1e-14
+    for rep, ref in zip(reports, ref_reports):
+        assert list(rep.residuals) == list(ref.residuals), rep.name
+        assert rep.verdicts == ref.verdicts, rep.name
+        for key, want in ref.residuals.items():
+            assert abs(rep.residuals[key] - want) <= 1e-14, (rep.name, key, rep.residuals[key], want)
+    free = [t for t in range(s.grid.nvars) if t not in s.used]
+    for rep in reports[:2]:
+        for key, value in rep.residuals.items():
+            if key.startswith("pair_") and any(str(f) in key.split("_")[1:] for f in free):
+                assert value == 0.0, (rep.name, key)
+
+
+def test_factored_battery_raises_the_full_grid_error_on_an_empty_window():
+    """Default margins on caps (6, 6, 0) leave the window empty; the factored
+    and the stripped split refuse it with the same error."""
+    symbol = AnalyticSymbol.blaschke(0.05, 0, 3).matmul(AnalyticSymbol.blaschke(0.04j, 1, 3))
+    s = submodule_projection(symbol, TruncationGrid((6, 6, 0)))
+    messages = []
+    for split in (s, _stripped(s)):
+        for run in (lambda: quotient_data(split, margins=eval_margins(symbol)),
+                    lambda: cross_commutator_criterion(split, margins=None)):
+            with pytest.raises(ValueError, match="empty evaluation window") as err:
+                run()
+            messages.append(str(err.value))
+    assert len(set(messages)) == 1
+
+
+def test_free_variable_residuals_take_their_closed_forms():
+    """b(z2) alone on three variables: every pair involves a free variable,
+    so every pair residual reads 0.0 and the domination term is
+    min(lambda_min(D_2 of the core), 0 for a free variable with cap > 0)."""
+    s = submodule_projection(AnalyticSymbol.blaschke(0.3 - 0.2j, 1, 3), TruncationGrid((3, 5, 2)))
+    assert s.used == (1,)
+    qd, (product, cross, suite) = _battery(s, (1, 1, 1))
+    assert all(v == 0.0 for v in product.residuals.values())
+    assert all(v == 0.0 for v in cross.residuals.values())
+    for key in ("xij", "commutator_identity", "beurling_defect_product",
+                "annihilation_1", "annihilation_2", "annihilation_3"):
+        assert suite.residuals[key] == 0.0, key
+    # measured on z2 alone: rounding of the core
+    assert suite.residuals["defect_identity"] <= 1e-14 and suite.residuals["reduces"] <= 1e-14
+    d_core = float(np.linalg.eigvalsh(qd.core.defect_blocks[0])[0])
+    assert suite.residuals["defect_domination_min_eig"] == min(d_core, 0.0)
+    assert qd.invariance_per_variable[0] == qd.invariance_per_variable[2] == 0.0
+
+    # with cap 0 on every free variable, D_f = I and the mixed pairs read D_2 of the core
+    s = submodule_projection(AnalyticSymbol.blaschke(0.3 - 0.2j, 1, 3), TruncationGrid((0, 5, 0)))
+    qd, (_, _, suite) = _battery(s, (0, 1, 0))
+    want = min(float(np.linalg.eigvalsh(qd.core.defect_blocks[0])[0]), 1.0)
+    assert suite.residuals["defect_domination_min_eig"] == want
+
+
+@pytest.mark.parametrize("entry_id", ["product3-00", "blaschke3-00"])
+def test_corpus_battery_factors_only_its_support_block(entry_id, no_grid_wide_qr, monkeypatch):
+    """quotient_data, the three detectors and identity_suite take no QR of
+    more rows than the support grid's dim and no eigenvalue problem larger
+    than 2 q for the core's q: the Gram of the cross-commutator's one-sided
+    factor R [U_i, -V_j]*, whose R factors the 2 q columns [U_j, V_i]."""
+    entry = next(e for e in corpus_entries(0) if e.entry_id == entry_id)
+    sub = entry.subspace()
+    core = sub.core
+    assert core is not sub and core.grid.dim < sub.grid.dim == 343
+    q = core.complement.shape[1]
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return eigvalsh(a, *args, **kwargs)
+
+    no_grid_wide_qr(core.grid.dim + 1)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    _, reports = _battery(sub, entry.margins)
+    assert all(rep.verdict for rep in reports)
+    assert sizes and max(sizes) <= 2 * q, (max(sizes), q)

@@ -315,6 +315,27 @@ def test_submodule_check_matches_a_stacked_split(name, gap):
         assert abs(rep.residuals[key] - value) <= 1e-13, (key, rep.residuals[key], value)
 
 
+def test_free_variable_division_matches_the_stacked_dense_reference():
+    """theta = z1^2 and phi = z1 leave z2 free, so S_theta and S_phi are
+    tensored from cores on z1, while N = S_theta + M is split whole; the
+    witness and the check match the dense and stacked references."""
+    theta, grid, tol = AnalyticSymbol.monomial((2, 0)), TruncationGrid((6, 6)), 1e-10
+    s_theta = submodule_projection(theta, grid)
+    assert s_theta.core is not s_theta and s_theta.used == (0,)
+    wit = invariant_subspace_from_factorization(theta, Z1, grid, tol=tol)
+    want = _dense_witness(wit, tol, None)
+    assert list(wit.residuals) == list(want)
+    for key, value in want.items():
+        assert abs(wit.residuals[key] - value) <= 1e-13, (key, wit.residuals[key], value)
+    assert wit.m_rank == 7
+    rep = beurling_submodule_check(wit.m_basis, theta, grid, tol=tol)
+    assert rep.verdict
+    for want in (_stacked_split_check(wit.m_basis, theta, grid, tol, None),
+                 _dense_submodule_check(wit.m_basis, theta, grid, tol)):
+        for key, value in want.items():
+            assert abs(rep.residuals[key] - value) <= 1e-13, (key, rep.residuals[key], value)
+
+
 @pytest.mark.parametrize("kind", ["theta-column", "repeated", "combination", "zero"])
 def test_degenerate_gap_is_reported_against_s_theta(kind):
     theta, phi, caps, tol, margins = PAIRS["rational"]

@@ -1,5 +1,8 @@
 """Subspace construction: submodule spans, complements, basis files."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from hardylab.grids import TruncationGrid
 from hardylab.operators import InnernessError, eval_margins, shift_matrix, toeplitz_matrix
 from hardylab.subspaces import (
     RANK_TOL,
+    SubspaceData,
     _toeplitz_split,
     invariance_defect,
     origin_complement,
@@ -192,6 +196,44 @@ def test_extended_splits_the_sum_with_the_columns():
     assert frame.shape == (g.dim, g.dim)
     assert np.abs(frame.conj().T @ frame - np.eye(g.dim)).max() <= 1e-12
     assert np.abs(cols - n.basis @ (n.basis.conj().T @ cols)).max() <= 1e-12
+
+
+def test_tensored_split_keeps_its_core_through_complements_only():
+    """z1^2 on caps (6, 6) leaves z2 free: the split and its complements are
+    tensored from a core on the z1 grid, and the sum with further columns,
+    which is no tensor product, is its own core."""
+    g = TruncationGrid((6, 6))
+    s = submodule_projection(AnalyticSymbol.monomial((2, 0)), g)
+    assert s.core is not s and s.used == (0,) and s.core.grid.caps == (6,)
+    q = s.complement_space
+    assert q.core is s.core.complement_space and q.used == (0,)
+    back = q.complement_space
+    assert back.core is not back and back.used == (0,)
+    assert np.array_equal(back.basis, s.basis) and np.array_equal(back.core.basis, s.core.basis)
+    n = s.extended(q.basis[:, :2])
+    assert n.core is n and n.used == (0, 1)
+    bare = SubspaceData(g, s.basis, s.complement)
+    for x in (*subspace_from_columns(g, s.basis), origin_complement(g), bare):
+        assert x.core is x and x.used == (0, 1)
+
+
+def test_tensored_split_is_freed_without_the_cycle_collector():
+    """Neither a tensored split nor its core holds a reference back to it,
+    so with the cycle collector off both die on del, caches filled."""
+    entry = next(e for e in corpus_entries(0) if e.entry_id == "product3-00")
+    gc.disable()
+    try:
+        s = entry.subspace()
+        data = quotient_data(s, margins=entry.margins)
+        beurling_criterion(data)
+        cross_commutator_criterion(s, margins=entry.margins)
+        identity_suite(data)
+        refs = [weakref.ref(x) for x in (s, s.core, s.complement_space, data, data.core)]
+        assert s.core is not s and data.core is not data
+        del s, data
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
 
 
 def test_corpus_split_takes_no_grid_wide_singular_vectors(no_wide_singular_vectors):
