@@ -51,9 +51,10 @@ block such as the reduces residual cancels nothing and is measured as is.
 Only the invariance gate reads a window, the low-degree rows margins keep.
 
 When Q is tensored from a core (SubspaceData.core), Q = Q_U (x) H^2(F) for
-the free variables F, and every block above is formed on the core
-(QuotientData.core) and reported over the grid's variables.  A pair of
-used variables reads the core's value.  A free variable f has C_f =
+the free variables F, and every block above is formed on the core of Q,
+indexed by core variable, and reported over the grid's variables; only
+QuotientData.compressions is lifted to the grid, on first read.  A pair
+of used variables reads the core's value.  A free variable f has C_f =
 M_f (x) I, so U_f = V_f = 0, K = 0 for every pair with f, and
 D_f = E_f (x) I with E_f the top slice of the free box: the residuals that
 involve f are those exact tensor values (0.0, and in the domination term
@@ -102,15 +103,15 @@ class QuotientData:
     """One subspace split S + Q and the blocks every detector reads.
 
     The members below the fields are computed on first use and cached, so
-    however many detectors read them each is formed once per split.  When
-    Q is tensored from a core (SubspaceData.core), the detectors read the
-    blocks of core, the QuotientData of the core split, and lift its
-    values over the free variables.
+    however many detectors read them each is formed once per split.  Every
+    block is formed on the core of Q (SubspaceData.core) and indexed by
+    core variable, which is grid variable q.used[t]; a split that is its
+    own core reads its whole grid.  Only compressions is lifted to the
+    grid, and only when read.
     """
 
     s: SubspaceData
     q: SubspaceData
-    compressions: tuple        # C_t = B_Q* M_t B_Q, one q x q block per variable
     invariance: float
     invariance_per_variable: tuple
 
@@ -118,25 +119,15 @@ class QuotientData:
     def grid(self) -> TruncationGrid:
         return self.s.grid
 
-    @property
-    def core(self) -> "QuotientData":
-        """The QuotientData of the core split, or self when Q is its own core."""
-        return self if self.q.core is self.q else self._core
-
     @cached_property
-    def _core(self) -> "QuotientData":
-        q, used = self.q.core, self.q.used
-        return QuotientData(
-            s=self.s.core,
-            q=q,
-            compressions=tuple(q.shift_blocks(t)[0] for t in range(q.grid.nvars)),
-            invariance=self.invariance,
-            invariance_per_variable=tuple(self.invariance_per_variable[t] for t in used),
-        )
+    def compressions(self) -> tuple:
+        """C_t = B_Q* M_t B_Q on the grid, one q x q block per grid
+        variable, lifted from the core's (_lifted_compressions)."""
+        return _lifted_compressions(self.q)
 
     def leak(self, t: int) -> np.ndarray:
-        """U_t = P_S M_t B_Q = M_t B_Q - B_Q C_t (dim x q) for variable t."""
-        return self.q.shift_blocks(t)[1]
+        """U_t = P_S M_t B_Q = M_t B_Q - B_Q C_t (dim x q) for core variable t."""
+        return self.q.core.shift_blocks(t)[1]
 
     @cached_property
     def _grams(self) -> dict:
@@ -154,24 +145,26 @@ class QuotientData:
 
     def commutator(self, i: int, j: int) -> np.ndarray:
         """K = C_i C_j* - C_j* C_i in Q coordinates; K for (j, i) is its adjoint."""
-        c_i, c_j = self.compressions[i], self.compressions[j]
+        c_i, c_j = (self.q.core.shift_blocks(t)[0] for t in (i, j))
         return c_i @ c_j.conj().T - c_j.conj().T @ c_i
 
     @cached_property
     def defect_split(self) -> tuple:
-        """G_tt + T_t* T_t per variable, the exact split of the defect D_t:
-        the compression formula U_t* U_t plus the top-slice term of B_Q."""
-        n, b = self.grid.nvars, self.q.basis
+        """G_tt + T_t* T_t per core variable, the exact split of the defect
+        D_t: the compression formula U_t* U_t plus the top-slice term of B_Q."""
+        q = self.q.core
         split = []
-        for t in range(n):
-            top = self.grid.top_slice_indices(t)
-            split.append(self.gram(t, t) + b[top].conj().T @ b[top])
+        for t in range(q.grid.nvars):
+            top = q.grid.top_slice_indices(t)
+            split.append(self.gram(t, t) + q.basis[top].conj().T @ q.basis[top])
         return tuple(split)
 
     @cached_property
     def defect_blocks(self) -> tuple:
-        """D_t = I - C_t* C_t in Q coordinates, one per variable."""
-        return tuple(np.eye(self.q.rank) - c.conj().T @ c for c in self.compressions)
+        """D_t = I - C_t* C_t in Q coordinates, one per core variable."""
+        q = self.q.core
+        return tuple(np.eye(q.rank) - c.conj().T @ c
+                     for c in (q.shift_blocks(t)[0] for t in range(q.grid.nvars)))
 
     @cached_property
     def defect_identity(self) -> float:
@@ -181,20 +174,17 @@ class QuotientData:
         A free variable f has D_f = T_f* T_f and G_ff = 0 exactly, so the
         worst is the core's.
         """
-        if self.core is not self:
-            return self.core.defect_identity
         return max((hermitian_norm(d - g) for d, g in zip(self.defect_blocks, self.defect_split)),
                    default=0.0)
 
     @cached_property
     def defect_products(self) -> dict:
-        """{(i, j): ||G_ii G_jj||} for i < j, the norm of the product of the
-        compression formulas P_Q M_t* P_S M_t P_Q of the two defects; a pair
-        with a free variable reads 0.0, since its G_ff is 0."""
-        if self.core is not self:
-            return _lifted(self.core.defect_products, self.q.used, _pairs(self.grid.nvars))
-        n = self.grid.nvars
-        return {(i, j): spectral_norm(self.gram(i, i) @ self.gram(j, j)) for i, j in _pairs(n)}
+        """{(i, j): ||G_ii G_jj||} for grid variables i < j, the norm of the
+        product of the compression formulas P_Q M_t* P_S M_t P_Q of the two
+        defects; a pair with a free variable reads 0.0, since its G_ff is 0."""
+        on_core = {(i, j): spectral_norm(self.gram(i, i) @ self.gram(j, j))
+                   for i, j in _pairs(self.q.core.grid.nvars)}
+        return _lifted(on_core, self.q.used, _pairs(self.grid.nvars))
 
     @cached_property
     def xij(self) -> float:
@@ -206,9 +196,7 @@ class QuotientData:
         the (i, j) one.  U_f = 0 for a free variable f, so the worst is the
         core's.
         """
-        if self.core is not self:
-            return self.core.xij
-        n = self.grid.nvars
+        n = self.q.core.grid.nvars
         r = {t: norm_factor(self.leak(t)) for t in range(1, n)}
         return max((spectral_norm(r[j] @ self.leak(i).conj().T) for i, j in _pairs(n)),
                    default=0.0)
@@ -227,17 +215,19 @@ def _lifted(values: dict, used: tuple, pairs) -> dict:
     return {pair: at.get(pair, 0.0) for pair in pairs}
 
 
-def _lifted_compressions(q: SubspaceData, core: tuple) -> tuple:
-    """C_t on the grid from the core's compressions, in the free-major
-    column order of a tensored split: I (x) C_t for a used variable t and
-    M_f (x) I for a free variable f, M_f the shift of the free box."""
-    used = q.used
+def _lifted_compressions(q: SubspaceData) -> tuple:
+    """C_t on the grid from the compressions of the core of q, in the
+    free-major column order of a tensored split: I (x) C_t for a used
+    variable t and M_f (x) I for a free variable f, M_f the shift of the
+    free box."""
+    used, core = q.used, q.core
+    compressions = [core.shift_blocks(t)[0] for t in range(core.grid.nvars)]
     free = [t for t in range(q.grid.nvars) if t not in used]
     if not free:
-        return core
+        return tuple(compressions)
     box = TruncationGrid(tuple(q.grid.caps[t] for t in free))
-    eye_box, eye_q = np.eye(box.dim), np.eye(q.core.rank, dtype=complex)
-    return tuple(np.kron(eye_box, core[used.index(t)]) if t in used
+    eye_box, eye_q = np.eye(box.dim), np.eye(core.rank, dtype=complex)
+    return tuple(np.kron(eye_box, compressions[used.index(t)]) if t in used
                  else np.kron(box.shift(eye_box, free.index(t), adjoint=False), eye_q)
                  for t in range(q.grid.nvars))
 
@@ -281,23 +271,21 @@ def quotient_data(s: SubspaceData, margins=None) -> QuotientData:
     """Split the grid along S and compress the shifts.
 
     S must first pass the invariance gate on the window of margins.  The
-    compressions are formed and guarded on the core and lifted to the grid
-    (_lifted_compressions); a free variable's compression M_f (x) I is a
-    partial isometry.  The defect blocks, their split, the defect products
-    and the cross terms are formed on first use, once per split
-    (QuotientData).
+    compressions are formed and guarded on the core; a free variable's
+    compression M_f (x) I is a partial isometry.  The defect blocks, their
+    split, the defect products, the cross terms and the compressions lifted
+    to the grid are formed on first use, once per split (QuotientData).
     """
     inv_max, inv_per = _invariance_gate(s, margins)
     q = s.complement_space
-    core = tuple(q.core.shift_blocks(t)[0] for t in range(q.core.grid.nvars))
-    for t, c in zip(q.used, core):
+    for t, used in enumerate(q.used):
+        c = q.core.shift_blocks(t)[0]
         if c.size and spectral_norm(c) > 1 + 1e-10:
-            raise ValueError(f"compression {t} exceeds unit norm; subspace data is inconsistent")
+            raise ValueError(f"compression {used} exceeds unit norm; subspace data is inconsistent")
 
     return QuotientData(
         s=s,
         q=q,
-        compressions=_lifted_compressions(q, core),
         invariance=inv_max,
         invariance_per_variable=tuple(inv_per),
     )
@@ -307,7 +295,8 @@ def beurling_criterion(data: QuotientData, tol: float = 1e-8) -> CriterionReport
     """Product of defect operators: zero exactly for Beurling quotients.
 
     residual = max over pairs i < j of ||G_ii G_jj||, the product of the
-    defects P_Q M_t* P_S M_t P_Q on the whole grid (QuotientData.defect_products).
+    defects P_Q M_t* P_S M_t P_Q, measured on the core of Q and lifted over
+    the free variables (QuotientData.defect_products).
     """
     products = data.defect_products
     residuals = {f"pair_{i}_{j}": val for (i, j), val in products.items()}
@@ -392,17 +381,16 @@ def identity_suite(data: QuotientData, tol: float = 1e-8) -> CriterionReport:
     unordered pair (QuotientData.commutator), and the (j, i) commutator is
     K*: the commutator residual of (j, i) is the adjoint of the (i, j) one,
     so its norm is taken for i < j only, and the domination eigenvalue of
-    (j, i) is lambda_min(D_j - K K*).  Every block is read on data.core; a
-    pair (i, f) with a free variable f has K = 0, G_fi = 0 and V_f = 0, so
-    its residuals read 0.0 and its domination terms are lambda_min of the
-    core's D_i and lambda_min(D_f) = lambda_min(E_f (x) I): 1 when
-    cap_f = 0, else 0, and 0.0 when q = 0.
+    (j, i) is lambda_min(D_j - K K*).  Every block of data is on the core
+    of Q, indexed by core variable; a pair (i, f) with a free variable f
+    has K = 0, G_fi = 0 and V_f = 0, so its residuals read 0.0 and its
+    domination terms are lambda_min of the core's D_i and
+    lambda_min(D_f) = lambda_min(E_f (x) I): 1 when cap_f = 0, else 0, and
+    0.0 when q = 0.
     """
-    core = data.core
-    n = core.grid.nvars
-    q = core.q
-    c_ops = core.compressions
-    d = core.defect_blocks
+    q = data.q.core
+    n = q.grid.nvars
+    d = data.defect_blocks
 
     residuals: dict = {"defect_identity": data.defect_identity}
     verdicts: dict = {"defect_identity": data.defect_identity <= tol}
@@ -413,9 +401,9 @@ def identity_suite(data: QuotientData, tol: float = 1e-8) -> CriterionReport:
     worst_comm = 0.0
     domination = []
     for i, j in _pairs(n):
-        comm = core.commutator(i, j)     # K for (j, i) is comm*
+        comm = data.commutator(i, j)     # K for (j, i) is comm*
         v_i, v_j = (q.shift_blocks(t, adjoint=True)[1] for t in (i, j))
-        residual = comm - core.gram(j, i) + v_i.conj().T @ v_j
+        residual = comm - data.gram(j, i) + v_i.conj().T @ v_j
         worst_comm = max(worst_comm, spectral_norm(residual))
         domination += [_lambda_min(d[i] - comm.conj().T @ comm),
                        _lambda_min(d[j] - comm @ comm.conj().T)]
@@ -434,10 +422,10 @@ def identity_suite(data: QuotientData, tol: float = 1e-8) -> CriterionReport:
     b = q.basis
     worst_reduce = 0.0
     for t in range(n):
-        block = core.grid.shift(core.leak(t), t, adjoint=True)   # Z_t = M_t* U_t
-        block -= b @ core.defect_split[t]
-        block += q.shift_blocks(t, adjoint=True)[1] @ c_ops[t]
-        top = core.grid.top_slice_indices(t)
+        block = q.grid.shift(data.leak(t), t, adjoint=True)   # Z_t = M_t* U_t
+        block -= b @ data.defect_split[t]
+        block += q.shift_blocks(t, adjoint=True)[1] @ q.shift_blocks(t)[0]
+        top = q.grid.top_slice_indices(t)
         block[top] += b[top]
         worst_reduce = max(worst_reduce, spectral_norm(block))
     residuals["reduces"] = worst_reduce
@@ -456,7 +444,7 @@ def identity_suite(data: QuotientData, tol: float = 1e-8) -> CriterionReport:
                 # orientation max picks
                 key = max(factors, factors[::-1])
                 if key not in norms:
-                    norms[key] = spectral_norm(core.gram(*key[:2]) @ core.gram(*key[2:]))
+                    norms[key] = spectral_norm(data.gram(*key[:2]) @ data.gram(*key[2:]))
                 worst_ann[idx] = max(worst_ann[idx], norms[key])
         for idx in range(3):
             key = f"annihilation_{idx + 1}"

@@ -254,7 +254,8 @@ def model_correspondence(source, caps=None, tol: float = 1e-8, margins=None) -> 
     Symbol input: compress the shifts to the quotient of the symbol's
     submodule and verify the extracted tuple satisfies everything the model
     promises (PSD defect, pure entries, and the vanishing defect product of
-    beurling_criterion, measured on the whole grid).  Tuple input:
+    beurling_criterion, measured on the core of Q and lifted over the free
+    variables).  Tuple input:
     report whether the defect products vanish, which is the computable face
     of being unitarily equivalent to module operators on such a quotient.
     For a symbol, margins set the window of the invariance gate

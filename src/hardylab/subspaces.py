@@ -89,10 +89,10 @@ class InvarianceError(ValueError):
 class SubspaceData:
     """Orthonormal basis of a subspace of a truncated grid and of its complement.
 
-    The complement as a subspace, shift blocks, window factors and the
-    invariance defect are formed on first use and cached.  A split that
-    _toeplitz_split tensored from the grid of the variables its symbol
-    uses keeps that split as its core; every other split is its own core.
+    The complement as a subspace, shift blocks and the invariance defect
+    are formed on first use and cached.  A split that _toeplitz_split
+    tensored from the grid of the variables its symbol uses keeps that
+    split as its core; every other split is its own core.
     """
 
     grid: TruncationGrid

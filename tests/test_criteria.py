@@ -430,8 +430,41 @@ def test_detector_path_forms_no_dense_shift_or_projection(no_dense_operators):
     dim = qd.grid.dim
     assert dim == 343
     held = list(_held_arrays(qd, set()))
-    assert any(a is qd.q.basis for a in held) and any(a is qd.core.defect_blocks[0] for a in held)
+    assert any(a is qd.q.basis for a in held) and any(a is qd.defect_blocks[0] for a in held)
     assert all(a.shape != (dim, dim) for a in held), [a.shape for a in held]
+
+    # every block member is sized by the core's q = 13, not the grid's 91
+    core = qd.q.core
+    q, n = core.rank, core.grid.nvars
+    assert (q, qd.q.rank, n) == (13, 91, 2)
+    assert [qd.leak(t).shape for t in range(n)] == [(core.grid.dim, q)] * n
+    square = [*qd.defect_split, *qd.defect_blocks,
+              *(qd.gram(a, b) for a in range(n) for b in range(n)),
+              *(qd.commutator(i, j) for i in range(n) for j in range(n) if i != j)]
+    assert [a.shape for a in square] == [(q, q)] * len(square)
+
+
+def test_battery_lifts_no_compression(monkeypatch):
+    """quotient_data and the three detectors take no Kronecker product on
+    a split tensored from its core; the compressions on the grid are lifted
+    only when read."""
+    entry = next(e for e in corpus_entries(0) if e.entry_id == "product3-00")
+    sub = entry.subspace()
+    calls = []
+    kron = np.kron
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kron(*args, **kwargs)
+
+    monkeypatch.setattr(np, "kron", counted)
+    qd = quotient_data(sub, margins=entry.margins)
+    beurling_criterion(qd, tol=1e-6)
+    cross_commutator_criterion(sub, margins=entry.margins, tol=1e-6)
+    identity_suite(qd, tol=1e-6)
+    assert calls == []
+    assert [c.shape for c in qd.compressions] == [(91, 91)] * 3
+    assert len(calls) == 3
 
 
 def _counting(monkeypatch, names):
@@ -603,9 +636,7 @@ def test_exact_identities_hold_far_from_invariance(seed):
     s, q = subspace_from_columns(g, cols)
     with pytest.raises(InvarianceError):
         quotient_data(s)
-    compressions = tuple(q.shift_blocks(t)[0] for t in range(2))
-    qd = QuotientData(s=s, q=q, compressions=compressions,
-                      invariance=float("nan"), invariance_per_variable=())
+    qd = QuotientData(s=s, q=q, invariance=float("nan"), invariance_per_variable=())
     rep = identity_suite(qd, tol=1e-14)
     assert rep.residuals["xij"] > 0.1
     for key in UNCONDITIONAL:
@@ -680,7 +711,7 @@ def test_factored_battery_matches_the_full_grid_battery(name):
     assert s.core is not s and len(s.used) < s.grid.nvars
     qd, reports = _battery(s, margins)
     ref_qd, ref_reports = _battery(_stripped(s), margins)
-    assert ref_qd.core is ref_qd and qd.core is not qd
+    assert ref_qd.q.core is ref_qd.q and qd.q.core is not qd.q
     np.testing.assert_allclose(qd.invariance_per_variable, ref_qd.invariance_per_variable,
                                rtol=0, atol=1e-14)
     assert qd.invariance == max(qd.invariance_per_variable)
@@ -732,14 +763,14 @@ def test_free_variable_residuals_take_their_closed_forms():
         assert suite.residuals[key] == 0.0, key
     # measured on z2 alone: rounding of the core
     assert suite.residuals["defect_identity"] <= 1e-14 and suite.residuals["reduces"] <= 1e-14
-    d_core = float(np.linalg.eigvalsh(qd.core.defect_blocks[0])[0])
+    d_core = float(np.linalg.eigvalsh(qd.defect_blocks[0])[0])
     assert suite.residuals["defect_domination_min_eig"] == min(d_core, 0.0)
     assert qd.invariance_per_variable[0] == qd.invariance_per_variable[2] == 0.0
 
     # with cap 0 on every free variable, D_f = I and the mixed pairs read D_2 of the core
     s = submodule_projection(AnalyticSymbol.blaschke(0.3 - 0.2j, 1, 3), TruncationGrid((0, 5, 0)))
     qd, (_, _, suite) = _battery(s, (0, 1, 0))
-    want = min(float(np.linalg.eigvalsh(qd.core.defect_blocks[0])[0]), 1.0)
+    want = min(float(np.linalg.eigvalsh(qd.defect_blocks[0])[0]), 1.0)
     assert suite.residuals["defect_domination_min_eig"] == want
 
 

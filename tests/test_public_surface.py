@@ -1,14 +1,18 @@
 """The exported names resolve, the package exports only what its modules
 declare, each module uses or exports every name it imports, every export
 has a reader outside the tests, the sizes of the surface are pinned, and
-every hardylab name README.md spells out resolves."""
+every hardylab name README.md, a docstring or a comment spells out
+resolves."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
+import io
 import pkgutil
 import re
+import tokenize
 from pathlib import Path
 
 import hardylab
@@ -106,6 +110,9 @@ def test_export_count():
     assert len(hardylab.__all__) == 62
 
 
+DOTTED = r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+"
+
+
 def _readme_dotted_names() -> list:
     """(line, name) for every backticked dotted name in README.md outside code
     fences, read as the leading a.b.c of the span (`TruncationGrid.shift(x)`
@@ -114,10 +121,26 @@ def _readme_dotted_names() -> list:
     text = re.sub(r"```.*?```", lambda m: "\n" * m.group().count("\n"), text, flags=re.S)
     out = []
     for match in re.finditer(r"`([^`]+)`", text):
-        name = re.match(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", match.group(1))
+        name = re.match(DOTTED, match.group(1))
         if name:
             out.append((text.count("\n", 0, match.start()) + 1, name.group()))
     return out
+
+
+def _prose_dotted_names(path: Path) -> list:
+    """(line, name) for every dotted name in the docstrings and comments of
+    a Python file (np.linalg.qr, SubspaceData.core), not inside a longer
+    dotted name."""
+    text = path.read_text()
+    spans = [(node.body[0].lineno, ast.get_docstring(node, clean=False))
+             for node in ast.walk(ast.parse(text))
+             if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+             and ast.get_docstring(node, clean=False)]
+    spans += [(tok.start[0], tok.string)
+              for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+              if tok.type == tokenize.COMMENT]
+    return [(line + span.count("\n", 0, match.start()), match.group())
+            for line, span in spans for match in re.finditer(r"(?<![\w.])" + DOTTED, span)]
 
 
 def _hardylab_root(first: str):
@@ -133,17 +156,30 @@ def _hardylab_root(first: str):
     return None
 
 
+def _resolves(name: str) -> bool:
+    """Whether a dotted hardylab name names a module, class, attribute or
+    dataclass field; a name that starts from no hardylab name resolves.
+    The type of a field is not followed."""
+    obj = _hardylab_root(name.split(".")[0])
+    for part in name.split(".")[1:]:
+        if obj is None or (dataclasses.is_dataclass(obj)
+                           and part in {f.name for f in dataclasses.fields(obj)}):
+            return True
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
 def test_readme_dotted_names_resolve():
-    names = _readme_dotted_names()
-    assert any(name == "TruncationGrid.shift" for _, name in names)
-    unresolved = []
-    for line, name in names:
-        obj = _hardylab_root(name.split(".")[0])
-        if obj is None:
-            continue
-        for part in name.split(".")[1:]:
-            if not hasattr(obj, part):
-                unresolved.append(f"README.md:{line}: {name}")
-                break
-            obj = getattr(obj, part)
+    """Every hardylab name in README.md and in the docstrings and comments
+    of the package and the demos resolves, so a deleted member cannot stay
+    named."""
+    names = [("README.md", line, name) for line, name in _readme_dotted_names()]
+    assert any(name == "TruncationGrid.shift" for _, _, name in names)
+    for path in sorted([*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py")]):
+        where = f"{path.parent.name}/{path.name}"
+        names += [(where, line, name) for line, name in _prose_dotted_names(path)]
+    assert any(name == "SubspaceData.core" for _, _, name in names)
+    unresolved = [f"{where}:{line}: {name}" for where, line, name in names if not _resolves(name)]
     assert unresolved == []
