@@ -15,12 +15,13 @@ Basis order is graded: multi-indices sort by total degree, ties broken by
 the reversed tuple, and the channel index varies fastest.  The order is part
 of the file-format contract (coefficient files address entries by
 multi-index, reports address basis vectors by flat index) and is pinned by
-tests; do not change it.
+tests; do not change it.  TruncationGrid.exponents lays the box out in this
+order with one np.lexsort, and multi_indices reads it as tuples; order_key
+sorts the keys of a coefficient dict the same way.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -62,13 +63,17 @@ class TruncationGrid:
 
     @cached_property
     def multi_indices(self) -> tuple[tuple[int, ...], ...]:
-        ranges = [range(c + 1) for c in self.caps]
-        return tuple(sorted(itertools.product(*ranges), key=order_key))
+        return tuple(map(tuple, self.exponents.tolist()))
 
     @cached_property
     def exponents(self) -> np.ndarray:
-        """multi_indices as a read-only (ranks, nvars) int array."""
-        out = np.array(self.multi_indices, dtype=np.intp).reshape(-1, self.nvars)
+        """Every multi-index inside the caps as a read-only (ranks, nvars)
+        intp array, one per row in graded order: np.lexsort on the keys
+        (k_1, ..., k_n, |k|) sorts by |k| first, then by k_n, ..., k_1,
+        which is order_key order.
+        """
+        box = np.indices(tuple(c + 1 for c in self.caps), dtype=np.intp).reshape(self.nvars, -1)
+        out = box.T[np.lexsort((*box, box.sum(axis=0)))]
         out.flags.writeable = False
         return out
 
@@ -80,7 +85,7 @@ class TruncationGrid:
         place_i = prod_{j<i} (caps_j + 1).  Only ranks reads these tables.
         """
         place = np.cumprod((1,) + tuple(c + 1 for c in self.caps[:-1]), dtype=np.intp)
-        rank_of_code = np.empty(len(self.multi_indices), dtype=np.intp)
+        rank_of_code = np.empty(len(self.exponents), dtype=np.intp)
         rank_of_code[self.exponents @ place] = np.arange(len(rank_of_code))
         return place, rank_of_code
 
@@ -114,7 +119,7 @@ class TruncationGrid:
 
     @property
     def dim(self) -> int:
-        return len(self.multi_indices) * self.channels
+        return len(self.exponents) * self.channels
 
     def with_channels(self, channels: int) -> "TruncationGrid":
         """Same caps, the given coefficient-space dimension.

@@ -108,13 +108,15 @@ def spectral_norm(a: np.ndarray) -> float:
     rounding of the Gram is at most a small multiple of eps ||a||^2.  a is
     first scaled by the exact power of two 2^-e that brings its largest
     real or imaginary part into [1/2, 1), so the Gram neither overflows nor
-    underflows; a product by a power of two is exact.  A non-finite entry
-    raises np.linalg.LinAlgError.
+    underflows; a product by a power of two is exact.  That largest part is
+    read by one np.abs over the float view of a's entries in memory order,
+    real and imaginary parts interleaved.  A non-finite entry raises
+    np.linalg.LinAlgError.
     """
     if a.size == 0:
         return 0.0
-    parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
-    top = max(float(np.abs(p).max()) for p in parts)
+    flat = a.ravel(order="K")
+    top = float(np.abs(flat.view(flat.real.dtype) if np.iscomplexobj(flat) else flat).max())
     if not np.isfinite(top):
         raise np.linalg.LinAlgError("spectral_norm of an array with a non-finite entry")
     if top == 0.0:
@@ -198,7 +200,10 @@ def innerness_check(symbol: AnalyticSymbol, tol: float = 1e-8) -> InnernessRepor
     defect between points, and no boundary zero of q needs avoiding.  The
     truncated isometry defect ||W (M_Theta* M_Theta - I) W|| is no
     substitute: for symbols with slowly decaying Taylor tails it converges
-    too slowly to gate on.  No grid enters.
+    too slowly to gate on.  No grid enters.  The lags m are grouped by one
+    1-D np.unique over int64 codes (ValueError if they would overflow): m
+    shifted by its reach r >= |m| in each variable, read in mixed radix
+    2r + 1 with m_1 most significant, so codes sort as the lags do.
     """
     n, c = symbol.nvars, symbol.cols
     num_keys = np.array(list(symbol.numerator), dtype=int).reshape(-1, n)
@@ -207,9 +212,15 @@ def innerness_check(symbol: AnalyticSymbol, tol: float = 1e-8) -> InnernessRepor
     den_vals = np.array(list(symbol.denominator.values()), dtype=complex).reshape(-1, 1, 1)
     num_lags, num_prods = _lag_sums(num_keys, num_vals)
     den_lags, den_prods = _lag_sums(den_keys, den_vals)
-    lags, which = np.unique(np.concatenate([num_lags, den_lags]), axis=0, return_inverse=True)
-    d = np.zeros((len(lags), c, c), dtype=complex)
-    np.add.at(d, which.ravel(), np.concatenate([num_prods, -den_prods * np.eye(c)]))
+    lags = np.concatenate([num_lags, den_lags])
+    reach = lags.max(axis=0)
+    span = 2 * reach + 1
+    if np.prod(span, dtype=float) >= 2.0**62:
+        raise ValueError(f"lag codes over the spans {tuple(span.tolist())} overflow int64")
+    codes, which = np.unique((lags + reach) @ (np.cumprod(span[::-1])[::-1] // span),
+                             return_inverse=True)
+    d = np.zeros((len(codes), c, c), dtype=complex)
+    np.add.at(d, which, np.concatenate([num_prods, -den_prods * np.eye(c)]))
     scale = float(np.sum(np.abs(den_vals) ** 2))
-    return InnernessReport(deviation=float(np.linalg.norm(d, 2, axis=(1, 2)).sum()) / scale,
+    return InnernessReport(deviation=float(np.linalg.svd(d, compute_uv=False)[:, 0].sum()) / scale,
                            tolerance=float(tol))

@@ -281,19 +281,17 @@ def _toeplitz_split(symbol: AnalyticSymbol, grid: TruncationGrid,
     bases with the identity over the free box, one column per (free
     monomial, support column), their rows scattered to
     TruncationGrid.ranks of k_U + k_F.  discarded grows by the free box
-    size.  With no free variable the scatter is the identity.  T is
-    gathered in one np.ix_ slice from mt, the toeplitz_matrix(symbol, grid)
-    a caller already built, or else built on the support grid.  When some
-    variable is free, the support split is kept as the result's core
-    (_factored).
+    size.  With no free variable the support grid is the grid and the
+    support split is returned as it is, its own core.  T is gathered in one
+    np.ix_ slice from mt, the toeplitz_matrix(symbol, grid) a caller
+    already built, or else built on the support grid.  When some variable
+    is free, the support split is kept as the result's core (_factored).
     """
     keys = (*symbol.numerator, *symbol.denominator)
     used = [t for t in range(grid.nvars) if any(k[t] for k in keys)] or [0]
     free = [t for t in range(grid.nvars) if t not in used]
     exps = grid.exponents
     on_support = np.flatnonzero(~exps[:, free].any(axis=1))
-    on_free = np.flatnonzero(~exps[:, used].any(axis=1))
-    ranks = grid.ranks(exps[on_support, None] + exps[on_free])
     support = TruncationGrid(tuple(grid.caps[t] for t in used)) if free else grid
     degrees = symbol.degrees
     keep = support.with_channels(symbol.cols).window_indices(tuple(degrees[t] for t in used))
@@ -307,6 +305,10 @@ def _toeplitz_split(symbol: AnalyticSymbol, grid: TruncationGrid,
         dom = grid.with_channels(symbol.cols)
         block = mt[np.ix_(cod._flat(on_support), dom._flat(on_support)[keep])]
     s, _ = subspace_from_columns(support.with_channels(symbol.rows), block)
+    if not free:
+        return s
+    on_free = np.flatnonzero(~exps[:, used].any(axis=1))
+    ranks = grid.ranks(exps[on_support, None] + exps[on_free])
     # rows[i, b]: the grid row of support row i tensored with free monomial b
     rows = cod._flat(ranks.T.ravel()).reshape(on_free.size, -1).T
     box = np.arange(on_free.size)
@@ -318,7 +320,7 @@ def _toeplitz_split(symbol: AnalyticSymbol, grid: TruncationGrid,
 
     split = SubspaceData(cod, tensored(s.basis), tensored(s.complement),
                          discarded=s.discarded * on_free.size)
-    return _factored(split, s, tuple(used)) if free else split
+    return _factored(split, s, tuple(used))
 
 
 def _factored(split: SubspaceData, core: SubspaceData, used: tuple) -> SubspaceData:

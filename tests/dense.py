@@ -4,11 +4,17 @@ or entry by entry.
 The library holds a subspace as orthonormal bases and its compressions as
 q x q blocks in Q coordinates, and lays Toeplitz matrices out in one
 scatter; the dim x dim forms below are what tests compare those against.
+The last three references are the plain formulas that the grid order, the
+innerness certificate and the norm scale are built from in whole-array
+numpy; tests require bit-identical results from both.
 """
+
+import itertools
 
 import numpy as np
 
-from hardylab.operators import spectral_norm
+from hardylab.grids import order_key
+from hardylab.operators import _lag_sums, spectral_norm
 
 
 def projection(s):
@@ -41,3 +47,42 @@ def toeplitz(symbol, grid):
             if min(d) >= 0:
                 out[rk * p:(rk + 1) * p, rj * q:(rj + 1) * q] = table[rank[d]]
     return out
+
+
+def multi_indices(caps):
+    """The multi-indices of the caps box, sorted by order_key."""
+    return tuple(sorted(itertools.product(*(range(c + 1) for c in caps)), key=order_key))
+
+
+def innerness_deviation(symbol):
+    """innerness_check's deviation, its lags grouped by a row-wise
+    np.unique and each ||D_m|| read by np.linalg.norm(., 2)."""
+    n, c = symbol.nvars, symbol.cols
+    num_keys = np.array(list(symbol.numerator), dtype=int).reshape(-1, n)
+    num_vals = np.array(list(symbol.numerator.values()), dtype=complex).reshape(-1, symbol.rows, c)
+    den_keys = np.array(list(symbol.denominator), dtype=int).reshape(-1, n)
+    den_vals = np.array(list(symbol.denominator.values()), dtype=complex).reshape(-1, 1, 1)
+    num_lags, num_prods = _lag_sums(num_keys, num_vals)
+    den_lags, den_prods = _lag_sums(den_keys, den_vals)
+    lags, which = np.unique(np.concatenate([num_lags, den_lags]), axis=0, return_inverse=True)
+    d = np.zeros((len(lags), c, c), dtype=complex)
+    np.add.at(d, which.ravel(), np.concatenate([num_prods, -den_prods * np.eye(c)]))
+    scale = float(np.sum(np.abs(den_vals) ** 2))
+    return float(np.linalg.norm(d, 2, axis=(1, 2)).sum()) / scale
+
+
+def two_part_spectral_norm(a):
+    """spectral_norm with its scale read from the real and imaginary parts
+    apart, one np.abs each."""
+    if a.size == 0:
+        return 0.0
+    parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
+    top = max(float(np.abs(p).max()) for p in parts)
+    if not np.isfinite(top):
+        raise np.linalg.LinAlgError("spectral_norm of an array with a non-finite entry")
+    if top == 0.0:
+        return 0.0
+    e = max(int(np.frexp(top)[1]), -1021)
+    x = np.ldexp(1.0, -e) * a
+    gram = x.conj().T @ x if x.shape[0] >= x.shape[1] else x @ x.conj().T
+    return float(np.ldexp(np.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)), e))

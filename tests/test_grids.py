@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dense
 from hardylab.grids import TruncationGrid, order_key
 
 
@@ -22,6 +23,20 @@ def test_enumeration_three_variables():
         (1, 1, 0), (1, 0, 1), (0, 1, 1),
         (1, 1, 1),
     )
+
+
+@pytest.mark.parametrize("caps", [(0,), (5,), (0, 3), (2, 3), (6, 6, 6), (4, 1, 3, 2), (1, 0, 2)])
+@pytest.mark.parametrize("channels", [1, 2])
+def test_lexsorted_exponents_are_the_order_key_sort(caps, channels):
+    g = TruncationGrid(caps, channels)
+    want = dense.multi_indices(caps)
+    assert g.multi_indices == want
+    assert all(type(a) is int for k in g.multi_indices for a in k)
+    assert g.exponents.dtype == np.intp and g.exponents.shape == (len(want), len(caps))
+    np.testing.assert_array_equal(g.exponents, want)
+    with pytest.raises(ValueError):
+        g.exponents[0, 0] = 1  # cached on the grid, so read-only
+    assert g.dim == len(want) * channels
 
 
 def test_order_key_sorts_by_total_degree_first():

@@ -177,6 +177,43 @@ def test_innerness_matrix_valued():
     assert rep.deviation == pytest.approx(0.375, abs=1e-15)
 
 
+def _random_rational_symbols():
+    """Seeded non-inner rational symbols of 1-4 variables with rows != cols."""
+    rng = np.random.default_rng(22)
+    out = []
+    for nvars in (1, 2, 3, 4):
+        for rows, cols in ((1, 2), (2, 1), (3, 2), (2, 3)):
+            def keys(count):
+                return {tuple(int(a) for a in rng.integers(0, 3, size=nvars)) for _ in range(count)}
+            numerator = {k: rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+                         for k in keys(4)}
+            denominator = {k: complex(rng.normal(), rng.normal()) for k in keys(3)}
+            denominator[(0,) * nvars] = 3.0
+            out.append(AnalyticSymbol.rational(numerator, denominator, nvars, rows, cols))
+    return out
+
+
+def test_innerness_deviation_is_the_row_unique_formula_bit_for_bit():
+    """Lags grouped by integer codes and norms read as first singular values
+    give the deviation of the row-wise unique and norm(., 2) formula."""
+    symbols = [e.symbol for seed in range(4) for e in corpus_entries(seed) if e.symbol is not None]
+    symbols += _random_rational_symbols()
+    for sym in symbols:
+        assert innerness_check(sym).deviation == dense.innerness_deviation(sym)
+
+
+def test_innerness_refuses_lag_codes_that_overflow():
+    """Keys 10**7 apart in three variables span more lag codes than int64
+    holds, so the grouping would collide; 10**5 apart they still fit."""
+    for reach, fits in ((10**5, True), (10**7, False)):
+        sym = AnalyticSymbol.polynomial({(0, 0, 0): 0.6, (reach,) * 3: 0.8}, 3)
+        if fits:
+            assert innerness_check(sym).deviation == dense.innerness_deviation(sym) == pytest.approx(0.96)
+        else:
+            with pytest.raises(ValueError, match="overflow int64"):
+                innerness_check(sym)
+
+
 def test_hermitian_norm_matches_spectral_norm():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
@@ -232,6 +269,22 @@ def test_spectral_norm_matches_numpys_two_norm(shape, kind):
             assert type(value) is float
             want = float(np.linalg.norm(a, 2))
             assert abs(value - want) <= 4 * EPS * max(shape) * want
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 5), (9, 4), (4, 9), (91, 343)])
+def test_spectral_norm_scale_is_the_two_part_scale(shape):
+    """The scale read from the float view of the entries equals the one
+    read from the real and imaginary parts apart, whatever the layout."""
+    rng = np.random.default_rng(sum(shape))
+    for a in _draws(rng, shape, "complex"):
+        for view in (a, np.asfortranarray(a), a.conj().T, a[::2, 1:], a[::-1], a.real, a.real.T):
+            assert spectral_norm(view) == dense.two_part_spectral_norm(view)
+    a = np.zeros(shape, dtype=complex, order="F")
+    assert spectral_norm(a) == spectral_norm(a.real[::-1]) == 0.0
+    a[-1, 0] = complex(1.0, np.nan)
+    for view in (a, a.T, a[::-1], a.imag):
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            spectral_norm(view)
 
 
 def test_spectral_norm_exact_and_zero_values():

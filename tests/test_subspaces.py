@@ -385,6 +385,26 @@ def test_reduced_split_matches_the_full_grid_split(name):
         assert sorted(np.flatnonzero(s.basis.any(axis=1))) == rows
 
 
+@pytest.mark.parametrize("symbol, caps", [
+    (AnalyticSymbol.monomial((1, 2)), (4, 5)),
+    (AnalyticSymbol.blaschke(0.3, 0, 2).matmul(AnalyticSymbol.blaschke(-0.2j, 1, 2)), (4, 3)),
+    (_bp_factor(np.array([1.0, 1j]), 0, 3).matmul(
+        _bp_factor(np.array([1.0, 2.0]), 1, 3)).matmul(
+        _bp_factor(np.array([1j, 1.0]), 2, 3)), (2, 3, 2)),
+], ids=["z1z2^2", "b(z1)b(z2)", "two-channel-z1-z2-z3"])
+def test_symbol_of_every_variable_is_split_once_on_the_grid(symbol, caps):
+    """With no free variable the support block is the grid: the split is
+    its own core, and its bases are the split of the window columns."""
+    g = TruncationGrid(caps)
+    cod, dom = g.with_channels(symbol.rows), g.with_channels(symbol.cols)
+    mt = toeplitz_matrix(symbol, g)
+    ref, _ = subspace_from_columns(cod, mt[:, dom.window_indices(symbol.degrees)])
+    for s in (submodule_projection(symbol, g), _toeplitz_split(symbol, g, mt)):
+        assert s.core is s and s.used == tuple(range(g.nvars)) and s.grid == cod
+        assert np.array_equal(s.basis, ref.basis) and np.array_equal(s.complement, ref.complement)
+        assert s.discarded == ref.discarded
+
+
 @pytest.mark.parametrize("family", ["product3", "blaschke3"])
 def test_three_variable_corpus_split_factors_only_its_support_block(family, no_grid_wide_qr):
     """Each symbol of the family leaves a variable free, so its split takes
