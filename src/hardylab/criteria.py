@@ -48,7 +48,8 @@ or the commutator U_i U_j* - V_j V_i*, is measured with one side factored:
 ||A B*|| = ||R_B A*|| with R_B the thin-QR factor of B (norm_factor), so a
 Gram is only ever formed of a matrix that already exists.  A single tall
 block such as the reduces residual cancels nothing and is measured as is.
-Only the invariance gate reads a window, the low-degree rows margins keep.
+Only the invariance gate of subspaces (_invariance_gate), which S passes
+first, reads a window: the low-degree rows margins keep.
 
 When Q is tensored from a core (SubspaceData.core), Q = Q_U (x) H^2(F) for
 the free variables F, and every block above is formed on the core of Q,
@@ -70,7 +71,7 @@ import numpy as np
 
 from .grids import TruncationGrid
 from .operators import hermitian_norm, norm_factor, spectral_norm
-from .subspaces import InvarianceError, SubspaceData, invariance_defect
+from .subspaces import SubspaceData, _invariance_gate
 
 __all__ = [
     "QuotientData",
@@ -82,8 +83,6 @@ __all__ = [
     "psd_sqrt",
     "shift_power",
 ]
-
-INVARIANCE_GATE = 5e-2
 
 
 @dataclass(frozen=True)
@@ -242,29 +241,6 @@ def shift_power(shifts, k) -> np.ndarray:
         for _ in range(int(p)):
             out = m @ out
     return out
-
-
-def _invariance_gate(s: SubspaceData, margins) -> tuple[float, tuple]:
-    """The windowed shift-invariance defect of S, gated: (worst, per variable).
-
-    margins default to 1 per variable.  An empty window would pass every
-    subspace, so it is an error; a defect above INVARIANCE_GATE raises
-    InvarianceError, since the compressions only carry meaning for a
-    submodule.  The defect is cached on S per margins (invariance_defect).
-    """
-    grid = s.grid
-    margins = (1,) * grid.nvars if margins is None else tuple(int(m) for m in margins)
-    if len(margins) != grid.nvars:
-        raise ValueError(f"need {grid.nvars} margins, got {len(margins)}")
-    if grid.window_indices(margins).size == 0:
-        raise ValueError(f"margins {margins} leave an empty evaluation window")
-    inv_max, inv_per = invariance_defect(s, margins)
-    if inv_max > INVARIANCE_GATE:
-        raise InvarianceError(
-            f"subspace is not shift-invariant: windowed defect {inv_max:.3e} "
-            f"exceeds the gate {INVARIANCE_GATE:g}"
-        )
-    return inv_max, inv_per
 
 
 def quotient_data(s: SubspaceData, margins=None) -> QuotientData:

@@ -25,8 +25,10 @@ S_phi from the support block of its M_phi (the rows and columns on the
 variables phi uses), and the witness splits S_theta likewise from M_theta.
 A projection P = B B* enters a norm only through B: with B_c the
 complement basis, ||(I - P) A|| = ||B_c* A||.  The gap and the check build
-N = S_theta + M by one split (SubspaceData.extended) and gate its
-invariance with the shared invariance_defect.
+N = S_theta + M by one split (SubspaceData.extended).  The witness reports
+the invariance defect of N (invariance_defect), and the check gates N on
+the same defect through quotient_data and cross_commutator_criterion; the
+innerness and the invariance gate both live in subspaces.
 """
 
 from __future__ import annotations

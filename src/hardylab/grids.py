@@ -133,23 +133,6 @@ class TruncationGrid:
 
     # ---- indexing -------------------------------------------------------
 
-    def flat_index(self, k: tuple[int, ...], s: int = 0) -> int:
-        if not 0 <= s < self.channels:
-            raise ValueError(f"channel {s} out of range for m={self.channels}")
-        k = tuple(k)
-        if len(k) != self.nvars or not all(0 <= a <= c for a, c in zip(k, self.caps)):
-            raise ValueError(f"multi-index {k} outside caps {self.caps}")
-        return int(self.ranks(k)) * self.channels + s
-
-    def unflatten(self, i: int) -> tuple[tuple[int, ...], int]:
-        r, s = divmod(int(i), self.channels)
-        return self.multi_indices[r], s
-
-    def basis_vector(self, k: tuple[int, ...], s: int = 0) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=complex)
-        v[self.flat_index(k, s)] = 1.0
-        return v
-
     def _flat(self, ranks: np.ndarray) -> np.ndarray:
         """Flat indices of every channel of the given ranks, rank-major."""
         m = self.channels

@@ -40,11 +40,11 @@ back to the tensored split.
 The exact S intersected with the grid, which for a symbol with singular
 leading coefficients holds more than the window columns span, factors the
 same way: it is the support block's part tensored with the free box.
-Only the invariance gate (invariance_defect, measured on the core) reads a
-window; the quotient battery downstream measures exact identities of the
-whole grid's matrices.  The
-symbol is gated first by operators.innerness_check, an exact identity of
-its Taylor coefficients rather than a sampled torus test.
+Only the invariance gate reads a window, and it lives here whole
+(invariance_defect, _invariance_gate); the quotient battery downstream
+measures exact identities of the whole grid's matrices.  The symbol is
+gated first by operators.innerness_check, an exact identity of its Taylor
+coefficients rather than a sampled torus test.
 """
 
 from __future__ import annotations
@@ -76,6 +76,8 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-10
+# windowed invariance defect above which a subspace is refused as a submodule
+INVARIANCE_GATE = 5e-2
 # factor by which a certified full-rank split clears the rank cut, far above
 # the rounding of the bound and of the SVD it stands in for
 CERT_SAFETY = 2.0
@@ -349,31 +351,41 @@ def parse_basis_text(text: str, grid: TruncationGrid) -> np.ndarray:
 def invariance_defect(s: SubspaceData, margins: tuple[int, ...]) -> tuple[float, tuple]:
     """Windowed shift-invariance defect max_t ||W (P_S M_t P_S - M_t P_S) W||.
 
-    P_S M_t P_S - M_t P_S = -P_Q M_t P_S = -B_Q V_t* with V_t = P_S M_t* B_Q
-    (shift_blocks of the complement, adjoint), so each norm is
-    ||R_Q V_t[W]*|| for R_Q = norm_factor(B_Q[W]), as ||W B_Q X B_Q* W|| =
-    ||R_Q X R_Q*||.  It is measured on the core: the window is the core's
-    window times the free box's, so a used variable reads the core's defect
-    on the core's margins and a free variable f, whose V_f is 0, reads 0.0;
-    an empty window reads 0.0 throughout.  Returns (worst,
-    per variable), cached on s per margins.
+    margins, one per grid variable, must lie in 0..cap, since an empty
+    window would pass every subspace.  P_S M_t P_S - M_t P_S = -B_Q V_t* with
+    V_t = P_S M_t* B_Q (shift_blocks of the complement, adjoint), so each
+    norm is ||R_Q V_t[W]*|| for R_Q = norm_factor(B_Q[W]), as
+    ||W B_Q X B_Q* W|| = ||R_Q X R_Q*||.  It is measured on the core, on the
+    one window of the used variables' margins; a free variable f, whose V_f
+    is 0, reads 0.0.  Returns (worst, per variable), cached on s per margins.
     """
     key = ("invariance", tuple(int(m) for m in margins))
     if key not in s._cache:
-        margins, used = key[1], s.used
-        window = s.grid.window_indices(margins)
-        if s.core is not s and window.size:
-            window = s.core.grid.window_indices(tuple(margins[t] for t in used))
-        per = [0.0] * s.grid.nvars
-        for t, value in zip(used, _window_defects(s.core, window)):
-            per[t] = value
-        s._cache[key] = (max(per, default=0.0), tuple(per))
+        margins, grid = key[1], s.grid
+        if len(margins) != grid.nvars:
+            raise ValueError(f"need {grid.nvars} margins, got {len(margins)}")
+        if any(m < 0 for m in margins):
+            raise ValueError(f"margins must be nonnegative, got {margins}")
+        if any(m > c for m, c in zip(margins, grid.caps)):
+            raise ValueError(f"margins {margins} leave an empty evaluation window")
+        core, used = s.core, s.used
+        window = core.grid.window_indices(tuple(margins[t] for t in used))
+        q = core.complement_space
+        r_q = norm_factor(q.basis[window])
+        per = [0.0] * grid.nvars
+        for a, t in enumerate(used):
+            per[t] = spectral_norm(r_q @ q.shift_blocks(a, adjoint=True)[1][window].conj().T)
+        s._cache[key] = (max(per), tuple(per))
     return s._cache[key]
 
 
-def _window_defects(s: SubspaceData, window: np.ndarray) -> list:
-    """||R_Q V_t[W]*|| for every variable t of s, on the window rows W."""
-    q = s.complement_space
-    r_q = norm_factor(q.basis[window])
-    return [spectral_norm(r_q @ q.shift_blocks(t, adjoint=True)[1][window].conj().T)
-            for t in range(s.grid.nvars)]
+def _invariance_gate(s: SubspaceData, margins) -> tuple[float, tuple]:
+    """invariance_defect of S on margins (1 per variable when None), gated:
+    InvarianceError above INVARIANCE_GATE, since the compressions only carry
+    meaning for a submodule."""
+    margins = (1,) * s.grid.nvars if margins is None else margins
+    inv_max, inv_per = invariance_defect(s, margins)
+    if inv_max > INVARIANCE_GATE:
+        raise InvarianceError(f"subspace is not shift-invariant: windowed defect {inv_max:.3e} "
+                              f"exceeds the gate {INVARIANCE_GATE:g}")
+    return inv_max, inv_per

@@ -147,10 +147,6 @@ class AnalyticSymbol:
             return _zero_index(self.nvars)
         return tuple(max(k[i] for k in self.numerator) for i in range(self.nvars))
 
-    def coefficient(self, k: tuple[int, ...]) -> np.ndarray:
-        """Numerator coefficient at k (zero matrix if absent)."""
-        return self.numerator.get(tuple(k), np.zeros((self.rows, self.cols), dtype=complex)).copy()
-
     # ---- Taylor data -----------------------------------------------------
 
     def taylor_table(self, grid: TruncationGrid) -> np.ndarray:

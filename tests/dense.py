@@ -6,7 +6,8 @@ q x q blocks in Q coordinates, and lays Toeplitz matrices out in one
 scatter; the dim x dim forms below are what tests compare those against.
 The last three references are the plain formulas that the grid order, the
 innerness certificate and the norm scale are built from in whole-array
-numpy; tests require bit-identical results from both.
+numpy; tests require bit-identical results from both.  The index helpers
+first spell out the flat basis index ranks(k) * channels + s.
 """
 
 import itertools
@@ -15,6 +16,29 @@ import numpy as np
 
 from hardylab.grids import order_key
 from hardylab.operators import _lag_sums, spectral_norm
+
+
+def flat(grid, k, s=0):
+    """Flat basis index of e_s z^k: its rank times the channel count, plus s."""
+    return int(grid.ranks(k)) * grid.channels + s
+
+
+def unflat(grid, i):
+    """(multi-index, channel) of flat basis index i."""
+    r, s = divmod(int(i), grid.channels)
+    return grid.multi_indices[r], s
+
+
+def unit(grid, k, s=0):
+    """The basis vector e_s z^k of the grid."""
+    v = np.zeros(grid.dim, dtype=complex)
+    v[flat(grid, k, s)] = 1.0
+    return v
+
+
+def coefficient(symbol, k):
+    """Numerator coefficient block of a symbol at k, zero when k is no key."""
+    return symbol.numerator.get(tuple(k), np.zeros((symbol.rows, symbol.cols), dtype=complex))
 
 
 def projection(s):

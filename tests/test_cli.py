@@ -99,6 +99,26 @@ def test_text_format(mono_cfg, capsys):
     assert "pass" in rendered
 
 
+def test_text_format_batch(mono_cfg, tmp_path, capsys):
+    other = tmp_path / "coord.cfg"
+    other.write_text(COORD)
+    assert run_cli(["check-beurling", "--config", mono_cfg, "--config", other,
+                    "--format", "text"]) == 0
+    rendered = capsys.readouterr().out
+    assert rendered.index("scenario mono [check-beurling]") < rendered.index(
+        "scenario coord [check-beurling]")
+
+
+def test_symbol_file_replaces_the_config_symbol_block(tmp_path, capsys):
+    cfg = tmp_path / "half.cfg"
+    cfg.write_text(MONO.replace("1 1 0 0 1.0 0.0", "1 1 0 0 0.5 0.0"))
+    assert run_cli(["check-beurling", "--config", cfg]) == 1
+    assert json.loads(capsys.readouterr().out)["status"].startswith("error: symbol is not inner")
+    assert run_cli(["check-beurling", "--config", cfg, "--symbol-file", _symbol_file(tmp_path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "ok" and doc["verdicts"]["verdicts_agree"] is True
+
+
 def test_adhoc_symbol_file(tmp_path, capsys):
     sym = tmp_path / "sym.txt"
     sym.write_text("numerator\n1 1 0 0 1.0 0.0\n")
@@ -208,6 +228,8 @@ def test_bad_env_value_exits_two(mono_cfg, monkeypatch, capsys):
     ("config", "example42", "caps = 4 4 4", "caps (4, 4, 4) do not match 2 variables"),
     ("--degree", "example42", "4,4,4", "caps (4, 4, 4) do not match 2 variables"),
     ("HARDYLAB_DEGREE", "example42", "4 4 4", "caps (4, 4, 4) do not match 2 variables"),
+    ("--format", "check-beurling", "yaml", "unknown format 'yaml'; choose json or text"),
+    ("HARDYLAB_FORMAT", "check-beurling", "yaml", "unknown format 'yaml'; choose json or text"),
 ])
 def test_bad_value_exits_two_naming_its_origin(tmp_path, monkeypatch, capsys,
                                                origin, command, value, message):

@@ -67,7 +67,7 @@ def test_monomial_defect_is_named_projection():
     defect = p_q - c1.conj().T @ c1
     pure_z2, top = np.zeros((g.dim, g.dim)), np.zeros((g.dim, g.dim))
     for i in range(g.dim):
-        k, _ = g.unflatten(i)
+        k, _ = dense.unflat(g, i)
         pure_z2[i, i] = k[0] == 0 and k[1] >= 1
         top[i, i] = k == (3, 0)
     formula = p_q @ m1.conj().T @ dense.projection(qd.s) @ m1 @ p_q
@@ -199,13 +199,22 @@ def test_cross_commutator_rejects_an_empty_window():
         quotient_data(s, margins=(4, 4))
 
 
+def test_quotient_data_refuses_a_complement_basis_that_is_no_isometry():
+    """A hand-built split whose complement basis is scaled by 1.001 passes
+    the invariance gate, but its compressions exceed unit norm."""
+    s = submodule_projection(AnalyticSymbol.monomial((1, 0)), TruncationGrid((3, 3)))
+    scaled = SubspaceData(s.grid, s.basis, 1.001 * s.complement)
+    with pytest.raises(ValueError, match="compression 1 exceeds unit norm"):
+        quotient_data(scaled)
+
+
 def test_shift_power():
     g = TruncationGrid((2, 2))
     mats = shift_matrices(g)
     m = shift_power(mats, (1, 2))
-    np.testing.assert_array_equal(m @ g.basis_vector((0, 0)), g.basis_vector((1, 2)))
-    np.testing.assert_array_equal(m @ g.basis_vector((1, 0)), g.basis_vector((2, 2)))
-    np.testing.assert_array_equal(m @ g.basis_vector((1, 1)), np.zeros(g.dim))
+    np.testing.assert_array_equal(m @ dense.unit(g, (0, 0)), dense.unit(g, (1, 2)))
+    np.testing.assert_array_equal(m @ dense.unit(g, (1, 0)), dense.unit(g, (2, 2)))
+    np.testing.assert_array_equal(m @ dense.unit(g, (1, 1)), np.zeros(g.dim))
     with pytest.raises(ValueError):
         shift_power(mats, (-1, 0))
 
@@ -614,7 +623,7 @@ def test_vector_valued_beurling_quotients_pass_every_detector(make, caps):
 ], ids=["z1^2,z2", "(z1,z2)^2", "z1^3,z1z2,z2^2"])
 def test_monomial_ideals_are_not_beurling(generators):
     g = TruncationGrid((6, 6))
-    cols = [g.basis_vector(k) for k in g.multi_indices
+    cols = [dense.unit(g, k) for k in g.multi_indices
             if any(all(a >= b for a, b in zip(k, gen)) for gen in generators)]
     s, _ = subspace_from_columns(g, np.array(cols).T)
     product, cross, suite = _detectors(s, (1, 1))

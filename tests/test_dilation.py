@@ -381,7 +381,7 @@ def test_dilation_matches_dense_formulas(name):
         block = d.defect_space_basis.conj().T @ root @ shift_power(
             [m.conj().T for m in t.matrices], k)
         for s in range(grid.channels):
-            pi[grid.flat_index(k, s)] = block[s]
+            pi[int(grid.ranks(k)) * grid.channels + s] = block[s]
     assert np.max(np.abs(d.pi - pi)) <= 1e-13
     assert abs(d.isometry_residual - spectral_norm(pi.conj().T @ pi - np.eye(t.dim))) <= 1e-13
     dense = [spectral_norm(pi @ m.conj().T - shift.conj().T @ pi)

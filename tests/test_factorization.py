@@ -73,6 +73,25 @@ def test_rational_division_recovers_second_factor():
     assert np.max(np.abs(table - extracted)) < 1e-9
 
 
+def test_a_non_isometric_quotient_is_refused():
+    # 1/2 z1 lies in z1 H^2 and X = M_z1* M_theta = 1/2 I commutes with the
+    # shifts, but psi = 1/2 is no isometry: ||psi* psi - I|| = 0.75
+    half_z1 = AnalyticSymbol.polynomial({(1, 0): 0.5}, nvars=2)
+    with pytest.raises(FactorizationError, match=r"non-isometric quotient: residual 7\.500e-01"):
+        divide_inner(half_z1, Z1, TruncationGrid((3, 3)))
+
+
+def test_a_divisor_into_another_channel_space_is_refused():
+    phi = AnalyticSymbol.constant(np.eye(2), nvars=2)
+    with pytest.raises(ValueError, match="same channel space"):
+        divide_inner(Z1, phi, TruncationGrid((3, 3)))
+
+
+def test_margins_past_the_caps_leave_no_exact_columns():
+    with pytest.raises(ValueError, match="no exact columns"):
+        divide_inner(Z1Z2, Z1, TruncationGrid((3, 3)), margins=(4, 4))
+
+
 def test_variable_count_mismatch_rejected():
     with pytest.raises(ValueError, match="variable count"):
         divide_inner(Z1Z2, AnalyticSymbol.monomial((1,)), TruncationGrid((6, 6)))
@@ -93,7 +112,7 @@ def test_monomial_witness_gap_spans_pure_powers():
     wit = invariant_subspace_from_factorization(Z1Z2, Z1, grid)
     expected = np.zeros((grid.dim, 6))
     for col, k in enumerate(range(1, 7)):
-        expected[grid.flat_index((k, 0)), col] = 1.0
+        expected[dense.flat(grid, (k, 0)), col] = 1.0
     p_m = wit.m_basis @ wit.m_basis.conj().T
     p_e = expected @ expected.T
     assert np.max(np.abs(p_m - p_e)) < 1e-12
@@ -162,8 +181,8 @@ def test_submodule_check_rejects_overlapping_basis():
 def test_submodule_check_rejects_degenerate_columns():
     grid = TruncationGrid((4, 4))
     v = np.zeros((grid.dim, 2))
-    v[grid.flat_index((1, 0)), 0] = 1.0
-    v[grid.flat_index((1, 0)), 1] = 1.0
+    v[dense.flat(grid, (1, 0)), 0] = 1.0
+    v[dense.flat(grid, (1, 0)), 1] = 1.0
     with pytest.raises(ValueError, match="degenerate"):
         beurling_submodule_check(v, Z1Z2, grid)
 
@@ -379,7 +398,7 @@ def test_submodule_check_rejects_an_empty_window():
     # N = z1 H^2 + span{z2, z2^2, z2^3} is the origin complement, which is not
     # of Beurling type; margins past the caps must not let it pass vacuously
     grid = TruncationGrid((3, 3))
-    m_basis = np.stack([grid.basis_vector((0, k)) for k in (1, 2, 3)], axis=1)
+    m_basis = np.stack([dense.unit(grid, (0, k)) for k in (1, 2, 3)], axis=1)
     rep = beurling_submodule_check(m_basis, Z1, grid)
     assert not rep.verdicts["condition_2"] and not rep.verdicts["condition_3"]
     with pytest.raises(ValueError, match="empty evaluation window"):

@@ -61,18 +61,10 @@ def test_with_channels_reuses_the_grid_when_unchanged():
 def test_channel_interleaving():
     g = TruncationGrid((1, 1), channels=2)
     # channel-minor: both channels of a monomial sit next to each other
-    assert g.flat_index((0, 0), 0) == 0
-    assert g.flat_index((0, 0), 1) == 1
-    assert g.flat_index((1, 0), 0) == 2
-    assert g.flat_index((0, 1), 1) == 5
-
-
-def test_basis_vector_one_hot():
-    g = TruncationGrid((2, 1), channels=2)
-    v = g.basis_vector((1, 0), 1)
-    assert v.shape == (12,)
-    assert v[g.flat_index((1, 0), 1)] == 1
-    assert np.count_nonzero(v) == 1
+    assert dense.flat(g, (0, 0), 0) == 0
+    assert dense.flat(g, (0, 0), 1) == 1
+    assert dense.flat(g, (1, 0), 0) == 2
+    assert dense.flat(g, (0, 1), 1) == 5
 
 
 def test_window_indices_counts():
@@ -82,21 +74,21 @@ def test_window_indices_counts():
     assert len(g.window_indices((3, 3))) == 1
     # every windowed multi-index respects the per-variable margin
     for i in g.window_indices((2, 1)):
-        k, _ = g.unflatten(i)
+        k, _ = dense.unflat(g, i)
         assert k[0] <= 1 and k[1] <= 2
 
 
 def test_window_indices_cover_all_channels():
     g = TruncationGrid((1, 1), channels=2)
     win = g.window_indices((1, 1))
-    assert sorted(g.unflatten(i)[1] for i in win) == [0, 1]
+    assert sorted(dense.unflat(g, i)[1] for i in win) == [0, 1]
 
 
 def test_top_slice_indices():
     g = TruncationGrid((2, 1))
-    top0 = {g.unflatten(i)[0] for i in g.top_slice_indices(0)}
+    top0 = {dense.unflat(g, i)[0] for i in g.top_slice_indices(0)}
     assert top0 == {(2, 0), (2, 1)}
-    top1 = {g.unflatten(i)[0] for i in g.top_slice_indices(1)}
+    top1 = {dense.unflat(g, i)[0] for i in g.top_slice_indices(1)}
     assert top1 == {(0, 1), (1, 1), (2, 1)}
 
 
@@ -105,23 +97,17 @@ def test_validation_errors():
         TruncationGrid((2, -1))
     with pytest.raises(ValueError):
         TruncationGrid((2, 2), channels=0)
-    g = TruncationGrid((2, 2))
-    for k in [(3, 0), (0, 3), (-1, 0), (0,), (0, 0, 0)]:
-        with pytest.raises(ValueError, match="outside caps"):
-            g.flat_index(k)
-    with pytest.raises(ValueError):
-        g.flat_index((0, 0), s=1)
 
 
 @given(
     caps=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3),
     channels=st.integers(min_value=1, max_value=3),
 )
-def test_flat_unflatten_round_trip(caps, channels):
+def test_ranks_invert_multi_indices(caps, channels):
     g = TruncationGrid(tuple(caps), channels=channels)
     for i in range(g.dim):
-        k, s = g.unflatten(i)
-        assert g.flat_index(k, s) == i
+        k, s = dense.unflat(g, i)
+        assert dense.flat(g, k, s) == i
 
 
 # ---- array-built index sets against the loops they replaced ------------------

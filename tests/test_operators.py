@@ -34,9 +34,9 @@ def phi_symbol():
 def test_shift_action_and_top_slice_drop():
     g = TruncationGrid((1, 1))
     m1 = shift_matrix(g, 0)
-    np.testing.assert_array_equal(m1 @ g.basis_vector((0, 0)), g.basis_vector((1, 0)))
-    np.testing.assert_array_equal(m1 @ g.basis_vector((0, 1)), g.basis_vector((1, 1)))
-    assert np.all(m1 @ g.basis_vector((1, 0)) == 0)
+    np.testing.assert_array_equal(m1 @ dense.unit(g, (0, 0)), dense.unit(g, (1, 0)))
+    np.testing.assert_array_equal(m1 @ dense.unit(g, (0, 1)), dense.unit(g, (1, 1)))
+    assert np.all(m1 @ dense.unit(g, (1, 0)) == 0)
 
 
 def test_shift_is_isometry_below_top_slice():
@@ -87,8 +87,8 @@ def test_toeplitz_intertwines_shift_on_low_columns():
     mt = toeplitz_matrix(b, g)
     m = shift_matrix(g, 0)
     for j in range(6):
-        lhs = m @ mt[:, g.flat_index((j,))]
-        rhs = mt[:, g.flat_index((j + 1,))]
+        lhs = m @ mt[:, dense.flat(g, (j,))]
+        rhs = mt[:, dense.flat(g, (j + 1,))]
         np.testing.assert_allclose(lhs, rhs, atol=1e-15)
 
 

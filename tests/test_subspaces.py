@@ -38,7 +38,7 @@ def test_monomial_submodule_is_coordinate_span():
     assert s.rank == 9
     diag = np.real(np.diag(dense.projection(s)))
     for i in range(g.dim):
-        k, _ = g.unflatten(i)
+        k, _ = dense.unflat(g, i)
         want = 1.0 if (k[0] >= 1 and k[1] >= 1) else 0.0
         assert diag[i] == pytest.approx(want, abs=1e-12)
 
@@ -117,7 +117,7 @@ def test_corpus_battery_evaluates_no_symbol(no_torus_evaluation):
 
 def test_rank_collapse_reports_discarded_columns():
     g = TruncationGrid((1, 1))
-    v = g.basis_vector((1, 0)).astype(complex)
+    v = dense.unit(g, (1, 0))
     s, _ = subspace_from_columns(g, np.stack([v, v, 2 * v], axis=1))
     assert s.rank == 1
     assert s.discarded == 2
@@ -176,7 +176,7 @@ def test_split_matches_the_svd_rank_and_is_orthonormal(name, monkeypatch):
 def test_monomial_submodule_and_origin_complement_split_by_index():
     g = TruncationGrid((3, 3))
     s = submodule_projection(AnalyticSymbol.monomial((1, 2)), g)
-    rows = [g.flat_index(k) for k in g.multi_indices if k[0] >= 1 and k[1] >= 2]
+    rows = [dense.flat(g, k) for k in g.multi_indices if k[0] >= 1 and k[1] >= 2]
     assert np.array_equal(s.basis, np.eye(g.dim)[:, sorted(rows)])
     origin = origin_complement(g)
     assert np.array_equal(origin.basis, np.eye(g.dim)[:, 1:])
@@ -380,7 +380,7 @@ def test_reduced_split_matches_the_full_grid_split(name):
     assert np.abs(frame.conj().T @ frame - np.eye(cod.dim)).max() <= 1e-13
     assert np.abs(s.basis.conj().T @ s.complement).max(initial=0.0) <= 1e-13
     if name == "z1-squared":
-        rows = [g.flat_index(k) for k in g.multi_indices if k[0] >= 2]
+        rows = [dense.flat(g, k) for k in g.multi_indices if k[0] >= 2]
         assert set(np.unique(frame)) == {0, 1}
         assert sorted(np.flatnonzero(s.basis.any(axis=1))) == rows
 
@@ -420,8 +420,8 @@ def test_three_variable_corpus_split_factors_only_its_support_block(family, no_g
 def test_contains():
     g = TruncationGrid((2, 2))
     s = submodule_projection(AnalyticSymbol.monomial((1, 0)), g)
-    assert dense.contains(s, g.basis_vector((1, 1)).astype(complex))
-    assert not dense.contains(s, g.basis_vector((0, 1)).astype(complex))
+    assert dense.contains(s, dense.unit(g, (1, 1)))
+    assert not dense.contains(s, dense.unit(g, (0, 1)))
 
 
 def test_invariance_defect_zero_for_coordinate_submodule():
@@ -431,6 +431,50 @@ def test_invariance_defect_zero_for_coordinate_submodule():
     assert worst == 0.0 and len(per) == 2
     # cached per margins, so every detector of one split shares one gate
     assert invariance_defect(s, [1, 1]) is invariance_defect(s, (1, 1))
+
+
+def test_invariance_defect_checks_its_margins():
+    """invariance_defect is the one place margins are checked: an empty
+    window would pass every subspace, so margins past a cap raise rather
+    than read 0.0."""
+    s = submodule_projection(AnalyticSymbol.monomial((1, 1)), TruncationGrid((2, 2)))
+    with pytest.raises(ValueError, match="empty evaluation window"):
+        invariance_defect(s, (3, 3))
+    with pytest.raises(ValueError, match="need 2 margins, got 3"):
+        invariance_defect(s, (1, 1, 1))
+    with pytest.raises(ValueError, match="margins must be nonnegative"):
+        invariance_defect(s, (-1, 1))
+
+
+def test_a_free_variable_margin_is_checked_though_the_core_window_ignores_it():
+    s = submodule_projection(AnalyticSymbol.blaschke(0.3 - 0.2j, 1, 3), TruncationGrid((3, 5, 2)))
+    assert s.used == (1,)
+    for margins, match in (((1, 1, -1), "margins must be nonnegative"),
+                           ((1, 1, 3), "empty evaluation window")):
+        with pytest.raises(ValueError, match=match):
+            invariance_defect(s, margins)
+        with pytest.raises(ValueError, match=match):
+            quotient_data(s, margins=margins)
+
+
+def test_the_gate_builds_one_window_on_the_core(monkeypatch):
+    """quotient_data then cross_commutator_criterion on a tensored split
+    build one window, on the core's grid, and share its defect."""
+    entry = next(e for e in corpus_entries(0) if e.entry_id.startswith("product3-"))
+    s = entry.subspace()
+    assert s.core is not s
+    built = []
+    window_indices = TruncationGrid.window_indices
+
+    def counted(grid, margins):
+        built.append(grid)
+        return window_indices(grid, margins)
+
+    monkeypatch.setattr(TruncationGrid, "window_indices", counted)
+    data = quotient_data(s, margins=entry.margins)
+    cross_commutator_criterion(s, margins=entry.margins)
+    assert built == [s.core.grid]
+    assert invariance_defect(s, entry.margins) == (data.invariance, data.invariance_per_variable)
 
 
 def test_basis_text_round_trip():

@@ -24,8 +24,12 @@ def _traced():
 
 @pytest.mark.parametrize("metric, module, attribute", _traced())
 def test_traced_name_resolves(metric, module, attribute):
-    target = importlib.import_module(module)
-    for part in attribute.split("."):
-        assert hasattr(target, part), f"{metric}: {module}.{attribute} is gone"
-        target = getattr(target, part)
-    assert callable(target), metric
+    """A traced name is a function of its module, or a method defined in its
+    class's own __dict__, which is where the tracer rebinds it."""
+    owner = importlib.import_module(module)
+    *classes, name = attribute.split(".")
+    for part in classes:
+        assert isinstance(vars(owner).get(part), type), f"{metric}: {module}.{part} is no class"
+        owner = vars(owner)[part]
+    assert name in vars(owner), f"{metric}: {module}.{attribute} is gone"
+    assert callable(getattr(owner, name)), metric
