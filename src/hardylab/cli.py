@@ -37,6 +37,7 @@ that is not a domain error, and its report's status starts with
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import shutil
 import stat
@@ -69,7 +70,11 @@ _OUTPUT = {
 _SETTINGS = {key: row for key, row in {**_OUTPUT, **_RULES}.items() if row.flag}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first call and shared by
+    every main call: parse_args keeps nothing between calls, and the
+    environment is read per call (_flag_settings)."""
     commands = "\n".join(f"  {name:<16}{command.help}" for name, command in COMMANDS.items())
     parser = argparse.ArgumentParser(
         prog="hardylab",

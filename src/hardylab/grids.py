@@ -18,21 +18,133 @@ multi-index, reports address basis vectors by flat index) and is pinned by
 tests; do not change it.  TruncationGrid.exponents lays the box out in this
 order with one np.lexsort, and multi_indices reads it as tuples; order_key
 sorts the keys of a coefficient dict the same way.
+
+A grid's index tables depend only on its caps and, for flat indices, its
+channel count, so they are shared by every grid of a process rather than
+held per instance: the graded order, the multi-index tuples and the rank
+table are kept per caps, the shift index maps per (caps, channels), the
+windows per (caps, channels, margins), the top slices per (caps, channels,
+t), and the support/free row map of a tensored split per (caps, channels,
+used).  Each table is built once by one module-level builder and returned
+read-only, so no caller can change what another grid reads.  Each builder
+keeps at most TABLE_CACHE = 128 tables and drops the least recently used
+one first.  The bound is well above what a run reads: a corpus pass reads
+about 13 distinct caps and 22 windows, ten corpus seeds in one process
+read 45 windows, and a pass over the shipped scenarios or the division and
+dilation checks reads fewer than 10 of any table.  It is still a bound, so a
+long-lived process that walks through many grids holds a fixed number of
+tables, each a few index arrays of its grid's dimension.  An evicted table
+is rebuilt by the same code on its next read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
 __all__ = ["TruncationGrid", "order_key"]
 
+# tables each builder keeps; the module docstring gives the reason for the value
+TABLE_CACHE = 128
+
 
 def order_key(k: tuple[int, ...]) -> tuple:
     """Sort key giving the graded basis order of multi-indices."""
     return (sum(k), tuple(reversed(k)))
+
+
+def _frozen(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def _flat(ranks: np.ndarray, channels: int) -> np.ndarray:
+    """Flat indices of every channel of the given ranks, rank-major."""
+    return (ranks[:, None] * channels + np.arange(channels)).ravel()
+
+
+@lru_cache(maxsize=TABLE_CACHE)
+def _exponents(caps: tuple[int, ...]) -> np.ndarray:
+    """Every multi-index inside the caps, one per row in graded order:
+    np.lexsort on the keys (k_1, ..., k_n, |k|) sorts by |k| first, then by
+    k_n, ..., k_1, which is order_key order."""
+    box = np.indices(tuple(c + 1 for c in caps), dtype=np.intp).reshape(len(caps), -1)
+    out = box.T[np.lexsort((*box, box.sum(axis=0)))]
+    _frozen(out)
+    return out
+
+
+@lru_cache(maxsize=TABLE_CACHE)
+def _multi_indices(caps: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, _exponents(caps).tolist()))
+
+
+@lru_cache(maxsize=TABLE_CACHE)
+def _radix(caps: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Mixed-radix place values and the rank of every mixed-radix code.
+
+    A multi-index k inside the caps has code sum_i k_i * place_i with
+    place_i = prod_{j<i} (caps_j + 1).  Only _ranks reads these tables.
+    """
+    exps = _exponents(caps)
+    place = np.cumprod((1,) + tuple(c + 1 for c in caps[:-1]), dtype=np.intp)
+    rank_of_code = np.empty(len(exps), dtype=np.intp)
+    rank_of_code[exps @ place] = np.arange(len(rank_of_code))
+    _frozen(place, rank_of_code)
+    return place, rank_of_code
+
+
+def _ranks(caps: tuple[int, ...], exps) -> np.ndarray:
+    place, rank_of_code = _radix(caps)
+    return rank_of_code[np.asarray(exps) @ place]
+
+
+@lru_cache(maxsize=TABLE_CACHE)
+def _shift_pairs(caps: tuple[int, ...], channels: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Flat index maps (src, dst) of M_t, one per variable t.
+
+    M_t sends e_s z^j to e_s z^(j + e_t) when that stays inside the caps
+    and drops it otherwise, so (M_t x)[dst] = x[src].
+    """
+    exps = _exponents(caps)
+    pairs = []
+    for t in range(len(caps)):
+        src = np.flatnonzero(exps[:, t] < caps[t])
+        dst = _ranks(caps, exps[src] + (np.arange(len(caps)) == t))
+        src, dst = _flat(src, channels), _flat(dst, channels)
+        _frozen(src, dst)
+        pairs.append((src, dst))
+    return tuple(pairs)
+
+
+@lru_cache(maxsize=TABLE_CACHE)
+def _window(caps: tuple[int, ...], channels: int, margins: tuple[int, ...]) -> np.ndarray:
+    inside = np.all(_exponents(caps) <= np.subtract(caps, margins), axis=1)
+    out = _flat(np.flatnonzero(inside), channels)
+    _frozen(out)
+    return out
+
+
+@lru_cache(maxsize=TABLE_CACHE)
+def _top_slice(caps: tuple[int, ...], channels: int, t: int) -> np.ndarray:
+    out = _flat(np.flatnonzero(_exponents(caps)[:, t] == caps[t]), channels)
+    _frozen(out)
+    return out
+
+
+@lru_cache(maxsize=TABLE_CACHE)
+def _tensor_rows(caps: tuple[int, ...], channels: int,
+                 used: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    exps = _exponents(caps)
+    free = [t for t in range(len(caps)) if t not in used]
+    on_support = np.flatnonzero(~exps[:, free].any(axis=1))
+    on_free = np.flatnonzero(~exps[:, list(used)].any(axis=1))
+    ranks = _ranks(caps, exps[on_support, None] + exps[on_free])
+    rows = _flat(ranks.T.ravel(), channels).reshape(on_free.size, -1).T
+    _frozen(on_support, on_free, rows)
+    return on_support, on_free, rows
 
 
 @dataclass(frozen=True)
@@ -42,6 +154,8 @@ class TruncationGrid:
     ``caps[i]`` is the largest allowed exponent of the i-th variable;
     ``channels`` is the dimension m of the coefficient space.  The flat
     basis index of the monomial e_s z^k is ``ranks(k) * channels + s``.
+    Every index table it returns is shared with the other grids of the
+    same caps (and channels) and is read-only.
     """
 
     caps: tuple[int, ...]
@@ -61,33 +175,15 @@ class TruncationGrid:
     def nvars(self) -> int:
         return len(self.caps)
 
-    @cached_property
+    @property
     def multi_indices(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.exponents.tolist()))
+        return _multi_indices(self.caps)
 
-    @cached_property
+    @property
     def exponents(self) -> np.ndarray:
         """Every multi-index inside the caps as a read-only (ranks, nvars)
-        intp array, one per row in graded order: np.lexsort on the keys
-        (k_1, ..., k_n, |k|) sorts by |k| first, then by k_n, ..., k_1,
-        which is order_key order.
-        """
-        box = np.indices(tuple(c + 1 for c in self.caps), dtype=np.intp).reshape(self.nvars, -1)
-        out = box.T[np.lexsort((*box, box.sum(axis=0)))]
-        out.flags.writeable = False
-        return out
-
-    @cached_property
-    def _radix(self) -> tuple[np.ndarray, np.ndarray]:
-        """Mixed-radix place values and the rank of every mixed-radix code.
-
-        A multi-index k inside the caps has code sum_i k_i * place_i with
-        place_i = prod_{j<i} (caps_j + 1).  Only ranks reads these tables.
-        """
-        place = np.cumprod((1,) + tuple(c + 1 for c in self.caps[:-1]), dtype=np.intp)
-        rank_of_code = np.empty(len(self.exponents), dtype=np.intp)
-        rank_of_code[self.exponents @ place] = np.arange(len(rank_of_code))
-        return place, rank_of_code
+        intp array, one per row in graded order."""
+        return _exponents(self.caps)
 
     def ranks(self, exps) -> np.ndarray:
         """Ranks of the multi-indices along the last axis of an int array.
@@ -97,36 +193,21 @@ class TruncationGrid:
         The result has the shape of exps without its last axis, and
         multi_indices[ranks(k)] == k.
         """
-        place, rank_of_code = self._radix
-        return rank_of_code[np.asarray(exps) @ place]
+        return _ranks(self.caps, exps)
 
-    @cached_property
+    @property
     def _shift_pairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Read-only flat index maps (src, dst) of M_t, one per variable t.
-
-        M_t sends e_s z^j to e_s z^(j + e_t) when that stays inside the
-        caps and drops it otherwise, so (M_t x)[dst] = x[src].
-        """
-        pairs = []
-        for t in range(self.nvars):
-            src = np.flatnonzero(self.exponents[:, t] < self.caps[t])
-            dst = self.ranks(self.exponents[src] + (np.arange(self.nvars) == t))
-            src, dst = self._flat(src), self._flat(dst)
-            src.flags.writeable = False
-            dst.flags.writeable = False
-            pairs.append((src, dst))
-        return tuple(pairs)
+        """Read-only flat index maps (src, dst) of M_t, one per variable t:
+        (M_t x)[dst] = x[src]."""
+        return _shift_pairs(self.caps, self.channels)
 
     @property
     def dim(self) -> int:
         return len(self.exponents) * self.channels
 
     def with_channels(self, channels: int) -> "TruncationGrid":
-        """Same caps, the given coefficient-space dimension.
-
-        Returns self when the channel count is unchanged, so the cached
-        multi-index tables and shift index maps are reused.
-        """
+        """Same caps, the given coefficient-space dimension; self when the
+        channel count is unchanged."""
         if int(channels) == self.channels:
             return self
         return TruncationGrid(self.caps, channels)
@@ -135,8 +216,7 @@ class TruncationGrid:
 
     def _flat(self, ranks: np.ndarray) -> np.ndarray:
         """Flat indices of every channel of the given ranks, rank-major."""
-        m = self.channels
-        return (ranks[:, None] * m + np.arange(m)).ravel()
+        return _flat(ranks, self.channels)
 
     def shift(self, x: np.ndarray, t: int, adjoint: bool) -> np.ndarray:
         """M_t x, or M_t* x when adjoint, for x with one row per basis index:
@@ -150,6 +230,18 @@ class TruncationGrid:
         out = np.zeros_like(x)
         out[dst] = x[src]
         return out
+
+    def _tensor_rows(self, used: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(on_support, on_free, rows) for the variables used, in order, and
+        the free variables F, the others.
+
+        on_support are the ranks with k_F = 0, the support grid of used in
+        its own graded order; on_free the ranks with k_used = 0, the free
+        box.  rows[i, b] is the flat index in this grid of flat index i of
+        the support grid (with this grid's channels) tensored with free
+        monomial b: the rank of k_used + k_F, in the same channel.
+        """
+        return _tensor_rows(self.caps, self.channels, tuple(int(t) for t in used))
 
     # ---- distinguished index sets ---------------------------------------
 
@@ -165,8 +257,7 @@ class TruncationGrid:
             raise ValueError("one margin per variable")
         if any(w < 0 for w in margins):
             raise ValueError(f"margins must be nonnegative, got {margins}")
-        inside = np.all(self.exponents <= np.subtract(self.caps, margins), axis=1)
-        return self._flat(np.flatnonzero(inside))
+        return _window(self.caps, self.channels, margins)
 
     def top_slice_indices(self, t: int) -> np.ndarray:
         """Flat indices with k_t == caps[t].
@@ -175,4 +266,4 @@ class TruncationGrid:
         variable t satisfies S_t* S_t = I - E_t with E_t the orthogonal
         projection onto this slice.
         """
-        return self._flat(np.flatnonzero(self.exponents[:, t] == self.caps[t]))
+        return _top_slice(self.caps, self.channels, int(t))

@@ -281,10 +281,11 @@ def _toeplitz_split(symbol: AnalyticSymbol, grid: TruncationGrid,
     is the slice k_F = 0 in its own graded order.  Only the window columns
     of T are split; B_S and B_Q are the Kronecker products of that split's
     bases with the identity over the free box, one column per (free
-    monomial, support column), their rows scattered to
-    TruncationGrid.ranks of k_U + k_F.  discarded grows by the free box
-    size.  With no free variable the support grid is the grid and the
-    support split is returned as it is, its own core.  T is gathered in one
+    monomial, support column), their rows scattered to the ranks of
+    k_U + k_F by the grid's shared row map (TruncationGrid._tensor_rows).
+    discarded grows by the free box size.  With no free variable the
+    support grid is the grid and the support split is returned as it is,
+    its own core.  T is gathered in one
     np.ix_ slice from mt, the toeplitz_matrix(symbol, grid) a caller
     already built, or else built on the support grid.  When some variable
     is free, the support split is kept as the result's core (_factored).
@@ -292,12 +293,11 @@ def _toeplitz_split(symbol: AnalyticSymbol, grid: TruncationGrid,
     keys = (*symbol.numerator, *symbol.denominator)
     used = [t for t in range(grid.nvars) if any(k[t] for k in keys)] or [0]
     free = [t for t in range(grid.nvars) if t not in used]
-    exps = grid.exponents
-    on_support = np.flatnonzero(~exps[:, free].any(axis=1))
     support = TruncationGrid(tuple(grid.caps[t] for t in used)) if free else grid
     degrees = symbol.degrees
     keep = support.with_channels(symbol.cols).window_indices(tuple(degrees[t] for t in used))
     cod = grid.with_channels(symbol.rows)
+    on_support, on_free, rows = cod._tensor_rows(tuple(used))
     if mt is None:
         restricted = [{tuple(k[t] for t in used): v for k, v in part.items()}
                       for part in (symbol.numerator, symbol.denominator)]
@@ -309,10 +309,6 @@ def _toeplitz_split(symbol: AnalyticSymbol, grid: TruncationGrid,
     s, _ = subspace_from_columns(support.with_channels(symbol.rows), block)
     if not free:
         return s
-    on_free = np.flatnonzero(~exps[:, used].any(axis=1))
-    ranks = grid.ranks(exps[on_support, None] + exps[on_free])
-    # rows[i, b]: the grid row of support row i tensored with free monomial b
-    rows = cod._flat(ranks.T.ravel()).reshape(on_free.size, -1).T
     box = np.arange(on_free.size)
 
     def tensored(b: np.ndarray) -> np.ndarray:

@@ -6,12 +6,17 @@ the whole computation.
 """
 
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 from time import perf_counter
 
 import numpy as np
 import pytest
 
+import hardylab
 from hardylab.cli import main
 from hardylab.corpus import corpus_entries
 from hardylab.criteria import (
@@ -223,3 +228,27 @@ def test_criterion_7_cli_batch_byte_determinism(tmp_path):
                 json.loads(line)
         else:
             json.loads(first)  # single pretty document
+
+
+def test_in_process_reports_match_fresh_processes(tmp_path):
+    """The grid tables and the parser are shared by every call of a process,
+    so each shipped config, run in order and then in reverse in this
+    process, must give the report and exit code of a fresh process."""
+    configs = sorted(SCENARIO_DIR.glob("*.cfg"))
+    assert len(configs) == 10
+    src = str(Path(hardylab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv, fresh = {}, {}
+    for cfg in configs:
+        command = re.search(r"^command\s*=\s*(\S+)", cfg.read_text(), re.M).group(1)
+        argv[cfg.stem] = [command, "--config", str(cfg), "--out"]
+        out = tmp_path / f"fresh-{cfg.stem}.json"
+        code = subprocess.run([sys.executable, "-m", "hardylab.cli", *argv[cfg.stem], str(out)],
+                              env=env, capture_output=True).returncode
+        fresh[cfg.stem] = (code, out.read_bytes())
+    for phase, order in (("forward", configs), ("reverse", configs[::-1])):
+        for cfg in order:
+            out = tmp_path / f"{phase}-{cfg.stem}.json"
+            code = main([*argv[cfg.stem], str(out)])
+            assert (code, out.read_bytes()) == fresh[cfg.stem], (phase, cfg.stem)

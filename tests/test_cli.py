@@ -458,3 +458,27 @@ def test_failed_run_removes_the_temp_file(mono_cfg, tmp_path, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         run_cli(["check-beurling", "--config", mono_cfg, "--out", tmp_path / "r.json"])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["mono.cfg"]
+
+
+def test_one_parser_serves_every_call_and_keeps_nothing_between_them(mono_cfg, tmp_path,
+                                                                      monkeypatch, capsys):
+    """build_parser is built once per process; a call, a failing call and
+    another call with other --config, --out and environment values see only
+    their own settings."""
+    coord = tmp_path / "coord.cfg"
+    coord.write_text(COORD)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    monkeypatch.setenv("HARDYLAB_TOL", "1e-3")
+    assert run_cli(["check-beurling", "--config", mono_cfg, "--out", first, "--degree", "5,5"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["check-beurling", "--config", coord, "--bogus"])
+    assert exc.value.code == 2
+    assert "--bogus" in capsys.readouterr().err
+    monkeypatch.delenv("HARDYLAB_TOL")
+    assert run_cli(["check-beurling", "--config", coord, "--out", second]) == 0
+    assert cli.build_parser() is cli.build_parser()
+    one, two = json.loads(first.read_text()), json.loads(second.read_text())
+    assert (one["scenario_id"], one["caps"], one["tolerance"]) == ("mono", [5, 5], 1e-3)
+    # one pretty document: the first call's --config was not appended to
+    assert (two["scenario_id"], two["caps"], two["tolerance"]) == ("coord", [3, 3], 1e-8)
+    assert capsys.readouterr().out == ""

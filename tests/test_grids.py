@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dense
+from hardylab import grids
 from hardylab.grids import TruncationGrid, order_key
 
 
@@ -204,3 +205,114 @@ def test_shift_is_the_dense_shift_and_its_adjoint(caps, channels):
     for t in (-1, g.nvars):
         with pytest.raises(ValueError, match="out of range"):
             g.shift(x, t, adjoint=False)
+
+
+# ---- index tables shared per caps --------------------------------------------
+
+def _builders():
+    return (grids._exponents, grids._multi_indices, grids._radix, grids._shift_pairs,
+            grids._window, grids._top_slice, grids._tensor_rows)
+
+
+def test_grids_of_the_same_caps_share_their_tables():
+    a, b = TruncationGrid((6, 6, 6)), TruncationGrid((6, 6, 6))
+    assert a is not b
+    assert a.exponents is b.exponents and a.multi_indices is b.multi_indices
+    assert a._shift_pairs is b._shift_pairs
+    assert a.window_indices((1, 2, 3)) is b.window_indices([1, 2, 3])
+    assert a.top_slice_indices(1) is b.top_slice_indices(1)
+    assert a._tensor_rows((0, 2)) is b._tensor_rows([0, 2])
+    two = a.with_channels(2)
+    assert two.exponents is a.exponents and two.multi_indices is a.multi_indices
+    assert two._shift_pairs is not a._shift_pairs
+    assert two.window_indices((1, 2, 3)) is not a.window_indices((1, 2, 3))
+    np.testing.assert_array_equal(two._shift_pairs[0][0][::2], 2 * a._shift_pairs[0][0])
+
+
+def test_every_shared_table_is_read_only():
+    g = TruncationGrid((6, 6, 6), channels=2)
+    tables = [g.exponents, *grids._radix(g.caps), *(m for pair in g._shift_pairs for m in pair),
+              g.window_indices((1, 1, 1)), g.top_slice_indices(2), *g._tensor_rows((1,))]
+    assert len(tables) == 14 and all(t.size for t in tables)
+    for table in tables:
+        assert table.flags.writeable is False
+        with pytest.raises(ValueError, match="read-only"):
+            table[:1] = 0
+
+
+def test_the_tensor_row_map_is_the_rank_of_each_sum():
+    g = TruncationGrid((2, 1, 3), channels=2)
+    for used in [(0,), (1,), (0, 2), (0, 1, 2)]:
+        on_support, on_free, rows = g._tensor_rows(used)
+        free = [t for t in range(3) if t not in used]
+        exps = np.array(g.multi_indices)
+        np.testing.assert_array_equal(on_support, np.flatnonzero(~exps[:, free].any(axis=1)))
+        np.testing.assert_array_equal(on_free, np.flatnonzero(~exps[:, list(used)].any(axis=1)))
+        assert rows.shape == (on_support.size * g.channels, on_free.size)
+        for i in range(rows.shape[0]):
+            for b in range(rows.shape[1]):
+                k = exps[on_support[i // g.channels]] + exps[on_free[b]]
+                assert rows[i, b] == dense.flat(g, tuple(int(a) for a in k), i % g.channels)
+
+
+def _corpus_pass(seed):
+    from hardylab import criteria
+    from hardylab.corpus import corpus_entries
+
+    for entry in corpus_entries(seed):
+        sub = entry.subspace()
+        data = criteria.quotient_data(sub, margins=entry.margins)
+        criteria.beurling_criterion(data, tol=1e-6)
+        criteria.cross_commutator_criterion(sub, margins=entry.margins, tol=1e-6)
+        criteria.identity_suite(data, tol=1e-6)
+
+
+def test_a_corpus_pass_builds_each_table_once():
+    """12 distinct caps and 13 (caps, channels) pairs in corpus_entries(1):
+    one build each, and none on a second pass."""
+    for build in _builders():
+        build.cache_clear()
+    _corpus_pass(1)
+    assert grids._exponents.cache_info().misses <= 12
+    assert grids._shift_pairs.cache_info().misses <= 13
+    built = [build.cache_info().misses for build in _builders()]
+    _corpus_pass(1)
+    assert [build.cache_info().misses for build in _builders()] == built
+
+
+def _arrays(table) -> list:
+    """The arrays of a table, depth first."""
+    if isinstance(table, np.ndarray):
+        return [table]
+    return [a for part in table for a in _arrays(part)]
+
+
+def test_each_table_cache_stays_at_its_bound():
+    bound = grids.TABLE_CACHE
+    first = TruncationGrid((0, 1), channels=2)
+
+    def tables(g):
+        return (g.exponents, grids._radix(g.caps), g._shift_pairs, g.window_indices((0, 1)),
+                g.top_slice_indices(1), g._tensor_rows((1,)))
+
+    kept = tables(first)
+    for c in range(bound + 5):
+        g = TruncationGrid((c, 2), channels=2)
+        tables(g)
+        assert len(g.multi_indices) == len(g.exponents)
+    for build in _builders():
+        assert build.cache_info().currsize == bound, build
+    # first's tables were evicted: its next read builds them again, equal
+    # to a build that bypasses the caches
+    again = tables(first)
+    assert all(new is not old for new, old in zip(again, kept))
+    caps = first.caps
+    fresh = (grids._exponents.__wrapped__(caps), grids._radix.__wrapped__(caps),
+             grids._shift_pairs.__wrapped__(caps, 2),
+             grids._window.__wrapped__(caps, 2, (0, 1)),
+             grids._top_slice.__wrapped__(caps, 2, 1),
+             grids._tensor_rows.__wrapped__(caps, 2, (1,)))
+    assert len(_arrays(again)) == len(_arrays(fresh)) == 12
+    for new, want in zip(_arrays(again), _arrays(fresh)):
+        np.testing.assert_array_equal(new, want)
+    np.testing.assert_array_equal(first.exponents, dense.multi_indices(caps))
