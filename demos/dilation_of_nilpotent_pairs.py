@@ -2,8 +2,9 @@
 
 A commuting pair of pure contractions (T1, T2) with PSD alternating
 defect sum co-extends to the coordinate shifts on a vector-valued
-truncated Hardy space: the map Pi sends x to the family D (T*)^k x, read
-as Taylor coefficients against the defect space.  Finite caps make Pi a
+truncated Hardy space: the map Pi sends x to the family R (T*)^k x, read
+as Taylor coefficients against the defect space, where R = B* D^(1/2) is
+the root of the defect sum D on its range (B an orthonormal basis of it).  Finite caps make Pi a
 finite matrix; the construction reports
 
   isometry_residual      || Pi* Pi - I ||
@@ -35,10 +36,10 @@ def jordan_pair():
 
 def exact_nilpotent_case():
     pair = jordan_pair()
-    defect, psd, basis = brehmer_defect(pair)
+    defect, psd, root = brehmer_defect(pair)
     print("Jordan-block pair (N/2, N^2/2):")
     print(f"  defect sum diagonal {np.diag(defect).real} (PSD: {psd},"
-          f" rank {basis.shape[1]})")
+          f" rank {root.shape[0]})")
     d = canonical_dilation(pair, (4, 4))
     print(f"  isometry residual     {d.isometry_residual:.3e}")
     print(f"  intertwining residual {d.intertwining_residual:.3e}")

@@ -43,7 +43,6 @@ from .criteria import (
     beurling_criterion,
     cross_commutator_criterion,
     identity_suite,
-    psd_sqrt,
     quotient_data,
     shift_power,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "beurling_criterion",
     "cross_commutator_criterion",
     "identity_suite",
-    "psd_sqrt",
     "shift_power",
     "ContractionTuple",
     "PurenessReport",

@@ -80,7 +80,6 @@ __all__ = [
     "beurling_criterion",
     "cross_commutator_criterion",
     "identity_suite",
-    "psd_sqrt",
     "shift_power",
 ]
 
@@ -438,14 +437,4 @@ def identity_suite(data: QuotientData, tol: float = 1e-8) -> CriterionReport:
 def _lambda_min(a: np.ndarray) -> float:
     """Least eigenvalue of a Hermitian matrix, 0.0 when it is empty."""
     return float(np.linalg.eigvalsh(a)[0]) if a.size else 0.0
-
-
-def psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix, clamping at zero."""
-    a = np.asarray(a, dtype=complex)
-    if a.size == 0:
-        return a.copy()
-    w, v = np.linalg.eigh((a + a.conj().T) / 2)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
 

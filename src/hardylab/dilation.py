@@ -1,14 +1,14 @@
 """Commuting contraction tuples and their canonical shift dilations.
 
-A tuple whose alternating defect sum is PSD and whose entries are pure
+A tuple whose alternating defect sum D is PSD and whose entries are pure
 embeds isometrically into a truncated vector-valued Hardy grid: the row of
-the embedding at multi-index k is D T*^k, with D the positive square root
-of the defect sum.  On a finite grid the construction is exact for
-nilpotent tuples once the caps reach the nilpotency indices, and that
-exactness is verified, not assumed: the isometry and intertwining residuals
-are computed and reported every time.  The shifts are applied by
-TruncationGrid.shift, never as dense matrices, and the defect sum of a
-tuple is formed in n steps, D <- D - T_i D T_i* from D = I.
+the embedding at multi-index k is R T*^k, with R = B* D^(1/2) the root of
+D on its range.  On a finite grid the construction is exact for nilpotent
+tuples once the caps reach the nilpotency indices, and that exactness is
+verified, not assumed: the isometry and intertwining residuals are
+computed and reported every time.  The shifts are applied by
+TruncationGrid.shift, never as dense matrices.  D is formed in n steps,
+D <- D - T_i D T_i* from D = I, and decomposed only by brehmer_defect.
 
 The same circle of ideas runs backwards: compressing the coordinate shifts
 to the quotient of an inner-symbol submodule yields a tuple whose defect
@@ -26,7 +26,6 @@ import numpy as np
 from .criteria import (
     CriterionReport,
     beurling_criterion,
-    psd_sqrt,
     quotient_data,
 )
 from .grids import TruncationGrid
@@ -104,27 +103,32 @@ class ContractionTuple:
         return self.matrices[0].shape[0]
 
 
-def brehmer_defect(t: ContractionTuple):
-    """Alternating defect sum, its PSD verdict, and a defect-space basis.
-
-    defect = sum over subsets F of (-1)^|F| T_F T_F*, PSD when its least
-    eigenvalue is at least -EIG_TOL, or when the space is {0}.  For
-    commuting entries the sum factors as the composition of the maps
-    X -> X - T_i X T_i*, so it is formed in n steps D <- D - T_i D T_i*
-    from D = I, not subset by subset.  The
-    returned basis spans the range of the clamped square root: the
-    eigenvectors whose eigenvalue exceeds RANK_TOL times the largest.
-    """
+def _defect_sum(t: ContractionTuple) -> np.ndarray:
+    """D = sum over subsets F of (-1)^|F| T_F T_F*, symmetrized, as the n
+    steps D <- D - T_i D T_i* from D = I (one per commuting entry)."""
     defect = np.eye(t.dim, dtype=complex)
     for m in t.matrices:
         defect = defect - m @ defect @ m.conj().T
-    defect = (defect + defect.conj().T) / 2
+    return (defect + defect.conj().T) / 2
+
+
+def brehmer_defect(t: ContractionTuple):
+    """Alternating defect sum D (_defect_sum), its PSD verdict, and its
+    root on its range, from one eigendecomposition D = V W V*.
+
+    D is PSD when its least eigenvalue is at least -EIG_TOL, or when the
+    space is {0}.  root = B* D^(1/2) (r x dim), with the clamped root
+    D^(1/2) = V sqrt(max(W, 0)) V* and B the eigenvectors whose eigenvalue
+    exceeds RANK_TOL times the largest: r is the defect rank, and root* root
+    is D with its negative eigenvalues set to zero.
+    """
+    defect = _defect_sum(t)
     w, v = np.linalg.eigh(defect)
     psd = bool(w.size == 0 or w[0] >= -EIG_TOL)
     top = float(w[-1]) if w.size else 0.0
     keep = w > max(RANK_TOL * max(top, 0.0), 0.0)
-    basis = v[:, keep]
-    return defect, psd, basis
+    root = v[:, keep].conj().T @ ((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
+    return defect, psd, root
 
 
 @dataclass(frozen=True)
@@ -158,8 +162,6 @@ def pureness_check(t_i: np.ndarray) -> PurenessReport:
 @dataclass(frozen=True)
 class DilationData:
     grid: TruncationGrid
-    defect_sq: np.ndarray
-    defect_space_basis: np.ndarray
     pi: np.ndarray
     isometry_residual: float
     intertwining_residuals: tuple
@@ -171,7 +173,8 @@ class DilationData:
 
 
 def canonical_dilation(t: ContractionTuple, caps, tail_tol: float = 1e-8) -> DilationData:
-    """Assemble the row map Pi with rows D T*^k on the truncated grid.
+    """Assemble the row map Pi with rows R T*^k on the truncated grid,
+    R the defect root of brehmer_defect and its row count r the channels.
 
     Preconditions (PSD defect and pure entries, as brehmer_defect and
     pureness_check decide them) are enforced.  The truncation is certified
@@ -182,7 +185,7 @@ def canonical_dilation(t: ContractionTuple, caps, tail_tol: float = 1e-8) -> Dil
     caps = tuple(int(c) for c in caps)
     if len(caps) != t.n:
         raise ValueError(f"need {t.n} caps, got {len(caps)}")
-    defect, psd, basis = brehmer_defect(t)
+    defect, psd, root = brehmer_defect(t)
     if not psd:
         w = np.linalg.eigvalsh(defect)
         raise DilationError(f"defect sum is not PSD: min eigenvalue {w[0]:.3e}")
@@ -192,32 +195,27 @@ def canonical_dilation(t: ContractionTuple, caps, tail_tol: float = 1e-8) -> Dil
             raise DilationError(
                 f"matrix {i} is not pure ({rep.rule} = {rep.value:.3e})"
             )
-    r = basis.shape[1]
+    r = root.shape[0]
     if r == 0:
         raise DilationError("defect space is trivial; nothing to dilate into")
     grid = TruncationGrid(caps, channels=r)
-    d_root = psd_sqrt(defect)
-    rows_in_defect = basis.conj().T @ d_root   # r x dim, rows in defect coordinates
 
-    # adjoint powers T*^k, filled along the graded order via one-step parents
+    # T*^k = T_i* T*^(k - e_i), i the first variable with k_i > 0, by rank
     adj = [m.conj().T for m in t.matrices]
-    powers = {}
-    for k in grid.multi_indices:
-        if sum(k) == 0:
-            powers[k] = np.eye(t.dim, dtype=complex)
-            continue
-        i = next(idx for idx, ki in enumerate(k) if ki > 0)
-        parent = tuple(ki - (1 if idx == i else 0) for idx, ki in enumerate(k))
-        powers[k] = adj[i] @ powers[parent]
+    exps = grid.exponents
+    first = np.argmax(exps[1:] > 0, axis=1)
+    parents = grid.ranks(exps[1:] - np.eye(t.n, dtype=exps.dtype)[first])
+    stack = np.empty((len(exps), t.dim, t.dim), dtype=complex)
+    stack[0] = np.eye(t.dim, dtype=complex)
+    for rank, (i, parent) in enumerate(zip(first, parents), start=1):
+        stack[rank] = adj[i] @ stack[parent]
+    # rows rank(k) * r .. rank(k) * r + r - 1 of Pi are R T*^k
+    pi = (root @ stack).reshape(grid.dim, t.dim)
 
-    # rows rank(k) * r .. rank(k) * r + r - 1 of Pi are D T*^k in defect coordinates
-    stack = np.stack([powers[k] for k in grid.multi_indices])
-    pi = (rows_in_defect @ stack).reshape(grid.dim, t.dim)
-
-    # the dropped shell in variable i: D T_i* T*^k for every k with k_i = caps_i
+    # the dropped shell in variable i: R T_i* T*^k for every k with k_i = caps_i
     tail = 0.0
     for i in range(t.n):
-        dropped = (rows_in_defect @ adj[i]) @ stack[grid.exponents[:, i] == caps[i]]
+        dropped = (root @ adj[i]) @ stack[exps[:, i] == caps[i]]
         tail += float(np.sum(np.abs(dropped) ** 2))
     if tail > tail_tol:
         raise DilationError(
@@ -227,8 +225,6 @@ def canonical_dilation(t: ContractionTuple, caps, tail_tol: float = 1e-8) -> Dil
 
     return DilationData(
         grid=grid,
-        defect_sq=defect,
-        defect_space_basis=basis,
         pi=pi,
         isometry_residual=spectral_norm(pi.conj().T @ pi - np.eye(t.dim)),
         intertwining_residuals=tuple(spectral_norm(pi @ adj[i] - grid.shift(pi, i, adjoint=True))
@@ -267,7 +263,7 @@ def model_correspondence(source, caps=None, tol: float = 1e-8, margins=None) -> 
         if caps is None:
             raise ValueError("symbol input needs grid caps")
         grid = TruncationGrid(tuple(caps))
-        s = submodule_projection(source, grid)
+        s = submodule_projection(source, grid, inner_tol=tol)
         data = quotient_data(s, margins=eval_margins(source) if margins is None else margins)
         worst = beurling_criterion(data, tol=tol).residuals["beurling_defect_product"]
         residuals["annihilation"] = worst
@@ -282,7 +278,7 @@ def model_correspondence(source, caps=None, tol: float = 1e-8, margins=None) -> 
         verdicts["annihilation"] = worst <= tol
         name = "model_correspondence_tuple"
 
-    defect, psd, _ = brehmer_defect(extracted)
+    defect = _defect_sum(extracted)
     min_eig = float(np.linalg.eigvalsh(defect)[0]) if defect.size else 0.0
     residuals["brehmer_min_eig"] = min_eig
     verdicts["brehmer_min_eig"] = min_eig >= -tol

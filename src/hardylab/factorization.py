@@ -87,19 +87,15 @@ class FactorizationWitness:
         return self.m_basis.shape[1]
 
 
-def _division_margins(theta, phi, margins):
-    if margins is not None:
-        return tuple(int(m) for m in margins)
-    return tuple(max(a, b) for a, b in zip(eval_margins(theta), eval_margins(phi)))
-
-
 def _divide(theta: AnalyticSymbol, phi: AnalyticSymbol, grid: TruncationGrid,
             tol: float, margins):
     if theta.nvars != phi.nvars or theta.nvars != grid.nvars:
         raise ValueError("theta, phi, and the grid must share the variable count")
     if theta.rows != phi.rows:
         raise ValueError("theta and phi must map into the same channel space")
-    margins = _division_margins(theta, phi, margins)
+    if margins is None:
+        margins = tuple(max(a, b) for a, b in zip(eval_margins(theta), eval_margins(phi)))
+    margins = tuple(int(m) for m in margins)
 
     _innerness_gate(phi, grid, tol)
     mp = toeplitz_matrix(phi, grid)
@@ -121,11 +117,10 @@ def _divide(theta: AnalyticSymbol, phi: AnalyticSymbol, grid: TruncationGrid,
 
     # psi is read off the constant-monomial columns of X = M_phi^* M_theta
     x0 = mp.conj().T @ mt[:, :theta.cols]
-    coeffs = {}
     rows, cols = phi.cols, theta.cols
-    for k, block in zip(grid.multi_indices, x0.reshape(-1, rows, cols)):
-        if np.abs(block).max() > COEFF_CUTOFF:
-            coeffs[k] = block
+    blocks = x0.reshape(-1, rows, cols)
+    kept = np.abs(blocks).max(axis=(1, 2)) > COEFF_CUTOFF
+    coeffs = {k: block for k, block, keep in zip(grid.multi_indices, blocks, kept) if keep}
     if not coeffs:
         coeffs[(0,) * grid.nvars] = np.zeros((rows, cols))
     psi = AnalyticSymbol.polynomial(coeffs, grid.nvars, rows=rows, cols=cols)

@@ -214,6 +214,12 @@ class TruncationGrid:
 
     # ---- indexing -------------------------------------------------------
 
+    def _variable(self, t: int) -> int:
+        """t as an int, after checking that it names a variable."""
+        if not 0 <= t < self.nvars:
+            raise ValueError(f"variable {t} out of range for n={self.nvars}")
+        return int(t)
+
     def _flat(self, ranks: np.ndarray) -> np.ndarray:
         """Flat indices of every channel of the given ranks, rank-major."""
         return _flat(ranks, self.channels)
@@ -222,9 +228,7 @@ class TruncationGrid:
         """M_t x, or M_t* x when adjoint, for x with one row per basis index:
         (M_t x)[dst] = x[src] and (M_t* x)[src] = x[dst] for the index map
         (src, dst) of M_t, every other row zero."""
-        if not 0 <= t < self.nvars:
-            raise ValueError(f"variable {t} out of range for n={self.nvars}")
-        src, dst = self._shift_pairs[t]
+        src, dst = self._shift_pairs[self._variable(t)]
         if adjoint:
             src, dst = dst, src
         out = np.zeros_like(x)
@@ -266,4 +270,4 @@ class TruncationGrid:
         variable t satisfies S_t* S_t = I - E_t with E_t the orthogonal
         projection onto this slice.
         """
-        return _top_slice(self.caps, self.channels, int(t))
+        return _top_slice(self.caps, self.channels, self._variable(t))

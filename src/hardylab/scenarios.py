@@ -381,7 +381,7 @@ def _run_dilate(s: Scenario):
         "isometry": data.isometry_residual <= s.tol,
         "intertwining": data.intertwining_residual <= s.tol,
     }
-    details = {"defect_rank": int(data.defect_space_basis.shape[1])}
+    details = {"defect_rank": data.grid.channels}
     return residuals, verdicts, details, caps
 
 

@@ -3,7 +3,8 @@ or entry by entry.
 
 The library holds a subspace as orthonormal bases and its compressions as
 q x q blocks in Q coordinates, and lays Toeplitz matrices out in one
-scatter; the dim x dim forms below are what tests compare those against.
+scatter; the dim x dim forms below are what tests compare those against,
+and psd_sqrt is the square root a dilation's defect root is checked by.
 The last three references are the plain formulas that the grid order, the
 innerness certificate and the norm scale are built from in whole-array
 numpy; tests require bit-identical results from both.  The index helpers
@@ -71,6 +72,12 @@ def toeplitz(symbol, grid):
             if min(d) >= 0:
                 out[rk * p:(rk + 1) * p, rj * q:(rj + 1) * q] = table[rank[d]]
     return out
+
+
+def psd_sqrt(a):
+    """Principal square root of a Hermitian PSD matrix, clamping at zero."""
+    w, v = np.linalg.eigh((a + a.conj().T) / 2)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
 
 def multi_indices(caps):

@@ -119,6 +119,19 @@ def test_symbol_file_replaces_the_config_symbol_block(tmp_path, capsys):
     assert doc["status"] == "ok" and doc["verdicts"]["verdicts_agree"] is True
 
 
+@pytest.mark.parametrize("command", ["check-brehmer", "check-beurling"])
+def test_symbol_innerness_gate_uses_the_run_tol(command, tmp_path, capsys):
+    # (1 + 1e-10) z1 z2 has innerness deviation 2e-10: inside 1e-8, not 1e-12
+    sym = tmp_path / "sym.txt"
+    sym.write_text("numerator\n1 1 0 0 1.0000000001 0.0\n")
+    argv = [command, "--symbol-file", sym, "--degree", "4,4", "--tol"]
+    assert run_cli(argv + ["1e-12"]) == 1
+    assert json.loads(capsys.readouterr().out)["status"].startswith(
+        "error: symbol is not inner at tolerance 1e-12")
+    assert run_cli(argv + ["1e-8"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
+
+
 def test_adhoc_symbol_file(tmp_path, capsys):
     sym = tmp_path / "sym.txt"
     sym.write_text("numerator\n1 1 0 0 1.0 0.0\n")

@@ -22,7 +22,6 @@ from hardylab.criteria import (
     beurling_criterion,
     cross_commutator_criterion,
     identity_suite,
-    psd_sqrt,
     quotient_data,
     shift_power,
 )
@@ -217,14 +216,6 @@ def test_shift_power():
     np.testing.assert_array_equal(m @ dense.unit(g, (1, 1)), np.zeros(g.dim))
     with pytest.raises(ValueError):
         shift_power(mats, (-1, 0))
-
-
-def test_psd_sqrt_clamps_and_squares():
-    a = np.array([[2.0, 0.0], [0.0, 0.0]], dtype=complex)
-    r = psd_sqrt(a)
-    np.testing.assert_allclose(r @ r, a, atol=1e-12)
-    tiny = psd_sqrt(np.array([[-1e-14]], dtype=complex))
-    assert tiny[0, 0] == 0.0
 
 
 @settings(max_examples=15)

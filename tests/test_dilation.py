@@ -1,11 +1,14 @@
 """Dilation of commuting contraction tuples into truncated shift grids."""
 
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
-from hardylab.criteria import psd_sqrt, quotient_data, shift_power
+import dense
+from hardylab import dilation
+from hardylab.criteria import quotient_data, shift_power
 from hardylab.dilation import (
     ContractionTuple,
     DilationError,
@@ -18,7 +21,7 @@ from hardylab.dilation import (
 )
 from hardylab.grids import TruncationGrid
 from hardylab.operators import shift_matrices, spectral_norm
-from hardylab.subspaces import submodule_projection
+from hardylab.subspaces import RANK_TOL, submodule_projection
 from hardylab.symbols import AnalyticSymbol
 
 
@@ -57,11 +60,11 @@ def test_power_multiplies_entries():
 
 def test_zero_pair_defect_is_one():
     t = ContractionTuple.checked((np.zeros((1, 1)), np.zeros((1, 1))))
-    defect, psd, basis = brehmer_defect(t)
+    defect, psd, root = brehmer_defect(t)
     assert psd
     assert defect.shape == (1, 1)
     assert defect[0, 0] == 1.0
-    assert basis.shape == (1, 1)
+    assert root.shape == (1, 1)
 
 
 def test_full_shift_defect_is_constants_projection():
@@ -69,21 +72,21 @@ def test_full_shift_defect_is_constants_projection():
     # constant monomial, with no rounding at all
     grid = TruncationGrid((3, 3))
     t = ContractionTuple(tuple(shift_matrices(grid)))
-    defect, psd, basis = brehmer_defect(t)
+    defect, psd, root = brehmer_defect(t)
     expected = np.zeros((grid.dim, grid.dim))
     expected[0, 0] = 1.0
     assert psd
     assert np.max(np.abs(defect - expected)) == 0.0
-    assert basis.shape[1] == 1
+    assert root.shape == (1, grid.dim)
 
 
 def test_jordan_pair_defect_diagonal():
-    defect, psd, basis = brehmer_defect(jordan_pair())
+    defect, psd, root = brehmer_defect(jordan_pair())
     assert psd
     off = defect - np.diag(np.diag(defect))
     assert np.max(np.abs(off)) == 0.0
     assert np.allclose(np.diag(defect).real, [9 / 16, 1 / 2, 3 / 4, 1], atol=0)
-    assert basis.shape[1] == 4
+    assert root.shape == (4, 4)
 
 
 def test_defect_in_n_steps_is_the_subset_sum():
@@ -104,6 +107,42 @@ def test_defect_in_n_steps_is_the_subset_sum():
             want += (-1) ** r * tf @ tf.conj().T
     defect, _, _ = brehmer_defect(t)
     assert np.max(np.abs(defect - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_root_squares_to_the_clamped_defect(seed):
+    defect, psd, root = brehmer_defect(random_brehmer_pair(seed, 8))
+    clamped = dense.psd_sqrt(defect) @ dense.psd_sqrt(defect)
+    assert psd
+    assert np.max(np.abs(root.conj().T @ root - clamped)) <= 1e-14
+
+
+def test_root_clamps_a_tiny_negative_eigenvalue():
+    # T1 = T2 = s N with 1 - 2 s^2 = -1e-12: the defect diag(-1e-12, 1)
+    # passes as PSD, and its root keeps only the unit eigenvalue
+    s = np.sqrt((1 + 1e-12) / 2)
+    n = s * np.diag(np.ones(1), 1)
+    defect, psd, root = brehmer_defect(ContractionTuple.checked((n, n)))
+    assert psd and defect[0, 0].real < 0
+    assert root.shape == (1, 2)
+    assert np.max(np.abs(root.conj().T @ root - np.diag([0.0, 1.0]))) <= 1e-14
+
+
+def test_the_defect_is_decomposed_once(monkeypatch):
+    t = random_brehmer_pair(3, 8)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(dilation.np.linalg, "eigh", counted)
+    canonical_dilation(t, (8, 8), tail_tol=1e-12)
+    assert calls == [(8, 8)]
+    calls.clear()
+    model_correspondence(t)
+    assert calls == []
 
 
 def test_equal_nilpotent_pair_defect_not_psd():
@@ -181,6 +220,17 @@ def test_random_pair_is_deterministic():
     b = random_brehmer_pair(7)
     for x, y in zip(a.matrices, b.matrices):
         assert np.array_equal(x, y)
+
+
+def test_random_pairs_keep_their_draws():
+    # the seeded pairs are benchmark inputs: their bytes must not move
+    digest = hashlib.sha256()
+    for seed in range(4):
+        for size in (4, 8):
+            for m in random_brehmer_pair(seed, size).matrices:
+                digest.update(m.tobytes())
+    assert digest.hexdigest() == (
+        "aef3e573df0f4ceeaff0245e5ec9a1db4fa7ed8e754ead0ac1f4c0768f0b6302")
 
 
 def test_scalar_pair_needs_large_grid():
@@ -375,18 +425,21 @@ def test_dilation_matches_dense_formulas(name):
     t, caps, tail_tol = DILATIONS[name]
     d = canonical_dilation(t, caps, tail_tol=tail_tol)
     grid = d.grid
-    root = psd_sqrt(d.defect_sq)
+    defect = brehmer_defect(t)[0]
+    w, v = np.linalg.eigh(defect)
+    basis = v[:, w > RANK_TOL * w[-1]]
+    root = basis.conj().T @ dense.psd_sqrt(defect)
+    assert grid.channels == basis.shape[1]
     pi = np.zeros((grid.dim, t.dim), dtype=complex)
     for k in grid.multi_indices:
-        block = d.defect_space_basis.conj().T @ root @ shift_power(
-            [m.conj().T for m in t.matrices], k)
+        block = root @ shift_power([m.conj().T for m in t.matrices], k)
         for s in range(grid.channels):
             pi[int(grid.ranks(k)) * grid.channels + s] = block[s]
     assert np.max(np.abs(d.pi - pi)) <= 1e-13
     assert abs(d.isometry_residual - spectral_norm(pi.conj().T @ pi - np.eye(t.dim))) <= 1e-13
-    dense = [spectral_norm(pi @ m.conj().T - shift.conj().T @ pi)
-             for m, shift in zip(t.matrices, shift_matrices(grid))]
-    np.testing.assert_allclose(d.intertwining_residuals, dense, rtol=0, atol=1e-13)
+    want = [spectral_norm(pi @ m.conj().T - shift.conj().T @ pi)
+            for m, shift in zip(t.matrices, shift_matrices(grid))]
+    np.testing.assert_allclose(d.intertwining_residuals, want, rtol=0, atol=1e-13)
     assert d.intertwining_residual <= 1e-10
 
 

@@ -93,6 +93,14 @@ def test_top_slice_indices():
     assert top1 == {(0, 1), (1, 1), (2, 1)}
 
 
+@pytest.mark.parametrize("t", [-1, 2])
+def test_top_slice_indices_rejects_a_variable_out_of_range(t):
+    # the check and message of shift, not numpy's negative indexing or IndexError
+    g = TruncationGrid((2, 1))
+    with pytest.raises(ValueError, match=f"variable {t} out of range for n=2"):
+        g.top_slice_indices(t)
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         TruncationGrid((2, -1))
