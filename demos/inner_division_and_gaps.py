@@ -1,12 +1,13 @@
 """Dividing inner symbols and auditing the gap between their submodules.
 
 If theta = phi psi with all three inner, then theta H^2 sits inside
-phi H^2, and the quotient operation is matrix division on the truncated
-grid: X = M_phi* M_theta recovers the coefficient table of psi row by
-row.  The wrapper checks four residuals before accepting a division
-(containment, analyticity of the quotient, isometry of psi, and exact
-reconstruction), so a non-divisible pair is rejected rather than
-mis-divided.
+phi H^2.  Division happens in coefficient space: with phi = N_phi / q_phi
+and theta = N_theta / q_theta, the numerator P of psi = P / q_theta solves
+N_phi P = N_theta q_phi, a finite identity of polynomial coefficients.  The
+division checks two residuals before accepting it (divisibility, the
+relative residual of that solve, and the innerness of psi), so a
+non-divisible pair is rejected rather than mis-divided.  No grid enters,
+so a rational division is exact whatever the truncation.
 
 The interesting object is the gap M = (phi H^2) minus (theta H^2): it is
 jointly invariant under the shifts, and the two descriptions of the same
@@ -34,7 +35,7 @@ def polynomial_roundtrip():
     phi = AnalyticSymbol.monomial((1, 0))
     grid = TruncationGrid((6, 6))
 
-    psi = divide_inner(theta, phi, grid)
+    psi = divide_inner(theta, phi)
     print("z1 z2 divided by z1 gives psi with coefficients:")
     print("  " + dump_coefficient_text(psi).strip().replace("\n", "\n  "))
 
@@ -51,22 +52,22 @@ def polynomial_roundtrip():
 
 
 def rational_roundtrip():
-    # theta = b_a(z1) * z2 divided by phi = b_a(z1), a = 0.04
-    a = 0.04
+    # theta = b_a(z1) * z2 divided by phi = b_a(z1), a = 0.6
+    a = 0.6
     theta = AnalyticSymbol.rational(
         {(1, 1): 1.0, (0, 1): -a}, {(0, 0): 1.0, (1, 0): -a}, nvars=2
     )
     phi = AnalyticSymbol.rational(
         {(1, 0): 1.0, (0, 0): -a}, {(0, 0): 1.0, (1, 0): -a}, nvars=2
     )
-    grid = TruncationGrid((8, 8))
-    psi = divide_inner(theta, phi, grid, margins=(4, 4))
-    print(f"b_{a}(z1) z2 divided by b_{a}(z1): recovered coefficients")
-    for k, v in sorted(psi.numerator.items()):
-        print(f"  z^{k}: {v[0, 0].real:.15g}")
-    print("(the quotient is z2 up to a truncation remnant below 1e-11; rational")
-    print(" division needs wider margins because the divisor's truncated column")
-    print(" space pollutes the top rows)")
+    psi = divide_inner(theta, phi)
+    print(f"b_{a}(z1) z2 divided by b_{a}(z1): psi = P / q_theta with")
+    for part, coeffs in (("P", psi.numerator), ("q_theta", psi.denominator)):
+        terms = ", ".join(f"z^{k}: {complex(np.ravel(v)[0]).real:.15g}"
+                          for k, v in sorted(coeffs.items()))
+        print(f"  {part:<8} {terms}")
+    print("(z2 (1 - a z1) / (1 - a z1): the quotient is z2, reported with the")
+    print(" common factor of P and q_theta left in place)")
     print()
 
 
@@ -74,7 +75,7 @@ def rejected_division():
     theta = AnalyticSymbol.monomial((0, 2))
     phi = AnalyticSymbol.monomial((1, 0))
     try:
-        divide_inner(theta, phi, TruncationGrid((5, 5)))
+        divide_inner(theta, phi)
     except FactorizationError as exc:
         print(f"z2^2 divided by z1 is refused: {exc}")
 

@@ -3,13 +3,20 @@
 When theta = phi * psi with all three inner, the submodule of theta sits
 inside the submodule of phi, and the gap M = S_phi minus S_theta is a
 shift-invariant piece of the quotient of theta.  Division is carried out
-at the matrix level: X = M_phi^* M_theta is the unique contraction mapping
-onto the quotient symbol.  Only its constant-monomial columns are formed,
-which give psi, and its analytic (shift-commuting) structure is verified on
-the core window rather than assumed, as the distance of X from M_psi on the
-window rows and the window columns with their one-step shifts, because a
-truncation that is too small can fake containment without producing a
-genuine factor.
+in coefficient space, not on the grid.  Write phi = N_phi / q_phi and
+theta = N_theta / q_theta with scalar denominators free of zeros on the
+closed polydisc, so that theta H^2 = N_theta H^2 (Rudin, Function Theory
+in Polydiscs, 1969, ch. 5).  Then phi psi = theta exactly when
+
+    N_phi P = N_theta q_phi,   psi = P / q_theta,
+
+a finite identity of polynomial coefficients.  P is solved for by least
+squares on the degree box of N_theta q_phi, with the product by N_phi
+formed on that box widened by deg N_phi, so it is never truncated; N_phi
+acts injectively because phi is inner, so P is unique.  The two gates are
+exact: the relative solve residual (divisibility) and the coefficient
+innerness of psi.  Neither depends on any caps, so a division holds or
+fails the same way on every grid.
 
 The converse direction is a test, not a construction: given a candidate
 subspace M inside the quotient of theta, beurling_submodule_check decides
@@ -17,12 +24,12 @@ whether M + S_theta is the submodule of some larger inner factor, by the
 same cross-commutator and defect-product residuals the rest of the package
 uses.
 
-Every residual is an exact identity on thin blocks of the subspace bases
+The grid keeps one job: the witness splits S_phi and S_theta on their
+support blocks (submodule_projection, _toeplitz_split), so no grid-sized
+multiplication operator of theta, phi or psi is formed.  Every residual
+is an exact identity on thin blocks of the subspace bases
 (SubspaceData.basis and .complement), and the shifts are applied by
 TruncationGrid.shift, so no dense shift or dim x dim projection is formed.
-A witness builds M_phi, M_theta and M_psi once each: the division splits
-S_phi from the support block of its M_phi (the rows and columns on the
-variables phi uses), and the witness splits S_theta likewise from M_theta.
 A projection P = B B* enters a norm only through B: with B_c the
 complement basis, ||(I - P) A|| = ||B_c* A||.  The gap and the check build
 N = S_theta + M by one split (SubspaceData.extended).  The witness reports
@@ -44,7 +51,7 @@ from .criteria import (
     quotient_data,
 )
 from .grids import TruncationGrid
-from .operators import eval_margins, spectral_norm, toeplitz_matrix
+from .operators import eval_margins, innerness_check, spectral_norm, toeplitz_matrix
 from .subspaces import _innerness_gate, _toeplitz_split, invariance_defect, submodule_projection
 from .symbols import AnalyticSymbol
 
@@ -61,7 +68,7 @@ COEFF_CUTOFF = 1e-12
 
 
 class FactorizationError(ValueError):
-    """Division failed: no containment, or no analytic quotient at this size."""
+    """Division failed: phi does not divide theta, or the quotient is not inner."""
 
 
 @dataclass(frozen=True)
@@ -69,10 +76,9 @@ class FactorizationWitness:
     """One verified factorization theta = phi * psi and its subspace gap.
 
     m_basis spans M = S_phi minus S_theta; the residuals record every check
-    the construction ran: containment, shift commutation of the division
-    operator, reconstruction of theta, isometry of psi, invariance of
-    N = S_theta + M, and the match between the two descriptions of the
-    final quotient.
+    the construction ran: divisibility of theta by phi and innerness of
+    psi in coefficient space, invariance of N = S_theta + M, and the match
+    between the two descriptions of the final quotient.
     """
 
     theta: AnalyticSymbol
@@ -87,97 +93,59 @@ class FactorizationWitness:
         return self.m_basis.shape[1]
 
 
-def _divide(theta: AnalyticSymbol, phi: AnalyticSymbol, grid: TruncationGrid,
-            tol: float, margins):
-    if theta.nvars != phi.nvars or theta.nvars != grid.nvars:
-        raise ValueError("theta, phi, and the grid must share the variable count")
+def _divide(theta: AnalyticSymbol, phi: AnalyticSymbol, tol: float):
+    """(psi, residuals) of the division theta = phi psi in coefficient space."""
+    if theta.nvars != phi.nvars:
+        raise ValueError("theta and phi must share the variable count")
     if theta.rows != phi.rows:
         raise ValueError("theta and phi must map into the same channel space")
-    if margins is None:
-        margins = tuple(max(a, b) for a, b in zip(eval_margins(theta), eval_margins(phi)))
-    margins = tuple(int(m) for m in margins)
-
-    _innerness_gate(phi, grid, tol)
-    mp = toeplitz_matrix(phi, grid)
-    s_phi = _toeplitz_split(phi, grid, mp)
-    mt = toeplitz_matrix(theta, grid)
-    dom_t = grid.with_channels(theta.cols)
-    dom_p = grid.with_channels(phi.cols)
-
-    col_window = dom_t.window_indices(margins)
-    if col_window.size == 0:
-        raise ValueError(f"margins {margins} leave no exact columns at caps {grid.caps}")
-    mt_w = mt[:, col_window]
-    # ||(I - P_phi) M_theta W|| = ||B_phi_c* M_theta[:, W]||
-    containment = spectral_norm(s_phi.complement.conj().T @ mt_w)
-    if containment > tol:
+    _innerness_gate(phi, tol)
+    n, rows, cols = theta.nvars, phi.cols, theta.cols
+    # the right-hand side N_theta q_phi, as a polynomial symbol
+    target = AnalyticSymbol.polynomial(theta.numerator, n, theta.rows, cols).matmul(
+        AnalyticSymbol.polynomial({k: v * np.eye(cols) for k, v in phi.denominator.items()},
+                                  n, cols, cols))
+    box = TruncationGrid(tuple(np.add(target.degrees, phi.degrees)))
+    # P keeps the ranks inside deg(N_theta q_phi), whose products by N_phi stay in the box
+    inside = np.flatnonzero(np.all(box.exponents <= target.degrees, axis=1))
+    lhs = toeplitz_matrix(AnalyticSymbol.polynomial(phi.numerator, n, phi.rows, rows),
+                          box)[:, box.with_channels(rows)._flat(inside)]
+    rhs = target.taylor_table(box).reshape(-1, cols)
+    p = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+    scale = spectral_norm(rhs)
+    divisibility = spectral_norm(lhs @ p - rhs) / scale if scale else 0.0
+    if divisibility > tol:
         raise FactorizationError(
-            f"not divisible: containment residual {containment:.3e} exceeds {tol:g}"
+            f"not divisible: divisibility residual {divisibility:.3e} exceeds {tol:g}"
         )
 
-    # psi is read off the constant-monomial columns of X = M_phi^* M_theta
-    x0 = mp.conj().T @ mt[:, :theta.cols]
-    rows, cols = phi.cols, theta.cols
-    blocks = x0.reshape(-1, rows, cols)
+    blocks = p.reshape(-1, rows, cols)
     kept = np.abs(blocks).max(axis=(1, 2)) > COEFF_CUTOFF
-    coeffs = {k: block for k, block, keep in zip(grid.multi_indices, blocks, kept) if keep}
-    if not coeffs:
-        coeffs[(0,) * grid.nvars] = np.zeros((rows, cols))
-    psi = AnalyticSymbol.polynomial(coeffs, grid.nvars, rows=rows, cols=cols)
-    # psi maps into phi.cols channels from theta.cols channels, so M_psi's
-    # domain is dom_t and its codomain dom_p
-    mq = toeplitz_matrix(psi, grid)
-
-    # X M_i - M_i X vanishes on R x W for every i exactly when X = M_psi on
-    # R x W+, W+ = W with its shifts by each e_i: the commutation walks each
-    # column of W+ back to the constant one, which M_psi copies
-    row_window = dom_p.window_indices(margins)
-    in_window = np.zeros(dom_t.dim, dtype=bool)
-    in_window[col_window] = True
-    reach = in_window.copy()
-    for i in range(grid.nvars):
-        reach |= dom_t.shift(in_window, i, adjoint=False)
-    reach = np.flatnonzero(reach)
-    commutation = spectral_norm(
-        mp[:, row_window].conj().T @ mt[:, reach] - mq[np.ix_(row_window, reach)])
-    if commutation > tol:
+    coeffs = {box.multi_indices[r]: block for r, block, keep in zip(inside, blocks, kept) if keep}
+    psi = AnalyticSymbol.rational(coeffs, theta.denominator, n, rows=rows, cols=cols)
+    innerness = innerness_check(psi, tol).deviation
+    if innerness > tol:
         raise FactorizationError(
-            f"division not analytic: shift commutation residual {commutation:.3e} "
-            f"exceeds {tol:g}; the truncation is too small"
+            f"division produced a non-isometric quotient: residual {innerness:.3e}"
         )
-
-    mq_w = mq[:, col_window]
-    isometry = spectral_norm(mq_w.conj().T @ mq_w - np.eye(col_window.size))
-    if isometry > tol:
-        raise FactorizationError(
-            f"division produced a non-isometric quotient: residual {isometry:.3e}"
-        )
-    reconstruction = spectral_norm(mt_w - mp @ mq_w)
-
-    residuals = {
-        "containment": containment,
-        "shift_commutation": commutation,
-        "psi_isometry": isometry,
-        "reconstruction": reconstruction,
-    }
-    return psi, s_phi, mt, margins, residuals
+    return psi, {"divisibility": divisibility, "psi_innerness": innerness}
 
 
-def divide_inner(theta: AnalyticSymbol, phi: AnalyticSymbol, grid: TruncationGrid,
-                 tol: float = 1e-8, margins=None) -> AnalyticSymbol:
+def divide_inner(theta: AnalyticSymbol, phi: AnalyticSymbol, tol: float = 1e-8) -> AnalyticSymbol:
     """Quotient symbol psi with theta = phi * psi, both factors inner.
 
-    psi is read off the constant-monomial columns of X = M_phi^* M_theta,
-    which is the division operator because M_phi acts isometrically; a
-    coefficient block with no entry above COEFF_CUTOFF is dropped.  Three
-    gates run before psi is returned: the columns of M_theta must lie in
-    S_phi (else "not divisible"), X must commute with the shifts on the
-    core window, which holds exactly when X agrees with M_psi on the window
-    rows and the window columns with their shifts (else "division not
-    analytic"), and M_psi must act isometrically on windowed columns.
+    phi must pass the innerness gate.  With phi = N_phi / q_phi and
+    theta = N_theta / q_theta, P solves N_phi P = N_theta q_phi by least
+    squares over the polynomials of degree at most deg(N_theta q_phi), and
+    psi = P / q_theta is returned as it is, not reduced: b_a(z1) z2 divided
+    by b_a(z1) gives z2 (1 - conj(a) z1) / (1 - conj(a) z1).  A coefficient
+    block of P with no entry above COEFF_CUTOFF is dropped.  Two gates run
+    before psi is returned: the solve residual ||N_phi P - N_theta q_phi||
+    relative to ||N_theta q_phi|| (else "not divisible"), and the
+    innerness_check deviation of psi (else "non-isometric quotient").  No
+    grid enters, so the result is the same for every truncation.
     """
-    psi, _, _, _, _ = _divide(theta, phi, grid, tol, margins)
-    return psi
+    return _divide(theta, phi, tol)[0]
 
 
 def invariant_subspace_from_factorization(
@@ -187,20 +155,25 @@ def invariant_subspace_from_factorization(
     """Carve M = S_phi minus S_theta out of a successful division.
 
     M is shift-invariant relative to S_theta: multiplying M by a coordinate
-    lands in N = S_theta + M.  theta passes the same innerness gate as in
-    submodule_projection, and S_theta is split from the support block of
-    the M_theta the division built.  N is split from the theta split alone
-    (SubspaceData.extended along B_phi), M is the part of its basis past
-    B_theta, and the invariance residual is the windowed defect of N
-    (invariance_defect), the gate beurling_submodule_check runs on the same
-    N.  The quotient of theta splits as M plus the quotient of phi, so
+    lands in N = S_theta + M.  After the division (divide_inner), S_theta
+    is split by submodule_projection, which gates theta's innerness first,
+    and S_phi by _toeplitz_split, phi having passed the gate in the
+    division; each split is of the support block of its multiplication
+    operator.  N is split from the theta split alone (SubspaceData.extended
+    along B_phi), M is the part of its basis past B_theta, and the
+    invariance residual is the windowed defect of N (invariance_defect,
+    margins defaulting to the larger eval_margins of theta and phi), the
+    gate beurling_submodule_check runs on the same N.
+    The quotient of theta splits as M plus the quotient of phi, so
     P_phi = P_N: the quotient match ||P_phi - P_N|| is
     max(||B_N_c* B_phi||, ||B_phi_c* B_N||), the norm of a difference of
     two orthogonal projections.
     """
-    psi, s_phi, mt, margins, residuals = _divide(theta, phi, grid, tol, margins)
-    _innerness_gate(theta, grid, tol)
-    s_theta = _toeplitz_split(theta, grid, mt)
+    psi, residuals = _divide(theta, phi, tol)
+    s_theta = submodule_projection(theta, grid, inner_tol=tol)
+    s_phi = _toeplitz_split(phi, grid)
+    if margins is None:
+        margins = tuple(max(a, b) for a, b in zip(eval_margins(theta), eval_margins(phi)))
     n = s_theta.extended(s_phi.basis)
     residuals["invariance"] = invariance_defect(n, margins)[0]
     residuals["quotient_match"] = max(

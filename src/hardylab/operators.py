@@ -4,9 +4,9 @@ Multiplication by z_t on the truncated basis is the shift that drops any
 product leaving the caps, so M_t* M_t = I - E_t where E_t projects onto the
 top slice {k_t = cap_t}.  The quotient battery carries that artifact as an
 explicit term, so its identities hold exactly on the whole grid.  The
-invariance gate and the division checks instead read a two-sided core
-window, where the truncated operators compose exactly like their
-infinite-dimensional counterparts on polynomial symbols.
+invariance gate instead reads a two-sided core window, where the truncated
+operators compose exactly like their infinite-dimensional counterparts on
+polynomial symbols.
 
 A truncated shift is a 0/1 partial permutation, which TruncationGrid.shift
 applies to rows.  shift_matrix is that shift applied to the identity; every
@@ -160,7 +160,7 @@ def norm_factor(a: np.ndarray) -> np.ndarray:
 
 
 def eval_margins(symbol: AnalyticSymbol) -> tuple[int, ...]:
-    """Default core-window margins for a symbol's invariance gate and division checks.
+    """Default core-window margins for a symbol's invariance gate.
 
     Per-variable numerator degree, floored at 1: the floor keeps the top
     slice of every variable out of the window, which is where the truncated

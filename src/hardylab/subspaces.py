@@ -254,15 +254,14 @@ def submodule_projection(symbol: AnalyticSymbol, grid: TruncationGrid,
     matrix on the grid of the variables the symbol uses, is built and
     split; the free variables enter as a tensor factor (_toeplitz_split).
     """
-    _innerness_gate(symbol, grid, inner_tol)
+    if symbol.nvars != grid.nvars:
+        raise ValueError(f"symbol has {symbol.nvars} variables, grid has {grid.nvars}")
+    _innerness_gate(symbol, inner_tol)
     return _toeplitz_split(symbol, grid)
 
 
-def _innerness_gate(symbol: AnalyticSymbol, grid: TruncationGrid, inner_tol: float) -> None:
-    """Raise ValueError unless symbol has the grid's variable count, and
-    InnernessError unless innerness_check passes it at inner_tol."""
-    if symbol.nvars != grid.nvars:
-        raise ValueError(f"symbol has {symbol.nvars} variables, grid has {grid.nvars}")
+def _innerness_gate(symbol: AnalyticSymbol, inner_tol: float) -> None:
+    """Raise InnernessError unless innerness_check passes symbol at inner_tol."""
     rep = innerness_check(symbol, tol=inner_tol)
     if not rep.verdict:
         raise InnernessError(
@@ -270,8 +269,7 @@ def _innerness_gate(symbol: AnalyticSymbol, grid: TruncationGrid, inner_tol: flo
         )
 
 
-def _toeplitz_split(symbol: AnalyticSymbol, grid: TruncationGrid,
-                    mt: np.ndarray | None = None) -> SubspaceData:
+def _toeplitz_split(symbol: AnalyticSymbol, grid: TruncationGrid) -> SubspaceData:
     """The submodule of symbol, split on the variables its keys use.
 
     U are the variables that appear in a numerator or denominator key (the
@@ -285,10 +283,8 @@ def _toeplitz_split(symbol: AnalyticSymbol, grid: TruncationGrid,
     k_U + k_F by the grid's shared row map (TruncationGrid._tensor_rows).
     discarded grows by the free box size.  With no free variable the
     support grid is the grid and the support split is returned as it is,
-    its own core.  T is gathered in one
-    np.ix_ slice from mt, the toeplitz_matrix(symbol, grid) a caller
-    already built, or else built on the support grid.  When some variable
-    is free, the support split is kept as the result's core (_factored).
+    its own core.  T is built on the support grid.  When some variable is
+    free, the support split is kept as the result's core (_factored).
     """
     keys = (*symbol.numerator, *symbol.denominator)
     used = [t for t in range(grid.nvars) if any(k[t] for k in keys)] or [0]
@@ -297,15 +293,11 @@ def _toeplitz_split(symbol: AnalyticSymbol, grid: TruncationGrid,
     degrees = symbol.degrees
     keep = support.with_channels(symbol.cols).window_indices(tuple(degrees[t] for t in used))
     cod = grid.with_channels(symbol.rows)
-    on_support, on_free, rows = cod._tensor_rows(tuple(used))
-    if mt is None:
-        restricted = [{tuple(k[t] for t in used): v for k, v in part.items()}
-                      for part in (symbol.numerator, symbol.denominator)]
-        reduced = AnalyticSymbol(len(used), symbol.rows, symbol.cols, *restricted) if free else symbol
-        block = toeplitz_matrix(reduced, support)[:, keep]
-    else:
-        dom = grid.with_channels(symbol.cols)
-        block = mt[np.ix_(cod._flat(on_support), dom._flat(on_support)[keep])]
+    _, on_free, rows = cod._tensor_rows(tuple(used))
+    restricted = [{tuple(k[t] for t in used): v for k, v in part.items()}
+                  for part in (symbol.numerator, symbol.denominator)]
+    reduced = AnalyticSymbol(len(used), symbol.rows, symbol.cols, *restricted) if free else symbol
+    block = toeplitz_matrix(reduced, support)[:, keep]
     s, _ = subspace_from_columns(support.with_channels(symbol.rows), block)
     if not free:
         return s

@@ -144,7 +144,7 @@ def test_criterion_4_factorization_roundtrip_is_exact():
     phi = AnalyticSymbol.monomial((1, 0))
     grid = TruncationGrid((6, 6))
 
-    psi = divide_inner(theta, phi, grid)
+    psi = divide_inner(theta, phi)
     assert set(psi.numerator) == {(0, 1)}
     assert np.array_equal(psi.numerator[(0, 1)], np.eye(1))  # coefficient error 0
     assert psi.denominator == {(0, 0): 1.0}

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the source tree."""
+"""Every demo script runs to completion against the source tree, in
+Python's development mode with every warning an error."""
 
 import os
 import subprocess
@@ -20,6 +21,6 @@ def test_demo_exits_zero(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", str(demo)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

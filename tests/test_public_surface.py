@@ -78,7 +78,7 @@ def test_defaulted_parameter_count():
                          if not member_name.startswith("_") and callable(member))
         elif callable(obj):
             count += _defaulted(obj)
-    assert count == 34
+    assert count == 33
 
 
 def _read_names(path: Path) -> set:

@@ -14,7 +14,6 @@ from hardylab.operators import InnernessError, eval_margins, shift_matrix, toepl
 from hardylab.subspaces import (
     RANK_TOL,
     SubspaceData,
-    _toeplitz_split,
     invariance_defect,
     origin_complement,
     parse_basis_text,
@@ -370,9 +369,6 @@ def test_reduced_split_matches_the_full_grid_split(name):
     mt = toeplitz_matrix(symbol, g)
     ref, _ = subspace_from_columns(cod, mt[:, dom.window_indices(symbol.degrees)])
     s = submodule_projection(symbol, g)
-    sliced = _toeplitz_split(symbol, g, mt)
-    assert np.array_equal(sliced.basis, s.basis) and np.array_equal(sliced.complement, s.complement)
-
     assert (s.rank, s.discarded) == (ref.rank, ref.discarded)
     assert s.grid == cod and s.rank + s.complement.shape[1] == cod.dim
     assert np.abs(dense.projection(s) - dense.projection(ref)).max() <= 1e-13
@@ -399,10 +395,10 @@ def test_symbol_of_every_variable_is_split_once_on_the_grid(symbol, caps):
     cod, dom = g.with_channels(symbol.rows), g.with_channels(symbol.cols)
     mt = toeplitz_matrix(symbol, g)
     ref, _ = subspace_from_columns(cod, mt[:, dom.window_indices(symbol.degrees)])
-    for s in (submodule_projection(symbol, g), _toeplitz_split(symbol, g, mt)):
-        assert s.core is s and s.used == tuple(range(g.nvars)) and s.grid == cod
-        assert np.array_equal(s.basis, ref.basis) and np.array_equal(s.complement, ref.complement)
-        assert s.discarded == ref.discarded
+    s = submodule_projection(symbol, g)
+    assert s.core is s and s.used == tuple(range(g.nvars)) and s.grid == cod
+    assert np.array_equal(s.basis, ref.basis) and np.array_equal(s.complement, ref.complement)
+    assert s.discarded == ref.discarded
 
 
 @pytest.mark.parametrize("family", ["product3", "blaschke3"])
