@@ -8,7 +8,7 @@ tuples once the caps reach the nilpotency indices, and that exactness is
 verified, not assumed: the isometry and intertwining residuals are
 computed and reported every time.  The shifts are applied by
 TruncationGrid.shift, never as dense matrices.  D is formed in n steps,
-D <- D - T_i D T_i* from D = I, and decomposed only by brehmer_defect.
+D <- D - T_i D T_i* from D = I, and decomposed once (_decomposed_defect).
 
 The same circle of ideas runs backwards: compressing the coordinate shifts
 to the quotient of an inner-symbol submodule yields a tuple whose defect
@@ -112,21 +112,22 @@ def _defect_sum(t: ContractionTuple) -> np.ndarray:
     return (defect + defect.conj().T) / 2
 
 
-def brehmer_defect(t: ContractionTuple):
-    """Alternating defect sum D (_defect_sum), its PSD verdict, and its
-    root on its range, from one eigendecomposition D = V W V*.
-
-    D is PSD when its least eigenvalue is at least -EIG_TOL, or when the
-    space is {0}.  root = B* D^(1/2) (r x dim), with the clamped root
-    D^(1/2) = V sqrt(max(W, 0)) V* and B the eigenvectors whose eigenvalue
-    exceeds RANK_TOL times the largest: r is the defect rank, and root* root
-    is D with its negative eigenvalues set to zero.
-    """
+def _decomposed_defect(t: ContractionTuple):
+    """(D, W, V, psd): D = _defect_sum(t) = V W V* by one eigh, PSD when its
+    least eigenvalue is at least -EIG_TOL or the space is {0}."""
     defect = _defect_sum(t)
     w, v = np.linalg.eigh(defect)
-    psd = bool(w.size == 0 or w[0] >= -EIG_TOL)
-    top = float(w[-1]) if w.size else 0.0
-    keep = w > max(RANK_TOL * max(top, 0.0), 0.0)
+    return defect, w, v, bool(w.size == 0 or w[0] >= -EIG_TOL)
+
+
+def brehmer_defect(t: ContractionTuple):
+    """(D, psd, root) from _decomposed_defect: the alternating defect sum,
+    its PSD verdict, and its root on its range, root = B* D^(1/2) (r x dim),
+    with D^(1/2) = V sqrt(max(W, 0)) V* clamped and B the eigenvectors whose
+    eigenvalue exceeds RANK_TOL times the largest; r is the defect rank, and
+    root* root is D with its negative eigenvalues set to zero."""
+    defect, w, v, psd = _decomposed_defect(t)
+    keep = w > RANK_TOL * w.max(initial=0.0)
     root = v[:, keep].conj().T @ ((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
     return defect, psd, root
 
@@ -316,7 +317,7 @@ def random_brehmer_pair(seed, size: int = 4) -> ContractionTuple:
     a, b = a * scale, b * scale
     for _ in range(MAX_TRIES):
         t = ContractionTuple.checked((a, b))
-        _, psd, _ = brehmer_defect(t)
+        *_, psd = _decomposed_defect(t)
         if psd:
             return t
         a, b = 0.8 * a, 0.8 * b

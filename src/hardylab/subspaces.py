@@ -2,21 +2,20 @@
 
 A subspace is held as a column-orthonormal basis plus the basis of its
 complement.  Both come out of one unitary, so P_S + P_Q = I holds to
-rounding, not merely to rank tolerance.  Columns that are distinct unit
-vectors up to a unimodular phase (monomial submodules, the origin
-complement) split by index into coordinate bases with no factorization.
-Any other column set takes one complete Householder QR, whose triangular
-factor R has the singular values of the columns (Golub & Van Loan, Matrix
-Computations, 5.2).  Full rank is certified from R alone: by Weyl's
-inequality its diagonal and the Frobenius norm of its strict upper triangle
-bound every singular value, and when those bounds clear the RANK_TOL cut
-twice over the split is read off Q with no SVD.  Only when they cannot
-decide (more columns than dim, a zero or nearly dependent column, an
-ill-conditioned basis) do the singular values of R set the rank, the same
-cut as an SVD of the columns; only a cut that drops columns rotates the
-leading block of Q by the left singular vectors of that small factor.
-SubspaceData.extended splits the sum of a subspace and further columns in
-the coordinates of its complement, without splitting the grid again.
+rounding, not merely to rank tolerance.  Every split, of a column set or
+of a sum (SubspaceData.extended), goes through _with_complement and its
+one cut: a singular value counts above RANK_TOL * max(floor, sig_max),
+relative for a column set and absolute for a sum, whose singular values
+are cosines.  Columns that are zero or distinct unit vectors up to a
+unimodular phase (monomial submodules, the origin complement, monomial
+sums) split by index with no factorization.  Others take one complete
+Householder QR, whose triangular factor R has the singular values of the
+columns (Golub & Van Loan, Matrix Computations, 5.2).  Full rank is
+certified from R alone: by Weyl's inequality its diagonal and the
+Frobenius norm of its strict upper triangle bound every singular value,
+and when those bounds clear the cut twice over the split is read off Q
+with no SVD.  Otherwise one thin SVD of R sets the rank, and only a cut
+that drops columns rotates Q by its left factor.
 Operators are read against one basis B at a time: SubspaceData.shift_blocks
 gives B* A B and the part (I - B B*) A B of A B outside the span, for A = M_t
 or M_t* applied by TruncationGrid.shift; B* M_t B is a product for the first
@@ -153,41 +152,36 @@ class SubspaceData:
         return self._cache[key]
 
     def extended(self, columns: np.ndarray) -> "SubspaceData":
-        """The split of S + span(columns), in the coordinates of the complement.
-
-        U is the left factor of the full SVD of the thin block B_c* columns,
-        and r counts its singular values above RANK_TOL * max(1, sig[0]).
-        B_c U[:, :r] is an orthonormal basis of the part of span(columns)
-        outside S and joins B after its columns; B_c U[:, r:] is the
-        complement of the sum.  discarded counts the columns that add no
+        """The split of S + span(columns): _with_complement of B_c* columns
+        at floor 1, in the coordinates of B_c, so the cut is absolute (the
+        singular values are cosines).  The part of span(columns) outside S
+        joins B after its columns; discarded counts the columns that add no
         dimension.  The sum is no tensor product, so it is its own core.
         """
         c = self.complement
-        u, sig, _ = np.linalg.svd(c.conj().T @ columns, full_matrices=True)
-        r = int(np.sum(sig > RANK_TOL * max(1.0, sig[0]))) if sig.size else 0
-        frame = c @ u
-        return SubspaceData(self.grid, np.hstack([self.basis, frame[:, :r]]), frame[:, r:],
-                            discarded=columns.shape[1] - r)
+        added, rest, dropped = _with_complement(c.conj().T @ columns, 1.0, c)
+        return SubspaceData(self.grid, np.hstack([self.basis, added]), rest, discarded=dropped)
 
 
 def _coordinate_mask(columns: np.ndarray):
-    """Mask of the rows that hold the columns' one nonzero entries when every
-    column is a distinct unit vector up to a unimodular phase, else None."""
+    """Mask of the rows that hold the columns' nonzero entries when each
+    column is zero or a unit vector up to a unimodular phase, no two on one
+    row, else None."""
     nonzero = columns != 0
-    if not np.all(nonzero.sum(axis=0) == 1):
+    units = np.flatnonzero(nonzero.any(axis=0))
+    if np.count_nonzero(nonzero) != units.size:
         return None
-    rows = nonzero.argmax(axis=0)
-    phases = columns[rows, np.arange(columns.shape[1])]
+    rows = nonzero[:, units].argmax(axis=0)
     inside = np.zeros(columns.shape[0], dtype=bool)
     inside[rows] = True
-    if np.count_nonzero(inside) != rows.size or np.any(np.abs(np.abs(phases) - 1) > 1e-15):
+    if np.count_nonzero(inside) != rows.size or np.any(np.abs(np.abs(columns[rows, units]) - 1) > 1e-15):
         return None
     return inside
 
 
-def _certified_full_rank(r: np.ndarray) -> bool:
+def _certified_full_rank(r: np.ndarray, floor: float) -> bool:
     """True when every singular value of the square triangular r lies above
-    the rank cut, RANK_TOL times the largest, with CERT_SAFETY to spare.
+    the rank cut, RANK_TOL * max(floor, sig_max), with CERT_SAFETY to spare.
 
     Write r = D + N with D its diagonal and N its strict upper triangle.
     Weyl's inequality |sig_i(D + N) - sig_i(D)| <= ||N||_2 <= ||N||_F
@@ -197,35 +191,39 @@ def _certified_full_rank(r: np.ndarray) -> bool:
     """
     d = np.abs(np.diagonal(r))
     off = np.linalg.norm(np.triu(r, 1))
-    return bool(d.min() - off > CERT_SAFETY * RANK_TOL * (d.max() + off))
+    return bool(d.min() - off > CERT_SAFETY * RANK_TOL * max(floor, d.max() + off))
 
 
-def _with_complement(grid: TruncationGrid, columns: np.ndarray):
-    """Split the grid space into span(columns) and its complement.
+def _with_complement(columns: np.ndarray, floor: float, frame: np.ndarray | None = None):
+    """(B_S, B_Q, discarded): span(columns) and its complement, both in the
+    coordinates of the orthonormal frame (the identity when None), and the
+    count of columns that add no dimension.
 
-    Distinct unit columns (the empty set included) split by index: S is
-    their coordinates and Q the others, in grid order, exactly 0/1.  Other
-    columns take Q, R = qr(columns, "complete").  When there are at most dim
-    of them and _certified_full_rank clears R's leading square block, the
-    split is (Q[:, :k], Q[:, k:]) with no SVD.  Otherwise the singular
-    values of the leading min(dim, k) rows of R, which are those of the
-    columns, set the rank: those above RANK_TOL times the largest count.
-    When that cut drops a column, the leading block of Q is rotated by the
-    left singular vectors of that block of R, so it ends with span(columns).
+    The one splitter, with one cut: a singular value of the columns counts
+    above RANK_TOL * max(floor, sig_max).  Zero or distinct unit columns
+    split by index: B_S is the frame's columns at their rows and B_Q the
+    rest, and each zero column is discarded.  Other columns take
+    Q, R = qr(columns, "complete"): k of them, no more than the rows, whose
+    leading R block _certified_full_rank clears split as (Q[:, :k],
+    Q[:, k:]).  Otherwise one thin SVD of the leading min(rows, k) rows of
+    R, whose singular values are the columns', sets the rank; a cut that
+    drops a column rotates the leading block of Q by its left singular
+    vectors, so that block begins with span(columns).
     """
     inside = _coordinate_mask(columns)
     if inside is not None:
-        eye = np.eye(grid.dim, dtype=complex)
-        return eye[:, inside], eye[:, ~inside], 0
+        frame = np.eye(columns.shape[0], dtype=complex) if frame is None else frame
+        return frame[:, inside], frame[:, ~inside], columns.shape[1] - int(inside.sum())
     q, r = np.linalg.qr(columns, mode="complete")
-    k = columns.shape[1]
-    if k <= grid.dim and _certified_full_rank(r[:k]):
-        return q[:, :k], q[:, k:], 0
-    lead = min(columns.shape)
-    sig = np.linalg.svd(r[:lead], compute_uv=False)
-    rank = int(np.sum(sig > RANK_TOL * sig[0]))
-    if rank < k:
-        q[:, :lead] = q[:, :lead] @ np.linalg.svd(r[:lead])[0]
+    k = rank = columns.shape[1]
+    if k > columns.shape[0] or not _certified_full_rank(r[:k], floor):
+        lead = min(columns.shape)
+        u, sig, _ = np.linalg.svd(r[:lead], full_matrices=False)
+        rank = int(np.sum(sig > RANK_TOL * max(floor, sig[0])))
+        if rank < k:
+            q[:, :lead] = q[:, :lead] @ u
+    if frame is not None:
+        q = frame @ q
     return q[:, :rank], q[:, rank:], k - rank
 
 
@@ -233,11 +231,11 @@ def subspace_from_columns(
     grid: TruncationGrid,
     columns: np.ndarray,
 ) -> tuple[SubspaceData, SubspaceData]:
-    """Orthonormalize columns at the rank cut RANK_TOL; return (span, complement)."""
+    """Orthonormalize columns at the relative cut, floor 0; return (span, complement)."""
     columns = np.asarray(columns, dtype=complex)
     if columns.ndim != 2 or columns.shape[0] != grid.dim:
         raise ValueError(f"columns must be ({grid.dim}, k), got {columns.shape}")
-    sb, qb, dropped = _with_complement(grid, columns)
+    sb, qb, dropped = _with_complement(columns, 0.0)
     s = SubspaceData(grid, sb, qb, discarded=dropped)
     return s, s.complement_space
 

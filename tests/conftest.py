@@ -95,3 +95,21 @@ def no_svd_in_subspaces(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", guarded)
+
+
+@pytest.fixture
+def no_unread_singular_vectors(monkeypatch):
+    """Make np.linalg.svd raise when asked for the full singular vectors of
+    a non-square matrix: that call forms a square factor on the longer
+    side whether or not it is read, so a path that takes it fails the
+    test.  Thin factors, square inputs and singular values alone stay
+    allowed."""
+    svd = np.linalg.svd
+
+    def guarded(a, full_matrices=True, compute_uv=True, hermitian=False):
+        rows, cols = np.shape(a)[-2:]
+        if compute_uv and full_matrices and rows != cols:
+            raise AssertionError(f"full singular vectors of a {np.shape(a)} matrix")
+        return svd(a, full_matrices=full_matrices, compute_uv=compute_uv, hermitian=hermitian)
+
+    monkeypatch.setattr(np.linalg, "svd", guarded)

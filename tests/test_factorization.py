@@ -462,6 +462,45 @@ def test_division_and_check_take_no_grid_wide_singular_vectors(no_wide_singular_
                                         margins=margins).verdict, name
 
 
+def test_division_and_check_take_no_unread_singular_vectors(no_unread_singular_vectors):
+    for name, (theta, phi, caps, tol, margins) in PAIRS.items():
+        grid = TruncationGrid(caps)
+        wit = invariant_subspace_from_factorization(theta, phi, grid, tol=tol, margins=margins)
+        assert max(wit.residuals.values()) <= tol, name
+        assert beurling_submodule_check(wit.m_basis, theta, grid, tol=tol,
+                                        margins=margins).verdict, name
+
+
+@pytest.mark.parametrize("theta, caps", [((1, 1), (6, 6)), ((2, 3), (12, 12))])
+def test_monomial_division_splits_its_sums_by_index(theta, caps, monkeypatch):
+    """z^theta / z1: B_theta_c* C has zero or distinct unit columns, so the
+    witness and the check split S_theta + M by index with no QR or SVD.
+    Every basis is exactly 0/1 and every residual reads 0.0."""
+    sums = []
+    extended = SubspaceData.extended
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a coordinate sum was factored")
+
+    def recorded(self, columns):
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "qr", refuse)
+            m.setattr(np.linalg, "svd", refuse)
+            sums.append(extended(self, columns))
+        return sums[-1]
+
+    monkeypatch.setattr(SubspaceData, "extended", recorded)
+    grid, symbol = TruncationGrid(caps), AnalyticSymbol.monomial(theta)
+    wit = invariant_subspace_from_factorization(symbol, Z1, grid)
+    check = beurling_submodule_check(wit.m_basis, symbol, grid)
+    gap = [k for k in grid.multi_indices if k[0] >= 1 and not (k[0] >= theta[0] and k[1] >= theta[1])]
+    assert len(sums) == 2 and wit.m_rank == len(gap)
+    for array in (wit.m_basis, *(b for n in sums for b in (n.basis, n.complement))):
+        assert set(np.unique(array)) <= {0, 1}
+    assert set(wit.residuals.values()) | set(check.residuals.values()) == {0.0}
+    assert check.verdict
+
+
 def test_quotient_match_sees_a_dropped_gap(monkeypatch):
     # a split that adds nothing to S_theta leaves M empty, so S_theta + M
     # misses the whole of S_phi minus S_theta and the two quotients differ by 1

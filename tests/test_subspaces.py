@@ -197,6 +197,88 @@ def test_extended_splits_the_sum_with_the_columns():
     assert np.abs(cols - n.basis @ (n.basis.conj().T @ cols)).max() <= 1e-12
 
 
+def _dense_sum(b_s, cols, floor):
+    """(rank, discarded, P) of S + span(cols) from one SVD of [B_S, cols],
+    cut at RANK_TOL * max(floor, sig_max): the reference for every split."""
+    u, sig, _ = np.linalg.svd(np.hstack([b_s, cols]))
+    rank = int(np.sum(sig > RANK_TOL * max(floor, sig[0]))) if sig.size else 0
+    return rank, cols.shape[1] - (rank - b_s.shape[1]), u[:, :rank] @ u[:, :rank].conj().T
+
+
+def _sum_inputs():
+    """name -> (S, columns) on caps (4, 4), dim 25.  S is b(z1)b(z2) (rank 16,
+    q = 9), so tall, square and wide name the shape of B_c* columns, or the
+    coordinate split of z1z2 (q = 9) for the zero and unit columns."""
+    g = TruncationGrid((4, 4))
+    rng = np.random.default_rng(29)
+    b = AnalyticSymbol.blaschke
+    s = submodule_projection(b(0.3, 0, 2).matmul(b(-0.2j, 1, 2)), g)
+    mono = submodule_projection(AnalyticSymbol.monomial((1, 1)), g)
+
+    def gauss(k):
+        return rng.normal(size=(g.dim, k)) + 1j * rng.normal(size=(g.dim, k))
+
+    base, eye = gauss(3), np.eye(g.dim)
+    units = [dense.flat(g, k) for k in ((0, 2), (1, 1), (3, 0), (2, 2))]
+    return {
+        "tall": (s, gauss(4)),
+        "square": (s, gauss(9)),
+        "wide": (s, gauss(14)),
+        "wider-than-the-grid": (s, gauss(g.dim + 3)),
+        "rank-deficient": (s, np.hstack([base, base[:, :1] - 2j * base[:, 2:], 3 * base[:, 1:2]])),
+        "zero-and-unit": (mono, np.hstack([eye[:, units[:2]] * np.exp([0.4j, -2.0j]),
+                                          np.zeros((g.dim, 2)), eye[:, units[2:]] * 1j])),
+        "inside-s": (s, np.hstack([s.basis @ rng.normal(size=(s.rank, 3)), base[:, :1]])),
+        "scaled-1e-12": (s, 1e-12 * gauss(3)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_sum_inputs()))
+def test_split_and_sum_match_a_dense_svd_at_their_cut(name):
+    """subspace_from_columns (relative cut) and SubspaceData.extended
+    (absolute cut) against one SVD of [B_S, columns] at the same cut."""
+    s, cols = _sum_inputs()[name]
+    n = s.extended(cols)
+    empty = np.zeros((s.grid.dim, 0))
+    for split, floor, b_s in ((subspace_from_columns(s.grid, cols)[0], 0.0, empty),
+                              (n, 1.0, s.basis)):
+        rank, discarded, p = _dense_sum(b_s, cols, floor)
+        assert (split.rank, split.discarded) == (rank, discarded), floor
+        assert np.abs(dense.projection(split) - p).max() <= 1e-13, floor
+        frame = np.hstack([split.basis, split.complement])
+        assert np.abs(frame.conj().T @ frame - np.eye(s.grid.dim)).max() <= 1e-13, floor
+    assert np.array_equal(n.basis[:, :s.rank], s.basis)
+
+
+def test_a_sum_cuts_absolutely_and_a_column_set_relatively():
+    """Columns of size 1e-12 add nothing to a sum, whose singular values
+    are cosines cut at RANK_TOL, but span their own rank as a column set,
+    cut at RANK_TOL times the largest."""
+    s, cols = _sum_inputs()["scaled-1e-12"]
+    n = s.extended(cols)
+    assert (n.rank, n.discarded) == (s.rank, 3)
+    assert np.array_equal(n.basis, s.basis)
+    alone, _ = subspace_from_columns(s.grid, cols)
+    assert (alone.rank, alone.discarded) == (3, 0)
+
+
+def test_zero_and_unit_columns_split_by_index_without_a_factorization(monkeypatch):
+    s, cols = _sum_inputs()["zero-and-unit"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a coordinate set was factored")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    alone, _ = subspace_from_columns(s.grid, cols)
+    n = s.extended(cols)
+    assert (alone.rank, alone.discarded) == (4, 2)
+    # (1, 1) and (2, 2) lie in z1z2 H^2, so their columns add nothing to the sum
+    assert (n.rank, n.discarded) == (s.rank + 2, 4)
+    for b in (alone.basis, alone.complement, n.basis, n.complement):
+        assert set(np.unique(b)) <= {0, 1}
+
+
 def test_tensored_split_keeps_its_core_through_complements_only():
     """z1^2 on caps (6, 6) leaves z2 free: the split and its complements are
     tensored from a core on the z1 grid, and the sum with further columns,
@@ -250,6 +332,18 @@ def test_corpus_split_takes_no_grid_wide_singular_vectors(no_wide_singular_vecto
         identity_suite(data),
     )
     assert all(rep.verdict for rep in reports)
+
+
+def test_corpus_pass_takes_no_unread_singular_vectors(no_unread_singular_vectors):
+    for entry in corpus_entries(0):
+        sub = entry.subspace()
+        data = quotient_data(sub, margins=entry.margins)
+        reports = (
+            beurling_criterion(data),
+            cross_commutator_criterion(sub, margins=entry.margins),
+            identity_suite(data),
+        )
+        assert all(rep.verdict for rep in reports) == entry.beurling_expected, entry.entry_id
 
 
 def _always_svd_split(cols):

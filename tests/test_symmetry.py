@@ -10,15 +10,23 @@ they need no reference answer:
   U is a unitary on the channels, and leaves psi = phi^-1 theta alone.
 
 Each leaves every residual of the factorization witness and of the gap's
-submodule check unchanged, up to rounding, and so every verdict.  The caps
-are uneven, so a swap moves a cap.
+submodule check unchanged, up to rounding, and so every verdict.  The same
+holds for the quotient battery of every symbol entry of the corpus, with a
+swap relabelling each per-variable and per-pair residual.  The caps are
+uneven, so a swap moves a cap, and the free-variable lift of a symbol that
+leaves variables free is read under a swap that frees others.
 """
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from hardylab.corpus import corpus_entries
+from hardylab.criteria import beurling_criterion, cross_commutator_criterion, identity_suite, quotient_data
 from hardylab.factorization import beurling_submodule_check, invariant_subspace_from_factorization
 from hardylab.grids import TruncationGrid
+from hardylab.subspaces import submodule_projection
 from hardylab.symbols import AnalyticSymbol
 from test_factorization import PAIRS, PHI1, PHI2
 
@@ -37,8 +45,8 @@ def _swapped(symbol):
     return _mapped(symbol, lambda k: k[::-1], lambda k, v: v)
 
 
-def _rotated(symbol, zeta=(np.exp(0.9j), np.exp(-2.3j))):
-    return _mapped(symbol, lambda k: k, lambda k, v: np.prod(np.power(zeta, k)) * v)
+def _rotated(symbol, zeta=(np.exp(0.9j), np.exp(-2.3j), np.exp(1.7j))):
+    return _mapped(symbol, lambda k: k, lambda k, v: np.prod(np.power(zeta[:len(k)], k)) * v)
 
 
 def _channel_unitary(rows):
@@ -84,3 +92,63 @@ def test_division_readings_are_invariant(name, symmetry):
     for key, value in values.items():
         assert abs(moved[key] - value) <= 1e-14, (key, value, moved[key])
     assert moved_verdicts == verdicts
+
+
+# ---- quotient battery of the corpus -----------------------------------------
+
+ENTRIES = {e.entry_id: e for e in corpus_entries(0) if e.symbol is not None}
+
+
+def _uneven(caps):
+    """The entry's caps raised by 0, 1, 2, ... in variable order."""
+    return tuple(c + t for t, c in enumerate(caps))
+
+
+def _battery(symbol, caps, margins):
+    """(values, verdicts) of beurling_criterion, cross_commutator_criterion
+    and identity_suite, keyed (report, key), with invariance_per_variable
+    keyed ("invariance", t)."""
+    sub = submodule_projection(symbol, TruncationGrid(caps))
+    data = quotient_data(sub, margins=margins)
+    reports = (beurling_criterion(data), cross_commutator_criterion(sub, margins=margins),
+               identity_suite(data))
+    values = {(rep.name, key): v for rep in reports for key, v in rep.residuals.items()}
+    values.update({("invariance", t): v for t, v in enumerate(data.invariance_per_variable)})
+    return values, {(rep.name, key): v for rep in reports for key, v in rep.verdicts.items()}
+
+
+@lru_cache(maxsize=None)
+def _entry_battery(entry_id):
+    entry = ENTRIES[entry_id]
+    return _battery(entry.symbol, _uneven(entry.caps), entry.margins)
+
+
+def _relabelled(key, nvars):
+    """The key of a reading after the variables are reversed: a variable t
+    becomes n - 1 - t, and an unordered pair of the defect product is
+    written in increasing order."""
+    name, part = key
+    if name == "invariance":
+        return name, nvars - 1 - part
+    if not part.startswith("pair_"):
+        return key
+    pair = [nvars - 1 - int(t) for t in part.split("_")[1:]]
+    if name == "beurling":
+        pair.sort()
+    return name, "pair_{}_{}".format(*pair)
+
+
+@pytest.mark.parametrize("symmetry", sorted(SYMMETRIES))
+def test_corpus_battery_readings_are_invariant(symmetry):
+    act = SYMMETRIES[symmetry][0]
+    for entry_id, entry in ENTRIES.items():
+        values, verdicts = _entry_battery(entry_id)
+        caps, margins, n = _uneven(entry.caps), entry.margins, len(entry.caps)
+        relabel = (lambda key: _relabelled(key, n)) if symmetry == "swap" else (lambda key: key)
+        if symmetry == "swap":
+            caps, margins = caps[::-1], margins[::-1]
+        moved, moved_verdicts = _battery(act(entry.symbol), caps, margins)
+        assert sorted(map(relabel, values)) == sorted(moved), entry_id
+        for key, value in values.items():
+            assert abs(moved[relabel(key)] - value) <= 1e-14, (entry_id, key, value)
+        assert {relabel(key): v for key, v in verdicts.items()} == moved_verdicts, entry_id
