@@ -31,7 +31,7 @@ from hardylab import (
 
 def jordan_pair():
     n = np.diag(np.ones(3), 1)
-    return ContractionTuple.checked((n / 2, n @ n / 2))
+    return ContractionTuple((n / 2, n @ n / 2))
 
 
 def exact_nilpotent_case():
@@ -59,7 +59,7 @@ def seeded_pairs():
 
 
 def scalar_pair_tail():
-    pair = ContractionTuple.checked(
+    pair = ContractionTuple(
         (np.array([[0.3 + 0.0j]]), np.array([[0.5 + 0.2j]]))
     )
     print("scalar pair (0.3, 0.5+0.2i): tail mass shrinks as caps grow")

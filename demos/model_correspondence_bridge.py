@@ -47,7 +47,7 @@ def main():
          "tuple direction: (0, 0), the constants-quotient compression")
 
     n = np.diag(np.ones(3), 1)
-    jordan = ContractionTuple.checked((n / 2, n @ n / 2))
+    jordan = ContractionTuple((n / 2, n @ n / 2))
     d = canonical_dilation(jordan, (4, 4))
     print("Jordan pair (N/2, N^2/2): dilation isometry residual "
           f"{d.isometry_residual:.3e} (exactly dilatable)")

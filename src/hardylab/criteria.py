@@ -80,7 +80,6 @@ __all__ = [
     "beurling_criterion",
     "cross_commutator_criterion",
     "identity_suite",
-    "shift_power",
 ]
 
 
@@ -230,6 +229,7 @@ def _lifted_compressions(q: SubspaceData) -> tuple:
                  for t in range(q.grid.nvars))
 
 
+# not exported: hlbench/tracing.py traces it, and nothing in the package reads it
 def shift_power(shifts, k) -> np.ndarray:
     """Product of commuting truncated shifts, one power per variable."""
     dim = shifts[0].shape[0]

@@ -123,7 +123,7 @@ def _divide(theta: AnalyticSymbol, phi: AnalyticSymbol, tol: float):
     kept = np.abs(blocks).max(axis=(1, 2)) > COEFF_CUTOFF
     coeffs = {box.multi_indices[r]: block for r, block, keep in zip(inside, blocks, kept) if keep}
     psi = AnalyticSymbol.rational(coeffs, theta.denominator, n, rows=rows, cols=cols)
-    innerness = innerness_check(psi, tol).deviation
+    innerness = innerness_check(psi)
     if innerness > tol:
         raise FactorizationError(
             f"division produced a non-isometric quotient: residual {innerness:.3e}"

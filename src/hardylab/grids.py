@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["TruncationGrid", "order_key"]
+__all__ = ["TruncationGrid"]
 
 # tables each builder keeps; the module docstring gives the reason for the value
 TABLE_CACHE = 128

@@ -23,14 +23,13 @@ side factored: ||A B*|| = ||R_B A*|| for the thin-QR factor R_B of B
 (norm_factor), so the cancellation happens in a formed matrix.
 
 Innerness is not read from the truncated operators either: innerness_check
-certifies Theta = N/q from the Taylor coefficients of N and q, through the
-finite identity N* N = |q|^2 I on the torus, so the gate is exact and
-samples nothing.
+returns the deviation of Theta = N/q from the finite identity N* N = |q|^2 I
+on the torus, read from the Taylor coefficients of N and q, so every gate
+built on it is exact and samples nothing.  Each caller compares that float
+with the tolerance it holds.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,12 +41,8 @@ __all__ = [
     "shift_matrices",
     "toeplitz_matrix",
     "spectral_norm",
-    "hermitian_norm",
-    "windowed_norm",
-    "norm_factor",
     "eval_margins",
     "innerness_check",
-    "InnernessReport",
     "InnernessError",
 ]
 
@@ -135,6 +130,7 @@ def hermitian_norm(a: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(a)).max())
 
 
+# not exported: hlbench/tracing.py traces it, and nothing in the package reads it
 def windowed_norm(a: np.ndarray, window: np.ndarray, col_window: np.ndarray | None = None) -> float:
     """Spectral norm of the two-sided window compression of a square matrix."""
     cols = window if col_window is None else col_window
@@ -169,16 +165,6 @@ def eval_margins(symbol: AnalyticSymbol) -> tuple[int, ...]:
     return tuple(max(int(d), 1) for d in symbol.degrees)
 
 
-@dataclass(frozen=True)
-class InnernessReport:
-    deviation: float
-    tolerance: float
-
-    @property
-    def verdict(self) -> bool:
-        return self.deviation <= self.tolerance
-
-
 def _lag_sums(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every pair (a, b) of coefficients as its lag keys[b] - keys[a] and values[a]* values[b]."""
     lags = (keys[None, :, :] - keys[:, None, :]).reshape(-1, keys.shape[1])
@@ -186,16 +172,17 @@ def _lag_sums(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndar
     return lags, prods.reshape(-1, values.shape[2], values.shape[2])
 
 
-def innerness_check(symbol: AnalyticSymbol, tol: float = 1e-8) -> InnernessReport:
-    """Certify innerness of Theta = N/q from its coefficients.
+def innerness_check(symbol: AnalyticSymbol) -> float:
+    """The innerness deviation of Theta = N/q, read from its coefficients.
 
     On the torus N(z)* N(z) - |q(z)|^2 I = sum_m z^m D_m, a trigonometric
     polynomial with the finitely many coefficients
 
         D_m = sum_k N_k* N_{k+m} - (sum_k conj(q_k) q_{k+m}) I,
 
-    so Theta is inner exactly when every D_m vanishes.  deviation is
-    sum_m ||D_m|| / sum_k |q_k|^2, which bounds sup over the torus of
+    so Theta is inner exactly when every D_m vanishes.  The deviation
+    returned is sum_m ||D_m|| / sum_k |q_k|^2, which each caller compares
+    with its own tolerance; it bounds sup over the torus of
     ||N* N - |q|^2 I|| / ||q||_2^2; nothing is sampled, so it cannot miss a
     defect between points, and no boundary zero of q needs avoiding.  The
     truncated isometry defect ||W (M_Theta* M_Theta - I) W|| is no
@@ -222,5 +209,4 @@ def innerness_check(symbol: AnalyticSymbol, tol: float = 1e-8) -> InnernessRepor
     d = np.zeros((len(codes), c, c), dtype=complex)
     np.add.at(d, which, np.concatenate([num_prods, -den_prods * np.eye(c)]))
     scale = float(np.sum(np.abs(den_vals) ** 2))
-    return InnernessReport(deviation=float(np.linalg.svd(d, compute_uv=False)[:, 0].sum()) / scale,
-                           tolerance=float(tol))
+    return float(np.linalg.svd(d, compute_uv=False)[:, 0].sum()) / scale

@@ -60,8 +60,6 @@ from .textlines import content_lines, fields, numbers
 __all__ = [
     "Scenario",
     "ScenarioError",
-    "COMMANDS",
-    "parse_scenario",
     "run_scenario",
     "expectations_met",
 ]
@@ -303,6 +301,7 @@ def _check_window(s: Scenario, settings: dict, nvars: int) -> None:
                                 "the evaluation window would be empty")
 
 
+# not exported: hlbench/tracing.py traces it as cli.parse_scenario
 def parse_scenario(text: str, scenario_id: str = "scenario",
                    base_dir=None, default_command: str | None = None) -> Scenario:
     """Parse and validate one scenario config.

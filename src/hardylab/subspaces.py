@@ -68,7 +68,6 @@ __all__ = [
     "SubspaceData",
     "submodule_projection",
     "subspace_from_columns",
-    "origin_complement",
     "parse_basis_text",
     "invariance_defect",
     "InvarianceError",
@@ -260,10 +259,10 @@ def submodule_projection(symbol: AnalyticSymbol, grid: TruncationGrid,
 
 def _innerness_gate(symbol: AnalyticSymbol, inner_tol: float) -> None:
     """Raise InnernessError unless innerness_check passes symbol at inner_tol."""
-    rep = innerness_check(symbol, tol=inner_tol)
-    if not rep.verdict:
+    deviation = innerness_check(symbol)
+    if not deviation <= inner_tol:
         raise InnernessError(
-            f"symbol is not inner at tolerance {inner_tol:g}: coefficient deviation {rep.deviation:g}"
+            f"symbol is not inner at tolerance {inner_tol:g}: coefficient deviation {deviation:g}"
         )
 
 

@@ -27,20 +27,31 @@ from hardylab.symbols import AnalyticSymbol
 
 def jordan_pair():
     n = np.diag(np.ones(3), 1)
-    return ContractionTuple.checked((n / 2, n @ n / 2))
+    return ContractionTuple((n / 2, n @ n / 2))
 
 
 # ---- tuple container -------------------------------------------------------
 
 def test_checked_rejects_expansive_matrix():
     with pytest.raises(ValueError, match="norm"):
-        ContractionTuple.checked((np.eye(2) * 1.5, np.zeros((2, 2))))
+        ContractionTuple((np.eye(2) * 1.5, np.zeros((2, 2))))
 
 
 def test_checked_rejects_noncommuting_pair():
     a = np.array([[0.0, 0.5], [0.0, 0.0]])
     with pytest.raises(ValueError, match="commute"):
-        ContractionTuple.checked((a, a.T))
+        ContractionTuple((a, a.T))
+
+
+def test_noncommuting_nilpotent_pair_is_refused_in_every_form():
+    # N/2 and N^T/2 are contractions with ||ab - ba|| = 0.25; a tuple built
+    # directly and the matrices handed to model_correspondence are refused alike
+    n = np.diag(np.ones(2), 1)
+    a, b = n / 2, n.T / 2
+    with pytest.raises(ValueError, match="matrices 0 and 1 do not commute"):
+        ContractionTuple((a, b))
+    with pytest.raises(ValueError, match="matrices 0 and 1 do not commute"):
+        model_correspondence([a, b])
 
 
 def test_tuple_needs_matching_shapes():
@@ -59,7 +70,7 @@ def test_power_multiplies_entries():
 # ---- defect sum ------------------------------------------------------------
 
 def test_zero_pair_defect_is_one():
-    t = ContractionTuple.checked((np.zeros((1, 1)), np.zeros((1, 1))))
+    t = ContractionTuple((np.zeros((1, 1)), np.zeros((1, 1))))
     defect, psd, root = brehmer_defect(t)
     assert psd
     assert defect.shape == (1, 1)
@@ -97,7 +108,7 @@ def test_defect_in_n_steps_is_the_subset_sum():
     a *= 0.5 / spectral_norm(a)
     eye = np.eye(5)
     mats = (a, 0.6 * a @ a - 0.2 * a, 0.3 * eye + 0.4 * a @ a @ a)
-    t = ContractionTuple.checked(mats)
+    t = ContractionTuple(mats)
     want = np.zeros((5, 5), dtype=complex)
     for r in range(t.n + 1):
         for subset in itertools.combinations(range(t.n), r):
@@ -122,7 +133,7 @@ def test_root_clamps_a_tiny_negative_eigenvalue():
     # passes as PSD, and its root keeps only the unit eigenvalue
     s = np.sqrt((1 + 1e-12) / 2)
     n = s * np.diag(np.ones(1), 1)
-    defect, psd, root = brehmer_defect(ContractionTuple.checked((n, n)))
+    defect, psd, root = brehmer_defect(ContractionTuple((n, n)))
     assert psd and defect[0, 0].real < 0
     assert root.shape == (1, 2)
     assert np.max(np.abs(root.conj().T @ root - np.diag([0.0, 1.0]))) <= 1e-14
@@ -149,7 +160,7 @@ def test_equal_nilpotent_pair_defect_not_psd():
     # T1 = T2 = s*N with s^2 > 1/2 drives the defect to diag(1 - 2 s^2, 1)
     s = 0.9
     n = s * np.diag(np.ones(1), 1)
-    t = ContractionTuple.checked((n, n))
+    t = ContractionTuple((n, n))
     defect, psd, _ = brehmer_defect(t)
     assert not psd
     assert abs(defect[0, 0] - (1 - 2 * s * s)) < 1e-15
@@ -170,7 +181,7 @@ def test_pureness_rules():
 
     rep = pureness_check(np.array([[1.0]]))
     assert not rep.verdict
-    assert rep.rule == "power_norm"
+    assert rep.rule == "spectral_radius"
     assert rep.value == 1.0
 
 
@@ -234,7 +245,7 @@ def test_random_pairs_keep_their_draws():
 
 
 def test_scalar_pair_needs_large_grid():
-    t = ContractionTuple.checked((np.array([[0.3]]), np.array([[0.5 + 0.2j]])))
+    t = ContractionTuple((np.array([[0.3]]), np.array([[0.5 + 0.2j]])))
     with pytest.raises(DilationError, match="grid too small"):
         canonical_dilation(t, (4, 4), tail_tol=1e-10)
     d = canonical_dilation(t, (40, 40), tail_tol=1e-6)
@@ -289,6 +300,21 @@ def test_model_correspondence_on_a_constant_unitary_has_an_empty_quotient():
         canonical_dilation(t, (3, 3))
 
 
+def test_symbol_direction_reads_compressions_that_commute_only_to_rounding():
+    # the compressions of b_0.05(z1) b_0.04(z2) at caps (6, 6) commute to
+    # 7.8e-10 only, above COMMUTATION_TOL; they are read as matrices, and
+    # the residuals stay those the plain extraction gave, bit for bit
+    sym = AnalyticSymbol.blaschke(0.05, 0, 2).matmul(AnalyticSymbol.blaschke(0.04, 1, 2))
+    rep = model_correspondence(sym, caps=(6, 6))
+    assert rep.residuals == {
+        "annihilation": float.fromhex("0x1.0116f44d74b4bp-53"),
+        "brehmer_min_eig": float.fromhex("-0x1.710b731dbd0e4p-42"),
+        "pureness_0": float.fromhex("0x1.99999999999a8p-5"),
+        "pureness_1": float.fromhex("0x1.47ae147ae148bp-5"),
+    }
+    assert rep.verdict
+
+
 def test_model_correspondence_symbol_needs_caps():
     with pytest.raises(ValueError, match="caps"):
         model_correspondence(AnalyticSymbol.monomial((1, 1)))
@@ -307,7 +333,7 @@ def test_zero_pair_fails_model_with_unit_residual():
 
 def test_scalar_pair_annihilation_closed_form():
     lam, mu = 0.3, 0.5 + 0.2j
-    t = ContractionTuple.checked((np.array([[lam]]), np.array([[mu]])))
+    t = ContractionTuple((np.array([[lam]]), np.array([[mu]])))
     rep = model_correspondence(t)
     expected = (1 - abs(lam) ** 2) * (1 - abs(mu) ** 2)
     assert abs(rep.residuals["annihilation"] - expected) < 1e-15
@@ -415,7 +441,7 @@ DILATIONS = {
     "jordan": (jordan_pair(), (4, 4), 1e-8),
     "seeded": (random_brehmer_pair(3, size=8), (8, 8), 1e-12),
     "extracted": (_extracted_monomial_tuple(), (5, 5), 1e-8),
-    "scalar": (ContractionTuple.checked((np.array([[0.3]]), np.array([[0.5 + 0.2j]]))),
+    "scalar": (ContractionTuple((np.array([[0.3]]), np.array([[0.5 + 0.2j]]))),
                (40, 40), 1e-6),
 }
 

@@ -108,39 +108,35 @@ def isometry_defect(symbol, grid):
 
 def test_innerness_monomial_exact():
     sym, grid = AnalyticSymbol.monomial((1, 1)), TruncationGrid((4, 4))
-    rep = innerness_check(sym)
-    assert rep.verdict
-    assert rep.deviation <= 1e-14
+    deviation = innerness_check(sym)
+    assert type(deviation) is float
+    assert deviation <= 1e-14
     assert isometry_defect(sym, grid) <= 1e-14
 
 
 def test_innerness_rejects_strict_contraction():
-    rep = innerness_check(AnalyticSymbol.polynomial({(1, 0): 0.5}, nvars=2))
-    assert not rep.verdict
-    assert rep.deviation == pytest.approx(0.75, abs=1e-12)
+    deviation = innerness_check(AnalyticSymbol.polynomial({(1, 0): 0.5}, nvars=2))
+    assert deviation == pytest.approx(0.75, abs=1e-12)
 
 
 def test_innerness_rejects_non_inner_average():
     avg = AnalyticSymbol.polynomial({(1, 0): 0.5, (0, 1): 0.5}, nvars=2)
-    rep = innerness_check(avg)
-    assert not rep.verdict
-    assert rep.deviation >= 0.5
+    deviation = innerness_check(avg)
+    assert deviation >= 0.5
 
 
 def test_innerness_phi_torus_clean_but_tail_slow():
     """The rational inner symbol passes the coefficient test while its truncated
     multiplication matrix is still visibly non-isometric at small caps."""
     grid = TruncationGrid((6, 6))
-    rep = innerness_check(phi_symbol())
-    assert rep.verdict
-    assert rep.deviation <= 1e-10
+    deviation = innerness_check(phi_symbol())
+    assert deviation <= 1e-10
     assert isometry_defect(phi_symbol(), grid) > 0.1
 
 
 def test_innerness_blaschke():
-    rep = innerness_check(AnalyticSymbol.blaschke(0.5, 0, nvars=2))
-    assert rep.verdict
-    assert rep.deviation <= 1e-14
+    deviation = innerness_check(AnalyticSymbol.blaschke(0.5, 0, nvars=2))
+    assert deviation <= 1e-14
 
 
 def offset_blind_symbol():
@@ -150,9 +146,8 @@ def offset_blind_symbol():
 
 
 def test_innerness_catches_defect_between_torus_samples():
-    rep = innerness_check(offset_blind_symbol())
-    assert not rep.verdict
-    assert rep.deviation >= 0.25
+    deviation = innerness_check(offset_blind_symbol())
+    assert deviation >= 0.25
 
 
 def test_innerness_of_every_shipped_inner_symbol_is_exact():
@@ -164,17 +159,17 @@ def test_innerness_of_every_shipped_inner_symbol_is_exact():
     symbols.append(rational_inner_witness())
     assert len(symbols) > 3 * 54
     for sym in symbols:
-        assert innerness_check(sym).deviation <= 1e-14
+        assert innerness_check(sym) <= 1e-14
 
 
 def test_innerness_matrix_valued():
     """A 2x1 column [z1; z2]/sqrt(2) is inner; scaling one entry breaks it."""
     col = {(1, 0): np.array([[1.0], [0.0]]) / np.sqrt(2), (0, 1): np.array([[0.0], [1.0]]) / np.sqrt(2)}
-    rep = innerness_check(AnalyticSymbol.polynomial(col, 2, rows=2, cols=1))
-    assert rep.deviation <= 1e-15
+    deviation = innerness_check(AnalyticSymbol.polynomial(col, 2, rows=2, cols=1))
+    assert deviation <= 1e-15
     col[(0, 1)] = col[(0, 1)] * 0.5
-    rep = innerness_check(AnalyticSymbol.polynomial(col, 2, rows=2, cols=1))
-    assert rep.deviation == pytest.approx(0.375, abs=1e-15)
+    deviation = innerness_check(AnalyticSymbol.polynomial(col, 2, rows=2, cols=1))
+    assert deviation == pytest.approx(0.375, abs=1e-15)
 
 
 def _random_rational_symbols():
@@ -199,7 +194,7 @@ def test_innerness_deviation_is_the_row_unique_formula_bit_for_bit():
     symbols = [e.symbol for seed in range(4) for e in corpus_entries(seed) if e.symbol is not None]
     symbols += _random_rational_symbols()
     for sym in symbols:
-        assert innerness_check(sym).deviation == dense.innerness_deviation(sym)
+        assert innerness_check(sym) == dense.innerness_deviation(sym)
 
 
 def test_innerness_refuses_lag_codes_that_overflow():
@@ -208,7 +203,7 @@ def test_innerness_refuses_lag_codes_that_overflow():
     for reach, fits in ((10**5, True), (10**7, False)):
         sym = AnalyticSymbol.polynomial({(0, 0, 0): 0.6, (reach,) * 3: 0.8}, 3)
         if fits:
-            assert innerness_check(sym).deviation == dense.innerness_deviation(sym) == pytest.approx(0.96)
+            assert innerness_check(sym) == dense.innerness_deviation(sym) == pytest.approx(0.96)
         else:
             with pytest.raises(ValueError, match="overflow int64"):
                 innerness_check(sym)

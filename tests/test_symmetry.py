@@ -1,4 +1,4 @@
-"""Symmetries of H^2 of the bidisc that every division and gap reading must respect.
+"""Symmetries of H^2 of the bidisc that every division, gap and dilation reading must respect.
 
 Three exact symmetries act on the truncated grid without leaving it, so
 they need no reference answer:
@@ -15,6 +15,10 @@ holds for the quotient battery of every symbol entry of the corpus, with a
 swap relabelling each per-variable and per-pair residual.  The caps are
 uneven, so a swap moves a cap, and the free-variable lift of a symbol that
 leaves variables free is read under a swap that frees others.
+
+On the dilation side a unitary similarity T_i -> W T_i W* and a reversal
+of a seeded Brehmer pair leave the dilation residuals, the dropped-shell
+mass, the least eigenvalue of the defect sum and every verdict unchanged.
 """
 
 from functools import lru_cache
@@ -24,6 +28,7 @@ import pytest
 
 from hardylab.corpus import corpus_entries
 from hardylab.criteria import beurling_criterion, cross_commutator_criterion, identity_suite, quotient_data
+from hardylab.dilation import ContractionTuple, canonical_dilation, model_correspondence, random_brehmer_pair
 from hardylab.factorization import beurling_submodule_check, invariant_subspace_from_factorization
 from hardylab.grids import TruncationGrid
 from hardylab.subspaces import submodule_projection
@@ -152,3 +157,46 @@ def test_corpus_battery_readings_are_invariant(symmetry):
         for key, value in values.items():
             assert abs(moved[relabel(key)] - value) <= 1e-14, (entry_id, key, value)
         assert {relabel(key): v for key, v in verdicts.items()} == moved_verdicts, entry_id
+
+
+# ---- dilation of seeded Brehmer pairs ---------------------------------------
+
+DILATION_CAPS = (8, 8)
+
+
+def _similar(t, seed=5):
+    """W T_i W* for every entry, W a seeded unitary."""
+    rng = np.random.default_rng(seed)
+    w = np.linalg.qr(rng.normal(size=(t.dim, t.dim)) + 1j * rng.normal(size=(t.dim, t.dim)))[0]
+    return ContractionTuple(tuple(w @ m @ w.conj().T for m in t.matrices))
+
+
+def _reversed(t):
+    return ContractionTuple(t.matrices[::-1])
+
+
+def _dilation_readings(t):
+    """The isometry and intertwining residuals, the dropped-shell mass and
+    brehmer_min_eig, and the model_correspondence verdicts."""
+    d = canonical_dilation(t, DILATION_CAPS)
+    model = model_correspondence(t)
+    values = (d.isometry_residual, d.intertwining_residual, d.tail_mass,
+              model.residuals["brehmer_min_eig"])
+    return values, model.verdicts
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("act", [_similar, _reversed])
+def test_dilation_readings_are_invariant(seed, act):
+    """A unitary similarity and a reversal of the tuple leave the dilation
+    residuals, the dropped-shell mass and brehmer_min_eig in place, and
+    every verdict; a reversal swaps the two pureness keys.  A pureness value
+    is not compared: W T W* is nilpotent only up to rounding, so its value
+    can move from 0 to a small computed radius (about 1e-3 for seeds 2 and
+    3) while the verdict holds."""
+    t = random_brehmer_pair(seed, 8)
+    values, verdicts = _dilation_readings(t)
+    moved, moved_verdicts = _dilation_readings(act(t))
+    assert np.max(np.abs(np.subtract(moved, values))) <= 1e-14, (values, moved)
+    relabel = {"pureness_0": "pureness_1", "pureness_1": "pureness_0"} if act is _reversed else {}
+    assert {relabel.get(key, key): v for key, v in verdicts.items()} == moved_verdicts
