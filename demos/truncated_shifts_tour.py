@@ -23,7 +23,7 @@ import numpy as np
 from hardylab import (
     AnalyticSymbol,
     TruncationGrid,
-    shift_matrices,
+    shift_matrix,
     spectral_norm,
     toeplitz_matrix,
 )
@@ -40,7 +40,7 @@ def grid_anatomy():
 
 def shift_identities():
     grid = TruncationGrid((4, 4))
-    shifts = shift_matrices(grid)
+    shifts = [shift_matrix(grid, t) for t in range(grid.nvars)]
     eye = np.eye(grid.dim)
 
     for i, m in enumerate(shifts):

@@ -6,10 +6,15 @@ analytic function by its Taylor coefficients on the multi-indices k with
 0 <= k_i <= d_i.  The monomials e_s z^k form an orthonormal basis of the
 truncated space, so operators become plain complex matrices and subspaces
 become column spans.  TruncationGrid.ranks is the one place a multi-index
-becomes a basis rank: shifts, Toeplitz matrices and Taylor recursions all
-rest on z^j z^k = z^(j+k), and each reads it off the grid by passing j + k
-(or k - j) to ranks.  TruncationGrid.shift applies a coordinate shift M_t
-or its adjoint to an array of rows; it is the one place a shift is applied.
+becomes a basis rank.  Shifts, Toeplitz matrices and Taylor recursions all
+rest on z^j z^k = z^(j+k), and read the rank of a sum or a difference off
+mixed-radix codes: k has the code sum_i k_i * prod_{j<i} (caps_j + 1), and
+codes add as multi-indices do wherever the result stays inside the caps.
+TruncationGrid.sum_ranks gives the rank of a sum k + d from the ranks of k
+and d, and TruncationGrid.predecessors(j) the rank of k - j for every rank
+k, with a sentinel where k - j leaves the box.  TruncationGrid.shift
+applies a coordinate shift M_t or its adjoint to an array of rows; it is
+the one place a shift is applied.
 
 Basis order is graded: multi-indices sort by total degree, ties broken by
 the reversed tuple, and the channel index varies fastest.  The order is part
@@ -21,20 +26,22 @@ sorts the keys of a coefficient dict the same way.
 
 A grid's index tables depend only on its caps and, for flat indices, its
 channel count, so they are shared by every grid of a process rather than
-held per instance: the graded order, the multi-index tuples and the rank
-table are kept per caps, the shift index maps per (caps, channels), the
-windows per (caps, channels, margins), the top slices per (caps, channels,
-t), and the support/free row map of a tensored split per (caps, channels,
-used).  Each table is built once by one module-level builder and returned
-read-only, so no caller can change what another grid reads.  Each builder
-keeps at most TABLE_CACHE = 128 tables and drops the least recently used
-one first.  The bound is well above what a run reads: a corpus pass reads
-about 13 distinct caps and 22 windows, ten corpus seeds in one process
-read 45 windows, and a pass over the shipped scenarios or the division and
-dilation checks reads fewer than 10 of any table.  It is still a bound, so a
-long-lived process that walks through many grids holds a fixed number of
-tables, each a few index arrays of its grid's dimension.  An evicted table
-is rebuilt by the same code on its next read.
+held per instance: the graded order, the multi-index tuples, the codes and
+the rank table are kept per caps, the predecessors per (caps, j), the
+shift index maps per (caps, channels), the windows per (caps, channels,
+margins), the top slices per (caps, channels, t), and the support/free row
+map of a tensored split per (caps, channels, used).  Each table is built
+once by one module-level builder and returned read-only, so no caller can
+change what another grid reads.  Each builder keeps at most TABLE_CACHE =
+128 tables and drops the least recently used one first.  The bound is well
+above what a run reads: a corpus pass reads 10 distinct caps, 4
+predecessor tables and 22 windows, and no row map, since its detectors
+read the core of every tensored split; ten corpus seeds in one process
+read 12 caps and 45 windows; and a pass over the shipped scenarios or the
+division and dilation checks reads fewer than 10 of any table.  It
+is still a bound, so a long-lived process that walks through many grids
+holds a fixed number of tables, each a few index arrays of its grid's
+dimension.  An evicted table is rebuilt by the same code on its next read.
 """
 
 from __future__ import annotations
@@ -81,17 +88,29 @@ def _multi_indices(caps: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, _exponents(caps).tolist()))
 
 
+def _place(caps: tuple[int, ...]) -> np.ndarray:
+    """Mixed-radix place values: a multi-index k inside the caps has code
+    sum_i k_i * place_i with place_i = prod_{j<i} (caps_j + 1)."""
+    return np.cumprod((1,) + tuple(c + 1 for c in caps[:-1]), dtype=np.intp)
+
+
+@lru_cache(maxsize=TABLE_CACHE)
+def _codes(caps: tuple[int, ...]) -> np.ndarray:
+    """The mixed-radix code of every rank.  Codes add as multi-indices do,
+    so the code of k + d is codes[k] + codes[d] and that of k - j is
+    codes[k] - codes[j] wherever the sum or difference stays inside the caps."""
+    out = _exponents(caps) @ _place(caps)
+    _frozen(out)
+    return out
+
+
 @lru_cache(maxsize=TABLE_CACHE)
 def _radix(caps: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Mixed-radix place values and the rank of every mixed-radix code.
-
-    A multi-index k inside the caps has code sum_i k_i * place_i with
-    place_i = prod_{j<i} (caps_j + 1).  Only _ranks reads these tables.
-    """
-    exps = _exponents(caps)
-    place = np.cumprod((1,) + tuple(c + 1 for c in caps[:-1]), dtype=np.intp)
-    rank_of_code = np.empty(len(exps), dtype=np.intp)
-    rank_of_code[exps @ place] = np.arange(len(rank_of_code))
+    """Mixed-radix place values and the rank of every mixed-radix code."""
+    place = _place(caps)
+    codes = _codes(caps)
+    rank_of_code = np.empty(len(codes), dtype=np.intp)
+    rank_of_code[codes] = np.arange(len(codes))
     _frozen(place, rank_of_code)
     return place, rank_of_code
 
@@ -99,6 +118,25 @@ def _radix(caps: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 def _ranks(caps: tuple[int, ...], exps) -> np.ndarray:
     place, rank_of_code = _radix(caps)
     return rank_of_code[np.asarray(exps) @ place]
+
+
+def _sum_ranks(caps: tuple[int, ...], a, b) -> np.ndarray:
+    codes = _codes(caps)
+    return _radix(caps)[1][codes[a] + codes[b]]
+
+
+@lru_cache(maxsize=TABLE_CACHE)
+def _predecessors(caps: tuple[int, ...], j: tuple[int, ...]) -> np.ndarray:
+    """The rank of k - j for every rank k, and the sentinel len(ranks)
+    where k - j leaves the box (some k_i < j_i)."""
+    exps = _exponents(caps)
+    out = np.full(len(exps), len(exps), dtype=np.intp)
+    inside = np.all(exps >= j, axis=1)
+    if inside.any():
+        place, rank_of_code = _radix(caps)
+        out[inside] = rank_of_code[_codes(caps)[inside] - np.dot(j, place)]
+    _frozen(out)
+    return out
 
 
 @lru_cache(maxsize=TABLE_CACHE)
@@ -135,16 +173,15 @@ def _top_slice(caps: tuple[int, ...], channels: int, t: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=TABLE_CACHE)
-def _tensor_rows(caps: tuple[int, ...], channels: int,
-                 used: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _tensor_rows(caps: tuple[int, ...], channels: int, used: tuple[int, ...]) -> np.ndarray:
     exps = _exponents(caps)
     free = [t for t in range(len(caps)) if t not in used]
     on_support = np.flatnonzero(~exps[:, free].any(axis=1))
     on_free = np.flatnonzero(~exps[:, list(used)].any(axis=1))
-    ranks = _ranks(caps, exps[on_support, None] + exps[on_free])
+    ranks = _sum_ranks(caps, on_support[:, None], on_free)
     rows = _flat(ranks.T.ravel(), channels).reshape(on_free.size, -1).T
-    _frozen(on_support, on_free, rows)
-    return on_support, on_free, rows
+    _frozen(rows)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -195,6 +232,20 @@ class TruncationGrid:
         """
         return _ranks(self.caps, exps)
 
+    def sum_ranks(self, a, b) -> np.ndarray:
+        """Ranks of the sums k + d of the multi-indices of ranks a and b,
+        broadcast together, read as the rank of the sum of their codes.
+
+        Every sum must lie inside the caps; nothing checks it.
+        """
+        return _sum_ranks(self.caps, a, b)
+
+    def predecessors(self, j) -> np.ndarray:
+        """Read-only ranks of k - j for every rank k, in rank order, with
+        the sentinel len(exponents) where k - j leaves the box.  j may lie
+        outside the caps, and then every entry is the sentinel."""
+        return _predecessors(self.caps, tuple(int(a) for a in j))
+
     @property
     def _shift_pairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Read-only flat index maps (src, dst) of M_t, one per variable t:
@@ -235,15 +286,15 @@ class TruncationGrid:
         out[dst] = x[src]
         return out
 
-    def _tensor_rows(self, used: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(on_support, on_free, rows) for the variables used, in order, and
-        the free variables F, the others.
+    def _tensor_rows(self, used: tuple[int, ...]) -> np.ndarray:
+        """The row map of a split on the variables used, in order, tensored
+        with the box of the free variables F, the others.
 
-        on_support are the ranks with k_F = 0, the support grid of used in
-        its own graded order; on_free the ranks with k_used = 0, the free
-        box.  rows[i, b] is the flat index in this grid of flat index i of
-        the support grid (with this grid's channels) tensored with free
-        monomial b: the rank of k_used + k_F, in the same channel.
+        rows[i, b] is the flat index in this grid of flat index i of the
+        support grid of used (the ranks with k_F = 0, in its own graded
+        order, with this grid's channels) tensored with free monomial b
+        (the b-th rank with k_used = 0): the rank of k_used + k_F, in the
+        same channel.
         """
         return _tensor_rows(self.caps, self.channels, tuple(int(t) for t in used))
 

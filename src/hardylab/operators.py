@@ -12,7 +12,7 @@ A truncated shift is a 0/1 partial permutation, which TruncationGrid.shift
 applies to rows.  shift_matrix is that shift applied to the identity; every
 other module applies a shift to its bases through TruncationGrid.shift,
 without forming a dense shift.  toeplitz_matrix places every Taylor block in
-one scatter, each at the rank TruncationGrid.ranks gives the sum of its
+one scatter, each at the rank TruncationGrid.sum_ranks gives the sum of its
 coefficient's and its source's multi-indices.
 
 Every spectral norm (spectral_norm) is the square root of the largest
@@ -38,7 +38,6 @@ from .symbols import AnalyticSymbol
 
 __all__ = [
     "shift_matrix",
-    "shift_matrices",
     "toeplitz_matrix",
     "spectral_norm",
     "eval_margins",
@@ -56,6 +55,7 @@ def shift_matrix(grid: TruncationGrid, t: int) -> np.ndarray:
     return grid.shift(np.eye(grid.dim, dtype=complex), t, adjoint=False)
 
 
+# not exported: hlbench/tracing.py traces it, and nothing in the package reads it
 def shift_matrices(grid: TruncationGrid) -> list[np.ndarray]:
     return [shift_matrix(grid, t) for t in range(grid.nvars)]
 
@@ -71,8 +71,9 @@ def toeplitz_matrix(symbol: AnalyticSymbol, grid: TruncationGrid) -> np.ndarray:
 
     The blocks are laid out by one scatter over the pairs (d, j) of a
     nonzero coefficient d and a source j with j + d inside the caps, whose
-    target rank is TruncationGrid.ranks of j + d, so the work grows with
-    the number of nonzero coefficients.
+    target rank TruncationGrid.sum_ranks reads off the sum of the codes of
+    d and j, so the work grows with the number of nonzero coefficients and
+    no multi-index is gathered per pair.
     """
     if len(grid.caps) != symbol.nvars:
         raise ValueError("variable count mismatch between symbol and grid")
@@ -88,8 +89,7 @@ def toeplitz_matrix(symbol: AnalyticSymbol, grid: TruncationGrid) -> np.ndarray:
         fits &= exps[coeff, t][:, None] <= room[:, t]
     which, src = np.nonzero(fits)
     d = coeff[which]
-    # np.take gathers whole rows several times faster than exps[d]
-    dst = cod.ranks(np.take(exps, d, axis=0) + np.take(exps, src, axis=0))
+    dst = cod.sum_ranks(d, src)
     out = np.zeros((size, symbol.rows, size, symbol.cols), dtype=complex)
     out[dst, :, src, :] = table[d]
     return out.reshape(cod.dim, dom.dim)
@@ -124,8 +124,9 @@ def spectral_norm(a: np.ndarray) -> float:
 
 
 def hermitian_norm(a: np.ndarray) -> float:
-    """Spectral norm of a Hermitian matrix: its largest |eigenvalue|, with no SVD."""
-    if a.size == 0:
+    """Spectral norm of a Hermitian matrix: its largest |eigenvalue|, with
+    no SVD, and 0.0 with no eigensolve when it is empty or zero."""
+    if not a.any():
         return 0.0
     return float(np.abs(np.linalg.eigvalsh(a)).max())
 

@@ -28,14 +28,16 @@ images.  H^2 of the polydisc is the tensor product of H^2 in the variables
 the symbol uses and H^2 in the others, and on the box grid so is the
 operator, entry for entry: M_symbol is its Toeplitz matrix on the grid of
 the used variables tensored with the identity over the free box.  So only
-that support block is split, and its bases are tensored with the free box
-(_toeplitz_split), their rows placed in grid order by TruncationGrid.ranks;
-the one factorization is of the support block alone.
-The split returned keeps the support block's split as its core
-(SubspaceData.core) and the used variables (SubspaceData.used), and its
-complement keeps the core's complement, so the quotient battery runs on
-the core; every other split is its own core.  The core holds no reference
-back to the tensored split.
+that support block is split (_toeplitz_split); the one factorization is
+of the support block alone.
+The split returned (_TensoredSplit) keeps the support block's split as its
+core (SubspaceData.core) and the used variables (SubspaceData.used), and
+its complement is tensored from the core's complement, so the quotient
+battery runs on the core; every other split is its own core.  Its rank
+and discarded count are the core's times the free box size, and its
+grid-sized bases, the core's tensored with the free box and their rows
+placed in grid order by the grid's shared row map, are formed only when
+read.  The core holds no reference back to the tensored split.
 The exact S intersected with the grid, which for a symbol with singular
 leading coefficients holds more than the window columns span, factors the
 same way: it is the support block's part tensored with the free box.
@@ -48,7 +50,8 @@ coefficients rather than a sampled torus test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -92,15 +95,14 @@ class SubspaceData:
     The complement as a subspace, shift blocks and the invariance defect
     are formed on first use and cached.  A split that _toeplitz_split
     tensored from the grid of the variables its symbol uses keeps that
-    split as its core; every other split is its own core.
+    split as its core and forms its own bases only when read
+    (_TensoredSplit); every other split is its own core.
     """
 
     grid: TruncationGrid
     basis: np.ndarray          # (dim, r), column-orthonormal
     complement: np.ndarray     # (dim, dim - r), orthonormal basis of the complement
     discarded: int = 0         # columns dropped at the rank tolerance
-    # (core, used) of a tensored split, set by _factored only
-    _factor: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -109,23 +111,18 @@ class SubspaceData:
     @property
     def core(self) -> "SubspaceData":
         """The split on the grid of the used variables that this one is
-        tensored from with the identity over the free box, or self.
-
-        Its bases are this split's columns of the free monomial 1 on the
-        rows of the support grid, and it holds no reference to this split."""
-        return self if self._factor is None else self._factor[0]
+        tensored from with the identity over the free box, or self."""
+        return self
 
     @property
     def used(self) -> tuple[int, ...]:
         """The grid variables of the core, in order; the others are free."""
-        return tuple(range(self.grid.nvars)) if self._factor is None else self._factor[1]
+        return tuple(range(self.grid.nvars))
 
     @cached_property
     def complement_space(self) -> "SubspaceData":
-        """The complement, with this subspace as its complement; the
-        complement of a tensored split is tensored from the core's."""
-        q = SubspaceData(self.grid, self.complement, self.basis)
-        return q if self._factor is None else _factored(q, self.core.complement_space, self.used)
+        """The complement, with this subspace as its complement."""
+        return SubspaceData(self.grid, self.complement, self.basis)
 
     @cached_property
     def _cache(self) -> dict:
@@ -160,6 +157,58 @@ class SubspaceData:
         c = self.complement
         added, rest, dropped = _with_complement(c.conj().T @ columns, 1.0, c)
         return SubspaceData(self.grid, np.hstack([self.basis, added]), rest, discarded=dropped)
+
+
+class _TensoredSplit(SubspaceData):
+    """The split core (x) H^2(F) on grid: the core's bases tensored with the
+    identity over the box of the free variables F, the grid variables not
+    in used, one column per (free monomial, core column) in free-major
+    order.  rank, discarded and complement_space come from the core, and
+    basis and complement, each of the grid's dimension, are formed on
+    first read and cached.  The core holds no reference back to the split.
+    """
+
+    def __init__(self, core: SubspaceData, grid: TruncationGrid, used: tuple[int, ...]) -> None:
+        box = math.prod(c + 1 for t, c in enumerate(grid.caps) if t not in used)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "discarded", core.discarded * box)
+        object.__setattr__(self, "_core", core)
+        object.__setattr__(self, "_used", used)
+        object.__setattr__(self, "_box", box)
+
+    @property
+    def rank(self) -> int:
+        return self._core.rank * self._box
+
+    @property
+    def core(self) -> SubspaceData:
+        return self._core
+
+    @property
+    def used(self) -> tuple[int, ...]:
+        return self._used
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        return self._tensored(self._core.basis)
+
+    @cached_property
+    def complement(self) -> np.ndarray:
+        return self._tensored(self._core.complement)
+
+    @cached_property
+    def complement_space(self) -> SubspaceData:
+        """The core's complement, tensored the same way."""
+        return _TensoredSplit(self._core.complement_space, self.grid, self._used)
+
+    def _tensored(self, b: np.ndarray) -> np.ndarray:
+        """b on the core's grid, tensored with the free box: the rows of
+        each free monomial scattered to the ranks of k_used + k_F
+        (TruncationGrid._tensor_rows)."""
+        rows = self.grid._tensor_rows(self._used)
+        out = np.zeros((self.grid.dim, self._box, b.shape[1]), dtype=complex)
+        out[rows, np.arange(self._box)] = b[:, None, :]
+        return out.reshape(self.grid.dim, -1)
 
 
 def _coordinate_mask(columns: np.ndarray):
@@ -274,47 +323,26 @@ def _toeplitz_split(symbol: AnalyticSymbol, grid: TruncationGrid) -> SubspaceDat
     sits at k_F = 0, so on the box grid M_symbol = T (x) I_F entry for
     entry, where T is its Toeplitz matrix on the support grid of U, which
     is the slice k_F = 0 in its own graded order.  Only the window columns
-    of T are split; B_S and B_Q are the Kronecker products of that split's
-    bases with the identity over the free box, one column per (free
-    monomial, support column), their rows scattered to the ranks of
-    k_U + k_F by the grid's shared row map (TruncationGrid._tensor_rows).
-    discarded grows by the free box size.  With no free variable the
-    support grid is the grid and the support split is returned as it is,
-    its own core.  T is built on the support grid.  When some variable is
-    free, the support split is kept as the result's core (_factored).
+    of T are split.  With no free variable the support grid is the grid and
+    that split is returned as it is, its own core.  Otherwise it is the
+    core of the returned _TensoredSplit: B_S and B_Q are the Kronecker
+    products of its bases with the identity over the free box, one column
+    per (free monomial, support column), their rows scattered to the ranks
+    of k_U + k_F by the grid's shared row map (TruncationGrid._tensor_rows),
+    and formed only when read; rank and discarded grow by the free box size.
     """
     keys = (*symbol.numerator, *symbol.denominator)
-    used = [t for t in range(grid.nvars) if any(k[t] for k in keys)] or [0]
-    free = [t for t in range(grid.nvars) if t not in used]
+    used = tuple(t for t in range(grid.nvars) if any(k[t] for k in keys)) or (0,)
+    free = len(used) < grid.nvars
     support = TruncationGrid(tuple(grid.caps[t] for t in used)) if free else grid
     degrees = symbol.degrees
     keep = support.with_channels(symbol.cols).window_indices(tuple(degrees[t] for t in used))
-    cod = grid.with_channels(symbol.rows)
-    _, on_free, rows = cod._tensor_rows(tuple(used))
     restricted = [{tuple(k[t] for t in used): v for k, v in part.items()}
                   for part in (symbol.numerator, symbol.denominator)]
     reduced = AnalyticSymbol(len(used), symbol.rows, symbol.cols, *restricted) if free else symbol
     block = toeplitz_matrix(reduced, support)[:, keep]
     s, _ = subspace_from_columns(support.with_channels(symbol.rows), block)
-    if not free:
-        return s
-    box = np.arange(on_free.size)
-
-    def tensored(b: np.ndarray) -> np.ndarray:
-        out = np.zeros((cod.dim, on_free.size, b.shape[1]), dtype=complex)
-        out[rows, box] = b[:, None, :]
-        return out.reshape(cod.dim, -1)
-
-    split = SubspaceData(cod, tensored(s.basis), tensored(s.complement),
-                         discarded=s.discarded * on_free.size)
-    return _factored(split, s, tuple(used))
-
-
-def _factored(split: SubspaceData, core: SubspaceData, used: tuple) -> SubspaceData:
-    """split, marked as core tensored with the identity over the box of the
-    variables not in used, one column per (free monomial, core column)."""
-    object.__setattr__(split, "_factor", (core, used))
-    return split
+    return _TensoredSplit(s, grid.with_channels(symbol.rows), used) if free else s
 
 
 def origin_complement(grid: TruncationGrid) -> SubspaceData:

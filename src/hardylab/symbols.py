@@ -20,6 +20,7 @@ per coefficient, "k_1 ... k_n row col re im", grouped under "numerator" /
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,8 @@ def _normalize_matrix_coeffs(coeffs, nvars, rows, cols):
             arr = arr.reshape(1, 1)
         if arr.shape != (rows, cols):
             raise ValueError(f"coefficient at {k} has shape {arr.shape}, want {(rows, cols)}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"coefficient at {k} is not finite")
         if np.any(arr != 0):
             out[k] = arr.copy()
     return out
@@ -66,6 +69,8 @@ def _normalize_scalar_coeffs(coeffs, nvars):
         if len(k) != nvars or any(x < 0 for x in k):
             raise ValueError(f"bad multi-index {k} for n={nvars}")
         val = complex(val)
+        if not cmath.isfinite(val):
+            raise ValueError(f"coefficient at {k} is not finite")
         if val != 0:
             out[k] = val
     return out
@@ -156,38 +161,46 @@ class AnalyticSymbol:
         grid channel count is irrelevant here.  When the denominator is the
         constant one this is just the numerator laid out on the grid.
 
-        The numerator keys inside the caps are placed in one scatter, and
-        the recursion is solved one total-degree slice at a time: every
-        c_{k-j} it reads has lower total degree.  Both read their ranks from
-        TruncationGrid.ranks, of a key and of k - j.  Each coefficient sees
-        the same subtractions in the same order as an entry-by-entry solve,
-        so the table does not depend on the slicing.
+        The numerator keys inside the caps are placed in one scatter at
+        their TruncationGrid.ranks, and the recursion is solved one
+        total-degree slice at a time: every c_{k-j} it reads has lower total
+        degree.  A slice is one contiguous block of rows, updated once per
+        denominator term j, in the denominator's order, by q_j times the
+        rows TruncationGrid.predecessors(j) names.  Where k - j leaves the
+        box those name a sentinel row, a zero of the sign of Re q_j, so the
+        product is +0 in both parts (every coefficient is finite) and
+        subtracting it leaves the entry as it was, a -0 included.  Each coefficient sees the same
+        subtractions in the same order as an entry-by-entry solve, so the
+        table does not depend on the slicing.
         """
         if len(grid.caps) != self.nvars:
             raise ValueError(f"grid has {len(grid.caps)} variables, symbol has {self.nvars}")
         exps = grid.exponents
-        table = np.zeros((len(exps), self.rows, self.cols), dtype=complex)
+        size = len(exps)
+        # rows size and size + 1 are the sentinels +0 and -0, in both parts
+        table = np.zeros((size + 2, self.rows, self.cols), dtype=complex)
+        table[size + 1] = complex(-0.0, -0.0)
         keys = np.array(list(self.numerator), dtype=np.intp).reshape(-1, self.nvars)
         mats = np.array(list(self.numerator.values()), dtype=complex).reshape(-1, self.rows, self.cols)
         fits = np.all(keys <= grid.caps, axis=1)
         table[grid.ranks(keys[fits])] = mats[fits]
         q0 = complex(self.denominator[_zero_index(self.nvars)])
-        den_tail = [(k, v) for k, v in self.denominator.items() if any(k)]
+        den_tail = []
+        for j, qj in self.denominator.items():
+            if any(j):
+                pred = grid.predecessors(j)
+                # a q_j with a negative real part reads the -0 sentinel
+                den_tail.append((qj, pred + (pred == size) if np.signbit(qj.real) else pred))
         if not den_tail:
-            return table / q0
+            return table[:size] / q0
         # ranks are graded, so each total degree is one contiguous run
         bounds = np.flatnonzero(np.diff(exps.sum(axis=1), prepend=-1, append=-1))
-        tail = []
-        for j, qj in den_tail:
-            rows = np.flatnonzero(np.all(exps >= j, axis=1))
-            prev = grid.ranks(exps[rows] - j)
-            tail.append((qj, rows, prev, np.searchsorted(rows, bounds)))
-        for d, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            for qj, rows, prev, cut in tail:
-                part = slice(cut[d], cut[d + 1])
-                table[rows[part]] -= qj * table[prev[part]]
-            table[lo:hi] /= q0
-        return table
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            block = table[lo:hi]
+            for qj, pred in den_tail:
+                block -= qj * table[pred[lo:hi]]
+            block /= q0
+        return table[:size]
 
     # ---- evaluation ------------------------------------------------------
 

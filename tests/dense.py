@@ -2,8 +2,10 @@
 or entry by entry.
 
 The library holds a subspace as orthonormal bases and its compressions as
-q x q blocks in Q coordinates, and lays Toeplitz matrices out in one
-scatter; the dim x dim forms below are what tests compare those against,
+q x q blocks in Q coordinates, lays Toeplitz matrices out in one scatter,
+and tensors the bases of a split with a free box only when they are read;
+the dim x dim forms and the eager tensoring below are what tests compare
+those against,
 and psd_sqrt is the square root a dilation's defect root is checked by.
 The last three references are the plain formulas that the grid order, the
 innerness certificate and the norm scale are built from in whole-array
@@ -15,7 +17,7 @@ import itertools
 
 import numpy as np
 
-from hardylab.grids import order_key
+from hardylab.grids import TruncationGrid, order_key
 from hardylab.operators import _lag_sums, spectral_norm
 
 
@@ -71,6 +73,25 @@ def toeplitz(symbol, grid):
             d = tuple(a - b for a, b in zip(k, j))
             if min(d) >= 0:
                 out[rk * p:(rk + 1) * p, rj * q:(rj + 1) * q] = table[rank[d]]
+    return out
+
+
+def tensored(b, grid, used):
+    """Rows b on the support grid of the variables used (with grid's
+    channels) tensored with the identity over the free box, entry by entry:
+    one column per (free monomial, column of b), free monomials in grid
+    order, each entry at the flat index of k_used + k_free."""
+    support = TruncationGrid(tuple(grid.caps[t] for t in used), grid.channels)
+    box = [k for k in grid.multi_indices if not any(k[t] for t in used)]
+    r = b.shape[1]
+    out = np.zeros((grid.dim, len(box) * r), dtype=complex)
+    for f, k_free in enumerate(box):
+        for i in range(support.dim):
+            k_used, s = unflat(support, i)
+            k = list(k_free)
+            for a, t in enumerate(used):
+                k[t] += k_used[a]
+            out[flat(grid, tuple(k), s), f * r:(f + 1) * r] = b[i]
     return out
 
 

@@ -12,7 +12,7 @@ from hardylab.operators import eval_margins, shift_matrices, spectral_norm, wind
 from hardylab.subspaces import (
     InvarianceError,
     SubspaceData,
-    _factored,
+    _TensoredSplit,
     subspace_from_columns,
     submodule_projection,
 )
@@ -430,7 +430,8 @@ def test_detector_path_forms_no_dense_shift_or_projection(no_dense_operators):
     dim = qd.grid.dim
     assert dim == 343
     held = list(_held_arrays(qd, set()))
-    assert any(a is qd.q.basis for a in held) and any(a is qd.defect_blocks[0] for a in held)
+    # the tensored bases are formed only when read, so the walk finds the core's
+    assert any(a is qd.q.core.basis for a in held) and any(a is qd.defect_blocks[0] for a in held)
     assert all(a.shape != (dim, dim) for a in held), [a.shape for a in held]
 
     # every block member is sized by the core's q = 13, not the grid's 91
@@ -517,13 +518,12 @@ def _battery_outcome(s, margins):
 
 
 def _blinded(s):
-    """s with a NaN basis of S; a tensored split keeps its core, whose
-    basis of S is NaN too."""
-    blind = SubspaceData(s.grid, np.full_like(s.basis, np.nan), s.complement)
+    """s with a NaN basis of S; a tensored split is tensored from its core
+    with a NaN basis of S."""
     if s.core is s:
-        return blind
+        return SubspaceData(s.grid, np.full_like(s.basis, np.nan), s.complement)
     core = SubspaceData(s.core.grid, np.full_like(s.core.basis, np.nan), s.core.complement)
-    return _factored(blind, core, s.used)
+    return _TensoredSplit(core, s.grid, s.used)
 
 
 def _assert_battery_ignores_the_submodule_basis(s, margins):

@@ -215,23 +215,50 @@ def test_shift_is_the_dense_shift_and_its_adjoint(caps, channels):
             g.shift(x, t, adjoint=False)
 
 
+@given(caps=st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=3))
+def test_sum_and_difference_ranks_are_the_ranks_of_the_multi_indices(caps):
+    """sum_ranks of two ranks is ranks of their summed multi-indices, and
+    predecessors(j) holds ranks of k - j, with the sentinel len(exponents)
+    exactly where k - j leaves the box, also for j beyond the caps."""
+    g = TruncationGrid(tuple(caps))
+    exps = g.exponents
+    size = len(exps)
+    a, b = (x.ravel() for x in np.meshgrid(np.arange(size), np.arange(size), indexing="ij"))
+    sums = exps[a] + exps[b]
+    fits = np.all(sums <= g.caps, axis=1)
+    assert fits.sum() >= size
+    np.testing.assert_array_equal(g.sum_ranks(a[fits], b[fits]), g.ranks(sums[fits]))
+    beyond = [tuple(c + (t == s) for s, c in enumerate(caps)) for t in range(len(caps))]
+    for j in [*g.multi_indices, *beyond]:
+        pred = g.predecessors(j)
+        diffs = exps - j
+        inside = np.all(diffs >= 0, axis=1)
+        assert pred.shape == (size,) and pred.dtype == np.intp
+        np.testing.assert_array_equal(pred[inside], g.ranks(diffs[inside]))
+        np.testing.assert_array_equal(np.flatnonzero(pred == size), np.flatnonzero(~inside))
+
+
 # ---- index tables shared per caps --------------------------------------------
 
 def _builders():
-    return (grids._exponents, grids._multi_indices, grids._radix, grids._shift_pairs,
-            grids._window, grids._top_slice, grids._tensor_rows)
+    return (grids._exponents, grids._multi_indices, grids._codes, grids._radix,
+            grids._predecessors, grids._shift_pairs, grids._window, grids._top_slice,
+            grids._tensor_rows)
 
 
 def test_grids_of_the_same_caps_share_their_tables():
     a, b = TruncationGrid((6, 6, 6)), TruncationGrid((6, 6, 6))
     assert a is not b
     assert a.exponents is b.exponents and a.multi_indices is b.multi_indices
+    assert grids._codes(a.caps) is grids._codes(b.caps)
+    assert a.predecessors((1, 0, 2)) is b.predecessors([1, 0, 2])
     assert a._shift_pairs is b._shift_pairs
     assert a.window_indices((1, 2, 3)) is b.window_indices([1, 2, 3])
     assert a.top_slice_indices(1) is b.top_slice_indices(1)
     assert a._tensor_rows((0, 2)) is b._tensor_rows([0, 2])
     two = a.with_channels(2)
     assert two.exponents is a.exponents and two.multi_indices is a.multi_indices
+    assert two.predecessors((1, 0, 2)) is a.predecessors((1, 0, 2))
     assert two._shift_pairs is not a._shift_pairs
     assert two.window_indices((1, 2, 3)) is not a.window_indices((1, 2, 3))
     np.testing.assert_array_equal(two._shift_pairs[0][0][::2], 2 * a._shift_pairs[0][0])
@@ -239,8 +266,9 @@ def test_grids_of_the_same_caps_share_their_tables():
 
 def test_every_shared_table_is_read_only():
     g = TruncationGrid((6, 6, 6), channels=2)
-    tables = [g.exponents, *grids._radix(g.caps), *(m for pair in g._shift_pairs for m in pair),
-              g.window_indices((1, 1, 1)), g.top_slice_indices(2), *g._tensor_rows((1,))]
+    tables = [g.exponents, grids._codes(g.caps), *grids._radix(g.caps), g.predecessors((1, 0, 1)),
+              *(m for pair in g._shift_pairs for m in pair),
+              g.window_indices((1, 1, 1)), g.top_slice_indices(2), g._tensor_rows((1,))]
     assert len(tables) == 14 and all(t.size for t in tables)
     for table in tables:
         assert table.flags.writeable is False
@@ -251,11 +279,11 @@ def test_every_shared_table_is_read_only():
 def test_the_tensor_row_map_is_the_rank_of_each_sum():
     g = TruncationGrid((2, 1, 3), channels=2)
     for used in [(0,), (1,), (0, 2), (0, 1, 2)]:
-        on_support, on_free, rows = g._tensor_rows(used)
+        rows = g._tensor_rows(used)
         free = [t for t in range(3) if t not in used]
         exps = np.array(g.multi_indices)
-        np.testing.assert_array_equal(on_support, np.flatnonzero(~exps[:, free].any(axis=1)))
-        np.testing.assert_array_equal(on_free, np.flatnonzero(~exps[:, list(used)].any(axis=1)))
+        on_support = np.flatnonzero(~exps[:, free].any(axis=1))
+        on_free = np.flatnonzero(~exps[:, list(used)].any(axis=1))
         assert rows.shape == (on_support.size * g.channels, on_free.size)
         for i in range(rows.shape[0]):
             for b in range(rows.shape[1]):
@@ -276,12 +304,14 @@ def _corpus_pass(seed):
 
 
 def test_a_corpus_pass_builds_each_table_once():
-    """12 distinct caps and 13 (caps, channels) pairs in corpus_entries(1):
-    one build each, and none on a second pass."""
+    """10 distinct caps, 13 (caps, channels) pairs and 4 (caps, j) pairs in
+    corpus_entries(1): one build each, and none on a second pass."""
     for build in _builders():
         build.cache_clear()
     _corpus_pass(1)
     assert grids._exponents.cache_info().misses <= 12
+    assert grids._codes.cache_info().misses <= 12
+    assert grids._predecessors.cache_info().misses <= 4
     assert grids._shift_pairs.cache_info().misses <= 13
     built = [build.cache_info().misses for build in _builders()]
     _corpus_pass(1)
@@ -300,8 +330,9 @@ def test_each_table_cache_stays_at_its_bound():
     first = TruncationGrid((0, 1), channels=2)
 
     def tables(g):
-        return (g.exponents, grids._radix(g.caps), g._shift_pairs, g.window_indices((0, 1)),
-                g.top_slice_indices(1), g._tensor_rows((1,)))
+        return (g.exponents, grids._codes(g.caps), grids._radix(g.caps), g.predecessors((0, 1)),
+                g._shift_pairs, g.window_indices((0, 1)), g.top_slice_indices(1),
+                g._tensor_rows((1,)))
 
     kept = tables(first)
     for c in range(bound + 5):
@@ -315,7 +346,8 @@ def test_each_table_cache_stays_at_its_bound():
     again = tables(first)
     assert all(new is not old for new, old in zip(again, kept))
     caps = first.caps
-    fresh = (grids._exponents.__wrapped__(caps), grids._radix.__wrapped__(caps),
+    fresh = (grids._exponents.__wrapped__(caps), grids._codes.__wrapped__(caps),
+             grids._radix.__wrapped__(caps), grids._predecessors.__wrapped__(caps, (0, 1)),
              grids._shift_pairs.__wrapped__(caps, 2),
              grids._window.__wrapped__(caps, 2, (0, 1)),
              grids._top_slice.__wrapped__(caps, 2, 1),

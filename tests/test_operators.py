@@ -218,6 +218,17 @@ def test_hermitian_norm_matches_spectral_norm():
     assert hermitian_norm(np.zeros((0, 0))) == 0.0
 
 
+def test_hermitian_norm_of_zero_takes_no_eigensolve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve of a zero matrix")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for zero in (np.zeros((0, 0)), np.zeros((56, 56), dtype=complex), np.full((3, 3), -0.0)):
+        assert hermitian_norm(zero) == 0.0 and not np.signbit(hermitian_norm(zero))
+    with pytest.raises(AssertionError, match="eigensolve"):
+        hermitian_norm(np.eye(2) * 1e-300)
+
+
 def test_norm_helpers():
     assert spectral_norm(np.zeros((0, 0))) == 0.0
     a = np.diag([3.0, 1.0, 2.0])

@@ -148,7 +148,7 @@ def test_every_public_member_has_a_reader_outside_the_tests():
 
 
 def test_export_count():
-    assert len(hardylab.__all__) == 57
+    assert len(hardylab.__all__) == 56
 
 
 DOTTED = r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+"

@@ -318,6 +318,35 @@ def test_tensored_split_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
+@pytest.mark.parametrize("entry_id", ["product3-00", "blaschke3-00", "unitary3-00"])
+def test_tensored_split_forms_its_bases_only_when_read(entry_id):
+    """quotient_data, the three detectors and identity_suite read the core
+    alone, so neither the split nor its complement forms a grid-sized
+    basis.  Read afterwards, each basis is byte for byte the eager
+    tensoring of its core's, and rank, discarded and the complement's rank
+    are those of the split of the window columns on the whole grid."""
+    entry = next(e for e in corpus_entries(0) if e.entry_id == entry_id)
+    s = entry.subspace()
+    data = quotient_data(s, margins=entry.margins)
+    beurling_criterion(data)
+    cross_commutator_criterion(s, margins=entry.margins)
+    identity_suite(data)
+    q = s.complement_space
+    assert data.q is q and s.core is not s and q.core is not q
+    for x in (s, q):
+        assert not {"basis", "complement"} & set(vars(x)), entry_id
+
+    symbol, g = entry.symbol, entry.grid()
+    dom = g.with_channels(symbol.cols)
+    ref, _ = subspace_from_columns(s.grid, toeplitz_matrix(symbol, g)[:, dom.window_indices(symbol.degrees)])
+    assert (s.rank, s.discarded, q.rank) == (ref.rank, ref.discarded, ref.complement_space.rank)
+    for x in (s, q, q.complement_space):
+        for got, core in ((x.basis, x.core.basis), (x.complement, x.core.complement)):
+            want = dense.tensored(core, x.grid, x.used)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert x.basis is x.basis and x.rank == x.basis.shape[1]
+
+
 def test_corpus_split_takes_no_grid_wide_singular_vectors(no_wide_singular_vectors):
     """A dim-343 entry is split and run through the battery with every SVD
     that returns vectors of a grid-wide matrix disabled."""

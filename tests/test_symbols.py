@@ -181,6 +181,14 @@ def test_non_finite_coefficient_rejected(bad):
     with pytest.raises(ValueError, match=f"line 2: value wants finite numbers, got '{bad}'"):
         parse_coefficient_text(f"numerator\n0 0 0 0 {bad} 0\n")
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_non_finite_coefficient_refused_by_the_constructor(bad):
+    with pytest.raises(ValueError, match=r"coefficient at \(1, 0\) is not finite"):
+        AnalyticSymbol.rational({(0, 0): 1.0}, {(0, 0): 1.0, (1, 0): bad}, nvars=2)
+    with pytest.raises(ValueError, match=r"coefficient at \(1, 0\) is not finite"):
+        AnalyticSymbol.polynomial({(1, 0): np.array([[1.0, bad]])}, nvars=2, cols=2)
+
+
 @given(
     ncoef=st.integers(min_value=1, max_value=4),
     dcoef=st.integers(min_value=1, max_value=3),
@@ -225,6 +233,19 @@ def _taylor_table_by_entry(symbol, grid):
             acc -= qj * table[rank[prev]]
         table[r] = acc / q0
     return table
+
+
+@pytest.mark.parametrize("a", [0.2j, -0.2j, 0.3, -0.3, 0.5 - 0.5j, -0.5 + 0.5j])
+def test_taylor_table_keeps_signed_zeros_where_k_minus_j_leaves_the_box(a):
+    """Rows that a denominator term does not reach keep their bytes, a -0
+    part included, whatever the signs of the parts of q_j."""
+    for symbol in (AnalyticSymbol.blaschke(a, 0, 1),
+                   AnalyticSymbol.blaschke(a, 0, 2).matmul(AnalyticSymbol.blaschke(a * 1j, 1, 2))):
+        grid = TruncationGrid((4,) * symbol.nvars)
+        got, want = symbol.taylor_table(grid), _taylor_table_by_entry(symbol, grid)
+        assert got.tobytes() == want.tobytes()
+    zero = AnalyticSymbol.blaschke(0.2j, 0, 1).taylor_table(TruncationGrid((3,)))[0, 0, 0]
+    assert np.signbit(zero.real) and zero.imag == -0.2
 
 
 def test_taylor_table_is_bit_identical_to_the_entry_by_entry_solve():
