@@ -11,16 +11,16 @@ scenarios._RULES.  Only --out and --format, which never enter a
 Scenario, are defined here.  Flags and their environment variables become
 the same `key -> (origin, value)` settings a config's lines give, with the
 origin `--flag` or `HARDYLAB_X` in place of `line N`, merged as flag >
-environment > config > default through the scenario module's one
-validator, so a bad value from any origin exits 2 naming it.  A source
-flag such as --symbol-file replaces the config's block or file for that
-source.  One scenario emits a pretty JSON document (or text with --format
-text); several emit compact JSON Lines in input order.  --out is opened
-before any run, so an unwritable path or a directory exits 2 at once.  A
-missing or regular target (through any symlink) is written to a temp file
-beside it and renamed over it, so readers see the old report or the new
-one whole (the data is not synced to disk first); a device or pipe is
-written in place.
+environment > config > default.  Every scenario, from a config or from
+flags alone, is read by scenarios.parse_scenario, so a bad value from any
+origin exits 2 naming it.  A source flag such as --symbol-file replaces
+the config's block or file for that source.  One scenario emits a pretty
+JSON document (or text with --format text); several emit compact JSON
+Lines in input order.  --out is opened before any run, so an unwritable
+path or a directory exits 2 at once.  A missing or regular target
+(through any symlink) is written to a temp file beside it and renamed
+over it, so readers see the old report or the new one whole (the data is
+not synced to disk first); a device or pipe is written in place.
 
 Exit code 0 means every report met its expectations: the verdicts named
 in the config's expect block match, or, without an expect block, the run
@@ -51,10 +51,8 @@ from .scenarios import (
     INTERNAL_ERROR,
     ScenarioError,
     Setting,
-    build_scenario,
     expectations_met,
-    parse_scenario,  # noqa: F401 - unused here; hlbench/tracing.py rebinds cli.parse_scenario
-    read_config,
+    parse_scenario,
     run_scenario,
 )
 
@@ -112,12 +110,8 @@ def _config_scenario(path_str: str, command: str, overrides: dict):
     if not path.is_file():
         raise ScenarioError(f"config {path_str!r} not found")
     try:
-        settings, blocks = read_config(path.read_text())
-        for key in overrides:
-            if key.endswith("_file"):
-                blocks.pop(key.removesuffix("_file"), None)
-        s = build_scenario({**settings, **overrides}, blocks, scenario_id=path.stem,
-                           base_dir=path.parent, default_command=command)
+        s = parse_scenario(path.read_text(), scenario_id=path.stem, base_dir=path.parent,
+                           default_command=command, overrides=overrides)
     except ValueError as exc:  # ScenarioError, or undecodable text
         raise ScenarioError(f"config {path_str!r}: {exc}") from None
     if s.command != command:
@@ -159,8 +153,8 @@ def main(argv=None) -> int:
                 overrides.pop("id", None)
             scenarios = [_config_scenario(p, args.command, overrides) for p in args.config]
         else:
-            scenarios = [build_scenario(overrides, {}, scenario_id=f"cli-{args.command}",
-                                        default_command=args.command)]
+            scenarios = [parse_scenario("", scenario_id=f"cli-{args.command}",
+                                        default_command=args.command, overrides=overrides)]
         sink, temp, target = _open_out(out_origin, out) if out else (None, None, None)
     except (ValueError, OSError) as exc:  # ScenarioError, or an unreadable file
         print(f"hardylab: error: {exc}", file=sys.stderr)

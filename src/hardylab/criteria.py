@@ -70,7 +70,7 @@ from functools import cached_property
 import numpy as np
 
 from .grids import TruncationGrid
-from .operators import hermitian_norm, norm_factor, spectral_norm
+from .operators import _lambda_min, hermitian_norm, norm_factor, shift_matrices, spectral_norm
 from .subspaces import SubspaceData, _invariance_gate
 
 __all__ = [
@@ -223,9 +223,10 @@ def _lifted_compressions(q: SubspaceData) -> tuple:
     if not free:
         return tuple(compressions)
     box = TruncationGrid(tuple(q.grid.caps[t] for t in free))
+    shifts = shift_matrices(box)
     eye_box, eye_q = np.eye(box.dim), np.eye(core.rank, dtype=complex)
     return tuple(np.kron(eye_box, compressions[used.index(t)]) if t in used
-                 else np.kron(box.shift(eye_box, free.index(t), adjoint=False), eye_q)
+                 else np.kron(shifts[free.index(t)], eye_q)
                  for t in range(q.grid.nvars))
 
 
@@ -432,9 +433,3 @@ def identity_suite(data: QuotientData, tol: float = 1e-8) -> CriterionReport:
         residuals=residuals,
         verdicts=verdicts,
     )
-
-
-def _lambda_min(a: np.ndarray) -> float:
-    """Least eigenvalue of a Hermitian matrix, 0.0 when it is empty."""
-    return float(np.linalg.eigvalsh(a)[0]) if a.size else 0.0
-

@@ -35,7 +35,7 @@ from .criteria import (
     quotient_data,
 )
 from .grids import TruncationGrid
-from .operators import eval_margins, spectral_norm
+from .operators import _lambda_min, eval_margins, spectral_norm
 from .subspaces import RANK_TOL, submodule_projection
 from .symbols import AnalyticSymbol
 from .textlines import complex_row, content_lines, fields, numbers
@@ -149,7 +149,7 @@ def pureness_check(t_i: np.ndarray) -> PurenessReport:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("pureness_check needs a square matrix")
     power = np.linalg.matrix_power(m, m.shape[0])
-    if spectral_norm(power) == 0.0:
+    if not power.any():
         return PurenessReport(True, "nilpotent", 0.0)
     radius = float(np.abs(np.linalg.eigvals(m)).max())
     return PurenessReport(radius < 1 - PURENESS_TOL, "spectral_radius", radius)
@@ -183,8 +183,7 @@ def canonical_dilation(t: ContractionTuple, caps, tail_tol: float = 1e-8) -> Dil
         raise ValueError(f"need {t.n} caps, got {len(caps)}")
     defect, psd, root = brehmer_defect(t)
     if not psd:
-        w = np.linalg.eigvalsh(defect)
-        raise DilationError(f"defect sum is not PSD: min eigenvalue {w[0]:.3e}")
+        raise DilationError(f"defect sum is not PSD: min eigenvalue {_lambda_min(defect):.3e}")
     for i, m in enumerate(t.matrices):
         rep = pureness_check(m)
         if not rep.verdict:
@@ -274,8 +273,7 @@ def model_correspondence(source, caps=None, tol: float = 1e-8, margins=None) -> 
     residuals = {"annihilation": worst}
     verdicts = {"annihilation": worst <= tol}
 
-    defect = _defect_sum(matrices)
-    min_eig = float(np.linalg.eigvalsh(defect)[0]) if defect.size else 0.0
+    min_eig = _lambda_min(_defect_sum(matrices))
     residuals["brehmer_min_eig"] = min_eig
     verdicts["brehmer_min_eig"] = min_eig >= -tol
     for i, m in enumerate(matrices):

@@ -29,7 +29,7 @@ import numpy as np
 
 from .criteria import beurling_criterion, quotient_data
 from .grids import TruncationGrid
-from .operators import innerness_check, spectral_norm
+from .operators import _lambda_min, innerness_check, spectral_norm
 from .subspaces import origin_complement, submodule_projection
 from .symbols import AnalyticSymbol
 
@@ -60,7 +60,7 @@ GRAM_BUDGET = 64
 def _check_interior(z, label: str):
     z = tuple(complex(v) for v in z)
     for i, v in enumerate(z):
-        if abs(v) >= 1:
+        if not abs(v) < 1:
             raise ValueError(f"{label}[{i}] = {v} is not inside the open polydisc")
     return z
 
@@ -159,7 +159,7 @@ def gram_negativity_search(seed: int = 0) -> GramWitness:
         ang = rng.uniform(0.0, 2 * np.pi, size=(size, 2))
         pts = rad * np.exp(1j * ang)
         g = _gram(pts)
-        low = float(np.linalg.eigvalsh(g)[0])
+        low = _lambda_min(g)
         if low < best[0]:
             best = (low, pts, g)
     low, pts, g = best
@@ -187,9 +187,8 @@ def reduced_kernel_suite(caps=KERNEL_CAPS, seed: int = 0, tol: float = 1e-8) -> 
     interior points drawn from seed within PAIR_RADIUS, and the Gram search
     draws GRAM_BUDGET candidates from seed.  The witness symbol's innerness
     is checked at WITNESS_INNER_TOL, and the inclusions and the constants
-    quotient are built at INCLUSION_CAPS.  Returns a JSON-ready report:
-    every leaf is a float, int, bool, string, or a list of those, so the
-    serialized form is stable across runs.
+    quotient are built at INCLUSION_CAPS.  Returns every value as computed,
+    complex points and arrays included; a Report converts them to JSON.
     """
     caps = tuple(int(c) for c in caps)
     rng = np.random.default_rng(int(seed))
@@ -221,44 +220,42 @@ def reduced_kernel_suite(caps=KERNEL_CAPS, seed: int = 0, tol: float = 1e-8) -> 
     constants_residual = beurling.residuals["beurling_defect_product"]
 
     verdicts = {
-        "kernel_identity": bool(worst_dev <= tol),
-        "gram_negative": bool(witness.found),
-        "witness_vanishes_at_origin": bool(at_zero == 0.0 and numerator_origin == 0.0),
-        "witness_inner": bool(inner <= WITNESS_INNER_TOL),
-        "strict_inclusions": bool(strict),
-        "constants_quotient_fails": bool(not beurling.verdict),
+        "kernel_identity": worst_dev <= tol,
+        "gram_negative": witness.found,
+        "witness_vanishes_at_origin": at_zero == 0.0 and numerator_origin == 0.0,
+        "witness_inner": inner <= WITNESS_INNER_TOL,
+        "strict_inclusions": strict,
+        "constants_quotient_fails": not beurling.verdict,
     }
     return {
         "kernel": {
-            "max_deviation": float(worst_dev),
+            "max_deviation": worst_dev,
             "pairs": SAMPLE_PAIRS,
-            "caps": list(caps),
+            "caps": caps,
             "pair_radius": PAIR_RADIUS,
         },
         "gram": {
-            "found": bool(witness.found),
-            "min_eigenvalue": float(witness.min_eigenvalue),
-            "points": [[[float(p.real), float(p.imag)] for p in pt]
-                       for pt in witness.points],
-            "matrix": [[[float(v.real), float(v.imag)] for v in row]
-                       for row in witness.matrix],
-            "candidates": int(witness.candidates),
-            "inconclusive": bool(not witness.found),
+            "found": witness.found,
+            "min_eigenvalue": witness.min_eigenvalue,
+            "points": witness.points,
+            "matrix": witness.matrix,
+            "candidates": witness.candidates,
+            "inconclusive": not witness.found,
         },
         "witness_symbol": {
-            "at_origin": float(at_zero),
-            "numerator_origin_coefficient": float(numerator_origin),
-            "inner_deviation": float(inner),
+            "at_origin": at_zero,
+            "numerator_origin_coefficient": numerator_origin,
+            "inner_deviation": inner,
         },
         "inclusions": {
-            "rank_symbol_submodule": int(ranks[0]),
-            "rank_vanishing_at_origin": int(ranks[1]),
-            "rank_full": int(ranks[2]),
-            "inclusion_residual": float(inclusion_residual),
-            "caps": list(small.caps),
+            "rank_symbol_submodule": ranks[0],
+            "rank_vanishing_at_origin": ranks[1],
+            "rank_full": ranks[2],
+            "inclusion_residual": inclusion_residual,
+            "caps": small.caps,
         },
         "constants_quotient": {
-            "beurling_residual": float(constants_residual),
+            "beurling_residual": constants_residual,
         },
         "verdicts": verdicts,
     }

@@ -9,18 +9,21 @@ operators compose exactly like their infinite-dimensional counterparts on
 polynomial symbols.
 
 A truncated shift is a 0/1 partial permutation, which TruncationGrid.shift
-applies to rows.  shift_matrix is that shift applied to the identity; every
-other module applies a shift to its bases through TruncationGrid.shift,
-without forming a dense shift.  toeplitz_matrix places every Taylor block in
-one scatter, each at the rank TruncationGrid.sum_ranks gives the sum of its
-coefficient's and its source's multi-indices.
+applies to rows.  shift_matrix is that shift applied to the identity, and
+shift_matrices is one per variable; the package forms them only for the
+free box that compressions are lifted over (criteria), and applies every
+other shift to its bases through TruncationGrid.shift.  toeplitz_matrix
+places every Taylor block in one scatter, each at the rank
+TruncationGrid.sum_ranks gives the sum of its coefficient's and its
+source's multi-indices.
 
 Every spectral norm (spectral_norm) is the square root of the largest
 eigenvalue of a Gram of the short side, which keeps full relative accuracy
 because a Gram is formed only of a matrix that already exists, never of two
 factors whose product cancels.  Such a product A B* is measured with one
 side factored: ||A B*|| = ||R_B A*|| for the thin-QR factor R_B of B
-(norm_factor), so the cancellation happens in a formed matrix.
+(norm_factor), so the cancellation happens in a formed matrix.  Every
+least eigenvalue of a Hermitian block is read by _lambda_min.
 
 Innerness is not read from the truncated operators either: innerness_check
 returns the deviation of Theta = N/q from the finite identity N* N = |q|^2 I
@@ -55,8 +58,8 @@ def shift_matrix(grid: TruncationGrid, t: int) -> np.ndarray:
     return grid.shift(np.eye(grid.dim, dtype=complex), t, adjoint=False)
 
 
-# not exported: hlbench/tracing.py traces it, and nothing in the package reads it
 def shift_matrices(grid: TruncationGrid) -> list[np.ndarray]:
+    """shift_matrix of every variable, in variable order."""
     return [shift_matrix(grid, t) for t in range(grid.nvars)]
 
 
@@ -121,6 +124,11 @@ def spectral_norm(a: np.ndarray) -> float:
     x = np.ldexp(1.0, -e) * a
     gram = x.conj().T @ x if x.shape[0] >= x.shape[1] else x @ x.conj().T
     return float(np.ldexp(np.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)), e))
+
+
+def _lambda_min(a: np.ndarray) -> float:
+    """Least eigenvalue of a Hermitian matrix, 0.0 when it is empty."""
+    return float(np.linalg.eigvalsh(a)[0]) if a.size else 0.0
 
 
 def hermitian_norm(a: np.ndarray) -> float:

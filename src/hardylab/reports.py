@@ -2,15 +2,17 @@
 
 The JSON form is byte-deterministic for identical inputs: keys are sorted,
 floats use the shortest round-trip representation, and nothing
-time-dependent is serialized.  Wall-clock runtime lives only on the
-in-memory object and in the text rendering, so two runs of the same
-scenario emit identical bytes.
+time-dependent is serialized.  _jsonify is the one conversion to JSON:
+every field passes through it, and it turns the numpy scalars, complex
+numbers ([re, im]), tuples and arrays a command's details hold into plain
+values.  Wall-clock runtime lives only on the in-memory object and in the
+text rendering, so two runs of the same scenario emit identical bytes.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -72,18 +74,9 @@ class Report:
         return self.status == "ok"
 
     def to_dict(self) -> dict:
-        return {
-            "scenario_id": self.scenario_id,
-            "command": self.command,
-            "caps": None if self.caps is None else [int(c) for c in self.caps],
-            "tolerance": float(self.tolerance),
-            "seed": int(self.seed),
-            "residuals": _jsonify(self.residuals),
-            "verdicts": _jsonify(self.verdicts),
-            "status": self.status,
-            "details": _jsonify(self.details),
-            "version": self.version,
-        }
+        """Every field but runtime_seconds, in field order, through _jsonify."""
+        return _jsonify({f.name: getattr(self, f.name) for f in fields(self)
+                         if f.name != "runtime_seconds"})
 
 
 def _text_lines(report: Report) -> list:

@@ -18,7 +18,8 @@ settings, the shape the CLI also builds from flags and the environment,
 and build_scenario checks every value against the one rule for its key,
 caps and margins against the sources' number of variables, and the caps
 against the margins of the run's window, so each error message names the
-line, flag or variable it came from.
+line, flag or variable it came from.  parse_scenario, which joins the
+two, is the one reader of configs and flags, for the CLI too.
 
 _RULES holds each setting's rule, flag, environment variable, metavar and
 help; COMMANDS holds each command's help, needed sources, runner, window
@@ -136,7 +137,7 @@ _RULES = {
     "margins": Setting(_numbers(int, 0, many=True), "--margins", None, "M1,M2,...",
                        "per-variable evaluation window margins"),
     "tol": Setting(_positive, "--tol", "HARDYLAB_TOL", "X", "residual tolerance"),
-    "seed": Setting(_numbers(int), "--seed", "HARDYLAB_SEED", "N", "seed for any randomized search"),
+    "seed": Setting(_numbers(int, 0), "--seed", "HARDYLAB_SEED", "N", "seed for any randomized search"),
     "symbol_file": Setting(_text, "--symbol-file", None, "PATH", "coefficient text for the symbol"),
     "phi_file": Setting(_text, "--phi-file", None, "PATH", "coefficient text for the divisor"),
     "tuple_file": Setting(_text, "--tuple-file", None, "PATH", "matrix text for the tuple"),
@@ -156,11 +157,8 @@ def _assignment(lineno: int, line: str, table: dict, what: str) -> tuple:
 
 
 def _parse_bool(value: str, lineno: int) -> bool:
-    low = value.lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
+    if value in ("true", "false"):
+        return value == "true"
     raise ScenarioError(f"line {lineno}: expected true/false, got {value!r}")
 
 
@@ -301,18 +299,24 @@ def _check_window(s: Scenario, settings: dict, nvars: int) -> None:
                                 "the evaluation window would be empty")
 
 
-# not exported: hlbench/tracing.py traces it as cli.parse_scenario
-def parse_scenario(text: str, scenario_id: str = "scenario",
-                   base_dir=None, default_command: str | None = None) -> Scenario:
-    """Parse and validate one scenario config.
+def parse_scenario(text: str, scenario_id: str = "scenario", base_dir=None,
+                   default_command: str | None = None, overrides=None) -> Scenario:
+    """The one reader of configs and flags: one validated Scenario from a
+    config's text ("" for none) with the {key: (origin, value)} overrides
+    of flags and the environment on top, a *_file override replacing the
+    text's block or file for that source.
 
     base_dir anchors any *_file references; defaults (tol 1e-8, seed 0,
     margins from the symbol degrees) are applied here, and every
-    diagnostic names the config line it came from.  default_command fills
-    in when the text has no `command =` line, letting a caller that
-    already knows the command (the CLI's command argument) reuse a bare config.
+    diagnostic names the line, flag or variable it came from.
+    default_command fills in when the text has no `command =` line.
     """
     settings, blocks = read_config(text)
+    overrides = overrides or {}
+    for key in overrides:
+        if key.endswith("_file"):
+            blocks.pop(key.removesuffix("_file"), None)
+    settings.update(overrides)
     return build_scenario(settings, blocks, scenario_id, base_dir, default_command)
 
 

@@ -44,12 +44,18 @@ def _zero_index(nvars: int) -> tuple[int, ...]:
     return (0,) * nvars
 
 
+def _multi_index(k, nvars: int) -> tuple[int, ...]:
+    """k as a tuple of nvars non-negative ints; ValueError otherwise."""
+    k = tuple(int(x) for x in k)
+    if len(k) != nvars or any(x < 0 for x in k):
+        raise ValueError(f"bad multi-index {k} for n={nvars}")
+    return k
+
+
 def _normalize_matrix_coeffs(coeffs, nvars, rows, cols):
     out: dict[tuple[int, ...], np.ndarray] = {}
     for k, mat in coeffs.items():
-        k = tuple(int(x) for x in k)
-        if len(k) != nvars or any(x < 0 for x in k):
-            raise ValueError(f"bad multi-index {k} for n={nvars}")
+        k = _multi_index(k, nvars)
         arr = np.asarray(mat, dtype=complex)
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
@@ -65,9 +71,7 @@ def _normalize_matrix_coeffs(coeffs, nvars, rows, cols):
 def _normalize_scalar_coeffs(coeffs, nvars):
     out: dict[tuple[int, ...], complex] = {}
     for k, val in coeffs.items():
-        k = tuple(int(x) for x in k)
-        if len(k) != nvars or any(x < 0 for x in k):
-            raise ValueError(f"bad multi-index {k} for n={nvars}")
+        k = _multi_index(k, nvars)
         val = complex(val)
         if not cmath.isfinite(val):
             raise ValueError(f"coefficient at {k} is not finite")
@@ -129,7 +133,7 @@ class AnalyticSymbol:
     def blaschke(a: complex, var: int, nvars: int) -> "AnalyticSymbol":
         """One-variable Blaschke factor (z_var - a)/(1 - conj(a) z_var), |a| < 1."""
         a = complex(a)
-        if abs(a) >= 1:
+        if not abs(a) < 1:
             raise ValueError(f"Blaschke parameter must lie in the open disc, got |a|={abs(a)}")
         if not 0 <= var < nvars:
             raise ValueError(f"variable index {var} out of range for n={nvars}")

@@ -120,7 +120,7 @@ def test_criterion_3_reduced_kernel_example():
 
     kernel = rep["kernel"]
     assert kernel["pairs"] == 20
-    assert kernel["caps"] == [20, 20]
+    assert kernel["caps"] == (20, 20)
     assert kernel["pair_radius"] == 0.6
     assert kernel["max_deviation"] <= 1e-8
 

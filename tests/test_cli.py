@@ -233,6 +233,10 @@ def test_bad_env_value_exits_two(mono_cfg, monkeypatch, capsys):
     ("--margins", "check-beurling", "1,-1", "margins must be >= 0"),
     ("HARDYLAB_DEGREE", "check-beurling", "0 0", "caps must be >= 1"),
     ("HARDYLAB_TOL", "check-beurling", "-1e-8", "tol must be positive"),
+    ("config", "example42", "seed = -1", "seed must be >= 0, got '-1'"),
+    ("--seed", "example42", "-1", "seed must be >= 0, got '-1'"),
+    ("HARDYLAB_SEED", "example42", "-1", "seed must be >= 0, got '-1'"),
+    ("--seed", "check-beurling", "-1", "seed must be >= 0, got '-1'"),
     ("config", "check-beurling", "caps = 3 3 3", "caps (3, 3, 3) do not match 2 variables"),
     ("config", "check-beurling", "margins = 1", "margins (1,) do not match 2 variables"),
     ("--degree", "check-beurling", "3,3,3", "caps (3, 3, 3) do not match 2 variables"),

@@ -16,6 +16,7 @@ from hardylab.kernels import (
     reduced_szego_kernel,
     szego_kernel,
 )
+from hardylab.symbols import AnalyticSymbol
 
 
 def test_szego_closed_form():
@@ -29,6 +30,23 @@ def test_szego_rejects_boundary_points():
         szego_kernel((1.0, 0.0), (0.0, 0.0))
     with pytest.raises(ValueError, match="open polydisc"):
         kernel_sum_oracle((0.5, 0.5), (0.5, 1.2), (4, 4))
+
+
+NON_FINITE_POINT = {
+    "szego_kernel": lambda p: szego_kernel(p, (0.1, 0.1)),
+    "kernel_factor": lambda p: kernel_factor((0.1, 0.1), p),
+    "reduced_szego_kernel": lambda p: reduced_szego_kernel(p, (0.1, 0.1)),
+    "kernel_sum_oracle": lambda p: kernel_sum_oracle((0.1, 0.1), p, (4, 4)),
+    "gram_matrix": lambda p: gram_matrix([(0.1, 0.2), p]),
+    "blaschke": lambda p: AnalyticSymbol.blaschke(p[0], 0, 2),
+}
+
+
+@pytest.mark.parametrize("coordinate", [float("nan"), complex(0.1, float("inf"))])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_POINT))
+def test_a_non_finite_coordinate_is_not_inside_the_open_disc(name, coordinate):
+    with pytest.raises(ValueError, match="open (poly)?disc"):
+        NON_FINITE_POINT[name]((coordinate, 0.1))
 
 
 def test_reduced_kernel_matches_basis_sum():

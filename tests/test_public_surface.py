@@ -13,6 +13,7 @@ import inspect
 import io
 import pkgutil
 import re
+import sys
 import tokenize
 from pathlib import Path
 
@@ -54,8 +55,7 @@ def test_package_all_is_the_republished_module_lists():
         == {*REPUBLISHED, "cli", "textlines"}
 
 
-# cli binds parse_scenario only so that hlbench/tracing.py can rebind it there
-UNUSED_IMPORTS_ALLOWED = {("cli", "parse_scenario")}
+UNUSED_IMPORTS_ALLOWED: set = set()
 
 
 def test_every_import_is_used_or_exported():
@@ -73,6 +73,21 @@ def test_every_import_is_used_or_exported():
         exported = set(getattr(importlib.import_module(modname), "__all__", ()))
         unused |= {(path.stem, name) for name in imported - used - exported}
     assert unused <= UNUSED_IMPORTS_ALLOWED, sorted(unused - UNUSED_IMPORTS_ALLOWED)
+
+
+def test_runtime_imports_are_numpy_or_the_standard_library():
+    """The package's one runtime dependency is numpy (pyproject.toml):
+    every absolute import of src/hardylab names numpy or a module of the
+    standard library."""
+    imported = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert "numpy" in imported
+    assert sorted(imported - {"numpy"} - sys.stdlib_module_names) == []
 
 
 def _defaulted(fn) -> int:

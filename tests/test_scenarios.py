@@ -207,6 +207,15 @@ def test_expect_block_rejects_non_boolean():
         parse_scenario(cfg)
 
 
+@pytest.mark.parametrize("value", ["yes", "no", "1", "0", "True", "FALSE"])
+def test_expect_block_takes_only_true_and_false(value):
+    """A verdict is spelled `true` or `false`, as README documents and as
+    the benchmark's own expect reader requires."""
+    cfg = MONOMIAL_CFG + f"expect:\nxij = {value}\nend\n"
+    with pytest.raises(ScenarioError, match=f"line 10: expected true/false, got '{value}'"):
+        parse_scenario(cfg)
+
+
 
 @pytest.mark.parametrize("block, body, line", [
     ("symbol", "numerator\n1 1 0 0 oops 0.0", 6),

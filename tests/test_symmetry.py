@@ -12,7 +12,8 @@ they need no reference answer:
 Each leaves every residual of the factorization witness and of the gap's
 submodule check unchanged, up to rounding, and so every verdict.  The same
 holds for the quotient battery of every symbol entry of the corpus, with a
-swap relabelling each per-variable and per-pair residual.  The caps are
+swap relabelling each per-variable and per-pair residual, and for every
+permutation of the variables of its three-variable entries.  The caps are
 uneven, so a swap moves a cap, and the free-variable lift of a symbol that
 leaves variables free is read under a swap that frees others.
 
@@ -46,8 +47,13 @@ def _mapped(symbol, key, block):
     return AnalyticSymbol(symbol.nvars, symbol.rows, symbol.cols, num, den)
 
 
+def _permuted(symbol, perm):
+    """symbol with its variables permuted: variable i of the result is variable perm[i]."""
+    return _mapped(symbol, lambda k: tuple(k[p] for p in perm), lambda k, v: v)
+
+
 def _swapped(symbol):
-    return _mapped(symbol, lambda k: k[::-1], lambda k, v: v)
+    return _permuted(symbol, range(symbol.nvars)[::-1])
 
 
 def _rotated(symbol, zeta=(np.exp(0.9j), np.exp(-2.3j), np.exp(1.7j))):
@@ -128,35 +134,55 @@ def _entry_battery(entry_id):
     return _battery(entry.symbol, _uneven(entry.caps), entry.margins)
 
 
-def _relabelled(key, nvars):
-    """The key of a reading after the variables are reversed: a variable t
-    becomes n - 1 - t, and an unordered pair of the defect product is
-    written in increasing order."""
+def _relabelled(key, perm):
+    """The key of a reading after the variables are permuted by perm, as
+    _permuted does: a variable t becomes perm.index(t), and an unordered
+    pair of the defect product is written in increasing order."""
     name, part = key
     if name == "invariance":
-        return name, nvars - 1 - part
+        return name, perm.index(part)
     if not part.startswith("pair_"):
         return key
-    pair = [nvars - 1 - int(t) for t in part.split("_")[1:]]
+    pair = [perm.index(int(t)) for t in part.split("_")[1:]]
     if name == "beurling":
         pair.sort()
     return name, "pair_{}_{}".format(*pair)
+
+
+def _assert_battery_moved(entry_id, act, perm):
+    """The battery of act(symbol), at the entry's uneven caps and its
+    margins permuted by perm, reads every value of the entry's battery
+    within 1e-14 and every verdict, under the relabelling of perm."""
+    entry = ENTRIES[entry_id]
+    values, verdicts = _entry_battery(entry_id)
+    caps, margins = _uneven(entry.caps), entry.margins
+    moved, moved_verdicts = _battery(act(entry.symbol), tuple(caps[p] for p in perm),
+                                     tuple(margins[p] for p in perm))
+    relabel = {key: _relabelled(key, perm) for key in values}
+    assert sorted(relabel.values()) == sorted(moved), entry_id
+    for key, value in values.items():
+        assert abs(moved[relabel[key]] - value) <= 1e-14, (entry_id, key, value)
+    assert {relabel[key]: v for key, v in verdicts.items()} == moved_verdicts, entry_id
 
 
 @pytest.mark.parametrize("symmetry", sorted(SYMMETRIES))
 def test_corpus_battery_readings_are_invariant(symmetry):
     act = SYMMETRIES[symmetry][0]
     for entry_id, entry in ENTRIES.items():
-        values, verdicts = _entry_battery(entry_id)
-        caps, margins, n = _uneven(entry.caps), entry.margins, len(entry.caps)
-        relabel = (lambda key: _relabelled(key, n)) if symmetry == "swap" else (lambda key: key)
-        if symmetry == "swap":
-            caps, margins = caps[::-1], margins[::-1]
-        moved, moved_verdicts = _battery(act(entry.symbol), caps, margins)
-        assert sorted(map(relabel, values)) == sorted(moved), entry_id
-        for key, value in values.items():
-            assert abs(moved[relabel(key)] - value) <= 1e-14, (entry_id, key, value)
-        assert {relabel(key): v for key, v in verdicts.items()} == moved_verdicts, entry_id
+        identity = tuple(range(len(entry.caps)))
+        _assert_battery_moved(entry_id, act, identity[::-1] if symmetry == "swap" else identity)
+
+
+@pytest.mark.parametrize("perm", [(1, 0, 2), (0, 2, 1), (1, 2, 0), (2, 0, 1)])
+def test_three_variable_battery_readings_are_invariant_under_every_permutation(perm):
+    """The four permutations of three variables that the reversal of
+    test_corpus_battery_readings_are_invariant leaves out move every used
+    set of a tensored split, (0, 1), (0, 2), (1, 2) and (2,), to every
+    other position."""
+    entries = [entry_id for entry_id, entry in ENTRIES.items() if len(entry.caps) == 3]
+    assert len(entries) == 18
+    for entry_id in entries:
+        _assert_battery_moved(entry_id, lambda symbol: _permuted(symbol, perm), perm)
 
 
 # ---- dilation of seeded Brehmer pairs ---------------------------------------
