@@ -19,14 +19,15 @@ One more holds for every submodule:
                        (P_Q - Chat_i* Chat_i) - [C,C*]*[C,C*] stays PSD on Q
                        (smallest eigenvalue reported, must be >= -tol)
 
-Three more vanish exactly WHEN the quotient is of Beurling type, so they
-double as detectors:
+Two more vanish exactly WHEN the quotient is of Beurling type, so they
+double as detectors (reported as data, without a verdict):
 
   xij                      the cross terms P_S M_i P_Q M_j* P_S
   beurling_defect_product  the product of the defect compression formulas
-  annihilation_1..3        three product expressions that the vanishing
-                           defect product forces to zero (only evaluated
-                           once the defect product is below tolerance)
+
+The products of the defect formulas that vanish with the cross terms are
+not listed: each one factors through a cross term between two contractions,
+so xij bounds it.
 
 No residual is windowed.  Only the invariance gate of quotient_data reads
 the low-degree window that the margins keep; here they come from the

@@ -26,8 +26,8 @@ Exit code 0 means every report met its expectations: the verdicts named
 in the config's expect block match, or, without an expect block, the run
 finished without an error status.  Exit code 1 flags a verdict mismatch
 or an unexpected error status; exit code 2 flags bad input (unknown
-command or flag, unreadable config, malformed value, missing source,
-unwritable --out), and an error from a config names that config's path.
+command or flag, unreadable config, malformed value, missing or unread
+source, unwritable --out), and an error from a config names that config's path.
 Domain failures inside a run come back as reports whose status starts
 with "error:".  Exit code 3 flags a bug: some run raised an exception
 that is not a domain error, and its report's status starts with

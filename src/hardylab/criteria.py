@@ -41,6 +41,9 @@ and with R_t = B_S* M_t B_S the shifts restricted to S,
 
 the cross term minus the leak term.  The Beurling quantities carry no
 top-slice term: the defect product G_ii G_jj and the cross terms U_i U_j*.
+The products of Grams that vanish with the cross terms, G_ji G_ji, G_ii G_ji
+and G_ji G_jj, are U_a* (U_i U_j*) U_b with ||U_t|| <= 1, so each is at most
+||U_i U_j*|| and none is reported apart from it.
 Since ||B_Q X B_Q*|| = ||X||, every q x q residual is a plain spectral norm,
 taken from a Gram of the formed residual (operators.spectral_norm).  A
 product of two dim-row factors whose entries cancel, the cross term U_i U_j*
@@ -131,13 +134,10 @@ class QuotientData:
         return {}
 
     def gram(self, a: int, b: int) -> np.ndarray:
-        """U_a* U_b = B_Q* M_a* P_S M_b B_Q, cached; (b, a) is the adjoint."""
+        """U_a* U_b = B_Q* M_a* P_S M_b B_Q, cached."""
         grams = self._grams
         if (a, b) not in grams:
-            if (b, a) in grams:
-                grams[(a, b)] = grams[(b, a)].conj().T
-            else:
-                grams[(a, b)] = self.leak(a).conj().T @ self.leak(b)
+            grams[(a, b)] = self.leak(a).conj().T @ self.leak(b)
         return grams[(a, b)]
 
     def commutator(self, i: int, j: int) -> np.ndarray:
@@ -300,7 +300,8 @@ def cross_commutator_criterion(
     exactly, read from the basis of Q alone.  With R the thin-QR factor of
     [U_j, V_i] over all rows (norm_factor), the norm is ||R [U_i, -V_j]*||:
     one QR per unordered pair, since the (j, i) commutator is the adjoint of
-    the (i, j) one.  The norms are taken on the core of Q: a pair with a
+    the (i, j) one, so pair_i_j is reported for i < j only, as in
+    beurling_criterion.  The norms are taken on the core of Q: a pair with a
     free variable f reads 0.0, since U_f = V_f = 0.  S passes the same
     invariance gate as in quotient_data first, on the window of margins.
     """
@@ -313,10 +314,9 @@ def cross_commutator_criterion(
     for i, j in _pairs(n):
         right = norm_factor(np.hstack([u[j], v[i]]))
         left = np.hstack([u[i], -v[j]])
-        norms[(i, j)] = norms[(j, i)] = spectral_norm(right @ left.conj().T)
-    pairs = [(i, j) for i in range(s.grid.nvars) for j in range(s.grid.nvars) if i != j]
+        norms[(i, j)] = spectral_norm(right @ left.conj().T)
     residuals = {f"pair_{i}_{j}": value
-                 for (i, j), value in _lifted(norms, s.used, pairs).items()}
+                 for (i, j), value in _lifted(norms, s.used, _pairs(s.grid.nvars)).items()}
     worst = max(norms.values(), default=0.0)
     residuals["cross_commutator"] = worst
     return CriterionReport(
@@ -349,8 +349,9 @@ def identity_suite(data: QuotientData, tol: float = 1e-8) -> CriterionReport:
     Conditional (zero exactly in the Beurling case, reported as data):
       xij                  cross terms P_S M_i P_Q M_j* P_S = U_i U_j*
       beurling_defect_product      ||G_ii G_jj||
-      annihilation_1..3    ||G_ji G_ji||, ||G_ii G_ji||, ||G_ji G_jj||, entered in
-                           the verdict only when the defect product is small
+
+    The products G_ji G_ji, G_ii G_ji and G_ji G_jj are not reported: each
+    is at most xij (module docstring).
 
     The defects, xij and the defect product are read from the cached
     members of data, which beurling_criterion shares.  K is formed once per
@@ -371,7 +372,6 @@ def identity_suite(data: QuotientData, tol: float = 1e-8) -> CriterionReport:
     residuals: dict = {"defect_identity": data.defect_identity}
     verdicts: dict = {"defect_identity": data.defect_identity <= tol}
 
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     residuals["xij"] = data.xij
 
     worst_comm = 0.0
@@ -409,23 +409,6 @@ def identity_suite(data: QuotientData, tol: float = 1e-8) -> CriterionReport:
 
     worst_prod = max(data.defect_products.values(), default=0.0)
     residuals["beurling_defect_product"] = worst_prod
-
-    if worst_prod <= tol:
-        worst_ann = [0.0, 0.0, 0.0]
-        norms: dict = {}
-        for i, j in pairs:
-            for idx, factors in enumerate(((j, i, j, i), (i, i, j, i), (j, i, j, j))):
-                # (U_a* U_b)(U_c* U_d) and its adjoint (U_d* U_c)(U_b* U_a)
-                # share one norm, so each is measured once, in the
-                # orientation max picks
-                key = max(factors, factors[::-1])
-                if key not in norms:
-                    norms[key] = spectral_norm(data.gram(*key[:2]) @ data.gram(*key[2:]))
-                worst_ann[idx] = max(worst_ann[idx], norms[key])
-        for idx in range(3):
-            key = f"annihilation_{idx + 1}"
-            residuals[key] = worst_ann[idx]
-            verdicts[key] = worst_ann[idx] <= tol
 
     return CriterionReport(
         name="identity_suite",

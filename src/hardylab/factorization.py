@@ -32,10 +32,10 @@ is an exact identity on thin blocks of the subspace bases
 TruncationGrid.shift, so no dense shift or dim x dim projection is formed.
 A projection P = B B* enters a norm only through B: with B_c the
 complement basis, ||(I - P) A|| = ||B_c* A||.  The gap and the check build
-N = S_theta + M by one split (SubspaceData.extended).  The witness reports
-the invariance defect of N (invariance_defect), and the check gates N on
-the same defect through quotient_data and cross_commutator_criterion; the
-innerness and the invariance gate both live in subspaces.
+N = S_theta + M by one split (SubspaceData.extended).  Every residual of the
+witness is exact; the check is the one place N is gated for invariance,
+through quotient_data and cross_commutator_criterion, on the window of
+margins.  The innerness and the invariance gate both live in subspaces.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .criteria import (
 )
 from .grids import TruncationGrid
 from .operators import eval_margins, innerness_check, spectral_norm, toeplitz_matrix
-from .subspaces import _innerness_gate, _toeplitz_split, invariance_defect, submodule_projection
+from .subspaces import _innerness_gate, _toeplitz_split, submodule_projection
 from .symbols import AnalyticSymbol
 
 __all__ = [
@@ -76,9 +76,10 @@ class FactorizationWitness:
     """One verified factorization theta = phi * psi and its subspace gap.
 
     m_basis spans M = S_phi minus S_theta; the residuals record every check
-    the construction ran: divisibility of theta by phi and innerness of
-    psi in coefficient space, invariance of N = S_theta + M, and the match
-    between the two descriptions of the final quotient.
+    the construction ran, all exact: divisibility of theta by phi and
+    innerness of psi in coefficient space, and the match between the two
+    descriptions of the final quotient.  Invariance of N = S_theta + M is
+    left to beurling_submodule_check.
     """
 
     theta: AnalyticSymbol
@@ -160,10 +161,9 @@ def invariant_subspace_from_factorization(
     and S_phi by _toeplitz_split, phi having passed the gate in the
     division; each split is of the support block of its multiplication
     operator.  N is split from the theta split alone (SubspaceData.extended
-    along B_phi), M is the part of its basis past B_theta, and the
-    invariance residual is the windowed defect of N (invariance_defect,
-    margins defaulting to the larger eval_margins of theta and phi), the
-    gate beurling_submodule_check runs on the same N.
+    along B_phi), and M is the part of its basis past B_theta.  N is not
+    gated here, and margins is not read: beurling_submodule_check gates N
+    on its window of margins.
     The quotient of theta splits as M plus the quotient of phi, so
     P_phi = P_N: the quotient match ||P_phi - P_N|| is
     max(||B_N_c* B_phi||, ||B_phi_c* B_N||), the norm of a difference of
@@ -172,10 +172,7 @@ def invariant_subspace_from_factorization(
     psi, residuals = _divide(theta, phi, tol)
     s_theta = submodule_projection(theta, grid, inner_tol=tol)
     s_phi = _toeplitz_split(phi, grid)
-    if margins is None:
-        margins = tuple(max(a, b) for a, b in zip(eval_margins(theta), eval_margins(phi)))
     n = s_theta.extended(s_phi.basis)
-    residuals["invariance"] = invariance_defect(n, margins)[0]
     residuals["quotient_match"] = max(
         spectral_norm(n.complement.conj().T @ s_phi.basis),
         spectral_norm(s_phi.complement.conj().T @ n.basis),

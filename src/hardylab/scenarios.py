@@ -204,7 +204,9 @@ def build_scenario(settings: dict, blocks: dict, scenario_id: str = "scenario",
     diagnostic names it.  Each value passes its key's rule, and every
     source, block or file, goes through one loader.  A file named on a
     config line resolves against base_dir; one from a flag or the
-    environment resolves against the working directory.
+    environment resolves against the working directory.  The sources
+    given must be exactly one of the command's groups, so none is left
+    unread.
     """
     if default_command is not None:
         settings = {"command": ("default_command", default_command), **settings}
@@ -256,12 +258,6 @@ def build_scenario(settings: dict, blocks: dict, scenario_id: str = "scenario",
             name, value = _assignment(lineno, line, expect, "expect")
             expect[name] = value if name == "status" else _parse_bool(value, lineno)
 
-    needs = COMMANDS[scenario.command].needs
-    given = {name for name, source in sources.items() if source is not None}
-    if not any(given.issuperset(group) for group in needs):
-        label = " or ".join(" and ".join(group) for group in needs)
-        raise ScenarioError(f"command {scenario.command!r} needs {label}")
-
     # every source fixes the variable count: a basis by its caps
     counts = {name: len(scenario.caps) if name == "basis" else
               source.n if name == "tuple" else source.nvars
@@ -277,6 +273,13 @@ def build_scenario(settings: dict, blocks: dict, scenario_id: str = "scenario",
             if value is not None and len(value) != n:
                 raise ScenarioError(f"{settings[key][0]}: {key} {value} do not match {n} variables")
         _check_window(scenario, settings, n)
+
+    needs = COMMANDS[scenario.command].needs
+    given = [name for name, source in sources.items() if source is not None]
+    if set(given) not in map(set, needs):
+        label = " or ".join(" and ".join(group) or "no source" for group in needs)
+        raise ScenarioError(f"command {scenario.command!r} needs {label}, "
+                            f"got {' and '.join(given) or 'no source'}")
     return scenario
 
 
@@ -391,9 +394,7 @@ def _run_dilate(s: Scenario):
 def _run_factor(s: Scenario):
     caps = _resolved_caps(s, s.symbol.nvars)
     grid = TruncationGrid(caps)
-    witness = invariant_subspace_from_factorization(
-        s.symbol, s.phi, grid, tol=s.tol, margins=s.margins
-    )
+    witness = invariant_subspace_from_factorization(s.symbol, s.phi, grid, tol=s.tol)
     check = beurling_submodule_check(witness.m_basis, s.symbol, grid,
                                      tol=s.tol, margins=s.margins)
     worst_witness = max(witness.residuals.values())
@@ -420,8 +421,7 @@ def _run_example42(s: Scenario):
     residuals = {
         "kernel_identity": rep["kernel"]["max_deviation"],
         "gram_negative": rep["gram"]["min_eigenvalue"],
-        "witness_vanishes_at_origin": max(wit["at_origin"],
-                                          wit["numerator_origin_coefficient"]),
+        "witness_vanishes_at_origin": wit["numerator_origin_coefficient"],
         "witness_inner": wit["inner_deviation"],
         "strict_inclusions": rep["inclusions"]["inclusion_residual"],
         "constants_quotient_fails": rep["constants_quotient"]["beurling_residual"],
@@ -431,7 +431,7 @@ def _run_example42(s: Scenario):
 
 class Command(NamedTuple):
     help: str
-    needs: tuple        # alternatives, each a group of sources that must all be given
+    needs: tuple        # alternatives, each a group of sources; exactly one group is given
     run: Callable       # Scenario -> (residuals, verdicts, details, caps)
     window: tuple = ()  # sources whose degrees set the run's window when no margins are set
     nvars: int | None = None   # variables the command fixes itself, whatever its sources

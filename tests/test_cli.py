@@ -7,6 +7,7 @@ import pytest
 from hardylab import cli
 from hardylab.cli import main
 from hardylab.scenarios import COMMANDS
+from hardylab.symbols import AnalyticSymbol, dump_coefficient_text
 
 MONO = """\
 command = check-beurling
@@ -28,6 +29,12 @@ numerator
 1 0 0 0 1.0 0.0
 end
 """
+
+
+Z1_BLOCK = "symbol:\nnumerator\n1 0 0 0 1.0 0.0\nend\n"
+# one unit row on caps 2 2, a real and an imaginary part per grid rank
+BASIS_BLOCK = "basis:\n" + " ".join(["0.0"] * 2 + ["1.0"] + ["0.0"] * 15) + "\nend\n"
+ZERO_PAIR_TUPLE = "tuple:\ndim 1\ncount 2\nmatrix 0\n0.0 0.0\nmatrix 1\n0.0 0.0\nend\n"
 
 
 @pytest.fixture
@@ -334,6 +341,63 @@ def test_check_brehmer_on_a_constant_unitary_passes(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "ok"
     assert all(doc["verdicts"].values()) and set(doc["residuals"].values()) == {0.0}
+
+
+def _blaschke_division_cfg(radius):
+    """b_a(z1) z2 divided by b_a(z1), |a| = radius, at caps 8 8 and tol 1e-8,
+    expecting the witness within tolerance."""
+    phi = AnalyticSymbol.blaschke(radius, 0, 2)
+    theta = phi.matmul(AnalyticSymbol.monomial((0, 1)))
+    return (f"command = factor\ncaps = 8 8\ntol = 1e-8\n"
+            f"symbol:\n{dump_coefficient_text(theta)}end\n"
+            f"phi:\n{dump_coefficient_text(phi)}end\n"
+            "expect:\nwitness_within_tolerance = true\nend\n")
+
+
+@pytest.mark.parametrize("radius", [0.3, 0.6, 0.9])
+def test_factor_witness_of_an_exact_rational_division_is_within_tolerance(radius, tmp_path,
+                                                                         capsys):
+    """The witness reads exact residuals only, so an exact division passes at
+    the default margins; N is gated by the check alone, which still refuses
+    the split at |a| = 0.9."""
+    cfg = tmp_path / "division.cfg"
+    cfg.write_text(_blaschke_division_cfg(radius))
+    code = run_cli(["factor", "--config", cfg])
+    doc = json.loads(capsys.readouterr().out)
+    if radius < 0.9:
+        assert code == 0, doc
+        assert "invariance" not in doc["residuals"]
+        assert doc["residuals"]["witness_within_tolerance"] <= 1e-14
+    else:
+        assert code == 1
+        assert doc["status"].startswith("error: subspace is not shift-invariant")
+
+
+@pytest.mark.parametrize("command, sources, flag, wanted", [
+    ("check-beurling", "caps = 2 2\n" + Z1_BLOCK + BASIS_BLOCK, None,
+     "needs symbol or basis, got symbol and basis"),
+    ("check-brehmer", "symbol:\nnumerator\n1 1 0 0 1.0 0.0\nend\n" + ZERO_PAIR_TUPLE, None,
+     "needs symbol or tuple, got symbol and tuple"),
+    ("check-beurling", Z1_BLOCK + Z1_BLOCK.replace("symbol", "phi"), None,
+     "needs symbol or basis, got symbol and phi"),
+    ("example42", "caps = 4 4\n" + Z1_BLOCK, None, "needs no source, got symbol"),
+    ("check-beurling", "caps = 2 2\n" + Z1_BLOCK, "--basis-file",
+     "needs symbol or basis, got symbol and basis"),
+], ids=["basis-and-symbol", "tuple-and-symbol", "unread-phi", "example42-symbol",
+        "basis-flag-over-symbol"])
+def test_sources_other_than_one_group_exit_two(command, sources, flag, wanted, tmp_path, capsys):
+    """The given sources must be exactly one of the command's groups: a second
+    group, or a source that no group reads, exits 2 naming the groups and
+    the sources, before any run."""
+    cfg = tmp_path / "sources.cfg"
+    cfg.write_text(f"command = {command}\n{sources}")
+    argv = [command, "--config", cfg]
+    if flag:
+        basis = tmp_path / "basis.txt"
+        basis.write_text(BASIS_BLOCK.split("\n")[1] + "\n")
+        argv += [flag, basis]
+    assert run_cli(argv) == 2
+    assert f"command {command!r} {wanted}" in capsys.readouterr().err
 
 
 def test_removed_example42_settings_are_unknown(tmp_path, capsys):

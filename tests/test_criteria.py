@@ -48,8 +48,7 @@ def test_monomial_quotient_is_float_exact():
     assert qd.invariance == 0.0
     rep = identity_suite(qd, tol=1e-10)
     assert rep.verdict
-    for key in ("xij", "beurling_defect_product", *UNCONDITIONAL,
-                "annihilation_1", "annihilation_2", "annihilation_3"):
+    for key in ("xij", "beurling_defect_product", *UNCONDITIONAL):
         assert rep.residuals[key] <= 1e-12, key
     assert rep.residuals["defect_domination_min_eig"] >= -1e-12
 
@@ -96,7 +95,6 @@ def test_s00_identities_hold_but_criteria_fail():
         assert rep.residuals[key] <= 1e-12, key
     assert rep.residuals["defect_domination_min_eig"] >= -1e-10
     assert rep.residuals["xij"] >= 0.5
-    assert "annihilation_1" not in rep.residuals  # skipped: hypothesis fails
 
     cross = cross_commutator_criterion(s00_subspace(), margins=(1, 1))
     assert cross.residuals["cross_commutator"] >= 0.5
@@ -282,7 +280,8 @@ def _dense_battery(s, margins, tol):
 
     r = [b.conj().T @ m @ b for m in mats]
     cross = {f"pair_{i}_{j}": spectral_norm(
-        b @ (r[j].conj().T @ r[i] - r[i] @ r[j].conj().T) @ b.conj().T) for i, j in pairs}
+        b @ (r[j].conj().T @ r[i] - r[i] @ r[j].conj().T) @ b.conj().T)
+        for i, j in pairs if i < j}
     cross["cross_commutator"] = max(cross.values(), default=0.0)
 
     x = {(i, j): p_s @ mats[i] @ p_q @ adj[j] @ p_s for i, j in pairs}
@@ -305,12 +304,6 @@ def _dense_battery(s, margins, tol):
         spectral_norm(p_q @ a @ p_s @ m @ p_s + p_q @ e_t @ p_s + p_q @ a @ p_q @ m @ p_s)
         for m, a, e_t in zip(mats, adj, top))
     suite["beurling_defect_product"] = worst_prod
-    if worst_prod <= tol:
-        for idx, (left, right) in enumerate([("k", "l"), ("i", "l"), ("k", "j")]):
-            suite[f"annihilation_{idx + 1}"] = max(
-                spectral_norm(p_q @ adj[{"k": j, "i": i}[left]] @ x[(i, j)]
-                              @ mats[{"l": i, "j": j}[right]] @ p_q)
-                for i, j in pairs)
 
     suite_verdicts = {k: v <= tol for k, v in suite.items()
                       if k not in ("xij", "beurling_defect_product")}
@@ -359,7 +352,6 @@ def test_battery_matches_dense_formulas_on_the_origin_complement():
     entry = next(e for e in corpus_entries(0) if e.entry_id == "origin-complement")
     reports = _assert_battery_matches_dense(entry.subspace(), entry.margins)
     assert not reports["beurling"].verdict
-    assert "annihilation_1" not in reports["suite"].residuals
 
 
 @st.composite
@@ -503,7 +495,7 @@ def test_residual_norms_factor_one_side_and_take_no_svd(monkeypatch):
     calls["qr"] = 0
     beurling_criterion(data, tol=1e-6)
     suite = identity_suite(data, tol=1e-6)
-    assert "annihilation_1" in suite.residuals and suite.verdicts["reduces"]
+    assert suite.verdict
     assert calls == {"qr": 0, "svd": 0}
 
 
@@ -626,21 +618,51 @@ def test_monomial_ideals_are_not_beurling(generators):
         assert suite.residuals[key] <= 1e-14, key
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_exact_identities_hold_far_from_invariance(seed):
-    """The three identities are exact matrix algebra, so they hold to rounding
-    for random splits that the invariance gate would reject."""
+def _random_split(seed):
+    """A split of caps (3, 3) along 1 + seed random columns, built past the
+    invariance gate, which refuses it."""
     g = TruncationGrid((3, 3))
     rng = np.random.default_rng(seed)
     cols = rng.normal(size=(g.dim, 1 + seed)) + 1j * rng.normal(size=(g.dim, 1 + seed))
     s, q = subspace_from_columns(g, cols)
     with pytest.raises(InvarianceError):
         quotient_data(s)
-    qd = QuotientData(s=s, q=q, invariance=float("nan"), invariance_per_variable=())
+    return QuotientData(s=s, q=q, invariance=float("nan"), invariance_per_variable=())
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_exact_identities_hold_far_from_invariance(seed):
+    """The three identities are exact matrix algebra, so they hold to rounding
+    for random splits that the invariance gate would reject."""
+    qd = _random_split(seed)
     rep = identity_suite(qd, tol=1e-14)
     assert rep.residuals["xij"] > 0.1
     for key in UNCONDITIONAL:
         assert rep.residuals[key] <= 1e-14, key
+
+
+def _assert_gram_products_within_xij(qd):
+    """||G_ji G_ji||, ||G_ii G_ji|| and ||G_ji G_jj|| for every ordered pair of
+    core variables are at most xij: each is U_a* (U_i U_j*) U_b with the
+    contractions U_a, U_b, so identity_suite need not report them."""
+    n = qd.q.core.grid.nvars
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                for a, b, c, d in ((j, i, j, i), (i, i, j, i), (j, i, j, j)):
+                    product = spectral_norm(qd.gram(a, b) @ qd.gram(c, d))
+                    assert product <= qd.xij, ((i, j), (a, b, c, d), product, qd.xij)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gram_products_are_bounded_by_xij_on_the_corpus(seed):
+    for entry in corpus_entries(seed):
+        _assert_gram_products_within_xij(quotient_data(entry.subspace(), margins=entry.margins))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_gram_products_are_bounded_by_xij_far_from_invariance(seed):
+    _assert_gram_products_within_xij(_random_split(seed))
 
 
 # ---- the battery on the core, lifted over the free variables -------------------
@@ -758,8 +780,7 @@ def test_free_variable_residuals_take_their_closed_forms():
     qd, (product, cross, suite) = _battery(s, (1, 1, 1))
     assert all(v == 0.0 for v in product.residuals.values())
     assert all(v == 0.0 for v in cross.residuals.values())
-    for key in ("xij", "commutator_identity", "beurling_defect_product",
-                "annihilation_1", "annihilation_2", "annihilation_3"):
+    for key in ("xij", "commutator_identity", "beurling_defect_product"):
         assert suite.residuals[key] == 0.0, key
     # measured on z2 alone: rounding of the core
     assert suite.residuals["defect_identity"] <= 1e-14 and suite.residuals["reduces"] <= 1e-14

@@ -14,7 +14,7 @@ from hardylab.factorization import (
 )
 from hardylab.grids import TruncationGrid
 from hardylab.kernels import rational_inner_witness, reduced_kernel_suite
-from hardylab.operators import eval_margins, shift_matrices, spectral_norm, windowed_norm
+from hardylab.operators import eval_margins, shift_matrices, spectral_norm
 from hardylab.subspaces import SubspaceData, submodule_projection, subspace_from_columns
 from hardylab.symbols import AnalyticSymbol
 
@@ -92,9 +92,12 @@ def test_a_divisor_into_another_channel_space_is_refused():
 
 
 def test_margins_past_the_caps_leave_no_exact_columns():
-    # the division reads no window, but the witness's invariance gate does
+    # the witness reads no window, but the check's invariance gate does
+    grid = TruncationGrid((3, 3))
+    wit = invariant_subspace_from_factorization(Z1Z2, Z1, grid, margins=(4, 4))
     with pytest.raises(ValueError, match="empty evaluation window"):
-        invariant_subspace_from_factorization(Z1Z2, Z1, TruncationGrid((3, 3)), margins=(4, 4))
+        beurling_submodule_check(wit.m_basis, Z1Z2, grid, margins=(4, 4))
+
 
 
 def test_variable_count_mismatch_rejected():
@@ -307,24 +310,17 @@ def _dense_divisibility(theta, phi, psi):
     return spectral_norm(np.vstack([lhs.get(k, zero) for k in keys]) - want) / spectral_norm(want)
 
 
-def _dense_witness(wit, tol, margins):
+def _dense_witness(wit, tol):
     """Every witness residual, written out: the division's from the
-    coefficients entry by entry, the gap's with dim x dim shifts and
-    projections."""
+    coefficients entry by entry, the gap's with dim x dim projections."""
     theta, phi, psi, grid = wit.theta, wit.phi, wit.psi, wit.grid
-    margins = margins or tuple(max(a, b) for a, b in
-                               zip(eval_margins(theta), eval_margins(phi)))
     s_phi = submodule_projection(phi, grid, inner_tol=tol)
     s_theta = submodule_projection(theta, grid, inner_tol=tol)
     p_phi, p_theta = s_phi.basis @ s_phi.basis.conj().T, s_theta.basis @ s_theta.basis.conj().T
     p_n = p_theta + wit.m_basis @ wit.m_basis.conj().T
-    eye = np.eye(grid.dim)
-    window = grid.window_indices(margins)
     return {
         "divisibility": _dense_divisibility(theta, phi, psi),
         "psi_innerness": dense.innerness_deviation(psi),
-        "invariance": max(windowed_norm((eye - p_n) @ m @ p_n, window)
-                          for m in shift_matrices(grid)),
         "quotient_match": spectral_norm(p_phi - p_n),
     }
 
@@ -361,7 +357,7 @@ def test_witness_and_check_match_dense_formulas(name):
     theta, phi, caps, tol, margins = PAIRS.get(name, FAR)
     grid = TruncationGrid(caps)
     wit = invariant_subspace_from_factorization(theta, phi, grid, tol=tol, margins=margins)
-    dense = _dense_witness(wit, tol, margins)
+    dense = _dense_witness(wit, tol)
     assert list(wit.residuals) == list(dense)
     for key, want in dense.items():
         assert abs(wit.residuals[key] - want) <= 1e-13, (key, wit.residuals[key], want)
@@ -373,6 +369,19 @@ def test_witness_and_check_match_dense_formulas(name):
     for key, want in dense.items():
         assert abs(rep.residuals[key] - want) <= 1e-13, (key, rep.residuals[key], want)
 
+
+def test_witness_does_not_read_margins():
+    """The witness's residuals and gap are bit-identical whatever margins it
+    is passed; only beurling_submodule_check gates N on a window."""
+    theta, phi, caps, tol, _ = PAIRS["rational"]
+    grid = TruncationGrid(caps)
+    plain, windowed = (invariant_subspace_from_factorization(theta, phi, grid, tol=tol,
+                                                             margins=margins)
+                       for margins in (None, (4, 4)))
+    assert list(plain.residuals) == ["divisibility", "psi_innerness", "quotient_match"]
+    assert ([v.hex() for v in plain.residuals.values()]
+            == [v.hex() for v in windowed.residuals.values()])
+    assert np.array_equal(plain.m_basis, windowed.m_basis)
 
 def _stacked_split_check(m_basis, theta, grid, tol, margins):
     """The check's residuals with N = S_theta + M split on the whole grid by
@@ -422,7 +431,7 @@ def test_free_variable_division_matches_the_stacked_dense_reference():
     s_theta = submodule_projection(theta, grid)
     assert s_theta.core is not s_theta and s_theta.used == (0,)
     wit = invariant_subspace_from_factorization(theta, Z1, grid, tol=tol)
-    want = _dense_witness(wit, tol, None)
+    want = _dense_witness(wit, tol)
     assert list(wit.residuals) == list(want)
     for key, value in want.items():
         assert abs(wit.residuals[key] - value) <= 1e-13, (key, wit.residuals[key], value)
@@ -509,7 +518,7 @@ def test_quotient_match_sees_a_dropped_gap(monkeypatch):
     wit = invariant_subspace_from_factorization(theta, phi, TruncationGrid(caps), tol=tol,
                                                 margins=margins)
     assert wit.m_rank == 0
-    dense = _dense_witness(wit, tol, margins)
+    dense = _dense_witness(wit, tol)
     assert wit.residuals["quotient_match"] == dense["quotient_match"] == 1.0
 
 

@@ -239,3 +239,49 @@ def test_readme_dotted_names_resolve():
     assert any(name == "SubspaceData.core" for _, _, name in names)
     unresolved = [f"{where}:{line}: {name}" for where, line, name in names if not _resolves(name)]
     assert unresolved == []
+
+
+def _readme_residual_keys() -> list:
+    """The keys of README's "Residual keys" table, one pattern each: the
+    first column's backticked names, a comma list split, and a `_i` or `_j`
+    part standing for an index (`pair_i_j`, `pureness_i`)."""
+    text = (ROOT / "README.md").read_text()
+    table = text.split("## Residual keys", 1)[1].split("\n\n", 2)[1]
+    rows = [line.split("|")[1] for line in table.splitlines()[2:]]
+    return [re.sub(r"_[ij](?=_|$)", r"_\\d+", name)
+            for row in rows for name in re.findall(r"`([^`]+)`", row)]
+
+
+def _emitted_residual_keys() -> set:
+    """Every residual key of the shipped scenarios and of the corpus battery."""
+    from hardylab.corpus import corpus_entries
+    from hardylab.criteria import (
+        beurling_criterion,
+        cross_commutator_criterion,
+        identity_suite,
+        quotient_data,
+    )
+    from hardylab.scenarios import parse_scenario, run_scenario
+
+    keys = set()
+    for cfg in sorted((ROOT / "scenarios").glob("*.cfg")):
+        report = run_scenario(parse_scenario(cfg.read_text(), cfg.stem, cfg.parent))
+        assert report.ok, (cfg.name, report.status)
+        keys |= set(report.residuals)
+    for entry in corpus_entries(0):
+        sub = entry.subspace()
+        data = quotient_data(sub, margins=entry.margins)
+        for report in (beurling_criterion(data), identity_suite(data),
+                       cross_commutator_criterion(sub, margins=entry.margins)):
+            keys |= set(report.residuals)
+    return keys
+
+
+def test_readme_residual_keys_match_the_reports():
+    """README's residual-key table names every key the ten shipped scenarios
+    and the corpus battery emit, and no key that none of them emits."""
+    patterns, emitted = _readme_residual_keys(), _emitted_residual_keys()
+    assert r"pair_\d+_\d+" in patterns and "witness_within_tolerance" in emitted
+    undocumented = sorted(k for k in emitted if not any(re.fullmatch(p, k) for p in patterns))
+    unemitted = [p for p in patterns if not any(re.fullmatch(p, k) for k in emitted)]
+    assert undocumented == [] and unemitted == []

@@ -97,9 +97,8 @@ def test_division_readings_are_invariant(name, symmetry):
     act, caps = SYMMETRIES[symmetry]
     values, verdicts = _readings(theta, phi, CAPS, tol)
     moved, moved_verdicts = _readings(act(theta), act(phi), caps, tol)
-    assert list(moved) == list(values) == ["divisibility", "psi_innerness", "invariance",
-                                           "quotient_match", "cross_commutator",
-                                           "beurling_defect_product"]
+    assert list(moved) == list(values) == ["divisibility", "psi_innerness", "quotient_match",
+                                           "cross_commutator", "beurling_defect_product"]
     for key, value in values.items():
         assert abs(moved[key] - value) <= 1e-14, (key, value, moved[key])
     assert moved_verdicts == verdicts
@@ -136,16 +135,14 @@ def _entry_battery(entry_id):
 
 def _relabelled(key, perm):
     """The key of a reading after the variables are permuted by perm, as
-    _permuted does: a variable t becomes perm.index(t), and an unordered
-    pair of the defect product is written in increasing order."""
+    _permuted does: a variable t becomes perm.index(t), and a pair, which
+    both criteria key for i < j only, is written in increasing order."""
     name, part = key
     if name == "invariance":
         return name, perm.index(part)
     if not part.startswith("pair_"):
         return key
-    pair = [perm.index(int(t)) for t in part.split("_")[1:]]
-    if name == "beurling":
-        pair.sort()
+    pair = sorted(perm.index(int(t)) for t in part.split("_")[1:])
     return name, "pair_{}_{}".format(*pair)
 
 
