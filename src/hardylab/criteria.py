@@ -224,7 +224,7 @@ def _lifted_compressions(q: SubspaceData) -> tuple:
         return tuple(compressions)
     box = TruncationGrid(tuple(q.grid.caps[t] for t in free))
     shifts = shift_matrices(box)
-    eye_box, eye_q = np.eye(box.dim), np.eye(core.rank, dtype=complex)
+    eye_box, eye_q = np.eye(box.dim), np.eye(core.rank, dtype=core.basis.dtype)
     return tuple(np.kron(eye_box, compressions[used.index(t)]) if t in used
                  else np.kron(shifts[free.index(t)], eye_q)
                  for t in range(q.grid.nvars))

@@ -50,9 +50,9 @@ from .criteria import (
     cross_commutator_criterion,
     quotient_data,
 )
-from .grids import TruncationGrid
+from .grids import TruncationGrid, _as_data
 from .operators import eval_margins, innerness_check, spectral_norm, toeplitz_matrix
-from .subspaces import _innerness_gate, _toeplitz_split, submodule_projection
+from .subspaces import _check_finite, _innerness_gate, _toeplitz_split, submodule_projection
 from .symbols import AnalyticSymbol
 
 __all__ = [
@@ -195,12 +195,15 @@ def beurling_submodule_check(m_basis: np.ndarray, theta: AnalyticSymbol,
 
     N is split from the theta split alone (SubspaceData.extended along
     m_basis).  Columns that add fewer dimensions than their number are
-    degenerate against S_theta.
+    degenerate against S_theta, and a column with a NaN or infinite entry
+    is refused by name before any norm is taken.  A real m_basis stays
+    real (grids._as_data), as the witness of a real division gives it.
     """
     s_theta = submodule_projection(theta, grid, inner_tol=tol)
-    m_basis = np.asarray(m_basis, dtype=complex)
+    m_basis = _as_data(m_basis)
     if m_basis.ndim != 2 or m_basis.shape[0] != s_theta.grid.dim:
         raise ValueError(f"m_basis must be ({s_theta.grid.dim}, r)")
+    _check_finite(m_basis)
     if margins is None:
         margins = eval_margins(theta)
 

@@ -4,8 +4,11 @@ Everything downstream works on a finite grid: fix per-variable degree caps
 d = (d_1, ..., d_n) and a channel count m, and represent a C^m-valued
 analytic function by its Taylor coefficients on the multi-indices k with
 0 <= k_i <= d_i.  The monomials e_s z^k form an orthonormal basis of the
-truncated space, so operators become plain complex matrices and subspaces
-become column spans.  TruncationGrid.ranks is the one place a multi-index
+truncated space, so operators become plain matrices and subspaces become
+column spans.  Those matrices are float64 when every input is real and
+complex128 otherwise; _as_data is the one rule, read where data enters a
+grid (a Taylor table, a column set), and numpy's type promotion carries
+the dtype from there.  TruncationGrid.ranks is the one place a multi-index
 becomes a basis rank.  Shifts, Toeplitz matrices and Taylor recursions all
 rest on z^j z^k = z^(j+k), and read the rank of a sum or a difference off
 mixed-radix codes: k has the code sum_i k_i * prod_{j<i} (caps_j + 1), and
@@ -60,6 +63,15 @@ TABLE_CACHE = 128
 def order_key(k: tuple[int, ...]) -> tuple:
     """Sort key giving the graded basis order of multi-indices."""
     return (sum(k), tuple(reversed(k)))
+
+
+def _as_data(a) -> np.ndarray:
+    """a as a float64 array when no entry has a nonzero imaginary part, else
+    as complex128: the one rule by which data entering a grid picks its
+    dtype, so real data is carried by real arithmetic from there on."""
+    a = np.asarray(a)
+    real = not (np.iscomplexobj(a) and a.imag.any())
+    return np.asarray(a.real if real else a, dtype=float if real else complex)
 
 
 def _frozen(*arrays: np.ndarray) -> None:

@@ -9,13 +9,14 @@ operators compose exactly like their infinite-dimensional counterparts on
 polynomial symbols.
 
 A truncated shift is a 0/1 partial permutation, which TruncationGrid.shift
-applies to rows.  shift_matrix is that shift applied to the identity, and
-shift_matrices is one per variable; the package forms them only for the
-free box that compressions are lifted over (criteria), and applies every
-other shift to its bases through TruncationGrid.shift.  toeplitz_matrix
-places every Taylor block in one scatter, each at the rank
-TruncationGrid.sum_ranks gives the sum of its coefficient's and its
-source's multi-indices.
+applies to rows.  shift_matrix is that shift applied to the real
+identity, and shift_matrices is one per variable; the package forms them
+only for the free box that compressions are lifted over (criteria), and
+applies every other shift to its bases through TruncationGrid.shift,
+which keeps their dtype.  toeplitz_matrix places every Taylor block in one
+scatter, each at the rank TruncationGrid.sum_ranks gives the sum of its
+coefficient's and its source's multi-indices, in the dtype of the Taylor
+table, so a symbol with real coefficients has a real Toeplitz matrix.
 
 Every spectral norm (spectral_norm) is the square root of the largest
 eigenvalue of a Gram of the short side, which keeps full relative accuracy
@@ -54,8 +55,8 @@ class InnernessError(ValueError):
 
 
 def shift_matrix(grid: TruncationGrid, t: int) -> np.ndarray:
-    """Matrix of multiplication by z_t (all channels), overflow dropped."""
-    return grid.shift(np.eye(grid.dim, dtype=complex), t, adjoint=False)
+    """Real 0/1 matrix of multiplication by z_t (all channels), overflow dropped."""
+    return grid.shift(np.eye(grid.dim), t, adjoint=False)
 
 
 def shift_matrices(grid: TruncationGrid) -> list[np.ndarray]:
@@ -76,7 +77,8 @@ def toeplitz_matrix(symbol: AnalyticSymbol, grid: TruncationGrid) -> np.ndarray:
     nonzero coefficient d and a source j with j + d inside the caps, whose
     target rank TruncationGrid.sum_ranks reads off the sum of the codes of
     d and j, so the work grows with the number of nonzero coefficients and
-    no multi-index is gathered per pair.
+    no multi-index is gathered per pair.  The matrix takes the dtype of
+    symbol.taylor_table: float64 for a symbol with real coefficients.
     """
     if len(grid.caps) != symbol.nvars:
         raise ValueError("variable count mismatch between symbol and grid")
@@ -93,7 +95,7 @@ def toeplitz_matrix(symbol: AnalyticSymbol, grid: TruncationGrid) -> np.ndarray:
     which, src = np.nonzero(fits)
     d = coeff[which]
     dst = cod.sum_ranks(d, src)
-    out = np.zeros((size, symbol.rows, size, symbol.cols), dtype=complex)
+    out = np.zeros((size, symbol.rows, size, symbol.cols), dtype=table.dtype)
     out[dst, :, src, :] = table[d]
     return out.reshape(cod.dim, dom.dim)
 

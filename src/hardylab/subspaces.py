@@ -14,8 +14,13 @@ columns (Golub & Van Loan, Matrix Computations, 5.2).  Full rank is
 certified from R alone: by Weyl's inequality its diagonal and the
 Frobenius norm of its strict upper triangle bound every singular value,
 and when those bounds clear the cut twice over the split is read off Q
-with no SVD.  Otherwise one thin SVD of R sets the rank, and only a cut
-that drops columns rotates Q by its left factor.
+with no SVD.  Otherwise the singular values of R set the rank, and only a
+cut that drops columns forms the left factor and rotates Q by it.  A
+column with a NaN or infinite entry is refused by name before any of this.
+Arithmetic follows the data: real columns give real bases (float64, read
+by grids._as_data), so every QR, Gram and product downstream of a real
+split is real, and a complex column anywhere, in a column set or in a
+sum, makes the bases complex128 by numpy's type promotion.
 Operators are read against one basis B at a time: SubspaceData.shift_blocks
 gives B* A B and the part (I - B B*) A B of A B outside the span, for A = M_t
 or M_t* applied by TruncationGrid.shift; B* M_t B is a product for the first
@@ -56,7 +61,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import TruncationGrid
+from .grids import TruncationGrid, _as_data
 from .operators import (
     InnernessError,
     innerness_check,
@@ -148,14 +153,13 @@ class SubspaceData:
         return self._cache[key]
 
     def extended(self, columns: np.ndarray) -> "SubspaceData":
-        """The split of S + span(columns): _with_complement of B_c* columns
-        at floor 1, in the coordinates of B_c, so the cut is absolute (the
-        singular values are cosines).  The part of span(columns) outside S
+        """The split of S + span(columns): _with_complement of the columns
+        on the frame B_c at floor 1, which splits B_c* columns, so the cut
+        is absolute (the singular values are cosines).  The part of span(columns) outside S
         joins B after its columns; discarded counts the columns that add no
         dimension.  The sum is no tensor product, so it is its own core.
         """
-        c = self.complement
-        added, rest, dropped = _with_complement(c.conj().T @ columns, 1.0, c)
+        added, rest, dropped = _with_complement(columns, 1.0, self.complement)
         return SubspaceData(self.grid, np.hstack([self.basis, added]), rest, discarded=dropped)
 
 
@@ -206,7 +210,7 @@ class _TensoredSplit(SubspaceData):
         each free monomial scattered to the ranks of k_used + k_F
         (TruncationGrid._tensor_rows)."""
         rows = self.grid._tensor_rows(self._used)
-        out = np.zeros((self.grid.dim, self._box, b.shape[1]), dtype=complex)
+        out = np.zeros((self.grid.dim, self._box, b.shape[1]), dtype=b.dtype)
         out[rows, np.arange(self._box)] = b[:, None, :]
         return out.reshape(self.grid.dim, -1)
 
@@ -242,34 +246,53 @@ def _certified_full_rank(r: np.ndarray, floor: float) -> bool:
     return bool(d.min() - off > CERT_SAFETY * RANK_TOL * max(floor, d.max() + off))
 
 
-def _with_complement(columns: np.ndarray, floor: float, frame: np.ndarray | None = None):
-    """(B_S, B_Q, discarded): span(columns) and its complement, both in the
-    coordinates of the orthonormal frame (the identity when None), and the
-    count of columns that add no dimension.
+def _rank(sig: np.ndarray, floor: float) -> int:
+    """The count of singular values above the cut RANK_TOL * max(floor, sig_max)."""
+    return int(np.sum(sig > RANK_TOL * max(floor, sig[0])))
 
-    The one splitter, with one cut: a singular value of the columns counts
-    above RANK_TOL * max(floor, sig_max).  Zero or distinct unit columns
-    split by index: B_S is the frame's columns at their rows and B_Q the
-    rest, and each zero column is discarded.  Other columns take
+
+def _check_finite(columns: np.ndarray) -> None:
+    """Raise ValueError naming the first column with a NaN or infinite entry."""
+    bad = np.flatnonzero(~np.isfinite(columns).all(axis=0))
+    if bad.size:
+        raise ValueError(f"column {bad[0]} has a non-finite entry")
+
+
+def _with_complement(columns: np.ndarray, floor: float, frame: np.ndarray | None = None):
+    """(B_S, B_Q, discarded): the span of the columns' projection onto the
+    range of the orthonormal frame (the identity when None) and its
+    complement in that range, both as grid vectors, and the count of
+    columns that add no dimension.
+
+    The one splitter, with one cut: a singular value of frame* columns
+    counts above RANK_TOL * max(floor, sig_max).  A column with a NaN or
+    infinite entry is refused first (_check_finite).  Zero or distinct unit
+    columns split by index: B_S is the frame's columns at their rows and
+    B_Q the rest, and each zero column is discarded.  Other columns take
     Q, R = qr(columns, "complete"): k of them, no more than the rows, whose
     leading R block _certified_full_rank clears split as (Q[:, :k],
-    Q[:, k:]).  Otherwise one thin SVD of the leading min(rows, k) rows of
-    R, whose singular values are the columns', sets the rank; a cut that
-    drops a column rotates the leading block of Q by its left singular
-    vectors, so that block begins with span(columns).
+    Q[:, k:]).  Otherwise the singular values of the leading min(rows, k)
+    rows of R, which are the columns', set the rank; a cut that drops a
+    column, as every cut of k > rows columns does, rotates the leading
+    block of Q by their left singular vectors, so that block begins with
+    span(columns), and only such a cut forms them.
     """
+    _check_finite(columns)
+    if frame is not None:
+        columns = frame.conj().T @ columns
     inside = _coordinate_mask(columns)
     if inside is not None:
-        frame = np.eye(columns.shape[0], dtype=complex) if frame is None else frame
+        frame = np.eye(columns.shape[0], dtype=columns.dtype) if frame is None else frame
         return frame[:, inside], frame[:, ~inside], columns.shape[1] - int(inside.sum())
     q, r = np.linalg.qr(columns, mode="complete")
     k = rank = columns.shape[1]
     if k > columns.shape[0] or not _certified_full_rank(r[:k], floor):
         lead = min(columns.shape)
-        u, sig, _ = np.linalg.svd(r[:lead], full_matrices=False)
-        rank = int(np.sum(sig > RANK_TOL * max(floor, sig[0])))
-        if rank < k:
+        sig = np.linalg.svd(r[:lead], compute_uv=False) if k == lead else None
+        if sig is None or _rank(sig, floor) < k:
+            u, sig, _ = np.linalg.svd(r[:lead], full_matrices=False)
             q[:, :lead] = q[:, :lead] @ u
+        rank = _rank(sig, floor)
     if frame is not None:
         q = frame @ q
     return q[:, :rank], q[:, rank:], k - rank
@@ -279,8 +302,12 @@ def subspace_from_columns(
     grid: TruncationGrid,
     columns: np.ndarray,
 ) -> tuple[SubspaceData, SubspaceData]:
-    """Orthonormalize columns at the relative cut, floor 0; return (span, complement)."""
-    columns = np.asarray(columns, dtype=complex)
+    """Orthonormalize columns at the relative cut, floor 0; return (span, complement).
+
+    Columns with no nonzero imaginary part are split as float64 and give
+    real bases (grids._as_data); a NaN or infinite entry is refused.
+    """
+    columns = _as_data(columns)
     if columns.ndim != 2 or columns.shape[0] != grid.dim:
         raise ValueError(f"columns must be ({grid.dim}, k), got {columns.shape}")
     sb, qb, dropped = _with_complement(columns, 0.0)
@@ -347,7 +374,7 @@ def _toeplitz_split(symbol: AnalyticSymbol, grid: TruncationGrid) -> SubspaceDat
 
 def origin_complement(grid: TruncationGrid) -> SubspaceData:
     """The functions vanishing at the origin: every basis vector but the first."""
-    s, _ = subspace_from_columns(grid, np.eye(grid.dim, dtype=complex)[:, 1:])
+    s, _ = subspace_from_columns(grid, np.eye(grid.dim)[:, 1:])
     return s
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import TruncationGrid, order_key
+from .grids import TruncationGrid, _as_data, order_key
 from .textlines import content_lines, fields, numbers
 
 __all__ = [
@@ -172,25 +172,31 @@ class AnalyticSymbol:
         denominator term j, in the denominator's order, by q_j times the
         rows TruncationGrid.predecessors(j) names.  Where k - j leaves the
         box those name a sentinel row, a zero of the sign of Re q_j, so the
-        product is +0 in both parts (every coefficient is finite) and
-        subtracting it leaves the entry as it was, a -0 included.  Each coefficient sees the same
-        subtractions in the same order as an entry-by-entry solve, so the
-        table does not depend on the slicing.
+        product is +0 in every part (every coefficient is finite) and
+        subtracting it leaves the entry as it was, a -0 included.  Each
+        coefficient sees the same subtractions in the same order as an
+        entry-by-entry solve, so the table does not depend on the slicing.
+
+        The table is float64 when every coefficient of N and q has a zero
+        imaginary part, and complex128 otherwise (grids._as_data).
         """
         if len(grid.caps) != self.nvars:
             raise ValueError(f"grid has {len(grid.caps)} variables, symbol has {self.nvars}")
         exps = grid.exponents
         size = len(exps)
-        # rows size and size + 1 are the sentinels +0 and -0, in both parts
-        table = np.zeros((size + 2, self.rows, self.cols), dtype=complex)
-        table[size + 1] = complex(-0.0, -0.0)
+        num = np.array(list(self.numerator.values()), dtype=complex).ravel()
+        coeffs = _as_data(np.concatenate([num, list(self.denominator.values())]))
+        # rows size and size + 1 are the sentinels +0 and -0, in every part
+        table = np.zeros((size + 2, self.rows, self.cols), dtype=coeffs.dtype)
+        table[size + 1] = -0.0 if coeffs.dtype == float else complex(-0.0, -0.0)
         keys = np.array(list(self.numerator), dtype=np.intp).reshape(-1, self.nvars)
-        mats = np.array(list(self.numerator.values()), dtype=complex).reshape(-1, self.rows, self.cols)
+        mats = coeffs[:num.size].reshape(-1, self.rows, self.cols)
         fits = np.all(keys <= grid.caps, axis=1)
         table[grid.ranks(keys[fits])] = mats[fits]
-        q0 = complex(self.denominator[_zero_index(self.nvars)])
+        den = dict(zip(self.denominator, coeffs[num.size:].tolist()))
+        q0 = den[_zero_index(self.nvars)]
         den_tail = []
-        for j, qj in self.denominator.items():
+        for j, qj in den.items():
             if any(j):
                 pred = grid.predecessors(j)
                 # a q_j with a negative real part reads the -0 sentinel

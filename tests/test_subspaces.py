@@ -9,7 +9,9 @@ import pytest
 import dense
 from hardylab.corpus import corpus_entries
 from hardylab.criteria import beurling_criterion, cross_commutator_criterion, identity_suite, quotient_data
+from hardylab.factorization import beurling_submodule_check
 from hardylab.grids import TruncationGrid
+from hardylab.kernels import rational_inner_witness
 from hardylab.operators import InnernessError, eval_margins, shift_matrix, toeplitz_matrix
 from hardylab.subspaces import (
     RANK_TOL,
@@ -594,6 +596,94 @@ def test_the_gate_builds_one_window_on_the_core(monkeypatch):
     cross_commutator_criterion(s, margins=entry.margins)
     assert built == [s.core.grid]
     assert invariance_defect(s, entry.margins) == (data.invariance, data.invariance_per_variable)
+
+
+# ---- arithmetic follows the data ---------------------------------------------
+
+
+def _real_blaschke_product():
+    return AnalyticSymbol.blaschke(0.5, 0, 2).matmul(AnalyticSymbol.blaschke(-0.3, 1, 2))
+
+
+# symbol, caps and the margins of its invariance gate
+REAL_SYMBOLS = {
+    "monomial": (AnalyticSymbol.monomial((2, 1)), (4, 4), (2, 1)),
+    "free-variable-monomial": (AnalyticSymbol.monomial((0, 2)), (3, 4), (1, 2)),
+    "real-blaschke": (_real_blaschke_product(), (4, 5), (1, 1)),
+    "rational-witness": (rational_inner_witness(), (5, 5), (3, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REAL_SYMBOLS))
+def test_a_real_symbol_runs_in_float64_throughout(name):
+    symbol, caps, margins = REAL_SYMBOLS[name]
+    grid = TruncationGrid(caps)
+    assert symbol.taylor_table(grid).dtype == np.float64
+    assert toeplitz_matrix(symbol, grid).dtype == np.float64
+    assert shift_matrix(grid, 0).dtype == np.float64
+    s = submodule_projection(symbol, grid)
+    data = quotient_data(s, margins=margins)
+    q = data.q
+    arrays = [s.basis, s.complement, q.basis, q.complement, *data.compressions]
+    for split in (s.core, q.core):
+        for t in range(split.grid.nvars):
+            arrays += [*split.shift_blocks(t), *split.shift_blocks(t, adjoint=True)]
+    n = q.core.grid.nvars
+    arrays += [data.gram(a, b) for a in range(n) for b in range(n)]
+    assert {a.dtype for a in arrays} == {np.dtype(np.float64)}
+
+
+def test_one_imaginary_part_keeps_complex128():
+    grid = TruncationGrid((3, 3))
+    real = _real_blaschke_product()
+    tilted = AnalyticSymbol.rational({**real.numerator, (2, 2): np.array([[1e-3j]])},
+                                     real.denominator, nvars=2)
+    assert tilted.taylor_table(grid).dtype == np.complex128
+    assert toeplitz_matrix(tilted, grid).dtype == np.complex128
+    rotated = AnalyticSymbol.blaschke(0.5, 0, 2).matmul(AnalyticSymbol.blaschke(-0.3j, 1, 2))
+    s = submodule_projection(rotated, grid)
+    assert s.basis.dtype == s.complement.dtype == np.complex128
+
+    columns = np.arange(2.0 * grid.dim).reshape(grid.dim, 2) + 0j
+    assert subspace_from_columns(grid, columns)[0].basis.dtype == np.float64
+    columns[3, 1] += 1e-3j
+    span, rest = subspace_from_columns(grid, columns)
+    assert span.basis.dtype == rest.basis.dtype == np.complex128
+
+    # a real split extended by complex columns becomes complex
+    s = submodule_projection(real, grid)
+    assert s.basis.dtype == np.float64
+    extra = s.complement[:, :2] * np.exp(0.7j)
+    wider = s.extended(extra)
+    assert wider.rank == s.rank + 2
+    assert wider.basis.dtype == wider.complement.dtype == np.complex128
+
+
+NON_FINITE_COLUMNS = {
+    "nan-alone": [np.nan, 0.0, 0.0],
+    "inf-alone": [np.inf, 0.0, 0.0],
+    "nan-among-nonzeros": [1.0, np.nan, 0.5],
+}
+
+
+def _split_columns(columns):
+    return subspace_from_columns(TruncationGrid((2,)), columns)
+
+
+def _extend_by_columns(columns):
+    return submodule_projection(AnalyticSymbol.monomial((2,)), TruncationGrid((2,))).extended(columns)
+
+
+def _check_columns(columns):
+    return beurling_submodule_check(columns, AnalyticSymbol.monomial((2,)), TruncationGrid((2,)))
+
+
+@pytest.mark.parametrize("entry_point", [_split_columns, _extend_by_columns, _check_columns])
+@pytest.mark.parametrize("shape", sorted(NON_FINITE_COLUMNS))
+def test_a_non_finite_column_is_refused_by_name(shape, entry_point):
+    columns = np.column_stack([[0.0, 1.0, 0.0], NON_FINITE_COLUMNS[shape]])
+    with pytest.raises(ValueError, match="column 1 has a non-finite entry"):
+        entry_point(columns)
 
 
 def test_basis_text_round_trip():

@@ -217,15 +217,21 @@ def test_recursion_inverts_denominator_convolution(ncoef, dcoef, seed):
 
 
 def _taylor_table_by_entry(symbol, grid):
-    """The entry-by-entry solve of q_0 c_k = n_k - sum_j q_j c_{k-j}, in graded order."""
+    """The entry-by-entry solve of q_0 c_k = n_k - sum_j q_j c_{k-j}, in graded
+    order, in float64 when no coefficient of N or q has a nonzero imaginary
+    part and in complex128 otherwise."""
+    real = not any(np.any(np.imag(v)) for v in (*symbol.numerator.values(),
+                                                *symbol.denominator.values()))
+    dtype = float if real else complex
+    part = np.real if real else np.asarray
     ranks = len(grid.multi_indices)
-    table = np.zeros((ranks, symbol.rows, symbol.cols), dtype=complex)
-    q0 = complex(symbol.denominator[(0,) * symbol.nvars])
-    den_tail = [(k, v) for k, v in symbol.denominator.items() if any(k)]
+    table = np.zeros((ranks, symbol.rows, symbol.cols), dtype=dtype)
+    q0 = part(symbol.denominator[(0,) * symbol.nvars])
+    den_tail = [(k, part(v)) for k, v in symbol.denominator.items() if any(k)]
     rank = rank_table(grid)
     for r, k in enumerate(grid.multi_indices):
         acc = symbol.numerator.get(k)
-        acc = np.zeros((symbol.rows, symbol.cols), dtype=complex) if acc is None else acc.copy()
+        acc = np.zeros((symbol.rows, symbol.cols), dtype=dtype) if acc is None else part(acc).copy()
         for j, qj in den_tail:
             prev = tuple(k[i] - j[i] for i in range(symbol.nvars))
             if any(x < 0 for x in prev):
@@ -246,6 +252,16 @@ def test_taylor_table_keeps_signed_zeros_where_k_minus_j_leaves_the_box(a):
         assert got.tobytes() == want.tobytes()
     zero = AnalyticSymbol.blaschke(0.2j, 0, 1).taylor_table(TruncationGrid((3,)))[0, 0, 0]
     assert np.signbit(zero.real) and zero.imag == -0.2
+    if isinstance(a, float):
+        # a real table reads the -0 sentinel for q_1 = -a < 0 and the +0 one
+        # for q_1 > 0, so the -0 entry of N_0 stays -0 under either sign
+        real = AnalyticSymbol.rational({(0,): np.array([[1.0, -0.0]])}, {(0,): 1.0, (1,): -a},
+                                       nvars=1, cols=2)
+        grid = TruncationGrid((4,))
+        table = real.taylor_table(grid)
+        assert table.dtype == np.float64
+        assert table.tobytes() == _taylor_table_by_entry(real, grid).tobytes()
+        assert np.signbit(table[0, 0, 1]) and table[0, 0, 0] == 1.0
 
 
 def test_taylor_table_is_bit_identical_to_the_entry_by_entry_solve():

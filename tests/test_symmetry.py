@@ -1,13 +1,17 @@
 """Symmetries of H^2 of the bidisc that every division, gap and dilation reading must respect.
 
-Three exact symmetries act on the truncated grid without leaving it, so
+Four exact symmetries act on the truncated grid without leaving it, so
 they need no reference answer:
 
 - swapping the variables, together with their caps, permutes the grid;
 - a torus rotation z_t -> zeta_t z_t with |zeta_t| = 1 is a diagonal
   unitary on the monomial basis;
 - a channel change theta -> U theta, phi -> U phi with a constant unitary
-  U is a unitary on the channels, and leaves psi = phi^-1 theta alone.
+  U is a unitary on the channels, and leaves psi = phi^-1 theta alone;
+- a phase theta -> e^{0.7i} theta, phi -> e^{0.7i} phi leaves every
+  submodule and psi alone, and changes only the dtype: a symbol with real
+  coefficients runs in float64 and its phased twin in complex128, so the
+  real run is compared with the complex one.
 
 Each leaves every residual of the factorization witness and of the gap's
 submodule check unchanged, up to rounding, and so every verdict.  The same
@@ -70,6 +74,12 @@ def _channel_changed(symbol):
     return AnalyticSymbol(symbol.nvars, symbol.rows, symbol.cols, num, symbol.denominator)
 
 
+def _phased(symbol, angle=0.7):
+    """e^{i angle} symbol: the same submodule, from complex coefficients."""
+    num = {k: np.exp(1j * angle) * v for k, v in symbol.numerator.items()}
+    return AnalyticSymbol(symbol.nvars, symbol.rows, symbol.cols, num, symbol.denominator)
+
+
 def _readings(theta, phi, caps, tol):
     """Every residual of the witness and of its gap's check, and every verdict."""
     grid = TruncationGrid(caps)
@@ -87,6 +97,7 @@ SYMMETRIES = {
     "swap": (_swapped, CAPS[::-1]),
     "rotation": (_rotated, CAPS),
     "channel": (_channel_changed, CAPS),
+    "phase": (_phased, CAPS),
 }
 
 
