@@ -155,9 +155,10 @@ class SubspaceData:
     def extended(self, columns: np.ndarray) -> "SubspaceData":
         """The split of S + span(columns): _with_complement of the columns
         on the frame B_c at floor 1, which splits B_c* columns, so the cut
-        is absolute (the singular values are cosines).  The part of span(columns) outside S
-        joins B after its columns; discarded counts the columns that add no
-        dimension.  The sum is no tensor product, so it is its own core.
+        is absolute (the singular values are cosines).  The part of
+        span(columns) outside S joins B after its columns; discarded counts
+        the columns that add no dimension.  The sum is no tensor product,
+        so it is its own core.
         """
         added, rest, dropped = _with_complement(columns, 1.0, self.complement)
         return SubspaceData(self.grid, np.hstack([self.basis, added]), rest, discarded=dropped)

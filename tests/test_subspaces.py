@@ -671,7 +671,8 @@ def _split_columns(columns):
 
 
 def _extend_by_columns(columns):
-    return submodule_projection(AnalyticSymbol.monomial((2,)), TruncationGrid((2,))).extended(columns)
+    s = submodule_projection(AnalyticSymbol.monomial((2,)), TruncationGrid((2,)))
+    return s.extended(columns)
 
 
 def _check_columns(columns):
