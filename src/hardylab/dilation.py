@@ -7,13 +7,15 @@ pair, for which the n-step defect sum below is not the subset sum.
 
 A tuple whose alternating defect sum D is PSD and whose entries are pure
 embeds isometrically into a truncated vector-valued Hardy grid: the row of
-the embedding at multi-index k is R T*^k, with R = B* D^(1/2) the root of
-D on its range.  On a finite grid the construction is exact for nilpotent
-tuples once the caps reach the nilpotency indices, and that exactness is
+the embedding at multi-index k is R T*^k, with R the root of D on its
+range.  On a finite grid the construction is exact for nilpotent tuples
+once the caps reach the nilpotency indices, and that exactness is
 verified, not assumed: the isometry and intertwining residuals are
 computed and reported every time.  The shifts are applied by
 TruncationGrid.shift, never as dense matrices.  D is formed in n steps,
-D <- D - T_i D T_i* from D = I, and decomposed once (_decomposed_defect).
+D <- D - T_i D T_i* from D = I, and decomposed once (brehmer_defect).
+Each entry picks its dtype by grids._as_data and numpy's promotion
+carries it, so a real tuple runs in float64 end to end.
 
 The same circle of ideas runs backwards: compressing the coordinate shifts
 to the quotient of an inner-symbol submodule yields a tuple whose defect
@@ -34,7 +36,7 @@ from .criteria import (
     beurling_criterion,
     quotient_data,
 )
-from .grids import TruncationGrid
+from .grids import TruncationGrid, _as_data
 from .operators import _lambda_min, eval_margins, spectral_norm
 from .subspaces import RANK_TOL, submodule_projection
 from .symbols import AnalyticSymbol
@@ -42,7 +44,6 @@ from .textlines import complex_row, content_lines, fields, numbers
 
 __all__ = [
     "ContractionTuple",
-    "PurenessReport",
     "DilationData",
     "DilationError",
     "brehmer_defect",
@@ -69,12 +70,13 @@ class ContractionTuple:
     """Commuting square contractions on a common finite-dimensional space.
 
     Construction checks the shapes, every norm (at most 1 + NORM_SLACK)
-    and every pairwise commutator (at most COMMUTATION_TOL)."""
+    and every pairwise commutator (at most COMMUTATION_TOL).  Each matrix
+    is read by grids._as_data."""
 
     matrices: tuple
 
     def __post_init__(self):
-        mats = tuple(np.asarray(m, dtype=complex) for m in self.matrices)
+        mats = tuple(_as_data(m) for m in self.matrices)
         if not mats:
             raise ValueError("need at least one matrix")
         d = mats[0].shape[0]
@@ -103,41 +105,29 @@ class ContractionTuple:
 def _defect_sum(matrices) -> np.ndarray:
     """D = sum over subsets F of (-1)^|F| T_F T_F*, symmetrized, as the n
     steps D <- D - T_i D T_i* from D = I (one per commuting entry)."""
-    defect = np.eye(len(matrices[0]), dtype=complex)
+    defect = np.eye(len(matrices[0]))
     for m in matrices:
         defect = defect - m @ defect @ m.conj().T
     return (defect + defect.conj().T) / 2
 
 
-def _decomposed_defect(t: ContractionTuple):
-    """(D, W, V, psd): D = _defect_sum(t.matrices) = V W V* by one eigh,
-    PSD when its least eigenvalue is at least -EIG_TOL or the space is {0}."""
+def brehmer_defect(t: ContractionTuple):
+    """(D, psd, root): the alternating defect sum D = V W V* (_defect_sum,
+    one eigh), PSD when its least eigenvalue is at least -EIG_TOL or the
+    space is {0}, and its root on its range, root = sqrt(W+) V+* (r x dim).
+    V+ holds the eigenvectors whose eigenvalue exceeds the cut, RANK_TOL
+    times the largest, and W+ their eigenvalues; r is the defect rank, and
+    root* root is D with every eigenvalue at or below the cut set to zero."""
     defect = _defect_sum(t.matrices)
     w, v = np.linalg.eigh(defect)
-    return defect, w, v, bool(w.size == 0 or w[0] >= -EIG_TOL)
-
-
-def brehmer_defect(t: ContractionTuple):
-    """(D, psd, root) from _decomposed_defect: the alternating defect sum,
-    its PSD verdict, and its root on its range, root = B* D^(1/2) (r x dim),
-    with D^(1/2) = V sqrt(max(W, 0)) V* clamped and B the eigenvectors whose
-    eigenvalue exceeds RANK_TOL times the largest; r is the defect rank, and
-    root* root is D with its negative eigenvalues set to zero."""
-    defect, w, v, psd = _decomposed_defect(t)
     keep = w > RANK_TOL * w.max(initial=0.0)
-    root = v[:, keep].conj().T @ ((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
-    return defect, psd, root
+    root = np.sqrt(w[keep])[:, None] * v[:, keep].conj().T
+    return defect, bool(w.size == 0 or w[0] >= -EIG_TOL), root
 
 
-@dataclass(frozen=True)
-class PurenessReport:
-    verdict: bool
-    rule: str      # "nilpotent" or "spectral_radius"
-    value: float   # the quantity the rule examined
-
-
-def pureness_check(t_i: np.ndarray) -> PurenessReport:
-    """Decide whether adjoint powers of one contraction tend to zero.
+def pureness_check(t_i: np.ndarray) -> tuple[bool, float]:
+    """(pure, radius): whether adjoint powers of one contraction tend to
+    zero, and its spectral radius, 0.0 for a nilpotent matrix.
 
     Finite dimensions make this exact: T*^k tends to zero exactly when
     the spectral radius is below 1.  Nilpotency settles it first; otherwise
@@ -145,14 +135,12 @@ def pureness_check(t_i: np.ndarray) -> PurenessReport:
     reads as not pure, as any power test would read it: there ||T*^k|| >=
     radius^k stays above PURENESS_TOL for every k below 2e11.
     """
-    m = np.asarray(t_i, dtype=complex)
+    m = _as_data(t_i)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("pureness_check needs a square matrix")
     power = np.linalg.matrix_power(m, m.shape[0])
-    if not power.any():
-        return PurenessReport(True, "nilpotent", 0.0)
-    radius = float(np.abs(np.linalg.eigvals(m)).max())
-    return PurenessReport(radius < 1 - PURENESS_TOL, "spectral_radius", radius)
+    radius = float(np.abs(np.linalg.eigvals(m)).max()) if power.any() else 0.0
+    return radius < 1 - PURENESS_TOL, radius
 
 
 @dataclass(frozen=True)
@@ -185,11 +173,9 @@ def canonical_dilation(t: ContractionTuple, caps, tail_tol: float = 1e-8) -> Dil
     if not psd:
         raise DilationError(f"defect sum is not PSD: min eigenvalue {_lambda_min(defect):.3e}")
     for i, m in enumerate(t.matrices):
-        rep = pureness_check(m)
-        if not rep.verdict:
-            raise DilationError(
-                f"matrix {i} is not pure ({rep.rule} = {rep.value:.3e})"
-            )
+        pure, radius = pureness_check(m)
+        if not pure:
+            raise DilationError(f"matrix {i} is not pure (spectral radius {radius:.3e})")
     r = root.shape[0]
     if r == 0:
         raise DilationError("defect space is trivial; nothing to dilate into")
@@ -200,8 +186,8 @@ def canonical_dilation(t: ContractionTuple, caps, tail_tol: float = 1e-8) -> Dil
     exps = grid.exponents
     first = np.argmax(exps[1:] > 0, axis=1)
     parents = grid.ranks(exps[1:] - np.eye(t.n, dtype=exps.dtype)[first])
-    stack = np.empty((len(exps), t.dim, t.dim), dtype=complex)
-    stack[0] = np.eye(t.dim, dtype=complex)
+    stack = np.empty((len(exps), t.dim, t.dim), dtype=np.result_type(*adj))
+    stack[0] = np.eye(t.dim)
     for rank, (i, parent) in enumerate(zip(first, parents), start=1):
         stack[rank] = adj[i] @ stack[parent]
     # rows rank(k) * r .. rank(k) * r + r - 1 of Pi are R T*^k
@@ -277,10 +263,8 @@ def model_correspondence(source, caps=None, tol: float = 1e-8, margins=None) -> 
     residuals["brehmer_min_eig"] = min_eig
     verdicts["brehmer_min_eig"] = min_eig >= -tol
     for i, m in enumerate(matrices):
-        rep = pureness_check(m)
         key = f"pureness_{i}"
-        residuals[key] = rep.value
-        verdicts[key] = rep.verdict
+        verdicts[key], residuals[key] = pureness_check(m)
     return CriterionReport(name=name, tolerance=tol, residuals=residuals,
                            verdicts=verdicts)
 
@@ -310,8 +294,7 @@ def random_brehmer_pair(seed, size: int = 4) -> ContractionTuple:
     a, b = a * scale, b * scale
     for _ in range(MAX_TRIES):
         t = ContractionTuple((a, b))
-        *_, psd = _decomposed_defect(t)
-        if psd:
+        if brehmer_defect(t)[1]:
             return t
         a, b = 0.8 * a, 0.8 * b
     raise DilationError("could not reach a PSD defect sum by shrinking")

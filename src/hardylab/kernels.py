@@ -29,8 +29,8 @@ import numpy as np
 
 from .criteria import beurling_criterion, quotient_data
 from .grids import TruncationGrid
-from .operators import _lambda_min, innerness_check, spectral_norm
-from .subspaces import origin_complement, submodule_projection
+from .operators import _lambda_min, spectral_norm
+from .subspaces import _innerness_gate, _toeplitz_split, origin_complement
 from .symbols import AnalyticSymbol
 
 __all__ = [
@@ -188,8 +188,9 @@ def reduced_kernel_suite(caps=KERNEL_CAPS, seed: int = 0, tol: float = 1e-8) -> 
     draws GRAM_BUDGET candidates from seed.  The witness symbol N/q vanishes
     at the origin exactly when the constant coefficient of N does, since
     every AnalyticSymbol has q(0) != 0, so that coefficient is the one
-    reading.  Its innerness is checked at WITNESS_INNER_TOL, and the
-    inclusions and the constants quotient are built at INCLUSION_CAPS.
+    reading.  Its innerness deviation is computed once: it gates the split
+    at tol and gives the verdict at WITNESS_INNER_TOL.  The inclusions and
+    the constants quotient are built at INCLUSION_CAPS.
     Returns every value as computed, complex points and arrays included; a
     Report converts them to JSON.
     """
@@ -207,10 +208,10 @@ def reduced_kernel_suite(caps=KERNEL_CAPS, seed: int = 0, tol: float = 1e-8) -> 
     phi = rational_inner_witness()
     origin_coeff = phi.numerator.get((0, 0))
     numerator_origin = 0.0 if origin_coeff is None else float(np.abs(origin_coeff).max())
-    inner = innerness_check(phi)
+    inner = _innerness_gate(phi, tol)
 
     small = TruncationGrid(INCLUSION_CAPS)
-    s_phi = submodule_projection(phi, small, inner_tol=tol)
+    s_phi = _toeplitz_split(phi, small)
     s_origin = origin_complement(small)
     # ||(I - P_origin) B_phi|| = ||B_origin_c* B_phi||
     inclusion_residual = spectral_norm(s_origin.complement.conj().T @ s_phi.basis)

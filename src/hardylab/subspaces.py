@@ -219,12 +219,13 @@ class _TensoredSplit(SubspaceData):
 def _coordinate_mask(columns: np.ndarray):
     """Mask of the rows that hold the columns' nonzero entries when each
     column is zero or a unit vector up to a unimodular phase, no two on one
-    row, else None."""
+    row, else None.  Columns with no rows, as a frame with no columns
+    leaves them, give the empty mask."""
     nonzero = columns != 0
     units = np.flatnonzero(nonzero.any(axis=0))
     if np.count_nonzero(nonzero) != units.size:
         return None
-    rows = nonzero[:, units].argmax(axis=0)
+    rows = nonzero[:, units].argmax(axis=0) if units.size else units
     inside = np.zeros(columns.shape[0], dtype=bool)
     inside[rows] = True
     if np.count_nonzero(inside) != rows.size or np.any(np.abs(np.abs(columns[rows, units]) - 1) > 1e-15):
@@ -334,13 +335,15 @@ def submodule_projection(symbol: AnalyticSymbol, grid: TruncationGrid,
     return _toeplitz_split(symbol, grid)
 
 
-def _innerness_gate(symbol: AnalyticSymbol, inner_tol: float) -> None:
-    """Raise InnernessError unless innerness_check passes symbol at inner_tol."""
+def _innerness_gate(symbol: AnalyticSymbol, inner_tol: float) -> float:
+    """The innerness_check deviation of symbol; raise InnernessError unless
+    it passes at inner_tol."""
     deviation = innerness_check(symbol)
     if not deviation <= inner_tol:
         raise InnernessError(
             f"symbol is not inner at tolerance {inner_tol:g}: coefficient deviation {deviation:g}"
         )
+    return deviation
 
 
 def _toeplitz_split(symbol: AnalyticSymbol, grid: TruncationGrid) -> SubspaceData:

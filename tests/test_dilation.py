@@ -30,6 +30,20 @@ def jordan_pair():
     return ContractionTuple((n / 2, n @ n / 2))
 
 
+def real_brehmer_pair(seed, size):
+    """A pair drawn as random_brehmer_pair draws one, with real coefficients:
+    two real polynomials without constant term in one Jordan block, scaled
+    to norm 0.9 and shrunk by 0.8 until the defect sum is PSD."""
+    rng = np.random.default_rng(seed)
+    nil = np.diag(np.ones(size - 1), 1)
+    pair = [sum(c * np.linalg.matrix_power(nil, p)
+                for p, c in enumerate(rng.normal(size=size - 1), 1)) for _ in range(2)]
+    t = ContractionTuple(tuple(m * 0.9 / max(map(spectral_norm, pair)) for m in pair))
+    while not brehmer_defect(t)[1]:
+        t = ContractionTuple(tuple(0.8 * m for m in t.matrices))
+    return t
+
+
 # ---- tuple container -------------------------------------------------------
 
 def test_checked_rejects_expansive_matrix():
@@ -139,6 +153,26 @@ def test_root_clamps_a_tiny_negative_eigenvalue():
     assert np.max(np.abs(root.conj().T @ root - np.diag([0.0, 1.0]))) <= 1e-14
 
 
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("draw", [random_brehmer_pair, real_brehmer_pair])
+def test_root_squares_to_the_defect_with_the_cut_eigenvalues_zeroed(draw, seed):
+    defect, _, root = brehmer_defect(draw(seed, 8))
+    w, v = np.linalg.eigh(defect)
+    kept = np.where(w > RANK_TOL * w.max(), w, 0.0)
+    assert np.max(np.abs(root.conj().T @ root - (v * kept) @ v.conj().T)) <= 1e-15
+
+
+def test_root_zeroes_a_tiny_positive_eigenvalue_below_the_cut():
+    # T1 = T2 = s N with 1 - 2 s^2 = 1e-12: the defect diag(1e-12, 1) is
+    # PSD, and 1e-12 lies below the cut RANK_TOL, so the root keeps one row
+    s = np.sqrt((1 - 1e-12) / 2)
+    n = s * np.diag(np.ones(1), 1)
+    defect, psd, root = brehmer_defect(ContractionTuple((n, n)))
+    assert psd and 0 < defect[0, 0] < RANK_TOL
+    assert root.shape == (1, 2)
+    assert np.max(np.abs(root.conj().T @ root - np.diag([0.0, 1.0]))) <= 1e-15
+
+
 def test_the_defect_is_decomposed_once(monkeypatch):
     t = random_brehmer_pair(3, 8)
     calls = []
@@ -171,18 +205,9 @@ def test_equal_nilpotent_pair_defect_not_psd():
 # ---- pureness --------------------------------------------------------------
 
 def test_pureness_rules():
-    nil = np.diag(np.ones(3), 1) / 2
-    rep = pureness_check(nil)
-    assert rep.verdict and rep.rule == "nilpotent" and rep.value == 0.0
-
-    rep = pureness_check(np.array([[0.5]]))
-    assert rep.verdict and rep.rule == "spectral_radius"
-    assert rep.value == 0.5
-
-    rep = pureness_check(np.array([[1.0]]))
-    assert not rep.verdict
-    assert rep.rule == "spectral_radius"
-    assert rep.value == 1.0
+    assert pureness_check(np.diag(np.ones(3), 1) / 2) == (True, 0.0)
+    assert pureness_check(np.array([[0.5]])) == (True, 0.5)
+    assert pureness_check(np.array([[1.0]])) == (False, 1.0)
 
 
 def test_pureness_rejects_rectangular():
@@ -242,6 +267,30 @@ def test_random_pairs_keep_their_draws():
                 digest.update(m.tobytes())
     assert digest.hexdigest() == (
         "aef3e573df0f4ceeaff0245e5ec9a1db4fa7ed8e754ead0ac1f4c0768f0b6302")
+
+
+_N = np.diag(np.ones(3), 1)
+DTYPE_CASES = {
+    # name: (matrices, caps, entry dtypes, dtype of D, root and Pi)
+    "jordan": (jordan_pair().matrices, (4, 4), (float, float), float),
+    "jordan-as-complex": ((_N / 2 + 0j, _N @ _N / 2 + 0j), (4, 4), (float, float), float),
+    "real-seeded": (real_brehmer_pair(3, 8).matrices, (8, 8), (float, float), float),
+    "seeded": (random_brehmer_pair(3, 8).matrices, (8, 8), (complex, complex), complex),
+    "real-beside-complex": ((_N / 2, 0.5j * _N @ _N), (4, 4), (float, complex), complex),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DTYPE_CASES))
+def test_the_dtype_follows_the_entries(name):
+    """Each entry is read by grids._as_data, and promotion does the rest:
+    a real tuple keeps float64 in its entries, D, the root and Pi."""
+    matrices, caps, entries, dtype = DTYPE_CASES[name]
+    t = ContractionTuple(matrices)
+    defect, _, root = brehmer_defect(t)
+    d = canonical_dilation(t, caps, tail_tol=1e-12)
+    assert tuple(m.dtype for m in t.matrices) == tuple(map(np.dtype, entries))
+    assert {defect.dtype, root.dtype, d.pi.dtype} == {np.dtype(dtype)}
+    assert d.isometry_residual <= 1e-14 and d.intertwining_residual <= 1e-14
 
 
 def test_scalar_pair_needs_large_grid():
@@ -305,14 +354,14 @@ def test_symbol_direction_reads_compressions_that_commute_only_to_rounding():
     # 7.8e-10 only, above COMMUTATION_TOL; they are read as matrices, and
     # the residuals stay those the plain extraction gave, bit for bit; the
     # symbol's coefficients are real, so the bits are those of real
-    # (float64) arithmetic up to the compressions
+    # (float64) arithmetic
     sym = AnalyticSymbol.blaschke(0.05, 0, 2).matmul(AnalyticSymbol.blaschke(0.04, 1, 2))
     rep = model_correspondence(sym, caps=(6, 6))
     assert rep.residuals == {
         "annihilation": float.fromhex("0x1.59c80548bf910p-53"),
-        "brehmer_min_eig": float.fromhex("-0x1.7115bc195ee56p-42"),
-        "pureness_0": float.fromhex("0x1.99999999999b3p-5"),
-        "pureness_1": float.fromhex("0x1.47ae147ae147ep-5"),
+        "brehmer_min_eig": float.fromhex("-0x1.71177ee66d9c0p-42"),
+        "pureness_0": float.fromhex("0x1.99999999999acp-5"),
+        "pureness_1": float.fromhex("0x1.47ae147ae148cp-5"),
     }
     assert rep.verdict
 

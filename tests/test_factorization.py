@@ -1,10 +1,13 @@
 """Inner division, factorization witnesses, and the submodule dichotomies."""
 
+import json
+
 import numpy as np
 import pytest
 
 import dense
 from hardylab import factorization
+from hardylab.cli import main
 from hardylab.criteria import beurling_criterion, cross_commutator_criterion, quotient_data
 from hardylab.factorization import (
     FactorizationError,
@@ -16,7 +19,7 @@ from hardylab.grids import TruncationGrid
 from hardylab.kernels import rational_inner_witness, reduced_kernel_suite
 from hardylab.operators import eval_margins, shift_matrices, spectral_norm
 from hardylab.subspaces import SubspaceData, submodule_projection, subspace_from_columns
-from hardylab.symbols import AnalyticSymbol
+from hardylab.symbols import AnalyticSymbol, dump_coefficient_text
 
 
 Z1 = AnalyticSymbol.monomial((1, 0))
@@ -458,6 +461,35 @@ def test_degenerate_gap_is_reported_against_s_theta(kind):
         m_basis = np.hstack([m, extra])
     with pytest.raises(ValueError, match="degenerate against S_theta"):
         beurling_submodule_check(m_basis, theta, grid, tol=tol, margins=margins)
+
+
+ONE = AnalyticSymbol.constant(np.eye(1), 2)
+FACTOR_VERDICTS = ("condition_2", "condition_3", "conditions_agree", "witness_within_tolerance")
+
+
+@pytest.mark.parametrize("case", ["extended", "check-constant", "check-z1z2", "factor-cli"])
+def test_a_sum_that_fills_the_grid_splits_by_index(case, tmp_path, capsys):
+    """S + span(columns) with S the whole grid leaves an empty frame: the
+    columns split by index, every one is discarded, and the complement is
+    (dim, 0).  So the constant theta = 1 reads degenerate columns as
+    theta = z1 z2 does, and theta = phi = 1 factors at caps 2 2."""
+    grid = TruncationGrid((2, 2))
+    if case == "extended":
+        whole = subspace_from_columns(grid, np.eye(grid.dim))[0]
+        summed = whole.extended(np.ones((grid.dim, 1)))
+        assert (summed.rank, summed.discarded) == (grid.dim, 1)
+        assert summed.complement.shape == (grid.dim, 0)
+    elif case == "factor-cli":
+        one = dump_coefficient_text(ONE)
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(f"command = factor\ncaps = 2 2\nsymbol:\n{one}end\nphi:\n{one}end\n")
+        assert main(["factor", "--config", str(cfg)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdicts"] == dict.fromkeys(FACTOR_VERDICTS, True)
+    else:
+        theta = ONE if case == "check-constant" else Z1Z2
+        with pytest.raises(ValueError, match="m_basis columns are degenerate against S_theta"):
+            beurling_submodule_check(np.zeros((grid.dim, 1)), theta, grid)
 
 
 def test_division_and_check_take_no_grid_wide_singular_vectors(no_wide_singular_vectors):

@@ -90,6 +90,37 @@ def test_runtime_imports_are_numpy_or_the_standard_library():
     assert sorted(imported - {"numpy"} - sys.stdlib_module_names) == []
 
 
+FORCED_COMPLEX = {
+    "symbols._normalize_matrix_coeffs", "symbols.AnalyticSymbol.constant",
+    "symbols.AnalyticSymbol.taylor_table", "symbols.AnalyticSymbol.evaluate",
+    "symbols.parse_coefficient_text", "operators.innerness_check",
+    "kernels.kernel_sum_oracle", "kernels.gram_matrix", "dilation.random_brehmer_pair",
+    "criteria.shift_power",
+}
+
+
+def _forced_complex_sites(node, scope, in_function=False):
+    """The qualified names of the functions under node that hold a
+    dtype=complex keyword, scope being the names enclosing node; a nested
+    function counts as the function it is defined in."""
+    if isinstance(node, ast.keyword) and node.arg == "dtype" \
+            and isinstance(node.value, ast.Name) and node.value.id == "complex":
+        return {".".join(scope)}
+    if isinstance(node, ast.ClassDef) or isinstance(node, ast.FunctionDef) and not in_function:
+        scope, in_function = (*scope, node.name), isinstance(node, ast.FunctionDef)
+    return set().union(*(_forced_complex_sites(child, scope, in_function)
+                         for child in ast.iter_child_nodes(node)))
+
+
+def test_complex_is_forced_only_where_the_allowlist_says():
+    """The dtype follows the data (grids._as_data): a dtype=complex keyword
+    in src/hardylab sits only in a function of FORCED_COMPLEX, so a new
+    forced-complex site on the split or dilation path fails here."""
+    sites = set().union(*(_forced_complex_sites(ast.parse(path.read_text()), (path.stem,))
+                          for path in sorted(PACKAGE.glob("*.py"))))
+    assert sites == FORCED_COMPLEX
+
+
 def _defaulted(fn) -> int:
     try:
         params = inspect.signature(fn).parameters.values()
@@ -163,7 +194,7 @@ def test_every_public_member_has_a_reader_outside_the_tests():
 
 
 def test_export_count():
-    assert len(hardylab.__all__) == 56
+    assert len(hardylab.__all__) == 55
 
 
 DOTTED = r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+"

@@ -24,6 +24,8 @@ leaves variables free is read under a swap that frees others.
 On the dilation side a unitary similarity T_i -> W T_i W* and a reversal
 of a seeded Brehmer pair leave the dilation residuals, the dropped-shell
 mass, the least eigenvalue of the defect sum and every verdict unchanged.
+So does a phase T_i -> e^{0.7i} T_i of a real pair, which runs in float64
+while its phased twin runs in complex128.
 """
 
 from functools import lru_cache
@@ -38,6 +40,7 @@ from hardylab.factorization import beurling_submodule_check, invariant_subspace_
 from hardylab.grids import TruncationGrid
 from hardylab.subspaces import submodule_projection
 from hardylab.symbols import AnalyticSymbol
+from test_dilation import real_brehmer_pair
 from test_factorization import PAIRS, PHI1, PHI2
 
 CAPS = (3, 5)
@@ -234,3 +237,18 @@ def test_dilation_readings_are_invariant(seed, act):
     assert np.max(np.abs(np.subtract(moved, values))) <= 1e-14, (values, moved)
     relabel = {"pureness_0": "pureness_1", "pureness_1": "pureness_0"} if act is _reversed else {}
     assert {relabel.get(key, key): v for key, v in verdicts.items()} == moved_verdicts
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_real_pair_reads_as_its_phased_twin(seed):
+    """e^{0.7i} T leaves the defect sum, the pureness radii and every
+    dilation residual in place and changes only the dtype, so the float64
+    run of a real pair is compared with the complex128 run of its twin."""
+    t = real_brehmer_pair(seed, 8)
+    twin = ContractionTuple(tuple(np.exp(0.7j) * m for m in t.matrices))
+    assert {m.dtype for m in t.matrices} == {np.dtype(float)}
+    assert {m.dtype for m in twin.matrices} == {np.dtype(complex)}
+    values, verdicts = _dilation_readings(t)
+    moved, moved_verdicts = _dilation_readings(twin)
+    assert np.max(np.abs(np.subtract(moved, values))) <= 1e-14, (values, moved)
+    assert verdicts == moved_verdicts
