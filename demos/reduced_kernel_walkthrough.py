@@ -31,6 +31,7 @@ from hardylab import (
     rational_inner_witness,
     reduced_kernel_suite,
     reduced_szego_kernel,
+    szego_kernel,
 )
 
 
@@ -41,6 +42,7 @@ def identity_spot_check():
     summed = kernel_sum_oracle(z, w, caps=(60, 60))
     print("reduced kernel at one interior pair:")
     print(f"  closed form {closed:.12f}")
+    print(f"  S(z,w) - 1  {szego_kernel(z, w) - 1:.12f}")
     print(f"  basis sum   {summed:.12f}")
     print(f"  |difference| {abs(closed - summed):.3e}")
     print()

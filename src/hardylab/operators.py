@@ -24,7 +24,8 @@ because a Gram is formed only of a matrix that already exists, never of two
 factors whose product cancels.  Such a product A B* is measured with one
 side factored: ||A B*|| = ||R_B A*|| for the thin-QR factor R_B of B
 (norm_factor), so the cancellation happens in a formed matrix.  Every
-least eigenvalue of a Hermitian block is read by _lambda_min.
+least eigenvalue of a Hermitian block, or of each in a stack, is read by
+_lambda_min.
 
 Innerness is not read from the truncated operators either: innerness_check
 returns the deviation of Theta = N/q from the finite identity N* N = |q|^2 I
@@ -128,9 +129,11 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(np.ldexp(np.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)), e))
 
 
-def _lambda_min(a: np.ndarray) -> float:
-    """Least eigenvalue of a Hermitian matrix, 0.0 when it is empty."""
-    return float(np.linalg.eigvalsh(a)[0]) if a.size else 0.0
+def _lambda_min(a: np.ndarray):
+    """Least eigenvalue of a Hermitian matrix, 0.0 when it is empty; of a
+    stack of them (leading axes), the array of each one's, in one call."""
+    low = np.linalg.eigvalsh(a)[..., 0] if a.size else np.zeros(a.shape[:-2])
+    return float(low) if a.ndim == 2 else low
 
 
 def hermitian_norm(a: np.ndarray) -> float:

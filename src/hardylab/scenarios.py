@@ -415,18 +415,27 @@ def _run_factor(s: Scenario):
 def _run_example42(s: Scenario):
     caps = s.caps if s.caps is not None else KERNEL_CAPS
     rep = reduced_kernel_suite(caps=caps, seed=s.seed, tol=s.tol)
+    kernel, gram, inclusions = rep["kernel"], rep["gram"], rep["inclusions"]
     wit = rep["witness_symbol"]
     # one residual per verdict, under the same key: the number each
-    # verdict was judged on (details carries the full structured suite)
+    # verdict was judged on
     residuals = {
-        "kernel_identity": rep["kernel"]["max_deviation"],
-        "gram_negative": rep["gram"]["min_eigenvalue"],
+        "kernel_identity": kernel["max_deviation"],
+        "gram_negative": gram["min_eigenvalue"],
         "witness_vanishes_at_origin": wit["numerator_origin_coefficient"],
         "witness_inner": wit["inner_deviation"],
-        "strict_inclusions": rep["inclusions"]["inclusion_residual"],
+        "strict_inclusions": inclusions["inclusion_residual"],
         "constants_quotient_fails": rep["constants_quotient"]["beurling_residual"],
     }
-    return residuals, dict(rep["verdicts"]), rep, caps
+    # details carry only what the residuals and verdicts do not: the
+    # sampling settings, the Gram witness's points and matrix, the ranks
+    details = {
+        "kernel": {key: kernel[key] for key in ("pairs", "caps", "pair_radius")},
+        "gram": {key: gram[key] for key in ("points", "matrix")},
+        "inclusions": {key: value for key, value in inclusions.items()
+                       if key != "inclusion_residual"},
+    }
+    return residuals, dict(rep["verdicts"]), details, caps
 
 
 class Command(NamedTuple):

@@ -7,9 +7,10 @@ and tensors the bases of a split with a free box only when they are read;
 the dim x dim forms and the eager tensoring below are what tests compare
 those against,
 and psd_sqrt is the square root a dilation's defect root is checked by.
-The last three references are the plain formulas that the grid order, the
-innerness certificate and the norm scale are built from in whole-array
-numpy; tests require bit-identical results from both.  The index helpers
+The last five references are the plain formulas that the grid order, the
+innerness certificate, the norm scale, the Gram search and the kernel
+identity's sample are built from in whole-array numpy; tests require
+bit-identical results from both.  The index helpers
 first spell out the flat basis index ranks(k) * channels + s.
 """
 
@@ -18,6 +19,9 @@ import itertools
 import numpy as np
 
 from hardylab.grids import TruncationGrid, order_key
+from hardylab.kernels import (
+    GRAM_BUDGET, GRAM_RADIUS, GRAM_SIZES, GRAM_THRESHOLD, PAIR_RADIUS, SAMPLE_PAIRS,
+)
 from hardylab.operators import _lag_sums, spectral_norm
 
 
@@ -138,3 +142,39 @@ def two_part_spectral_norm(a):
     x = np.ldexp(1.0, -e) * a
     gram = x.conj().T @ x if x.shape[0] >= x.shape[1] else x @ x.conj().T
     return float(np.ldexp(np.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)), e))
+
+
+def gram_search_by_candidate(seed):
+    """gram_negativity_search one candidate at a time: each candidate's
+    size, radii and angles drawn from default_rng([seed, idx]), its Gram
+    matrix entry by entry of the factor, its least eigenvalue by eigvalsh,
+    and the first strict minimum kept.  Returns (found, min_eigenvalue,
+    points, matrix) as the search reports them."""
+    best = (np.inf, None, None)
+    for idx in range(GRAM_BUDGET):
+        rng = np.random.default_rng([int(seed), idx])
+        size = int(rng.choice(np.asarray(GRAM_SIZES)))
+        rad = GRAM_RADIUS * np.sqrt(rng.uniform(size=(size, 2)))
+        ang = rng.uniform(0.0, 2 * np.pi, size=(size, 2))
+        pts = rad * np.exp(1j * ang)
+        z1, z2 = pts[:, :1], pts[:, 1:]
+        w1, w2 = np.conj(pts[:, 0]), np.conj(pts[:, 1])
+        g = z1 * (1 - z2 * w2) * w1 + z2 * w2
+        g = (g + g.conj().T) / 2
+        low = float(np.linalg.eigvalsh(g)[0])
+        if low < best[0]:
+            best = (low, pts, g)
+    low, pts, g = best
+    return bool(low < GRAM_THRESHOLD), low, tuple(tuple(row) for row in pts), g
+
+
+def sequential_pairs(seed):
+    """reduced_kernel_suite's SAMPLE_PAIRS pairs (z, w), one pair of
+    uniform draws (radii, then angles) at a time, as a list of (z, w)."""
+    rng = np.random.default_rng(int(seed))
+    pairs = []
+    for _ in range(SAMPLE_PAIRS):
+        rad = PAIR_RADIUS * np.sqrt(rng.uniform(size=(2, 2)))
+        ang = rng.uniform(0.0, 2 * np.pi, size=(2, 2))
+        pairs.append(tuple(tuple(point) for point in rad * np.exp(1j * ang)))
+    return pairs

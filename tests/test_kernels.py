@@ -5,8 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
+import dense
+from hardylab.cli import main
 from hardylab.kernels import (
     GRAM_BUDGET,
+    _gram,
+    _sample_pairs,
     gram_matrix,
     gram_negativity_search,
     kernel_factor,
@@ -146,6 +150,58 @@ def test_search_flag_matches_threshold():
     w = gram_negativity_search(seed=5)
     assert w.found == (w.min_eigenvalue < -1e-6)
     assert w.candidates == GRAM_BUDGET == 64
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_search_is_bit_identical_to_the_candidate_by_candidate_loop(seed):
+    found, low, points, matrix = dense.gram_search_by_candidate(seed)
+    w = gram_negativity_search(seed)
+    assert w.found == found
+    assert w.min_eigenvalue == low and type(w.min_eigenvalue) is float
+    assert np.array(w.points).tobytes() == np.array(points).tobytes()
+    assert w.matrix.shape == matrix.shape and w.matrix.tobytes() == matrix.tobytes()
+
+
+def test_gram_of_a_stack_is_gram_matrix_of_each_set():
+    rng = np.random.default_rng(8)
+    for size in (1, 2, 3, 4):
+        stack = 0.9 * rng.uniform(size=(6, size, 2)) * np.exp(2j * np.pi * rng.uniform(size=(6, size, 2)))
+        grams = _gram(stack)
+        assert grams.shape == (6, size, size)
+        for points, g in zip(stack, grams):
+            assert g.tobytes() == gram_matrix([tuple(p) for p in points]).tobytes()
+
+
+def test_pairs_drawn_in_one_call_are_the_sequential_draws():
+    for seed in (0, 1, 7):
+        pairs = _sample_pairs(seed)
+        assert pairs.shape == (20, 2, 2)
+        assert pairs.tobytes() == np.array(dense.sequential_pairs(seed)).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_suite_deviation_is_the_pair_by_pair_maximum(seed):
+    rep = reduced_kernel_suite(seed=seed)
+    devs, sizes = [], []
+    for z, w in dense.sequential_pairs(seed):
+        k = reduced_szego_kernel(z, w)
+        devs.append(abs(k - kernel_sum_oracle(z, w, rep["kernel"]["caps"])))
+        sizes.append(abs(k))
+    want, size = max(devs), max(sizes)
+    # the suite evaluates the closed form on arrays, the public kernel on
+    # one pair: the two round differently, by a few ulps of K
+    assert abs(rep["kernel"]["max_deviation"] - want) <= 4 * np.finfo(float).eps * (1 + size)
+    assert type(rep["kernel"]["max_deviation"]) is float
+
+
+def test_suite_keeps_its_input_checks(capsys):
+    with pytest.raises(ValueError, match="same length"):
+        reduced_kernel_suite(caps=(3, 3, 3))
+    rep = reduced_kernel_suite(caps=(0, 4))
+    assert rep["kernel"]["caps"] == (0, 4)
+    assert not rep["verdicts"]["kernel_identity"]  # caps 0 cannot reach the closed form
+    assert main(["example42", "--degree", "3,3,3"]) == 2
+    assert "caps (3, 3, 3) do not match 2 variables" in capsys.readouterr().err
 
 
 def test_rational_witness_coefficients():

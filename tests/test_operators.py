@@ -10,6 +10,7 @@ from hardylab.corpus import corpus_entries
 from hardylab.grids import TruncationGrid
 from hardylab.kernels import rational_inner_witness
 from hardylab.operators import (
+    _lambda_min,
     eval_margins,
     hermitian_norm,
     innerness_check,
@@ -216,6 +217,28 @@ def test_hermitian_norm_matches_spectral_norm():
     assert hermitian_norm(h) == pytest.approx(spectral_norm(h), rel=1e-13)
     assert hermitian_norm(1j * (a - a.conj().T)) == pytest.approx(spectral_norm(a - a.conj().T), rel=1e-13)
     assert hermitian_norm(np.zeros((0, 0))) == 0.0
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_lambda_min_of_a_stack_is_each_matrix_read_alone(dtype):
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(7, 5, 5)).astype(dtype)
+    if dtype is complex:
+        a += 1j * rng.normal(size=(7, 5, 5))
+    h = a + np.swapaxes(a, -1, -2).conj()
+    lows = _lambda_min(h)
+    assert lows.shape == (7,) and lows.dtype == np.float64
+    for low, matrix in zip(lows, h):
+        one = _lambda_min(matrix)
+        assert type(one) is float and one == low  # bit for bit
+    assert _lambda_min(h.reshape(7, 1, 5, 5)).shape == (7, 1)
+
+
+def test_lambda_min_of_empty_matrices_reads_zero():
+    assert _lambda_min(np.zeros((0, 0))) == 0.0
+    assert type(_lambda_min(np.zeros((0, 0)))) is float
+    assert np.array_equal(_lambda_min(np.zeros((3, 0, 0))), np.zeros(3))
+    assert _lambda_min(np.zeros((0, 4, 4))).shape == (0,)
 
 
 def test_hermitian_norm_of_zero_takes_no_eigensolve(monkeypatch):

@@ -341,8 +341,13 @@ def test_example42_small_run_covers_fields():
     assert rep.ok
     assert rep.verdicts["kernel_identity"]
     assert rep.residuals["constants_quotient_fails"] == pytest.approx(1.0, abs=1e-12)
-    assert rep.details["gram"]["candidates"] == 64
     assert set(rep.verdicts) <= set(rep.residuals)
+    # details hold only what the residuals and verdicts do not
+    assert rep.details["kernel"] == {"pairs": 20, "caps": (20, 20), "pair_radius": 0.6}
+    assert set(rep.details["gram"]) == {"points", "matrix"}
+    assert set(rep.details["inclusions"]) == {"rank_symbol_submodule", "rank_vanishing_at_origin",
+                                              "rank_full", "caps"}
+    assert set(rep.details) == {"kernel", "gram", "inclusions"}
 
 
 def test_example42_defaults_to_kernel_caps():
