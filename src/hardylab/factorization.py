@@ -24,9 +24,10 @@ whether M + S_theta is the submodule of some larger inner factor, by the
 same cross-commutator and defect-product residuals the rest of the package
 uses.
 
-The grid keeps one job: the witness splits S_phi and S_theta on their
-support blocks (submodule_projection, _toeplitz_split), so no grid-sized
-multiplication operator of theta, phi or psi is formed.  Every residual
+The grid keeps one job: the witness splits S_phi and S_theta from the
+Toeplitz blocks of their coupled variables (submodule_projection,
+_toeplitz_split), so no grid-sized multiplication operator of theta, phi
+or psi is formed.  Every residual
 is an exact identity on thin blocks of the subspace bases
 (SubspaceData.basis and .complement), and the shifts are applied by
 TruncationGrid.shift, so no dense shift or dim x dim projection is formed.
@@ -159,8 +160,9 @@ def invariant_subspace_from_factorization(
     lands in N = S_theta + M.  After the division (divide_inner), S_theta
     is split by submodule_projection, which gates theta's innerness first,
     and S_phi by _toeplitz_split, phi having passed the gate in the
-    division; each split is of the support block of its multiplication
-    operator.  N is split from the theta split alone (SubspaceData.extended
+    division; each factors only the Toeplitz block of the variables its
+    symbol couples, so theta = b_a(z1) z2 factors the block of b_a(z1)
+    alone.  N is split from the theta split alone (SubspaceData.extended
     along B_phi), and M is the part of its basis past B_theta.  N is not
     gated here, and margins is not read: beurling_submodule_check gates N
     on its window of margins.

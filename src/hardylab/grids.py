@@ -33,14 +33,15 @@ held per instance: the graded order, the multi-index tuples, the codes and
 the rank table are kept per caps, the predecessors per (caps, j), the
 shift index maps per (caps, channels), the windows per (caps, channels,
 margins), the top slices per (caps, channels, t), and the support/free row
-map of a tensored split per (caps, channels, used).  Each table is built
-once by one module-level builder and returned read-only, so no caller can
-change what another grid reads.  Each builder keeps at most TABLE_CACHE =
+map of a tensored split or of a monomial factor per (caps, channels, used).
+Each table is built once by one module-level builder and returned
+read-only, so no caller can change what another grid reads.  Each builder keeps at most TABLE_CACHE =
 128 tables and drops the least recently used one first.  The bound is well
-above what a run reads: a corpus pass reads 10 distinct caps, 4
-predecessor tables and 22 windows, and no row map, since its detectors
-read the core of every tensored split; ten corpus seeds in one process
-read 12 caps and 45 windows; and a pass over the shipped scenarios or the
+above what a run reads: a corpus pass reads 11 distinct caps, 4
+predecessor tables, 26 windows and 7 row maps, the row maps only to place
+the monomial factors of its mixed entries, since its detectors read the
+core of every tensored split; ten corpus seeds in one process read 12 caps,
+48 windows and 8 row maps; and a pass over the shipped scenarios or the
 division and dilation checks reads fewer than 10 of any table.  It
 is still a bound, so a long-lived process that walks through many grids
 holds a fixed number of tables, each a few index arrays of its grid's

@@ -8,9 +8,10 @@ one cut: a singular value counts above RANK_TOL * max(floor, sig_max),
 relative for a column set and absolute for a sum, whose singular values
 are cosines.  Columns that are zero or distinct unit vectors up to a
 unimodular phase (monomial submodules, the origin complement, monomial
-sums) split by index with no factorization.  Others take one complete
-Householder QR, whose triangular factor R has the singular values of the
-columns (Golub & Van Loan, Matrix Computations, 5.2).  Full rank is
+sums) split by index with no factorization: a column set into float64 0/1
+coordinate columns whatever the phases, a sum into the frame's columns.
+Others take one complete Householder QR, whose triangular factor R has the
+singular values of the columns (Golub & Van Loan, Matrix Computations, 5.2).  Full rank is
 certified from R alone: by Weyl's inequality its diagonal and the
 Frobenius norm of its strict upper triangle bound every singular value,
 and when those bounds clear the cut twice over the split is read off Q
@@ -29,23 +30,35 @@ direction asked, and the other takes its adjoint.
 Submodules generated by an inner symbol take the columns of the truncated
 multiplication operator over the input window (domain degrees at least
 deg_i(numerator) below the caps in each variable); those columns are exact
-images.  H^2 of the polydisc is the tensor product of H^2 in the variables
-the symbol uses and H^2 in the others, and on the box grid so is the
-operator, entry for entry: M_symbol is its Toeplitz matrix on the grid of
-the used variables tensored with the identity over the free box.  So only
-that support block is split (_toeplitz_split); the one factorization is
-of the support block alone.
-The split returned (_TensoredSplit) keeps the support block's split as its
-core (SubspaceData.core) and the used variables (SubspaceData.used), and
-its complement is tensored from the core's complement, so the quotient
-battery runs on the core; every other split is its own core.  Its rank
-and discarded count are the core's times the free box size, and its
-grid-sized bases, the core's tensored with the free box and their rows
-placed in grid order by the grid's shared row map, are formed only when
-read.  The core holds no reference back to the tensored split.
+images.  The split reads three kinds of variable off the symbol's keys
+(_toeplitz_split).  A free variable appears in no key; a monomial variable
+t appears in every numerator key with one exponent m_t >= 1 and in no
+denominator key, so the symbol is z_M^m times a symbol of the others; every
+other variable is coupled.  H^2 of the polydisc is the tensor product of H^2
+in each kind, and on the box grid so is the operator, entry for entry:
+M_symbol is the Toeplitz matrix T on the grid of the coupled variables,
+tensored with the 0/1 shift by m over the monomial box and with the
+identity over the free box.  So only the window columns of T are built and
+split, by the one factorization or by index.  The monomial factor costs an
+index step: its window maps onto the coordinates k_M >= m, so S is T's S
+tensored with those coordinates and Q is T's Q tensored with the whole
+monomial box plus T's S tensored with the other coordinates
+(_times_monomial).  That split of the coupled and monomial variables, the
+used ones, is laid out on their grid; a symbol with no monomial variable
+has T's split there.  A free variable costs nothing until the grid-sized
+bases are read.
+The split returned (_TensoredSplit) keeps the split on the used variables'
+grid as its core (SubspaceData.core) and the used variables
+(SubspaceData.used), and its complement is tensored from the core's
+complement, so the quotient battery runs on the core; every other split is
+its own core.  Its rank and discarded count are the core's times the free
+box size, and its grid-sized bases, the core's tensored with the free box
+and their rows placed in grid order by the grid's shared row map, are
+formed only when read.  The core holds no reference back to the tensored
+split.
 The exact S intersected with the grid, which for a symbol with singular
 leading coefficients holds more than the window columns span, factors the
-same way: it is the support block's part tensored with the free box.
+same way: it is the used variables' part tensored with the free box.
 Only the invariance gate reads a window, and it lives here whole
 (invariance_defect, _invariance_gate); the quotient battery downstream
 measures exact identities of the whole grid's matrices.  The symbol is
@@ -207,13 +220,18 @@ class _TensoredSplit(SubspaceData):
         return _TensoredSplit(self._core.complement_space, self.grid, self._used)
 
     def _tensored(self, b: np.ndarray) -> np.ndarray:
-        """b on the core's grid, tensored with the free box: the rows of
-        each free monomial scattered to the ranks of k_used + k_F
-        (TruncationGrid._tensor_rows)."""
-        rows = self.grid._tensor_rows(self._used)
-        out = np.zeros((self.grid.dim, self._box, b.shape[1]), dtype=b.dtype)
-        out[rows, np.arange(self._box)] = b[:, None, :]
-        return out.reshape(self.grid.dim, -1)
+        """b on the core's grid, tensored with the free box."""
+        return _tensored(b, self.grid._tensor_rows(self._used), self.grid.dim)
+
+
+def _tensored(b: np.ndarray, rows: np.ndarray, dim: int) -> np.ndarray:
+    """b tensored with one unit vector per column of a row map: column j of
+    rows (TruncationGrid._tensor_rows, or some of its columns) names the
+    rows of a grid of dimension dim that b's rows go to, so the result has
+    one column per (map column, column of b), map-column-major."""
+    out = np.zeros((dim, rows.shape[1], b.shape[1]), dtype=b.dtype)
+    out[rows, np.arange(rows.shape[1])] = b[:, None, :]
+    return out.reshape(dim, -1)
 
 
 def _coordinate_mask(columns: np.ndarray):
@@ -231,6 +249,18 @@ def _coordinate_mask(columns: np.ndarray):
     if np.count_nonzero(inside) != rows.size or np.any(np.abs(np.abs(columns[rows, units]) - 1) > 1e-15):
         return None
     return inside
+
+
+def _coordinates(inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 0/1 coordinate columns at the rows of the mask and at the
+    others, each in increasing row order: the identity's columns, scattered
+    without forming the identity, in its column-major layout."""
+    out = []
+    for rows in (np.flatnonzero(inside), np.flatnonzero(~inside)):
+        b = np.zeros((inside.size, rows.size), order="F")
+        b[rows, np.arange(rows.size)] = 1.0
+        out.append(b)
+    return tuple(out)
 
 
 def _certified_full_rank(r: np.ndarray, floor: float) -> bool:
@@ -270,7 +300,8 @@ def _with_complement(columns: np.ndarray, floor: float, frame: np.ndarray | None
     counts above RANK_TOL * max(floor, sig_max).  A column with a NaN or
     infinite entry is refused first (_check_finite).  Zero or distinct unit
     columns split by index: B_S is the frame's columns at their rows and
-    B_Q the rest, and each zero column is discarded.  Other columns take
+    B_Q the rest, float64 0/1 coordinate columns when there is no frame,
+    and each zero column is discarded.  Other columns take
     Q, R = qr(columns, "complete"): k of them, no more than the rows, whose
     leading R block _certified_full_rank clears split as (Q[:, :k],
     Q[:, k:]).  Otherwise the singular values of the leading min(rows, k)
@@ -284,8 +315,8 @@ def _with_complement(columns: np.ndarray, floor: float, frame: np.ndarray | None
         columns = frame.conj().T @ columns
     inside = _coordinate_mask(columns)
     if inside is not None:
-        frame = np.eye(columns.shape[0], dtype=columns.dtype) if frame is None else frame
-        return frame[:, inside], frame[:, ~inside], columns.shape[1] - int(inside.sum())
+        b_s, b_q = _coordinates(inside) if frame is None else (frame[:, inside], frame[:, ~inside])
+        return b_s, b_q, columns.shape[1] - int(inside.sum())
     q, r = np.linalg.qr(columns, mode="complete")
     k = rank = columns.shape[1]
     if k > columns.shape[0] or not _certified_full_rank(r[:k], floor):
@@ -325,9 +356,9 @@ def submodule_projection(symbol: AnalyticSymbol, grid: TruncationGrid,
     variable i is at most caps[i] minus the numerator degree in i; those
     images stay inside the caps exactly for polynomial symbols.  The symbol
     must pass the innerness gate (operators.innerness_check, exact in its
-    coefficients) first.  Only the support block of M_symbol, its Toeplitz
-    matrix on the grid of the variables the symbol uses, is built and
-    split; the free variables enter as a tensor factor (_toeplitz_split).
+    coefficients) first.  Only the Toeplitz block of the variables the
+    symbol couples is built and split; its monomial factor enters as an
+    index split and the free variables as a tensor factor (_toeplitz_split).
     """
     if symbol.nvars != grid.nvars:
         raise ValueError(f"symbol has {symbol.nvars} variables, grid has {grid.nvars}")
@@ -347,33 +378,88 @@ def _innerness_gate(symbol: AnalyticSymbol, inner_tol: float) -> float:
 
 
 def _toeplitz_split(symbol: AnalyticSymbol, grid: TruncationGrid) -> SubspaceData:
-    """The submodule of symbol, split on the variables its keys use.
+    """The submodule of symbol, split on the variables its keys couple.
 
-    U are the variables that appear in a numerator or denominator key (the
-    first alone for a constant) and F the others.  Every Taylor coefficient
-    sits at k_F = 0, so on the box grid M_symbol = T (x) I_F entry for
-    entry, where T is its Toeplitz matrix on the support grid of U, which
-    is the slice k_F = 0 in its own graded order.  Only the window columns
-    of T are split.  With no free variable the support grid is the grid and
-    that split is returned as it is, its own core.  Otherwise it is the
-    core of the returned _TensoredSplit: B_S and B_Q are the Kronecker
-    products of its bases with the identity over the free box, one column
-    per (free monomial, support column), their rows scattered to the ranks
-    of k_U + k_F by the grid's shared row map (TruncationGrid._tensor_rows),
-    and formed only when read; rank and discarded grow by the free box size.
+    Each variable t is one of three kinds.  It is free when no numerator or
+    denominator key uses it, monomial when every numerator key has one
+    exponent m_t >= 1 in it and no denominator key uses it, so that symbol =
+    z_M^m * symbol' over the monomial variables M, and coupled otherwise (the
+    first monomial variable, or variable 0, when no other is).  Every Taylor
+    coefficient sits at k_F = 0 and k_M = m, so on the box grid M_symbol =
+    T (x) S^m (x) I_F entry for entry: T is the Toeplitz matrix of symbol'
+    on the support grid of the coupled variables U, and S^m the 0/1 shift by
+    m on the box of M, whose window columns map onto {e_k : k_M >= m}.  Only
+    the window columns of T are built and split, by one factorization or
+    by index; the monomial and free variables cost no factorization and no
+    Toeplitz matrix.  On the core grid of U and M (used), the split is that
+    of T tensored with the split of S^m (_times_monomial); with no monomial
+    variable it is T's split itself.  With no free variable the core grid
+    is the grid and the core split is returned as it is.  Otherwise it is
+    the core of the returned _TensoredSplit, whose B_S and B_Q are the
+    Kronecker products of the core's bases with the identity over the free
+    box, their rows scattered to the ranks of k_used + k_F by the grid's
+    shared row map (TruncationGrid._tensor_rows) and formed only when read;
+    rank and discarded grow by the free box size.
     """
-    keys = (*symbol.numerator, *symbol.denominator)
-    used = tuple(t for t in range(grid.nvars) if any(k[t] for k in keys)) or (0,)
-    free = len(used) < grid.nvars
-    support = TruncationGrid(tuple(grid.caps[t] for t in used)) if free else grid
-    degrees = symbol.degrees
-    keep = support.with_channels(symbol.cols).window_indices(tuple(degrees[t] for t in used))
-    restricted = [{tuple(k[t] for t in used): v for k, v in part.items()}
-                  for part in (symbol.numerator, symbol.denominator)]
-    reduced = AnalyticSymbol(len(used), symbol.rows, symbol.cols, *restricted) if free else symbol
-    block = toeplitz_matrix(reduced, support)[:, keep]
-    s, _ = subspace_from_columns(support.with_channels(symbol.rows), block)
-    return _TensoredSplit(s, grid.with_channels(symbol.rows), used) if free else s
+    numerator, denominator = list(symbol.numerator), list(symbol.denominator)
+    keys = numerator + denominator
+    used = tuple(t for t in range(grid.nvars) if any(k[t] for k in keys))
+    shift = {t: numerator[0][t] for t in used if not any(k[t] for k in denominator)
+             and all(k[t] == numerator[0][t] for k in numerator)}
+    coupled = tuple(t for t in used if t not in shift) or used[:1] or (0,)
+    used = tuple(sorted({*used, *coupled}))
+    cod = grid.with_channels(symbol.rows)
+    core = TruncationGrid(tuple(grid.caps[t] for t in used), symbol.rows) if len(used) < grid.nvars else cod
+    support = TruncationGrid(tuple(grid.caps[t] for t in coupled))
+    if len(coupled) < grid.nvars:
+        restricted = [{tuple(k[t] for t in coupled): v for k, v in part.items()}
+                      for part in (symbol.numerator, symbol.denominator)]
+        symbol = AnalyticSymbol(len(coupled), symbol.rows, symbol.cols, *restricted)
+    keep = support.with_channels(symbol.cols).window_indices(symbol.degrees)
+    block = toeplitz_matrix(symbol, support)[:, keep]
+    if len(coupled) < len(used):
+        s = _times_monomial(block, core, tuple(used.index(t) for t in coupled),
+                            tuple(0 if t in coupled else shift[t] for t in used))
+    else:
+        s, _ = subspace_from_columns(support.with_channels(symbol.rows), block)
+    return s if core is cod else _TensoredSplit(s, cod, used)
+
+
+def _times_monomial(columns: np.ndarray, core: TruncationGrid, coupled: tuple[int, ...],
+                    m: tuple[int, ...]) -> SubspaceData:
+    """The split of z_M^m times the span of the columns, the window columns
+    of T on the grid of the coupled variables U, on the core grid of U and
+    the monomial variables M.  coupled names the positions of U among the
+    core's variables, and m holds m_t > 0 at the others and 0 at these.
+
+    On the box of M, the window columns of S^m (k_M <= caps_M - m) map one
+    to one onto the coordinates {e_k : k_M >= m}, and the rest of the box
+    is their complement.  So with B_S,U and B_Q,U the split of the columns
+    (_with_complement, at the relative cut), B_S = B_S,U (x) {e_k : k_M >= m}
+    and B_Q = [B_Q,U (x) I_M, B_S,U (x) {e_k : k_M not >= m}], their rows
+    placed by the core grid's row map (TruncationGrid._tensor_rows), and
+    discarded is the columns' times the number of window columns of S^m.
+    Columns that split by index give a product of coordinates, so the core
+    splits by index as _with_complement does, into float64 0/1 columns in
+    increasing row order, with no factorization.  The columns enter as in
+    subspace_from_columns: real data as float64, and a non-finite entry is
+    refused.
+    """
+    columns = _as_data(columns)
+    _check_finite(columns)
+    rows = core._tensor_rows(coupled)
+    # rows[0] places the monomial box at k_U = 0, in the order of the map's columns
+    hit = np.all(core.exponents[rows[0] // core.channels] >= m, axis=1)
+    window = int(np.count_nonzero(hit))
+    inside = _coordinate_mask(columns)
+    if inside is not None:
+        placed = np.zeros(core.dim, dtype=bool)
+        placed[rows[inside][:, hit]] = True
+        return SubspaceData(core, *_coordinates(placed), (columns.shape[1] - int(inside.sum())) * window)
+    b_s, b_q, dropped = _with_complement(columns, 0.0)
+    basis = _tensored(b_s, rows[:, hit], core.dim)
+    complement = np.hstack([_tensored(b_q, rows, core.dim), _tensored(b_s, rows[:, ~hit], core.dim)])
+    return SubspaceData(core, basis, complement, dropped * window)
 
 
 def origin_complement(grid: TruncationGrid) -> SubspaceData:

@@ -16,6 +16,7 @@ from hardylab.operators import InnernessError, eval_margins, shift_matrix, toepl
 from hardylab.subspaces import (
     RANK_TOL,
     SubspaceData,
+    _toeplitz_split,
     invariance_defect,
     origin_complement,
     parse_basis_text,
@@ -526,6 +527,98 @@ def test_symbol_of_every_variable_is_split_once_on_the_grid(symbol, caps):
     assert s.discarded == ref.discarded
 
 
+def _monomial_factor_cases():
+    """name -> (symbol, caps, used): symbols with a monomial factor z_M^m in
+    variables no denominator key uses, and the variables their keys use."""
+    b = AnalyticSymbol.blaschke
+    z = AnalyticSymbol.monomial
+    v = np.array([1.0, 1j])
+    cases = {
+        "b_0.05(z1)z2": (b(0.05 * np.exp(0.7j), 0, 2).matmul(z((0, 1))), (8, 8), (0, 1)),
+        "b_0.6(z1)z2": (b(0.6 * np.exp(-2.1j), 0, 2).matmul(z((0, 1))), (6, 5), (0, 1)),
+        "z2^2 b_0.5(z1)": (z((0, 2)).matmul(b(0.5, 0, 2)), (4, 6), (0, 1)),
+        "z3 b(z1), z2 free": (b(0.3 - 0.2j, 0, 3).matmul(z((0, 0, 1))), (6, 3, 6), (0, 2)),
+        "two-channel z2 Phi(z1)": (_bp_factor(v, 0, 2).matmul(
+            AnalyticSymbol.polynomial({(0, 1): np.eye(2)}, 2, rows=2, cols=2)), (4, 3), (0, 1)),
+        # not inner: both channel columns of [b, b] are one column, so the
+        # coupled block drops half of its columns
+        "rank-collapsing [b(z1), b(z1)] z2": (AnalyticSymbol.rational(
+            {(0, 1): [[-0.4, -0.4]], (1, 1): [[1.0, 1.0]]}, {(0, 0): 1.0, (1, 0): -0.4},
+            2, rows=1, cols=2), (4, 3), (0, 1)),
+        "z2^4 b(z1) past the cap": (z((0, 4)).matmul(b(0.3j, 0, 2)), (3, 3), (0, 1)),
+    }
+    for entry in corpus_entries(0):
+        if entry.entry_id.startswith("mixed2-"):
+            cases[entry.entry_id] = (entry.symbol, entry.caps, (0, 1))
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_monomial_factor_cases()))
+def test_monomial_factor_split_matches_the_dense_window_split(name):
+    """The coupled block's split tensored with the coordinate split of z_M^m
+    spans what a split of all the window columns of M_symbol on the grid
+    spans, with the same rank and discarded count, on the same core."""
+    symbol, caps, used = _monomial_factor_cases()[name]
+    g = TruncationGrid(caps)
+    cod, dom = g.with_channels(symbol.rows), g.with_channels(symbol.cols)
+    ref, _ = subspace_from_columns(cod, toeplitz_matrix(symbol, g)[:, dom.window_indices(symbol.degrees)])
+    s = _toeplitz_split(symbol, g)
+    assert (s.rank, s.discarded) == (ref.rank, ref.discarded)
+    assert s.used == used and s.core.grid == TruncationGrid(tuple(caps[t] for t in used), symbol.rows)
+    assert np.abs(dense.projection(s) - dense.projection(ref)).max() <= 1e-13
+    frame = np.hstack([s.basis, s.complement])
+    assert frame.shape == (cod.dim, cod.dim)
+    assert np.abs(frame.conj().T @ frame - np.eye(cod.dim)).max() <= 1e-13
+    if name.startswith("rank-collapsing"):
+        assert s.discarded == s.rank > 0
+    if name.endswith("past the cap"):
+        assert s.rank == s.discarded == 0
+
+
+def test_a_monomial_factor_adds_no_rows_to_the_factorization(no_grid_wide_qr):
+    """b_a(z1) z2 at caps 8^2 factors the 9 x 8 window block of b_a(z1) on
+    the grid of z1 alone."""
+    no_grid_wide_qr(10)
+    s = submodule_projection(AnalyticSymbol.blaschke(0.05, 0, 2).matmul(
+        AnalyticSymbol.monomial((0, 1))), TruncationGrid((8, 8)))
+    assert (s.rank, s.complement.shape[1]) == (64, 17)
+
+
+@pytest.mark.parametrize("k, caps", [((3, 2), (12, 12)), ((2, 3), (12, 12)), ((1, 2, 1), (3, 4, 2))])
+def test_a_monomial_builds_no_toeplitz_matrix_past_one_variable(k, caps, monkeypatch):
+    """z^k is split by index from the Toeplitz matrix of one variable's
+    power, coordinate columns in increasing row order."""
+    from hardylab import subspaces
+    built = []
+    toeplitz = subspaces.toeplitz_matrix
+    monkeypatch.setattr(subspaces, "toeplitz_matrix", lambda symbol, grid: built.append(
+        grid.nvars) or toeplitz(symbol, grid))
+    g = TruncationGrid(caps)
+    s = submodule_projection(AnalyticSymbol.monomial(k), g)
+    assert built == [1]
+    rows = [dense.flat(g, j) for j in g.multi_indices if all(np.greater_equal(j, k))]
+    assert np.array_equal(s.basis, np.eye(g.dim)[:, rows])
+    assert np.array_equal(s.complement, np.eye(g.dim)[:, sorted(set(range(g.dim)) - set(rows))])
+
+
+@pytest.mark.parametrize("k, caps, margins", [
+    ((1, 1, 1), (3, 3, 3), (1, 1, 1)),
+    ((2, 0), (4, 3), (2, 1)),
+    ((1, 2), (4, 5), (1, 2)),
+])
+def test_a_unimodular_multiple_of_a_monomial_splits_as_the_monomial(k, caps, margins):
+    """i z^k and -z^k split by index as z^k does, bit for bit, so their
+    quotient battery runs in float64 as that of z^k does."""
+    g = TruncationGrid(caps)
+    plain = submodule_projection(AnalyticSymbol.monomial(k), g)
+    for c in (1j, -1.0):
+        s = submodule_projection(AnalyticSymbol.polynomial({k: np.array([[c]])}, len(k)), g)
+        assert s.basis.tobytes() == plain.basis.tobytes() and s.basis.shape == plain.basis.shape
+        assert s.complement.tobytes() == plain.complement.tobytes()
+        assert s.used == plain.used and s.discarded == plain.discarded == 0
+        assert _battery_dtypes(s, margins) == {np.dtype(np.float64)}
+
+
 @pytest.mark.parametrize("family", ["product3", "blaschke3"])
 def test_three_variable_corpus_split_factors_only_its_support_block(family, no_grid_wide_qr):
     """Each symbol of the family leaves a variable free, so its split takes
@@ -621,7 +714,11 @@ def test_a_real_symbol_runs_in_float64_throughout(name):
     assert symbol.taylor_table(grid).dtype == np.float64
     assert toeplitz_matrix(symbol, grid).dtype == np.float64
     assert shift_matrix(grid, 0).dtype == np.float64
-    s = submodule_projection(symbol, grid)
+    assert _battery_dtypes(submodule_projection(symbol, grid), margins) == {np.dtype(np.float64)}
+
+
+def _battery_dtypes(s, margins):
+    """The dtypes of the split's bases and of every block its quotient battery forms."""
     data = quotient_data(s, margins=margins)
     q = data.q
     arrays = [s.basis, s.complement, q.basis, q.complement, *data.compressions]
@@ -630,7 +727,7 @@ def test_a_real_symbol_runs_in_float64_throughout(name):
             arrays += [*split.shift_blocks(t), *split.shift_blocks(t, adjoint=True)]
     n = q.core.grid.nvars
     arrays += [data.gram(a, b) for a in range(n) for b in range(n)]
-    assert {a.dtype for a in arrays} == {np.dtype(np.float64)}
+    return {a.dtype for a in arrays}
 
 
 def test_one_imaginary_part_keeps_complex128():

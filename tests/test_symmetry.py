@@ -93,6 +93,13 @@ def _readings(theta, phi, caps, tol):
     return values, verdicts
 
 
+def _monomial_factor_pair(a, nvars=2):
+    """b_a(z1) z_n divided by b_a(z1): z_n is a monomial factor of theta, and
+    its split tensors the one of b_a(z1) with the coordinates of z_n H^2."""
+    b = AnalyticSymbol.blaschke(a, 0, nvars)
+    return b.matmul(AnalyticSymbol.monomial((0,) * (nvars - 1) + (1,))), b
+
+
 CASES = {name: (theta, phi, tol) for name, (theta, phi, _, tol, _) in PAIRS.items()}
 CASES["blaschke-potapov"] = (PHI1.matmul(PHI2), PHI1, 1e-8)
 
@@ -165,15 +172,22 @@ def _assert_battery_moved(entry_id, act, perm):
     margins permuted by perm, reads every value of the entry's battery
     within 1e-14 and every verdict, under the relabelling of perm."""
     entry = ENTRIES[entry_id]
-    values, verdicts = _entry_battery(entry_id)
-    caps, margins = _uneven(entry.caps), entry.margins
-    moved, moved_verdicts = _battery(act(entry.symbol), tuple(caps[p] for p in perm),
+    _assert_readings_moved(_entry_battery(entry_id), act(entry.symbol), _uneven(entry.caps),
+                           entry.margins, perm, entry_id)
+
+
+def _assert_readings_moved(readings, moved_symbol, caps, margins, perm, label):
+    """The battery of moved_symbol at caps and margins permuted by perm
+    reads every value of readings within 1e-14 and every verdict, under
+    the relabelling of perm."""
+    values, verdicts = readings
+    moved, moved_verdicts = _battery(moved_symbol, tuple(caps[p] for p in perm),
                                      tuple(margins[p] for p in perm))
     relabel = {key: _relabelled(key, perm) for key in values}
-    assert sorted(relabel.values()) == sorted(moved), entry_id
+    assert sorted(relabel.values()) == sorted(moved), label
     for key, value in values.items():
-        assert abs(moved[relabel[key]] - value) <= 1e-14, (entry_id, key, value)
-    assert {relabel[key]: v for key, v in verdicts.items()} == moved_verdicts, entry_id
+        assert abs(moved[relabel[key]] - value) <= 1e-14, (label, key, value)
+    assert {relabel[key]: v for key, v in verdicts.items()} == moved_verdicts, label
 
 
 @pytest.mark.parametrize("symmetry", sorted(SYMMETRIES))
@@ -194,6 +208,37 @@ def test_three_variable_battery_readings_are_invariant_under_every_permutation(p
     assert len(entries) == 18
     for entry_id in entries:
         _assert_battery_moved(entry_id, lambda symbol: _permuted(symbol, perm), perm)
+
+
+@pytest.mark.parametrize("a", [0.05 * np.exp(0.7j), 0.4 * np.exp(-2.1j)])
+def test_a_monomial_factor_battery_reads_as_its_swap(a):
+    """z2 b_a(z1) splits b_a on the grid of z1 and z2 H^2 by index, and its
+    swap z1 b_a(z2) the same blocks in the other variable order."""
+    theta = _monomial_factor_pair(a)[0]
+    caps, margins = CAPS, (1, 2)
+    _assert_readings_moved(_battery(theta, caps, margins), _swapped(theta), caps, margins,
+                           (1, 0), "z2 b_a(z1)")
+
+
+THREE_VARIABLE_CAPS = (3, 4, 5)
+
+
+@pytest.mark.parametrize("perm", [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)])
+def test_a_three_variable_monomial_factor_reads_alike_under_every_permutation(perm):
+    """b(z1) z3 divided by b(z1), with z2 free, and the battery of b(z1) z3:
+    every permutation of the variables moves the coupled, the monomial and
+    the free variable to every position, and no reading moves."""
+    theta, phi = _monomial_factor_pair(0.3 - 0.2j, nvars=3)
+    caps, margins = THREE_VARIABLE_CAPS, (1, 1, 2)
+    moved_caps = tuple(caps[p] for p in perm)
+    values, verdicts = _readings(theta, phi, caps, 1e-8)
+    moved, moved_verdicts = _readings(_permuted(theta, perm), _permuted(phi, perm), moved_caps, 1e-8)
+    assert list(moved) == list(values)
+    for key, value in values.items():
+        assert abs(moved[key] - value) <= 1e-14, (key, value, moved[key])
+    assert moved_verdicts == verdicts
+    _assert_readings_moved(_battery(theta, caps, margins), _permuted(theta, perm), caps, margins,
+                           perm, "b(z1) z3")
 
 
 # ---- dilation of seeded Brehmer pairs ---------------------------------------
