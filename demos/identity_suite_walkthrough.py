@@ -52,7 +52,7 @@ def walkthrough(symbol, caps, label):
     data = quotient_data(sub, margins=margins)
     suite = identity_suite(data)
 
-    print(f"{label}  (caps {caps}, dim {grid.dim}, rank of Q {data.q.rank})")
+    print(f"{label}  (caps {caps}, dim {grid.dim}, rank of Q {data.s.complement.shape[1]})")
     print(f"  shift-invariance defect of S: {data.invariance:.3e} "
           f"(gate on margins {margins}, not identity)")
     for name in sorted(suite.residuals):

@@ -7,11 +7,11 @@ hold for every split of the grid and act as self-tests of the
 construction; others vanish exactly when Q is the quotient of an inner
 multiplier and so serve as numerical criteria.
 
-Everything is computed from the orthonormal basis B_Q of Q alone.  B_S and
-B_Q come from one unitary, so P_S + P_Q = I, and with the coordinate shifts
-M_t applied by TruncationGrid.shift (no dim x dim shift or projection is
-multiplied) four kinds of thin blocks, one per variable t, carry every
-residual:
+Everything is computed from the orthonormal basis B_Q of Q alone, the one
+basis a split holds (SubspaceData.complement): P_S = I - B_Q B_Q*, and with
+the coordinate shifts M_t applied by TruncationGrid.shift (no dim x dim
+shift or projection is multiplied) four kinds of thin blocks, one per
+variable t, carry every residual:
 
     C_t = B_Q* M_t B_Q              the compressions (q x q), one product each
     U_t = P_S M_t B_Q               the part of M_t Q that lands in S,
@@ -54,11 +54,11 @@ block such as the reduces residual cancels nothing and is measured as is.
 Only the invariance gate of subspaces (_invariance_gate), which S passes
 first, reads a window: the low-degree rows margins keep.
 
-When Q is tensored from a core (SubspaceData.core), Q = Q_U (x) H^2(F) for
-the free variables F, and every block above is formed on the core of Q,
-indexed by core variable, and reported over the grid's variables; only
-QuotientData.compressions is lifted to the grid, on first read.  A pair
-of used variables reads the core's value.  A free variable f has C_f =
+When the split is tensored from a core (SubspaceData.core),
+Q = Q_U (x) H^2(F) for the free variables F, and every block above is
+formed from the core's B_Q, indexed by core variable, and reported over
+the grid's variables; only QuotientData.compressions is lifted to the
+grid, on first read.  A pair of used variables reads the core's value.  A free variable f has C_f =
 M_f (x) I, so U_f = V_f = 0, K = 0 for every pair with f, and
 D_f = E_f (x) I with E_f the top slice of the free box: the residuals that
 involve f are those exact tensor values (0.0, and in the domination term
@@ -104,14 +104,13 @@ class QuotientData:
 
     The members below the fields are computed on first use and cached, so
     however many detectors read them each is formed once per split.  Every
-    block is formed on the core of Q (SubspaceData.core) and indexed by
-    core variable, which is grid variable q.used[t]; a split that is its
-    own core reads its whole grid.  Only compressions is lifted to the
-    grid, and only when read.
+    block is formed from B_Q of the core of the split (SubspaceData.core)
+    and indexed by core variable, which is grid variable s.used[t]; a split
+    that is its own core reads its whole grid.  Only compressions is lifted
+    to the grid, and only when read.
     """
 
     s: SubspaceData
-    q: SubspaceData
     invariance: float
     invariance_per_variable: tuple
 
@@ -123,11 +122,11 @@ class QuotientData:
     def compressions(self) -> tuple:
         """C_t = B_Q* M_t B_Q on the grid, one q x q block per grid
         variable, lifted from the core's (_lifted_compressions)."""
-        return _lifted_compressions(self.q)
+        return _lifted_compressions(self.s)
 
     def leak(self, t: int) -> np.ndarray:
         """U_t = P_S M_t B_Q = M_t B_Q - B_Q C_t (dim x q) for core variable t."""
-        return self.q.core.shift_blocks(t)[1]
+        return self.s.core.shift_blocks(t)[1]
 
     @cached_property
     def _grams(self) -> dict:
@@ -142,26 +141,26 @@ class QuotientData:
 
     def commutator(self, i: int, j: int) -> np.ndarray:
         """K = C_i C_j* - C_j* C_i in Q coordinates; K for (j, i) is its adjoint."""
-        c_i, c_j = (self.q.core.shift_blocks(t)[0] for t in (i, j))
+        c_i, c_j = (self.s.core.shift_blocks(t)[0] for t in (i, j))
         return c_i @ c_j.conj().T - c_j.conj().T @ c_i
 
     @cached_property
     def defect_split(self) -> tuple:
         """G_tt + T_t* T_t per core variable, the exact split of the defect
         D_t: the compression formula U_t* U_t plus the top-slice term of B_Q."""
-        q = self.q.core
+        core = self.s.core
         split = []
-        for t in range(q.grid.nvars):
-            top = q.grid.top_slice_indices(t)
-            split.append(self.gram(t, t) + q.basis[top].conj().T @ q.basis[top])
+        for t in range(core.grid.nvars):
+            top = core.complement[core.grid.top_slice_indices(t)]
+            split.append(self.gram(t, t) + top.conj().T @ top)
         return tuple(split)
 
     @cached_property
     def defect_blocks(self) -> tuple:
         """D_t = I - C_t* C_t in Q coordinates, one per core variable."""
-        q = self.q.core
-        return tuple(np.eye(q.rank) - c.conj().T @ c
-                     for c in (q.shift_blocks(t)[0] for t in range(q.grid.nvars)))
+        core = self.s.core
+        return tuple(np.eye(core.complement.shape[1]) - c.conj().T @ c
+                     for c in (core.shift_blocks(t)[0] for t in range(core.grid.nvars)))
 
     @cached_property
     def defect_identity(self) -> float:
@@ -180,8 +179,8 @@ class QuotientData:
         product of the compression formulas P_Q M_t* P_S M_t P_Q of the two
         defects; a pair with a free variable reads 0.0, since its G_ff is 0."""
         on_core = {(i, j): spectral_norm(self.gram(i, i) @ self.gram(j, j))
-                   for i, j in _pairs(self.q.core.grid.nvars)}
-        return _lifted(on_core, self.q.used, _pairs(self.grid.nvars))
+                   for i, j in _pairs(self.s.core.grid.nvars)}
+        return _lifted(on_core, self.s.used, _pairs(self.grid.nvars))
 
     @cached_property
     def xij(self) -> float:
@@ -193,7 +192,7 @@ class QuotientData:
         the (i, j) one.  U_f = 0 for a free variable f, so the worst is the
         core's.
         """
-        n = self.q.core.grid.nvars
+        n = self.s.core.grid.nvars
         r = {t: norm_factor(self.leak(t)) for t in range(1, n)}
         return max((spectral_norm(r[j] @ self.leak(i).conj().T) for i, j in _pairs(n)),
                    default=0.0)
@@ -212,22 +211,23 @@ def _lifted(values: dict, used: tuple, pairs) -> dict:
     return {pair: at.get(pair, 0.0) for pair in pairs}
 
 
-def _lifted_compressions(q: SubspaceData) -> tuple:
-    """C_t on the grid from the compressions of the core of q, in the
+def _lifted_compressions(s: SubspaceData) -> tuple:
+    """C_t on the grid from the compressions of the core of s, in the
     free-major column order of a tensored split: I (x) C_t for a used
     variable t and M_f (x) I for a free variable f, M_f the shift of the
     free box."""
-    used, core = q.used, q.core
+    used, core = s.used, s.core
     compressions = [core.shift_blocks(t)[0] for t in range(core.grid.nvars)]
-    free = [t for t in range(q.grid.nvars) if t not in used]
+    free = [t for t in range(s.grid.nvars) if t not in used]
     if not free:
         return tuple(compressions)
-    box = TruncationGrid(tuple(q.grid.caps[t] for t in free))
+    box = TruncationGrid(tuple(s.grid.caps[t] for t in free))
     shifts = shift_matrices(box)
-    eye_box, eye_q = np.eye(box.dim), np.eye(core.rank, dtype=core.basis.dtype)
+    b_q = core.complement
+    eye_box, eye_q = np.eye(box.dim), np.eye(b_q.shape[1], dtype=b_q.dtype)
     return tuple(np.kron(eye_box, compressions[used.index(t)]) if t in used
                  else np.kron(shifts[free.index(t)], eye_q)
-                 for t in range(q.grid.nvars))
+                 for t in range(s.grid.nvars))
 
 
 # not exported: hlbench/tracing.py traces it, and nothing in the package reads it
@@ -253,15 +253,13 @@ def quotient_data(s: SubspaceData, margins=None) -> QuotientData:
     to the grid are formed on first use, once per split (QuotientData).
     """
     inv_max, inv_per = _invariance_gate(s, margins)
-    q = s.complement_space
-    for t, used in enumerate(q.used):
-        c = q.core.shift_blocks(t)[0]
+    for t, used in enumerate(s.used):
+        c = s.core.shift_blocks(t)[0]
         if c.size and spectral_norm(c) > 1 + 1e-10:
             raise ValueError(f"compression {used} exceeds unit norm; subspace data is inconsistent")
 
     return QuotientData(
         s=s,
-        q=q,
         invariance=inv_max,
         invariance_per_variable=tuple(inv_per),
     )
@@ -271,7 +269,7 @@ def beurling_criterion(data: QuotientData, tol: float = 1e-8) -> CriterionReport
     """Product of defect operators: zero exactly for Beurling quotients.
 
     residual = max over pairs i < j of ||G_ii G_jj||, the product of the
-    defects P_Q M_t* P_S M_t P_Q, measured on the core of Q and lifted over
+    defects P_Q M_t* P_S M_t P_Q, measured on the core and lifted over
     the free variables (QuotientData.defect_products).
     """
     products = data.defect_products
@@ -301,15 +299,15 @@ def cross_commutator_criterion(
     [U_j, V_i] over all rows (norm_factor), the norm is ||R [U_i, -V_j]*||:
     one QR per unordered pair, since the (j, i) commutator is the adjoint of
     the (i, j) one, so pair_i_j is reported for i < j only, as in
-    beurling_criterion.  The norms are taken on the core of Q: a pair with a
+    beurling_criterion.  The norms are taken on the core: a pair with a
     free variable f reads 0.0, since U_f = V_f = 0.  S passes the same
     invariance gate as in quotient_data first, on the window of margins.
     """
     _invariance_gate(s, margins)
-    q = s.complement_space.core
-    n = q.grid.nvars
-    u = [q.shift_blocks(t)[1] for t in range(n)]
-    v = [q.shift_blocks(t, adjoint=True)[1] for t in range(n)]
+    core = s.core
+    n = core.grid.nvars
+    u = [core.shift_blocks(t)[1] for t in range(n)]
+    v = [core.shift_blocks(t, adjoint=True)[1] for t in range(n)]
     norms = {}
     for i, j in _pairs(n):
         right = norm_factor(np.hstack([u[j], v[i]]))
@@ -358,15 +356,15 @@ def identity_suite(data: QuotientData, tol: float = 1e-8) -> CriterionReport:
     unordered pair (QuotientData.commutator), and the (j, i) commutator is
     K*: the commutator residual of (j, i) is the adjoint of the (i, j) one,
     so its norm is taken for i < j only, and the domination eigenvalue of
-    (j, i) is lambda_min(D_j - K K*).  Every block of data is on the core
-    of Q, indexed by core variable; a pair (i, f) with a free variable f
+    (j, i) is lambda_min(D_j - K K*).  Every block of data is on the core,
+    indexed by core variable; a pair (i, f) with a free variable f
     has K = 0, G_fi = 0 and V_f = 0, so its residuals read 0.0 and its
     domination terms are lambda_min of the core's D_i and
     lambda_min(D_f) = lambda_min(E_f (x) I): 1 when cap_f = 0, else 0, and
     0.0 when q = 0.
     """
-    q = data.q.core
-    n = q.grid.nvars
+    core = data.s.core
+    n = core.grid.nvars
     d = data.defect_blocks
 
     residuals: dict = {"defect_identity": data.defect_identity}
@@ -378,30 +376,30 @@ def identity_suite(data: QuotientData, tol: float = 1e-8) -> CriterionReport:
     domination = []
     for i, j in _pairs(n):
         comm = data.commutator(i, j)     # K for (j, i) is comm*
-        v_i, v_j = (q.shift_blocks(t, adjoint=True)[1] for t in (i, j))
+        v_i, v_j = (core.shift_blocks(t, adjoint=True)[1] for t in (i, j))
         residual = comm - data.gram(j, i) + v_i.conj().T @ v_j
         worst_comm = max(worst_comm, spectral_norm(residual))
         domination += [_lambda_min(d[i] - comm.conj().T @ comm),
                        _lambda_min(d[j] - comm @ comm.conj().T)]
-    free = [t for t in range(data.grid.nvars) if t not in data.q.used]
+    free = [t for t in range(data.grid.nvars) if t not in data.s.used]
     if free:
         # a pair (i, f) with f free has K = 0, and D_f = I (x) E_f, E_f the
         # top slice of the free box, has least eigenvalue 1 if cap_f = 0 else 0
         domination += [_lambda_min(d_i) for d_i in d]
-        domination += [float(data.grid.caps[f] == 0) if q.rank else 0.0 for f in free]
+        domination += [float(data.grid.caps[f] == 0) if core.complement.size else 0.0 for f in free]
     min_eig = min(domination, default=0.0)
     residuals["commutator_identity"] = worst_comm
     verdicts["commutator_identity"] = worst_comm <= tol
     residuals["defect_domination_min_eig"] = float(min_eig)
     verdicts["defect_domination_min_eig"] = min_eig >= -tol
 
-    b = q.basis
+    b = core.complement
     worst_reduce = 0.0
     for t in range(n):
-        block = q.grid.shift(data.leak(t), t, adjoint=True)   # Z_t = M_t* U_t
+        block = core.grid.shift(data.leak(t), t, adjoint=True)   # Z_t = M_t* U_t
         block -= b @ data.defect_split[t]
-        block += q.shift_blocks(t, adjoint=True)[1] @ q.shift_blocks(t)[0]
-        top = q.grid.top_slice_indices(t)
+        block += core.shift_blocks(t, adjoint=True)[1] @ core.shift_blocks(t)[0]
+        top = core.grid.top_slice_indices(t)
         block[top] += b[top]
         worst_reduce = max(worst_reduce, spectral_norm(block))
     residuals["reduces"] = worst_reduce

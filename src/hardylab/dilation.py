@@ -79,9 +79,10 @@ class ContractionTuple:
         mats = tuple(_as_data(m) for m in self.matrices)
         if not mats:
             raise ValueError("need at least one matrix")
-        d = mats[0].shape[0]
+        shape = mats[0].shape
         for m in mats:
-            if m.ndim != 2 or m.shape != (d, d):
+            # ndim first: the first entry's shape has two sides only then
+            if m.ndim != 2 or m.shape != shape or shape[0] != shape[1]:
                 raise ValueError("all matrices must be square and of equal size")
         for i, m in enumerate(mats):
             nm = spectral_norm(m)

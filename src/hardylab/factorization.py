@@ -27,16 +27,16 @@ uses.
 The grid keeps one job: the witness splits S_phi and S_theta from the
 Toeplitz blocks of their coupled variables (submodule_projection,
 _toeplitz_split), so no grid-sized multiplication operator of theta, phi
-or psi is formed.  Every residual
-is an exact identity on thin blocks of the subspace bases
-(SubspaceData.basis and .complement), and the shifts are applied by
-TruncationGrid.shift, so no dense shift or dim x dim projection is formed.
-A projection P = B B* enters a norm only through B: with B_c the
-complement basis, ||(I - P) A|| = ||B_c* A||.  The gap and the check build
-N = S_theta + M by one split (SubspaceData.extended).  Every residual of the
-witness is exact; the check is the one place N is gated for invariance,
-through quotient_data and cross_commutator_criterion, on the window of
-margins.  The innerness and the invariance gate both live in subspaces.
+or psi is formed.  Every residual is an exact identity on thin blocks of
+the quotient bases B_Q (SubspaceData.complement), the one basis a split
+holds, and the shifts are applied by TruncationGrid.shift, so no dense
+shift or dim x dim projection is formed: ||P_S A|| = ||A - B_Q (B_Q* A)||
+(_outside).  The witness splits M and the quotient of N = S_theta + M by
+one call of the splitter, and the check builds N by one split
+(SubspaceData.extended).  Every residual of the witness is exact; the
+check is the one place N is gated for invariance, through quotient_data
+and cross_commutator_criterion, on the window of margins.  The innerness
+and the invariance gate both live in subspaces.
 """
 
 from __future__ import annotations
@@ -53,7 +53,14 @@ from .criteria import (
 )
 from .grids import TruncationGrid, _as_data
 from .operators import eval_margins, innerness_check, spectral_norm, toeplitz_matrix
-from .subspaces import _check_finite, _innerness_gate, _toeplitz_split, submodule_projection
+from .subspaces import (
+    _check_finite,
+    _innerness_gate,
+    _outside,
+    _toeplitz_split,
+    _with_complement,
+    submodule_projection,
+)
 from .symbols import AnalyticSymbol
 
 __all__ = [
@@ -162,26 +169,27 @@ def invariant_subspace_from_factorization(
     and S_phi by _toeplitz_split, phi having passed the gate in the
     division; each factors only the Toeplitz block of the variables its
     symbol couples, so theta = b_a(z1) z2 factors the block of b_a(z1)
-    alone.  N is split from the theta split alone (SubspaceData.extended
-    along B_phi), and M is the part of its basis past B_theta.  N is not
-    gated here, and margins is not read: beurling_submodule_check gates N
-    on its window of margins.
+    alone.  With B_theta and B_phi their quotient bases, Q_phi lies in
+    Q_theta, so M = Q_theta minus Q_phi is the range of the q_theta columns
+    B_theta - B_phi (B_phi* B_theta).  One split of them on the frame
+    B_theta at floor 1 (_with_complement) gives m_basis and the quotient
+    basis B_N of N; its cut reads the squared sines I - W* W,
+    W = B_phi* B_theta.  N is not gated here, and margins is not read:
+    beurling_submodule_check gates N on its window of margins.
     The quotient of theta splits as M plus the quotient of phi, so
-    P_phi = P_N: the quotient match ||P_phi - P_N|| is
-    max(||B_N_c* B_phi||, ||B_phi_c* B_N||), the norm of a difference of
-    two orthogonal projections.
+    P_phi = P_N: the quotient match ||P_phi - P_N||, a difference of two
+    orthogonal projections, is that of the quotients' projections,
+    max(||_outside(B_N, B_phi)||, ||_outside(B_phi, B_N)||).
     """
     psi, residuals = _divide(theta, phi, tol)
     s_theta = submodule_projection(theta, grid, inner_tol=tol)
-    s_phi = _toeplitz_split(phi, grid)
-    n = s_theta.extended(s_phi.basis)
-    residuals["quotient_match"] = max(
-        spectral_norm(n.complement.conj().T @ s_phi.basis),
-        spectral_norm(s_phi.complement.conj().T @ n.basis),
-    )
+    b_theta, b_phi = s_theta.complement, _toeplitz_split(phi, grid).complement
+    m_basis, b_n, _ = _with_complement(_outside(b_phi, b_theta), 1.0, b_theta)
+    residuals["quotient_match"] = max(spectral_norm(_outside(b_n, b_phi)),
+                                      spectral_norm(_outside(b_phi, b_n)))
     return FactorizationWitness(
-        theta=theta, phi=phi, psi=psi, grid=n.grid,
-        m_basis=n.basis[:, s_theta.rank:], residuals=residuals,
+        theta=theta, phi=phi, psi=psi, grid=s_theta.grid,
+        m_basis=m_basis, residuals=residuals,
     )
 
 
@@ -195,6 +203,8 @@ def beurling_submodule_check(m_basis: np.ndarray, theta: AnalyticSymbol,
     and the defect-product residual of the compressions to the complement
     of N.  Their verdicts must agree; both residuals are reported.
 
+    M must lie in the quotient of theta: the overlap ||P_S,theta M|| is
+    ||M - B_theta (B_theta* M)|| for the quotient basis B_theta (_outside).
     N is split from the theta split alone (SubspaceData.extended along
     m_basis).  Columns that add fewer dimensions than their number are
     degenerate against S_theta, and a column with a NaN or infinite entry
@@ -209,7 +219,7 @@ def beurling_submodule_check(m_basis: np.ndarray, theta: AnalyticSymbol,
     if margins is None:
         margins = eval_margins(theta)
 
-    overlap = spectral_norm(s_theta.basis.conj().T @ m_basis)
+    overlap = spectral_norm(_outside(s_theta.complement, m_basis))
     if overlap > tol:
         raise ValueError(
             f"M is not inside the quotient of theta: overlap {overlap:.3e}"

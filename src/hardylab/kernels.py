@@ -42,7 +42,7 @@ import numpy as np
 from .criteria import beurling_criterion, quotient_data
 from .grids import TruncationGrid
 from .operators import _lambda_min, spectral_norm
-from .subspaces import _innerness_gate, _toeplitz_split, origin_complement
+from .subspaces import _innerness_gate, _outside, _toeplitz_split, origin_complement
 from .symbols import AnalyticSymbol
 
 __all__ = [
@@ -258,8 +258,8 @@ def reduced_kernel_suite(caps=KERNEL_CAPS, seed: int = 0, tol: float = 1e-8) -> 
     small = TruncationGrid(INCLUSION_CAPS)
     s_phi = _toeplitz_split(phi, small)
     s_origin = origin_complement(small)
-    # ||(I - P_origin) B_phi|| = ||B_origin_c* B_phi||
-    inclusion_residual = spectral_norm(s_origin.complement.conj().T @ s_phi.basis)
+    # ||(I - P_origin) P_phi|| = ||P_phi B_origin_c||, B_c the quotient bases
+    inclusion_residual = spectral_norm(_outside(s_phi.complement, s_origin.complement))
     ranks = (s_phi.rank, s_origin.rank, small.dim)
     strict = ranks[0] < ranks[1] < ranks[2] and inclusion_residual <= tol
 

@@ -1,31 +1,33 @@
 """Submodules and quotient modules as orthonormal column spans.
 
-A subspace is held as a column-orthonormal basis plus the basis of its
-complement.  Both come out of one unitary, so P_S + P_Q = I holds to
-rounding, not merely to rank tolerance.  Every split, of a column set or
-of a sum (SubspaceData.extended), goes through _with_complement and its
-one cut: a singular value counts above RANK_TOL * max(floor, sig_max),
-relative for a column set and absolute for a sum, whose singular values
-are cosines.  Columns that are zero or distinct unit vectors up to a
-unimodular phase (monomial submodules, the origin complement, monomial
-sums) split by index with no factorization: a column set into float64 0/1
-coordinate columns whatever the phases, a sum into the frame's columns.
-Others take one complete Householder QR, whose triangular factor R has the
-singular values of the columns (Golub & Van Loan, Matrix Computations, 5.2).  Full rank is
-certified from R alone: by Weyl's inequality its diagonal and the
-Frobenius norm of its strict upper triangle bound every singular value,
-and when those bounds clear the cut twice over the split is read off Q
-with no SVD.  Otherwise the singular values of R set the rank, and only a
-cut that drops columns forms the left factor and rotates Q by it.  A
-column with a NaN or infinite entry is refused by name before any of this.
-Arithmetic follows the data: real columns give real bases (float64, read
-by grids._as_data), so every QR, Gram and product downstream of a real
-split is real, and a complex column anywhere, in a column set or in a
-sum, makes the bases complex128 by numpy's type promotion.
-Operators are read against one basis B at a time: SubspaceData.shift_blocks
-gives B* A B and the part (I - B B*) A B of A B outside the span, for A = M_t
-or M_t* applied by TruncationGrid.shift; B* M_t B is a product for the first
-direction asked, and the other takes its adjoint.
+A split S + Q of a grid is held by one basis, the column-orthonormal basis
+B_Q of the quotient Q (SubspaceData.complement), and S is read only as
+P_S = I - B_Q B_Q*, so P_S + P_Q = I is exact by construction and
+P_S A = A - B_Q (B_Q* A) is formed from thin blocks (_outside).  Every
+split, of a column set or of a sum (SubspaceData.extended), goes through
+_with_complement and its one cut: a singular value counts above
+RANK_TOL * max(floor, sig_max), relative for a column set and absolute for
+a sum, whose singular values are cosines.  Columns that are zero or distinct unit
+vectors up to a unimodular phase (monomial submodules, the origin
+complement, monomial sums) split by index with no factorization: a column
+set into float64 0/1 coordinate columns whatever the phases, a sum into
+the frame's columns.  Others take one complete Householder QR, whose
+triangular factor R has the singular values of the columns (Golub & Van
+Loan, Matrix Computations, 5.2).  Full rank is certified from R alone: by
+Weyl's inequality its diagonal and the Frobenius norm of its strict upper
+triangle bound every singular value, and when those bounds clear the cut
+twice over the split is read off Q with no SVD.  Otherwise the singular
+values of R set the rank, and only a cut that drops columns forms the left
+factor and rotates Q by it.  A column with a NaN or infinite entry is
+refused by name before any of this.  Arithmetic follows the data: real
+columns give real bases (float64, read by grids._as_data), so every QR,
+Gram and product downstream of a real split is real, and a complex column
+anywhere, in a column set or in a sum, makes the bases complex128 by
+numpy's type promotion.
+Operators are read against B_Q: SubspaceData.shift_blocks gives B_Q* A B_Q
+and the part P_S A B_Q of A B_Q in S, for A = M_t or M_t* applied by
+TruncationGrid.shift; B_Q* M_t B_Q is a product for the first direction
+asked, and the other takes its adjoint.
 
 Submodules generated by an inner symbol take the columns of the truncated
 multiplication operator over the input window (domain degrees at least
@@ -46,16 +48,15 @@ monomial box plus T's S tensored with the other coordinates
 (_times_monomial).  That split of the coupled and monomial variables, the
 used ones, is laid out on their grid; a symbol with no monomial variable
 has T's split there.  A free variable costs nothing until the grid-sized
-bases are read.
+B_Q is read.
 The split returned (_TensoredSplit) keeps the split on the used variables'
 grid as its core (SubspaceData.core) and the used variables
-(SubspaceData.used), and its complement is tensored from the core's
-complement, so the quotient battery runs on the core; every other split is
-its own core.  Its rank and discarded count are the core's times the free
-box size, and its grid-sized bases, the core's tensored with the free box
-and their rows placed in grid order by the grid's shared row map, are
-formed only when read.  The core holds no reference back to the tensored
-split.
+(SubspaceData.used), and its B_Q is tensored from the core's, so the
+quotient battery runs on the core; every other split is its own core.  Its
+rank and discarded count are the core's times the free box size, and its
+grid-sized B_Q, the core's tensored with the free box and its rows placed
+in grid order by the grid's shared row map, is formed only when read.  The
+core holds no reference back to the tensored split.
 The exact S intersected with the grid, which for a symbol with singular
 leading coefficients holds more than the window columns span, factors the
 same way: it is the used variables' part tensored with the free box.
@@ -108,23 +109,24 @@ class InvarianceError(ValueError):
 
 @dataclass(frozen=True)
 class SubspaceData:
-    """Orthonormal basis of a subspace of a truncated grid and of its complement.
+    """A subspace S of a truncated grid, held by the orthonormal basis B_Q
+    of its complement Q alone: S is read only as P_S = I - B_Q B_Q*.
 
-    The complement as a subspace, shift blocks and the invariance defect
-    are formed on first use and cached.  A split that _toeplitz_split
-    tensored from the grid of the variables its symbol uses keeps that
-    split as its core and forms its own bases only when read
-    (_TensoredSplit); every other split is its own core.
+    Shift blocks and the invariance defect are formed on first use and
+    cached.  A split that _toeplitz_split tensored from the grid of the
+    variables its symbol uses keeps that split as its core and forms its
+    own B_Q only when read (_TensoredSplit); every other split is its own
+    core.
     """
 
     grid: TruncationGrid
-    basis: np.ndarray          # (dim, r), column-orthonormal
-    complement: np.ndarray     # (dim, dim - r), orthonormal basis of the complement
+    complement: np.ndarray     # (dim, q), orthonormal basis B_Q of the complement
     discarded: int = 0         # columns dropped at the rank tolerance
 
     @property
     def rank(self) -> int:
-        return self.basis.shape[1]
+        """dim S = dim - q."""
+        return self.grid.dim - self.complement.shape[1]
 
     @property
     def core(self) -> "SubspaceData":
@@ -138,27 +140,22 @@ class SubspaceData:
         return tuple(range(self.grid.nvars))
 
     @cached_property
-    def complement_space(self) -> "SubspaceData":
-        """The complement, with this subspace as its complement."""
-        return SubspaceData(self.grid, self.complement, self.basis)
-
-    @cached_property
     def _cache(self) -> dict:
         return {}
 
     def shift_blocks(self, t: int, adjoint: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """(B* A B, A B - B B* A B) for A = M_t, or A = M_t* when adjoint.
+        """(B_Q* A B_Q, A B_Q - B_Q B_Q* A B_Q) for A = M_t, or A = M_t* when adjoint.
 
-        B is the basis and t a variable number, so the first block is the
-        shift of variable t in the coordinates of the subspace and the
-        second, (I - B B*) A B of shape (dim, rank), is the part of A B
-        outside it; A B is TruncationGrid.shift of B.  B* A B is a product
-        for the first direction asked only, and the other direction takes
-        its adjoint, B* M_t* B = (B* M_t B)*.  Cached per (t, adjoint).
+        t is a variable number, so the first block is the compression of the
+        shift of variable t to Q in Q coordinates and the second, P_S A B_Q
+        of shape (dim, q), is the part of A B_Q in S; A B_Q is
+        TruncationGrid.shift of B_Q.  B_Q* A B_Q is a product for the first
+        direction asked only, and the other direction takes its adjoint,
+        B_Q* M_t* B_Q = (B_Q* M_t B_Q)*.  Cached per (t, adjoint).
         """
         key = ("shift", int(t), bool(adjoint))
         if key not in self._cache:
-            b = self.basis
+            b = self.complement
             moved = self.grid.shift(b, key[1], key[2])
             other = self._cache.get(("shift", key[1], not key[2]))
             inside = b.conj().T @ moved if other is None else other[0].conj().T
@@ -167,23 +164,23 @@ class SubspaceData:
 
     def extended(self, columns: np.ndarray) -> "SubspaceData":
         """The split of S + span(columns): _with_complement of the columns
-        on the frame B_c at floor 1, which splits B_c* columns, so the cut
+        on the frame B_Q at floor 1, which splits B_Q* columns, so the cut
         is absolute (the singular values are cosines).  The part of
-        span(columns) outside S joins B after its columns; discarded counts
-        the columns that add no dimension.  The sum is no tensor product,
-        so it is its own core.
+        span(columns) outside S is split off B_Q's range, and the rest of
+        that range is the sum's Q; discarded counts the columns that add no
+        dimension.  The sum is no tensor product, so it is its own core.
         """
-        added, rest, dropped = _with_complement(columns, 1.0, self.complement)
-        return SubspaceData(self.grid, np.hstack([self.basis, added]), rest, discarded=dropped)
+        _, rest, dropped = _with_complement(columns, 1.0, self.complement)
+        return SubspaceData(self.grid, rest, discarded=dropped)
 
 
 class _TensoredSplit(SubspaceData):
-    """The split core (x) H^2(F) on grid: the core's bases tensored with the
+    """The split core (x) H^2(F) on grid: the core's B_Q tensored with the
     identity over the box of the free variables F, the grid variables not
     in used, one column per (free monomial, core column) in free-major
-    order.  rank, discarded and complement_space come from the core, and
-    basis and complement, each of the grid's dimension, are formed on
-    first read and cached.  The core holds no reference back to the split.
+    order.  rank and discarded come from the core, and complement, of the
+    grid's dimension, is formed on first read and cached.  The core holds no
+    reference back to the split.
     """
 
     def __init__(self, core: SubspaceData, grid: TruncationGrid, used: tuple[int, ...]) -> None:
@@ -207,21 +204,8 @@ class _TensoredSplit(SubspaceData):
         return self._used
 
     @cached_property
-    def basis(self) -> np.ndarray:
-        return self._tensored(self._core.basis)
-
-    @cached_property
     def complement(self) -> np.ndarray:
-        return self._tensored(self._core.complement)
-
-    @cached_property
-    def complement_space(self) -> SubspaceData:
-        """The core's complement, tensored the same way."""
-        return _TensoredSplit(self._core.complement_space, self.grid, self._used)
-
-    def _tensored(self, b: np.ndarray) -> np.ndarray:
-        """b on the core's grid, tensored with the free box."""
-        return _tensored(b, self.grid._tensor_rows(self._used), self.grid.dim)
+        return _tensored(self._core.complement, self.grid._tensor_rows(self._used), self.grid.dim)
 
 
 def _tensored(b: np.ndarray, rows: np.ndarray, dim: int) -> np.ndarray:
@@ -232,6 +216,12 @@ def _tensored(b: np.ndarray, rows: np.ndarray, dim: int) -> np.ndarray:
     out = np.zeros((dim, rows.shape[1], b.shape[1]), dtype=b.dtype)
     out[rows, np.arange(rows.shape[1])] = b[:, None, :]
     return out.reshape(dim, -1)
+
+
+def _outside(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """(I - B B*) A = A - B (B* A) for a column-orthonormal B, from thin
+    blocks: the part of A outside span(B), so P_S A = _outside(B_Q, A)."""
+    return a - b @ (b.conj().T @ a)
 
 
 def _coordinate_mask(columns: np.ndarray):
@@ -251,16 +241,14 @@ def _coordinate_mask(columns: np.ndarray):
     return inside
 
 
-def _coordinates(inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The float64 0/1 coordinate columns at the rows of the mask and at the
-    others, each in increasing row order: the identity's columns, scattered
-    without forming the identity, in its column-major layout."""
-    out = []
-    for rows in (np.flatnonzero(inside), np.flatnonzero(~inside)):
-        b = np.zeros((inside.size, rows.size), order="F")
-        b[rows, np.arange(rows.size)] = 1.0
-        out.append(b)
-    return tuple(out)
+def _coordinates(inside: np.ndarray) -> np.ndarray:
+    """The float64 0/1 coordinate columns at the rows of the mask, in
+    increasing row order: the identity's columns, scattered without forming
+    the identity, in its column-major layout."""
+    rows = np.flatnonzero(inside)
+    b = np.zeros((inside.size, rows.size), order="F")
+    b[rows, np.arange(rows.size)] = 1.0
+    return b
 
 
 def _certified_full_rank(r: np.ndarray, floor: float) -> bool:
@@ -315,8 +303,8 @@ def _with_complement(columns: np.ndarray, floor: float, frame: np.ndarray | None
         columns = frame.conj().T @ columns
     inside = _coordinate_mask(columns)
     if inside is not None:
-        b_s, b_q = _coordinates(inside) if frame is None else (frame[:, inside], frame[:, ~inside])
-        return b_s, b_q, columns.shape[1] - int(inside.sum())
+        pick = _coordinates if frame is None else (lambda mask: frame[:, mask])
+        return pick(inside), pick(~inside), columns.shape[1] - int(inside.sum())
     q, r = np.linalg.qr(columns, mode="complete")
     k = rank = columns.shape[1]
     if k > columns.shape[0] or not _certified_full_rank(r[:k], floor):
@@ -334,18 +322,19 @@ def _with_complement(columns: np.ndarray, floor: float, frame: np.ndarray | None
 def subspace_from_columns(
     grid: TruncationGrid,
     columns: np.ndarray,
-) -> tuple[SubspaceData, SubspaceData]:
-    """Orthonormalize columns at the relative cut, floor 0; return (span, complement).
+) -> tuple[SubspaceData, np.ndarray]:
+    """Orthonormalize columns at the relative cut, floor 0; return (split, B_S).
 
-    Columns with no nonzero imaginary part are split as float64 and give
-    real bases (grids._as_data); a NaN or infinite entry is refused.
+    B_S, the orthonormal basis of the span formed alongside B_Q, is
+    returned, not held.  Columns with no nonzero imaginary part are split
+    as float64 and give real bases (grids._as_data); a NaN or infinite
+    entry is refused.
     """
     columns = _as_data(columns)
     if columns.ndim != 2 or columns.shape[0] != grid.dim:
         raise ValueError(f"columns must be ({grid.dim}, k), got {columns.shape}")
-    sb, qb, dropped = _with_complement(columns, 0.0)
-    s = SubspaceData(grid, sb, qb, discarded=dropped)
-    return s, s.complement_space
+    span, rest, dropped = _with_complement(columns, 0.0)
+    return SubspaceData(grid, rest, discarded=dropped), span
 
 
 def submodule_projection(symbol: AnalyticSymbol, grid: TruncationGrid,
@@ -395,11 +384,11 @@ def _toeplitz_split(symbol: AnalyticSymbol, grid: TruncationGrid) -> SubspaceDat
     of T tensored with the split of S^m (_times_monomial); with no monomial
     variable it is T's split itself.  With no free variable the core grid
     is the grid and the core split is returned as it is.  Otherwise it is
-    the core of the returned _TensoredSplit, whose B_S and B_Q are the
-    Kronecker products of the core's bases with the identity over the free
-    box, their rows scattered to the ranks of k_used + k_F by the grid's
-    shared row map (TruncationGrid._tensor_rows) and formed only when read;
-    rank and discarded grow by the free box size.
+    the core of the returned _TensoredSplit, whose B_Q is the Kronecker
+    product of the core's B_Q with the identity over the free box, its rows
+    scattered to the ranks of k_used + k_F by the grid's shared row map
+    (TruncationGrid._tensor_rows) and formed only when read; rank and
+    discarded grow by the free box size.
     """
     numerator, denominator = list(symbol.numerator), list(symbol.denominator)
     keys = numerator + denominator
@@ -435,13 +424,13 @@ def _times_monomial(columns: np.ndarray, core: TruncationGrid, coupled: tuple[in
     On the box of M, the window columns of S^m (k_M <= caps_M - m) map one
     to one onto the coordinates {e_k : k_M >= m}, and the rest of the box
     is their complement.  So with B_S,U and B_Q,U the split of the columns
-    (_with_complement, at the relative cut), B_S = B_S,U (x) {e_k : k_M >= m}
-    and B_Q = [B_Q,U (x) I_M, B_S,U (x) {e_k : k_M not >= m}], their rows
+    (_with_complement, at the relative cut), S is spanned by
+    B_S,U (x) {e_k : k_M >= m} and B_Q = [B_Q,U (x) I_M, B_S,U (x) {e_k : k_M not >= m}], its rows
     placed by the core grid's row map (TruncationGrid._tensor_rows), and
     discarded is the columns' times the number of window columns of S^m.
-    Columns that split by index give a product of coordinates, so the core
-    splits by index as _with_complement does, into float64 0/1 columns in
-    increasing row order, with no factorization.  The columns enter as in
+    Columns that split by index give a product of coordinates, so B_Q is
+    the coordinates off S, as _with_complement's index split gives them:
+    float64 0/1 columns in increasing row order, with no factorization.  The columns enter as in
     subspace_from_columns: real data as float64, and a non-finite entry is
     refused.
     """
@@ -455,17 +444,15 @@ def _times_monomial(columns: np.ndarray, core: TruncationGrid, coupled: tuple[in
     if inside is not None:
         placed = np.zeros(core.dim, dtype=bool)
         placed[rows[inside][:, hit]] = True
-        return SubspaceData(core, *_coordinates(placed), (columns.shape[1] - int(inside.sum())) * window)
+        return SubspaceData(core, _coordinates(~placed), (columns.shape[1] - int(inside.sum())) * window)
     b_s, b_q, dropped = _with_complement(columns, 0.0)
-    basis = _tensored(b_s, rows[:, hit], core.dim)
     complement = np.hstack([_tensored(b_q, rows, core.dim), _tensored(b_s, rows[:, ~hit], core.dim)])
-    return SubspaceData(core, basis, complement, dropped * window)
+    return SubspaceData(core, complement, dropped * window)
 
 
 def origin_complement(grid: TruncationGrid) -> SubspaceData:
     """The functions vanishing at the origin: every basis vector but the first."""
-    s, _ = subspace_from_columns(grid, np.eye(grid.dim)[:, 1:])
-    return s
+    return subspace_from_columns(grid, np.eye(grid.dim)[:, 1:])[0]
 
 
 def parse_basis_text(text: str, grid: TruncationGrid) -> np.ndarray:
@@ -483,7 +470,7 @@ def invariance_defect(s: SubspaceData, margins: tuple[int, ...]) -> tuple[float,
 
     margins, one per grid variable, must lie in 0..cap, since an empty
     window would pass every subspace.  P_S M_t P_S - M_t P_S = -B_Q V_t* with
-    V_t = P_S M_t* B_Q (shift_blocks of the complement, adjoint), so each
+    V_t = P_S M_t* B_Q (SubspaceData.shift_blocks, adjoint), so each
     norm is ||R_Q V_t[W]*|| for R_Q = norm_factor(B_Q[W]), as
     ||W B_Q X B_Q* W|| = ||R_Q X R_Q*||.  It is measured on the core, on the
     one window of the used variables' margins; a free variable f, whose V_f
@@ -500,11 +487,10 @@ def invariance_defect(s: SubspaceData, margins: tuple[int, ...]) -> tuple[float,
             raise ValueError(f"margins {margins} leave an empty evaluation window")
         core, used = s.core, s.used
         window = core.grid.window_indices(tuple(margins[t] for t in used))
-        q = core.complement_space
-        r_q = norm_factor(q.basis[window])
+        r_q = norm_factor(core.complement[window])
         per = [0.0] * grid.nvars
         for a, t in enumerate(used):
-            per[t] = spectral_norm(r_q @ q.shift_blocks(a, adjoint=True)[1][window].conj().T)
+            per[t] = spectral_norm(r_q @ core.shift_blocks(a, adjoint=True)[1][window].conj().T)
         s._cache[key] = (max(per), tuple(per))
     return s._cache[key]
 

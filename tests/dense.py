@@ -1,11 +1,11 @@
-"""Dense grid-wide reference operators, rebuilt from the bases of a split
-or entry by entry.
+"""Dense grid-wide reference operators, rebuilt from the basis B_Q of a
+split or entry by entry.
 
-The library holds a subspace as orthonormal bases and its compressions as
-q x q blocks in Q coordinates, lays Toeplitz matrices out in one scatter,
-and tensors the bases of a split with a free box only when they are read;
-the dim x dim forms and the eager tensoring below are what tests compare
-those against,
+The library holds a subspace by the orthonormal basis B_Q of its
+complement and its compressions as q x q blocks in Q coordinates, lays
+Toeplitz matrices out in one scatter, and tensors B_Q of a split with a
+free box only when it is read; the dim x dim forms and the eager
+tensoring below are what tests compare those against,
 and psd_sqrt is the square root a dilation's defect root is checked by.
 The last five references are the plain formulas that the grid order, the
 innerness certificate, the norm scale, the Gram search and the kernel
@@ -49,13 +49,20 @@ def coefficient(symbol, k):
 
 
 def projection(s):
-    """P_S = B B* for the basis B of a SubspaceData."""
-    return s.basis @ s.basis.conj().T
+    """P_S = I - B_Q B_Q* for the complement basis B_Q of a SubspaceData."""
+    return np.eye(s.grid.dim) - s.complement @ s.complement.conj().T
+
+
+def span_basis(s):
+    """An orthonormal basis of S, the orthogonal complement of B_Q, from a
+    complete QR of B_Q."""
+    b_q = s.complement
+    return np.linalg.qr(b_q, mode="complete")[0][:, b_q.shape[1]:]
 
 
 def compressions(qd):
     """P_Q M_t P_Q = B_Q C_t B_Q* on the whole grid, one per variable."""
-    b = qd.q.basis
+    b = qd.s.complement
     return tuple(b @ c @ b.conj().T for c in qd.compressions)
 
 

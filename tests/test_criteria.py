@@ -60,7 +60,7 @@ def test_monomial_defect_is_named_projection():
     qd = make_quotient(AnalyticSymbol.monomial((1, 1)), (3, 3))
     g = qd.grid
     m1 = shift_matrices(g)[0]
-    p_q = dense.projection(qd.q)
+    p_q = np.eye(g.dim) - dense.projection(qd.s)
     c1 = dense.compressions(qd)[0]
     defect = p_q - c1.conj().T @ c1
     pure_z2, top = np.zeros((g.dim, g.dim)), np.zeros((g.dim, g.dim))
@@ -87,7 +87,7 @@ def test_beurling_verdicts():
 
 def test_s00_identities_hold_but_criteria_fail():
     qd = quotient_data(s00_subspace(), margins=(1, 1))
-    assert qd.q.rank == 1
+    assert qd.s.complement.shape[1] == 1
     for c in qd.compressions:
         assert spectral_norm(c) <= 1e-14
     rep = identity_suite(qd, tol=1e-10)
@@ -133,7 +133,7 @@ def test_blaschke_half_embedded_quotient():
     sym = AnalyticSymbol.blaschke(0.5, 0, nvars=2)
     qd = make_quotient(sym, (8, 8))
     g = qd.grid
-    p_q = dense.projection(qd.q)
+    p_q = np.eye(g.dim) - dense.projection(qd.s)
     c2 = dense.compressions(qd)[1]
     e2 = np.zeros((g.dim, g.dim))
     e2[g.top_slice_indices(1), g.top_slice_indices(1)] = 1.0
@@ -159,7 +159,7 @@ def test_constant_unitary_quotient_is_trivial():
     u = np.array([[0, 1], [1, 0]], dtype=complex)
     s = submodule_projection(AnalyticSymbol.constant(u, nvars=2), g)
     qd = quotient_data(s, margins=(1, 1))
-    assert qd.q.rank == 0
+    assert qd.s.complement.shape[1] == 0
     rep = identity_suite(qd, tol=1e-10)
     assert rep.verdict
     for key, val in rep.residuals.items():
@@ -200,7 +200,7 @@ def test_quotient_data_refuses_a_complement_basis_that_is_no_isometry():
     """A hand-built split whose complement basis is scaled by 1.001 passes
     the invariance gate, but its compressions exceed unit norm."""
     s = submodule_projection(AnalyticSymbol.monomial((1, 0)), TruncationGrid((3, 3)))
-    scaled = SubspaceData(s.grid, s.basis, 1.001 * s.complement)
+    scaled = SubspaceData(s.grid, 1.001 * s.complement)
     with pytest.raises(ValueError, match="compression 1 exceeds unit norm"):
         quotient_data(scaled)
 
@@ -228,7 +228,7 @@ def test_defect_decomposition_exact_for_any_subspace(seed, ncols):
     g = TruncationGrid((2, 2))
     rng = np.random.default_rng(seed)
     cols = rng.normal(size=(g.dim, ncols)) + 1j * rng.normal(size=(g.dim, ncols))
-    s, q = subspace_from_columns(g, cols)
+    s, _ = subspace_from_columns(g, cols)
     p_s = dense.projection(s)
     p_q = np.eye(g.dim) - p_s
     for t, m in enumerate(shift_matrices(g)):
@@ -256,8 +256,7 @@ def _dense_battery(s, margins, tol):
     window = g.window_indices(margins)
     mats = shift_matrices(g)
     adj = [m.conj().T for m in mats]
-    b = s.basis
-    p_s = b @ b.conj().T
+    p_s = dense.projection(s)
     p_q = np.eye(g.dim) - p_s
     # an orthonormal basis of range(P_Q), read from the dense projection
     w, vecs = np.linalg.eigh(p_q)
@@ -278,10 +277,10 @@ def _dense_battery(s, margins, tol):
     beurling = {f"pair_{i}_{j}": v for (i, j), v in products.items()}
     beurling["beurling_defect_product"] = worst_prod
 
-    r = [b.conj().T @ m @ b for m in mats]
-    cross = {f"pair_{i}_{j}": spectral_norm(
-        b @ (r[j].conj().T @ r[i] - r[i] @ r[j].conj().T) @ b.conj().T)
-        for i, j in pairs if i < j}
+    # B_S R_j* R_i B_S* = P_S M_j* P_S M_i P_S for R_t = B_S* M_t B_S
+    r = [p_s @ m @ p_s for m in mats]
+    cross = {f"pair_{i}_{j}": spectral_norm(r[j].conj().T @ r[i] - r[i] @ r[j].conj().T)
+             for i, j in pairs if i < j}
     cross["cross_commutator"] = max(cross.values(), default=0.0)
 
     x = {(i, j): p_s @ mats[i] @ p_q @ adj[j] @ p_s for i, j in pairs}
@@ -422,19 +421,48 @@ def test_detector_path_forms_no_dense_shift_or_projection(no_dense_operators):
     dim = qd.grid.dim
     assert dim == 343
     held = list(_held_arrays(qd, set()))
-    # the tensored bases are formed only when read, so the walk finds the core's
-    assert any(a is qd.q.core.basis for a in held) and any(a is qd.defect_blocks[0] for a in held)
+    # the tensored B_Q is formed only when read, so the walk finds the core's
+    assert any(a is qd.s.core.complement for a in held) and any(a is qd.defect_blocks[0] for a in held)
     assert all(a.shape != (dim, dim) for a in held), [a.shape for a in held]
 
     # every block member is sized by the core's q = 13, not the grid's 91
-    core = qd.q.core
-    q, n = core.rank, core.grid.nvars
-    assert (q, qd.q.rank, n) == (13, 91, 2)
+    core = qd.s.core
+    q, n = core.complement.shape[1], core.grid.nvars
+    assert (q, dim - qd.s.rank, n) == (13, 91, 2)
     assert [qd.leak(t).shape for t in range(n)] == [(core.grid.dim, q)] * n
     square = [*qd.defect_split, *qd.defect_blocks,
               *(qd.gram(a, b) for a in range(n) for b in range(n)),
               *(qd.commutator(i, j) for i in range(n) for j in range(n) if i != j)]
     assert [a.shape for a in square] == [(q, q)] * len(square)
+
+
+@pytest.mark.parametrize("case", ["b0.05(z1)z2-caps-8-8", "product3-00"])
+def test_a_split_and_its_battery_hold_nothing_wider_than_q(case):
+    """A symbol split followed by quotient_data and the three detectors holds
+    B_Q and blocks of Q alone: the split has no basis of S, and no array
+    held by the split, its core or the QuotientData, the grid-sized B_Q
+    read last included, has more columns than the quotient's dimension q
+    (the core's q for the core, which holds nothing of the split)."""
+    if case.startswith("product3"):
+        entry = next(e for e in corpus_entries(0) if e.entry_id == case)
+        symbol, grid, margins = entry.symbol, entry.grid(), entry.margins
+    else:
+        symbol = AnalyticSymbol.blaschke(0.05, 0, 2).matmul(AnalyticSymbol.monomial((0, 1)))
+        grid, margins = TruncationGrid((8, 8)), None
+    s = submodule_projection(symbol, grid)
+    qd = quotient_data(s, margins=margins)
+    assert beurling_criterion(qd).verdict
+    assert cross_commutator_criterion(s, margins=margins).verdict
+    assert identity_suite(qd).verdict
+    assert not hasattr(s, "basis") and not hasattr(s.core, "basis")
+    core = s.core
+    q, core_q = s.grid.dim - s.rank, core.grid.dim - core.rank
+    assert (q, core_q) == ((17, 17) if core is s else (91, 13))
+    assert s.complement.shape == (s.grid.dim, q)
+    for owner, width in ((qd, q), (s, q), (core, core_q)):
+        held = list(_held_arrays(owner, set()))
+        assert held and all(a.ndim == 2 and a.shape[1] <= width for a in held), (
+            type(owner).__name__, width, [a.shape for a in held])
 
 
 def test_battery_lifts_no_compression(monkeypatch):
@@ -509,18 +537,19 @@ def _battery_outcome(s, margins):
     return qd.invariance_per_variable, [(rep.residuals, rep.verdicts) for rep in reports]
 
 
-def _blinded(s):
-    """s with a NaN basis of S; a tensored split is tensored from its core
-    with a NaN basis of S."""
+def _rebuilt(s):
+    """A fresh split from B_Q of s alone, with no discarded count and no
+    cache; a tensored split is tensored the same way from its core's B_Q."""
     if s.core is s:
-        return SubspaceData(s.grid, np.full_like(s.basis, np.nan), s.complement)
-    core = SubspaceData(s.core.grid, np.full_like(s.core.basis, np.nan), s.core.complement)
-    return _TensoredSplit(core, s.grid, s.used)
+        return SubspaceData(s.grid, s.complement.copy())
+    return _TensoredSplit(SubspaceData(s.core.grid, s.core.complement.copy()), s.grid, s.used)
 
 
 def _assert_battery_ignores_the_submodule_basis(s, margins):
-    """A NaN basis of S changes nothing: every residual is read from B_Q."""
-    assert _battery_outcome(_blinded(s), margins) == _battery_outcome(s, margins)
+    """The split holds no basis of S, and a split rebuilt from its B_Q alone
+    gives the same outcome: every residual is read from B_Q."""
+    assert not hasattr(s, "basis") and not hasattr(s.core, "basis")
+    assert _battery_outcome(_rebuilt(s), margins) == _battery_outcome(s, margins)
 
 
 def _dim_343_product():
@@ -539,7 +568,7 @@ def test_battery_ignores_the_submodule_basis_on_a_dim_343_entry():
 def test_battery_ignores_the_submodule_basis_on_a_stripped_dim_343_entry():
     """The same split with no core runs the battery on the whole grid."""
     s, margins = _dim_343_product()
-    stripped = SubspaceData(s.grid, s.basis, s.complement)
+    stripped = SubspaceData(s.grid, s.complement)
     assert stripped.core is stripped
     _assert_battery_ignores_the_submodule_basis(stripped, margins)
 
@@ -624,10 +653,10 @@ def _random_split(seed):
     g = TruncationGrid((3, 3))
     rng = np.random.default_rng(seed)
     cols = rng.normal(size=(g.dim, 1 + seed)) + 1j * rng.normal(size=(g.dim, 1 + seed))
-    s, q = subspace_from_columns(g, cols)
+    s, _ = subspace_from_columns(g, cols)
     with pytest.raises(InvarianceError):
         quotient_data(s)
-    return QuotientData(s=s, q=q, invariance=float("nan"), invariance_per_variable=())
+    return QuotientData(s=s, invariance=float("nan"), invariance_per_variable=())
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -645,7 +674,7 @@ def _assert_gram_products_within_xij(qd):
     """||G_ji G_ji||, ||G_ii G_ji|| and ||G_ji G_jj|| for every ordered pair of
     core variables are at most xij: each is U_a* (U_i U_j*) U_b with the
     contractions U_a, U_b, so identity_suite need not report them."""
-    n = qd.q.core.grid.nvars
+    n = qd.s.core.grid.nvars
     for i in range(n):
         for j in range(n):
             if i != j:
@@ -676,7 +705,7 @@ def _battery(s, margins, tol=1e-6):
 
 def _stripped(s):
     """The same split with no core: the battery then runs on the whole grid."""
-    return SubspaceData(s.grid, s.basis, s.complement)
+    return SubspaceData(s.grid, s.complement)
 
 
 def _bp_factor(v, var, nvars):
@@ -733,7 +762,7 @@ def test_factored_battery_matches_the_full_grid_battery(name):
     assert s.core is not s and len(s.used) < s.grid.nvars
     qd, reports = _battery(s, margins)
     ref_qd, ref_reports = _battery(_stripped(s), margins)
-    assert ref_qd.q.core is ref_qd.q and qd.q.core is not qd.q
+    assert ref_qd.s.core is ref_qd.s and qd.s.core is not qd.s
     np.testing.assert_allclose(qd.invariance_per_variable, ref_qd.invariance_per_variable,
                                rtol=0, atol=1e-14)
     assert qd.invariance == max(qd.invariance_per_variable)

@@ -75,6 +75,16 @@ def test_tuple_needs_matching_shapes():
         ContractionTuple(())
 
 
+@pytest.mark.parametrize("entries", [[1.0], [np.array(0.5), np.zeros((1, 1))], [np.zeros(2)],
+                                     [np.zeros((2, 2)), 1.0], [np.zeros((2, 3))]],
+                         ids=["0-d", "0-d-first-of-two", "1-d", "0-d-second", "2x3"])
+def test_tuple_refuses_an_entry_that_is_no_square_matrix(entries):
+    """A 0-d first entry is refused by the shape check, not by an
+    IndexError from reading the side of a shape it lacks."""
+    with pytest.raises(ValueError, match="square"):
+        ContractionTuple(entries)
+
+
 def test_power_multiplies_entries():
     t = jordan_pair()
     manual = t.matrices[0] @ t.matrices[0] @ t.matrices[1]

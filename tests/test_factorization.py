@@ -238,8 +238,8 @@ def test_origin_gap_of_rational_witness_fails_both_conditions():
     phi = rational_inner_witness()
     s_phi = submodule_projection(phi, grid)
     origin_cols = np.eye(grid.dim)[:, 1:]
-    s00, _ = subspace_from_columns(grid, origin_cols)
-    gap = (np.eye(grid.dim) - dense.projection(s_phi)) @ s00.basis
+    _, b_00 = subspace_from_columns(grid, origin_cols)
+    gap = (np.eye(grid.dim) - dense.projection(s_phi)) @ b_00
     u, sig, _ = np.linalg.svd(gap, full_matrices=False)
     m_basis = u[:, : int(np.sum(sig > 1e-10))]
 
@@ -254,7 +254,7 @@ def test_submodule_check_rejects_overlapping_basis():
     grid = TruncationGrid((4, 4))
     s = submodule_projection(Z1Z2, grid)
     with pytest.raises(ValueError, match="not inside"):
-        beurling_submodule_check(s.basis[:, :1], Z1Z2, grid)
+        beurling_submodule_check(dense.span_basis(s)[:, :1], Z1Z2, grid)
 
 
 def test_submodule_check_rejects_degenerate_columns():
@@ -319,7 +319,7 @@ def _dense_witness(wit, tol):
     theta, phi, psi, grid = wit.theta, wit.phi, wit.psi, wit.grid
     s_phi = submodule_projection(phi, grid, inner_tol=tol)
     s_theta = submodule_projection(theta, grid, inner_tol=tol)
-    p_phi, p_theta = s_phi.basis @ s_phi.basis.conj().T, s_theta.basis @ s_theta.basis.conj().T
+    p_phi, p_theta = dense.projection(s_phi), dense.projection(s_theta)
     p_n = p_theta + wit.m_basis @ wit.m_basis.conj().T
     return {
         "divisibility": _dense_divisibility(theta, phi, psi),
@@ -333,7 +333,7 @@ def _dense_submodule_check(m_basis, theta, grid, tol):
     on the whole grid: the restricted-shift commutator, and the product of
     the defects P_Q M_t* P_N M_t P_Q."""
     s_theta = submodule_projection(theta, grid, inner_tol=tol)
-    b = np.linalg.qr(np.hstack([s_theta.basis, m_basis]))[0]
+    b = np.linalg.qr(np.hstack([dense.span_basis(s_theta), m_basis]))[0]
     p_s = b @ b.conj().T
     p_q = np.eye(grid.dim) - p_s
     mats = shift_matrices(grid)
@@ -390,10 +390,10 @@ def _stacked_split_check(m_basis, theta, grid, tol, margins):
     """The check's residuals with N = S_theta + M split on the whole grid by
     one full SVD of the stacked columns [B_theta, M]."""
     s_theta = submodule_projection(theta, grid, inner_tol=tol)
-    u, sig, _ = np.linalg.svd(np.hstack([s_theta.basis, m_basis]), full_matrices=True)
+    u, sig, _ = np.linalg.svd(np.hstack([dense.span_basis(s_theta), m_basis]), full_matrices=True)
     r = int(np.sum(sig > 1e-10 * sig[0]))
     assert r == s_theta.rank + m_basis.shape[1]
-    n = SubspaceData(s_theta.grid, u[:, :r], u[:, r:])
+    n = SubspaceData(s_theta.grid, u[:, r:])
     margins = margins or eval_margins(theta)
     cross = cross_commutator_criterion(n, margins=margins, tol=tol)
     product = beurling_criterion(quotient_data(n, margins=margins), tol=tol)
@@ -413,7 +413,7 @@ def test_submodule_check_matches_a_stacked_split(name, gap):
         m_basis = invariant_subspace_from_factorization(
             theta, phi, grid, tol=tol, margins=margins).m_basis
     else:
-        b = submodule_projection(theta, grid, inner_tol=tol).basis
+        b = dense.span_basis(submodule_projection(theta, grid, inner_tol=tol))
         cols = np.eye(b.shape[0])[:, 1:]
         u, sig, _ = np.linalg.svd(cols - b @ (b.conj().T @ cols), full_matrices=False)
         m_basis = u[:, sig > 1e-10]
@@ -454,7 +454,7 @@ def test_degenerate_gap_is_reported_against_s_theta(kind):
     m = invariant_subspace_from_factorization(theta, phi, grid, tol=tol, margins=margins).m_basis
     if kind == "theta-column":
         # a column of S_theta adds nothing to N; tolerance 2 lets it past the overlap gate
-        m_basis, tol = submodule_projection(theta, grid).basis[:, :1], 2.0
+        m_basis, tol = dense.span_basis(submodule_projection(theta, grid))[:, :1], 2.0
     else:
         extra = {"repeated": m[:, :1], "combination": m[:, :1] - 2j * m[:, 1:2],
                  "zero": np.zeros((grid.dim, 1))}[kind]
@@ -514,39 +514,45 @@ def test_division_and_check_take_no_unread_singular_vectors(no_unread_singular_v
 
 @pytest.mark.parametrize("theta, caps", [((1, 1), (6, 6)), ((2, 3), (12, 12))])
 def test_monomial_division_splits_its_sums_by_index(theta, caps, monkeypatch):
-    """z^theta / z1: B_theta_c* C has zero or distinct unit columns, so the
-    witness and the check split S_theta + M by index with no QR or SVD.
-    Every basis is exactly 0/1 and every residual reads 0.0."""
+    """z^theta / z1: B_theta* C has zero or distinct unit columns, for C the
+    witness's gap columns or the check's M, so the witness's one split and
+    the check's S_theta + M split by index with no QR or SVD.  Every basis
+    is exactly 0/1 and every residual reads 0.0."""
     sums = []
-    extended = SubspaceData.extended
 
     def refuse(*args, **kwargs):
         raise AssertionError("a coordinate sum was factored")
 
-    def recorded(self, columns):
-        with monkeypatch.context() as m:
-            m.setattr(np.linalg, "qr", refuse)
-            m.setattr(np.linalg, "svd", refuse)
-            sums.append(extended(self, columns))
-        return sums[-1]
+    def recorded(split):
+        def run(*args):
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "qr", refuse)
+                m.setattr(np.linalg, "svd", refuse)
+                sums.append(split(*args))
+            return sums[-1]
+        return run
 
-    monkeypatch.setattr(SubspaceData, "extended", recorded)
+    monkeypatch.setattr(SubspaceData, "extended", recorded(SubspaceData.extended))
+    monkeypatch.setattr(factorization, "_with_complement", recorded(factorization._with_complement))
     grid, symbol = TruncationGrid(caps), AnalyticSymbol.monomial(theta)
     wit = invariant_subspace_from_factorization(symbol, Z1, grid)
     check = beurling_submodule_check(wit.m_basis, symbol, grid)
     gap = [k for k in grid.multi_indices if k[0] >= 1 and not (k[0] >= theta[0] and k[1] >= theta[1])]
     assert len(sums) == 2 and wit.m_rank == len(gap)
-    for array in (wit.m_basis, *(b for n in sums for b in (n.basis, n.complement))):
+    (m_basis, b_n, _), summed = sums
+    for array in (wit.m_basis, m_basis, b_n, summed.complement):
         assert set(np.unique(array)) <= {0, 1}
     assert set(wit.residuals.values()) | set(check.residuals.values()) == {0.0}
     assert check.verdict
 
 
 def test_quotient_match_sees_a_dropped_gap(monkeypatch):
-    # a split that adds nothing to S_theta leaves M empty, so S_theta + M
-    # misses the whole of S_phi minus S_theta and the two quotients differ by 1
+    # a split that adds nothing to S_theta leaves M empty and N's complement
+    # B_theta, so S_theta + M misses the whole of S_phi minus S_theta and the
+    # two quotients differ by 1
     theta, phi, caps, tol, margins = PAIRS["monomial"]
-    monkeypatch.setattr(SubspaceData, "extended", lambda self, columns: self)
+    monkeypatch.setattr(factorization, "_with_complement",
+                        lambda columns, floor, frame: (frame[:, :0], frame, columns.shape[1]))
     wit = invariant_subspace_from_factorization(theta, phi, TruncationGrid(caps), tol=tol,
                                                 margins=margins)
     assert wit.m_rank == 0

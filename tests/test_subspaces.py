@@ -63,13 +63,16 @@ def test_phi_columns_stay_independent():
 def test_projection_laws():
     g = TruncationGrid((3, 2))
     s = submodule_projection(AnalyticSymbol.blaschke(0.4, 0, nvars=2), g)
-    _, q = subspace_from_columns(g, s.basis)
+    again, b_s = subspace_from_columns(g, dense.span_basis(s))
     eye = np.eye(g.dim)
-    p_s, p_q = dense.projection(s), dense.projection(q)
+    b_q = again.complement
+    p_s, p_q = b_s @ b_s.conj().T, b_q @ b_q.conj().T
     assert np.linalg.norm(p_s + p_q - eye, 2) <= 1e-12
+    assert np.linalg.norm(p_s - dense.projection(s), 2) <= 1e-12
     assert np.linalg.norm(p_s @ p_s - p_s, 2) <= 1e-12
     assert np.linalg.norm(p_s - p_s.conj().T, 2) <= 1e-12
-    assert np.linalg.norm(s.basis.conj().T @ s.basis - np.eye(s.rank), 2) <= 1e-12
+    assert np.linalg.norm(b_s.conj().T @ b_s - np.eye(s.rank), 2) <= 1e-12
+    assert np.linalg.norm(s.complement.conj().T @ s.complement - np.eye(g.dim - s.rank), 2) <= 1e-12
 
 
 def test_innerness_gate_blocks_non_inner_symbols():
@@ -152,15 +155,15 @@ def test_split_matches_the_svd_rank_and_is_orthonormal(name, monkeypatch):
     qr_calls = []
     qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: qr_calls.append(1) or qr(*a, **kw))
-    s, q = subspace_from_columns(g, cols)
+    s, b_s = subspace_from_columns(g, cols)
 
     sig = np.linalg.svd(cols, compute_uv=False)
     want = int(np.sum(sig > RANK_TOL * sig[0])) if sig.size else 0
     assert (s.rank, s.discarded) == (want, cols.shape[1] - want)
-    assert s.rank + q.rank == g.dim
-    b_s, b_q = s.basis, q.basis
+    b_q = s.complement
+    assert b_s.shape[1] == s.rank and s.rank + b_q.shape[1] == g.dim
     assert np.abs(b_s.conj().T @ b_s - np.eye(s.rank)).max(initial=0.0) <= 1e-12
-    assert np.abs(b_q.conj().T @ b_q - np.eye(q.rank)).max(initial=0.0) <= 1e-12
+    assert np.abs(b_q.conj().T @ b_q - np.eye(b_q.shape[1])).max(initial=0.0) <= 1e-12
     assert np.abs(b_s.conj().T @ b_q).max(initial=0.0) <= 1e-12
     assert np.abs(cols - b_s @ (b_s.conj().T @ cols)).max(initial=0.0) <= 1e-12
 
@@ -179,9 +182,10 @@ def test_monomial_submodule_and_origin_complement_split_by_index():
     g = TruncationGrid((3, 3))
     s = submodule_projection(AnalyticSymbol.monomial((1, 2)), g)
     rows = [dense.flat(g, k) for k in g.multi_indices if k[0] >= 1 and k[1] >= 2]
-    assert np.array_equal(s.basis, np.eye(g.dim)[:, sorted(rows)])
+    assert s.rank == len(rows)
+    assert np.array_equal(s.complement, np.eye(g.dim)[:, sorted(set(range(g.dim)) - set(rows))])
     origin = origin_complement(g)
-    assert np.array_equal(origin.basis, np.eye(g.dim)[:, 1:])
+    assert origin.rank == g.dim - 1
     assert np.array_equal(origin.complement, np.eye(g.dim)[:, :1])
 
 
@@ -190,14 +194,15 @@ def test_extended_splits_the_sum_with_the_columns():
     s = submodule_projection(AnalyticSymbol.blaschke(0.3, 0, nvars=2), g)
     rng = np.random.default_rng(5)
     inside = s.complement @ rng.normal(size=(s.complement.shape[1], 2))
-    cols = np.hstack([inside, inside[:, :1] + s.basis[:, :1], 3 * inside[:, 1:]])
+    cols = np.hstack([inside, inside[:, :1] + dense.span_basis(s)[:, :1], 3 * inside[:, 1:]])
     n = s.extended(cols)
     assert n.rank == s.rank + 2 and n.discarded == 2 and n.grid is s.grid
-    assert np.array_equal(n.basis[:, :s.rank], s.basis)
-    frame = np.hstack([n.basis, n.complement])
-    assert frame.shape == (g.dim, g.dim)
-    assert np.abs(frame.conj().T @ frame - np.eye(g.dim)).max() <= 1e-12
-    assert np.abs(cols - n.basis @ (n.basis.conj().T @ cols)).max() <= 1e-12
+    b_q = n.complement
+    assert b_q.shape == (g.dim, g.dim - n.rank)
+    assert np.abs(b_q.conj().T @ b_q - np.eye(b_q.shape[1])).max() <= 1e-12
+    # Q of the sum lies in Q of s, and the columns lie in the sum
+    assert np.abs(b_q - s.complement @ (s.complement.conj().T @ b_q)).max() <= 1e-12
+    assert np.abs(cols - dense.projection(n) @ cols).max() <= 1e-12
 
 
 def _dense_sum(b_s, cols, floor):
@@ -231,7 +236,7 @@ def _sum_inputs():
         "rank-deficient": (s, np.hstack([base, base[:, :1] - 2j * base[:, 2:], 3 * base[:, 1:2]])),
         "zero-and-unit": (mono, np.hstack([eye[:, units[:2]] * np.exp([0.4j, -2.0j]),
                                           np.zeros((g.dim, 2)), eye[:, units[2:]] * 1j])),
-        "inside-s": (s, np.hstack([s.basis @ rng.normal(size=(s.rank, 3)), base[:, :1]])),
+        "inside-s": (s, np.hstack([dense.span_basis(s) @ rng.normal(size=(s.rank, 3)), base[:, :1]])),
         "scaled-1e-12": (s, 1e-12 * gauss(3)),
     }
 
@@ -244,13 +249,14 @@ def test_split_and_sum_match_a_dense_svd_at_their_cut(name):
     n = s.extended(cols)
     empty = np.zeros((s.grid.dim, 0))
     for split, floor, b_s in ((subspace_from_columns(s.grid, cols)[0], 0.0, empty),
-                              (n, 1.0, s.basis)):
+                              (n, 1.0, dense.span_basis(s))):
         rank, discarded, p = _dense_sum(b_s, cols, floor)
         assert (split.rank, split.discarded) == (rank, discarded), floor
         assert np.abs(dense.projection(split) - p).max() <= 1e-13, floor
-        frame = np.hstack([split.basis, split.complement])
-        assert np.abs(frame.conj().T @ frame - np.eye(s.grid.dim)).max() <= 1e-13, floor
-    assert np.array_equal(n.basis[:, :s.rank], s.basis)
+        b_q = split.complement
+        assert np.abs(b_q.conj().T @ b_q - np.eye(b_q.shape[1])).max(initial=0.0) <= 1e-13, floor
+    assert np.abs(n.complement - s.complement @ (s.complement.conj().T @ n.complement)).max(
+        initial=0.0) <= 1e-13
 
 
 def test_a_sum_cuts_absolutely_and_a_column_set_relatively():
@@ -260,7 +266,7 @@ def test_a_sum_cuts_absolutely_and_a_column_set_relatively():
     s, cols = _sum_inputs()["scaled-1e-12"]
     n = s.extended(cols)
     assert (n.rank, n.discarded) == (s.rank, 3)
-    assert np.array_equal(n.basis, s.basis)
+    assert np.abs(dense.projection(n) - dense.projection(s)).max() <= 1e-13
     alone, _ = subspace_from_columns(s.grid, cols)
     assert (alone.rank, alone.discarded) == (3, 0)
 
@@ -273,31 +279,27 @@ def test_zero_and_unit_columns_split_by_index_without_a_factorization(monkeypatc
 
     monkeypatch.setattr(np.linalg, "qr", refuse)
     monkeypatch.setattr(np.linalg, "svd", refuse)
-    alone, _ = subspace_from_columns(s.grid, cols)
+    alone, b_s = subspace_from_columns(s.grid, cols)
     n = s.extended(cols)
     assert (alone.rank, alone.discarded) == (4, 2)
     # (1, 1) and (2, 2) lie in z1z2 H^2, so their columns add nothing to the sum
     assert (n.rank, n.discarded) == (s.rank + 2, 4)
-    for b in (alone.basis, alone.complement, n.basis, n.complement):
+    for b in (b_s, alone.complement, n.complement):
         assert set(np.unique(b)) <= {0, 1}
 
 
-def test_tensored_split_keeps_its_core_through_complements_only():
-    """z1^2 on caps (6, 6) leaves z2 free: the split and its complements are
-    tensored from a core on the z1 grid, and the sum with further columns,
-    which is no tensor product, is its own core."""
+def test_tensored_split_keeps_its_core_and_a_sum_is_its_own_core():
+    """z1^2 on caps (6, 6) leaves z2 free: the split is tensored from a core
+    on the z1 grid, and the sum with further columns, which is no tensor
+    product, is its own core, as is every other split."""
     g = TruncationGrid((6, 6))
     s = submodule_projection(AnalyticSymbol.monomial((2, 0)), g)
     assert s.core is not s and s.used == (0,) and s.core.grid.caps == (6,)
-    q = s.complement_space
-    assert q.core is s.core.complement_space and q.used == (0,)
-    back = q.complement_space
-    assert back.core is not back and back.used == (0,)
-    assert np.array_equal(back.basis, s.basis) and np.array_equal(back.core.basis, s.core.basis)
-    n = s.extended(q.basis[:, :2])
+    assert s.core.core is s.core and s.core.used == (0,)
+    n = s.extended(s.complement[:, :2])
     assert n.core is n and n.used == (0, 1)
-    bare = SubspaceData(g, s.basis, s.complement)
-    for x in (*subspace_from_columns(g, s.basis), origin_complement(g), bare):
+    bare = SubspaceData(g, s.complement)
+    for x in (subspace_from_columns(g, dense.span_basis(s))[0], origin_complement(g), bare):
         assert x.core is x and x.used == (0, 1)
 
 
@@ -313,7 +315,7 @@ def test_tensored_split_is_freed_without_the_cycle_collector():
         cross_commutator_criterion(s, margins=entry.margins)
         identity_suite(data)
         assert len(data.compressions) == 3
-        refs = [weakref.ref(x) for x in (s, s.core, s.complement_space, data)]
+        refs = [weakref.ref(x) for x in (s, s.core, s.core.complement, data)]
         assert s.core is not s
         del s, data
         assert [r() for r in refs] == [None] * len(refs)
@@ -324,30 +326,27 @@ def test_tensored_split_is_freed_without_the_cycle_collector():
 @pytest.mark.parametrize("entry_id", ["product3-00", "blaschke3-00", "unitary3-00"])
 def test_tensored_split_forms_its_bases_only_when_read(entry_id):
     """quotient_data, the three detectors and identity_suite read the core
-    alone, so neither the split nor its complement forms a grid-sized
-    basis.  Read afterwards, each basis is byte for byte the eager
-    tensoring of its core's, and rank, discarded and the complement's rank
-    are those of the split of the window columns on the whole grid."""
+    alone, so the split forms no grid-sized B_Q.  Read afterwards, B_Q is
+    byte for byte the eager tensoring of its core's, and rank, discarded
+    and the count of B_Q's columns are those of the split of the window
+    columns on the whole grid."""
     entry = next(e for e in corpus_entries(0) if e.entry_id == entry_id)
     s = entry.subspace()
     data = quotient_data(s, margins=entry.margins)
     beurling_criterion(data)
     cross_commutator_criterion(s, margins=entry.margins)
     identity_suite(data)
-    q = s.complement_space
-    assert data.q is q and s.core is not s and q.core is not q
-    for x in (s, q):
-        assert not {"basis", "complement"} & set(vars(x)), entry_id
+    assert data.s is s and s.core is not s
+    assert "complement" not in vars(s), entry_id
 
     symbol, g = entry.symbol, entry.grid()
     dom = g.with_channels(symbol.cols)
     ref, _ = subspace_from_columns(s.grid, toeplitz_matrix(symbol, g)[:, dom.window_indices(symbol.degrees)])
-    assert (s.rank, s.discarded, q.rank) == (ref.rank, ref.discarded, ref.complement_space.rank)
-    for x in (s, q, q.complement_space):
-        for got, core in ((x.basis, x.core.basis), (x.complement, x.core.complement)):
-            want = dense.tensored(core, x.grid, x.used)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        assert x.basis is x.basis and x.rank == x.basis.shape[1]
+    assert (s.rank, s.discarded) == (ref.rank, ref.discarded)
+    want = dense.tensored(s.core.complement, s.grid, s.used)
+    assert s.complement.shape == want.shape == ref.complement.shape
+    assert s.complement.tobytes() == want.tobytes()
+    assert s.complement is s.complement and s.rank == s.grid.dim - s.complement.shape[1]
 
 
 def test_corpus_split_takes_no_grid_wide_singular_vectors(no_wide_singular_vectors):
@@ -437,12 +436,12 @@ def test_certified_split_matches_the_always_svd_split(name, monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
-    s, _ = subspace_from_columns(g, cols)
+    s, b_s = subspace_from_columns(g, cols)
     monkeypatch.setattr(np.linalg, "svd", svd)
     basis, complement, dropped = _always_svd_split(cols.astype(complex))
 
     assert (s.rank, s.discarded) == (basis.shape[1], dropped)
-    assert s.basis.shape == basis.shape and s.basis.tobytes() == basis.tobytes()
+    assert b_s.shape == basis.shape and b_s.tobytes() == basis.tobytes()
     assert s.complement.shape == complement.shape
     assert s.complement.tobytes() == complement.tobytes()
     if name in ("near-orthonormal", "orthonormal", "single-column"):
@@ -459,7 +458,8 @@ def test_full_rank_corpus_split_takes_no_svd(entry_id, no_svd_in_subspaces):
     sub = entry.subspace()
     assert sub.grid.dim == 343
     assert sub.discarded == 0
-    assert sub.rank + sub.complement.shape[1] == 343
+    b_q = sub.complement
+    assert np.abs(b_q.T.conj() @ b_q - np.eye(343 - sub.rank)).max(initial=0.0) <= 1e-13
 
 
 def _bp_factor(v, var, nvars):
@@ -498,13 +498,12 @@ def test_reduced_split_matches_the_full_grid_split(name):
     assert (s.rank, s.discarded) == (ref.rank, ref.discarded)
     assert s.grid == cod and s.rank + s.complement.shape[1] == cod.dim
     assert np.abs(dense.projection(s) - dense.projection(ref)).max() <= 1e-13
-    frame = np.hstack([s.basis, s.complement])
-    assert np.abs(frame.conj().T @ frame - np.eye(cod.dim)).max() <= 1e-13
-    assert np.abs(s.basis.conj().T @ s.complement).max(initial=0.0) <= 1e-13
+    b_q = s.complement
+    assert np.abs(b_q.conj().T @ b_q - np.eye(b_q.shape[1])).max(initial=0.0) <= 1e-13
     if name == "z1-squared":
         rows = [dense.flat(g, k) for k in g.multi_indices if k[0] >= 2]
-        assert set(np.unique(frame)) == {0, 1}
-        assert sorted(np.flatnonzero(s.basis.any(axis=1))) == rows
+        assert set(np.unique(b_q)) == {0, 1}
+        assert sorted(np.flatnonzero(~b_q.any(axis=1))) == rows
 
 
 @pytest.mark.parametrize("symbol, caps", [
@@ -523,8 +522,8 @@ def test_symbol_of_every_variable_is_split_once_on_the_grid(symbol, caps):
     ref, _ = subspace_from_columns(cod, mt[:, dom.window_indices(symbol.degrees)])
     s = submodule_projection(symbol, g)
     assert s.core is s and s.used == tuple(range(g.nvars)) and s.grid == cod
-    assert np.array_equal(s.basis, ref.basis) and np.array_equal(s.complement, ref.complement)
-    assert s.discarded == ref.discarded
+    assert np.array_equal(s.complement, ref.complement)
+    assert (s.rank, s.discarded) == (ref.rank, ref.discarded)
 
 
 def _monomial_factor_cases():
@@ -566,9 +565,9 @@ def test_monomial_factor_split_matches_the_dense_window_split(name):
     assert (s.rank, s.discarded) == (ref.rank, ref.discarded)
     assert s.used == used and s.core.grid == TruncationGrid(tuple(caps[t] for t in used), symbol.rows)
     assert np.abs(dense.projection(s) - dense.projection(ref)).max() <= 1e-13
-    frame = np.hstack([s.basis, s.complement])
-    assert frame.shape == (cod.dim, cod.dim)
-    assert np.abs(frame.conj().T @ frame - np.eye(cod.dim)).max() <= 1e-13
+    b_q = s.complement
+    assert b_q.shape == (cod.dim, cod.dim - s.rank)
+    assert np.abs(b_q.conj().T @ b_q - np.eye(b_q.shape[1])).max(initial=0.0) <= 1e-13
     if name.startswith("rank-collapsing"):
         assert s.discarded == s.rank > 0
     if name.endswith("past the cap"):
@@ -597,7 +596,7 @@ def test_a_monomial_builds_no_toeplitz_matrix_past_one_variable(k, caps, monkeyp
     s = submodule_projection(AnalyticSymbol.monomial(k), g)
     assert built == [1]
     rows = [dense.flat(g, j) for j in g.multi_indices if all(np.greater_equal(j, k))]
-    assert np.array_equal(s.basis, np.eye(g.dim)[:, rows])
+    assert s.rank == len(rows)
     assert np.array_equal(s.complement, np.eye(g.dim)[:, sorted(set(range(g.dim)) - set(rows))])
 
 
@@ -613,7 +612,7 @@ def test_a_unimodular_multiple_of_a_monomial_splits_as_the_monomial(k, caps, mar
     plain = submodule_projection(AnalyticSymbol.monomial(k), g)
     for c in (1j, -1.0):
         s = submodule_projection(AnalyticSymbol.polynomial({k: np.array([[c]])}, len(k)), g)
-        assert s.basis.tobytes() == plain.basis.tobytes() and s.basis.shape == plain.basis.shape
+        assert s.complement.shape == plain.complement.shape
         assert s.complement.tobytes() == plain.complement.tobytes()
         assert s.used == plain.used and s.discarded == plain.discarded == 0
         assert _battery_dtypes(s, margins) == {np.dtype(np.float64)}
@@ -628,7 +627,8 @@ def test_three_variable_corpus_split_factors_only_its_support_block(family, no_g
     for entry in entries:
         sub = entry.subspace()
         assert sub.grid.dim == 343 and sub.discarded == 0
-        assert sub.rank + sub.complement.shape[1] == 343
+        b_q = sub.complement
+        assert np.abs(b_q.T.conj() @ b_q - np.eye(343 - sub.rank)).max(initial=0.0) <= 1e-13
 
 
 def test_contains():
@@ -718,14 +718,13 @@ def test_a_real_symbol_runs_in_float64_throughout(name):
 
 
 def _battery_dtypes(s, margins):
-    """The dtypes of the split's bases and of every block its quotient battery forms."""
+    """The dtypes of the split's B_Q and of every block its quotient battery forms."""
     data = quotient_data(s, margins=margins)
-    q = data.q
-    arrays = [s.basis, s.complement, q.basis, q.complement, *data.compressions]
-    for split in (s.core, q.core):
-        for t in range(split.grid.nvars):
-            arrays += [*split.shift_blocks(t), *split.shift_blocks(t, adjoint=True)]
-    n = q.core.grid.nvars
+    core = s.core
+    arrays = [s.complement, core.complement, *data.compressions]
+    for t in range(core.grid.nvars):
+        arrays += [*core.shift_blocks(t), *core.shift_blocks(t, adjoint=True)]
+    n = core.grid.nvars
     arrays += [data.gram(a, b) for a in range(n) for b in range(n)]
     return {a.dtype for a in arrays}
 
@@ -739,21 +738,22 @@ def test_one_imaginary_part_keeps_complex128():
     assert toeplitz_matrix(tilted, grid).dtype == np.complex128
     rotated = AnalyticSymbol.blaschke(0.5, 0, 2).matmul(AnalyticSymbol.blaschke(-0.3j, 1, 2))
     s = submodule_projection(rotated, grid)
-    assert s.basis.dtype == s.complement.dtype == np.complex128
+    assert s.complement.dtype == np.complex128
 
     columns = np.arange(2.0 * grid.dim).reshape(grid.dim, 2) + 0j
-    assert subspace_from_columns(grid, columns)[0].basis.dtype == np.float64
+    split, b_s = subspace_from_columns(grid, columns)
+    assert b_s.dtype == split.complement.dtype == np.float64
     columns[3, 1] += 1e-3j
-    span, rest = subspace_from_columns(grid, columns)
-    assert span.basis.dtype == rest.basis.dtype == np.complex128
+    split, b_s = subspace_from_columns(grid, columns)
+    assert b_s.dtype == split.complement.dtype == np.complex128
 
     # a real split extended by complex columns becomes complex
     s = submodule_projection(real, grid)
-    assert s.basis.dtype == np.float64
+    assert s.complement.dtype == np.float64
     extra = s.complement[:, :2] * np.exp(0.7j)
     wider = s.extended(extra)
     assert wider.rank == s.rank + 2
-    assert wider.basis.dtype == wider.complement.dtype == np.complex128
+    assert wider.complement.dtype == np.complex128
 
 
 NON_FINITE_COLUMNS = {
@@ -818,14 +818,15 @@ def test_shift_block_of_one_direction_is_the_adjoint_of_the_other(first):
     g = TruncationGrid((6, 6))
     rng = np.random.default_rng(3)
     blaschke = AnalyticSymbol.blaschke(0.03 + 0.02j, 0, 2)
-    spaces = [submodule_projection(blaschke, g).complement_space,
-              submodule_projection(phi_symbol(), g).complement_space,
+    spaces = [submodule_projection(blaschke, g),
+              submodule_projection(phi_symbol(), g),
               subspace_from_columns(g, rng.normal(size=(g.dim, 5)) + 1j * rng.normal(size=(g.dim, 5)))[0]]
     for s in spaces:
+        b = s.complement
         for t in range(g.nvars):
             asked = s.shift_blocks(t, adjoint=first)[0]
             other = s.shift_blocks(t, adjoint=not first)[0]
             assert np.array_equal(other, asked.conj().T)
             m = shift_matrix(g, t)
             want = m.conj().T if first else m
-            np.testing.assert_allclose(asked, s.basis.conj().T @ want @ s.basis, atol=1e-14)
+            np.testing.assert_allclose(asked, b.conj().T @ want @ b, atol=1e-14)
