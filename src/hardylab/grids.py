@@ -33,15 +33,17 @@ held per instance: the graded order, the multi-index tuples, the codes and
 the rank table are kept per caps, the predecessors per (caps, j), the
 shift index maps per (caps, channels), the windows per (caps, channels,
 margins), the top slices per (caps, channels, t), and the support/free row
-map of a tensored split or of a monomial factor per (caps, channels, used).
+map of a tensored split or of a monomial factor per (caps, channels, used),
+with used empty for a symbol z^m C/q_0 that couples no variable.
 Each table is built once by one module-level builder and returned
 read-only, so no caller can change what another grid reads.  Each builder keeps at most TABLE_CACHE =
 128 tables and drops the least recently used one first.  The bound is well
-above what a run reads: a corpus pass reads 11 distinct caps, 4
-predecessor tables, 26 windows and 7 row maps, the row maps only to place
-the monomial factors of its mixed entries, since its detectors read the
-core of every tensored split; ten corpus seeds in one process read 12 caps,
-48 windows and 8 row maps; and a pass over the shipped scenarios or the
+above what a run reads: a corpus pass reads 10 distinct caps, 4
+predecessor tables, 22 windows and 10 row maps, the row maps only to place
+the monomial factors of its mixed entries and the coordinates of its
+monomial entries, since its detectors read the core of every tensored
+split; ten corpus seeds in one process read 12 caps, 45 windows and 12 row
+maps; and a pass over the shipped scenarios or the
 division and dilation checks reads fewer than 10 of any table.  It
 is still a bound, so a long-lived process that walks through many grids
 holds a fixed number of tables, each a few index arrays of its grid's
@@ -307,7 +309,8 @@ class TruncationGrid:
         support grid of used (the ranks with k_F = 0, in its own graded
         order, with this grid's channels) tensored with free monomial b
         (the b-th rank with k_used = 0): the rank of k_used + k_F, in the
-        same channel.
+        same channel.  With used empty the support is the origin alone, so
+        rows[s, b] is channel s of rank b.
         """
         return _tensor_rows(self.caps, self.channels, tuple(int(t) for t in used))
 

@@ -7,23 +7,24 @@ P_S A = A - B_Q (B_Q* A) is formed from thin blocks (_outside).  Every
 split, of a column set or of a sum (SubspaceData.extended), goes through
 _with_complement and its one cut: a singular value counts above
 RANK_TOL * max(floor, sig_max), relative for a column set and absolute for
-a sum, whose singular values are cosines.  Columns that are zero or distinct unit
-vectors up to a unimodular phase (monomial submodules, the origin
-complement, monomial sums) split by index with no factorization: a column
-set into float64 0/1 coordinate columns whatever the phases, a sum into
-the frame's columns.  Others take one complete Householder QR, whose
-triangular factor R has the singular values of the columns (Golub & Van
-Loan, Matrix Computations, 5.2).  Full rank is certified from R alone: by
-Weyl's inequality its diagonal and the Frobenius norm of its strict upper
-triangle bound every singular value, and when those bounds clear the cut
-twice over the split is read off Q with no SVD.  Otherwise the singular
-values of R set the rank, and only a cut that drops columns forms the left
-factor and rotates Q by it.  A column with a NaN or infinite entry is
-refused by name before any of this.  Arithmetic follows the data: real
-columns give real bases (float64, read by grids._as_data), so every QR,
-Gram and product downstream of a real split is real, and a complex column
-anywhere, in a column set or in a sum, makes the bases complex128 by
-numpy's type promotion.
+a sum, whose singular values are cosines.  Columns that are zero or
+distinct unit vectors up to a unimodular phase (monomial sums, the window
+columns of a unit coefficient block) split by index with no factorization:
+a column set into float64 0/1 coordinate columns whatever the phases, a
+sum into the frame's columns; the origin complement is such a split,
+built from its index mask alone (origin_complement).  Others take one
+complete Householder QR, whose triangular factor R has the singular values
+of the columns (Golub & Van Loan, Matrix Computations, 5.2).  Full rank
+is certified from R alone: by Weyl's inequality its diagonal and the
+Frobenius norm of its strict upper triangle bound every singular value,
+and when those bounds clear the cut twice over the split is read off Q
+with no SVD.  Otherwise one thin SVD of R sets the rank, and only a cut
+that drops columns rotates Q by its left factor.  A column with a NaN or
+infinite entry is refused by name before any of this.  Arithmetic follows
+the data: real columns give real bases (float64, read by grids._as_data),
+so every QR, Gram and product downstream of a real split is real, and a
+complex column anywhere, in a column set or in a sum, makes the bases
+complex128 by numpy's type promotion.
 Operators are read against B_Q: SubspaceData.shift_blocks gives B_Q* A B_Q
 and the part P_S A B_Q of A B_Q in S, for A = M_t or M_t* applied by
 TruncationGrid.shift; B_Q* M_t B_Q is a product for the first direction
@@ -36,7 +37,8 @@ images.  The split reads three kinds of variable off the symbol's keys
 (_toeplitz_split).  A free variable appears in no key; a monomial variable
 t appears in every numerator key with one exponent m_t >= 1 and in no
 denominator key, so the symbol is z_M^m times a symbol of the others; every
-other variable is coupled.  H^2 of the polydisc is the tensor product of H^2
+other variable is coupled, and a constant, which uses no variable, takes
+variable 0 as coupled.  H^2 of the polydisc is the tensor product of H^2
 in each kind, and on the box grid so is the operator, entry for entry:
 M_symbol is the Toeplitz matrix T on the grid of the coupled variables,
 tensored with the 0/1 shift by m over the monomial box and with the
@@ -47,8 +49,10 @@ tensored with those coordinates and Q is T's Q tensored with the whole
 monomial box plus T's S tensored with the other coordinates
 (_times_monomial).  That split of the coupled and monomial variables, the
 used ones, is laid out on their grid; a symbol with no monomial variable
-has T's split there.  A free variable costs nothing until the grid-sized
-B_Q is read.
+has T's split there.  A symbol z^m C/q_0 with no coupled variable builds no
+Toeplitz matrix: its T is the zero-variable one, the coefficient block
+C/q_0, and S is read off the core grid's exponents.  A free variable costs
+nothing until the grid-sized B_Q is read.
 The split returned (_TensoredSplit) keeps the split on the used variables'
 grid as its core (SubspaceData.core) and the used variables
 (SubspaceData.used), and its B_Q is tensored from the core's, so the
@@ -292,11 +296,12 @@ def _with_complement(columns: np.ndarray, floor: float, frame: np.ndarray | None
     and each zero column is discarded.  Other columns take
     Q, R = qr(columns, "complete"): k of them, no more than the rows, whose
     leading R block _certified_full_rank clears split as (Q[:, :k],
-    Q[:, k:]).  Otherwise the singular values of the leading min(rows, k)
-    rows of R, which are the columns', set the rank; a cut that drops a
-    column, as every cut of k > rows columns does, rotates the leading
-    block of Q by their left singular vectors, so that block begins with
-    span(columns), and only such a cut forms them.
+    Q[:, k:]).  Otherwise one thin SVD of the leading min(rows, k) rows of
+    R, whose singular values are the columns', sets the rank; a cut that
+    drops a column, as every cut of k > rows columns does, rotates the
+    leading block of Q by its left singular vectors, so that block begins
+    with span(columns), and a cut that keeps every column leaves Q as the
+    QR gave it.
     """
     _check_finite(columns)
     if frame is not None:
@@ -309,11 +314,10 @@ def _with_complement(columns: np.ndarray, floor: float, frame: np.ndarray | None
     k = rank = columns.shape[1]
     if k > columns.shape[0] or not _certified_full_rank(r[:k], floor):
         lead = min(columns.shape)
-        sig = np.linalg.svd(r[:lead], compute_uv=False) if k == lead else None
-        if sig is None or _rank(sig, floor) < k:
-            u, sig, _ = np.linalg.svd(r[:lead], full_matrices=False)
-            q[:, :lead] = q[:, :lead] @ u
+        u, sig, _ = np.linalg.svd(r[:lead], full_matrices=False)
         rank = _rank(sig, floor)
+        if rank < k:
+            q[:, :lead] = q[:, :lead] @ u
     if frame is not None:
         q = frame @ q
     return q[:, :rank], q[:, rank:], k - rank
@@ -372,43 +376,53 @@ def _toeplitz_split(symbol: AnalyticSymbol, grid: TruncationGrid) -> SubspaceDat
     Each variable t is one of three kinds.  It is free when no numerator or
     denominator key uses it, monomial when every numerator key has one
     exponent m_t >= 1 in it and no denominator key uses it, so that symbol =
-    z_M^m * symbol' over the monomial variables M, and coupled otherwise (the
-    first monomial variable, or variable 0, when no other is).  Every Taylor
-    coefficient sits at k_F = 0 and k_M = m, so on the box grid M_symbol =
-    T (x) S^m (x) I_F entry for entry: T is the Toeplitz matrix of symbol'
-    on the support grid of the coupled variables U, and S^m the 0/1 shift by
-    m on the box of M, whose window columns map onto {e_k : k_M >= m}.  Only
-    the window columns of T are built and split, by one factorization or
-    by index; the monomial and free variables cost no factorization and no
-    Toeplitz matrix.  On the core grid of U and M (used), the split is that
-    of T tensored with the split of S^m (_times_monomial); with no monomial
-    variable it is T's split itself.  With no free variable the core grid
-    is the grid and the core split is returned as it is.  Otherwise it is
-    the core of the returned _TensoredSplit, whose B_Q is the Kronecker
-    product of the core's B_Q with the identity over the free box, its rows
-    scattered to the ranks of k_used + k_F by the grid's shared row map
-    (TruncationGrid._tensor_rows) and formed only when read; rank and
-    discarded grow by the free box size.
+    z_M^m * symbol' over the monomial variables M, and coupled otherwise (a
+    constant, which uses no variable, takes variable 0 as coupled).  Every
+    Taylor coefficient sits at k_F = 0 and k_M = m, so on the box grid
+    M_symbol = T (x) S^m (x) I_F entry for entry: T is the Toeplitz matrix
+    of symbol' on the support grid of the coupled variables U, and S^m the
+    0/1 shift by m on the box of M, whose window columns map onto
+    {e_k : k_M >= m}.  Only the window columns of T are built and split, by
+    one factorization or by index; the monomial and free variables cost no
+    factorization and no Toeplitz matrix.  A symbol z^m C/q_0 with no
+    coupled variable builds no Toeplitz matrix, no Taylor table and no
+    restricted symbol at all: T is the zero-variable Toeplitz matrix, the
+    coefficient block C/q_0, so S = range(C/q_0) (x) {e_k : k >= m} is read
+    off the core grid's exponents.  On the core grid of U and M (used), the
+    split is that of T tensored with the split of S^m (_times_monomial);
+    with no monomial variable it is T's split itself.  With no free
+    variable the core grid is the grid and the core split is returned as it
+    is.  Otherwise it is the core of the returned _TensoredSplit, whose B_Q
+    is the Kronecker product of the core's B_Q with the identity over the
+    free box, its rows scattered to the ranks of k_used + k_F by the grid's
+    shared row map (TruncationGrid._tensor_rows) and formed only when read;
+    rank and discarded grow by the free box size.
     """
     numerator, denominator = list(symbol.numerator), list(symbol.denominator)
     keys = numerator + denominator
     used = tuple(t for t in range(grid.nvars) if any(k[t] for k in keys))
     shift = {t: numerator[0][t] for t in used if not any(k[t] for k in denominator)
              and all(k[t] == numerator[0][t] for k in numerator)}
-    coupled = tuple(t for t in used if t not in shift) or used[:1] or (0,)
-    used = tuple(sorted({*used, *coupled}))
+    coupled = tuple(t for t in used if t not in shift) if used else (0,)
+    used = used or coupled
     cod = grid.with_channels(symbol.rows)
     core = TruncationGrid(tuple(grid.caps[t] for t in used), symbol.rows) if len(used) < grid.nvars else cod
-    support = TruncationGrid(tuple(grid.caps[t] for t in coupled))
-    if len(coupled) < grid.nvars:
-        restricted = [{tuple(k[t] for t in coupled): v for k, v in part.items()}
-                      for part in (symbol.numerator, symbol.denominator)]
-        symbol = AnalyticSymbol(len(coupled), symbol.rows, symbol.cols, *restricted)
-    keep = support.with_channels(symbol.cols).window_indices(symbol.degrees)
-    block = toeplitz_matrix(symbol, support)[:, keep]
+    m = tuple(0 if t in coupled else shift[t] for t in used)
+    if coupled:
+        support = TruncationGrid(tuple(grid.caps[t] for t in coupled))
+        if len(coupled) < grid.nvars:
+            restricted = [{tuple(k[t] for t in coupled): v for k, v in part.items()}
+                          for part in (symbol.numerator, symbol.denominator)]
+            symbol = AnalyticSymbol(len(coupled), symbol.rows, symbol.cols, *restricted)
+        keep = support.with_channels(symbol.cols).window_indices(symbol.degrees)
+        block = toeplitz_matrix(symbol, support)[:, keep]
+    else:
+        # symbol = z^m C/q_0, divided as AnalyticSymbol.taylor_table divides it
+        c = _as_data(np.concatenate([symbol.numerator[numerator[0]].ravel(),
+                                     list(symbol.denominator.values())]))
+        block = c[:-1].reshape(symbol.rows, symbol.cols) / c[-1]
     if len(coupled) < len(used):
-        s = _times_monomial(block, core, tuple(used.index(t) for t in coupled),
-                            tuple(0 if t in coupled else shift[t] for t in used))
+        s = _times_monomial(block, core, tuple(used.index(t) for t in coupled), m)
     else:
         s, _ = subspace_from_columns(support.with_channels(symbol.rows), block)
     return s if core is cod else _TensoredSplit(s, cod, used)
@@ -420,6 +434,9 @@ def _times_monomial(columns: np.ndarray, core: TruncationGrid, coupled: tuple[in
     of T on the grid of the coupled variables U, on the core grid of U and
     the monomial variables M.  coupled names the positions of U among the
     core's variables, and m holds m_t > 0 at the others and 0 at these.
+    With no coupled variable T is the zero-variable Toeplitz matrix, the
+    coefficient block C/q_0 itself (rows x cols), and U's grid is the
+    channel space.
 
     On the box of M, the window columns of S^m (k_M <= caps_M - m) map one
     to one onto the coordinates {e_k : k_M >= m}, and the rest of the box
@@ -430,7 +447,8 @@ def _times_monomial(columns: np.ndarray, core: TruncationGrid, coupled: tuple[in
     discarded is the columns' times the number of window columns of S^m.
     Columns that split by index give a product of coordinates, so B_Q is
     the coordinates off S, as _with_complement's index split gives them:
-    float64 0/1 columns in increasing row order, with no factorization.  The columns enter as in
+    float64 0/1 columns in increasing row order, with no factorization; a
+    scalar unimodular C/q_0 is such a column.  The columns enter as in
     subspace_from_columns: real data as float64, and a non-finite entry is
     refused.
     """
@@ -451,8 +469,10 @@ def _times_monomial(columns: np.ndarray, core: TruncationGrid, coupled: tuple[in
 
 
 def origin_complement(grid: TruncationGrid) -> SubspaceData:
-    """The functions vanishing at the origin: every basis vector but the first."""
-    return subspace_from_columns(grid, np.eye(grid.dim)[:, 1:])[0]
+    """The functions vanishing at the origin, split by index: rank 0 is the
+    origin in the graded order, so B_Q is the float64 0/1 coordinate
+    columns of its grid.channels flat indices and Q is C^channels."""
+    return SubspaceData(grid, _coordinates(np.arange(grid.dim) < grid.channels))
 
 
 def parse_basis_text(text: str, grid: TruncationGrid) -> np.ndarray:

@@ -304,7 +304,7 @@ def _corpus_pass(seed):
 
 
 def test_a_corpus_pass_builds_each_table_once():
-    """11 distinct caps, 13 (caps, channels) pairs and 4 (caps, j) pairs in
+    """10 distinct caps, 13 (caps, channels) pairs and 4 (caps, j) pairs in
     corpus_entries(1): one build each, and none on a second pass."""
     for build in _builders():
         build.cache_clear()

@@ -9,7 +9,7 @@ import pytest
 import dense
 from hardylab.corpus import corpus_entries
 from hardylab.criteria import beurling_criterion, cross_commutator_criterion, identity_suite, quotient_data
-from hardylab.factorization import beurling_submodule_check
+from hardylab.factorization import beurling_submodule_check, invariant_subspace_from_factorization
 from hardylab.grids import TruncationGrid
 from hardylab.kernels import rational_inner_witness
 from hardylab.operators import InnernessError, eval_margins, shift_matrix, toeplitz_matrix
@@ -187,6 +187,45 @@ def test_monomial_submodule_and_origin_complement_split_by_index():
     origin = origin_complement(g)
     assert origin.rank == g.dim - 1
     assert np.array_equal(origin.complement, np.eye(g.dim)[:, :1])
+
+
+@pytest.mark.parametrize("caps", [(6, 6), (6, 6, 6), (20, 20)], ids=["dim49", "dim343", "dim441"])
+def test_origin_complement_matches_the_split_of_every_other_column(caps):
+    g = TruncationGrid(caps)
+    ref, _ = subspace_from_columns(g, np.eye(g.dim)[:, 1:])
+    s = origin_complement(g)
+    assert (s.rank, s.discarded) == (ref.rank, ref.discarded) == (g.dim - 1, 0)
+    assert s.complement.dtype == ref.complement.dtype
+    assert s.complement.flags.f_contiguous == ref.complement.flags.f_contiguous
+    assert s.complement.tobytes() == ref.complement.tobytes()
+
+
+def test_origin_complement_of_a_two_channel_grid_keeps_every_channel():
+    """The quotient by the functions vanishing at the origin is C^channels."""
+    g = TruncationGrid((2, 2), channels=2)
+    s = origin_complement(g)
+    assert s.complement.shape == (18, 2) and s.rank == 16
+    assert np.array_equal(s.complement, np.eye(g.dim)[:, :2])
+
+
+def test_origin_complement_forms_no_array_of_the_other_columns():
+    """B_Q comes from the index mask: the split allocates far less than
+    one bool array of dim - 1 columns would take."""
+    import tracemalloc
+
+    g = TruncationGrid((20, 20))
+    g.dim
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        origin_complement(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < g.dim * (g.dim - 1) // 4
 
 
 def test_extended_splits_the_sum_with_the_columns():
@@ -450,6 +489,55 @@ def test_certified_split_matches_the_always_svd_split(name, monkeypatch):
         assert svd_calls, "the certificate accepted columns it cannot certify"
 
 
+def _two_svd_split(cols):
+    """The cut as it was taken with singular values first and singular
+    vectors only for a cut that drops a column: the reference whose bytes
+    the one-SVD cut keeps."""
+    q, r = np.linalg.qr(cols, mode="complete")
+    k, lead = cols.shape[1], min(cols.shape)
+    sig = np.linalg.svd(r[:lead], compute_uv=False) if k == lead else None
+    if sig is None or int(np.sum(sig > RANK_TOL * sig[0])) < k:
+        u, sig, _ = np.linalg.svd(r[:lead], full_matrices=False)
+        q[:, :lead] = q[:, :lead] @ u
+    rank = int(np.sum(sig > RANK_TOL * sig[0]))
+    return q[:, :rank], q[:, rank:]
+
+
+@pytest.mark.parametrize("name", ["rank-deficient", "repeated-unit", "wide"])
+def test_a_rank_deficient_cut_keeps_its_bytes_with_one_svd(name, monkeypatch):
+    g = TruncationGrid((3, 2))
+    cols = _split_inputs()[name]
+    basis, complement = _two_svd_split(cols)
+    svd_calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svd_calls.append(kw) or svd(*a, **kw))
+    s, b_s = subspace_from_columns(g, cols)
+    assert svd_calls == [{"full_matrices": False}]
+    assert b_s.tobytes() == basis.tobytes()
+    assert s.complement.tobytes() == complement.tobytes()
+
+
+def test_the_rational_gap_split_takes_one_svd(monkeypatch):
+    """The witness of b_0.05(z1) z2 / b_0.05(z1) at caps 8^2 cuts its gap
+    columns below full rank: one SVD with vectors sets the rank and rotates Q."""
+    import sys
+
+    b = AnalyticSymbol.blaschke(0.05, 0, 2)
+    svd_calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") == "hardylab.subspaces":
+            svd_calls.append(kwargs)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    witness = invariant_subspace_from_factorization(b.matmul(AnalyticSymbol.monomial((0, 1))), b,
+                                                    TruncationGrid((8, 8)))
+    assert svd_calls == [{"full_matrices": False}]
+    assert witness.m_basis.shape == (81, 8)
+
+
 @pytest.mark.parametrize("entry_id", ["product3-00", "blaschke3-00"])
 def test_full_rank_corpus_split_takes_no_svd(entry_id, no_svd_in_subspaces):
     """The dim-343 inner-symbol splits are certified full rank from the
@@ -584,9 +672,10 @@ def test_a_monomial_factor_adds_no_rows_to_the_factorization(no_grid_wide_qr):
 
 
 @pytest.mark.parametrize("k, caps", [((3, 2), (12, 12)), ((2, 3), (12, 12)), ((1, 2, 1), (3, 4, 2))])
-def test_a_monomial_builds_no_toeplitz_matrix_past_one_variable(k, caps, monkeypatch):
-    """z^k is split by index from the Toeplitz matrix of one variable's
-    power, coordinate columns in increasing row order."""
+def test_a_monomial_builds_no_toeplitz_matrix(k, caps, monkeypatch):
+    """z^k has no coupled variable, so it is split by index off the core
+    grid's exponents with no Toeplitz matrix, coordinate columns in
+    increasing row order."""
     from hardylab import subspaces
     built = []
     toeplitz = subspaces.toeplitz_matrix
@@ -594,10 +683,113 @@ def test_a_monomial_builds_no_toeplitz_matrix_past_one_variable(k, caps, monkeyp
         grid.nvars) or toeplitz(symbol, grid))
     g = TruncationGrid(caps)
     s = submodule_projection(AnalyticSymbol.monomial(k), g)
-    assert built == [1]
+    assert built == []
     rows = [dense.flat(g, j) for j in g.multi_indices if all(np.greater_equal(j, k))]
     assert s.rank == len(rows)
     assert np.array_equal(s.complement, np.eye(g.dim)[:, sorted(set(range(g.dim)) - set(rows))])
+
+
+def _refuse_toeplitz(monkeypatch):
+    """Make the Toeplitz matrix, the Taylor table and the restricted symbol
+    of a split raise, and return the log of gate and split calls."""
+    from hardylab import subspaces
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Toeplitz matrix, Taylor table or restricted symbol was built")
+
+    calls = []
+    gate, split = subspaces.innerness_check, subspaces._times_monomial
+    monkeypatch.setattr(subspaces, "innerness_check", lambda symbol: calls.append("gate") or gate(symbol))
+    monkeypatch.setattr(subspaces, "_times_monomial", lambda *a: calls.append("split") or split(*a))
+    monkeypatch.setattr(subspaces, "toeplitz_matrix", refuse)
+    monkeypatch.setattr(subspaces, "AnalyticSymbol", refuse)
+    monkeypatch.setattr(AnalyticSymbol, "taylor_table", refuse)
+    return calls
+
+
+def _dense_window_split(symbol, g):
+    """The split of every window column of the whole grid's Toeplitz matrix."""
+    cod, dom = g.with_channels(symbol.rows), g.with_channels(symbol.cols)
+    return subspace_from_columns(cod, toeplitz_matrix(symbol, g)[:, dom.window_indices(symbol.degrees)])[0]
+
+
+# k, caps and the used variables: 1, 2 and 3 used, with and without free ones
+PURE_MONOMIALS = {
+    "z1^2": ((2,), (4,), (0,)),
+    "z1^2, z2 free": ((2, 0), (4, 3), (0,)),
+    "z1 z2^2": ((1, 2), (3, 4), (0, 1)),
+    "z1^2 z3, z2 free": ((2, 0, 1), (4, 3, 2), (0, 2)),
+    "z1 z2 z3": ((1, 1, 1), (2, 3, 2), (0, 1, 2)),
+    "z2^3 past the cap": ((0, 3), (3, 2), (1,)),
+}
+
+
+@pytest.mark.parametrize("c", [1.0, -1.0, 1j], ids=["z^k", "-z^k", "i z^k"])
+@pytest.mark.parametrize("name", sorted(PURE_MONOMIALS))
+def test_a_pure_monomial_splits_off_the_core_exponents(name, c, monkeypatch):
+    """c z^k has no coupled variable: after the innerness gate it is split
+    by index with no Toeplitz matrix, Taylor table or restricted symbol,
+    into the float64 0/1 B_Q, rank and discarded count of the dense window
+    split of the whole grid, on the core of the variables it uses."""
+    k, caps, used = PURE_MONOMIALS[name]
+    g = TruncationGrid(caps)
+    symbol = AnalyticSymbol.polynomial({k: np.array([[c]])}, len(k))
+    ref = _dense_window_split(symbol, g)
+    calls = _refuse_toeplitz(monkeypatch)
+    s = submodule_projection(symbol, g)
+    assert calls == ["gate", "split"]
+    assert s.used == used and s.core.grid == TruncationGrid(tuple(caps[t] for t in used))
+    assert (s.rank, s.discarded) == (ref.rank, ref.discarded)
+    b_q = s.complement
+    assert b_q.dtype == np.float64 and b_q.shape == ref.complement.shape
+    # a tensored B_Q is free-major; its unit columns in row order are the reference's
+    assert b_q[:, np.argsort(b_q.argmax(axis=0))].tobytes() == ref.complement.tobytes()
+    if len(used) == g.nvars:
+        assert s.core is s and b_q.tobytes() == ref.complement.tobytes()
+    if name.endswith("past the cap"):
+        assert s.rank == 0 and b_q.shape == (g.dim, g.dim)
+
+
+def _unitary_multiples():
+    """name -> (symbol, caps): a monomial times a coefficient block that is no unit set."""
+    u = np.array([[1.0, 1j], [1j, 1.0]]) / np.sqrt(2)
+    return {
+        "z1 [1, 0]^T": (AnalyticSymbol.polynomial({(1, 0): np.array([[1.0], [0.0]])}, 2, rows=2), (3, 3)),
+        "z1 z2 U": (AnalyticSymbol.polynomial({(1, 1): u}, 2, rows=2, cols=2), (3, 3)),
+        "z1 z2 U, z3 free": (AnalyticSymbol.polynomial({(1, 1, 0): u}, 3, rows=2, cols=2), (2, 3, 2)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_unitary_multiples()))
+def test_a_matrix_valued_monomial_splits_its_channel_space_once(name, monkeypatch):
+    """z^m C with a matrix block C splits C on the channel space, tensored
+    with the coordinates: P_Q and the battery verdicts are those of the
+    dense window split, with no Toeplitz matrix built."""
+    symbol, caps = _unitary_multiples()[name]
+    g = TruncationGrid(caps)
+    margins = eval_margins(symbol)
+    ref = _dense_window_split(symbol, g)
+    want = _verdicts(ref, margins)
+    calls = _refuse_toeplitz(monkeypatch)
+    s = submodule_projection(symbol, g)
+    assert calls == ["gate", "split"]
+    assert (s.rank, s.discarded) == (ref.rank, ref.discarded)
+    p_q, p_ref = (x.complement @ x.complement.conj().T for x in (s, ref))
+    assert np.abs(p_q - p_ref).max() <= 1e-13
+    assert _verdicts(s, margins) == want
+
+
+def _verdicts(s, margins):
+    data = quotient_data(s, margins=margins)
+    reports = (beurling_criterion(data), cross_commutator_criterion(s, margins=margins), identity_suite(data))
+    return [rep.verdicts for rep in reports]
+
+
+def test_a_non_inner_monomial_multiple_is_refused_before_any_split(monkeypatch):
+    calls = _refuse_toeplitz(monkeypatch)
+    with pytest.raises(InnernessError):
+        submodule_projection(AnalyticSymbol.polynomial({(1, 0): np.array([[2.0]])}, 2), TruncationGrid((3, 3)))
+    assert calls == ["gate"]
 
 
 @pytest.mark.parametrize("k, caps, margins", [
