@@ -37,10 +37,18 @@ one call of the splitter, and the check builds N by one split
 check is the one place N is gated for invariance, through quotient_data
 and cross_commutator_criterion, on the window of margins.  The innerness
 and the invariance gate both live in subspaces.
+
+S_theta is split once per division: the last successful witness leaves its
+S_theta split in a one-entry memo (_last_split), and the check reuses it
+exactly when its m_basis is that witness's array, its theta that witness's
+symbol, and grid and tol equal the witness's.  The entry holds m_basis and
+theta by weak reference only; any other call splits S_theta itself, and
+submodule_projection stays uncached.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +81,34 @@ __all__ = [
 
 
 COEFF_CUTOFF = 1e-12
+
+# (weakref to m_basis, weakref to theta, grid, tol, S_theta split) of the
+# last successful witness, or None; beurling_submodule_check reads it
+_last_split = None
+
+
+def _remember_split(m_basis, theta, grid, tol, split) -> None:
+    """Make (m_basis, theta, grid, tol) the one memo entry for split; the
+    entry is dropped with its split when m_basis is collected."""
+    global _last_split
+
+    def forget(ref):
+        global _last_split
+        if _last_split is not None and _last_split[0] is ref:
+            _last_split = None
+
+    _last_split = (weakref.ref(m_basis, forget), weakref.ref(theta), grid, tol, split)
+
+
+def _witness_split(m_basis, theta, grid, tol):
+    """The memo's S_theta split if the last witness returned this very
+    m_basis for this very theta on an equal grid and tol, else None."""
+    if _last_split is None:
+        return None
+    basis_ref, theta_ref, last_grid, last_tol, split = _last_split
+    if basis_ref() is m_basis and theta_ref() is theta and last_grid == grid and last_tol == tol:
+        return split
+    return None
 
 
 class FactorizationError(ValueError):
@@ -180,6 +216,9 @@ def invariant_subspace_from_factorization(
     P_phi = P_N: the quotient match ||P_phi - P_N||, a difference of two
     orthogonal projections, is that of the quotients' projections,
     max(||_outside(B_N, B_phi)||, ||_outside(B_phi, B_N)||).
+    A witness that returns leaves its S_theta split in the module's one
+    memo entry, for beurling_submodule_check on its own m_basis; one that
+    raises leaves the entry as it was.
     """
     psi, residuals = _divide(theta, phi, tol)
     s_theta = submodule_projection(theta, grid, inner_tol=tol)
@@ -187,6 +226,7 @@ def invariant_subspace_from_factorization(
     m_basis, b_n, _ = _with_complement(_outside(b_phi, b_theta), 1.0, b_theta)
     residuals["quotient_match"] = max(spectral_norm(_outside(b_n, b_phi)),
                                       spectral_norm(_outside(b_phi, b_n)))
+    _remember_split(m_basis, theta, grid, tol, s_theta)
     return FactorizationWitness(
         theta=theta, phi=phi, psi=psi, grid=s_theta.grid,
         m_basis=m_basis, residuals=residuals,
@@ -210,8 +250,14 @@ def beurling_submodule_check(m_basis: np.ndarray, theta: AnalyticSymbol,
     degenerate against S_theta, and a column with a NaN or infinite entry
     is refused by name before any norm is taken.  A real m_basis stays
     real (grids._as_data), as the witness of a real division gives it.
+    S_theta is the last witness's split, with no second innerness gate or
+    split, when m_basis is that witness's very array, theta its very
+    symbol, and grid and tol equal its own; otherwise submodule_projection
+    gates and splits it here.
     """
-    s_theta = submodule_projection(theta, grid, inner_tol=tol)
+    s_theta = _witness_split(m_basis, theta, grid, tol)
+    if s_theta is None:
+        s_theta = submodule_projection(theta, grid, inner_tol=tol)
     m_basis = _as_data(m_basis)
     if m_basis.ndim != 2 or m_basis.shape[0] != s_theta.grid.dim:
         raise ValueError(f"m_basis must be ({s_theta.grid.dim}, r)")

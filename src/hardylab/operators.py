@@ -36,6 +36,8 @@ with the tolerance it holds.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .grids import TruncationGrid
@@ -118,15 +120,17 @@ def spectral_norm(a: np.ndarray) -> float:
         return 0.0
     flat = a.ravel(order="K")
     top = float(np.abs(flat.view(flat.real.dtype) if np.iscomplexobj(flat) else flat).max())
-    if not np.isfinite(top):
+    if not math.isfinite(top):
         raise np.linalg.LinAlgError("spectral_norm of an array with a non-finite entry")
     if top == 0.0:
         return 0.0
     # a subnormal top keeps 2^-e finite by stopping at 2^1021
-    e = max(int(np.frexp(top)[1]), -1021)
-    x = np.ldexp(1.0, -e) * a
+    e = max(math.frexp(top)[1], -1021)
+    x = math.ldexp(1.0, -e) * a
     gram = x.conj().T @ x if x.shape[0] >= x.shape[1] else x @ x.conj().T
-    return float(np.ldexp(np.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)), e))
+    # np.ldexp, not math.ldexp: a norm past the float range is inf with
+    # numpy's overflow warning, not an OverflowError
+    return float(np.ldexp(math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)), e))
 
 
 def _lambda_min(a: np.ndarray):

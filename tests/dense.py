@@ -136,7 +136,8 @@ def innerness_deviation(symbol):
 
 def two_part_spectral_norm(a):
     """spectral_norm with its scale read from the real and imaginary parts
-    apart, one np.abs each."""
+    apart, one np.abs each, and every scalar step (frexp, ldexp, sqrt)
+    taken in numpy."""
     if a.size == 0:
         return 0.0
     parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)

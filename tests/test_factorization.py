@@ -1,12 +1,15 @@
 """Inner division, factorization witnesses, and the submodule dichotomies."""
 
+import gc
 import json
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dense
-from hardylab import factorization
+from hardylab import factorization, subspaces
 from hardylab.cli import main
 from hardylab.criteria import beurling_criterion, cross_commutator_criterion, quotient_data
 from hardylab.factorization import (
@@ -656,3 +659,129 @@ def test_a_witness_builds_each_toeplitz_matrix_once(monkeypatch):
                                                 TruncationGrid((8, 8)), margins=(4, 4))
     assert max(wit.residuals.values()) <= 1e-8
     assert calls == {"toeplitz_matrix": 3, "innerness_check": 3}
+
+
+# ---- the check reuses its own witness's S_theta split -------------------------
+
+def _theta_splits(monkeypatch, theta):
+    """Count the innerness gates and Toeplitz splits subspaces takes of theta itself."""
+    calls = {"innerness_check": 0, "_toeplitz_split": 0}
+    for name in calls:
+        def counted(symbol, *args, _name=name, _real=getattr(subspaces, name)):
+            calls[_name] += symbol is theta
+            return _real(symbol, *args)
+
+        monkeypatch.setattr(subspaces, name, counted)
+    return calls
+
+
+def _projections(monkeypatch):
+    """The list each factorization.submodule_projection call appends its symbol to."""
+    calls, real = [], factorization.submodule_projection
+
+    def counted(symbol, *args, **kwargs):
+        calls.append(symbol)
+        return real(symbol, *args, **kwargs)
+
+    monkeypatch.setattr(factorization, "submodule_projection", counted)
+    return calls
+
+
+def _report_bytes(report):
+    return (report.name, report.tolerance.hex(),
+            [(k, v.hex()) for k, v in report.residuals.items()], list(report.verdicts.items()))
+
+
+@pytest.mark.parametrize("name", ["monomial", "rational"])
+def test_a_division_gates_and_splits_theta_once(name, monkeypatch):
+    theta, phi, caps, tol, margins = PAIRS[name]
+    calls = _theta_splits(monkeypatch, theta)
+    grid = TruncationGrid(caps)
+    wit = invariant_subspace_from_factorization(theta, phi, grid, tol=tol, margins=margins)
+    # an equal grid that is another object still hits
+    check = beurling_submodule_check(wit.m_basis, theta, TruncationGrid(caps), tol=tol,
+                                     margins=margins)
+    assert check.verdict
+    assert calls == {"innerness_check": 1, "_toeplitz_split": 1}
+
+
+MISSES = {
+    # name: (m_basis, theta, grid, tol) of the check, from the witness's own
+    "copied m_basis": lambda w, t, g, tol: (w.m_basis.copy(), t, g, tol),
+    "equal theta": lambda w, t, g, tol: (w.m_basis, AnalyticSymbol.monomial((3, 2)), g, tol),
+    "another grid": lambda w, t, g, tol: (w.m_basis, t, TruncationGrid((12, 11)), tol),
+    "another tol": lambda w, t, g, tol: (w.m_basis, t, g, 2 * tol),
+}
+
+
+@pytest.mark.parametrize("miss", sorted(MISSES) + ["an earlier witness"])
+def test_the_check_splits_theta_itself_unless_it_holds_the_witness_inputs(miss, monkeypatch):
+    theta, phi, caps, tol, margins = PAIRS["monomial"]
+    grid = TruncationGrid(caps)
+    wit = invariant_subspace_from_factorization(theta, phi, grid, tol=tol)
+    hit = beurling_submodule_check(wit.m_basis, theta, grid, tol=tol)
+    if miss == "an earlier witness":
+        later = invariant_subspace_from_factorization(theta, phi, grid, tol=tol)
+        args = (wit.m_basis, theta, grid, tol)
+    else:
+        args = MISSES[miss](wit, theta, grid, tol)
+    calls = _projections(monkeypatch)
+    if miss == "another grid":
+        with pytest.raises(ValueError, match="m_basis must be"):
+            beurling_submodule_check(*args)
+    else:
+        report = beurling_submodule_check(*args)
+        assert report.verdict and report.residuals == hit.residuals
+    assert calls == [args[1]]
+    if miss == "an earlier witness":
+        beurling_submodule_check(later.m_basis, theta, grid, tol=tol)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["monomial", "rational", "two-channel"])
+def test_a_reused_split_gives_the_bytes_of_a_fresh_one(name, monkeypatch):
+    theta, phi, caps, tol, margins = PAIRS[name]
+    grid = TruncationGrid(caps)
+    wit = invariant_subspace_from_factorization(theta, phi, grid, tol=tol)
+    calls = _projections(monkeypatch)
+    fresh = beurling_submodule_check(wit.m_basis.copy(), theta, grid, tol=tol, margins=margins)
+    reused = beurling_submodule_check(wit.m_basis, theta, grid, tol=tol, margins=margins)
+    assert calls == [theta]
+    assert _report_bytes(reused) == _report_bytes(fresh)
+
+
+@pytest.mark.parametrize("theta, phi, reads", [
+    (Z1, Z2, "not divisible"),
+    (AnalyticSymbol.polynomial({(1, 0): 0.5}, nvars=2), Z1, "non-isometric quotient"),
+])
+def test_a_failed_witness_writes_no_entry(theta, phi, reads, monkeypatch):
+    grid = TruncationGrid((6, 6))
+    monkeypatch.setattr(factorization, "_last_split", None)
+    with pytest.raises(FactorizationError, match=reads):
+        invariant_subspace_from_factorization(theta, phi, grid)
+    assert factorization._last_split is None
+    kept = invariant_subspace_from_factorization(Z1Z2, Z1, grid)
+    entry = factorization._last_split
+    with pytest.raises(FactorizationError, match=reads):
+        invariant_subspace_from_factorization(theta, phi, grid)
+    assert factorization._last_split is entry and entry[0]() is kept.m_basis
+
+
+def test_the_entry_keeps_neither_theta_nor_m_basis_alive():
+    theta, phi = _rational_pair()
+    wit = invariant_subspace_from_factorization(theta, phi, TruncationGrid((8, 8)))
+    refs = weakref.ref(theta), weakref.ref(wit.m_basis)
+    basis_ref, theta_ref = factorization._last_split[:2]
+    assert basis_ref() is wit.m_basis and theta_ref() is theta
+    del theta, phi, wit
+    gc.collect()
+    assert refs[0]() is None and refs[1]() is None
+    assert factorization._last_split is None
+
+
+def test_the_factor_command_splits_theta_once(monkeypatch, tmp_path):
+    calls = _projections(monkeypatch)
+    config = Path(__file__).resolve().parent.parent / "scenarios" / "product-roundtrip.cfg"
+    for run in (1, 2):
+        assert main(["factor", "--config", str(config), "--out", str(tmp_path / "r.json")]) == 0
+        assert len(calls) == run

@@ -321,6 +321,29 @@ def test_spectral_norm_exact_and_zero_values():
     assert spectral_norm(np.zeros((4, 3), dtype=complex)) == 0.0
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("shape", [(49, 13), (13, 49), (1, 1)])
+def test_spectral_norm_keeps_the_bytes_of_its_numpy_scalar_steps(shape, kind):
+    """The scale, its power of two and the root taken in math on Python
+    floats give the bytes the same steps gave in numpy, at every scale from
+    1e-300 to 1e300 and with a subnormal entry; a norm past the float range
+    is still inf with numpy's overflow warning."""
+    rng = np.random.default_rng(sum(shape))
+    a = rng.normal(size=shape)
+    if kind == "complex":
+        a = a + 1j * rng.normal(size=shape)
+    tiny = np.zeros(shape, dtype=a.dtype)
+    tiny[-1, 0] = 5e-324
+    mixed = a.copy()
+    mixed[0, -1] = 3e-310
+    for x in [a * 10.0 ** k for k in range(-300, 301, 25)] + [tiny, mixed, tiny + 1e-310]:
+        assert spectral_norm(x).hex() == dense.two_part_spectral_norm(x).hex()
+    huge = np.full(np.add(shape, 1), 1.5e308, dtype=a.dtype)
+    for norm in (spectral_norm, dense.two_part_spectral_norm):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert norm(huge) == np.inf
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
 def test_spectral_norm_refuses_a_non_finite_entry(bad):
     a = np.eye(3, dtype=complex)
