@@ -11,9 +11,13 @@ the embedding at multi-index k is R T*^k, with R the root of D on its
 range.  On a finite grid the construction is exact for nilpotent tuples
 once the caps reach the nilpotency indices, and that exactness is
 verified, not assumed: the isometry and intertwining residuals are
-computed and reported every time.  The shifts are applied by
-TruncationGrid.shift, never as dense matrices.  D is formed in n steps,
-D <- D - T_i D T_i* from D = I, and decomposed once (brehmer_defect).
+computed and reported every time.  The adjoint powers T*^k are filled in
+lexicographic order of k, one batched product per variable and level:
+Sum caps_i products where the box has Prod (caps_i + 1) powers, each
+T*^k still T_f* T*^(k - e_f) for the first variable f with k_f > 0.  The
+shifts are applied by TruncationGrid.shift, never as dense matrices.  D is
+formed in n steps, D <- D - T_i D T_i* from D = I, and decomposed once
+(brehmer_defect).
 Each entry picks its dtype by grids._as_data and numpy's promotion
 carries it, so a real tuple runs in float64 end to end.
 
@@ -36,7 +40,7 @@ from .criteria import (
     beurling_criterion,
     quotient_data,
 )
-from .grids import TruncationGrid, _as_data
+from .grids import TruncationGrid, _as_data, _integral
 from .operators import _lambda_min, eval_margins, spectral_norm
 from .subspaces import RANK_TOL, submodule_projection
 from .symbols import AnalyticSymbol
@@ -167,7 +171,7 @@ def canonical_dilation(t: ContractionTuple, caps, tail_tol: float = 1e-8) -> Dil
     the rows the grid drops, identically zero for nilpotent tuples once the
     caps reach the nilpotency indices.
     """
-    caps = tuple(int(c) for c in caps)
+    caps = tuple(_integral(c, "cap") for c in caps)
     if len(caps) != t.n:
         raise ValueError(f"need {t.n} caps, got {len(caps)}")
     defect, psd, root = brehmer_defect(t)
@@ -182,15 +186,22 @@ def canonical_dilation(t: ContractionTuple, caps, tail_tol: float = 1e-8) -> Dil
         raise DilationError("defect space is trivial; nothing to dilate into")
     grid = TruncationGrid(caps, channels=r)
 
-    # T*^k = T_i* T*^(k - e_i), i the first variable with k_i > 0, by rank
+    # T*^k = T_f* T*^(k - e_f), f the first variable with k_f > 0, filled in
+    # lexicographic order of k: once the first `size` places hold every k
+    # with k_1 = .. = k_i = 0, the block with k_i = l is T_i* times the block
+    # k_i = l - 1 just before it, one batched product per level
     adj = [m.conj().T for m in t.matrices]
+    lex = np.empty((len(grid.exponents), t.dim, t.dim), dtype=np.result_type(*adj))
+    lex[0] = np.eye(t.dim)
+    size = 1
+    for i in reversed(range(t.n)):
+        for level in range(1, caps[i] + 1):
+            np.matmul(adj[i], lex[(level - 1) * size:level * size],
+                      out=lex[level * size:(level + 1) * size])
+        size *= caps[i] + 1
+    # the lexicographic place of k is sum_i k_i * prod_{j>i} (caps_j + 1)
     exps = grid.exponents
-    first = np.argmax(exps[1:] > 0, axis=1)
-    parents = grid.ranks(exps[1:] - np.eye(t.n, dtype=exps.dtype)[first])
-    stack = np.empty((len(exps), t.dim, t.dim), dtype=np.result_type(*adj))
-    stack[0] = np.eye(t.dim)
-    for rank, (i, parent) in enumerate(zip(first, parents), start=1):
-        stack[rank] = adj[i] @ stack[parent]
+    stack = lex[exps @ np.cumprod((1,) + tuple(c + 1 for c in caps[:0:-1]))[::-1]]
     # rows rank(k) * r .. rank(k) * r + r - 1 of Pi are R T*^k
     pi = (root @ stack).reshape(grid.dim, t.dim)
 

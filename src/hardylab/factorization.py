@@ -13,10 +13,14 @@ in Polydiscs, 1969, ch. 5).  Then phi psi = theta exactly when
 a finite identity of polynomial coefficients.  P is solved for by least
 squares on the degree box of N_theta q_phi, with the product by N_phi
 formed on that box widened by deg N_phi, so it is never truncated; N_phi
-acts injectively because phi is inner, so P is unique.  The two gates are
-exact: the relative solve residual (divisibility) and the coefficient
-innerness of psi.  Neither depends on any caps, so a division holds or
-fails the same way on every grid.
+acts injectively because phi is inner, so P is unique.  Both sides are
+laid out on that box straight from the coefficient arrays: N_theta q_phi
+by one scatter of its pair products (_numerator_product), and the product
+by N_phi by one scatter of its blocks (_product_operator).  No symbol is
+built but psi, and no Taylor table or Toeplitz matrix is formed.  The two
+gates are exact: the relative solve residual (divisibility) and the
+coefficient innerness of psi.  Neither depends on any caps, so a division
+holds or fails the same way on every grid.
 
 The converse direction is a test, not a construction: given a candidate
 subspace M inside the quotient of theta, beurling_submodule_check decides
@@ -60,7 +64,7 @@ from .criteria import (
     quotient_data,
 )
 from .grids import TruncationGrid, _as_data
-from .operators import eval_margins, innerness_check, spectral_norm, toeplitz_matrix
+from .operators import eval_margins, innerness_check, spectral_norm
 from .subspaces import (
     _check_finite,
     _innerness_gate,
@@ -138,6 +142,44 @@ class FactorizationWitness:
         return self.m_basis.shape[1]
 
 
+def _numerator_product(theta: AnalyticSymbol, phi: AnalyticSymbol):
+    """(keys, blocks) of N_theta q_phi: each pair product N_theta[a] (q_phi[b] I)
+    summed at key a + b in the pair order (a outer, b inner, each in its
+    dict's order), with every all-zero sum dropped.  keys is (K, nvars) in
+    mixed-radix order, and blocks (K, rows, cols) is float64 or complex128
+    as grids._as_data picks."""
+    n, rows, cols = theta.nvars, theta.rows, theta.cols
+    num_keys = np.array(list(theta.numerator), dtype=np.intp).reshape(-1, n)
+    den_keys = np.array(list(phi.denominator), dtype=np.intp).reshape(-1, n)
+    # the coefficients are complex128 as the symbols hold them
+    num = np.array(list(theta.numerator.values())).reshape(-1, rows, cols)
+    den = np.array(list(phi.denominator.values()))[:, None, None] * np.eye(cols)
+    prods = np.matmul(num[:, None], den[None]).reshape(-1, rows, cols)
+    # every key a + b lies in the box of spans deg(N_theta) + deg(q_phi) + 1
+    span = num_keys.max(axis=0, initial=0) + den_keys.max(axis=0) + 1
+    codes = (num_keys[:, None] + den_keys[None]).reshape(-1, n) @ (np.cumprod(span) // span)
+    # a -0 start leaves the first product at each key as it is, a -0 included
+    sums = np.full((int(np.prod(span)), rows, cols), complex(-0.0, -0.0))
+    np.add.at(sums, codes, prods)
+    kept = np.flatnonzero(sums.any(axis=(1, 2)))
+    keys = np.stack(np.unravel_index(kept, tuple(span), order="F"), axis=-1)
+    return keys, _as_data(sums[kept])
+
+
+def _product_operator(phi: AnalyticSymbol, box: TruncationGrid, inside: np.ndarray) -> np.ndarray:
+    """The matrix of P -> N_phi P from the polynomials on the ranks inside
+    to the whole box, whose caps hold every product: block (d + j, j) is
+    N_phi[d], laid out column-major, as LAPACK reads it.  It is float64
+    when every coefficient of N_phi is real (grids._as_data)."""
+    rows, cols = phi.rows, phi.cols
+    keys = np.array(list(phi.numerator), dtype=np.intp).reshape(-1, phi.nvars)
+    blocks = _as_data(list(phi.numerator.values()))
+    dst = box.sum_ranks(box.ranks(keys)[:, None], inside)
+    out = np.zeros((len(inside), cols, len(box.exponents), rows), dtype=blocks.dtype)
+    out[np.arange(len(inside)), :, dst, :] = blocks.transpose(0, 2, 1)[:, None]
+    return out.reshape(len(inside) * cols, -1).T
+
+
 def _divide(theta: AnalyticSymbol, phi: AnalyticSymbol, tol: float):
     """(psi, residuals) of the division theta = phi psi in coefficient space."""
     if theta.nvars != phi.nvars:
@@ -146,16 +188,16 @@ def _divide(theta: AnalyticSymbol, phi: AnalyticSymbol, tol: float):
         raise ValueError("theta and phi must map into the same channel space")
     _innerness_gate(phi, tol)
     n, rows, cols = theta.nvars, phi.cols, theta.cols
-    # the right-hand side N_theta q_phi, as a polynomial symbol
-    target = AnalyticSymbol.polynomial(theta.numerator, n, theta.rows, cols).matmul(
-        AnalyticSymbol.polynomial({k: v * np.eye(cols) for k, v in phi.denominator.items()},
-                                  n, cols, cols))
-    box = TruncationGrid(tuple(np.add(target.degrees, phi.degrees)))
+    # the right-hand side N_theta q_phi, laid out on the degree box
+    keys, target = _numerator_product(theta, phi)
+    degrees = keys.max(axis=0, initial=0)
+    box = TruncationGrid(tuple((degrees + phi.degrees).tolist()))
     # P keeps the ranks inside deg(N_theta q_phi), whose products by N_phi stay in the box
-    inside = np.flatnonzero(np.all(box.exponents <= target.degrees, axis=1))
-    lhs = toeplitz_matrix(AnalyticSymbol.polynomial(phi.numerator, n, phi.rows, rows),
-                          box)[:, box.with_channels(rows)._flat(inside)]
-    rhs = target.taylor_table(box).reshape(-1, cols)
+    inside = np.flatnonzero(np.all(box.exponents <= degrees, axis=1))
+    lhs = _product_operator(phi, box, inside)
+    rhs = np.zeros((len(box.exponents), theta.rows, cols), dtype=target.dtype)
+    rhs[box.ranks(keys)] = target
+    rhs = rhs.reshape(-1, cols)
     p = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
     scale = spectral_norm(rhs)
     divisibility = spectral_norm(lhs @ p - rhs) / scale if scale else 0.0
@@ -183,12 +225,15 @@ def divide_inner(theta: AnalyticSymbol, phi: AnalyticSymbol, tol: float = 1e-8) 
     theta = N_theta / q_theta, P solves N_phi P = N_theta q_phi by least
     squares over the polynomials of degree at most deg(N_theta q_phi), and
     psi = P / q_theta is returned as it is, not reduced: b_a(z1) z2 divided
-    by b_a(z1) gives z2 (1 - conj(a) z1) / (1 - conj(a) z1).  A coefficient
-    block of P with no entry above COEFF_CUTOFF is dropped.  Two gates run
-    before psi is returned: the solve residual ||N_phi P - N_theta q_phi||
-    relative to ||N_theta q_phi|| (else "not divisible"), and the
-    innerness_check deviation of psi (else "non-isometric quotient").  No
-    grid enters, so the result is the same for every truncation.
+    by b_a(z1) gives z2 (1 - conj(a) z1) / (1 - conj(a) z1).  Both sides of
+    the solve are scattered from the coefficient arrays of theta and phi,
+    float64 when those are real, and psi is the one symbol built.  A
+    coefficient block of P with no entry above COEFF_CUTOFF is dropped.
+    Three gates run in turn: the innerness gate of phi, the solve residual
+    ||N_phi P - N_theta q_phi|| relative to ||N_theta q_phi|| (else "not
+    divisible"), and the innerness_check deviation of psi (else
+    "non-isometric quotient").  No grid enters, so the result is the same
+    for every truncation.
     """
     return _divide(theta, phi, tol)[0]
 

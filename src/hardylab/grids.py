@@ -77,6 +77,17 @@ def _as_data(a) -> np.ndarray:
     return np.asarray(a.real if real else a, dtype=float if real else complex)
 
 
+def _integral(x, name: str) -> int:
+    """x as an int when it is an int, a numpy integer or a float with no
+    fractional part; ValueError naming it otherwise, so a size or an
+    exponent is never truncated."""
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    if isinstance(x, (float, np.floating)) and float(x).is_integer():
+        return int(x)
+    raise ValueError(f"{name} must be an integer, got {x!r}")
+
+
 def _frozen(*arrays: np.ndarray) -> None:
     for a in arrays:
         a.flags.writeable = False
@@ -214,8 +225,8 @@ class TruncationGrid:
     channels: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "caps", tuple(int(c) for c in self.caps))
-        object.__setattr__(self, "channels", int(self.channels))
+        object.__setattr__(self, "caps", tuple(_integral(c, "cap") for c in self.caps))
+        object.__setattr__(self, "channels", _integral(self.channels, "channels"))
         if len(self.caps) == 0:
             raise ValueError("need at least one variable")
         if any(c < 0 for c in self.caps):
@@ -274,7 +285,7 @@ class TruncationGrid:
     def with_channels(self, channels: int) -> "TruncationGrid":
         """Same caps, the given coefficient-space dimension; self when the
         channel count is unchanged."""
-        if int(channels) == self.channels:
+        if _integral(channels, "channels") == self.channels:
             return self
         return TruncationGrid(self.caps, channels)
 
@@ -285,10 +296,6 @@ class TruncationGrid:
         if not 0 <= t < self.nvars:
             raise ValueError(f"variable {t} out of range for n={self.nvars}")
         return int(t)
-
-    def _flat(self, ranks: np.ndarray) -> np.ndarray:
-        """Flat indices of every channel of the given ranks, rank-major."""
-        return _flat(ranks, self.channels)
 
     def shift(self, x: np.ndarray, t: int, adjoint: bool) -> np.ndarray:
         """M_t x, or M_t* x when adjoint, for x with one row per basis index:
@@ -323,7 +330,7 @@ class TruncationGrid:
         where degree-raising truncation damage cannot reach, so two-sided
         compressions to it see the true (untruncated) operator products.
         """
-        margins = tuple(int(w) for w in margins)
+        margins = tuple(_integral(w, "margin") for w in margins)
         if len(margins) != self.nvars:
             raise ValueError("one margin per variable")
         if any(w < 0 for w in margins):

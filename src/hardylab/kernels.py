@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import beurling_criterion, quotient_data
-from .grids import TruncationGrid
+from .grids import TruncationGrid, _integral
 from .operators import _lambda_min, spectral_norm
 from .subspaces import _innerness_gate, _outside, _toeplitz_split, origin_complement
 from .symbols import AnalyticSymbol
@@ -132,7 +132,7 @@ def kernel_sum_oracle(z, w, caps) -> complex:
     """
     z = _check_interior(z, "z")
     w = _check_interior(w, "w")
-    caps = tuple(int(c) for c in caps)
+    caps = tuple(_integral(c, "cap") for c in caps)
     if not len(z) == len(w) == len(caps):
         raise ValueError(
             f"z, w and caps must have the same length, got {len(z)}, {len(w)} and {len(caps)}"
@@ -243,7 +243,7 @@ def reduced_kernel_suite(caps=KERNEL_CAPS, seed: int = 0, tol: float = 1e-8) -> 
     Returns every value as computed, complex points and arrays included; a
     Report converts them to JSON.
     """
-    caps = tuple(int(c) for c in caps)
+    caps = tuple(_integral(c, "cap") for c in caps)
     pairs = _sample_pairs(seed)
     closed = _reduced(pairs[:, 0], pairs[:, 1])
     worst_dev = max(float(abs(k - kernel_sum_oracle(z, w, caps))) for k, (z, w) in zip(closed, pairs))

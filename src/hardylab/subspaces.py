@@ -79,7 +79,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import TruncationGrid, _as_data
+from .grids import TruncationGrid, _as_data, _integral
 from .operators import (
     InnernessError,
     innerness_check,
@@ -496,7 +496,7 @@ def invariance_defect(s: SubspaceData, margins: tuple[int, ...]) -> tuple[float,
     one window of the used variables' margins; a free variable f, whose V_f
     is 0, reads 0.0.  Returns (worst, per variable), cached on s per margins.
     """
-    key = ("invariance", tuple(int(m) for m in margins))
+    key = ("invariance", tuple(_integral(m, "margin") for m in margins))
     if key not in s._cache:
         margins, grid = key[1], s.grid
         if len(margins) != grid.nvars:

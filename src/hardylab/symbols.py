@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import TruncationGrid, _as_data, order_key
+from .grids import TruncationGrid, _as_data, _integral, order_key
 from .textlines import content_lines, fields, numbers
 
 __all__ = [
@@ -45,8 +45,9 @@ def _zero_index(nvars: int) -> tuple[int, ...]:
 
 
 def _multi_index(k, nvars: int) -> tuple[int, ...]:
-    """k as a tuple of nvars non-negative ints; ValueError otherwise."""
-    k = tuple(int(x) for x in k)
+    """k as a tuple of nvars non-negative ints; ValueError otherwise, and
+    one naming the exponent when an entry is not integral (grids._integral)."""
+    k = tuple(_integral(x, "exponent") for x in k)
     if len(k) != nvars or any(x < 0 for x in k):
         raise ValueError(f"bad multi-index {k} for n={nvars}")
     return k
@@ -119,8 +120,9 @@ class AnalyticSymbol:
 
     @staticmethod
     def monomial(k: tuple[int, ...]) -> "AnalyticSymbol":
-        """Scalar symbol z^k in len(k) variables."""
-        k = tuple(int(x) for x in k)
+        """Scalar symbol z^k in len(k) variables; each exponent must be
+        integral (grids._integral)."""
+        k = tuple(_integral(x, "exponent") for x in k)
         return AnalyticSymbol.polynomial({k: np.array([[1.0]])}, len(k))
 
     @staticmethod

@@ -10,7 +10,10 @@ and psd_sqrt is the square root a dilation's defect root is checked by.
 The last five references are the plain formulas that the grid order, the
 innerness certificate, the norm scale, the Gram search and the kernel
 identity's sample are built from in whole-array numpy; tests require
-bit-identical results from both.  The index helpers
+bit-identical results from both.  So do the last two, the division by
+symbol algebra (a product symbol, its Taylor table and a Toeplitz matrix)
+and the dilation's adjoint powers one rank at a time, which the library
+forms as array passes.  The index helpers
 first spell out the flat basis index ranks(k) * channels + s.
 """
 
@@ -18,11 +21,15 @@ import itertools
 
 import numpy as np
 
-from hardylab.grids import TruncationGrid, order_key
+from hardylab.dilation import DilationData, brehmer_defect
+from hardylab.factorization import COEFF_CUTOFF, FactorizationError
+from hardylab.grids import TruncationGrid, _flat, order_key
 from hardylab.kernels import (
     GRAM_BUDGET, GRAM_RADIUS, GRAM_SIZES, GRAM_THRESHOLD, PAIR_RADIUS, SAMPLE_PAIRS,
 )
-from hardylab.operators import _lag_sums, spectral_norm
+from hardylab.operators import _lag_sums, innerness_check, spectral_norm, toeplitz_matrix
+from hardylab.subspaces import _innerness_gate
+from hardylab.symbols import AnalyticSymbol
 
 
 def flat(grid, k, s=0):
@@ -186,3 +193,68 @@ def sequential_pairs(seed):
         ang = rng.uniform(0.0, 2 * np.pi, size=(2, 2))
         pairs.append(tuple(tuple(point) for point in rad * np.exp(1j * ang)))
     return pairs
+
+
+def divide_by_symbols(theta, phi, tol):
+    """(psi, residuals) of divide_inner's solve through symbol algebra: the
+    right-hand side N_theta q_phi as the product symbol of N_theta and
+    q_phi I and its Taylor table on the degree box, the left-hand side as
+    the columns of toeplitz_matrix(N_phi) inside deg(N_theta q_phi), and
+    the same three gates in the same order."""
+    if theta.nvars != phi.nvars:
+        raise ValueError("theta and phi must share the variable count")
+    if theta.rows != phi.rows:
+        raise ValueError("theta and phi must map into the same channel space")
+    _innerness_gate(phi, tol)
+    n, rows, cols = theta.nvars, phi.cols, theta.cols
+    target = AnalyticSymbol.polynomial(theta.numerator, n, theta.rows, cols).matmul(
+        AnalyticSymbol.polynomial({k: v * np.eye(cols) for k, v in phi.denominator.items()},
+                                  n, cols, cols))
+    box = TruncationGrid(tuple(np.add(target.degrees, phi.degrees)))
+    inside = np.flatnonzero(np.all(box.exponents <= target.degrees, axis=1))
+    lhs = toeplitz_matrix(AnalyticSymbol.polynomial(phi.numerator, n, phi.rows, rows),
+                          box)[:, _flat(inside, rows)]
+    rhs = target.taylor_table(box).reshape(-1, cols)
+    p = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+    scale = spectral_norm(rhs)
+    divisibility = spectral_norm(lhs @ p - rhs) / scale if scale else 0.0
+    if divisibility > tol:
+        raise FactorizationError(
+            f"not divisible: divisibility residual {divisibility:.3e} exceeds {tol:g}")
+    blocks = p.reshape(-1, rows, cols)
+    kept = np.abs(blocks).max(axis=(1, 2)) > COEFF_CUTOFF
+    coeffs = {box.multi_indices[r]: block for r, block, keep in zip(inside, blocks, kept) if keep}
+    psi = AnalyticSymbol.rational(coeffs, theta.denominator, n, rows=rows, cols=cols)
+    innerness = innerness_check(psi)
+    if innerness > tol:
+        raise FactorizationError(
+            f"division produced a non-isometric quotient: residual {innerness:.3e}")
+    return psi, {"divisibility": divisibility, "psi_innerness": innerness}
+
+
+def chain_dilation(t, caps):
+    """canonical_dilation's DilationData with its adjoint powers formed one
+    rank at a time, T*^k = T_f* T*^(k - e_f) for the first variable f with
+    k_f > 0, in grid order; no gate is run and the tail is not compared
+    with any tolerance."""
+    root = brehmer_defect(t)[2]
+    grid = TruncationGrid(caps, channels=root.shape[0])
+    adj = [m.conj().T for m in t.matrices]
+    stack = np.empty((len(grid.exponents), t.dim, t.dim), dtype=np.result_type(*adj))
+    stack[0] = np.eye(t.dim)
+    for rank, k in enumerate(grid.multi_indices[1:], start=1):
+        f = next(i for i, a in enumerate(k) if a)
+        parent = tuple(a - (i == f) for i, a in enumerate(k))
+        stack[rank] = adj[f] @ stack[int(grid.ranks(parent))]
+    pi = (root @ stack).reshape(grid.dim, t.dim)
+    tail = 0.0
+    for i in range(t.n):
+        tail += float(np.sum(np.abs((root @ adj[i]) @ stack[grid.exponents[:, i] == caps[i]]) ** 2))
+    return DilationData(
+        grid=grid,
+        pi=pi,
+        isometry_residual=spectral_norm(pi.conj().T @ pi - np.eye(t.dim)),
+        intertwining_residuals=tuple(spectral_norm(pi @ adj[i] - grid.shift(pi, i, adjoint=True))
+                                     for i in range(t.n)),
+        tail_mass=tail,
+    )

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hardylab.dilation import (
 )
 from hardylab.grids import TruncationGrid
 from hardylab.operators import shift_matrices, spectral_norm
+from hardylab.scenarios import parse_scenario
 from hardylab.subspaces import RANK_TOL, submodule_projection
 from hardylab.symbols import AnalyticSymbol
 
@@ -528,6 +530,61 @@ def test_dilation_matches_dense_formulas(name):
             for m, shift in zip(t.matrices, shift_matrices(grid))]
     np.testing.assert_allclose(d.intertwining_residuals, want, rtol=0, atol=1e-13)
     assert d.intertwining_residual <= 1e-10
+
+
+def _brehmer_triple(seed, size):
+    """Three complex polynomials without constant term in one Jordan block,
+    drawn from default_rng(seed), scaled to norm 0.9 and shrunk by 0.8
+    until the defect sum is PSD: a commuting nilpotent triple."""
+    rng = np.random.default_rng(seed)
+    nil = np.diag(np.ones(size - 1), 1)
+    triple = [sum(c * np.linalg.matrix_power(nil, p) for p, c in
+                  enumerate(rng.normal(size=size - 1) + 1j * rng.normal(size=size - 1), 1))
+              for _ in range(3)]
+    t = ContractionTuple(tuple(m * 0.9 / max(map(spectral_norm, triple)) for m in triple))
+    while not brehmer_defect(t)[1]:
+        t = ContractionTuple(tuple(0.8 * m for m in t.matrices))
+    return t
+
+
+def _jordan_scenario():
+    text = (Path(__file__).resolve().parent.parent / "scenarios" / "jordan-dilation.cfg").read_text()
+    s = parse_scenario(text)
+    return s.tuple_source, s.caps
+
+
+CHAINS = {
+    # name: (tuple, caps)
+    "single": (ContractionTuple((0.9 * np.diag(np.ones(4), 1),)), (5,)),
+    "single-short": (ContractionTuple((0.9 * np.diag(np.ones(4), 1),)), (2,)),
+    "jordan-dilation": _jordan_scenario(),
+    "jordan-zero-cap": (jordan_pair(), (0, 4)),
+    "seeded": (random_brehmer_pair(3, size=8), (8, 8)),
+    "real-seeded": (real_brehmer_pair(3, 8), (6, 3)),
+    "triple": (_brehmer_triple(5, 4), (3, 4, 2)),
+    "triple-zero-cap": (_brehmer_triple(6, 3), (2, 0, 3)),
+    "origin": (_brehmer_triple(7, 3), (0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAINS))
+def test_batched_levels_match_the_rank_chain_bytewise(name):
+    """Pi, both residuals and the tail equal those of the adjoint powers
+    formed one rank at a time (dense.chain_dilation), byte for byte: each
+    level's batched product is the same chain of products."""
+    t, caps = CHAINS[name]
+    got = canonical_dilation(t, caps, tail_tol=np.inf)
+    want = dense.chain_dilation(t, caps)
+    assert got.grid == want.grid
+    assert got.pi.dtype == want.pi.dtype and got.pi.tobytes() == want.pi.tobytes()
+    assert got.isometry_residual.hex() == want.isometry_residual.hex()
+    assert [r.hex() for r in got.intertwining_residuals] == \
+        [r.hex() for r in want.intertwining_residuals]
+    assert got.tail_mass.hex() == want.tail_mass.hex()
+    if name.startswith("jordan"):
+        assert got.pi.dtype == np.float64
+    if name in ("single-short", "jordan-zero-cap", "real-seeded"):
+        assert got.tail_mass > 0.0
 
 
 def test_dilation_forms_no_dense_shift(no_dense_operators):

@@ -620,9 +620,17 @@ class _Recorded(np.ndarray):
 
 
 def test_division_and_gap_form_no_grid_wide_product(monkeypatch):
-    toeplitz = factorization.toeplitz_matrix
-    monkeypatch.setattr(factorization, "toeplitz_matrix",
-                        lambda symbol, grid: toeplitz(symbol, grid).view(_Recorded))
+    """The division operator, the product by N_phi, is sized by the degree
+    box of theta and phi, and no product it enters is grid-wide."""
+    product = factorization._product_operator
+    operators = []
+
+    def recorded(phi, box, inside):
+        lhs = product(phi, box, inside)
+        operators.append(lhs.shape)
+        return lhs.view(_Recorded)
+
+    monkeypatch.setattr(factorization, "_product_operator", recorded)
     monkeypatch.setattr(_Recorded, "shapes", [])
     for name, (theta, phi, caps, tol, margins) in PAIRS.items():
         grid = TruncationGrid(caps)
@@ -631,34 +639,136 @@ def test_division_and_gap_form_no_grid_wide_product(monkeypatch):
         wit = invariant_subspace_from_factorization(theta, phi, grid, tol=tol, margins=margins)
         assert beurling_submodule_check(wit.m_basis, theta, grid, tol=tol,
                                         margins=margins).verdict, name
+        box = TruncationGrid(tuple(np.add(np.add(phi.degrees, wit.psi.degrees),
+                                          phi.degrees))).with_channels(phi.rows)
+        assert operators == [(box.dim, operators[0][1])] * 2, (name, operators)
         assert _Recorded.shapes, name
         grid_wide = [s for s in _Recorded.shapes if s[0] in wide and s[-1] in wide]
         assert not grid_wide, (name, grid_wide)
         _Recorded.shapes.clear()
+        operators.clear()
 
 
 def test_a_witness_builds_each_toeplitz_matrix_once(monkeypatch):
-    """b_0.05(z1) z2 / b_0.05(z1): one Toeplitz matrix of N_phi on the degree
-    box and one each for the splits of S_phi and S_theta, and the innerness
-    of phi, psi and theta checked once each."""
-    from hardylab import operators, subspaces
+    """b_0.05(z1) z2 / b_0.05(z1): the division builds no Toeplitz matrix,
+    no Taylor table and no symbol but psi; the witness builds one Toeplitz
+    matrix each for the splits of S_phi and S_theta, and checks the
+    innerness of phi, psi and theta once each."""
+    from hardylab import operators, subspaces, symbols
 
-    calls = {"toeplitz_matrix": 0, "innerness_check": 0}
-    for name in calls:
+    calls = {"toeplitz_matrix": 0, "innerness_check": 0, "taylor_table": 0, "symbols": 0}
+    for name in ("toeplitz_matrix", "innerness_check"):
         real = getattr(operators, name)
 
         def counted(*args, _name=name, _real=real, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        for module in (subspaces, factorization):
+        for module in (operators, subspaces, factorization):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted)
+    real_table, real_init = symbols.AnalyticSymbol.taylor_table, symbols.AnalyticSymbol.__post_init__
+
+    def table(self, grid):
+        calls["taylor_table"] += 1
+        return real_table(self, grid)
+
+    def init(self):
+        calls["symbols"] += 1
+        real_init(self)
+
+    monkeypatch.setattr(symbols.AnalyticSymbol, "taylor_table", table)
+    monkeypatch.setattr(symbols.AnalyticSymbol, "__post_init__", init)
     blaschke = AnalyticSymbol.blaschke(0.05, 0, 2)
-    wit = invariant_subspace_from_factorization(blaschke.matmul(Z2), blaschke,
+    theta = blaschke.matmul(Z2)
+    calls.update(dict.fromkeys(calls, 0))
+    psi = divide_inner(theta, blaschke)
+    assert calls == {"toeplitz_matrix": 0, "innerness_check": 2, "taylor_table": 0, "symbols": 1}
+    assert psi.denominator == theta.denominator
+    calls.update(dict.fromkeys(calls, 0))
+    wit = invariant_subspace_from_factorization(theta, blaschke,
                                                 TruncationGrid((8, 8)), margins=(4, 4))
     assert max(wit.residuals.values()) <= 1e-8
-    assert calls == {"toeplitz_matrix": 3, "innerness_check": 3}
+    assert calls["toeplitz_matrix"] == 2 and calls["innerness_check"] == 3
+
+
+# ---- the division from coefficient arrays against symbol algebra -------------
+
+def _unitary(seed, m):
+    return np.linalg.qr(np.random.default_rng(seed).normal(size=(m, m, 2)) @ [1, 1j])[0]
+
+
+def _division(name):
+    """(theta, phi, tol) of each division the array pass is compared on."""
+    if name in PAIRS:
+        theta, phi, _, tol, _ = PAIRS[name]
+        return theta, phi, tol
+    if name == "unitary-diag":
+        u = AnalyticSymbol.constant(_unitary(1, 2), 2)
+        diag = AnalyticSymbol.polynomial({(1, 0): np.diag([1.0, 0.0]),
+                                          (0, 1): np.diag([0.0, 1.0])}, 2, rows=2, cols=2)
+        return u.matmul(diag), u, 1e-8
+    if name == "column":
+        column = AnalyticSymbol.polynomial({(1, 0): [[2 ** -0.5], [0.0]],
+                                            (0, 1): [[0.0], [2 ** -0.5]]}, 2, rows=2, cols=1)
+        return column.matmul(Z1), column, 1e-8
+    if name == "real":
+        b = AnalyticSymbol.blaschke(0.5, 1, 2)
+        return AnalyticSymbol.blaschke(-0.3, 0, 2).matmul(b).matmul(Z1), b, 1e-8
+    if name == "complex":
+        return PHI1.matmul(PHI2).matmul(AnalyticSymbol.constant(_unitary(2, 2), 2)), PHI1, 1e-8
+    if name == "not-divisible":
+        return Z1Z2, AnalyticSymbol.blaschke(0.5, 0, 2), 1e-8
+    assert name == "zero"
+    return AnalyticSymbol.polynomial({}, nvars=2), Z1, 1e-8
+
+
+def _solves(divide, theta, phi, tol, monkeypatch):
+    """(outcome, lstsq inputs) of divide(theta, phi, tol): psi's numerator
+    and denominator bytes and both gates' hex, or the error it raises."""
+    solves, lstsq = [], np.linalg.lstsq
+
+    def recorded(a, b, rcond=None):
+        solves.append((a, b))
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", recorded)
+    try:
+        psi, residuals = divide(theta, phi, tol)
+    except ValueError as exc:
+        outcome = (type(exc), str(exc))
+    else:
+        outcome = ([(k, v.dtype, v.tobytes()) for k, v in psi.numerator.items()],
+                   psi.denominator, {k: v.hex() for k, v in residuals.items()})
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    return outcome, solves
+
+
+DIVISIONS = sorted(PAIRS) + ["unitary-diag", "column", "real", "complex", "not-divisible", "zero"]
+
+
+@pytest.mark.parametrize("name", DIVISIONS)
+def test_the_division_matches_symbol_algebra_bytewise(name, monkeypatch):
+    """psi's bytes and both gates equal those of the symbol route
+    (dense.divide_by_symbols), and the solve reads the same operator and
+    right-hand side: equal entries, dtype and memory layout."""
+    theta, phi, tol = _division(name)
+    got, solves = _solves(factorization._divide, theta, phi, tol, monkeypatch)
+    want, dense_solves = _solves(dense.divide_by_symbols, theta, phi, tol, monkeypatch)
+    assert got == want
+    assert isinstance(got[0], list) == (name not in ("not-divisible", "zero")), got
+    assert len(solves) == len(dense_solves) == 1
+    for a, b in zip(solves[0], dense_solves[0]):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+        assert a.flags.f_contiguous == b.flags.f_contiguous
+    lhs, rhs = solves[0]
+    real = name in ("monomial", "two-channel", "column", "real", "not-divisible", "zero")
+    assert {lhs.dtype, rhs.dtype} == {np.dtype(float if real else complex)}, name
+    if name == "not-divisible":
+        assert got[1].startswith("not divisible: divisibility residual")
+    if name == "zero":
+        assert got == (FactorizationError,
+                       "division produced a non-isometric quotient: residual 1.000e+00")
 
 
 # ---- the check reuses its own witness's S_theta split -------------------------

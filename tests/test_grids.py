@@ -101,6 +101,42 @@ def test_top_slice_indices_rejects_a_variable_out_of_range(t):
         g.top_slice_indices(t)
 
 
+def _fractional_entry_points():
+    from hardylab.dilation import canonical_dilation, random_brehmer_pair
+    from hardylab.kernels import kernel_sum_oracle, reduced_kernel_suite
+    from hardylab.subspaces import invariance_defect, submodule_projection
+    from hardylab.symbols import AnalyticSymbol
+
+    z1z2 = submodule_projection(AnalyticSymbol.monomial((1, 1)), TruncationGrid((3, 3)))
+    return {
+        "caps": (lambda: TruncationGrid((3.7, 3)), "cap", "3.7"),
+        "channels": (lambda: TruncationGrid((3, 3), channels=2.9), "channels", "2.9"),
+        "with-channels": (lambda: TruncationGrid((3, 3), 2).with_channels(2.5), "channels", "2.5"),
+        "window": (lambda: TruncationGrid((3, 3)).window_indices((1.9, 1)), "margin", "1.9"),
+        "dilation": (lambda: canonical_dilation(random_brehmer_pair(0), (3.7, 3)), "cap", "3.7"),
+        "oracle": (lambda: kernel_sum_oracle((0.1, 0.2), (0.3, 0.1), (2.5, 2)), "cap", "2.5"),
+        "kernel-suite": (lambda: reduced_kernel_suite((4, 4.5)), "cap", "4.5"),
+        "invariance": (lambda: invariance_defect(z1z2, (0.5, 1)), "margin", "0.5"),
+    }
+
+
+@pytest.mark.parametrize("where", ["caps", "channels", "with-channels", "window", "dilation",
+                                   "oracle", "kernel-suite", "invariance"])
+def test_a_fractional_size_is_refused_by_name(where):
+    """A cap, channel count or margin with a fractional part is refused,
+    never truncated to the int below it."""
+    call, name, shown = _fractional_entry_points()[where]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {shown}$"):
+        call()
+
+
+def test_integral_sizes_of_any_numeric_type_are_read_as_ints():
+    g = TruncationGrid((np.int64(3), 2.0), channels=np.float64(2))
+    assert g == TruncationGrid((3, 2), 2)
+    assert type(g.caps[0]) is int and type(g.caps[1]) is int and type(g.channels) is int
+    assert np.array_equal(g.window_indices((1.0, np.int32(1))), g.window_indices((1, 1)))
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         TruncationGrid((2, -1))

@@ -181,6 +181,25 @@ def test_non_finite_coefficient_rejected(bad):
     with pytest.raises(ValueError, match=f"line 2: value wants finite numbers, got '{bad}'"):
         parse_coefficient_text(f"numerator\n0 0 0 0 {bad} 0\n")
 
+@pytest.mark.parametrize("make, shown", [
+    (lambda: AnalyticSymbol.polynomial({(1.5, 0): 1.0, (1, 0): 2.0}, 2), "1.5"),
+    (lambda: AnalyticSymbol.monomial((0.9, 2)), "0.9"),
+    (lambda: AnalyticSymbol.rational({(0, 0): 1.0}, {(0, 0): 1.0, (0, 0.5): 0.1}, 2), "0.5"),
+    (lambda: AnalyticSymbol.monomial(("1", 0)), "'1'"),
+], ids=["polynomial", "monomial", "denominator", "string"])
+def test_a_fractional_exponent_is_refused_by_name(make, shown):
+    """1.5 is not truncated to 1, where its coefficient would be overwritten."""
+    with pytest.raises(ValueError, match=f"^exponent must be an integer, got {shown}$"):
+        make()
+
+
+def test_integral_exponents_of_any_numeric_type_are_read_as_ints():
+    s = AnalyticSymbol.polynomial({(np.int64(1), 2.0): 1.0, (0, np.float64(0)): 2.0}, 2)
+    assert list(s.numerator) == [(1, 2), (0, 0)]
+    assert all(type(x) is int for k in s.numerator for x in k)
+    assert list(AnalyticSymbol.monomial((2.0, np.uint8(1))).numerator) == [(2, 1)]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
 def test_non_finite_coefficient_refused_by_the_constructor(bad):
     with pytest.raises(ValueError, match=r"coefficient at \(1, 0\) is not finite"):
